@@ -2,17 +2,20 @@
 //!
 //! These measure the *real* CPU cost of the data structures the paper's
 //! design leans on: attribute stamping, whole-group merging, PMR log
-//! append/scan, recovery's global merge, and wire encoding.
+//! append/scan, recovery's global merge, wire encoding, and the
+//! integrity data path (CRC-32C, payload generation, sealed SSD writes
+//! and the scrub).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rio_order::attr::{BlockRange, OrderingAttr, StreamId};
 use rio_order::pmrlog::PmrLog;
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
 use rio_order::scheduler::{OrderQueue, OrderQueueConfig};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_order::{attr::Seq, attr::ServerId, InOrderCompleter, SubmissionGate};
-use rio_proto::{RioExt, Sqe};
+use rio_proto::{crc32c, payload, RioExt, Sqe};
 use rio_sim::{EventHeap, SimTime};
+use rio_ssd::{BlockImage, Ssd, SsdProfile};
 
 fn bench_sequencer(c: &mut Criterion) {
     c.bench_function("sequencer_stamp", |b| {
@@ -230,9 +233,69 @@ fn bench_wire(c: &mut Criterion) {
     });
 }
 
+/// The integrity data path, one kernel per bench: every number is per
+/// 4 KB block except the scrub, which walks 1 024 sealed records.
+fn bench_integrity(c: &mut Criterion) {
+    let block = payload::block_for(payload::seed_for(0, 1, 0));
+
+    c.bench_function("crc32c_4k", |b| b.iter(|| crc32c(black_box(&block))));
+
+    c.bench_function("payload_fill_4k", |b| {
+        let mut out = block.clone();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            payload::fill_block(seed, black_box(&mut out));
+        });
+    });
+
+    // A PLP drive with integrity on: each write is shared into the
+    // logical view and CRC-32C sealed at submission. Effects settle in
+    // bulk every `SETTLE` submissions, as they do at the end of a run.
+    const SEALED_LBAS: u64 = 1024;
+    const SETTLE: u64 = 1024;
+    let sealed_ssd = || {
+        let mut ssd = Ssd::new(SsdProfile::optane905p(), 3);
+        ssd.set_integrity(true);
+        ssd
+    };
+    c.bench_function("ssd_submit_write_sealed", |b| {
+        let mut ssd = sealed_ssd();
+        let mut n = 0u64;
+        b.iter_batched(
+            || vec![BlockImage::Bytes(block.clone())],
+            |images| {
+                n += 1;
+                let now = SimTime::from_nanos(n * 2_000);
+                let done = ssd.submit_write(now, n % SEALED_LBAS, images, false);
+                if n.is_multiple_of(SETTLE) {
+                    ssd.advance(now);
+                }
+                done
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    c.bench_function("ssd_scrub_1k_records", |b| {
+        let mut ssd = sealed_ssd();
+        let mut now = SimTime::ZERO;
+        for lba in 0..SEALED_LBAS {
+            let images = vec![BlockImage::Bytes(payload::block_for(lba))];
+            now = ssd.submit_write(now, lba, images, false).1;
+        }
+        ssd.advance(now);
+        b.iter(|| {
+            let (scanned, corrupt) = ssd.scrub();
+            assert_eq!((scanned, corrupt.len()), (SEALED_LBAS, 0));
+            scanned
+        });
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sequencer, bench_merge, bench_pmr_log, bench_recovery, bench_structures, bench_wire
+    targets = bench_sequencer, bench_merge, bench_pmr_log, bench_recovery, bench_structures, bench_wire, bench_integrity
 );
 criterion_main!(benches);

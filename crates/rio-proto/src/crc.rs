@@ -6,40 +6,104 @@
 //!   checksum (torn-write detection on the persistent ordering log,
 //!   §4.3.2). Chosen over Fletcher-16, whose mod-255 arithmetic cannot
 //!   distinguish 0x00 from 0xFF bytes — exactly the corruption a torn
-//!   write of a zero-filled slot produces.
+//!   write of a zero-filled slot produces. Slicing-by-4 over four
+//!   256-entry tables: the compiler already lowers the textbook
+//!   shift-and-branch loop to a one-table byte loop, and an explicit
+//!   one-table loop measured no faster (85–88 ns → 96–110 ns per
+//!   record encode + decode), so only the sliced form earns its
+//!   tables (29–30 ns).
 //! * [`crc32c`] — CRC-32C (Castagnoli), the payload checksum used for
 //!   per-command digests on the wire and per-block seals on media.
-//!   Castagnoli is what NVMe end-to-end protection and iSCSI use; the
-//!   implementation is table-driven so sealing a 4 KB block costs one
-//!   table lookup per byte, not eight shifts.
+//!   Castagnoli is what NVMe end-to-end protection and iSCSI use. The
+//!   kernel is slicing-by-16: sixteen input bytes per step, each looked
+//!   up in its own table and xor-ed together, so the lookups of a step
+//!   do not wait on one another the way a byte-at-a-time register
+//!   update does. Slicing-by-8 was measured beside it (1.34–1.41 GB/s
+//!   against 1.79–1.84 GB/s on warm 4 KB blocks, and slower end to
+//!   end); only the wider kernel ships. The byte-at-a-time loop
+//!   survives as the tail handler for the last `< 8` bytes and as the
+//!   oracle the tests compare the kernel against.
+//!
+//! Every table is `const`-built — no lazy initialisation, nothing to
+//! set up at run time — and all of it is safe Rust without intrinsics.
 //!
 //! [`PayloadDigest`] wraps a CRC-32C over a command's payload and is
 //! stamped at submission when the cluster runs with integrity checking
 //! enabled; the zero value doubles as the "integrity off" sentinel so
 //! untouched commands carry no digest state.
 
-/// CRC-16/CCITT-FALSE over `data` (init `0xFFFF`, poly `0x1021`, no
-/// reflection, no final xor).
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
+/// CRC-16/CCITT-FALSE slicing tables: `[k][b]` is the register after
+/// shifting byte `b`, then `k` zero bytes, through an all-zero
+/// register. `[0]` is the classic one-entry-per-byte table.
+const CRC16_TABLES: [[u16; 256]; 4] = build_crc16_tables();
+
+const fn build_crc16_tables() -> [[u16; 256]; 4] {
+    let mut tables = [[0u16; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut j = 0;
+        while j < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
             } else {
-                crc <<= 1;
-            }
+                crc << 1
+            };
+            j += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
     }
-    crc
+    let mut k = 1;
+    while k < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Reflected CRC-32C (Castagnoli) lookup table, one entry per byte.
-const CRC32C_TABLE: [u32; 256] = build_crc32c_table();
+/// CRC-16/CCITT-FALSE over `data` (init `0xFFFF`, poly `0x1021`, no
+/// reflection, no final xor); the check value of `"123456789"` is
+/// `0x29B1`.
+///
+/// Slicing-by-4: four input bytes per step, one independent table
+/// lookup each (the 28-byte PMR record body is exactly seven steps),
+/// then a byte-at-a-time tail. The register lives in a `u32` — 16-bit
+/// arithmetic costs x86 a partial-register merge per byte.
+pub fn crc16(data: &[u8]) -> u16 {
+    let t = &CRC16_TABLES;
+    let mut crc: u32 = 0xFFFF;
+    let mut steps = data.chunks_exact(4);
+    for c in &mut steps {
+        let word = (crc << 16) ^ u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
+        crc = (t[3][(word >> 24) as usize]
+            ^ t[2][((word >> 16) & 0xFF) as usize]
+            ^ t[1][((word >> 8) & 0xFF) as usize]
+            ^ t[0][(word & 0xFF) as usize]) as u32;
+    }
+    for &byte in steps.remainder() {
+        let top = (crc >> 8) ^ byte as u32;
+        crc = ((crc << 8) & 0xFFFF) ^ t[0][(top & 0xFF) as usize] as u32;
+    }
+    crc as u16
+}
 
-const fn build_crc32c_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes the CRC-32C kernel folds per step.
+const SLICES: usize = 16;
+
+/// Reflected CRC-32C (Castagnoli) slicing tables. `[0]` is the classic
+/// one-entry-per-byte table; `[k][b]` is the register after byte `b`
+/// followed by `k` zero bytes, so one step can look up all [`SLICES`]
+/// input bytes independently and xor the results.
+const CRC32C_TABLES: [[u32; 256]; SLICES] = build_crc32c_tables();
+
+const fn build_crc32c_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -52,22 +116,72 @@ const fn build_crc32c_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// One table lookup per byte — the tail handler of the sliced kernel
+/// (and the oracle its tests compare against).
+fn crc32c_bytewise(state: u32, data: &[u8]) -> u32 {
+    let mut crc = state;
+    for &byte in data {
+        crc = (crc >> 8) ^ CRC32C_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// Looks up the four bytes of little-endian `word` when `after` more
+/// bytes of the same step follow it: a byte with `k` bytes behind it
+/// in the step reads table `k`.
+#[inline(always)]
+fn slice4(word: u32, after: usize) -> u32 {
+    let t = &CRC32C_TABLES;
+    t[after + 3][(word & 0xFF) as usize]
+        ^ t[after + 2][((word >> 8) & 0xFF) as usize]
+        ^ t[after + 1][((word >> 16) & 0xFF) as usize]
+        ^ t[after][(word >> 24) as usize]
+}
+
+fn le32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
 }
 
 /// Folds `data` into a running CRC-32C state (use [`crc32c`] for the
 /// one-shot form). The state is the raw shift-register value: start
 /// from `!0` and invert the final state yourself, or let the wrappers
 /// do it.
+///
+/// Slicing-by-16: sixteen input bytes per step, one independent table
+/// lookup each; then at most one eight-byte half step over the low
+/// eight tables (so the 8-byte seeds of [`PayloadDigest::over_seeds`]
+/// never fall to the byte loop); then the bytewise tail.
 pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
     let mut crc = state;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut steps = data.chunks_exact(SLICES);
+    for c in &mut steps {
+        crc = slice4(le32(&c[0..4]) ^ crc, 12)
+            ^ slice4(le32(&c[4..8]), 8)
+            ^ slice4(le32(&c[8..12]), 4)
+            ^ slice4(le32(&c[12..16]), 0);
     }
-    crc
+    let mut rest = steps.remainder();
+    if rest.len() >= 8 {
+        crc = slice4(le32(&rest[0..4]) ^ crc, 4) ^ slice4(le32(&rest[4..8]), 0);
+        rest = &rest[8..];
+    }
+    crc32c_bytewise(crc, rest)
 }
 
 /// CRC-32C (Castagnoli) over `data` — reflected, init `!0`, final xor
@@ -115,11 +229,45 @@ impl PayloadDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::{block_for, BLOCK_BYTES};
+
+    /// The shift-and-branch definition of CRC-16/CCITT-FALSE the table
+    /// is checked against.
+    fn crc16_bitwise(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &byte in data {
+            crc ^= (byte as u16) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ 0x1021
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
 
     #[test]
     fn crc16_check_value() {
         // CRC-16/CCITT-FALSE standard check input.
         assert_eq!(crc16(b"123456789"), 0x29B1);
+        assert_eq!(crc16(b""), 0xFFFF);
+    }
+
+    #[test]
+    fn crc16_table_matches_bitwise_form() {
+        for seed in 0..64u64 {
+            let block = block_for(seed);
+            // Every length up to past the 28-byte PMR record body, at a
+            // seed-dependent offset, plus one long input.
+            for len in 0..=40 {
+                let at = (seed as usize * 61) % (BLOCK_BYTES - 40);
+                let data = &block[at..at + len];
+                assert_eq!(crc16(data), crc16_bitwise(data), "seed {seed} len {len}");
+            }
+            assert_eq!(crc16(&block), crc16_bitwise(&block));
+        }
     }
 
     #[test]
@@ -127,13 +275,57 @@ mod tests {
         // CRC-32C (Castagnoli) standard check input.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
+        // RFC 3720 §B.4.
+        assert_eq!(crc32c(&[0x00; 32]), 0x8A91_36AA);
+        assert_eq!(crc32c(&[0xFF; 32]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+        let descending: Vec<u8> = (0..32).rev().collect();
+        assert_eq!(crc32c(&descending), 0x113F_DB5C);
+    }
+
+    #[test]
+    fn sliced_kernel_matches_bytewise_at_every_length_and_offset() {
+        let buf = block_for(0xC0FFEE);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32c_update(!0, data),
+                    crc32c_bytewise(!0, data),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_kernel_matches_bytewise_on_random_blocks() {
+        for seed in 0..1000u64 {
+            let block = block_for(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let state = seed as u32;
+            assert_eq!(
+                crc32c_update(state, &block),
+                crc32c_bytewise(state, &block),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
     fn crc32c_update_composes() {
-        let whole = crc32c(b"hello world");
-        let split = !crc32c_update(crc32c_update(!0, b"hello "), b"world");
-        assert_eq!(whole, split);
+        let msg = &block_for(7)[..100];
+        for state in [!0u32, 0, 0x1234_5678] {
+            let whole = crc32c_update(state, msg);
+            for split in 0..=msg.len() {
+                let (a, b) = msg.split_at(split);
+                assert_eq!(
+                    crc32c_update(crc32c_update(state, a), b),
+                    whole,
+                    "split {split}"
+                );
+            }
+        }
     }
 
     #[test]

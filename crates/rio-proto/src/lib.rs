@@ -29,7 +29,7 @@ pub mod rio_ext;
 pub mod sqe;
 
 pub use cqe::{Cqe, Status};
-pub use crc::{crc16, crc32c, PayloadDigest};
+pub use crc::{crc16, crc32c, crc32c_update, PayloadDigest};
 pub use opcode::{NvmOpcode, RioOpcode};
 pub use pmr_record::PmrRecord;
 pub use rio_ext::{RioExt, RioFlags};

@@ -10,36 +10,129 @@
 //! intended seal) or at-rest bit rot (mutated image, original seal)
 //! leaves the two inconsistent, which is exactly what a recovery scrub
 //! checks for.
+//!
+//! Real bytes are held once per write: the device moves a submitted
+//! buffer behind a [`SharedBytes`] and its logical and durable stores
+//! alias it. Images are immutable once shared — fault injection builds
+//! a fresh image for the one store it corrupts — and both the seal and
+//! the scrub checksum the bytes where they lie
+//! ([`BlockImage::crc32c`]).
 
+use std::ops::Deref;
+use std::sync::Arc;
+
+use rio_proto::crc32c_update;
 use rio_sim::FxHashMap;
 
+/// An immutable payload buffer several block images can alias.
+///
+/// The device moves every submitted [`BlockImage::Bytes`] behind one
+/// of these, so its logical and durable views (and every read of
+/// either) share the submitter's allocation instead of copying it.
+/// Only the device creates them; readers borrow the bytes through
+/// `Deref`.
+#[derive(Debug, Clone)]
+pub struct SharedBytes(Arc<Box<[u8]>>);
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// Contents of one 4 KB block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum BlockImage {
     /// Never written (reads back as zeroes).
     Zero,
     /// A benchmark write identified by a token instead of real bytes.
     Tag(u64),
-    /// Real data (file-system paths).
+    /// Real data (file-system paths), as a submitter hands it in.
     Bytes(Box<[u8]>),
+    /// Real data the device has accepted: the same bytes behind a
+    /// shared immutable buffer. Reads of accepted real data return
+    /// this variant; it compares equal to a [`BlockImage::Bytes`] of
+    /// the same content.
+    Shared(SharedBytes),
 }
 
+/// Two images are equal when they are the same kind of block with the
+/// same content; whether real data is uniquely owned or shared does
+/// not matter.
+impl PartialEq for BlockImage {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (BlockImage::Zero, BlockImage::Zero) => true,
+            (BlockImage::Tag(a), BlockImage::Tag(b)) => a == b,
+            _ => self.data().is_some() && self.data() == other.data(),
+        }
+    }
+}
+
+impl Eq for BlockImage {}
+
 impl BlockImage {
+    /// The real bytes this image holds (`None` for `Zero` and `Tag`).
+    pub fn data(&self) -> Option<&[u8]> {
+        match self {
+            BlockImage::Zero | BlockImage::Tag(_) => None,
+            BlockImage::Bytes(b) => Some(b),
+            BlockImage::Shared(s) => Some(s),
+        }
+    }
+
+    /// Moves uniquely owned real data behind a shared buffer, in place
+    /// and without copying it, so clones of this image alias one
+    /// allocation. `Zero` and `Tag` stay inline.
+    pub(crate) fn share(&mut self) {
+        if let BlockImage::Bytes(b) = self {
+            *self = BlockImage::Shared(SharedBytes(Arc::new(std::mem::take(b))));
+        }
+    }
+
+    /// Runs `f` over the bytes the image spells out, cut to
+    /// `block_size`; the rest of the block is implicit zeroes.
+    fn with_prefix<R>(&self, block_size: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let tag;
+        let prefix: &[u8] = match self {
+            BlockImage::Zero => &[],
+            BlockImage::Tag(t) => {
+                tag = t.to_le_bytes();
+                &tag
+            }
+            BlockImage::Bytes(b) => b,
+            BlockImage::Shared(s) => s,
+        };
+        f(&prefix[..prefix.len().min(block_size)])
+    }
+
     /// Materialises the block as bytes of length `block_size`.
     pub fn to_bytes(&self, block_size: usize) -> Vec<u8> {
-        match self {
-            BlockImage::Zero => vec![0; block_size],
-            BlockImage::Tag(t) => {
-                let mut v = vec![0; block_size];
-                v[..8].copy_from_slice(&t.to_le_bytes());
-                v
+        self.with_prefix(block_size, |prefix| {
+            let mut v = vec![0; block_size];
+            v[..prefix.len()].copy_from_slice(prefix);
+            v
+        })
+    }
+
+    /// CRC-32C of the block as [`BlockImage::to_bytes`] would
+    /// materialise it, without materialising it: the bytes the image
+    /// holds are checksummed where they lie, the implicit rest as zero
+    /// padding.
+    pub fn crc32c(&self, block_size: usize) -> u32 {
+        static ZEROS: [u8; 4096] = [0; 4096];
+        self.with_prefix(block_size, |prefix| {
+            let mut state = crc32c_update(!0, prefix);
+            let mut pad = block_size - prefix.len();
+            while pad > 0 {
+                let n = pad.min(ZEROS.len());
+                state = crc32c_update(state, &ZEROS[..n]);
+                pad -= n;
             }
-            BlockImage::Bytes(b) => {
-                let mut v = b.to_vec();
-                v.resize(block_size, 0);
-                v
-            }
-        }
+            !state
+        })
     }
 }
 
@@ -113,12 +206,16 @@ impl BlockStore {
         true
     }
 
+    /// Borrows the stored image of `lba` (`None` when never written),
+    /// for callers that only inspect it — a scrub re-checksums every
+    /// block without cloning any.
+    pub fn get(&self, lba: u64) -> Option<&BlockImage> {
+        self.blocks.get(&lba).map(|(_, img)| img)
+    }
+
     /// Reads one block (unwritten blocks read back as [`BlockImage::Zero`]).
     pub fn read(&self, lba: u64) -> BlockImage {
-        self.blocks
-            .get(&lba)
-            .map(|(_, img)| img.clone())
-            .unwrap_or(BlockImage::Zero)
+        self.get(lba).cloned().unwrap_or(BlockImage::Zero)
     }
 
     /// The version of the last write to `lba` (0 when never written).
@@ -219,6 +316,55 @@ mod tests {
         assert_eq!(clean[1] ^ 2, rotten[1], "exactly bit 9 flipped");
         assert_eq!(s.seal(1), Some(123), "seal untouched by rot");
         assert!(!s.flip_bit(99, 0, 64), "absent block cannot rot");
+    }
+
+    #[test]
+    fn image_checksum_equals_crc_of_materialised_block() {
+        let full: Box<[u8]> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+        let mut shared = BlockImage::Bytes(full.clone());
+        shared.share();
+        let images = [
+            BlockImage::Zero,
+            BlockImage::Tag(0x0123_4567_89AB_CDEF),
+            BlockImage::Bytes(vec![9, 9].into_boxed_slice()),
+            BlockImage::Bytes(full),
+            shared,
+        ];
+        // 4 096 is the device block; the others cover a pad longer than
+        // the static zero run and an image longer than the block.
+        for block_size in [4096, 10_000, 64, 4] {
+            for img in &images {
+                assert_eq!(
+                    img.crc32c(block_size),
+                    rio_proto::crc32c(&img.to_bytes(block_size)),
+                    "{block_size}-byte block of {:?}",
+                    img.data().map(<[u8]>::len)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sharing_moves_the_buffer_and_clones_alias_it() {
+        let data: Box<[u8]> = vec![0xAB; 4096].into_boxed_slice();
+        let mut img = BlockImage::Bytes(data.clone());
+        let at = img.data().map(<[u8]>::as_ptr);
+        img.share();
+        assert!(matches!(img, BlockImage::Shared(_)));
+        assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
+        let copy = img.clone();
+        assert_eq!(copy.data().map(<[u8]>::as_ptr), at, "a clone aliases it");
+        assert_eq!(img, BlockImage::Bytes(data), "equality is by content");
+        // Zero and Tag have nothing to share and stay inline.
+        let mut tag = BlockImage::Tag(5);
+        tag.share();
+        assert!(matches!(tag, BlockImage::Tag(5)));
+        assert_ne!(BlockImage::Tag(0), BlockImage::Zero);
+        assert_ne!(
+            BlockImage::Bytes(vec![0; 8].into_boxed_slice()),
+            BlockImage::Zero,
+            "real zero bytes are still real data"
+        );
     }
 
     #[test]

@@ -28,10 +28,14 @@
 //!   their seals,
 //! * [`Ssd::scrub`] re-checksums every sealed block and reports the
 //!   mismatches; with integrity off none of this costs anything.
+//!
+//! Payload bytes are never copied on this path: a submitted buffer is
+//! shared between the logical and durable views, sealed and scrubbed
+//! in place, and replaced (not mutated) in the one view a torn write
+//! or bit rot corrupts.
 
 use std::collections::VecDeque;
 
-use rio_proto::crc32c;
 use rio_sim::{MultiServer, SimDuration, SimRng, SimTime};
 
 use crate::media::{BlockImage, BlockStore};
@@ -335,7 +339,7 @@ impl Ssd {
         &mut self,
         now: SimTime,
         lba: u64,
-        images: Vec<BlockImage>,
+        mut images: Vec<BlockImage>,
         fua: bool,
     ) -> (u64, SimTime) {
         let blocks = images.len() as u32;
@@ -365,7 +369,10 @@ impl Ssd {
         let completion = start + overflow_delay + self.write_latency(blocks);
 
         // Reads observe the write in submission order immediately.
-        for (i, img) in images.iter().enumerate() {
+        // Real bytes move behind a shared buffer first, so the logical
+        // view aliases the image that later lands on media.
+        for (i, img) in images.iter_mut().enumerate() {
+            img.share();
             self.logical.write(lba + i as u64, img.clone());
         }
         let id = self.op_id();
@@ -375,7 +382,7 @@ impl Ssd {
         let crcs: Vec<u32> = if self.integrity {
             images
                 .iter()
-                .map(|img| crc32c(&img.to_bytes(BLOCK_SIZE as usize)))
+                .map(|img| img.crc32c(BLOCK_SIZE as usize))
                 .collect()
         } else {
             Vec::new()
@@ -616,8 +623,8 @@ impl Ssd {
         let mut corrupt = Vec::new();
         for &lba in &lbas {
             let seal = self.media.seal(lba).expect("sealed block has a seal");
-            let bytes = self.media.read(lba).to_bytes(BLOCK_SIZE as usize);
-            if crc32c(&bytes) != seal {
+            let img = self.media.get(lba).expect("sealed block has an image");
+            if img.crc32c(BLOCK_SIZE as usize) != seal {
                 corrupt.push(lba);
             }
         }
@@ -637,7 +644,10 @@ impl Ssd {
     /// coherent wrong-data overwrite from the intended write).
     pub fn payload_verified(&self) -> bool {
         self.media.sealed_lbas().iter().all(|&lba| {
-            rio_proto::payload::verify_block(&self.media.read(lba).to_bytes(BLOCK_SIZE as usize))
+            // Anything but full-length real data cannot be a payload
+            // block (`verify_block` rejects other lengths).
+            let data = self.media.get(lba).and_then(BlockImage::data);
+            data.is_some_and(rio_proto::payload::verify_block)
         })
     }
 
@@ -660,6 +670,7 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_proto::payload::block_for;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1000)
@@ -981,6 +992,99 @@ mod tests {
         assert!(!s.media_verified());
         s.submit_discard(done, 4, 1);
         assert!(s.media_verified(), "discarded block no longer scrubbed");
+    }
+
+    /// A device holding 16 flushed payload blocks, with integrity on.
+    fn payload_ssd(profile: SsdProfile) -> (Ssd, SimTime) {
+        let mut s = ssd(profile);
+        s.set_integrity(true);
+        let mut now = SimTime::ZERO;
+        for lba in 0..16 {
+            let images = vec![BlockImage::Bytes(block_for(lba))];
+            now = s.submit_write(now, lba, images, false).1;
+        }
+        let (_, flushed) = s.submit_flush(now);
+        s.advance(flushed);
+        (s, flushed)
+    }
+
+    /// Rots three settled blocks, then cuts power halfway through a
+    /// write of LBA 20, and scrubs.
+    fn scripted_torn_and_rot(profile: SsdProfile) -> (u64, Vec<u64>) {
+        let (mut s, now) = payload_ssd(profile);
+        assert_eq!(s.rot_at_rest(3), 3);
+        let images = vec![BlockImage::Bytes(block_for(20))];
+        let (_, done) = s.submit_write(now, 20, images, false);
+        let mid = SimTime::from_nanos(now.as_nanos() / 2 + done.as_nanos() / 2);
+        assert_eq!(s.crash(mid), 1);
+        s.scrub()
+    }
+
+    #[test]
+    fn scripted_torn_and_rot_scrub_is_pinned() {
+        // Literal results of the copying implementation this replaced:
+        // the in-flight command tears on the PLP drive, the cache head
+        // mid-drain on the volatile one.
+        assert_eq!(
+            scripted_torn_and_rot(SsdProfile::optane905p()),
+            (17, vec![0, 8, 14, 20])
+        );
+        assert_eq!(
+            scripted_torn_and_rot(SsdProfile::pm981()),
+            (17, vec![0, 8, 14, 20])
+        );
+    }
+
+    #[test]
+    fn faults_never_reach_the_logical_view_through_the_shared_buffer() {
+        for profile in [SsdProfile::optane905p(), SsdProfile::pm981()] {
+            let (mut s, now) = payload_ssd(profile);
+            let intended: Vec<BlockImage> = (0..16)
+                .map(|lba| BlockImage::Bytes(block_for(lba)))
+                .collect();
+            // Both views alias one buffer per block until a fault.
+            for lba in 0..16 {
+                assert_eq!(
+                    s.logical_read(lba).data().map(<[u8]>::as_ptr),
+                    s.durable_read(lba).data().map(<[u8]>::as_ptr),
+                    "lba {lba} is stored once"
+                );
+            }
+            assert_eq!(s.rot_at_rest(16), 16);
+            for lba in 0..16 {
+                assert_ne!(s.durable_read(lba), intended[lba as usize], "rotted");
+                assert_eq!(s.logical_read(lba), intended[lba as usize], "untouched");
+            }
+            // A read taken before the power cut keeps the intended
+            // bytes after the media copy of the same LBA tears.
+            let images = vec![BlockImage::Bytes(block_for(20))];
+            let (_, done) = s.submit_write(now, 20, images, false);
+            let before = s.logical_read(20);
+            let mid = SimTime::from_nanos(now.as_nanos() / 2 + done.as_nanos() / 2);
+            assert_eq!(s.crash(mid), 1);
+            assert_eq!(before, BlockImage::Bytes(block_for(20)));
+            assert_ne!(s.durable_read(20), before, "torn on media");
+        }
+    }
+
+    #[test]
+    fn crash_and_later_overwrites_keep_the_two_views_apart() {
+        let (mut s, now) = payload_ssd(SsdProfile::pm981());
+        s.crash(now);
+        // Reads after restart observe exactly what survived.
+        for lba in 0..16 {
+            assert_eq!(s.logical_read(lba), s.durable_read(lba));
+            assert!(s.is_durable(lba));
+        }
+        // An unflushed overwrite shows in the logical view only; the
+        // durable view keeps the old image, whole.
+        let old = s.durable_read(3);
+        let fresh = block_for(99);
+        s.submit_write(now, 3, vec![BlockImage::Bytes(fresh.clone())], false);
+        assert_eq!(s.logical_read(3), BlockImage::Bytes(fresh));
+        assert_eq!(s.durable_read(3), old);
+        assert_eq!(old, BlockImage::Bytes(block_for(3)));
+        assert!(s.payload_verified() && s.media_verified());
     }
 
     #[test]

@@ -278,6 +278,8 @@ pub(crate) struct StageTrace {
     /// undelivered trace.
     pending: Vec<VecDeque<(u32, u32)>>,
     ring_cap: usize,
+    /// Index of the oldest record once the ring is full (0 before).
+    ring_head: usize,
     ring_dropped: u64,
     agg: LatencyBreakdown,
     epoch: u32,
@@ -291,6 +293,7 @@ impl StageTrace {
             free: Vec::with_capacity(256),
             pending: (0..streams).map(|_| VecDeque::with_capacity(64)).collect(),
             ring_cap: cfg.ring,
+            ring_head: 0,
             ring_dropped: 0,
             agg: LatencyBreakdown::empty(cfg.ring),
             epoch: 0,
@@ -483,15 +486,16 @@ impl StageTrace {
         } else {
             self.agg.aborted += 1;
         }
-        if self.agg.records.len() >= self.ring_cap {
-            if !self.agg.records.is_empty() {
-                self.agg.records.remove(0);
-            }
-            self.ring_dropped += 1;
-        }
-        if self.ring_cap > 0 {
+        if self.agg.records.len() < self.ring_cap {
             self.agg.records.push(r.clone());
         } else {
+            // Full ring (or `ring: 0`): one record is lost per close.
+            // The oldest one sits at the head cursor; overwrite it in
+            // place and let `finish` rotate the ring back into order.
+            if let Some(oldest) = self.agg.records.get_mut(self.ring_head) {
+                *oldest = r.clone();
+                self.ring_head = (self.ring_head + 1) % self.ring_cap;
+            }
             self.ring_dropped += 1;
         }
         self.free.push(id);
@@ -500,6 +504,7 @@ impl StageTrace {
     /// Snapshot of the aggregates for [`crate::metrics::RunMetrics`].
     pub(crate) fn finish(&self) -> LatencyBreakdown {
         let mut out = self.agg.clone();
+        out.records.rotate_left(self.ring_head);
         out.records_dropped = self.ring_dropped;
         out
     }
@@ -634,6 +639,36 @@ mod tests {
         assert_eq!(b.records.len(), 2);
         assert_eq!(b.records_dropped, 2);
         assert_eq!(b.records[1].lba, 3, "newest records kept");
+    }
+
+    #[test]
+    fn wrapped_ring_reads_oldest_to_newest() {
+        // Seven closes through a ring of three wrap the head cursor
+        // twice and leave it mid-ring.
+        let mut tr = StageTrace::new(&TraceConfig { ring: 3 }, 1);
+        for i in 0..7u64 {
+            run_unordered(&mut tr, i * 100, i);
+        }
+        let b = tr.finish();
+        let lbas: Vec<u64> = b.records.iter().map(|r| r.lba).collect();
+        assert_eq!(lbas, vec![4, 5, 6], "oldest first after rotation");
+        assert_eq!(b.records_dropped, 4);
+        // `finish` snapshots; the live ring keeps evicting in order.
+        run_unordered(&mut tr, 700, 7);
+        let lbas: Vec<u64> = tr.finish().records.iter().map(|r| r.lba).collect();
+        assert_eq!(lbas, vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn zero_ring_drops_one_record_per_command() {
+        let mut tr = StageTrace::new(&TraceConfig { ring: 0 }, 1);
+        for i in 0..5u64 {
+            run_unordered(&mut tr, i * 100, i);
+        }
+        let b = tr.finish();
+        assert_eq!(b.completed, 5);
+        assert!(b.records.is_empty());
+        assert_eq!(b.records_dropped, 5, "one drop per closed command");
     }
 
     #[test]
