@@ -6,8 +6,8 @@ use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
 use rio::stack::crash::run_crash_recovery;
 use rio::stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultPlan, InitiatorConfig, OrderingMode,
-    TelemetryConfig, TraceConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
+    OrderingMode, TelemetryConfig, TraceConfig, Workload,
 };
 use rio::workloads::{MiniKv, Varmail};
 
@@ -621,5 +621,198 @@ fn fsync_semantics_hold_across_all_engines() {
             m.op_latency.quantile(0.99) >= m.op_latency.quantile(0.5),
             "tail sanity"
         );
+    }
+}
+
+/// FNV-1a over the `Debug` rendering of the whole `RunMetrics`: every
+/// counter, histogram bucket, float and trace record of a run folded
+/// into one literal.
+fn fingerprint(m: &rio::stack::RunMetrics) -> u64 {
+    format!("{m:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn run_metrics_fingerprints_are_pinned_across_commits() {
+    // The snapshot rails above compare two runs of the *same* binary, so
+    // a refactor that changes behaviour deterministically passes them.
+    // These literals were captured from the commit before the
+    // `cluster.rs` consolidation (PR 13) and pin the full `RunMetrics`
+    // of every snapshot configuration across commits: a mismatch means
+    // simulated behaviour changed, not just code shape. Re-capture them
+    // (the failure message prints the new table) only in a PR that
+    // changes behaviour on purpose.
+    const MODES: [OrderingMode; 4] = [
+        OrderingMode::Orderless,
+        OrderingMode::LinuxNvmf,
+        OrderingMode::Horae,
+        OrderingMode::Rio { merge: true },
+    ];
+    let groups = |mode: &OrderingMode| if *mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
+    let lossy = |mode: &OrderingMode| {
+        let mut cfg = small(mode.clone(), 3);
+        cfg.net = FabricConfig::lossy(0.05, 2);
+        cfg.net.migrate_every = 32;
+        cfg
+    };
+    let crash = || {
+        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
+        cfg.initiator_cores = 8;
+        for t in &mut cfg.targets {
+            t.cores = 8;
+        }
+        cfg.qps_per_target = 8;
+        cfg.max_inflight_per_stream = 16;
+        cfg.net = FabricConfig::lossy(1e-3, 2);
+        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+        cfg
+    };
+    let multi = || {
+        let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 1, 2);
+        cfg.net = FabricConfig::lossy(1e-3, 2);
+        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+        cfg
+    };
+    let traced = |mut cfg: ClusterConfig| {
+        cfg.trace = Some(TraceConfig { ring: 1 << 16 });
+        cfg
+    };
+    let sampled = |mut cfg: ClusterConfig| {
+        cfg.telemetry = Some(TelemetryConfig::default());
+        cfg
+    };
+
+    let mut runs: Vec<(String, ClusterConfig, Workload)> = Vec::new();
+    for mode in &MODES {
+        let (l, wl) = (mode.label(), Workload::random_4k(3, groups(mode)));
+        runs.push((format!("{l} clean"), small(mode.clone(), 3), wl.clone()));
+        runs.push((format!("{l} lossy"), lossy(mode), wl.clone()));
+        runs.push((format!("{l} lossy traced"), traced(lossy(mode)), wl.clone()));
+        runs.push((format!("{l} lossy sampled"), sampled(lossy(mode)), wl));
+        runs.push((
+            format!("{l} fsync"),
+            small(mode.clone(), 2),
+            Workload::fsync_append(2, 50),
+        ));
+    }
+    let wl = Workload::random_4k(3, 400);
+    runs.push(("crash under loss".into(), crash(), wl.clone()));
+    runs.push(("crash under loss traced".into(), traced(crash()), wl.clone()));
+    runs.push(("crash under loss sampled".into(), sampled(crash()), wl.clone()));
+    runs.push(("3 initiators crash under loss".into(), multi(), wl.clone()));
+    runs.push(("3 initiators crash traced + sampled".into(), traced(sampled(multi())), wl.clone()));
+    // Integrity on volatile-cache drives: a power cut that tears the
+    // in-flight write, scrubbed and repaired, then bit rot at rest.
+    let mut torn = crash();
+    torn.integrity = true;
+    torn.faults = FaultPlan {
+        events: vec![
+            FaultEvent {
+                at: SimTime::from_nanos(400_000),
+                kind: FaultKind::TornWrite { targets: vec![1] },
+                resume: true,
+            },
+            FaultEvent {
+                at: SimTime::from_nanos(55_600_000),
+                kind: FaultKind::BitRot { targets: Vec::new(), flips: 3 },
+                resume: true,
+            },
+        ],
+    };
+    runs.push(("integrity torn write + rot".into(), torn, wl.clone()));
+    // Paths the configurations above leave cold: cross-group merging,
+    // the one-shot (non-resuming) crash, a NIC flap, the scatter-QP
+    // gate, and weighted multi-tenant DRR over a corrupting fabric.
+    runs.push((
+        "seq merge".into(),
+        small(OrderingMode::Rio { merge: true }, 2),
+        Workload::seq_batched(2, 512, 16, 1),
+    ));
+    runs.push((
+        "journal triplet unmerged".into(),
+        small(OrderingMode::Rio { merge: false }, 2),
+        Workload::journal_triplet(2, 100),
+    ));
+    let mut oneshot = crash();
+    oneshot.faults = FaultPlan::crash_all_at(SimTime::from_nanos(400_000));
+    runs.push(("one-shot crash".into(), oneshot, wl.clone()));
+    let mut flap = crash();
+    flap.faults = FaultPlan {
+        events: vec![FaultEvent {
+            at: SimTime::from_nanos(300_000),
+            kind: FaultKind::NicReset { target: 0 },
+            resume: true,
+        }],
+    };
+    runs.push(("nic reset during fsync".into(), flap, Workload::fsync_append(3, 60)));
+    let mut scatter = small(OrderingMode::Rio { merge: true }, 3);
+    scatter.pin_stream_to_qp = false;
+    scatter.streams = 5;
+    runs.push(("scatter qp, spare streams".into(), scatter, wl));
+    let mut tenants = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 2, 2, 1);
+    tenants.initiators[0] = tenants.initiators[0].clone().with_weight(4);
+    tenants.net = FabricConfig::lossy(1e-2, 4);
+    tenants.net.corrupt_rate = 1e-3;
+    tenants.faults = FaultPlan {
+        events: vec![FaultEvent {
+            at: SimTime::from_nanos(500_000),
+            kind: FaultKind::TornWrite { targets: Vec::new() },
+            resume: true,
+        }],
+    };
+    runs.push((
+        "weighted tenants, corrupting fabric, torn write".into(),
+        sampled(tenants),
+        Workload::random_4k(4, 300),
+    ));
+
+    let expected: [u64; 32] = [
+        0xa1288f017cbb373f, // orderless clean
+        0x1afec728a749ada3, // orderless lossy
+        0x6a9056285dd971bf, // orderless lossy traced
+        0x173ab4747f48b5e2, // orderless lossy sampled
+        0x7e5949745ccd1b9f, // orderless fsync
+        0x92fbbb0a4b6f388d, // Linux clean
+        0xd2f25ad7a651ea0c, // Linux lossy
+        0xee03b9cee7d9baa8, // Linux lossy traced
+        0x5ac46f1778c4a81b, // Linux lossy sampled
+        0xcc4f54287cd8bb37, // Linux fsync
+        0xcc00089edc3eab8e, // HORAE clean
+        0xdb39289fed04dd42, // HORAE lossy
+        0x9f13890676b211c9, // HORAE lossy traced
+        0x3542d443129b2f7b, // HORAE lossy sampled
+        0x1d9d7559c887d9a7, // HORAE fsync
+        0x36b0fe3ad2339284, // RIO clean
+        0xb96d2f3b160b38a2, // RIO lossy
+        0x0a3fa64482cc5ea2, // RIO lossy traced
+        0x014284cbf612a0b5, // RIO lossy sampled
+        0xd36bea013e72cd06, // RIO fsync
+        0xb745b4310daecff7, // crash under loss
+        0x9c5162c1c2328568, // crash under loss traced
+        0x24559ecc5befb9be, // crash under loss sampled
+        0x9274129bca0a0521, // 3 initiators crash under loss
+        0xfc51acb9c9212a39, // 3 initiators crash traced + sampled
+        0xdb6780ba0069475e, // integrity torn write + rot
+        0x6130bdd8ceddd3e5, // seq merge
+        0xeb1311814aeca5c5, // journal triplet unmerged
+        0x452b10fc017094e5, // one-shot crash
+        0x960a4a6d9fab9c74, // nic reset during fsync
+        0xee4558d483ecda90, // scatter qp, spare streams
+        0x91f98655d2d20aca, // weighted tenants, corrupting fabric, torn write
+    ];
+    assert_eq!(runs.len(), expected.len(), "one literal per configuration");
+    let got: Vec<(String, u64)> = runs
+        .into_iter()
+        .map(|(name, cfg, wl)| (name, fingerprint(&Cluster::new(cfg, wl).run())))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, fp)| format!("        {fp:#018x}, // {name}\n"))
+        .collect();
+    for ((name, fp), want) in got.iter().zip(expected) {
+        assert_eq!(*fp, want, "`{name}` changed behaviour; actual table:\n{table}");
     }
 }
