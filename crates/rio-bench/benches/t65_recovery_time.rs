@@ -29,7 +29,6 @@
 use rio_bench::{header, kiops, row};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
-use rio_stack::crash::run_crash_recovery;
 use rio_stack::{
     Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
     TargetConfig, Workload,
@@ -81,11 +80,12 @@ fn paper_table(smoke: bool) {
     let mut records = 0usize;
     let mut discards = 0usize;
     for trial in 0..trials {
-        let cfg = paper_cfg(1000 + trial, threads);
+        let mut cfg = paper_cfg(1000 + trial, threads);
         let wl = Workload::random_4k(threads, 1_000_000);
         // Crash at a pseudo-random instant in [2, 6] ms of steady state.
         let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
-        let report = run_crash_recovery(cfg, wl, SimTime::from_nanos(crash_ns));
+        cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
+        let report = &Cluster::new(cfg, wl).run().recoveries[0];
         rebuild_ms += report.order_rebuild.as_secs_f64() * 1e3;
         data_ms += report.data_recovery.as_secs_f64() * 1e3;
         records += report.records_scanned;

@@ -23,7 +23,6 @@ use std::fmt::Write;
 
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
-use rio_stack::crash::run_crash_recovery;
 use rio_stack::{
     Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, TargetConfig, Workload,
 };
@@ -116,10 +115,11 @@ pub fn trajectory() -> Vec<RecoveryCell> {
     let threads = 8;
     let mut cells = Vec::new();
     for trial in 0..4u64 {
-        let cfg = trial_cfg(1000 + trial, threads);
+        let mut cfg = trial_cfg(1000 + trial, threads);
         let wl = Workload::random_4k(threads, 1_000_000);
         let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
-        let r = run_crash_recovery(cfg, wl, SimTime::from_nanos(crash_ns));
+        cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
+        let r = &Cluster::new(cfg, wl).run().recoveries[0];
         cells.push(RecoveryCell {
             label: format!("trial{trial}"),
             threads,

@@ -10,12 +10,16 @@
 //! Data path of one ordered write under Rio (Fig. 4):
 //!
 //! ```text
-//! thread: sequencer.submit → ORDER queue → [batch flush] → merge →
-//!         stripe/split → stamp_dispatch → SEND (stream-pinned QP) ───┐
+//! thread: rio.submit (stamp + ORDER queue) → [batch] rio.flush (merge)
+//!         → stripe/split → rio.stamp → SEND (stream-pinned QP) ──────┐
 //! target: RECV ─ gate.arrive ─ PMR append ─ RDMA READ data ─ SSD    │
 //!         write [─ FLUSH] ─ persist toggle ─ completion SEND ───────┘
-//! initiator: IRQ → fragment rejoin → in-order completer → deliver
+//! initiator: IRQ → fragment rejoin → rio.on_done (in order) → deliver
 //! ```
+//!
+//! `rio` is the initiator's [`rio_order::Rio`] handle: the paper's
+//! `librio` API is the code the simulated initiator runs. Fault
+//! handling and recovery live in the [`recovery`] child module.
 
 use std::collections::VecDeque;
 
@@ -23,24 +27,20 @@ use rio_block::{Plug, StripedVolume};
 use rio_net::{Fabric, Nic};
 use rio_order::attr::{BlockRange, OrderingAttr, Seq, ServerId, StreamId};
 use rio_order::pmrlog::{PmrLog, SlotRef};
-use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
-use rio_order::scheduler::{split_attr_into, OrderQueue, OrderQueueConfig};
-use rio_order::sequencer::SubmitOpts;
-use rio_order::{InOrderCompleter, Sequencer, SubmissionGate};
+use rio_order::scheduler::split_attr_into;
+use rio_order::{Rio, RioSetup, SubmissionGate};
 use rio_proto::{payload, PayloadDigest};
-use rio_sim::{EventHeap, Histogram, SimDuration, SimRng, SimTime, Slab};
+use rio_sim::{EventHeap, Histogram, SimRng, SimTime, Slab};
 use rio_ssd::{BlockImage, Ssd};
 
 use crate::config::{ClusterConfig, FaultKind, OrderingMode};
 use crate::cpu::CoreSet;
-use crate::crash::{
-    DISCARD_US, DRAM_SCAN_US_PER_RECORD, MERGE_NS_PER_RECORD, PMR_SCAN_US_PER_SLOT,
-    SCRUB_US_PER_BLOCK,
-};
-use crate::metrics::{EpochMetrics, IntegrityMetrics, RecoveryMetrics, RunMetrics, StreamRecovery};
+use crate::metrics::{EpochMetrics, IntegrityMetrics, RecoveryMetrics, RunMetrics};
 use crate::telemetry::TelemetrySampler;
 use crate::trace::{Stage, StageTrace, TRACE_NONE};
 use crate::workload::{FsyncStage, GroupSpec, Workload};
+
+pub mod recovery;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -49,12 +49,9 @@ enum Event {
     Resume(usize),
     /// A command SEND was delivered at its target.
     CmdArrive(u64),
-    /// A command capsule's go-back-N timeout fired; resend the window.
-    CmdResend(u64),
-    /// A command's data pull timeout fired; resend the window.
-    DataResend(u64),
-    /// A command's completion capsule timeout fired; resend the window.
-    CompResend(u64),
+    /// The go-back-N timeout of a command's current wire [`Leg`] fired;
+    /// resend the window.
+    Resend(u64),
     /// A command is ready for SSD submission (gate passed + data in).
     SsdSubmit(u64),
     /// A command's embedded FLUSH may be submitted.
@@ -85,6 +82,18 @@ enum CmdKind {
     Flush,
 }
 
+/// One of the three wire transfers of a command. They run strictly in
+/// sequence, so one go-back-N window per command suffices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Command capsule, initiator → target; delivery is `CmdArrive`.
+    Capsule,
+    /// One-sided data pull by the target; delivery sets `data_ready`.
+    Pull,
+    /// Completion capsule, target → initiator; delivery is `CmdComplete`.
+    Completion,
+}
+
 /// One in-flight NVMe-oF command.
 #[derive(Debug)]
 struct Cmd {
@@ -108,9 +117,9 @@ struct Cmd {
     /// gate released the command (`FAR_FUTURE` until then). The SSD
     /// submission fires once both this and `data_ready` are known.
     driver_ready: SimTime,
-    /// Go-back-N bookkeeping for the leg currently on the wire
-    /// (capsule → data pull → completion run strictly in sequence):
-    /// packets still undelivered, and the leg's total message size.
+    /// Go-back-N bookkeeping of a parked leg: which one, the packets
+    /// still undelivered, and the leg's total message size.
+    leg: Leg,
     retx_pkts: u32,
     retx_bytes: u64,
     /// Whether the parked leg's failure was a detected corruption (as
@@ -124,6 +133,34 @@ struct Cmd {
     /// Stage-trace slot of this command ([`TRACE_NONE`] when tracing
     /// is off; assigned by `send_cmd`).
     trace: u32,
+}
+
+impl Cmd {
+    /// A command about to be posted: nothing on the wire yet, no
+    /// ordering identity, payload or unit (writes fill those in).
+    fn new(kind: CmdKind, thread: usize, target: usize, ssd: usize, qp: usize) -> Self {
+        Cmd {
+            kind,
+            thread,
+            target,
+            ssd,
+            qp,
+            phys: BlockRange::new(0, 1),
+            tag: 0,
+            attr: None,
+            flush_embedded: false,
+            unit: u64::MAX,
+            data_ready: SimTime::FAR_FUTURE,
+            driver_ready: SimTime::FAR_FUTURE,
+            leg: Leg::Capsule,
+            retx_pkts: 0,
+            retx_bytes: 0,
+            retx_corrupt: false,
+            digest: PayloadDigest::NONE,
+            slot: None,
+            trace: TRACE_NONE,
+        }
+    }
 }
 
 /// One logical dispatch unit: a (possibly merged) request whose
@@ -194,9 +231,6 @@ impl GroupInfoRing {
     }
 }
 
-/// Stage-mark slot order (mirrors `RunMetrics::stage_dispatch`).
-const STAGE_BY_INDEX: [FsyncStage; 3] = [FsyncStage::Data, FsyncStage::Meta, FsyncStage::Commit];
-
 /// Slot index of an fsync stage in `stage_marks` / `stage_dispatch`.
 fn stage_index(stage: FsyncStage) -> usize {
     match stage {
@@ -255,19 +289,23 @@ struct ThreadState {
     replay: VecDeque<(u32, GroupSpec)>,
 }
 
-/// One initiator host: its driver cores, fabric NIC, sequencer and
-/// in-order completer, plus the slice of the global stream space it
-/// owns. Stream ids are global — initiator `i` owns
-/// `[stream_base, stream_base + n_streams)` — so every structure
-/// keyed by (global) stream is implicitly keyed by (initiator,
-/// stream) with no id translation anywhere on the event path.
+/// One initiator host: its driver cores, fabric NIC and `librio`
+/// handle (sequencer, ORDER queues, in-order completer), plus the
+/// slice of the global stream space it owns. Stream ids are global —
+/// initiator `i` owns `[stream_base, stream_base + n_streams)` — so
+/// every structure keyed by (global) stream is implicitly keyed by
+/// (initiator, stream) with no id translation anywhere on the event
+/// path.
 struct Initiator {
     cores: CoreSet,
     nic: Nic,
-    sequencer: Sequencer,
-    completer: InOrderCompleter,
-    /// Tenant this initiator bills to.
+    /// Sized at the *global* stream count; the initiator only ever
+    /// touches its own slice.
+    rio: Rio,
+    /// Tenant this initiator bills to, and its index in
+    /// `Cluster::tenants`.
     tenant: u32,
+    tenant_idx: usize,
     /// QoS weight its tenant share carries in the target DRR.
     weight: u32,
     /// First global stream id of this initiator's slice.
@@ -296,7 +334,8 @@ const DRR_OUTSTANDING_CAP: usize = 4;
 /// distinct tenant shares the cluster — single-tenant runs never
 /// construct it, keeping them byte-identical to the pre-tenancy path.
 struct DrrSched {
-    /// Per-tenant DRR weight, indexed like `Cluster::tenants`.
+    /// Per-tenant DRR weight (the sum of the tenant's initiators'
+    /// weights, each at least 1), indexed like `Cluster::tenants`.
     weights: Vec<u32>,
     /// Per-tenant deficit counters, in blocks.
     deficits: Vec<u64>,
@@ -398,8 +437,8 @@ pub struct Cluster {
     workload: Workload,
     events: EventHeap<Event>,
     fabric: Fabric,
-    /// The initiator hosts (exactly one on the legacy single-initiator
-    /// path, which is byte-identical to the pre-multi-initiator code).
+    /// The initiator hosts, one per entry of the normalised
+    /// `effective_initiators()` list.
     initiators: Vec<Initiator>,
     volume: StripedVolume,
     /// Distinct tenant ids, in order of first appearance across the
@@ -408,8 +447,8 @@ pub struct Cluster {
     /// Per-tenant DRR admission-wait histograms (indexed like
     /// `tenants`; all empty when the scheduler is inert).
     tenant_gate_wait: Vec<Histogram>,
-    order_queues: Vec<OrderQueue>,
-    released_through: Vec<u32>,
+    /// Owning initiator of every global stream.
+    init_of_stream: Vec<usize>,
     threads: Vec<ThreadState>,
     targets: Vec<Target>,
     /// In-flight commands, keyed by generational slab ids carried in
@@ -429,6 +468,9 @@ pub struct Cluster {
     extent_scratch: Vec<rio_block::Extent>,
     slice_scratch: Vec<BlockRange>,
     frag_scratch: Vec<OrderingAttr>,
+    /// Scratch buffer for one DRR pump's admissions: (tenant index,
+    /// command id, enqueue instant).
+    admit_scratch: Vec<(usize, u64, SimTime)>,
     /// Round-robin cursor for the scatter (non-pinned) QP policy.
     scatter_qp: u64,
     // Metrics.
@@ -477,26 +519,28 @@ impl Cluster {
     /// fewer than threads, or targets without SSDs).
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
         assert!(workload.threads > 0, "need at least one thread");
+        // The one place the initiator topology is read from the config:
+        // everything below works from this normalised list.
         let init_cfgs = cfg.effective_initiators();
-        let total_streams = cfg.total_streams();
-        if cfg.initiators.is_empty() {
-            assert!(
-                cfg.streams >= workload.threads,
-                "need one stream per thread"
-            );
-        } else {
-            // Multi-initiator runs bind one thread per stream: thread i
-            // owns global stream i, partitioned across initiators by
-            // their configured stream counts.
-            assert!(
-                init_cfgs.iter().all(|ic| ic.streams > 0),
-                "every initiator needs at least one stream"
-            );
-            assert_eq!(
-                workload.threads, total_streams,
-                "multi-initiator runs need exactly one thread per stream"
-            );
-        }
+        // Thread i owns global stream i, partitioned across initiators
+        // by their configured stream counts.
+        let init_of_stream: Vec<usize> = init_cfgs
+            .iter()
+            .enumerate()
+            .flat_map(|(ii, ic)| std::iter::repeat(ii).take(ic.streams))
+            .collect();
+        let total_streams = init_of_stream.len();
+        assert!(
+            init_cfgs.iter().all(|ic| ic.streams > 0),
+            "every initiator needs at least one stream"
+        );
+        assert!(total_streams >= workload.threads, "need one stream per thread");
+        // Spare streams are only meaningful on a single initiator; with
+        // several, a short thread count would leave whole hosts idle.
+        assert!(
+            init_cfgs.len() == 1 || workload.threads == total_streams,
+            "multi-initiator runs need exactly one thread per stream"
+        );
         assert!(!cfg.targets.is_empty(), "need at least one target");
         if !cfg.faults.events.is_empty() {
             // Pure packet-corruption faults only retune the fabric and
@@ -550,13 +594,15 @@ impl Cluster {
         // exists when more than one tenant shares the targets.
         let mut tenants: Vec<u32> = Vec::new();
         let mut tenant_weights: Vec<u32> = Vec::new();
+        let mut tenant_idx = Vec::with_capacity(init_cfgs.len());
         for ic in &init_cfgs {
-            if let Some(i) = tenants.iter().position(|&t| t == ic.tenant) {
-                tenant_weights[i] += ic.weight.max(1);
-            } else {
+            let i = tenants.iter().position(|&t| t == ic.tenant).unwrap_or_else(|| {
                 tenants.push(ic.tenant);
-                tenant_weights.push(ic.weight.max(1));
-            }
+                tenant_weights.push(0);
+                tenants.len() - 1
+            });
+            tenant_weights[i] += ic.weight;
+            tenant_idx.push(i);
         }
         let multi_tenant = tenants.len() > 1;
         let targets: Vec<Target> = cfg
@@ -596,26 +642,43 @@ impl Cluster {
             })
             .collect();
 
-        // Thread i owns global stream i; its initiator is the one whose
-        // stream slice contains i (the legacy path has one slice
-        // covering everything, so this reduces to the old layout).
-        let mut init_of_thread = Vec::with_capacity(workload.threads);
-        {
-            let mut base = 0usize;
-            for (ii, ic) in init_cfgs.iter().enumerate() {
-                for _ in 0..ic.streams {
-                    if init_of_thread.len() < workload.threads {
-                        init_of_thread.push((ii, base));
-                    }
-                }
-                base += ic.streams;
-            }
-        }
+        let mut stream_base = 0usize;
+        let initiators: Vec<Initiator> = init_cfgs
+            .iter()
+            .zip(tenant_idx)
+            .map(|(ic, tenant_idx)| {
+                let init = Initiator {
+                    cores: CoreSet::new(ic.cores),
+                    nic: Nic::for_profile(n_targets * cfg.qps_per_target, &wire),
+                    rio: Rio::setup(RioSetup {
+                        streams: total_streams,
+                        servers: n_targets,
+                        merge: matches!(cfg.mode, OrderingMode::Rio { merge: true }),
+                        window: cfg.max_inflight_per_stream * 2,
+                    }),
+                    tenant: ic.tenant,
+                    tenant_idx,
+                    weight: ic.weight,
+                    stream_base,
+                    n_streams: ic.streams,
+                    groups_done: 0,
+                    blocks_done: 0,
+                    commands_sent: 0,
+                    gate_buffered: 0,
+                    group_latency: Histogram::new(),
+                    finished_at: SimTime::ZERO,
+                };
+                stream_base += ic.streams;
+                init
+            })
+            .collect();
+
         let per_thread_blocks = volume.capacity_blocks() / workload.threads as u64;
         let threads: Vec<ThreadState> = (0..workload.threads)
             .map(|i| ThreadState {
-                init: init_of_thread[i].0,
-                core: (i - init_of_thread[i].1) % init_cfgs[init_of_thread[i].0].cores,
+                init: init_of_stream[i],
+                core: (i - initiators[init_of_stream[i]].stream_base)
+                    % initiators[init_of_stream[i]].cores.len(),
                 stream: StreamId(i as u16),
                 next_op: 0,
                 queue: VecDeque::new(),
@@ -638,19 +701,6 @@ impl Cluster {
             })
             .collect();
 
-        let merge = matches!(cfg.mode, OrderingMode::Rio { merge: true });
-        let order_queues = (0..total_streams)
-            .map(|s| {
-                OrderQueue::new(
-                    StreamId(s as u16),
-                    OrderQueueConfig {
-                        merge,
-                        max_merge_blocks: 32,
-                    },
-                )
-            })
-            .collect();
-
         // Pre-size the hot structures from the config: the event heap
         // and command/unit arenas track the global in-flight window.
         let inflight_hint = (total_streams * cfg.max_inflight_per_stream * 2).max(64);
@@ -662,43 +712,12 @@ impl Cluster {
             .telemetry
             .as_ref()
             .map(|tc| TelemetrySampler::new(tc, tenants.clone(), n_targets, init_cfgs.len()));
-        let initiators: Vec<Initiator> = {
-            let mut v = Vec::with_capacity(init_cfgs.len());
-            let mut base = 0usize;
-            for ic in &init_cfgs {
-                v.push(Initiator {
-                    cores: CoreSet::new(ic.cores),
-                    nic: Nic::for_profile(n_targets * cfg.qps_per_target, &wire),
-                    // Sequencer and completer are sized at the *global*
-                    // stream count; each initiator only ever touches its
-                    // own slice, so no id translation exists anywhere.
-                    sequencer: Sequencer::new(total_streams, n_targets),
-                    completer: InOrderCompleter::with_window(
-                        total_streams,
-                        cfg.max_inflight_per_stream * 2,
-                    ),
-                    tenant: ic.tenant,
-                    weight: ic.weight.max(1),
-                    stream_base: base,
-                    n_streams: ic.streams,
-                    groups_done: 0,
-                    blocks_done: 0,
-                    commands_sent: 0,
-                    gate_buffered: 0,
-                    group_latency: Histogram::new(),
-                    finished_at: SimTime::ZERO,
-                });
-                base += ic.streams;
-            }
-            v
-        };
         let tenant_gate_wait = tenants.iter().map(|_| Histogram::new()).collect();
         Cluster {
             initiators,
             tenants,
             tenant_gate_wait,
-            order_queues,
-            released_through: vec![0; total_streams],
+            init_of_stream,
             volume,
             threads,
             targets,
@@ -711,6 +730,7 @@ impl Cluster {
             extent_scratch: Vec::with_capacity(16),
             slice_scratch: Vec::with_capacity(16),
             frag_scratch: Vec::with_capacity(16),
+            admit_scratch: Vec::new(),
             scatter_qp: 0,
             groups_done: 0,
             blocks_done: 0,
@@ -834,15 +854,12 @@ impl Cluster {
             }
         }
         let span = self.last_completion.since(SimTime::ZERO);
-        let target_util = if self.targets.is_empty() {
-            0.0
-        } else {
-            self.targets
-                .iter()
-                .map(|t| t.cores.utilization(span))
-                .sum::<f64>()
-                / self.targets.len() as f64
-        };
+        let target_util = self
+            .targets
+            .iter()
+            .map(|t| t.cores.utilization(span))
+            .sum::<f64>()
+            / self.targets.len() as f64;
         let gate_buffered: u64 = self
             .targets
             .iter()
@@ -865,13 +882,7 @@ impl Cluster {
         // the resume instant past the last completion; the final epoch
         // is then empty, not negative.
         let mut epochs = self.epochs.clone();
-        epochs.push(EpochMetrics {
-            from: self.epoch_start,
-            to: self.last_completion.max(self.epoch_start),
-            groups_done: self.groups_done - self.epoch_groups_base,
-            blocks_done: self.blocks_done - self.epoch_blocks_base,
-            ops_done: self.ops_done - self.epoch_ops_base,
-        });
+        epochs.push(self.open_epoch(self.last_completion.max(self.epoch_start)));
         let initiators: Vec<crate::metrics::InitiatorMetrics> = self
             .initiators
             .iter()
@@ -929,12 +940,8 @@ impl Cluster {
             group_latency: self.group_latency.clone(),
             op_latency: self.op_latency.clone(),
             stage_dispatch: self.stage_lat.clone(),
-            initiator_util: self
-                .initiators
-                .iter()
-                .map(|i| i.cores.utilization(span))
-                .sum::<f64>()
-                / self.initiators.len() as f64,
+            initiator_util: initiators.iter().map(|i| i.util).sum::<f64>()
+                / initiators.len() as f64,
             target_util,
             net,
             integrity,
@@ -948,13 +955,22 @@ impl Cluster {
         }
     }
 
+    /// The open epoch's row, as if it closed at `to`.
+    fn open_epoch(&self, to: SimTime) -> EpochMetrics {
+        EpochMetrics {
+            from: self.epoch_start,
+            to,
+            groups_done: self.groups_done - self.epoch_groups_base,
+            blocks_done: self.blocks_done - self.epoch_blocks_base,
+            ops_done: self.ops_done - self.epoch_ops_base,
+        }
+    }
+
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Resume(t) => self.on_resume(now, t),
             Event::CmdArrive(c) => self.on_cmd_arrive(now, c),
-            Event::CmdResend(c) => self.on_cmd_resend(now, c),
-            Event::DataResend(c) => self.on_data_resend(now, c),
-            Event::CompResend(c) => self.on_comp_resend(now, c),
+            Event::Resend(c) => self.on_resend(now, c),
             Event::SsdSubmit(c) => self.on_ssd_submit(now, c),
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
@@ -969,7 +985,12 @@ impl Cluster {
     // ---- submission side -------------------------------------------------
 
     fn on_resume(&mut self, now: SimTime, t: usize) {
-        self.threads[t].parked = false;
+        // A thread waiting at a sync point stays parked until its window
+        // drains (`maybe_wake` finishes the op and resumes it).
+        self.threads[t].parked = self.threads[t].syncing;
+        if self.threads[t].syncing {
+            return;
+        }
         match self.mode_kind {
             ModeKind::Rio => self.submit_async_rio(now, t),
             ModeKind::Orderless => self.submit_async_orderless(now, t),
@@ -1045,15 +1066,11 @@ impl Cluster {
         th.stage_marks = [None; 3];
     }
 
-    /// Rio: submit batches through the sequencer and ORDER queue.
+    /// Rio: submit batches through the initiator's `librio` handle.
     fn submit_async_rio(&mut self, now: SimTime, t: usize) {
-        if self.threads[t].syncing {
-            self.threads[t].parked = true;
-            return;
-        }
         let window = self.cfg.max_inflight_per_stream;
         let mut cpu = now;
-        'outer: while self.threads[t].inflight < window && self.thread_has_work(t) {
+        while self.threads[t].inflight < window && self.thread_has_work(t) {
             let batch = self.workload.batch.max(1);
             let mut submitted = 0;
             let mut hit_sync = false;
@@ -1072,14 +1089,11 @@ impl Cluster {
                         cpu,
                         self.cfg.cpu.submit_bio + self.cfg.cpu.order_queue,
                     );
-                    let attr = self.initiators[self.threads[t].init].sequencer.submit(
+                    let attr = self.initiators[self.threads[t].init].rio.submit(
                         stream,
                         m.range,
-                        SubmitOpts {
-                            end_group: last,
-                            ipu: false,
-                            flush: last && spec.flush,
-                        },
+                        last,
+                        last && spec.flush,
                     );
                     if last {
                         group_seq = attr.seq_start.0;
@@ -1096,7 +1110,6 @@ impl Cluster {
                             tm.group_submitted(cpu, 1);
                         }
                     }
-                    self.order_queues[stream.0 as usize].push(attr, 0);
                 }
                 if self.track_replay {
                     // Keep the spec until delivery so a recovery can
@@ -1111,8 +1124,7 @@ impl Cluster {
                 }
             }
             // Flush the ORDER queue: merge pass + dispatch.
-            let stream = self.threads[t].stream;
-            let units = self.order_queues[stream.0 as usize].flush();
+            let units = self.initiators[self.threads[t].init].rio.flush(self.threads[t].stream);
             for unit in units {
                 let merged_extra = unit.parts.len().saturating_sub(1) as u64;
                 if merged_extra > 0 {
@@ -1120,19 +1132,30 @@ impl Cluster {
                 }
                 cpu = self.dispatch_rio_unit(cpu, t, unit);
             }
-            if hit_sync {
-                self.threads[t].syncing = true;
-                self.threads[t].parked = true;
-                if self.threads[t].inflight == 0 {
-                    // Degenerate: everything already completed.
-                    self.threads[t].syncing = false;
-                    self.finish_op(t, cpu);
-                    self.threads[t].parked = false;
-                    continue 'outer;
-                }
+            if hit_sync && self.wait_for_sync(t, cpu) {
                 return;
             }
         }
+        self.park_or_finish(t);
+    }
+
+    /// Thread `t` reached a sync point at `cpu`: it parks until its
+    /// window drains (`maybe_wake` then finishes the op). Returns
+    /// `false` in the degenerate case where nothing is in flight and
+    /// the op finishes on the spot.
+    fn wait_for_sync(&mut self, t: usize, cpu: SimTime) -> bool {
+        let waiting = self.threads[t].inflight > 0;
+        if !waiting {
+            self.finish_op(t, cpu);
+        }
+        self.threads[t].syncing = waiting;
+        self.threads[t].parked = waiting;
+        waiting
+    }
+
+    /// Submit-loop epilogue: the thread parks while it has work queued
+    /// or in flight, and is done submitting otherwise.
+    fn park_or_finish(&mut self, t: usize) {
         if self.thread_has_work(t) || self.threads[t].inflight > 0 {
             self.threads[t].parked = true;
         } else {
@@ -1175,68 +1198,18 @@ impl Cluster {
         for (frag, ext) in frags.iter_mut().zip(extents.iter()) {
             frag.range = ext.range;
             frag.ssd = ext.ssd as u8;
-            self.initiators[self.threads[t].init]
-                .sequencer
-                .stamp_dispatch(frag, ext.server);
-            let tag = frag.seq_start.0 as u64;
-            let digest = if self.integrity {
-                // Stamp the command's payload digest at submission,
-                // charging the per-block CRC pass to the app core.
-                cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * ext.range.blocks as u64);
-                let stream = self.threads[t].stream.0;
-                let lba = ext.range.lba;
-                PayloadDigest::over_seeds(
-                    (0..ext.range.blocks as u64).map(|j| payload::seed_for(stream, tag, lba + j)),
-                )
-            } else {
-                PayloadDigest::NONE
-            };
-            let stamped = cpu;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-            let qp = self.pick_qp(self.threads[t].stream.0 as usize);
-            self.send_cmd(
-                cpu,
-                stamped,
-                Cmd {
-                    kind: CmdKind::Write,
-                    thread: t,
-                    target: ext.server.0 as usize,
-                    ssd: ext.ssd,
-                    qp,
-                    phys: ext.range,
-                    tag,
-                    attr: Some(*frag),
-                    flush_embedded: frag.flush,
-                    unit: unit_id,
-                    data_ready: SimTime::FAR_FUTURE,
-                    driver_ready: SimTime::FAR_FUTURE,
-                    retx_pkts: 0,
-                    retx_bytes: 0,
-                    retx_corrupt: false,
-                    digest,
-                    slot: None,
-                    trace: TRACE_NONE,
-                },
-            );
+            self.initiators[self.threads[t].init].rio.stamp(frag, ext.server);
+            cpu = self.post_write(cpu, t, ext, Some(*frag), frag.flush, unit_id);
         }
         self.extent_scratch = extents;
         self.slice_scratch = slices;
         self.frag_scratch = frags;
-        // Stage dispatch marks for the Fig. 14 breakdown. The same
-        // `cpu` instant applies to every stage, so marking order does
-        // not matter.
-        let mut stages_hit = [false; 3];
+        // Stage dispatch marks for the Fig. 14 breakdown, all at the
+        // same `cpu` instant.
         for p in unit.parts.iter().filter(|p| p.attr.boundary) {
-            if let Some(info) = self.group_info[p.attr.stream.0 as usize].get(p.attr.seq_start.0)
-            {
-                if let Some(stage) = info.stage {
-                    stages_hit[stage_index(stage)] = true;
-                }
-            }
-        }
-        for (i, hit) in stages_hit.into_iter().enumerate() {
-            if hit {
-                self.mark_stage(t, STAGE_BY_INDEX[i], cpu);
+            let info = self.group_info[p.attr.stream.0 as usize].get(p.attr.seq_start.0);
+            if let Some(stage) = info.and_then(|i| i.stage) {
+                self.mark_stage(t, stage, cpu);
             }
         }
         cpu
@@ -1244,10 +1217,6 @@ impl Cluster {
 
     /// Orderless: plug batching and merging, then async dispatch.
     fn submit_async_orderless(&mut self, now: SimTime, t: usize) {
-        if self.threads[t].syncing {
-            self.threads[t].parked = true;
-            return;
-        }
         let window = self.cfg.max_inflight_per_stream;
         let mut cpu = now;
         while self.threads[t].inflight < window && self.thread_has_work(t) {
@@ -1289,23 +1258,11 @@ impl Cluster {
                 let flush = run.bios.iter().any(|b| b.flags.flush);
                 cpu = self.dispatch_plain_unit(cpu, t, run.range, run.bios.len() as u64, flush);
             }
-            if hit_sync {
-                self.threads[t].syncing = true;
-                self.threads[t].parked = true;
-                if self.threads[t].inflight == 0 {
-                    self.threads[t].syncing = false;
-                    self.finish_op(t, cpu);
-                    self.threads[t].parked = false;
-                    continue;
-                }
+            if hit_sync && self.wait_for_sync(t, cpu) {
                 return;
             }
         }
-        if self.thread_has_work(t) || self.threads[t].inflight > 0 {
-            self.threads[t].parked = true;
-        } else {
-            self.threads[t].done_submitting = true;
-        }
+        self.park_or_finish(t);
     }
 
     /// Dispatches one orderless/baseline write covering `range`,
@@ -1333,46 +1290,47 @@ impl Cluster {
             tm.group_submitted(cpu, groups);
         }
         for ext in &extents {
-            let digest = if self.integrity {
-                cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * ext.range.blocks as u64);
-                let stream = self.threads[t].stream.0;
-                let lba = ext.range.lba;
-                PayloadDigest::over_seeds(
-                    (0..ext.range.blocks as u64)
-                        .map(|j| payload::seed_for(stream, unit_id, lba + j)),
-                )
-            } else {
-                PayloadDigest::NONE
-            };
-            let stamped = cpu;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-            let qp = self.pick_qp(self.threads[t].stream.0 as usize);
-            self.send_cmd(
-                cpu,
-                stamped,
-                Cmd {
-                    kind: CmdKind::Write,
-                    thread: t,
-                    target: ext.server.0 as usize,
-                    ssd: ext.ssd,
-                    qp,
-                    phys: ext.range,
-                    tag: unit_id,
-                    attr: None,
-                    flush_embedded,
-                    unit: unit_id,
-                    data_ready: SimTime::FAR_FUTURE,
-                    driver_ready: SimTime::FAR_FUTURE,
-                    retx_pkts: 0,
-                    retx_bytes: 0,
-                    retx_corrupt: false,
-                    digest,
-                    slot: None,
-                    trace: TRACE_NONE,
-                },
-            );
+            cpu = self.post_write(cpu, t, ext, None, flush_embedded, unit_id);
         }
         self.extent_scratch = extents;
+        cpu
+    }
+
+    /// Stamps, posts and sends the write command for extent `ext` of
+    /// thread `t`'s unit `unit`: payload digest (integrity runs charge
+    /// the per-block CRC pass to the app core), command build + post,
+    /// QP choice, capsule on the wire. Payloads are tagged with the
+    /// group sequence under Rio and the unit id on the baseline paths.
+    /// Returns the CPU cursor.
+    fn post_write(
+        &mut self,
+        mut cpu: SimTime,
+        t: usize,
+        ext: &rio_block::Extent,
+        attr: Option<OrderingAttr>,
+        flush_embedded: bool,
+        unit: u64,
+    ) -> SimTime {
+        let stream = self.threads[t].stream.0;
+        let tag = attr.map_or(unit, |a| a.seq_start.0 as u64);
+        let mut cmd = Cmd::new(CmdKind::Write, t, ext.server.0 as usize, ext.ssd, 0);
+        if self.integrity {
+            let blocks = ext.range.blocks as u64;
+            cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * blocks);
+            let lba = ext.range.lba;
+            cmd.digest = PayloadDigest::over_seeds(
+                (0..blocks).map(|j| payload::seed_for(stream, tag, lba + j)),
+            );
+        }
+        let stamped = cpu;
+        cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
+        cmd.qp = self.pick_qp(stream as usize);
+        cmd.phys = ext.range;
+        cmd.tag = tag;
+        cmd.attr = attr;
+        cmd.flush_embedded = flush_embedded;
+        cmd.unit = unit;
+        self.send_cmd(cpu, stamped, cmd);
         cpu
     }
 
@@ -1411,10 +1369,6 @@ impl Cluster {
 
     /// Horae: serialized control path, then asynchronous data path.
     fn submit_horae(&mut self, now: SimTime, t: usize) {
-        if self.threads[t].syncing {
-            self.threads[t].parked = true;
-            return;
-        }
         // Respect the serialized control-path gap even when woken early
         // by a data completion.
         if now < self.threads[t].ctrl_gate_until {
@@ -1451,11 +1405,7 @@ impl Cluster {
                 },
             );
         }
-        if self.thread_has_work(t) || self.threads[t].inflight > 0 {
-            self.threads[t].parked = true;
-        } else {
-            self.threads[t].done_submitting = true;
-        }
+        self.park_or_finish(t);
     }
 
     fn on_ctrl_arrive(&mut self, now: SimTime, target: usize, thread: usize) {
@@ -1496,11 +1446,7 @@ impl Cluster {
             self.mark_stage(t, stage, c);
         }
         if spec.sync_after {
-            self.threads[t].syncing = true;
-            self.threads[t].parked = true;
-            if self.threads[t].inflight == 0 {
-                self.threads[t].syncing = false;
-                self.finish_op(t, c);
+            if !self.wait_for_sync(t, c) {
                 self.events.push(c, Event::Resume(t));
             }
             return;
@@ -1531,25 +1477,6 @@ impl Cluster {
     /// within-connection QP. Single-initiator runs reduce to `qp`.
     fn conn_qp(&self, t: usize, qp: usize) -> usize {
         self.threads[t].init * self.cfg.qps_per_target + qp
-    }
-
-    /// Index into the tenant table of thread `t`'s tenant.
-    fn tenant_index_of_thread(&self, t: usize) -> usize {
-        let tenant = self.initiators[self.threads[t].init].tenant;
-        self.tenants
-            .iter()
-            .position(|&x| x == tenant)
-            .expect("tenant registered at construction")
-    }
-
-    /// The initiator owning global stream `s`. Legacy configurations
-    /// may have more streams than threads; those all live in initiator
-    /// 0's slice, which covers the whole space there.
-    fn initiator_of_stream(&self, s: usize) -> usize {
-        self.initiators
-            .iter()
-            .position(|i| s >= i.stream_base && s < i.stream_base + i.n_streams)
-            .unwrap_or(0)
     }
 
     /// Picks the QP for a command of `stream`: pinned (Principle 2) or
@@ -1593,49 +1520,43 @@ impl Cluster {
         self.map_scratch = mapped;
     }
 
-    /// Applies one fabric transfer step to command `id`: a delivery
-    /// schedules `done(id)` at the arrival instant; a drop parks the
-    /// command's go-back-N window and schedules `retry(id)` at the
-    /// recovery timeout.
-    fn schedule_xfer(
-        &mut self,
-        id: u64,
-        bytes: u64,
-        step: rio_net::XferStep,
-        done: fn(u64) -> Event,
-        retry: fn(u64) -> Event,
-    ) {
-        match step {
-            rio_net::XferStep::Delivered { at } => self.events.push(at, done(id)),
-            rio_net::XferStep::Dropped {
-                resume_at,
-                pkts_left,
-                corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, retry),
+    /// Applies one fabric transfer step of command `id`'s `leg`: a
+    /// delivery runs the leg's continuation at the arrival instant; a
+    /// drop parks the go-back-N window on the command and schedules its
+    /// resend at the recovery timeout.
+    fn xfer_step(&mut self, id: u64, leg: Leg, bytes: u64, step: rio_net::XferStep) {
+        match (step, leg) {
+            (rio_net::XferStep::Delivered { at }, Leg::Capsule) => {
+                self.events.push(at, Event::CmdArrive(id));
+            }
+            (rio_net::XferStep::Delivered { at }, Leg::Pull) => {
+                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
+                self.try_ssd_submit(id);
+            }
+            (rio_net::XferStep::Delivered { at }, Leg::Completion) => {
+                self.events.push(at, Event::CmdComplete(id));
+            }
+            (
+                rio_net::XferStep::Dropped {
+                    resume_at,
+                    pkts_left,
+                    corrupted,
+                },
+                _,
+            ) => {
+                let cmd = self.cmds.get_mut(id).expect("cmd exists");
+                cmd.leg = leg;
+                cmd.retx_pkts = pkts_left;
+                cmd.retx_bytes = bytes;
+                cmd.retx_corrupt = corrupted;
+                self.events.push(resume_at, Event::Resend(id));
+            }
         }
-    }
-
-    /// Records a dropped leg's remaining window on the command and
-    /// schedules its resend event.
-    fn park_retx(
-        &mut self,
-        id: u64,
-        bytes: u64,
-        resume_at: SimTime,
-        pkts_left: u32,
-        corrupted: bool,
-        retry: fn(u64) -> Event,
-    ) {
-        let cmd = self.cmds.get_mut(id).expect("cmd exists");
-        cmd.retx_pkts = pkts_left;
-        cmd.retx_bytes = bytes;
-        cmd.retx_corrupt = corrupted;
-        self.events.push(resume_at, retry(id));
     }
 
     /// Sends one command capsule over the fabric: either it arrives at
     /// the target (`CmdArrive`) or a packet drops and the go-back-N
-    /// timeout is scheduled as a `CmdResend` event. `stamped` is the
+    /// timeout is scheduled as a `Resend` event. `stamped` is the
     /// instant the command was stamped/generated, before the post CPU
     /// charge — the head of its stage trace.
     fn send_cmd(&mut self, now: SimTime, stamped: SimTime, mut cmd: Cmd) {
@@ -1646,10 +1567,7 @@ impl Cluster {
             tm.cmd_sent(now);
         }
         if let Some(tr) = &mut self.trace {
-            let stream = cmd
-                .attr
-                .map(|a| a.stream.0)
-                .unwrap_or(self.threads[cmd.thread].stream.0);
+            let stream = self.threads[cmd.thread].stream.0;
             let tid = tr.open(
                 init as u16,
                 stream,
@@ -1671,64 +1589,35 @@ impl Cluster {
         let step =
             self.fabric
                 .send_burst(&mut self.initiators[init].nic, qp, now, CMD_CAPSULE_BYTES);
-        self.schedule_xfer(id, CMD_CAPSULE_BYTES, step, Event::CmdArrive, Event::CmdResend);
+        self.xfer_step(id, Leg::Capsule, CMD_CAPSULE_BYTES, step);
     }
 
-    /// A command capsule's retransmission timeout fired: resend the
-    /// window from the lost packet.
-    fn on_cmd_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt, init) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                cmd.qp,
-                cmd.retx_pkts,
-                cmd.retx_bytes,
-                cmd.trace,
-                cmd.retx_corrupt,
-                self.threads[cmd.thread].init,
-            )
+    /// A leg's retransmission timeout fired: resend the window from the
+    /// lost packet (go-back-N), on the NIC that owns the leg.
+    fn on_resend(&mut self, now: SimTime, id: u64) {
+        let cmd = self.cmds.get(id).expect("cmd exists");
+        let (leg, target, pkts, bytes, tid, corrupt) = (
+            cmd.leg,
+            cmd.target,
+            cmd.retx_pkts,
+            cmd.retx_bytes,
+            cmd.trace,
+            cmd.retx_corrupt,
+        );
+        let init = self.threads[cmd.thread].init;
+        let init_qp = self.target_qp(target, cmd.qp);
+        let conn_qp = self.conn_qp(cmd.thread, cmd.qp);
+        // The whole remaining window goes back on the wire this round,
+        // each packet annotated exactly once — except after a lost pull
+        // *request*, encoded as `pkts > packets_for(bytes)`: only that
+        // one header packet is a retransmission; the data window, never
+        // transmitted, goes out as a first try.
+        let n = if leg == Leg::Pull && pkts > self.fabric.profile().packets_for(bytes) {
+            1
+        } else {
+            pkts
         };
-        if let Some(tr) = &mut self.trace {
-            // The whole remaining window goes back on the wire this
-            // round (go-back-N), each packet counted exactly once.
-            if corrupt {
-                tr.retx_corrupt(tid, pkts);
-            } else {
-                tr.retx(tid, pkts);
-            }
-        }
-        if let Some(tm) = &mut self.telemetry {
-            tm.retx_initiator(now, init, pkts, if corrupt { pkts } else { 0 });
-        }
-        let qp = self.target_qp(target, qp);
-        let step = self
-            .fabric
-            .resume_send(&mut self.initiators[init].nic, qp, now, pkts, bytes);
-        self.schedule_xfer(id, bytes, step, Event::CmdArrive, Event::CmdResend);
-    }
-
-    /// A data pull's retransmission timeout fired: resend the window.
-    fn on_data_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt, init) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                cmd.qp,
-                cmd.retx_pkts,
-                cmd.retx_bytes,
-                cmd.trace,
-                cmd.retx_corrupt,
-                self.threads[cmd.thread].init,
-            )
-        };
-        // `pkts > packets_for(bytes)` encodes a lost pull *request*:
-        // this round retransmits only that one header packet — the
-        // data window, never transmitted, goes out as a first try
-        // and must not be annotated (it is not counted as a wire
-        // retransmission either).
-        let wire = self.fabric.profile().packets_for(bytes);
-        let n = if pkts > wire { 1 } else { pkts };
+        let n_corrupt = if corrupt { n } else { 0 };
         if let Some(tr) = &mut self.trace {
             if corrupt {
                 tr.retx_corrupt(tid, n);
@@ -1737,56 +1626,19 @@ impl Cluster {
             }
         }
         if let Some(tm) = &mut self.telemetry {
-            tm.retx_target(now, target, n, if corrupt { n } else { 0 });
-        }
-        let init_qp = self.target_qp(target, qp);
-        match self.fabric.resume_pull(
-            &mut self.targets[target].nic,
-            &mut self.initiators[init].nic,
-            init_qp,
-            now,
-            pkts,
-            bytes,
-        ) {
-            rio_net::XferStep::Delivered { at } => {
-                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
-                self.try_ssd_submit(id);
+            match leg {
+                Leg::Capsule => tm.retx_initiator(now, init, n, n_corrupt),
+                Leg::Pull | Leg::Completion => tm.retx_target(now, target, n, n_corrupt),
             }
-            rio_net::XferStep::Dropped {
-                resume_at,
-                pkts_left,
-                corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, Event::DataResend),
         }
-    }
-
-    /// A completion capsule's retransmission timeout fired.
-    fn on_comp_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                self.conn_qp(cmd.thread, cmd.qp),
-                cmd.retx_pkts,
-                cmd.retx_bytes,
-                cmd.trace,
-                cmd.retx_corrupt,
-            )
+        let init_nic = &mut self.initiators[init].nic;
+        let target_nic = &mut self.targets[target].nic;
+        let step = match leg {
+            Leg::Capsule => self.fabric.resume_send(init_nic, init_qp, now, pkts, bytes),
+            Leg::Pull => self.fabric.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes),
+            Leg::Completion => self.fabric.resume_send(target_nic, conn_qp, now, pkts, bytes),
         };
-        if let Some(tr) = &mut self.trace {
-            if corrupt {
-                tr.retx_corrupt(tid, pkts);
-            } else {
-                tr.retx(tid, pkts);
-            }
-        }
-        if let Some(tm) = &mut self.telemetry {
-            tm.retx_target(now, target, pkts, if corrupt { pkts } else { 0 });
-        }
-        let step = self
-            .fabric
-            .resume_send(&mut self.targets[target].nic, qp, now, pkts, bytes);
-        self.schedule_xfer(id, bytes, step, Event::CmdComplete, Event::CompResend);
+        self.xfer_step(id, leg, bytes, step);
     }
 
     /// Schedules the SSD submission once both halves of a command are
@@ -1833,13 +1685,7 @@ impl Cluster {
 
         if kind == CmdKind::Flush {
             // Explicit FLUSH command (Linux mode): straight to the SSD.
-            let submit =
-                self.targets[target_idx]
-                    .cores
-                    .run_on(core, recv_done, self.cfg.cpu.ssd_submit);
-            if let Some(tr) = &mut self.trace {
-                tr.rec(tid, Stage::GateRelease, submit);
-            }
+            let submit = self.ungated_submit(recv_done, target_idx, core, tid);
             let (_op, done) = self.targets[target_idx].ssds[ssd_idx].submit_flush(submit);
             self.events.push(done, Event::SsdFlushDone(id));
             return;
@@ -1850,27 +1696,20 @@ impl Cluster {
         // recovery; `data_ready` stays FAR_FUTURE until the resend
         // completes and the submission waits for it.
         let init_qp = self.target_qp(target_idx, qp);
-        match self.fabric.pull_burst(
+        let step = self.fabric.pull_burst(
             &mut self.targets[target_idx].nic,
             &mut self.initiators[init].nic,
             init_qp,
             recv_done,
             bytes,
-        ) {
-            rio_net::XferStep::Delivered { at } => {
-                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
-            }
-            rio_net::XferStep::Dropped {
-                resume_at,
-                pkts_left,
-                corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, Event::DataResend),
-        }
+        );
+        self.xfer_step(id, Leg::Pull, bytes, step);
 
         if let Some(attr) = attr {
             // Apply the release piggyback for this stream.
             let stream = attr.stream;
-            self.apply_release(target_idx, stream, self.released_through[stream.0 as usize]);
+            let through = self.initiators[init].rio.delivered_through(stream);
+            self.apply_release(target_idx, stream, through.0);
             // The in-order submission gate may buffer the command.
             let mut released = std::mem::take(&mut self.gate_scratch);
             released.clear();
@@ -1891,17 +1730,22 @@ impl Cluster {
             // Baselines submit once the driver CPU work and the data
             // pull both finish (a scheduled event keeps the device
             // clock monotone).
-            let submit =
-                self.targets[target_idx]
-                    .cores
-                    .run_on(core, recv_done, self.cfg.cpu.ssd_submit);
-            if let Some(tr) = &mut self.trace {
-                // No gate on the baseline path: release == driver done.
-                tr.rec(tid, Stage::GateRelease, submit);
-            }
+            let submit = self.ungated_submit(recv_done, target_idx, core, tid);
             self.cmds.get_mut(id).expect("cmd exists").driver_ready = submit;
             self.try_ssd_submit(id);
         }
+    }
+
+    /// Target driver work of a command no gate holds (explicit FLUSH,
+    /// baseline writes): release == driver done.
+    fn ungated_submit(&mut self, at: SimTime, target_idx: usize, core: usize, tid: u32) -> SimTime {
+        let submit = self.targets[target_idx]
+            .cores
+            .run_on(core, at, self.cfg.cpu.ssd_submit);
+        if let Some(tr) = &mut self.trace {
+            tr.rec(tid, Stage::GateRelease, submit);
+        }
+        submit
     }
 
     /// Submits a command's write to its SSD at the event's instant.
@@ -1920,7 +1764,8 @@ impl Cluster {
             // DRR share instead of hitting the device directly.
             let (tenant_idx, blocks) = {
                 let cmd = self.cmds.get(id).expect("cmd exists");
-                (self.tenant_index_of_thread(cmd.thread), cmd.phys.blocks)
+                let init = &self.initiators[self.threads[cmd.thread].init];
+                (init.tenant_idx, cmd.phys.blocks)
             };
             let drr = self.targets[target_idx].drr.as_mut().expect("checked above");
             drr.queues[tenant_idx].push_back((id, now, blocks));
@@ -1935,10 +1780,7 @@ impl Cluster {
     fn ssd_submit_now(&mut self, now: SimTime, id: u64) {
         let (target_idx, ssd_idx, lba, blocks, tag, core, stream, digest) = {
             let cmd = self.cmds.get(id).expect("cmd exists");
-            let stream = cmd
-                .attr
-                .map(|a| a.stream.0)
-                .unwrap_or(self.threads[cmd.thread].stream.0);
+            let stream = self.threads[cmd.thread].stream.0;
             (
                 cmd.target,
                 cmd.ssd,
@@ -1984,7 +1826,7 @@ impl Cluster {
     /// writes hit the SSD at `now`; their wait is recorded in the
     /// per-tenant admission histogram.
     fn drr_pump(&mut self, now: SimTime, target_idx: usize) {
-        let mut admit: Vec<(usize, u64, SimTime)> = Vec::new();
+        let mut admit = std::mem::take(&mut self.admit_scratch);
         if let Some(drr) = &mut self.targets[target_idx].drr {
             let n = drr.queues.len();
             while drr.outstanding < DRR_OUTSTANDING_CAP && !drr.is_empty() {
@@ -2002,7 +1844,7 @@ impl Cluster {
                 // and re-granting the quantum on every admission slot
                 // would collapse the weights into plain round-robin.
                 if drr.fresh {
-                    drr.deficits[i] += DRR_QUANTUM_BLOCKS * drr.weights[i].max(1) as u64;
+                    drr.deficits[i] += DRR_QUANTUM_BLOCKS * drr.weights[i] as u64;
                     drr.fresh = false;
                 }
                 let &(id, queued_at, blocks) = drr.queues[i].front().expect("non-empty");
@@ -2019,13 +1861,14 @@ impl Cluster {
                 admit.push((i, id, queued_at));
             }
         }
-        for (tenant_idx, id, queued_at) in admit {
+        for (tenant_idx, id, queued_at) in admit.drain(..) {
             self.tenant_gate_wait[tenant_idx].record(now.since(queued_at));
             if let Some(tm) = &mut self.telemetry {
                 tm.drr_wait(now, tenant_idx, now.since(queued_at));
             }
             self.ssd_submit_now(now, id);
         }
+        self.admit_scratch = admit;
     }
 
     /// Submits a command's embedded FLUSH at the event's instant.
@@ -2152,16 +1995,26 @@ impl Cluster {
         if is_rio && plp {
             // PLP drives: data is durable at completion; toggle the
             // persist bit now (step ⑦).
-            if let Some(slot) = slot_opt {
-                let target = &mut self.targets[target_idx];
-                let w = target.log.as_ref().expect("rio target").mark_persist(slot);
-                target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
-            }
-            cpu = self.targets[target_idx]
-                .cores
-                .run_on(core, cpu, self.cfg.cpu.pmr_toggle);
+            cpu = self.pmr_persist(cpu, target_idx, core, slot_opt);
         }
         self.send_completion(cpu, id);
+    }
+
+    /// Toggles the persist bit of a command's PMR record, charging the
+    /// posted MMIO to the connection's target core.
+    fn pmr_persist(
+        &mut self,
+        cpu: SimTime,
+        target_idx: usize,
+        core: usize,
+        slot: Option<SlotRef>,
+    ) -> SimTime {
+        let target = &mut self.targets[target_idx];
+        if let Some(slot) = slot {
+            let w = target.log.as_ref().expect("rio target").mark_persist(slot);
+            target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
+        }
+        target.cores.run_on(core, cpu, self.cfg.cpu.pmr_toggle)
     }
 
     fn on_ssd_flush_done(&mut self, now: SimTime, id: u64) {
@@ -2184,14 +2037,7 @@ impl Cluster {
         if is_rio {
             // Non-PLP durability: only the FLUSH carrier's persist bit
             // is toggled; it vouches for everything before it (§4.3.2).
-            if let Some(slot) = slot_opt {
-                let target = &mut self.targets[target_idx];
-                let w = target.log.as_ref().expect("rio target").mark_persist(slot);
-                target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
-            }
-            cpu = self.targets[target_idx]
-                .cores
-                .run_on(core, cpu, self.cfg.cpu.pmr_toggle);
+            cpu = self.pmr_persist(cpu, target_idx, core, slot_opt);
         }
         self.send_completion(cpu, id);
     }
@@ -2199,17 +2045,15 @@ impl Cluster {
     /// Sends the completion capsule back to the initiator (with the
     /// same go-back-N recovery as the command capsule).
     fn send_completion(&mut self, now: SimTime, id: u64) {
-        let (target_idx, qp) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (cmd.target, self.conn_qp(cmd.thread, cmd.qp))
-        };
+        let cmd = self.cmds.get(id).expect("cmd exists");
+        let (target_idx, qp) = (cmd.target, self.conn_qp(cmd.thread, cmd.qp));
         let step = self.fabric.send_burst(
             &mut self.targets[target_idx].nic,
             qp,
             now,
             COMPLETION_BYTES,
         );
-        self.schedule_xfer(id, COMPLETION_BYTES, step, Event::CmdComplete, Event::CompResend);
+        self.xfer_step(id, Leg::Completion, COMPLETION_BYTES, step);
     }
 
     // ---- completion side ---------------------------------------------------
@@ -2253,30 +2097,23 @@ impl Cluster {
             delivered.clear();
             let init = self.threads[t].init;
             for part in &unit.parts {
-                self.initiators[init].completer.on_done_into(part, &mut delivered);
+                self.initiators[init].rio.on_done_into(part, &mut delivered);
             }
             let stream = unit.parts[0].stream;
-            if let Some(tr) = &mut self.trace {
-                // Commands delivered through the in-order completer
-                // close now; sample its held-back pressure too.
-                if let Some(&last) = delivered.last() {
-                    tr.deliver(stream.0 as usize, last.0, cpu);
+            if self.trace.is_some() || self.telemetry.is_some() {
+                // Sample the completer's held-back pressure.
+                let held: usize = self.initiators.iter().map(|i| i.rio.total_pending()).sum();
+                if let Some(tr) = &mut self.trace {
+                    // Commands delivered through the in-order completer
+                    // close now.
+                    if let Some(&last) = delivered.last() {
+                        tr.deliver(stream.0 as usize, last.0, cpu);
+                    }
+                    tr.note_completer_held(held as u64);
                 }
-                let held: usize = self
-                    .initiators
-                    .iter()
-                    .map(|i| i.completer.total_pending())
-                    .sum();
-                tr.note_completer_held(held as u64);
-            }
-            if self.telemetry.is_some() {
-                let held: usize = self
-                    .initiators
-                    .iter()
-                    .map(|i| i.completer.total_pending())
-                    .sum();
-                let tm = self.telemetry.as_mut().expect("checked above");
-                tm.completer_pending(cpu, held as u64);
+                if let Some(tm) = &mut self.telemetry {
+                    tm.completer_pending(cpu, held as u64);
+                }
             }
             for &seq in &delivered {
                 let info = self.group_info[stream.0 as usize]
@@ -2289,66 +2126,42 @@ impl Cluster {
                         "replay buffer out of sync with in-order delivery"
                     );
                 }
-                self.groups_done += 1;
-                self.blocks_done += info.blocks as u64;
-                if let Some(tm) = &mut self.telemetry {
-                    tm.delivered(cpu, 1, info.blocks as u64);
-                }
-                self.group_latency.record(cpu.since(info.submitted));
-                self.last_completion = self.last_completion.max(cpu);
-                self.released_through[stream.0 as usize] =
-                    self.released_through[stream.0 as usize].max(seq.0);
-                let owner = info.thread;
-                let owner_init = self.threads[owner].init;
-                let im = &mut self.initiators[owner_init];
-                im.groups_done += 1;
-                im.blocks_done += info.blocks as u64;
-                im.group_latency.record(cpu.since(info.submitted));
-                im.finished_at = im.finished_at.max(cpu);
-                self.threads[owner].inflight -= 1;
-                self.maybe_wake(cpu, owner);
+                self.deliver(info.thread, 1, info.blocks as u64, info.submitted, cpu);
+                self.threads[info.thread].inflight -= 1;
+                self.maybe_wake(cpu, info.thread);
             }
             self.delivered_scratch = delivered;
         } else {
-            match self.mode_kind {
-                ModeKind::Linux => {
-                    // Write leg finished; issue the FLUSH leg.
-                    self.groups_done += unit.plain_groups;
-                    self.blocks_done += unit.blocks as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(cpu, unit.plain_groups, unit.blocks as u64);
-                    }
-                    self.group_latency.record(cpu.since(unit.submitted));
-                    self.last_completion = self.last_completion.max(cpu);
-                    self.note_plain_done(t, &unit, cpu);
-                    self.on_sync_write_complete(cpu, t, &cmd);
-                }
-                _ => {
-                    // Orderless / Horae data path.
-                    self.groups_done += unit.plain_groups;
-                    self.blocks_done += unit.blocks as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(cpu, unit.plain_groups, unit.blocks as u64);
-                    }
-                    self.group_latency.record(cpu.since(unit.submitted));
-                    self.last_completion = self.last_completion.max(cpu);
-                    self.note_plain_done(t, &unit, cpu);
-                    self.threads[t].inflight -= unit.plain_groups as usize;
-                    self.maybe_wake(cpu, t);
-                }
+            self.deliver(t, unit.plain_groups, unit.blocks as u64, unit.submitted, cpu);
+            if self.mode_kind == ModeKind::Linux {
+                // Write leg finished; issue the FLUSH leg.
+                self.on_sync_write_complete(cpu, t, &cmd);
+            } else {
+                // Orderless / Horae data path.
+                self.threads[t].inflight -= unit.plain_groups as usize;
+                self.maybe_wake(cpu, t);
             }
         }
     }
 
-    /// Folds a finished baseline (non-Rio) unit into its owning
-    /// initiator's per-initiator breakdown.
-    fn note_plain_done(&mut self, t: usize, unit: &Unit, cpu: SimTime) {
-        let init = self.threads[t].init;
-        let im = &mut self.initiators[init];
-        im.groups_done += unit.plain_groups;
-        im.blocks_done += unit.blocks as u64;
-        im.group_latency.record(cpu.since(unit.submitted));
-        im.finished_at = im.finished_at.max(cpu);
+    /// `groups` groups of thread `owner`, `blocks` blocks in all,
+    /// submitted at `submitted`, became visible to the application at
+    /// `at`: the one place delivery is accounted, globally and for the
+    /// owning initiator.
+    fn deliver(&mut self, owner: usize, groups: u64, blocks: u64, submitted: SimTime, at: SimTime) {
+        let latency = at.since(submitted);
+        self.groups_done += groups;
+        self.blocks_done += blocks;
+        self.group_latency.record(latency);
+        self.last_completion = self.last_completion.max(at);
+        if let Some(tm) = &mut self.telemetry {
+            tm.delivered(at, groups, blocks);
+        }
+        let im = &mut self.initiators[self.threads[owner].init];
+        im.groups_done += groups;
+        im.blocks_done += blocks;
+        im.group_latency.record(latency);
+        im.finished_at = im.finished_at.max(at);
     }
 
     /// Linux mode: after the ordered write completes, send a FLUSH leg
@@ -2362,26 +2175,7 @@ impl Cluster {
         }
         self.threads[t].sync_stage = SyncStage::AwaitFlush { remaining: 1 };
         let c = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-        let flush_cmd = Cmd {
-            kind: CmdKind::Flush,
-            thread: t,
-            target: cmd.target,
-            ssd: cmd.ssd,
-            qp: cmd.qp,
-            phys: BlockRange::new(0, 1),
-            tag: 0,
-            attr: None,
-            flush_embedded: false,
-            unit: u64::MAX,
-            data_ready: SimTime::FAR_FUTURE,
-            driver_ready: SimTime::FAR_FUTURE,
-            retx_pkts: 0,
-            retx_bytes: 0,
-            retx_corrupt: false,
-            digest: PayloadDigest::NONE,
-            slot: None,
-            trace: TRACE_NONE,
-        };
+        let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp);
         self.send_cmd(c, cpu, flush_cmd);
     }
 
@@ -2433,468 +2227,6 @@ impl Cluster {
         }
     }
 
-    // ---- fault injection / in-loop recovery --------------------------------
-
-    /// Handles one scheduled fault: applies the physical failure, runs
-    /// the §4.4 recovery (parallel PMR scans, global merge, discard of
-    /// out-of-order blocks) inside the event loop, and — for survivable
-    /// faults — re-arms every ordering engine and resumes the workload
-    /// in a fresh epoch.
-    fn on_fault(&mut self, now: SimTime, idx: usize) {
-        self.fault_cursor = idx + 1;
-        let ev = self.cfg.faults.events[idx].clone();
-        // A packet-corruption fault only retunes the fabric's per-packet
-        // corruption rate mid-run: nothing crashes, no epoch closes, and
-        // every in-flight transfer keeps going (corrupted packets are
-        // caught by the receiver CRC and NAKed into go-back-N recovery).
-        if let FaultKind::PacketCorrupt { rate } = &ev.kind {
-            self.fabric.set_corrupt_rate(*rate);
-            return;
-        }
-        let crashed = ev.kind.hit_targets(self.targets.len());
-        let power_fail = ev.kind.is_power_fail();
-
-        // Close the current epoch at the fault instant.
-        self.epochs.push(EpochMetrics {
-            from: self.epoch_start,
-            to: now,
-            groups_done: self.groups_done - self.epoch_groups_base,
-            blocks_done: self.blocks_done - self.epoch_blocks_base,
-            ops_done: self.ops_done - self.epoch_ops_base,
-        });
-        self.epoch_groups_base = self.groups_done;
-        self.epoch_blocks_base = self.blocks_done;
-        self.epoch_ops_base = self.ops_done;
-
-        // The initiator's connections die with the fault: every
-        // in-flight command, data pull, completion and retransmission
-        // timer is lost. Clearing the slabs with the heap keeps stale
-        // ids from ever resolving again.
-        self.events.clear();
-        self.cmds.clear();
-        self.units.clear();
-        if let Some(tr) = &mut self.trace {
-            // Every open trace dies with its command; the rolled-back
-            // tail redispatches with fresh traces in the next epoch.
-            tr.abort_open(idx as u32);
-        }
-        if self.telemetry.is_some() {
-            // In-flight commands and queued writes died with the
-            // connections. The pending-group gauge survives only when
-            // replay tracking will account it back (redeliver/requeue)
-            // after recovery.
-            let drop_pending = !(ev.resume && self.track_replay);
-            let tm = self.telemetry.as_mut().expect("checked above");
-            tm.crash(now, drop_pending);
-        }
-
-        // Physical failure. Power loss kills volatile SSD state on the
-        // crashed targets; a NIC reset only kills in-flight transfers.
-        // Every NIC reconnects fresh — messages parked in go-back-N
-        // recovery died with their resend events, which is exactly the
-        // state `crash_reset` forgets.
-        if power_fail {
-            // On integrity runs the power cut tears the write each SSD
-            // was absorbing (half-landed bytes under the intended seal).
-            let mut torn = 0u64;
-            for &t in &crashed {
-                for ssd in &mut self.targets[t].ssds {
-                    torn += ssd.crash(now);
-                }
-            }
-            self.integ.torn_injected += torn;
-        }
-        for t in &mut self.targets {
-            t.nic.crash_reset(now);
-            // Queued-but-unadmitted tenant work died with its commands.
-            if let Some(drr) = &mut t.drr {
-                drr.clear();
-            }
-        }
-        for init in &mut self.initiators {
-            init.nic.crash_reset(now);
-        }
-
-        // Alive targets keep power: every command their SSDs already
-        // accepted completes on-device (microseconds) long before the
-        // recovery (milliseconds) reads or rolls back state. Settle
-        // them now so a pending write cannot land after a discard.
-        let mut quiesced = now;
-        for (t, target) in self.targets.iter_mut().enumerate() {
-            if power_fail && crashed.contains(&t) {
-                continue;
-            }
-            for ssd in &mut target.ssds {
-                quiesced = quiesced.max(ssd.quiesce(now));
-            }
-        }
-
-        // Bit rot strikes *after* the quiesce settles outstanding
-        // writes: flips land on data at rest, one bit in each of up to
-        // `flips` distinct sealed blocks per SSD of the hit targets
-        // (single-bit errors are exactly what CRC-32C always catches,
-        // so every injected flip is detectable by the scrub below).
-        if let FaultKind::BitRot { flips, .. } = &ev.kind {
-            let mut rotted = 0u64;
-            for &t in &crashed {
-                for ssd in &mut self.targets[t].ssds {
-                    rotted += ssd.rot_at_rest(*flips);
-                }
-            }
-            self.integ.rot_injected += rotted;
-        }
-
-        // ---- Phase 1: rebuild the global order ------------------------
-        // Targets scan in parallel and ship their records in one
-        // transfer each; the initiator merges serially. A power-failed
-        // target lost its driver and must MMIO-scan the whole PMR
-        // region; an alive target's driver still knows its live slots
-        // and answers from DRAM — which is why a NIC flap recovers
-        // orders of magnitude faster than a power failure.
-        let fabric_bw = self.cfg.fabric.bandwidth;
-        let one_way_us = self.cfg.fabric.one_way_latency_us;
-        let mut scans = Vec::new();
-        let mut scan_parallel = SimDuration::ZERO;
-        let mut records_total = 0usize;
-        for (t, target) in self.targets.iter().enumerate() {
-            let plp = target.ssds[0].profile().plp;
-            let pmr = target.ssds[0].pmr();
-            let outcome = PmrLog::scan(pmr.contents()).expect("formatted PMR");
-            let full_scan = power_fail && crashed.contains(&t);
-            let (scan_us, bytes) = if full_scan {
-                let slots = pmr.len() / 32;
-                (slots as f64 * PMR_SCAN_US_PER_SLOT, pmr.len() as u64)
-            } else {
-                let live = outcome.records.len();
-                (
-                    live as f64 * DRAM_SCAN_US_PER_RECORD,
-                    live as u64 * 32,
-                )
-            };
-            let scan_time = SimDuration::from_micros_f64(scan_us);
-            let wire = SimDuration::from_micros_f64(
-                bytes as f64 / fabric_bw * 1e6 + 2.0 * one_way_us,
-            );
-            scan_parallel = scan_parallel.max(scan_time + wire);
-            records_total += outcome.records.len();
-            scans.push(ServerScan {
-                server: ServerId(t as u16),
-                plp,
-                head_seqs: outcome.head_seqs,
-                records: outcome.records,
-            });
-        }
-        let merge_cpu = SimDuration::from_nanos(MERGE_NS_PER_RECORD * records_total as u64);
-        let order_rebuild = scan_parallel + merge_cpu;
-        let plan = RecoveryPlan::compute(&RecoveryInput {
-            scans,
-            mode: RecoveryMode::InitiatorRestart,
-        });
-
-        // ---- Integrity scrub (before any discard) ---------------------
-        // Every sealed media block is re-checksummed — in parallel per
-        // SSD — and mismatches are classified *before* Phase 2 runs: a
-        // discard erases a block's seal, so scrubbing later would
-        // under-count. A corrupt block still owned by a
-        // submitted-but-undelivered group is repairable: the stream's
-        // redelivery cut drops below that group, rolling it back for
-        // resubmission with fresh bytes (exactly-once is preserved —
-        // the group was never delivered). A corrupt block outside any
-        // tracked group (e.g. rot on already-delivered data) is
-        // unrepairable data loss: reported and discarded.
-        let mut repair_cut = vec![u32::MAX; self.cfg.total_streams()];
-        let mut extra_discards: Vec<(usize, usize, u64)> = Vec::new();
-        let mut scrub_parallel = SimDuration::ZERO;
-        if self.integrity {
-            let mut scrubbed = 0u64;
-            let mut detected = 0u64;
-            let mut repaired = 0u64;
-            let mut unrepairable = 0u64;
-            // Physical legs were registered target-major, SSD-minor —
-            // the same nested order as this walk.
-            let mut leg = 0usize;
-            for (t, target) in self.targets.iter().enumerate() {
-                for (s_idx, ssd) in target.ssds.iter().enumerate() {
-                    let (scanned, corrupt) = ssd.scrub();
-                    scrubbed += scanned;
-                    scrub_parallel = scrub_parallel.max(SimDuration::from_micros_f64(
-                        scanned as f64 * SCRUB_US_PER_BLOCK,
-                    ));
-                    for &plba in &corrupt {
-                        detected += 1;
-                        let logical = self.volume.logical_of(leg, plba);
-                        let mut owner = None;
-                        'find: for th in &self.threads {
-                            for &(seq, ref spec) in &th.replay {
-                                for m in &spec.members {
-                                    if logical >= m.range.lba
-                                        && logical < m.range.lba + m.range.blocks as u64
-                                    {
-                                        owner = Some((th.stream.0 as usize, seq));
-                                        break 'find;
-                                    }
-                                }
-                            }
-                        }
-                        if let Some((s, seq)) = owner {
-                            repaired += 1;
-                            repair_cut[s] = repair_cut[s].min(seq.saturating_sub(1));
-                        } else {
-                            unrepairable += 1;
-                        }
-                        extra_discards.push((t, s_idx, plba));
-                    }
-                    leg += 1;
-                }
-            }
-            self.integ.scrubbed_records += scrubbed;
-            self.integ.media_detected += detected;
-            self.integ.media_repaired += repaired;
-            self.integ.media_unrepairable += unrepairable;
-            self.integ.scrub_us += scrub_parallel.as_nanos() as f64 / 1e3;
-        }
-
-        // ---- Phase 2: discard out-of-order blocks ---------------------
-        // Discards run concurrently per (server, ssd); within one SSD
-        // they serialize at DISCARD_US plus one wire round trip.
-        let t_disc = (now + order_rebuild + scrub_parallel).max(quiesced);
-        for target in &mut self.targets {
-            for ssd in &mut target.ssds {
-                ssd.advance(t_disc);
-            }
-        }
-        let mut per_ssd_counts: std::collections::BTreeMap<(usize, usize), usize> =
-            std::collections::BTreeMap::new();
-        let mut discards = 0usize;
-        for sp in &plan.streams {
-            for d in &sp.discard {
-                discards += 1;
-                *per_ssd_counts
-                    .entry((d.server.0 as usize, d.ssd as usize))
-                    .or_insert(0) += 1;
-                let ssd = &mut self.targets[d.server.0 as usize].ssds[d.ssd as usize];
-                ssd.submit_discard(t_disc, d.range.lba, d.range.blocks);
-            }
-        }
-        // Scrub-detected corrupt blocks are discarded too: a repairable
-        // block's group resubmits fresh bytes, an unrepairable block
-        // must at least never read back with a valid-looking payload.
-        for &(t, s_idx, plba) in &extra_discards {
-            discards += 1;
-            *per_ssd_counts.entry((t, s_idx)).or_insert(0) += 1;
-            self.targets[t].ssds[s_idx].submit_discard(t_disc, plba, 1);
-        }
-        let data_recovery = per_ssd_counts
-            .values()
-            .map(|&n| SimDuration::from_micros_f64(n as f64 * DISCARD_US + 2.0 * one_way_us))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let resumed_at = t_disc + data_recovery;
-        if let Some(tm) = &mut self.telemetry {
-            tm.recovery_span(idx as u32, now, resumed_at);
-        }
-
-        // ---- Re-arm and resume (or halt for one-shot experiments) -----
-        let mut streams = Vec::new();
-        if ev.resume {
-            self.reset_after_recovery(&plan, &repair_cut, resumed_at, &mut streams);
-        } else {
-            for s in 0..self.cfg.total_streams() {
-                let stream = StreamId(s as u16);
-                let delivered = Seq(self.released_through[s]);
-                let valid = plan
-                    .stream(stream)
-                    .map(|sp| sp.valid_through)
-                    .unwrap_or(delivered);
-                streams.push(StreamRecovery {
-                    stream,
-                    delivered_through: delivered,
-                    valid_through: valid,
-                    redelivered: 0,
-                    requeued: 0,
-                });
-            }
-        }
-
-        self.recoveries.push(RecoveryMetrics {
-            fault: idx,
-            crashed_targets: crashed,
-            power_fail,
-            crashed_at: now,
-            resumed_at,
-            order_rebuild,
-            data_recovery,
-            records_scanned: records_total,
-            discards,
-            streams,
-            plan,
-        });
-
-        self.epoch_start = resumed_at;
-        if ev.resume {
-            // The heap clear above killed the later fault events too;
-            // re-arm them. A fault scheduled inside this recovery
-            // window slips to the resume instant.
-            for j in (idx + 1)..self.cfg.faults.events.len() {
-                let at = self.cfg.faults.events[j].at.max(resumed_at);
-                self.events.push(at, Event::Fault(j as u32));
-            }
-            for t in 0..self.threads.len() {
-                self.events.push(resumed_at, Event::Resume(t));
-            }
-        }
-    }
-
-    /// Resets every ordering engine to the recovery plan's resume
-    /// points, completes the durable-but-unacknowledged prefix, and
-    /// hands each stream's rolled-back groups back to its thread.
-    fn reset_after_recovery(
-        &mut self,
-        plan: &RecoveryPlan,
-        repair_cut: &[u32],
-        resumed_at: SimTime,
-        out: &mut Vec<StreamRecovery>,
-    ) {
-        let n_streams = self.cfg.total_streams();
-        let n_threads = self.threads.len();
-        let mut resume_seq = vec![0u32; n_streams];
-        for s in 0..n_streams {
-            let stream = StreamId(s as u16);
-            let delivered = self.released_through[s];
-            let sp = plan.stream(stream);
-            let valid = sp.map(|p| p.valid_through.0).unwrap_or(delivered);
-            // The scrub may pull the redelivery cut *below* the plan's
-            // valid mark: a durable-but-corrupt (torn/rotted) group
-            // must roll back and resubmit instead of redelivering.
-            let valid = valid.min(repair_cut[s]);
-            // The new epoch opens above everything the app saw complete
-            // AND everything the storage kept: on volatile drives the
-            // prefix can cut below the delivered mark (acked data was
-            // lost — ordinary non-fsync write-loss semantics), and on
-            // PLP drives it can extend above it (durable groups whose
-            // completions were in flight).
-            let resume = valid.max(delivered);
-            resume_seq[s] = resume;
-
-            let mut redelivered = 0u64;
-            let mut requeued = 0u64;
-            if s < n_threads {
-                let t = s;
-                let mut replay = std::mem::take(&mut self.threads[t].replay);
-                // 1. Deliver the durable-but-unacknowledged prefix now:
-                //    its data survived in storage order, so re-executing
-                //    it would double-apply.
-                while let Some(&(seq, _)) = replay.front() {
-                    if seq > valid {
-                        break;
-                    }
-                    let (seq, spec) = replay.pop_front().expect("front exists");
-                    let info = self.group_info[s]
-                        .remove(seq)
-                        .expect("undelivered group is tracked");
-                    self.groups_done += 1;
-                    self.blocks_done += spec.blocks() as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(resumed_at, 1, spec.blocks() as u64);
-                    }
-                    self.group_latency.record(resumed_at.since(info.submitted));
-                    let init = self.threads[t].init;
-                    let im = &mut self.initiators[init];
-                    im.groups_done += 1;
-                    im.blocks_done += spec.blocks() as u64;
-                    im.group_latency.record(resumed_at.since(info.submitted));
-                    im.finished_at = im.finished_at.max(resumed_at);
-                    redelivered += 1;
-                }
-                // 2. Everything beyond the prefix was rolled back:
-                //    re-queue it ahead of the thread's ungenerated
-                //    script, preserving submission order.
-                requeued = replay.len() as u64;
-                if requeued > 0 {
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.requeued(resumed_at, requeued);
-                    }
-                }
-                while let Some((_, spec)) = replay.pop_back() {
-                    self.threads[t].queue.push_front(spec);
-                }
-                self.group_info[s] = GroupInfoRing::default();
-                if redelivered > 0 {
-                    self.last_completion = self.last_completion.max(resumed_at);
-                }
-                let th = &mut self.threads[t];
-                th.inflight = 0;
-                th.parked = false;
-                th.done_submitting = false;
-                th.sync_stage = SyncStage::Idle;
-                let was_syncing = th.syncing;
-                th.syncing = false;
-                if was_syncing && requeued == 0 {
-                    // The op's sync point cleared during recovery; a
-                    // re-queued commit group re-arms it on resubmission
-                    // instead.
-                    self.finish_op(t, resumed_at);
-                }
-            }
-
-            // 3. Re-seed sequencer, completer and release bookkeeping.
-            // When the scrub cut the resume point below the plan's, the
-            // plan's per-target `resume_prev` marks may reference seqs
-            // beyond it — seqs that roll back and will redispatch under
-            // *new* numbers. Clamp them: a fresh gate waiting on such a
-            // seq would buffer forever.
-            let resume_prev: Vec<Seq> = sp
-                .map(|p| {
-                    p.resume_prev
-                        .iter()
-                        .map(|q| Seq(q.0.min(resume)))
-                        .collect()
-                })
-                .unwrap_or_else(|| vec![Seq::HEAD; self.targets.len()]);
-            let init = self.initiator_of_stream(s);
-            self.initiators[init]
-                .sequencer
-                .reset_stream(stream, Seq(resume + 1), &resume_prev);
-            self.initiators[init]
-                .completer
-                .reset_stream(stream, Seq(resume));
-            self.released_through[s] = resume;
-
-            out.push(StreamRecovery {
-                stream,
-                delivered_through: Seq(delivered),
-                valid_through: Seq(valid),
-                redelivered,
-                requeued,
-            });
-        }
-
-        // 4. Reconnect every target: a fresh gate epoch (dispatch
-        //    ordinals restarted with the sequencer), PMR logs
-        //    re-formatted with the new epoch's head marks so a later
-        //    crash scans only post-resume records.
-        for target in &mut self.targets {
-            target.gate = SubmissionGate::with_streams(n_streams);
-            for q in &mut target.slots {
-                q.clear();
-            }
-            if target.log.is_some() {
-                let pmr_len = target.ssds[0].pmr().len();
-                let (log, writes) = PmrLog::format(pmr_len, n_streams);
-                for w in &writes {
-                    target.apply_pmr_write(w);
-                }
-                for (s, &head) in resume_seq.iter().enumerate() {
-                    let w = log.set_head_seq(StreamId(s as u16), Seq(head));
-                    target.apply_pmr_write(&w);
-                    target.slot_seen[s] = true;
-                    target.applied_release[s] = head;
-                }
-                target.log = Some(log);
-            }
-        }
-    }
-
     // ---- test access -------------------------------------------------------
 
     /// Immutable access to a target's SSDs.
@@ -2913,9 +2245,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{
-        FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig, TargetConfig,
-    };
+    use crate::config::{FabricConfig, FaultEvent, FaultKind, FaultPlan, TargetConfig};
     use proptest::prelude::*;
     use rio_net::FabricProfile;
     use rio_ssd::SsdProfile;
@@ -3686,27 +3016,47 @@ mod tests {
         assert_eq!(m, run(), "same seed replays byte-identically");
     }
 
-    /// An explicit `initiators: [default]` run is byte-identical to
-    /// the legacy scalar-field single-initiator path — same derived
-    /// config, same event interleaving, same metrics, field by field.
+    /// Normalisation facts the event path relies on instead of
+    /// per-use fallbacks. A zero QoS weight is raised to 1 once, in
+    /// `effective_initiators()`, before the DRR (whose quantum would
+    /// otherwise never grow) or the metrics see it.
     #[test]
-    fn explicit_single_initiator_matches_legacy_byte_for_byte() {
-        let threads = 2usize;
-        let legacy = {
-            let cfg = small_cfg(OrderingMode::Rio { merge: true }, threads);
-            Cluster::new(cfg, Workload::random_4k(threads, 300)).run()
-        };
-        let explicit = {
-            let mut cfg = small_cfg(OrderingMode::Rio { merge: true }, threads);
-            cfg.initiators = vec![InitiatorConfig {
-                cores: cfg.initiator_cores,
-                streams: cfg.streams,
-                tenant: 0,
-                weight: 1,
-            }];
-            Cluster::new(cfg, Workload::random_4k(threads, 300)).run()
-        };
-        assert_eq!(legacy, explicit);
+    fn zero_weight_is_raised_to_one_at_normalisation() {
+        let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 2, 1, 1);
+        cfg.initiators[0].weight = 0;
+        assert_eq!(cfg.effective_initiators()[0].weight, 1);
+        let m = Cluster::new(cfg, Workload::random_4k(2, 100)).run();
+        assert_eq!(m.groups_done, 200, "a zero-weight tenant still progresses");
+        assert_eq!(m.initiators[0].weight, 1);
+        assert!(m.tenants.iter().all(|t| t.weight == 1));
+    }
+
+    /// Every global stream has an owning initiator by construction:
+    /// spare streams of a single-initiator config (more streams than
+    /// threads) belong to initiator 0, and multi-initiator slices map
+    /// to their hosts.
+    #[test]
+    fn every_stream_has_an_owning_initiator_by_construction() {
+        let mut cfg = small_cfg(OrderingMode::Rio { merge: true }, 2);
+        cfg.streams = 5;
+        let cl = Cluster::new(cfg, Workload::random_4k(2, 10));
+        assert_eq!(cl.init_of_stream, vec![0; 5]);
+        let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 2, 1);
+        cfg.initiators[1].streams = 1;
+        let cl = Cluster::new(cfg, Workload::random_4k(5, 10));
+        assert_eq!(cl.init_of_stream, vec![0, 0, 1, 2, 2]);
+        assert_eq!(cl.threads[3].init, 2);
+        assert_eq!(cl.threads[4].core, 1, "cores count from the slice base");
+    }
+
+    /// `metrics()` averages over the targets unconditionally because a
+    /// cluster without targets cannot be built.
+    #[test]
+    #[should_panic(expected = "need at least one target")]
+    fn a_cluster_without_targets_is_rejected_at_construction() {
+        let mut cfg = small_cfg(OrderingMode::Orderless, 1);
+        cfg.targets.clear();
+        let _ = Cluster::new(cfg, Workload::random_4k(1, 1));
     }
 
     /// Regression for the latent single-NIC assumption in metrics

@@ -266,8 +266,9 @@ impl FaultPlan {
 
 /// One initiator server in a multi-initiator cluster.
 ///
-/// Each initiator owns its own NIC, [`rio_order`] sequencer, in-order
-/// completer and a contiguous slice of the global stream-id space; a
+/// Each initiator owns its own NIC, [`rio_order::Rio`] handle (sequencer,
+/// ORDER queues, in-order completer) and a contiguous slice of the
+/// global stream-id space; a
 /// global stream id is `stream_base + local stream`, so target-side
 /// structures keyed by stream (submission gate, PMR log, ORDER slots)
 /// are implicitly keyed by `(initiator, stream)` without collisions.
@@ -404,12 +405,12 @@ pub struct ClusterConfig {
     /// stream space is then the concatenation of every initiator's
     /// streams.
     pub streams: usize,
-    /// Initiator servers. Empty (the default everywhere) means the
-    /// classic single-initiator cluster derived from
-    /// [`ClusterConfig::initiator_cores`] and [`ClusterConfig::streams`]
-    /// — that path is byte-identical to builds without this field.
-    /// Non-empty lists build one NIC + sequencer + completer per entry
-    /// over a shared global stream space.
+    /// Initiator servers. Empty (the default everywhere) is shorthand
+    /// for one initiator with [`ClusterConfig::initiator_cores`] cores
+    /// and [`ClusterConfig::streams`] streams (tenant 0, weight 1);
+    /// [`ClusterConfig::effective_initiators`] expands it, and the
+    /// cluster builds one NIC + `librio` handle per entry over a shared
+    /// global stream space either way.
     pub initiators: Vec<InitiatorConfig>,
     /// NIC queue pairs per (initiator, target) connection.
     pub qps_per_target: usize,
@@ -540,9 +541,11 @@ impl ClusterConfig {
         cfg
     }
 
-    /// The effective initiator list: the configured
-    /// [`ClusterConfig::initiators`], or the implicit single initiator
-    /// the legacy `initiator_cores` / `streams` fields describe.
+    /// The effective initiator list, normalised: the configured
+    /// [`ClusterConfig::initiators`], or the single initiator the
+    /// `initiator_cores` / `streams` fields describe, with every QoS
+    /// weight raised to at least 1. The cluster reads its initiator
+    /// topology from this list and nowhere else.
     pub fn effective_initiators(&self) -> Vec<InitiatorConfig> {
         if self.initiators.is_empty() {
             vec![InitiatorConfig {
@@ -552,7 +555,10 @@ impl ClusterConfig {
                 weight: 1,
             }]
         } else {
-            self.initiators.clone()
+            self.initiators
+                .iter()
+                .map(|ic| ic.clone().with_weight(ic.weight.max(1)))
+                .collect()
         }
     }
 

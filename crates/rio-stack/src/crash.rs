@@ -1,147 +1,34 @@
-//! Crash injection and the §6.5 recovery-time experiment.
+//! The §6.5 recovery-time experiment.
 //!
-//! Fault injection itself lives inside the event loop: a
-//! [`crate::config::FaultPlan`] on the cluster configuration crashes
-//! arbitrary target subsets (or single NICs) at arbitrary virtual
-//! times — including while retransmissions are in flight — and the
-//! cluster runs PMR scan + global merge + discard in place, then
-//! resumes the workload in a fresh epoch (see
-//! [`crate::metrics::RecoveryMetrics`]). This module keeps the §6.5
-//! cost model's constants and the classic one-shot experiment driver,
-//! now a thin wrapper over that subsystem.
-//!
-//! The experiment: 36 threads issue 4 KB ordered writes continuously;
-//! a fault crashes the target servers mid-flight; after reconnecting,
-//! the initiator (1) rebuilds the global order from the PMR logs and
-//! (2) discards the data blocks that disobey the storage order. Both
-//! phases are timed separately, matching the paper's "~55 ms to
-//! reconstruct the global order" and "~125 ms data recovery" breakdown.
-//!
-//! Recovery cost model:
-//!
-//! * PMR scanning is MMIO-bound: each 32 B slot read costs
-//!   [`PMR_SCAN_US_PER_SLOT`] µs of target CPU — this, not the 2 MB
-//!   network transfer, dominates phase 1 exactly as the paper observes
-//!   ("most of which is spent on reading data from PMR").
-//! * Scanned records travel to the initiator as one RDMA transfer.
-//! * The global merge is CPU work proportional to the live records.
-//! * Each discard is an SSD command; discards run concurrently per SSD
-//!   (the paper's "discarding is performed asynchronously for each SSD
-//!   and each server").
-
-use rio_order::attr::{Seq, StreamId};
-use rio_order::recovery::RecoveryPlan;
-use rio_sim::{SimDuration, SimTime};
-
-use crate::cluster::Cluster;
-use crate::config::{ClusterConfig, FaultPlan, OrderingMode};
-use crate::metrics::RecoveryMetrics;
-use crate::workload::Workload;
-
-/// Cost of one 32 B MMIO read while scanning the PMR (µs). Paid only
-/// by power-failed targets, whose driver state died with them.
-pub const PMR_SCAN_US_PER_SLOT: f64 = 0.8;
-
-/// Cost of reading one live record from an *alive* target driver's
-/// in-memory log mirror (µs). A target that kept power never rescans
-/// its PMR over MMIO — the driver still knows its live slots and ships
-/// them from DRAM, which is why a NIC flap recovers orders of
-/// magnitude faster than a power failure.
-pub const DRAM_SCAN_US_PER_RECORD: f64 = 0.05;
-
-/// CPU cost of merging one scanned record into the global list (ns).
-pub const MERGE_NS_PER_RECORD: u64 = 350;
-
-/// SSD-side cost of one discard command (µs). TRIM-class commands on
-/// scattered 4 KB ranges are far slower than reads/writes on real
-/// devices (calibrated against the paper's ~125 ms data recovery).
-pub const DISCARD_US: f64 = 150.0;
-
-/// Cost of verifying one sealed media block during the post-quiesce
-/// integrity scrub (µs): a 4 KB read plus a CRC-32C pass. Paid only on
-/// integrity runs, in parallel per SSD.
-pub const SCRUB_US_PER_BLOCK: f64 = 2.0;
-
-/// Outcome of one crash-recovery run.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Virtual time of the crash.
-    pub crashed_at: SimTime,
-    /// Phase 1: scanning PMRs + transferring attributes + global merge.
-    pub order_rebuild: SimDuration,
-    /// Phase 2: discarding out-of-order blocks.
-    pub data_recovery: SimDuration,
-    /// Records scanned across all targets.
-    pub records_scanned: usize,
-    /// Discard operations issued.
-    pub discards: usize,
-    /// Per-stream valid-prefix sequence numbers.
-    pub valid_through: Vec<(StreamId, Seq)>,
-    /// The computed plan (for invariant checking in tests).
-    pub plan: RecoveryPlan,
-}
-
-impl RecoveryReport {
-    /// Builds the classic §6.5 report shape from one in-run recovery
-    /// breakdown.
-    pub fn from_recovery(r: &RecoveryMetrics) -> Self {
-        RecoveryReport {
-            crashed_at: r.crashed_at,
-            order_rebuild: r.order_rebuild,
-            data_recovery: r.data_recovery,
-            records_scanned: r.records_scanned,
-            discards: r.discards,
-            valid_through: r
-                .plan
-                .streams
-                .iter()
-                .map(|s| (s.stream, s.valid_through))
-                .collect(),
-            plan: r.plan.clone(),
-        }
-    }
-}
-
-/// Runs the §6.5 experiment: drive `workload` under Rio, crash all
-/// targets at `crash_at` (even if the workload finishes first — the
-/// idle cluster crashes too), recover, and time both phases. The run
-/// halts after recovery — use a [`FaultPlan`] with `resume: true`
-/// directly for a survivable run.
-///
-/// # Panics
-///
-/// Panics if the configuration is not a Rio mode (only Rio persists
-/// ordering attributes to recover from) or already carries a fault
-/// plan of its own.
-pub fn run_crash_recovery(
-    cfg: ClusterConfig,
-    workload: Workload,
-    crash_at: SimTime,
-) -> RecoveryReport {
-    assert!(
-        matches!(cfg.mode, OrderingMode::Rio { .. }),
-        "crash recovery experiment requires Rio mode"
-    );
-    assert!(
-        cfg.faults.events.is_empty(),
-        "run_crash_recovery injects its own fault plan"
-    );
-    let mut cfg = cfg;
-    cfg.faults = FaultPlan::crash_all_at(crash_at);
-    let metrics = Cluster::new(cfg, workload).run();
-    let recovery = metrics
-        .recoveries
-        .first()
-        .expect("the scheduled crash fired");
-    RecoveryReport::from_recovery(recovery)
-}
+//! 36 threads issue 4 KB ordered writes continuously; a fault crashes
+//! every target server mid-flight (even if the workload finishes first
+//! — the idle cluster crashes too); after reconnecting, the initiator
+//! rebuilds the global order from the PMR logs and discards the blocks
+//! that disobey it, and the run halts. There is no dedicated driver:
+//! the experiment is a [`crate::config::FaultPlan::crash_all_at`] plan
+//! on an ordinary Rio [`crate::config::ClusterConfig`], and its report
+//! is `RunMetrics::recoveries[0]` ([`crate::metrics::RecoveryMetrics`]).
+//! The fault handling and its cost model live in
+//! [`crate::cluster::recovery`]; the tests below pin the experiment's
+//! shape through that public path only.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::TargetConfig;
+    use crate::config::{ClusterConfig, FaultPlan, OrderingMode, TargetConfig};
+    use crate::metrics::RecoveryMetrics;
+    use crate::{Cluster, Workload};
     use rio_net::FabricProfile;
+    use rio_sim::{SimDuration, SimTime};
     use rio_ssd::SsdProfile;
+
+    /// Runs `threads` of 4 KB ordered writes, power-fails every target
+    /// at `crash_ns` and returns the one recovery's breakdown.
+    fn crash_at(threads: usize, crash_ns: u64) -> RecoveryMetrics {
+        let mut cfg = crash_cfg(threads);
+        cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
+        let m = Cluster::new(cfg, Workload::random_4k(threads, 100_000)).run();
+        m.recoveries.into_iter().next().expect("the scheduled crash fired")
+    }
 
     fn crash_cfg(threads: usize) -> ClusterConfig {
         ClusterConfig {
@@ -177,13 +64,11 @@ mod tests {
 
     #[test]
     fn recovery_produces_valid_prefixes() {
-        let cfg = crash_cfg(4);
-        let wl = Workload::random_4k(4, 100_000);
-        let report = run_crash_recovery(cfg, wl, SimTime::from_nanos(3_000_000));
+        let report = crash_at(4, 3_000_000);
         // Some work was in flight.
         assert!(report.records_scanned > 0, "no records survived the crash");
         // Every stream has a plan with a valid prefix at or above zero.
-        assert_eq!(report.valid_through.len(), 4);
+        assert_eq!(report.plan.streams.len(), 4);
         for sp in &report.plan.streams {
             // The prefix never regresses below the delivered head.
             assert!(sp.valid_through >= sp.resume_head);
@@ -192,9 +77,7 @@ mod tests {
 
     #[test]
     fn order_rebuild_dominated_by_pmr_scan() {
-        let cfg = crash_cfg(2);
-        let wl = Workload::random_4k(2, 100_000);
-        let report = run_crash_recovery(cfg, wl, SimTime::from_nanos(2_000_000));
+        let report = crash_at(2, 2_000_000);
         // 2 MB / 32 B * 0.8 µs ≈ 52 ms — the paper's "around 55 ms".
         let ms = report.order_rebuild.as_secs_f64() * 1e3;
         assert!(
@@ -205,9 +88,7 @@ mod tests {
 
     #[test]
     fn discarded_blocks_are_erased() {
-        let cfg = crash_cfg(4);
-        let wl = Workload::random_4k(4, 100_000);
-        let report = run_crash_recovery(cfg, wl, SimTime::from_nanos(3_000_000));
+        let report = crash_at(4, 3_000_000);
         // The report's plan discards were applied by the driver; spot
         // check that the plan is internally consistent.
         for sp in &report.plan.streams {
@@ -221,9 +102,7 @@ mod tests {
     #[test]
     fn deterministic_reports() {
         let run = || {
-            let cfg = crash_cfg(3);
-            let wl = Workload::random_4k(3, 100_000);
-            let r = run_crash_recovery(cfg, wl, SimTime::from_nanos(2_500_000));
+            let r = crash_at(3, 2_500_000);
             (
                 r.records_scanned,
                 r.discards,

@@ -14,8 +14,9 @@
 //!   NVMe-oF: a synchronous control path (two-sided SENDs persisting
 //!   ordering metadata to PMR) ahead of an asynchronous data path.
 //! * [`config::OrderingMode::Rio`] — the paper's contribution: the
-//!   fully asynchronous I/O pipeline built from `rio-order`'s
-//!   sequencer, ORDER queues, gate, PMR log and in-order completion.
+//!   fully asynchronous I/O pipeline. Each initiator runs `rio-order`'s
+//!   `librio` handle (sequencer, ORDER queues, in-order completion);
+//!   each target its gate and PMR log.
 //!
 //! The simulation charges CPU costs per software step to per-core FIFO
 //! resources, so throughput *and* CPU efficiency (throughput ÷
@@ -26,8 +27,9 @@
 //! times — composing with the lossy multi-path fabric — and the
 //! cluster recovers *inside* the event loop (PMR scan, global merge,
 //! discard) and resumes the workload, reporting per-epoch throughput
-//! and recovery breakdowns in [`metrics::RunMetrics`]. The classic
-//! one-shot §6.5 driver lives in [`crash`] as a thin wrapper.
+//! and recovery breakdowns in [`metrics::RunMetrics`]. The handler and
+//! its cost model are [`cluster::recovery`]; the §6.5 experiment is a
+//! [`config::FaultPlan::crash_all_at`] plan (see [`crash`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -16,7 +16,6 @@
 use rio::net::FabricProfile;
 use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
-use rio::stack::crash::run_crash_recovery;
 use rio::stack::{
     Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, TargetConfig, Workload,
 };
@@ -58,7 +57,9 @@ fn main() {
     let wl = Workload::random_4k(8, 1_000_000);
     println!("Running 8 threads of 4 KB ordered writes over 2 targets,");
     println!("then pulling the power at t = 3 ms...\n");
-    let report = run_crash_recovery(base_cfg(), wl, SimTime::from_nanos(3_000_000));
+    let mut cfg = base_cfg();
+    cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(3_000_000));
+    let report = &Cluster::new(cfg, wl).run().recoveries[0];
 
     println!("Crash at {}", report.crashed_at);
     println!(
@@ -72,10 +73,10 @@ fn main() {
         report.discards
     );
     println!("\nPer-stream valid prefixes (the D1 <- ... <- Dk of the proof):");
-    for (stream, seq) in report.valid_through.iter().take(8) {
+    for sp in report.plan.streams.iter().take(8) {
         println!(
             "  stream {:>2}: global order intact through seq {}",
-            stream.0, seq.0
+            sp.stream.0, sp.valid_through.0
         );
     }
     println!("\nEvery stream recovered to a prefix of its submitted order —");

@@ -4,12 +4,26 @@
 use rio::fs::{OrderedDev, RioFs};
 use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
-use rio::stack::crash::run_crash_recovery;
 use rio::stack::{
     Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
     OrderingMode, TelemetryConfig, TraceConfig, Workload,
 };
 use rio::workloads::{MiniKv, Varmail};
+
+/// The crash-under-loss shape: 4 SSDs over 2 targets, 0.1 % loss on two
+/// paths, target 1 power-fails mid-flight and the run survives.
+fn crash_under_loss() -> ClusterConfig {
+    let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
+    cfg.initiator_cores = 8;
+    for t in &mut cfg.targets {
+        t.cores = 8;
+    }
+    cfg.qps_per_target = 8;
+    cfg.max_inflight_per_stream = 16;
+    cfg.net = FabricConfig::lossy(1e-3, 2);
+    cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+    cfg
+}
 
 fn small(mode: OrderingMode, threads: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
@@ -153,16 +167,7 @@ fn run_metrics_snapshot_identical_with_crash_under_loss() {
     // pm981 drives in this topology also exercise the valid-prefix <
     // delivered-prefix rollback path.
     let run = || {
-        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-        cfg.initiator_cores = 8;
-        for t in &mut cfg.targets {
-            t.cores = 8;
-        }
-        cfg.qps_per_target = 8;
-        cfg.max_inflight_per_stream = 16;
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
-        Cluster::new(cfg, Workload::random_4k(3, 400)).run()
+        Cluster::new(crash_under_loss(), Workload::random_4k(3, 400)).run()
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "crash-under-loss replay diverged");
@@ -277,15 +282,7 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
     }
     // And the crash-under-loss shape.
     let run = || {
-        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-        cfg.initiator_cores = 8;
-        for t in &mut cfg.targets {
-            t.cores = 8;
-        }
-        cfg.qps_per_target = 8;
-        cfg.max_inflight_per_stream = 16;
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+        let mut cfg = crash_under_loss();
         cfg.trace = Some(TraceConfig { ring: 1 << 16 });
         Cluster::new(cfg, Workload::random_4k(3, 400)).run()
     };
@@ -345,15 +342,7 @@ fn tracing_disabled_is_observably_free() {
     }
     // The crash shape, pinned the same way.
     let run = |trace: Option<TraceConfig>| {
-        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-        cfg.initiator_cores = 8;
-        for t in &mut cfg.targets {
-            t.cores = 8;
-        }
-        cfg.qps_per_target = 8;
-        cfg.max_inflight_per_stream = 16;
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+        let mut cfg = crash_under_loss();
         cfg.trace = trace;
         Cluster::new(cfg, Workload::random_4k(3, 400)).run()
     };
@@ -417,15 +406,7 @@ fn telemetry_disabled_is_observably_free() {
     }
     // The crash shape, pinned the same way.
     let run = |telemetry: Option<TelemetryConfig>| {
-        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-        cfg.initiator_cores = 8;
-        for t in &mut cfg.targets {
-            t.cores = 8;
-        }
-        cfg.qps_per_target = 8;
-        cfg.max_inflight_per_stream = 16;
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
+        let mut cfg = crash_under_loss();
         cfg.telemetry = telemetry;
         Cluster::new(cfg, Workload::random_4k(3, 400)).run()
     };
@@ -555,13 +536,11 @@ fn crash_recovery_restores_a_prefix_on_every_stream() {
         t.cores = 8;
     }
     cfg.qps_per_target = 8;
-    let report = run_crash_recovery(
-        cfg,
-        Workload::random_4k(6, 1_000_000),
-        SimTime::from_nanos(2_500_000),
-    );
+    cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(2_500_000));
+    let m = Cluster::new(cfg, Workload::random_4k(6, 1_000_000)).run();
+    let report = &m.recoveries[0];
     assert!(report.records_scanned > 0);
-    assert_eq!(report.valid_through.len(), 6);
+    assert_eq!(report.plan.streams.len(), 6);
     for sp in &report.plan.streams {
         assert!(sp.valid_through >= sp.resume_head);
         // Discards only ever target blocks beyond the valid prefix —
@@ -658,18 +637,7 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
         cfg.net.migrate_every = 32;
         cfg
     };
-    let crash = || {
-        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-        cfg.initiator_cores = 8;
-        for t in &mut cfg.targets {
-            t.cores = 8;
-        }
-        cfg.qps_per_target = 8;
-        cfg.max_inflight_per_stream = 16;
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
-        cfg
-    };
+    let crash = crash_under_loss;
     let multi = || {
         let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 1, 2);
         cfg.net = FabricConfig::lossy(1e-3, 2);
