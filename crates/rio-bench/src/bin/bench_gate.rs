@@ -26,135 +26,53 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rio_bench::fig::{compare_fig, parse_fig, render_fig_json, trajectory as fig_trajectory};
-use rio_bench::gate::{compare, parse, GateOutcome};
-use rio_bench::recovery::{compare_recovery, parse_recovery, trajectory};
+use rio_bench::fig::{render_fig_json, trajectory as fig_trajectory, FigCell};
+use rio_bench::gate::{compare, parse, File, GateOutcome, Trajectory, MAX_EPS_DROP};
+use rio_bench::json::Record;
+use rio_bench::recovery::{trajectory, RecoveryCell};
 use rio_bench::sweep::{calibrate, run_spec, smoke_subset, specs, Cell};
 
-fn default_baseline() -> String {
+/// A committed baseline's default location.
+fn default_path(name: &str) -> String {
     // crates/rio-bench -> repo root.
-    format!("{}/../../BENCH_sim.json", env!("CARGO_MANIFEST_DIR"))
+    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
-fn default_recovery_baseline() -> String {
-    format!("{}/../../BENCH_recovery.json", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn default_fig_baseline() -> String {
-    format!("{}/../../BENCH_fig.json", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Gates the deterministic §6.5 recovery-time trajectory. Returns the
-/// exit code contribution: 0 pass, 1 regression, 2 malformed baseline.
-fn recovery_gate(baseline_path: &str) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
+/// Runs one trajectory's gate: loads the baseline (and the ingested
+/// current measurement, if any), has `judge` compare it against the
+/// ingested or a re-run measurement, prints the per-cell report and
+/// the verdict line. `names` are what the baseline file and an
+/// ingested measurement are called, the flag that skips this gate
+/// (offered when the baseline is unreadable; "" if it cannot be
+/// skipped), the PASS line's prefix and what regressed on the FAIL
+/// line. Returns the exit code contribution: 0 pass, 1 regression,
+/// 2 unusable file.
+fn run_gate<C: Trajectory>(
+    [baseline_role, current_role, skip_flag, pass, regressed]: [&str; 5],
+    baseline_path: &str,
+    current_path: Option<&str>,
+    judge: impl FnOnce(&File<C>, Option<File<C>>) -> Result<GateOutcome, String>,
+) -> i32 {
+    let load = |path: &str, role: &str, hint: &str| -> Result<File<C>, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {role} {path}: {e}{hint}"))?;
+        parse(&text).map_err(|e| format!("{role} {path}: {e}"))
+    };
+    let hint = match skip_flag {
+        "" => String::new(),
+        flag => format!("\n(generate it {}, or pass {flag})", C::REGEN),
+    };
+    let judged = load(baseline_path, baseline_role, &hint).and_then(|baseline| {
+        let ingested = current_path.map(|path| load(path, current_role, ""));
+        judge(&baseline, ingested.transpose()?)
+    });
+    let out = match judged {
+        Ok(out) => out,
         Err(e) => {
-            eprintln!(
-                "bench_gate: cannot read recovery baseline {baseline_path}: {e}\n\
-                 (generate it with `cargo bench -p rio-bench --bench t65_recovery_time \
-                 -- --out BENCH_recovery.json`, or pass --no-recovery)"
-            );
+            eprintln!("bench_gate: {e}");
             return 2;
         }
     };
-    let baseline = match parse_recovery(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_gate: recovery baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    println!(
-        "bench_gate: re-running the {}-cell recovery trajectory (virtual time, \
-         no machine factor)",
-        baseline.cells.len()
-    );
-    let current = trajectory();
-    let out = compare_recovery(&baseline.cells, &current);
-    report(&out);
-    if out.failed() {
-        println!("bench_gate: FAIL — recovery time regressed beyond tolerance");
-        1
-    } else {
-        println!(
-            "bench_gate: recovery PASS ({} cells compared)",
-            out.verdicts.len()
-        );
-        0
-    }
-}
-
-/// Gates the deterministic per-figure KIOPS trajectory. `current_path`
-/// ingests a rendered figure file instead of re-running the sweeps.
-/// Returns the exit code contribution: 0 pass, 1 regression, 2
-/// malformed baseline or current file.
-fn fig_gate(baseline_path: &str, current_path: Option<&str>) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "bench_gate: cannot read figure baseline {baseline_path}: {e}\n\
-                 (generate it with `cargo run --release -p rio-bench --bin bench_gate -- \
-                 --write-fig BENCH_fig.json`, or pass --no-fig)"
-            );
-            return 2;
-        }
-    };
-    let baseline = match parse_fig(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_gate: figure baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    let current = match current_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bench_gate: cannot read figure current {path}: {e}");
-                    return 2;
-                }
-            };
-            match parse_fig(&text) {
-                Ok(f) => f.cells,
-                Err(e) => {
-                    eprintln!("bench_gate: figure current {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        None => {
-            println!(
-                "bench_gate: re-running the {}-cell figure trajectory (virtual time, \
-                 no machine factor)",
-                baseline.cells.len()
-            );
-            fig_trajectory()
-        }
-    };
-    let out = compare_fig(&baseline.cells, &current);
-    report(&out);
-    if out.failed() {
-        println!("bench_gate: FAIL — figure KIOPS regressed beyond tolerance");
-        1
-    } else {
-        println!(
-            "bench_gate: figures PASS ({} cells compared)",
-            out.verdicts.len()
-        );
-        0
-    }
-}
-
-fn load(path: &str, role: &str) -> Result<rio_bench::gate::BenchFile, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {role} {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{role} {path}: {e}"))
-}
-
-fn report(out: &GateOutcome) {
     for v in &out.verdicts {
         if v.failures.is_empty() {
             println!("PASS {}", v.key);
@@ -174,6 +92,145 @@ fn report(out: &GateOutcome) {
             out.uncovered.len()
         );
     }
+    // The simulation is deterministic, so any event-count drift means
+    // the engine's behavior changed — name every drifted cell with its
+    // expected and measured counts so the change is attributable.
+    let notes = out.verdicts.iter().flat_map(|v| v.notes.iter().map(move |n| (&v.key, n)));
+    let drifted: Vec<_> = notes.filter(|(_, n)| n.contains("event-count drift")).collect();
+    if !drifted.is_empty() {
+        println!(
+            "bench_gate: WARNING — deterministic event counts drifted in {} cell(s):",
+            drifted.len()
+        );
+        for (key, n) in drifted {
+            println!("  {key}: {n}");
+        }
+    }
+    if out.failed() {
+        println!("bench_gate: FAIL — {regressed} regressed beyond tolerance");
+        1
+    } else {
+        println!("bench_gate: {pass}PASS ({} cells compared)", out.verdicts.len());
+        0
+    }
+}
+
+/// The judge of a deterministic virtual-time trajectory: the ingested
+/// cells, or a re-run, must cover every baseline cell; there is no
+/// machine factor and nothing to retry.
+fn trajectory_judge<C: Trajectory>(
+    noun: &'static str,
+    rerun: fn() -> Vec<C>,
+) -> impl FnOnce(&File<C>, Option<File<C>>) -> Result<GateOutcome, String> {
+    move |baseline, ingested| {
+        let current = ingested.map(|f| f.cells).unwrap_or_else(|| {
+            println!(
+                "bench_gate: re-running the {}-cell {noun} trajectory (virtual time, \
+                 no machine factor)",
+                baseline.cells.len()
+            );
+            rerun()
+        });
+        Ok(compare(&baseline.cells, &current, true, 1.0))
+    }
+}
+
+/// Re-runs the engine grid (the full grid, or in `--smoke` mode its
+/// CI-affordable full-sized subset) and compares it to the baseline.
+/// The current machine's speed is measured so the events/s comparison
+/// is normalized — a slow or busy CI host must not read as an engine
+/// regression, and a fast host must not mask one.
+fn remeasure(baseline: &File<Cell>, smoke: bool) -> GateOutcome {
+    let base_calib = baseline.header.calib_secs;
+    let calib_secs = calibrate();
+    let mut machine_factor = calib_secs / base_calib;
+    let grid: Vec<_> = specs(false)
+        .into_iter()
+        .filter(|s| !smoke || smoke_subset(s))
+        .collect();
+    println!(
+        "bench_gate: re-running {} cell(s) ({}), machine factor {machine_factor:.3} \
+         (calibration {calib_secs:.4}s vs baseline {base_calib:.4}s)",
+        grid.len(),
+        if smoke { "smoke subset" } else { "full grid" },
+    );
+    let mut current: Vec<Cell> = grid
+        .iter()
+        .map(|s| {
+            // Wall clock is the one noisy measurement (shared CI
+            // machines stall runs; the simulation itself is
+            // deterministic), and the noise is one-sided — so a
+            // cell that looks slower than the baseline's gate
+            // threshold is re-measured a few times and the
+            // fastest run kept before calling it a regression.
+            // Each re-measure also re-runs the calibration loop:
+            // contention that develops mid-run slows the whole
+            // host, and the factor must track it or the slowdown
+            // reads as an engine regression. A real regression
+            // does not move the calibration loop, so the factor
+            // never excuses one.
+            let mut c = run_spec(s);
+            if let Some(base) = baseline.cells.iter().find(|b| b.key_label() == c.key_label()) {
+                for _ in 0..3 {
+                    let floor = base.events_per_sec() / machine_factor.max(1e-9)
+                        * (1.0 - MAX_EPS_DROP);
+                    if c.events_per_sec() >= floor {
+                        break;
+                    }
+                    let now = calibrate() / base_calib;
+                    if now > machine_factor {
+                        println!("  (machine factor {machine_factor:.3} -> {now:.3})");
+                        machine_factor = now;
+                    }
+                    let retry = run_spec(s);
+                    if retry.events_per_sec() > c.events_per_sec() {
+                        c = retry;
+                    }
+                }
+            }
+            println!(
+                "  measured {:>14} {:>14} t={:<2} {:>9.3}s wall {:>12} events",
+                c.figure, c.mode, c.threads, c.wall_secs, c.events
+            );
+            c
+        })
+        .collect();
+    let mut out = compare(&baseline.cells, &current, !smoke, machine_factor);
+
+    // Transient host stalls hit neighboring measurements together, so a
+    // cell's in-place retries can all land in the same slow window.
+    // Cells whose only failure is events/s get a decorrelated second
+    // look — re-measured after the rest of the sweep, tens of seconds
+    // away from the window that slowed them. Deterministic failures
+    // (p99, shape, missing cells) are never retried.
+    for _ in 0..2 {
+        let eps_only: Vec<&str> = out
+            .verdicts
+            .iter()
+            .filter(|v| {
+                !v.failures.is_empty() && v.failures.iter().all(|f| f.starts_with("events/s"))
+            })
+            .map(|v| v.key.as_str())
+            .collect();
+        if eps_only.is_empty() {
+            break;
+        }
+        println!(
+            "bench_gate: re-measuring {} cell(s) outside the slow window",
+            eps_only.len()
+        );
+        machine_factor = machine_factor.max(calibrate() / base_calib);
+        for (s, c) in grid.iter().zip(&mut current) {
+            if eps_only.contains(&c.key_label().as_str()) {
+                let retry = run_spec(s);
+                if retry.events_per_sec() > c.events_per_sec() {
+                    *c = retry;
+                }
+            }
+        }
+        out = compare(&baseline.cells, &current, !smoke, machine_factor);
+    }
+    out
 }
 
 fn real_main() -> i32 {
@@ -183,6 +240,8 @@ fn real_main() -> i32 {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
     };
+    let flag_or_default =
+        |name: &str, file: &str| flag_val(name).unwrap_or_else(|| default_path(file));
     let smoke = args.iter().any(|a| a == "--smoke");
 
     // Regeneration mode: run the figure trajectory, write the baseline,
@@ -198,188 +257,34 @@ fn real_main() -> i32 {
         return 0;
     }
 
-    let baseline_path = flag_val("--baseline").unwrap_or_else(default_baseline);
+    // The engine gate ingests a `--current` file (which carries its own
+    // machine's calibration stamp) or re-measures.
     let current_path = flag_val("--current");
-
-    let baseline = match load(&baseline_path, "baseline") {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return 2;
-        }
-    };
-    if baseline.smoke {
-        eprintln!(
-            "bench_gate: baseline {baseline_path} was written by a --smoke sweep; \
-             commit a full `cargo bench -p rio-bench --bench sim_engine` run instead"
-        );
+    let rerunning = current_path.is_none();
+    let baseline_path = flag_or_default("--baseline", "BENCH_sim.json");
+    let engine_code = run_gate::<Cell>(
+        ["baseline", "current run", "", "", "performance"],
+        &baseline_path,
+        current_path.as_deref(),
+        |baseline, ingested| {
+            if baseline.header.smoke {
+                return Err(format!(
+                    "baseline {baseline_path} was written by a --smoke sweep; \
+                     commit a full `cargo bench -p rio-bench --bench sim_engine` run instead"
+                ));
+            }
+            Ok(match ingested {
+                Some(f) => {
+                    let factor = f.header.calib_secs / baseline.header.calib_secs;
+                    compare(&baseline.cells, &f.cells, !f.header.smoke && !smoke, factor)
+                }
+                None => remeasure(baseline, smoke),
+            })
+        },
+    );
+    if engine_code == 2 {
         return 2;
     }
-
-    // Current cells: ingest a file, or re-run the grid (the full grid,
-    // or in --smoke mode its CI-affordable full-sized subset). Either
-    // way the current machine's speed is measured (or read) so the
-    // events/s comparison is normalized — a slow or busy CI host must
-    // not read as an engine regression, and a fast host must not mask
-    // one.
-    let rerunning = current_path.is_none();
-    let (mut current, require_all, mut machine_factor): (Vec<Cell>, bool, f64) = match current_path
-    {
-        Some(path) => match load(&path, "current run") {
-            Ok(f) => {
-                let require_all = !f.smoke && !smoke;
-                (f.cells, require_all, f.calib_secs / baseline.calib_secs)
-            }
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                return 2;
-            }
-        },
-        None => {
-            let calib_secs = calibrate();
-            let mut machine_factor = calib_secs / baseline.calib_secs;
-            let grid: Vec<_> = specs(false)
-                .into_iter()
-                .filter(|s| !smoke || smoke_subset(s))
-                .collect();
-            println!(
-                "bench_gate: re-running {} cell(s) ({}), machine factor {machine_factor:.3} \
-                 (calibration {calib_secs:.4}s vs baseline {:.4}s)",
-                grid.len(),
-                if smoke { "smoke subset" } else { "full grid" },
-                baseline.calib_secs
-            );
-            let cells: Vec<Cell> = grid
-                .iter()
-                .map(|s| {
-                    // Wall clock is the one noisy measurement (shared CI
-                    // machines stall runs; the simulation itself is
-                    // deterministic), and the noise is one-sided — so a
-                    // cell that looks slower than the baseline's gate
-                    // threshold is re-measured a few times and the
-                    // fastest run kept before calling it a regression.
-                    // Each re-measure also re-runs the calibration loop:
-                    // contention that develops mid-run slows the whole
-                    // host, and the factor must track it or the slowdown
-                    // reads as an engine regression. A real regression
-                    // does not move the calibration loop, so the factor
-                    // never excuses one.
-                    let mut c = run_spec(s);
-                    if let Some(base) = baseline.cells.iter().find(|b| b.key() == c.key()) {
-                        for _ in 0..3 {
-                            let floor = base.events_per_sec() / machine_factor.max(1e-9)
-                                * (1.0 - rio_bench::gate::MAX_EPS_DROP);
-                            if c.events_per_sec() >= floor {
-                                break;
-                            }
-                            let now = calibrate() / baseline.calib_secs;
-                            if now > machine_factor {
-                                println!("  (machine factor {machine_factor:.3} -> {now:.3})");
-                                machine_factor = now;
-                            }
-                            let retry = run_spec(s);
-                            if retry.events_per_sec() > c.events_per_sec() {
-                                c = retry;
-                            }
-                        }
-                    }
-                    println!(
-                        "  measured {:>14} {:>14} t={:<2} {:>9.3}s wall {:>12} events",
-                        c.figure, c.mode, c.threads, c.wall_secs, c.events
-                    );
-                    c
-                })
-                .collect();
-            (cells, !smoke, machine_factor)
-        }
-    };
-
-    let mut out = compare(&baseline.cells, &current, require_all, machine_factor);
-
-    // Transient host stalls hit neighboring measurements together, so a
-    // cell's in-place retries can all land in the same slow window. When
-    // re-running live, cells whose only failure is events/s get a
-    // decorrelated second look — re-measured after the rest of the
-    // sweep, tens of seconds away from the window that slowed them.
-    // Deterministic failures (p99, shape, missing cells) are never
-    // retried.
-    if rerunning {
-        for _ in 0..2 {
-            if !out.failed() {
-                break;
-            }
-            let eps_only: Vec<String> = out
-                .verdicts
-                .iter()
-                .filter(|v| {
-                    !v.failures.is_empty()
-                        && v.failures.iter().all(|f| f.starts_with("events/s"))
-                })
-                .map(|v| v.key.clone())
-                .collect();
-            if eps_only.is_empty() {
-                break;
-            }
-            println!(
-                "bench_gate: re-measuring {} cell(s) outside the slow window",
-                eps_only.len()
-            );
-            machine_factor = machine_factor.max(calibrate() / baseline.calib_secs);
-            for s in specs(false) {
-                let probe = Cell {
-                    figure: s.figure.to_string(),
-                    mode: s.mode.label().to_string(),
-                    threads: s.threads,
-                    initiators: s.initiators,
-                    loss: s.loss,
-                    paths: s.paths,
-                    wall_secs: 1.0,
-                    events: 0,
-                    sim_span_secs: 0.0,
-                    blocks_done: 0,
-                    groups: 0,
-                    group_p99_us: 0.0,
-                };
-                if !eps_only.contains(&probe.key_label()) {
-                    continue;
-                }
-                let retry = run_spec(&s);
-                if let Some(c) = current.iter_mut().find(|c| c.key() == retry.key()) {
-                    if retry.events_per_sec() > c.events_per_sec() {
-                        *c = retry;
-                    }
-                }
-            }
-            out = compare(&baseline.cells, &current, require_all, machine_factor);
-        }
-    }
-    report(&out);
-    // The simulation is deterministic, so any event-count drift means
-    // the engine's behavior changed — name every drifted cell with its
-    // expected and measured counts so the change is attributable.
-    let drifted: Vec<&rio_bench::gate::CellVerdict> = out
-        .verdicts
-        .iter()
-        .filter(|v| v.notes.iter().any(|n| n.contains("event-count drift")))
-        .collect();
-    if !drifted.is_empty() {
-        println!(
-            "bench_gate: WARNING — deterministic event counts drifted in {} cell(s):",
-            drifted.len()
-        );
-        for v in &drifted {
-            for n in v.notes.iter().filter(|n| n.contains("event-count drift")) {
-                println!("  {}: {n}", v.key);
-            }
-        }
-    }
-    let engine_code = if out.failed() {
-        println!("bench_gate: FAIL — performance regressed beyond tolerance");
-        1
-    } else {
-        println!("bench_gate: PASS ({} cells compared)", out.verdicts.len());
-        0
-    };
 
     // The recovery trajectory rides along on live re-runs. An ingested
     // `--current` file is an engine measurement only — there is nothing
@@ -388,8 +293,12 @@ fn real_main() -> i32 {
     let recovery_code = if args.iter().any(|a| a == "--no-recovery") || !rerunning {
         0
     } else {
-        let path = flag_val("--recovery").unwrap_or_else(default_recovery_baseline);
-        recovery_gate(&path)
+        run_gate::<RecoveryCell>(
+            ["recovery baseline", "", "--no-recovery", "recovery ", "recovery time"],
+            &flag_or_default("--recovery", "BENCH_recovery.json"),
+            None,
+            trajectory_judge("recovery", trajectory),
+        )
     };
 
     // The figure trajectory likewise rides along on live re-runs, and
@@ -400,8 +309,12 @@ fn real_main() -> i32 {
     {
         0
     } else {
-        let path = flag_val("--fig").unwrap_or_else(default_fig_baseline);
-        fig_gate(&path, fig_current.as_deref())
+        run_gate::<FigCell>(
+            ["figure baseline", "figure current", "--no-fig", "figures ", "figure KIOPS"],
+            &flag_or_default("--fig", "BENCH_fig.json"),
+            fig_current.as_deref(),
+            trajectory_judge("figure", fig_trajectory),
+        )
     };
     engine_code.max(recovery_code).max(fig_code)
 }

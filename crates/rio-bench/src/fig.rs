@@ -15,13 +15,11 @@
 //! cargo run --release -p rio-bench --bin bench_gate -- --write-fig BENCH_fig.json
 //! ```
 
-use std::fmt::Write;
-
 use rio_ssd::SsdProfile;
 use rio_stack::{ClusterConfig, FabricConfig, OrderingMode, Workload};
 
-use crate::gate::{lookup, object_pairs, parse_f64, parse_u64, parse_usize};
-use crate::gate::{CellVerdict, GateOutcome};
+use crate::gate::{render, Rule, Trajectory};
+use crate::json::{Field, Record, Slot};
 use crate::{all_modes, run};
 
 /// Schema version of `BENCH_fig.json`.
@@ -31,7 +29,7 @@ pub const FIG_SCHEMA: u64 = 1;
 pub const MAX_FIG_DROP: f64 = 0.10;
 
 /// One measured figure cell in the trajectory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FigCell {
     /// Which figure sweep the cell belongs to (`fig10a`, `fig13`, ...).
     pub figure: String,
@@ -53,37 +51,44 @@ pub struct FigCell {
     pub groups: u64,
 }
 
-impl FigCell {
-    /// Stable comparison key (loss scaled to ppm so it hashes exactly).
-    pub fn key(&self) -> (&str, &str, usize, usize, usize, u64, usize) {
-        (
-            &self.figure,
-            &self.mode,
-            self.threads,
-            self.initiators,
-            self.targets,
-            (self.loss * 1e6).round() as u64,
-            self.paths,
-        )
-    }
-
-    /// Human-readable identity.
-    pub fn key_label(&self) -> String {
-        format!(
-            "{} {} t={} init={} tgt={} loss={} paths={}",
-            self.figure, self.mode, self.threads, self.initiators, self.targets, self.loss,
-            self.paths
-        )
-    }
+impl Record for FigCell {
+    const FIELDS: &'static [Field<FigCell>] = &[
+        Field("figure", Some(""), |c| Slot::Str(&mut c.figure)),
+        Field("mode", Some(" "), |c| Slot::Str(&mut c.mode)),
+        Field("threads", Some(" t="), |c| Slot::Count(&mut c.threads)),
+        Field("initiators", Some(" init="), |c| Slot::Count(&mut c.initiators)),
+        Field("targets", Some(" tgt="), |c| Slot::Count(&mut c.targets)),
+        Field("loss", Some(" loss="), |c| Slot::Float(&mut c.loss, Some(6))),
+        Field("paths", Some(" paths="), |c| Slot::Count(&mut c.paths)),
+        Field("kiops", None, |c| Slot::Float(&mut c.kiops, Some(6))),
+        Field("groups", None, |c| Slot::Int(&mut c.groups)),
+    ];
 }
 
-/// A parsed `BENCH_fig.json` document.
-#[derive(Debug, Clone)]
-pub struct FigFile {
-    /// Schema version (always [`FIG_SCHEMA`]).
-    pub schema: u64,
-    /// The measured cells.
-    pub cells: Vec<FigCell>,
+/// The figures are deterministic virtual time: every baseline cell
+/// must be covered, a >[`MAX_FIG_DROP`] KIOPS drop fails, and any
+/// smaller movement is noted.
+impl Trajectory for FigCell {
+    type Header = ();
+    const SCHEMA: u64 = FIG_SCHEMA;
+    const HARNESS: &'static str = "fig_trajectory";
+    const ARRAY: &'static str = "figures";
+    const REGEN: &'static str = "with `cargo run --release -p rio-bench --bin bench_gate -- \
+                                 --write-fig BENCH_fig.json`";
+    const CURRENT: &'static str = "trajectory";
+    const RULES: &'static [Rule<FigCell>] = &[Rule {
+        stem: "kiops",
+        metric: |c| c.kiops,
+        limit: -MAX_FIG_DROP,
+        show: |x| format!("{x:.3}"),
+        machine_scaled: false,
+        drift: Some("the figures are"),
+    }];
+
+    fn workload_drift(&self, base: &FigCell) -> Option<String> {
+        (self.groups != base.groups)
+            .then(|| format!("workload drift: {} groups vs baseline {}", self.groups, base.groups))
+    }
 }
 
 fn fig10_cfg(part: char, mode: OrderingMode, streams: usize) -> ClusterConfig {
@@ -213,124 +218,13 @@ pub fn trajectory() -> Vec<FigCell> {
 
 /// Renders the cells as the `BENCH_fig.json` document.
 pub fn render_fig_json(cells: &[FigCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {FIG_SCHEMA},");
-    let _ = writeln!(out, "  \"harness\": \"fig_trajectory\",");
-    out.push_str("  \"figures\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"figure\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
-             \"initiators\": {}, \"targets\": {}, \"loss\": {:.6}, \"paths\": {}, \
-             \"kiops\": {:.6}, \"groups\": {}}}",
-            c.figure, c.mode, c.threads, c.initiators, c.targets, c.loss, c.paths, c.kiops,
-            c.groups,
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_fig.json` document, rejecting unknown schemas.
-pub fn parse_fig(json: &str) -> Result<FigFile, String> {
-    let (head, figures) = json
-        .split_once("\"figures\"")
-        .ok_or("no \"figures\" array in document")?;
-    let head_pairs = object_pairs(head);
-    let schema = parse_u64(&head_pairs, "schema", "document header")?;
-    if schema != FIG_SCHEMA {
-        return Err(format!(
-            "schema mismatch: file has schema {schema}, this gate reads schema \
-             {FIG_SCHEMA} (regenerate with `cargo run --release -p rio-bench --bin \
-             bench_gate -- --write-fig BENCH_fig.json`)"
-        ));
-    }
-    let figures = figures
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or("malformed \"figures\" array")?
-        .trim_start()
-        .strip_prefix('[')
-        .ok_or("malformed \"figures\" array")?;
-    let mut cells = Vec::new();
-    let mut rest = figures;
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or("unterminated cell object in \"figures\"")?;
-        let body = &rest[open + 1..open + close];
-        let pairs = object_pairs(body);
-        let ctx = format!("figure cell {}", cells.len());
-        cells.push(FigCell {
-            figure: lookup(&pairs, "figure", &ctx)?.to_string(),
-            mode: lookup(&pairs, "mode", &ctx)?.to_string(),
-            threads: parse_usize(&pairs, "threads", &ctx)?,
-            initiators: parse_usize(&pairs, "initiators", &ctx)?,
-            targets: parse_usize(&pairs, "targets", &ctx)?,
-            loss: parse_f64(&pairs, "loss", &ctx)?,
-            paths: parse_usize(&pairs, "paths", &ctx)?,
-            kiops: parse_f64(&pairs, "kiops", &ctx)?,
-            groups: parse_u64(&pairs, "groups", &ctx)?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    if cells.is_empty() {
-        return Err("no cells in \"figures\"".to_string());
-    }
-    Ok(FigFile { schema, cells })
-}
-
-/// Compares current figure cells against the baseline. The figures are
-/// deterministic virtual time: every baseline cell must be covered,
-/// and a >[`MAX_FIG_DROP`] KIOPS drop fails.
-pub fn compare_fig(baseline: &[FigCell], current: &[FigCell]) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
-            out.uncovered.push(base.key_label());
-            out.verdicts.push(CellVerdict {
-                key: base.key_label(),
-                failures: vec!["cell missing from current trajectory".to_string()],
-                notes: Vec::new(),
-            });
-            continue;
-        };
-        let mut v = CellVerdict {
-            key: base.key_label(),
-            failures: Vec::new(),
-            notes: Vec::new(),
-        };
-        if base.kiops > 0.0 && cur.kiops < base.kiops * (1.0 - MAX_FIG_DROP) {
-            v.failures.push(format!(
-                "kiops regression: {:.3} vs baseline {:.3} ({:+.1}%, tolerance -{:.0}%)",
-                cur.kiops,
-                base.kiops,
-                (cur.kiops / base.kiops - 1.0) * 100.0,
-                MAX_FIG_DROP * 100.0
-            ));
-        } else if (cur.kiops - base.kiops).abs() > 1e-6 {
-            v.notes.push(format!(
-                "kiops drift: {:.3} vs baseline {:.3} — the figures are deterministic; \
-                 regenerate the baseline deliberately",
-                cur.kiops, base.kiops
-            ));
-        }
-        if cur.groups != base.groups {
-            v.notes.push(format!(
-                "workload drift: {} groups vs baseline {}",
-                cur.groups, base.groups
-            ));
-        }
-        out.verdicts.push(v);
-    }
-    out
+    render(&(), cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{compare, parse};
 
     fn cell(figure: &str, mode: &str, kiops: f64) -> FigCell {
         FigCell {
@@ -349,7 +243,7 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let cells = vec![cell("fig10a", "RIO", 512.125), cell("fig13", "Linux", 1.5)];
-        let parsed = parse_fig(&render_fig_json(&cells)).expect("parse");
+        let parsed = parse::<FigCell>(&render_fig_json(&cells)).expect("parse");
         assert_eq!(parsed.schema, FIG_SCHEMA);
         assert_eq!(parsed.cells.len(), 2);
         assert_eq!(parsed.cells[0].figure, "fig10a");
@@ -360,7 +254,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_rejected_with_guidance() {
-        let err = parse_fig("{\n \"schema\": 99,\n \"figures\": [\n{}\n]\n}")
+        let err = parse::<FigCell>("{\n \"schema\": 99,\n \"figures\": [\n{}\n]\n}")
             .expect_err("unknown schema must be rejected");
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -371,25 +265,38 @@ mod tests {
         let base = vec![cell("fig10a", "RIO", 500.0)];
         // 8% slower: tolerated, but noted as drift.
         let ok = vec![cell("fig10a", "RIO", 460.0)];
-        let out = compare_fig(&base, &ok);
+        let out = compare(&base, &ok, true, 1.0);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("drift"));
         // 20% slower: fails.
         let slow = vec![cell("fig10a", "RIO", 400.0)];
-        let out = compare_fig(&base, &slow);
+        let out = compare(&base, &slow, true, 1.0);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("kiops regression"));
         // Faster: an improvement passes (with a drift note).
         let better = vec![cell("fig10a", "RIO", 600.0)];
-        assert!(!compare_fig(&base, &better).failed());
+        assert!(!compare(&base, &better, true, 1.0).failed());
     }
 
     #[test]
     fn missing_cells_always_fail() {
         let base = vec![cell("fig10a", "RIO", 500.0), cell("fig13", "Linux", 2.0)];
         let partial = vec![cell("fig10a", "RIO", 500.0)];
-        let out = compare_fig(&base, &partial);
+        let out = compare(&base, &partial, true, 1.0);
         assert!(out.failed());
         assert_eq!(out.uncovered.len(), 1);
+    }
+
+    #[test]
+    fn delimiters_inside_strings_round_trip() {
+        let mut odd = cell("fig, \"10\" }a{ [x] \\ \t", "Li}nux", 7.5);
+        odd.loss = 0.0;
+        let parsed = parse::<FigCell>(&render_fig_json(&[odd.clone(), cell("fig13", "RIO", 1.0)]))
+            .expect("a delimiter inside a string is not a delimiter");
+        assert_eq!(parsed.cells.len(), 2);
+        assert_eq!(parsed.cells[0].figure, odd.figure);
+        assert_eq!(parsed.cells[0].mode, "Li}nux");
+        assert_eq!(parsed.cells[0].key_label(), odd.key_label());
+        assert_eq!(parsed.cells[1].mode, "RIO");
     }
 }

@@ -1,19 +1,18 @@
-//! The `BENCH_sim.json` regression gate.
+//! The trajectory mechanism behind all three `BENCH_*.json` gates.
 //!
-//! Loads the committed baseline, obtains a current measurement of the
-//! same grid (re-run or ingested), and fails with a per-cell report
-//! when the engine got slower: a >10% drop in wall-clock events/s or a
-//! >15% rise in the deterministic virtual-time group p99. Drift in the
-//! deterministic event count is reported as a warning — it means the
-//! engine's *behavior* changed and the baseline should be regenerated
-//! deliberately, but it is not by itself a performance regression.
-//!
-//! The parser is a purpose-built scanner for the flat document
-//! [`crate::sweep::render_json`] writes (the build vendors no JSON
-//! dependency); it tolerates whitespace and field reordering but not
-//! nested objects inside cells.
+//! A [`Trajectory`] is a cell type plus everything that differs between
+//! the documents: the header, the field list ([`Record`]) that
+//! [`render`] and [`parse`] both walk, and the rule table [`compare`]
+//! judges with. A gate loads the committed baseline, obtains a current
+//! measurement of the same cells (re-run or ingested), matches the two
+//! by cell identity and fails with a per-cell report when a metric
+//! moved beyond its tolerance in the direction that is worse.
+//! Sub-threshold movement of a deterministic metric only leaves a note
+//! — the baseline should be regenerated deliberately, and drift in a
+//! deterministic workload count means *behavior* changed, which is not
+//! by itself a performance regression.
 
-use crate::sweep::{Cell, SCHEMA};
+use crate::json::{fill, read, write_members, Record, Value};
 
 /// Maximum tolerated drop in events per wall-clock second.
 pub const MAX_EPS_DROP: f64 = 0.10;
@@ -21,133 +20,107 @@ pub const MAX_EPS_DROP: f64 = 0.10;
 /// Maximum tolerated rise in the deterministic group p99.
 pub const MAX_P99_RISE: f64 = 0.15;
 
-/// A parsed `BENCH_sim.json` document.
+/// One gated metric of a trajectory.
+pub struct Rule<C> {
+    /// What reports call the metric.
+    pub stem: &'static str,
+    /// Reads the metric off a cell.
+    pub metric: fn(&C) -> f64,
+    /// Relative movement beyond which the gate fails: negative when a
+    /// drop is the regression (throughput), positive when a rise is.
+    pub limit: f64,
+    /// Prints a value with its precision and unit.
+    pub show: fn(f64) -> String,
+    /// Whether the baseline is first divided by the machine factor
+    /// (wall-clock metrics only).
+    pub machine_scaled: bool,
+    /// For a deterministic metric, the subject of the note left when it
+    /// moves at all without failing; `None` for noisy metrics.
+    pub drift: Option<&'static str>,
+}
+
+/// A `BENCH_*.json` document — a header object (schema, harness name,
+/// the [`Trajectory::Header`] fields) holding one array of cells — and
+/// the rules its gate judges the cells by.
+pub trait Trajectory: Record {
+    /// Header fields after `schema` and `harness`.
+    type Header: Record;
+    /// Schema version written, and the only one read.
+    const SCHEMA: u64;
+    /// The bench that writes the document.
+    const HARNESS: &'static str;
+    /// Name of the cell array.
+    const ARRAY: &'static str;
+    /// How to regenerate the file, completing "regenerate …".
+    const REGEN: &'static str;
+    /// What a baseline cell no current cell matches is missing from.
+    const CURRENT: &'static str;
+    /// The gated metrics.
+    const RULES: &'static [Rule<Self>];
+
+    /// Rejects a header no gate can use.
+    fn check_header(_header: &Self::Header) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Why nothing about `self` can be judged against `base`, if so.
+    fn incomparable(&self, _base: &Self) -> Option<String> {
+        None
+    }
+
+    /// The note left when the deterministic workload size differs.
+    fn workload_drift(&self, base: &Self) -> Option<String>;
+}
+
+/// A parsed document.
 #[derive(Debug, Clone)]
-pub struct BenchFile {
-    /// Schema version (always [`SCHEMA`]; older files are rejected).
+pub struct File<C: Trajectory> {
+    /// Schema version (always [`Trajectory::SCHEMA`]; others are rejected).
     pub schema: u64,
-    /// Whether the file was written by a `--smoke` (scaled-down) sweep.
-    pub smoke: bool,
-    /// Wall seconds of the fixed CPU calibration loop
-    /// ([`crate::sweep::calibrate`]) on the machine that wrote the file.
-    pub calib_secs: f64,
+    /// The document's own header fields.
+    pub header: C::Header,
     /// The measured cells.
-    pub cells: Vec<Cell>,
+    pub cells: Vec<C>,
 }
 
-/// One `"key": value` pair scanned out of a JSON object body.
-fn next_pair(s: &str) -> Option<(String, String, &str)> {
-    let start = s.find('"')? + 1;
-    let rest = &s[start..];
-    let key_end = rest.find('"')?;
-    let key = rest[..key_end].to_string();
-    let rest = rest[key_end + 1..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    if let Some(body) = rest.strip_prefix('"') {
-        let val_end = body.find('"')?;
-        Some((key, body[..val_end].to_string(), &body[val_end + 1..]))
-    } else {
-        let val_end = rest
-            .find([',', '}', '\n'])
-            .unwrap_or(rest.len());
-        Some((key, rest[..val_end].trim().to_string(), &rest[val_end..]))
+/// Renders `cells` under `header` as the document's text.
+pub fn render<C: Trajectory>(header: &C::Header, cells: &[C]) -> String {
+    let mut out = format!("{{\n  \"schema\": {},\n  \"harness\": \"{}\",\n", C::SCHEMA, C::HARNESS);
+    write_members(&mut out, header, ["  ", "", ",\n"]);
+    out.push_str(&format!("  \"{}\": [\n", C::ARRAY));
+    for (i, c) in cells.iter().enumerate() {
+        out.push_str("    {");
+        write_members(&mut out, c, ["", ", ", ""]);
+        out.push_str(if i + 1 < cells.len() { "},\n" } else { "}\n" });
     }
+    out + "  ]\n}\n"
 }
 
-/// All pairs of one flat JSON object body.
-pub(crate) fn object_pairs(mut s: &str) -> Vec<(String, String)> {
-    let mut pairs = Vec::new();
-    while let Some((k, v, rest)) = next_pair(s) {
-        pairs.push((k, v));
-        s = rest;
-    }
-    pairs
-}
-
-pub(crate) fn lookup<'a>(pairs: &'a [(String, String)], key: &str, ctx: &str) -> Result<&'a str, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field \"{key}\" in {ctx}"))
-}
-
-pub(crate) fn parse_u64(pairs: &[(String, String)], key: &str, ctx: &str) -> Result<u64, String> {
-    let v = lookup(pairs, key, ctx)?;
-    v.parse()
-        .map_err(|_| format!("field \"{key}\" in {ctx} is not an integer: {v:?}"))
-}
-
-pub(crate) fn parse_f64(pairs: &[(String, String)], key: &str, ctx: &str) -> Result<f64, String> {
-    let v = lookup(pairs, key, ctx)?;
-    v.parse()
-        .map_err(|_| format!("field \"{key}\" in {ctx} is not a number: {v:?}"))
-}
-
-pub(crate) fn parse_usize(pairs: &[(String, String)], key: &str, ctx: &str) -> Result<usize, String> {
-    Ok(parse_u64(pairs, key, ctx)? as usize)
-}
-
-/// Parses a `BENCH_sim.json` document, rejecting unknown schemas.
-pub fn parse(json: &str) -> Result<BenchFile, String> {
-    let (head, figures) = json
-        .split_once("\"figures\"")
-        .ok_or("no \"figures\" array in document")?;
-    let head_pairs = object_pairs(head);
-    let schema = parse_u64(&head_pairs, "schema", "document header")?;
-    if schema != SCHEMA {
+/// Parses a document, rejecting unknown schemas with a regeneration
+/// hint, unusable headers and empty cell arrays.
+pub fn parse<C: Trajectory>(text: &str) -> Result<File<C>, String> {
+    let doc = read(text)?;
+    let Some(Value::Int(schema)) = doc.get("schema").cloned() else {
+        return Err("missing integer field \"schema\" in document header".to_string());
+    };
+    if schema != C::SCHEMA {
         return Err(format!(
-            "schema mismatch: file has schema {schema}, this gate reads schema {SCHEMA} \
-             (regenerate the baseline with `cargo bench -p rio-bench --bench sim_engine`)"
+            "schema mismatch: file has schema {schema}, this gate reads schema {} (regenerate {})",
+            C::SCHEMA,
+            C::REGEN
         ));
     }
-    let smoke = lookup(&head_pairs, "smoke", "document header")? == "true";
-    let calib_secs = parse_f64(&head_pairs, "calib_secs", "document header")?;
-    if !(calib_secs > 0.0) {
-        return Err(format!("calib_secs must be positive, got {calib_secs}"));
-    }
-    let figures = figures
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or("malformed \"figures\" array")?
-        .trim_start()
-        .strip_prefix('[')
-        .ok_or("malformed \"figures\" array")?;
-
-    let mut cells = Vec::new();
-    let mut rest = figures;
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or("unterminated cell object in \"figures\"")?;
-        let body = &rest[open + 1..open + close];
-        let pairs = object_pairs(body);
-        let ctx = format!("cell {}", cells.len());
-        cells.push(Cell {
-            figure: lookup(&pairs, "figure", &ctx)?.to_string(),
-            mode: lookup(&pairs, "mode", &ctx)?.to_string(),
-            threads: parse_usize(&pairs, "threads", &ctx)?,
-            initiators: parse_usize(&pairs, "initiators", &ctx)?,
-            loss: parse_f64(&pairs, "loss", &ctx)?,
-            paths: parse_usize(&pairs, "paths", &ctx)?,
-            wall_secs: parse_f64(&pairs, "wall_secs", &ctx)?,
-            events: parse_u64(&pairs, "events", &ctx)?,
-            sim_span_secs: parse_f64(&pairs, "sim_span_secs", &ctx)?,
-            blocks_done: parse_u64(&pairs, "blocks_done", &ctx)?,
-            groups: parse_u64(&pairs, "groups", &ctx)?,
-            group_p99_us: parse_f64(&pairs, "group_p99_us", &ctx)?,
-        });
-        rest = &rest[open + close + 1..];
-    }
+    let header = fill::<C::Header>(&doc, "document header")?;
+    C::check_header(&header)?;
+    let Some(Value::Array(items)) = doc.get(C::ARRAY) else {
+        return Err(format!("no \"{}\" array in document", C::ARRAY));
+    };
+    let cells = items.iter().enumerate().map(|(i, v)| fill(v, &format!("cell {i}")));
+    let cells = cells.collect::<Result<Vec<C>, _>>()?;
     if cells.is_empty() {
-        return Err("no cells in \"figures\"".to_string());
+        return Err(format!("no cells in \"{}\"", C::ARRAY));
     }
-    Ok(BenchFile {
-        schema,
-        smoke,
-        calib_secs,
-        cells,
-    })
+    Ok(File { schema, header, cells })
 }
 
 /// Verdict on one baseline cell.
@@ -177,19 +150,57 @@ impl GateOutcome {
     }
 }
 
+impl<C> Rule<C> {
+    fn check(&self, v: &mut CellVerdict, cur: &C, base: &C, machine_factor: f64) {
+        let factor = if self.machine_scaled { machine_factor } else { 1.0 };
+        let (cur, raw_base) = ((self.metric)(cur), (self.metric)(base));
+        let base = raw_base / factor;
+        let (stem, show) = (self.stem, self.show);
+        if !(cur.is_finite() && base.is_finite()) {
+            // Every threshold below is a `<` / `>` on floats, which a
+            // NaN would sail through.
+            v.failures.push(format!("{stem} is not finite: {cur} vs baseline {base}"));
+            return;
+        }
+        let bound = base * (1.0 + self.limit);
+        if base > 0.0 && if self.limit < 0.0 { cur < bound } else { cur > bound } {
+            let scaled = if (factor - 1.0).abs() > 1e-9 {
+                format!(" (raw baseline {} x machine factor {factor:.3})", show(raw_base))
+            } else {
+                String::new()
+            };
+            v.failures.push(format!(
+                "{stem} regression: {} vs baseline {}{scaled} ({:+.1}%, tolerance {:+.0}%)",
+                show(cur),
+                show(base),
+                (cur / base - 1.0) * 100.0,
+                self.limit * 100.0
+            ));
+        } else if let (Some(subject), true) = (self.drift, (cur - base).abs() > 1e-6) {
+            v.notes.push(format!(
+                "{stem} drift: {} vs baseline {} — {subject} deterministic; \
+                 regenerate the baseline deliberately",
+                show(cur),
+                show(base)
+            ));
+        }
+    }
+}
+
 /// Compares current cells against the baseline. Baseline cells absent
 /// from `current` are listed as uncovered; with `require_all` they fail
 /// the gate (a full run must cover the whole grid; a `--smoke` subset
-/// legitimately covers less).
+/// legitimately covers less; the deterministic trajectories always
+/// pass `true`).
 ///
 /// `machine_factor` is current-machine calibration time over baseline
-/// calibration time (>1 = the current host is slower); the events/s
-/// check compares against the baseline scaled by it, so host speed
+/// calibration time (>1 = the current host is slower); machine-scaled
+/// rules compare against the baseline divided by it, so host speed
 /// differences don't masquerade as engine regressions. Pass 1.0 to
 /// compare raw.
-pub fn compare(
-    baseline: &[Cell],
-    current: &[Cell],
+pub fn compare<C: Trajectory>(
+    baseline: &[C],
+    current: &[C],
     require_all: bool,
     machine_factor: f64,
 ) -> GateOutcome {
@@ -198,65 +209,30 @@ pub fn compare(
     } else {
         1.0
     };
+    let current_keys: Vec<String> = current.iter().map(Record::key_label).collect();
     let mut out = GateOutcome::default();
     for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
-            out.uncovered.push(base.key_label());
-            if require_all {
-                out.verdicts.push(CellVerdict {
-                    key: base.key_label(),
-                    failures: vec!["cell missing from current run".to_string()],
-                    notes: Vec::new(),
-                });
-            }
-            continue;
-        };
         let mut v = CellVerdict {
             key: base.key_label(),
             failures: Vec::new(),
             notes: Vec::new(),
         };
-        if cur.groups != base.groups {
-            // Different workload size: nothing below is comparable.
-            v.failures.push(format!(
-                "cell shape drift: {} groups vs baseline {} (was the baseline written by --smoke?)",
-                cur.groups, base.groups
-            ));
-            out.verdicts.push(v);
+        let Some(at) = current_keys.iter().position(|k| *k == v.key) else {
+            out.uncovered.push(v.key.clone());
+            if require_all {
+                v.failures.push(format!("cell missing from current {}", C::CURRENT));
+                out.verdicts.push(v);
+            }
             continue;
-        }
-        // The baseline machine may not be this machine: judge events/s
-        // against the baseline scaled to this machine's speed.
-        let (raw_base_eps, cur_eps) = (base.events_per_sec(), cur.events_per_sec());
-        let base_eps = raw_base_eps / machine_factor;
-        if cur_eps < base_eps * (1.0 - MAX_EPS_DROP) {
-            let scaled = if (machine_factor - 1.0).abs() > 1e-9 {
-                format!(" (raw baseline {raw_base_eps:.0} x machine factor {machine_factor:.3})")
-            } else {
-                String::new()
-            };
-            v.failures.push(format!(
-                "events/s regression: {cur_eps:.0} vs baseline {base_eps:.0}{scaled} \
-                 ({:+.1}%, tolerance -{:.0}%)",
-                (cur_eps / base_eps - 1.0) * 100.0,
-                MAX_EPS_DROP * 100.0
-            ));
-        }
-        if base.group_p99_us > 0.0 && cur.group_p99_us > base.group_p99_us * (1.0 + MAX_P99_RISE) {
-            v.failures.push(format!(
-                "group p99 regression: {:.1}us vs baseline {:.1}us ({:+.1}%, tolerance +{:.0}%)",
-                cur.group_p99_us,
-                base.group_p99_us,
-                (cur.group_p99_us / base.group_p99_us - 1.0) * 100.0,
-                MAX_P99_RISE * 100.0
-            ));
-        }
-        if cur.events != base.events {
-            v.notes.push(format!(
-                "event-count drift: expected {} events, measured {} — engine behavior \
-                 changed; regenerate the baseline deliberately",
-                base.events, cur.events
-            ));
+        };
+        let cur = &current[at];
+        if let Some(why) = cur.incomparable(base) {
+            v.failures.push(why);
+        } else {
+            for rule in C::RULES {
+                rule.check(&mut v, cur, base, machine_factor);
+            }
+            v.notes.extend(cur.workload_drift(base));
         }
         out.verdicts.push(v);
     }
@@ -266,7 +242,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::render_json;
+    use crate::sweep::{render_json, Cell, SCHEMA};
 
     fn cell(figure: &str, mode: &str, wall: f64, events: u64, p99: f64) -> Cell {
         Cell {
@@ -291,10 +267,10 @@ mod tests {
             cell("fig10b_optane", "RIO", 0.2, 500_000, 45.5),
             cell("fig10b_optane", "Linux", 0.001, 9_602, 20.25),
         ];
-        let parsed = parse(&render_json(&cells, false, 0.0625)).expect("parse");
+        let parsed = parse::<Cell>(&render_json(&cells, false, 0.0625)).expect("parse");
         assert_eq!(parsed.schema, SCHEMA);
-        assert!(!parsed.smoke);
-        assert!((parsed.calib_secs - 0.0625).abs() < 1e-9);
+        assert!(!parsed.header.smoke);
+        assert!((parsed.header.calib_secs - 0.0625).abs() < 1e-9);
         assert_eq!(parsed.cells.len(), 2);
         assert_eq!(parsed.cells[0].events, 500_000);
         assert_eq!(parsed.cells[1].mode, "Linux");
@@ -303,7 +279,7 @@ mod tests {
 
     #[test]
     fn old_schema_is_rejected_with_guidance() {
-        let err = parse("{\n \"schema\": 2,\n \"figures\": [\n{\"figure\": \"x\"}\n]\n}")
+        let err = parse::<Cell>("{\n \"schema\": 2,\n \"figures\": [\n{\"figure\": \"x\"}\n]\n}")
             .expect_err("schema 2 must be rejected");
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -382,5 +358,19 @@ mod tests {
         let out = compare(&base, &shrunk, true, 1.0);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("shape drift"));
+    }
+
+    #[test]
+    fn non_finite_metrics_fail_instead_of_passing() {
+        let good = vec![cell("fig10b_optane", "RIO", 0.2, 500_000, 100.0)];
+        let nan = vec![cell("fig10b_optane", "RIO", 0.2, 500_000, f64::NAN)];
+        // Measured NaN: no `>` threshold fires, so it must be its own failure.
+        let out = compare(&good, &nan, true, 1.0);
+        assert!(out.failed());
+        assert!(out.verdicts[0].failures[0].contains("group p99 is not finite"));
+        // A non-finite baseline can vouch for nothing either.
+        assert!(compare(&nan, &good, true, 1.0).failed());
+        let inf = vec![cell("fig10b_optane", "RIO", 0.2, 500_000, f64::INFINITY)];
+        assert!(compare(&inf, &inf, true, 1.0).failed());
     }
 }

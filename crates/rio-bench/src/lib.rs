@@ -13,6 +13,7 @@ use rio_stack::{Cluster, ClusterConfig, OrderingMode, RunMetrics, Workload};
 
 pub mod fig;
 pub mod gate;
+pub mod json;
 pub mod recovery;
 pub mod sweep;
 pub mod trace_export;

@@ -19,16 +19,14 @@
 //! cargo bench -p rio-bench --bench t65_recovery_time -- --out BENCH_recovery.json
 //! ```
 
-use std::fmt::Write;
-
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
     Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, TargetConfig, Workload,
 };
 
-use crate::gate::{lookup, object_pairs, parse_f64, parse_u64, parse_usize};
-use crate::gate::{CellVerdict, GateOutcome};
+use crate::gate::{render, Rule, Trajectory};
+use crate::json::{Field, Record, Slot};
 
 /// Schema version of `BENCH_recovery.json`.
 pub const RECOVERY_SCHEMA: u64 = 1;
@@ -37,7 +35,7 @@ pub const RECOVERY_SCHEMA: u64 = 1;
 pub const MAX_RECOVERY_RISE: f64 = 0.15;
 
 /// One measured recovery in the trajectory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryCell {
     /// Cell identity (`trial0`..`trial3`, `integrity`).
     pub label: String,
@@ -53,25 +51,53 @@ pub struct RecoveryCell {
     pub discards: u64,
 }
 
-impl RecoveryCell {
-    /// Stable comparison key.
-    pub fn key(&self) -> (&str, usize) {
-        (&self.label, self.threads)
-    }
+impl Record for RecoveryCell {
+    const FIELDS: &'static [Field<RecoveryCell>] = &[
+        Field("label", Some("recovery "), |c| Slot::Str(&mut c.label)),
+        Field("threads", Some(" t="), |c| Slot::Count(&mut c.threads)),
+        Field("order_rebuild_ms", None, |c| Slot::Float(&mut c.order_rebuild_ms, Some(6))),
+        Field("data_recovery_ms", None, |c| Slot::Float(&mut c.data_recovery_ms, Some(6))),
+        Field("records", None, |c| Slot::Int(&mut c.records)),
+        Field("discards", None, |c| Slot::Int(&mut c.discards)),
+    ];
+}
 
-    /// Human-readable identity.
-    pub fn key_label(&self) -> String {
-        format!("recovery {} t={}", self.label, self.threads)
+/// One recovery phase: a >[`MAX_RECOVERY_RISE`] rise fails, any
+/// smaller movement is noted.
+const fn phase(stem: &'static str, metric: fn(&RecoveryCell) -> f64) -> Rule<RecoveryCell> {
+    Rule {
+        stem,
+        metric,
+        limit: MAX_RECOVERY_RISE,
+        show: |x| format!("{x:.3} ms"),
+        machine_scaled: false,
+        drift: Some("recovery is"),
     }
 }
 
-/// A parsed `BENCH_recovery.json` document.
-#[derive(Debug, Clone)]
-pub struct RecoveryFile {
-    /// Schema version (always [`RECOVERY_SCHEMA`]).
-    pub schema: u64,
-    /// The measured cells.
-    pub cells: Vec<RecoveryCell>,
+/// Recovery is deterministic virtual time: every baseline cell must be
+/// covered, and either phase is gated.
+impl Trajectory for RecoveryCell {
+    type Header = ();
+    const SCHEMA: u64 = RECOVERY_SCHEMA;
+    const HARNESS: &'static str = "t65_recovery_time";
+    const ARRAY: &'static str = "recoveries";
+    const REGEN: &'static str = "with `cargo bench -p rio-bench --bench t65_recovery_time -- \
+                                 --out BENCH_recovery.json`";
+    const CURRENT: &'static str = "trajectory";
+    const RULES: &'static [Rule<RecoveryCell>] = &[
+        phase("order rebuild", |c| c.order_rebuild_ms),
+        phase("data recovery", |c| c.data_recovery_ms),
+    ];
+
+    fn workload_drift(&self, base: &RecoveryCell) -> Option<String> {
+        ((self.records, self.discards) != (base.records, base.discards)).then(|| {
+            format!(
+                "workload drift: {} records / {} discards vs baseline {} / {}",
+                self.records, self.discards, base.records, base.discards
+            )
+        })
+    }
 }
 
 fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
@@ -174,123 +200,13 @@ pub fn trajectory() -> Vec<RecoveryCell> {
 
 /// Renders the cells as the `BENCH_recovery.json` document.
 pub fn render_recovery_json(cells: &[RecoveryCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {RECOVERY_SCHEMA},");
-    let _ = writeln!(out, "  \"harness\": \"t65_recovery_time\",");
-    out.push_str("  \"recoveries\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"threads\": {}, \
-             \"order_rebuild_ms\": {:.6}, \"data_recovery_ms\": {:.6}, \
-             \"records\": {}, \"discards\": {}}}",
-            c.label, c.threads, c.order_rebuild_ms, c.data_recovery_ms, c.records, c.discards,
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_recovery.json` document, rejecting unknown schemas.
-pub fn parse_recovery(json: &str) -> Result<RecoveryFile, String> {
-    let (head, recoveries) = json
-        .split_once("\"recoveries\"")
-        .ok_or("no \"recoveries\" array in document")?;
-    let head_pairs = object_pairs(head);
-    let schema = parse_u64(&head_pairs, "schema", "document header")?;
-    if schema != RECOVERY_SCHEMA {
-        return Err(format!(
-            "schema mismatch: file has schema {schema}, this gate reads schema \
-             {RECOVERY_SCHEMA} (regenerate with `cargo bench -p rio-bench --bench \
-             t65_recovery_time -- --out BENCH_recovery.json`)"
-        ));
-    }
-    let recoveries = recoveries
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or("malformed \"recoveries\" array")?
-        .trim_start()
-        .strip_prefix('[')
-        .ok_or("malformed \"recoveries\" array")?;
-    let mut cells = Vec::new();
-    let mut rest = recoveries;
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or("unterminated cell object in \"recoveries\"")?;
-        let body = &rest[open + 1..open + close];
-        let pairs = object_pairs(body);
-        let ctx = format!("recovery cell {}", cells.len());
-        cells.push(RecoveryCell {
-            label: lookup(&pairs, "label", &ctx)?.to_string(),
-            threads: parse_usize(&pairs, "threads", &ctx)?,
-            order_rebuild_ms: parse_f64(&pairs, "order_rebuild_ms", &ctx)?,
-            data_recovery_ms: parse_f64(&pairs, "data_recovery_ms", &ctx)?,
-            records: parse_u64(&pairs, "records", &ctx)?,
-            discards: parse_u64(&pairs, "discards", &ctx)?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    if cells.is_empty() {
-        return Err("no cells in \"recoveries\"".to_string());
-    }
-    Ok(RecoveryFile { schema, cells })
-}
-
-fn check_phase(v: &mut CellVerdict, phase: &str, cur: f64, base: f64) {
-    if base > 0.0 && cur > base * (1.0 + MAX_RECOVERY_RISE) {
-        v.failures.push(format!(
-            "{phase} regression: {cur:.3} ms vs baseline {base:.3} ms \
-             ({:+.1}%, tolerance +{:.0}%)",
-            (cur / base - 1.0) * 100.0,
-            MAX_RECOVERY_RISE * 100.0
-        ));
-    } else if (cur - base).abs() > 1e-6 {
-        v.notes.push(format!(
-            "{phase} drift: {cur:.3} ms vs baseline {base:.3} ms — recovery is \
-             deterministic; regenerate the baseline deliberately"
-        ));
-    }
-}
-
-/// Compares current recovery cells against the baseline. Recovery is
-/// deterministic virtual time: every baseline cell must be covered,
-/// and a >[`MAX_RECOVERY_RISE`] rise in either phase fails.
-pub fn compare_recovery(baseline: &[RecoveryCell], current: &[RecoveryCell]) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
-            out.uncovered.push(base.key_label());
-            out.verdicts.push(CellVerdict {
-                key: base.key_label(),
-                failures: vec!["cell missing from current trajectory".to_string()],
-                notes: Vec::new(),
-            });
-            continue;
-        };
-        let mut v = CellVerdict {
-            key: base.key_label(),
-            failures: Vec::new(),
-            notes: Vec::new(),
-        };
-        check_phase(&mut v, "order rebuild", cur.order_rebuild_ms, base.order_rebuild_ms);
-        check_phase(&mut v, "data recovery", cur.data_recovery_ms, base.data_recovery_ms);
-        if (cur.records, cur.discards) != (base.records, base.discards) {
-            v.notes.push(format!(
-                "workload drift: {} records / {} discards vs baseline {} / {}",
-                cur.records, cur.discards, base.records, base.discards
-            ));
-        }
-        out.verdicts.push(v);
-    }
-    out
+    render(&(), cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{compare, parse};
 
     fn cell(label: &str, rebuild: f64, data: f64) -> RecoveryCell {
         RecoveryCell {
@@ -306,7 +222,7 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let cells = vec![cell("trial0", 52.125, 110.5), cell("integrity", 12.0, 30.25)];
-        let parsed = parse_recovery(&render_recovery_json(&cells)).expect("parse");
+        let parsed = parse::<RecoveryCell>(&render_recovery_json(&cells)).expect("parse");
         assert_eq!(parsed.schema, RECOVERY_SCHEMA);
         assert_eq!(parsed.cells.len(), 2);
         assert_eq!(parsed.cells[1].label, "integrity");
@@ -316,7 +232,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_rejected_with_guidance() {
-        let err = parse_recovery("{\n \"schema\": 99,\n \"recoveries\": [\n{}\n]\n}")
+        let err = parse::<RecoveryCell>("{\n \"schema\": 99,\n \"recoveries\": [\n{}\n]\n}")
             .expect_err("unknown schema must be rejected");
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -327,24 +243,24 @@ mod tests {
         let base = vec![cell("trial0", 50.0, 100.0)];
         // 14% slower rebuild: tolerated, but noted as drift.
         let ok = vec![cell("trial0", 57.0, 100.0)];
-        let out = compare_recovery(&base, &ok);
+        let out = compare(&base, &ok, true, 1.0);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("drift"));
         // 20% slower data recovery: fails.
         let slow = vec![cell("trial0", 50.0, 120.0)];
-        let out = compare_recovery(&base, &slow);
+        let out = compare(&base, &slow, true, 1.0);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("data recovery"));
         // Faster: an improvement passes (with a drift note).
         let better = vec![cell("trial0", 40.0, 80.0)];
-        assert!(!compare_recovery(&base, &better).failed());
+        assert!(!compare(&base, &better, true, 1.0).failed());
     }
 
     #[test]
     fn missing_cells_always_fail() {
         let base = vec![cell("trial0", 50.0, 100.0), cell("integrity", 10.0, 20.0)];
         let partial = vec![cell("trial0", 50.0, 100.0)];
-        let out = compare_recovery(&base, &partial);
+        let out = compare(&base, &partial, true, 1.0);
         assert!(out.failed());
         assert_eq!(out.uncovered.len(), 1);
     }

@@ -8,13 +8,14 @@
 //! executes, PR over PR. The regression gate ([`crate::gate`]) compares
 //! a committed baseline against a re-run of the same grid.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rio_ssd::SsdProfile;
 use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, Workload};
 
 use crate::all_modes;
+use crate::gate::{render, Rule, Trajectory, MAX_EPS_DROP, MAX_P99_RISE};
+use crate::json::{Field, Record, Slot};
 
 /// Schema version of `BENCH_sim.json`. Version 3 added the
 /// deterministic per-cell `groups` and `group_p99_us` fields the
@@ -47,7 +48,7 @@ pub struct CellSpec {
 }
 
 /// One measured cell: the spec's identity plus its measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cell {
     /// Figure family of the originating [`CellSpec`].
     pub figure: String,
@@ -77,31 +78,113 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// The identity the gate matches baseline and current cells on.
-    pub fn key(&self) -> (&str, &str, usize, usize, u64, usize) {
-        // Loss rates are small round decimals; scale to micro-units so
-        // the key is Eq/Hash-able without comparing floats.
-        (
-            &self.figure,
-            &self.mode,
-            self.threads,
-            self.initiators,
-            (self.loss * 1e6).round() as u64,
-            self.paths,
-        )
-    }
-
-    /// Human-readable cell identity for reports.
-    pub fn key_label(&self) -> String {
-        format!(
-            "{}/{} t={} init={} loss={} paths={}",
-            self.figure, self.mode, self.threads, self.initiators, self.loss, self.paths
-        )
-    }
-
     /// Host events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_secs.max(1e-12)
+    }
+}
+
+impl Record for Cell {
+    const FIELDS: &'static [Field<Cell>] = &[
+        Field("figure", Some(""), |c| Slot::Str(&mut c.figure)),
+        Field("mode", Some("/"), |c| Slot::Str(&mut c.mode)),
+        Field("threads", Some(" t="), |c| Slot::Count(&mut c.threads)),
+        Field("initiators", Some(" init="), |c| Slot::Count(&mut c.initiators)),
+        Field("loss", Some(" loss="), |c| Slot::Float(&mut c.loss, None)),
+        Field("paths", Some(" paths="), |c| Slot::Count(&mut c.paths)),
+        Field("wall_secs", None, |c| Slot::Float(&mut c.wall_secs, Some(6))),
+        Field("events", None, |c| Slot::Int(&mut c.events)),
+        Field("events_per_sec", None, |c| Slot::Derived(c.events_per_sec(), 0)),
+        Field("sim_span_secs", None, |c| Slot::Float(&mut c.sim_span_secs, Some(6))),
+        Field("blocks_done", None, |c| Slot::Int(&mut c.blocks_done)),
+        Field("groups", None, |c| Slot::Int(&mut c.groups)),
+        Field("group_p99_us", None, |c| Slot::Float(&mut c.group_p99_us, Some(3))),
+    ];
+}
+
+/// The `BENCH_sim.json` header after `schema` and `harness`.
+#[derive(Debug, Clone, Default)]
+pub struct SweepHeader {
+    /// Whether the file was written by a `--smoke` (scaled-down) sweep.
+    pub smoke: bool,
+    /// Wall seconds of the fixed CPU calibration loop ([`calibrate`])
+    /// on the machine that wrote the file.
+    pub calib_secs: f64,
+    /// Sum of the cells' wall-clock seconds.
+    pub total_wall_secs: f64,
+    /// Sum of the cells' event counts.
+    pub total_events: u64,
+}
+
+impl Record for SweepHeader {
+    const FIELDS: &'static [Field<SweepHeader>] = &[
+        Field("smoke", None, |h| Slot::Bool(&mut h.smoke)),
+        Field("calib_secs", None, |h| Slot::Float(&mut h.calib_secs, Some(6))),
+        Field("total_wall_secs", None, |h| Slot::Float(&mut h.total_wall_secs, Some(6))),
+        Field("total_events", None, |h| Slot::Int(&mut h.total_events)),
+        Field("events_per_sec", None, |h| {
+            Slot::Derived(h.total_events as f64 / h.total_wall_secs.max(1e-12), 0)
+        }),
+    ];
+}
+
+impl Trajectory for Cell {
+    type Header = SweepHeader;
+    const SCHEMA: u64 = SCHEMA;
+    const HARNESS: &'static str = "sim_engine";
+    const ARRAY: &'static str = "figures";
+    const REGEN: &'static str = "the baseline with `cargo bench -p rio-bench --bench sim_engine`";
+    const CURRENT: &'static str = "run";
+    // The engine got slower: a >10% drop in wall-clock events/s, judged
+    // against the baseline scaled to this machine's speed, or a >15%
+    // rise in the deterministic virtual-time group p99 (which the
+    // machine factor never loosens).
+    const RULES: &'static [Rule<Cell>] = &[
+        Rule {
+            stem: "events/s",
+            metric: Cell::events_per_sec,
+            limit: -MAX_EPS_DROP,
+            show: |x| format!("{x:.0}"),
+            machine_scaled: true,
+            drift: None,
+        },
+        Rule {
+            stem: "group p99",
+            metric: |c| c.group_p99_us,
+            limit: MAX_P99_RISE,
+            show: |x| format!("{x:.1}us"),
+            machine_scaled: false,
+            drift: None,
+        },
+    ];
+
+    fn check_header(header: &SweepHeader) -> Result<(), String> {
+        // The gate divides by it to normalize machine speed.
+        if header.calib_secs > 0.0 {
+            Ok(())
+        } else {
+            Err(format!("calib_secs must be positive, got {}", header.calib_secs))
+        }
+    }
+
+    fn incomparable(&self, base: &Cell) -> Option<String> {
+        // Different workload size: no metric is comparable.
+        (self.groups != base.groups).then(|| {
+            format!(
+                "cell shape drift: {} groups vs baseline {} (was the baseline written by --smoke?)",
+                self.groups, base.groups
+            )
+        })
+    }
+
+    fn workload_drift(&self, base: &Cell) -> Option<String> {
+        (self.events != base.events).then(|| {
+            format!(
+                "event-count drift: expected {} events, measured {} — engine behavior \
+                 changed; regenerate the baseline deliberately",
+                base.events, self.events
+            )
+        })
     }
 }
 
@@ -312,58 +395,17 @@ pub fn sweep(smoke: bool) -> Vec<Cell> {
     specs(smoke).iter().map(run_spec).collect()
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // Labels are static identifiers without quotes or backslashes.
-    debug_assert!(!s.contains('"') && !s.contains('\\'));
-    s
-}
-
 /// Renders the cells as the `BENCH_sim.json` document (schema
 /// [`SCHEMA`]). `calib_secs` is the [`calibrate`] measurement taken
 /// alongside the sweep.
 pub fn render_json(cells: &[Cell], smoke: bool, calib_secs: f64) -> String {
-    let total_wall: f64 = cells.iter().map(|c| c.wall_secs).sum();
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {SCHEMA},");
-    let _ = writeln!(out, "  \"harness\": \"sim_engine\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"calib_secs\": {calib_secs:.6},");
-    let _ = writeln!(out, "  \"total_wall_secs\": {total_wall:.6},");
-    let _ = writeln!(out, "  \"total_events\": {total_events},");
-    let _ = writeln!(
-        out,
-        "  \"events_per_sec\": {:.0},",
-        total_events as f64 / total_wall.max(1e-12)
-    );
-    out.push_str("  \"figures\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"figure\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
-             \"initiators\": {}, \"loss\": {}, \"paths\": {}, \
-             \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"sim_span_secs\": {:.6}, \"blocks_done\": {}, \
-             \"groups\": {}, \"group_p99_us\": {:.3}}}",
-            json_escape_free(&c.figure),
-            json_escape_free(&c.mode),
-            c.threads,
-            c.initiators,
-            c.loss,
-            c.paths,
-            c.wall_secs,
-            c.events,
-            c.events_per_sec(),
-            c.sim_span_secs,
-            c.blocks_done,
-            c.groups,
-            c.group_p99_us,
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = SweepHeader {
+        smoke,
+        calib_secs,
+        total_wall_secs: cells.iter().map(|c| c.wall_secs).sum(),
+        total_events: cells.iter().map(|c| c.events).sum(),
+    };
+    render(&header, cells)
 }
 
 #[cfg(test)]

@@ -15,14 +15,17 @@
 //! the eviction count so a truncated view is never mistaken for the
 //! whole run.
 //!
-//! Everything is hand-rolled `core::fmt` — the workspace vendors no
-//! JSON dependency — and [`validate_json`] provides the structural
-//! well-formedness check CI and the example run on the output.
+//! The renderer is a streaming `core::fmt` writer (the workspace
+//! vendors no JSON dependency); [`validate_json`] checks its output
+//! with the crate's one JSON reader ([`crate::json::read`]), which CI
+//! and the example run on every exported trace.
 
 use std::fmt::Write as _;
 
 use rio_stack::trace::STAGES;
 use rio_stack::{LatencyBreakdown, RunMetrics, Telemetry};
+
+use crate::json::{read, Value};
 
 /// The `pid` lane used for watchdog annotations (stall windows and
 /// recovery spans), far away from real initiator indices.
@@ -229,63 +232,23 @@ pub fn write_chrome_trace(path: &str, m: &RunMetrics) -> std::io::Result<()> {
     std::fs::write(path, chrome_trace(m))
 }
 
-/// Structural JSON well-formedness check: strings terminate, escapes
-/// are consumed, braces/brackets balance and match. Self-contained so
-/// CI can validate the exported trace without `jq`/`python`.
+/// Checks that `s` is one valid JSON document (the reader's grammar:
+/// no `NaN`, no trailing garbage). Self-contained so CI can validate
+/// the exported trace without `jq`/`python`.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut stack: Vec<u8> = Vec::new();
-    let mut in_str = false;
-    let mut esc = false;
-    let mut saw_value = false;
-    for (i, &c) in b.iter().enumerate() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == b'\\' {
-                esc = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            b'"' => {
-                in_str = true;
-                saw_value = true;
-            }
-            b'{' | b'[' => stack.push(c),
-            b'}' => {
-                if stack.pop() != Some(b'{') {
-                    return Err(format!("unmatched '}}' at byte {i}"));
-                }
-            }
-            b']' => {
-                if stack.pop() != Some(b'[') {
-                    return Err(format!("unmatched ']' at byte {i}"));
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string".into());
-    }
-    if !stack.is_empty() {
-        return Err(format!("{} unclosed bracket(s)", stack.len()));
-    }
-    if !saw_value {
-        return Err("empty document".into());
-    }
-    Ok(())
+    read(s).map(drop)
 }
 
-/// Counts duration spans named `name` in a document rendered by
-/// [`chrome_trace`] (which always emits `"name"` directly before
-/// `"ph": "X"`).
+/// Counts duration spans (`"ph": "X"`) named `name` in a Chrome trace
+/// document; 0 if it does not parse.
 pub fn count_spans(json: &str, name: &str) -> usize {
-    let needle = format!("\"name\": \"{name}\", \"ph\": \"X\"");
-    json.matches(&needle).count()
+    let is = |e: &Value, key, want: &str| matches!(e.get(key), Some(Value::Str(s)) if s == want);
+    match read(json).ok().as_ref().and_then(|doc| doc.get("traceEvents")) {
+        Some(Value::Array(events)) => {
+            events.iter().filter(|e| is(e, "name", name) && is(e, "ph", "X")).count()
+        }
+        _ => 0,
+    }
 }
 
 /// Parses `--trace-out <path>` from a bench's argument list.
@@ -370,6 +333,28 @@ mod tests {
         assert!(validate_json("{\"a\": \"unterminated").is_err());
         assert!(validate_json("   ").is_err());
         assert!(validate_json("{\"a\": [1, 2]}").is_ok());
+        // Balanced brackets are not enough: these all satisfied the
+        // old bracket balancer.
+        for bad in ["{\"a\" 1 2,,}", "{\"ts\": NaN}", "[1 2]", "{\"a\": 1} x", "[1,]", "[01]"] {
+            let err = validate_json(bad).expect_err(bad);
+            assert!(err.contains("at byte"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn spans_are_counted_structurally() {
+        // Member order inside an event is irrelevant, and a span's name
+        // appearing inside another string is not a span.
+        let doc = r#"{"traceEvents": [
+            {"ph": "X", "ts": 1.0, "name": "media", "dur": 2.0},
+            {"name": "media", "ph": "X", "ts": 3.0, "dur": 1.0},
+            {"name": "media", "ph": "C", "ts": 3.0},
+            {"name": "note", "ph": "i", "args": {"text": "\"name\": \"media\", \"ph\": \"X\""}}
+        ]}"#;
+        validate_json(doc).expect("well-formed");
+        assert_eq!(count_spans(doc, "media"), 2);
+        assert_eq!(count_spans(doc, "gate"), 0);
+        assert_eq!(count_spans("not json", "media"), 0);
     }
 
     #[test]

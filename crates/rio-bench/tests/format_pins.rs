@@ -2,9 +2,10 @@
 //! of the committed baselines' round trip, so a refactor of the
 //! writers, readers or gates cannot move a byte or a verdict unnoticed.
 
-use rio_bench::fig::{compare_fig, parse_fig, render_fig_json, FigCell};
+use rio_bench::fig::{render_fig_json, FigCell};
 use rio_bench::gate::{compare, parse};
-use rio_bench::recovery::{compare_recovery, parse_recovery, render_recovery_json, RecoveryCell};
+use rio_bench::json::Record;
+use rio_bench::recovery::{render_recovery_json, RecoveryCell};
 use rio_bench::sweep::{render_json, Cell};
 
 const BENCH_SIM: &str = include_str!("../../../BENCH_sim.json");
@@ -138,10 +139,10 @@ fn recovery_document_bytes_are_pinned() {
 
 #[test]
 fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
-    let fig = parse_fig(BENCH_FIG).expect("BENCH_fig.json parses");
+    let fig = parse::<FigCell>(BENCH_FIG).expect("BENCH_fig.json parses");
     assert_eq!(fig.cells.len(), 31);
     assert_eq!(render_fig_json(&fig.cells), BENCH_FIG);
-    let rec = parse_recovery(BENCH_RECOVERY).expect("BENCH_recovery.json parses");
+    let rec = parse::<RecoveryCell>(BENCH_RECOVERY).expect("BENCH_recovery.json parses");
     assert_eq!(rec.cells.len(), 6);
     assert_eq!(render_recovery_json(&rec.cells), BENCH_RECOVERY);
 }
@@ -164,10 +165,10 @@ fn mask(doc: &str, key: &str) -> (String, Vec<f64>) {
 
 #[test]
 fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
-    let file = parse(BENCH_SIM).expect("BENCH_sim.json parses");
+    let file = parse::<Cell>(BENCH_SIM).expect("BENCH_sim.json parses");
     assert_eq!(file.cells.len(), 44);
-    assert!(!file.smoke);
-    let again = render_json(&file.cells, file.smoke, file.calib_secs);
+    assert!(!file.header.smoke);
+    let again = render_json(&file.cells, file.header.smoke, file.header.calib_secs);
     // Everything stored re-renders byte-for-byte. The derived fields
     // are recomputed from the 6-decimal `wall_secs` the file keeps, so
     // per-cell events/s may move by one unit and the totals by the
@@ -190,13 +191,13 @@ fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
 
 #[test]
 fn committed_baselines_pass_their_own_gates_without_a_note() {
-    let sim = parse(BENCH_SIM).expect("sim").cells;
-    let fig = parse_fig(BENCH_FIG).expect("fig").cells;
-    let rec = parse_recovery(BENCH_RECOVERY).expect("recovery").cells;
+    let sim = parse::<Cell>(BENCH_SIM).expect("sim").cells;
+    let fig = parse::<FigCell>(BENCH_FIG).expect("fig").cells;
+    let rec = parse::<RecoveryCell>(BENCH_RECOVERY).expect("recovery").cells;
     for (name, out) in [
         ("sim", compare(&sim, &sim, true, 1.0)),
-        ("fig", compare_fig(&fig, &fig)),
-        ("recovery", compare_recovery(&rec, &rec)),
+        ("fig", compare(&fig, &fig, true, 1.0)),
+        ("recovery", compare(&rec, &rec, true, 1.0)),
     ] {
         assert!(out.uncovered.is_empty(), "{name}");
         for v in &out.verdicts {

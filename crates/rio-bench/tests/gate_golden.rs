@@ -329,3 +329,39 @@ fn smoke_baseline_is_refused() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--smoke sweep"), "{stderr}");
 }
+
+#[test]
+fn non_finite_engine_measurement_exits_2_naming_file_and_offset() {
+    let base = write("golden_base_nan.json", &render(&baseline_cells(), false));
+    // A `NaN` p99 satisfies no `<` / `>` threshold; it must not pass.
+    let doc = render(&baseline_cells(), false);
+    assert!(doc.contains("\"group_p99_us\": 48.000"), "{doc}");
+    let cur = write(
+        "golden_cur_nan.json",
+        &doc.replace("\"group_p99_us\": 48.000", "\"group_p99_us\": NaN"),
+    );
+    let out = gate(&base, &cur);
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("golden_cur_nan.json"), "{stderr}");
+    assert!(stderr.contains("at byte"), "{stderr}");
+}
+
+#[test]
+fn fig_non_finite_kiops_exits_2_naming_file_and_offset() {
+    let base = write(
+        "golden_fig_base_nan.json",
+        &render_fig_json(&fig_baseline_cells()),
+    );
+    let doc = render_fig_json(&fig_baseline_cells());
+    assert!(doc.contains("\"kiops\": 704.200000"), "{doc}");
+    let cur = write(
+        "golden_fig_cur_nan.json",
+        &doc.replace("\"kiops\": 704.200000", "\"kiops\": NaN"),
+    );
+    let out = fig_gate("nan", &base, &cur);
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("golden_fig_cur_nan.json"), "{stderr}");
+    assert!(stderr.contains("at byte"), "{stderr}");
+}
