@@ -38,6 +38,10 @@ fn default_path(name: &str) -> String {
     format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The `--current`-style measurement a gate was handed, if any; its
+/// load error is the judge's to raise, after it has vetted the baseline.
+type Ingested<C> = Result<Option<File<C>>, String>;
+
 /// Runs one trajectory's gate: loads the baseline (and the ingested
 /// current measurement, if any), has `judge` compare it against the
 /// ingested or a re-run measurement, prints the per-cell report and
@@ -51,7 +55,7 @@ fn run_gate<C: Trajectory>(
     [baseline_role, current_role, skip_flag, pass, regressed]: [&str; 5],
     baseline_path: &str,
     current_path: Option<&str>,
-    judge: impl FnOnce(&File<C>, Option<File<C>>) -> Result<GateOutcome, String>,
+    judge: impl FnOnce(&File<C>, Ingested<C>) -> Result<GateOutcome, String>,
 ) -> i32 {
     let load = |path: &str, role: &str, hint: &str| -> Result<File<C>, String> {
         let text = std::fs::read_to_string(path)
@@ -64,7 +68,7 @@ fn run_gate<C: Trajectory>(
     };
     let judged = load(baseline_path, baseline_role, &hint).and_then(|baseline| {
         let ingested = current_path.map(|path| load(path, current_role, ""));
-        judge(&baseline, ingested.transpose()?)
+        judge(&baseline, ingested.transpose())
     });
     let out = match judged {
         Ok(out) => out,
@@ -121,9 +125,9 @@ fn run_gate<C: Trajectory>(
 fn trajectory_judge<C: Trajectory>(
     noun: &'static str,
     rerun: fn() -> Vec<C>,
-) -> impl FnOnce(&File<C>, Option<File<C>>) -> Result<GateOutcome, String> {
+) -> impl FnOnce(&File<C>, Ingested<C>) -> Result<GateOutcome, String> {
     move |baseline, ingested| {
-        let current = ingested.map(|f| f.cells).unwrap_or_else(|| {
+        let current = ingested?.map(|f| f.cells).unwrap_or_else(|| {
             println!(
                 "bench_gate: re-running the {}-cell {noun} trajectory (virtual time, \
                  no machine factor)",
@@ -170,7 +174,8 @@ fn remeasure(baseline: &File<Cell>, smoke: bool) -> GateOutcome {
             // does not move the calibration loop, so the factor
             // never excuses one.
             let mut c = run_spec(s);
-            if let Some(base) = baseline.cells.iter().find(|b| b.key_label() == c.key_label()) {
+            let key = c.key_label();
+            if let Some(base) = baseline.cells.iter().find(|b| b.key_label() == key) {
                 for _ in 0..3 {
                     let floor = base.events_per_sec() / machine_factor.max(1e-9)
                         * (1.0 - MAX_EPS_DROP);
@@ -273,7 +278,7 @@ fn real_main() -> i32 {
                      commit a full `cargo bench -p rio-bench --bench sim_engine` run instead"
                 ));
             }
-            Ok(match ingested {
+            Ok(match ingested? {
                 Some(f) => {
                     let factor = f.header.calib_secs / baseline.header.calib_secs;
                     compare(&baseline.cells, &f.cells, !f.header.smoke && !smoke, factor)

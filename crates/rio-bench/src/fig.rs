@@ -77,12 +77,8 @@ impl Trajectory for FigCell {
                                  --write-fig BENCH_fig.json`";
     const CURRENT: &'static str = "trajectory";
     const RULES: &'static [Rule<FigCell>] = &[Rule {
-        stem: "kiops",
-        metric: |c| c.kiops,
-        limit: -MAX_FIG_DROP,
-        show: |x| format!("{x:.3}"),
-        machine_scaled: false,
         drift: Some("the figures are"),
+        ..Rule::new("kiops", |c| c.kiops, -MAX_FIG_DROP, |x| format!("{x:.3}"))
     }];
 
     fn workload_drift(&self, base: &FigCell) -> Option<String> {

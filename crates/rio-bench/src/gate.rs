@@ -2,7 +2,8 @@
 //!
 //! A [`Trajectory`] is a cell type plus everything that differs between
 //! the documents: the header, the field list ([`Record`]) that
-//! [`render`] and [`parse`] both walk, and the rule table [`compare`]
+//! [`render`] and [`parse`] (over the crate's one JSON reader,
+//! [`crate::json::read`]) both walk, and the rule table [`compare`]
 //! judges with. A gate loads the committed baseline, obtains a current
 //! measurement of the same cells (re-run or ingested), matches the two
 //! by cell identity and fails with a per-cell report when a metric
@@ -151,6 +152,17 @@ impl GateOutcome {
 }
 
 impl<C> Rule<C> {
+    /// A rule over a noisy metric no machine factor applies to; the
+    /// exceptions are spelled by struct update.
+    pub const fn new(
+        stem: &'static str,
+        metric: fn(&C) -> f64,
+        limit: f64,
+        show: fn(f64) -> String,
+    ) -> Self {
+        Rule { stem, metric, limit, show, machine_scaled: false, drift: None }
+    }
+
     fn check(&self, v: &mut CellVerdict, cur: &C, base: &C, machine_factor: f64) {
         let factor = if self.machine_scaled { machine_factor } else { 1.0 };
         let (cur, raw_base) = ((self.metric)(cur), (self.metric)(base));

@@ -49,25 +49,22 @@ const MAX_DEPTH: usize = 64;
 /// every error names the byte offset it was detected at.
 pub fn read(text: &str) -> Result<Value, String> {
     let mut r = Reader { text, at: 0 };
-    let v = r.value(0)?;
-    match r.peek() {
+    let v = r.value(0).and_then(|v| match r.peek() {
         None => Ok(v),
-        Some(_) => Err(r.err("trailing characters after the document")),
-    }
+        Some(_) => Err("trailing characters after the document"),
+    });
+    v.map_err(|what| format!("{what} at byte {}", r.at))
 }
 
 struct Reader<'a> {
     text: &'a str,
-    /// Always on a character boundary: only ASCII is stepped over
-    /// bytewise, string contents are skipped by `str::find`.
+    /// Where the next token (or the error) is. Always on a character
+    /// boundary: only ASCII is stepped over bytewise, string contents
+    /// are skipped by `str::find`.
     at: usize,
 }
 
 impl Reader<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at)
-    }
-
     /// The next non-whitespace byte, not consumed.
     fn peek(&mut self) -> Option<u8> {
         let bytes = self.text.as_bytes();
@@ -83,9 +80,9 @@ impl Reader<'_> {
         hit
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
+    fn value(&mut self, depth: usize) -> Result<Value, &'static str> {
         if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
+            return Err("nesting too deep");
         }
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
@@ -94,14 +91,14 @@ impl Reader<'_> {
                 let (mut members, mut items) = (Vec::new(), Vec::new());
                 while !self.eat(close) {
                     if members.len() + items.len() > 0 && !self.eat(b',') {
-                        return Err(self.err("expected ',' or a closing bracket"));
+                        return Err("expected ',' or a closing bracket");
                     }
                     if open == b'[' {
                         items.push(self.value(depth + 1)?);
                     } else {
                         let name = self.string()?;
                         if !self.eat(b':') {
-                            return Err(self.err("expected ':'"));
+                            return Err("expected ':'");
                         }
                         members.push((name, self.value(depth + 1)?));
                     }
@@ -113,23 +110,23 @@ impl Reader<'_> {
             Some(_) => {
                 let rest = &self.text[self.at..];
                 let word = ["true", "false", "null"].into_iter().find(|w| rest.starts_with(w));
-                let word = word.ok_or_else(|| self.err("expected a value"))?;
+                let word = word.ok_or("expected a value")?;
                 self.at += word.len();
                 Ok(if word == "null" { Value::Null } else { Value::Bool(word == "true") })
             }
-            None => Err(self.err("unexpected end of document")),
+            None => Err("unexpected end of document"),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, &'static str> {
         if !self.eat(b'"') {
-            return Err(self.err("expected a string"));
+            return Err("expected a string");
         }
         let mut out = String::new();
         loop {
             let rest = &self.text[self.at..];
             let stop = rest.find(|c: char| c == '"' || c == '\\' || c < ' ');
-            let stop = stop.ok_or_else(|| self.err("unterminated string"))?;
+            let stop = stop.ok_or("unterminated string")?;
             out.push_str(&rest[..stop]);
             self.at += stop + 1;
             match (rest.as_bytes()[stop], rest.as_bytes().get(stop + 1)) {
@@ -137,24 +134,23 @@ impl Reader<'_> {
                 (b'\\', Some(b'u')) => {
                     let hex = rest.get(stop + 2..stop + 6).filter(|h| !h.starts_with('+'));
                     let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
-                    let c = code.and_then(char::from_u32);
-                    out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                    out.push(code.and_then(char::from_u32).ok_or("invalid \\u escape")?);
                     self.at += 5;
                 }
                 (b'\\', Some(c)) => {
                     let known = b"\"\\/bfnrt".iter().position(|e| e == c);
-                    let known = known.ok_or_else(|| self.err("invalid escape"))?;
+                    let known = known.ok_or("invalid escape")?;
                     out.push(b"\"\\/\x08\x0c\n\r\t"[known] as char);
                     self.at += 1;
                 }
-                _ => return Err(self.err("control character in string")),
+                _ => return Err("control character in string"),
             }
         }
     }
 
     /// JSON's number grammar is stricter than Rust's float parser: no
     /// leading `+` or zeros, digits on both sides of a `.`.
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, &'static str> {
         let rest = &self.text[self.at..];
         let len = rest.find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'));
         let token = &rest[..len.unwrap_or(rest.len())];
@@ -162,12 +158,12 @@ impl Reader<'_> {
         let int_len = digits.bytes().take_while(u8::is_ascii_digit).count();
         let bare_dot = token.ends_with('.') || token.contains(".e") || token.contains(".E");
         if int_len == 0 || (int_len > 1 && digits.starts_with('0')) || bare_dot {
-            return Err(self.err("malformed number"));
+            return Err("malformed number");
         }
         let v = match (token.parse::<u64>(), token.parse::<f64>()) {
             (Ok(n), _) => Value::Int(n),
             (_, Ok(x)) if x.is_finite() => Value::Num(x),
-            _ => return Err(self.err("malformed or out-of-range number")),
+            _ => return Err("malformed or out-of-range number"),
         };
         self.at += token.len();
         Ok(v)
@@ -212,8 +208,9 @@ pub trait Record: Clone + Default + Debug + 'static {
             let Some(intro) = intro else { continue };
             label.push_str(intro);
             match slot(&mut rec) {
+                Slot::Str(s) => label.push_str(s),
                 Slot::Float(x, _) => label.push_str(&((*x * 1e6).round() / 1e6).to_string()),
-                slot => slot.write(&mut label, false),
+                slot => slot.write(&mut label),
             }
         }
         label
@@ -226,11 +223,11 @@ impl Record for () {
 }
 
 impl Slot<'_> {
-    /// Appends the value: as JSON (strings quoted and escaped, floats
-    /// at their printed precision), or bare as `{}` prints it.
-    fn write(self, out: &mut String, json: bool) {
+    /// Appends the value as JSON: strings quoted and escaped, floats at
+    /// their printed precision.
+    fn write(self, out: &mut String) {
         match self {
-            Slot::Str(s) if json => {
+            Slot::Str(s) => {
                 out.push('"');
                 for c in s.chars() {
                     match c {
@@ -241,12 +238,11 @@ impl Slot<'_> {
                 }
                 out.push('"');
             }
-            Slot::Str(s) => out.push_str(s),
             Slot::Bool(b) => out.push_str(&b.to_string()),
             Slot::Count(n) => out.push_str(&n.to_string()),
             Slot::Int(n) => out.push_str(&n.to_string()),
-            Slot::Float(x, Some(p)) if json => out.push_str(&format!("{:.p$}", *x)),
-            Slot::Float(x, _) => out.push_str(&x.to_string()),
+            Slot::Float(x, Some(p)) => out.push_str(&format!("{:.p$}", *x)),
+            Slot::Float(x, None) => out.push_str(&x.to_string()),
             Slot::Derived(x, p) => out.push_str(&format!("{x:.p$}")),
         }
     }
@@ -276,7 +272,7 @@ pub(crate) fn write_members<R: Record>(out: &mut String, rec: &R, wrap: [&str; 3
     for (i, Field(name, _, slot)) in R::FIELDS.iter().enumerate() {
         out.push_str(if i > 0 { between } else { "" });
         out.push_str(&format!("{before}\"{name}\": "));
-        slot(&mut rec).write(out, true);
+        slot(&mut rec).write(out);
         out.push_str(after);
     }
 }

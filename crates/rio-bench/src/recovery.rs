@@ -66,12 +66,8 @@ impl Record for RecoveryCell {
 /// smaller movement is noted.
 const fn phase(stem: &'static str, metric: fn(&RecoveryCell) -> f64) -> Rule<RecoveryCell> {
     Rule {
-        stem,
-        metric,
-        limit: MAX_RECOVERY_RISE,
-        show: |x| format!("{x:.3} ms"),
-        machine_scaled: false,
         drift: Some("recovery is"),
+        ..Rule::new(stem, metric, MAX_RECOVERY_RISE, |x| format!("{x:.3} ms"))
     }
 }
 

@@ -141,21 +141,10 @@ impl Trajectory for Cell {
     // machine factor never loosens).
     const RULES: &'static [Rule<Cell>] = &[
         Rule {
-            stem: "events/s",
-            metric: Cell::events_per_sec,
-            limit: -MAX_EPS_DROP,
-            show: |x| format!("{x:.0}"),
             machine_scaled: true,
-            drift: None,
+            ..Rule::new("events/s", Cell::events_per_sec, -MAX_EPS_DROP, |x| format!("{x:.0}"))
         },
-        Rule {
-            stem: "group p99",
-            metric: |c| c.group_p99_us,
-            limit: MAX_P99_RISE,
-            show: |x| format!("{x:.1}us"),
-            machine_scaled: false,
-            drift: None,
-        },
+        Rule::new("group p99", |c| c.group_p99_us, MAX_P99_RISE, |x| format!("{x:.1}us")),
     ];
 
     fn check_header(header: &SweepHeader) -> Result<(), String> {
