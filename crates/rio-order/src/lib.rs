@@ -43,7 +43,7 @@ pub use attr::{BlockRange, OrderingAttr, Seq, ServerId, SplitInfo, StreamId};
 pub use completion::InOrderCompleter;
 pub use gate::SubmissionGate;
 pub use librio::{Rio, RioSetup};
-pub use pmrlog::{PmrLog, PmrWrite, SlotRef};
+pub use pmrlog::{PmrBytes, PmrLog, PmrWrite, SlotRef};
 pub use recovery::{
     DiscardOp, IpuEvent, RecoveryInput, RecoveryMode, RecoveryPlan, ReplayOp, ServerScan,
     StreamPlan,

@@ -35,13 +35,45 @@ const MAGIC: [u8; 4] = *b"RIOP";
 /// Format version.
 const VERSION: u8 = 1;
 
+/// The bytes of one MMIO write, held inline: no write is longer than a
+/// record, so none needs the heap. Derefs to the byte slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PmrBytes {
+    len: u8,
+    buf: [u8; PmrRecord::SIZE],
+}
+
+impl PmrBytes {
+    /// Copies `bytes` in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than a record.
+    fn new(bytes: &[u8]) -> Self {
+        let mut buf = [0; PmrRecord::SIZE];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        PmrBytes {
+            len: bytes.len() as u8,
+            buf,
+        }
+    }
+}
+
+impl std::ops::Deref for PmrBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
 /// One MMIO write the caller must apply to the PMR region.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PmrWrite {
     /// Byte offset within the region.
     pub offset: usize,
-    /// Bytes to store.
-    pub bytes: Vec<u8>,
+    /// Bytes to store (at most one record's worth).
+    pub bytes: PmrBytes,
 }
 
 /// A reference to an appended record (an absolute slot number that
@@ -85,7 +117,8 @@ impl PmrLog {
     }
 
     /// Creates a log over a region of `region_len` bytes and returns the
-    /// formatting writes (the superblock image).
+    /// formatting writes (the superblock image, a record-sized piece per
+    /// write).
     ///
     /// # Panics
     ///
@@ -110,10 +143,14 @@ impl PmrLog {
         sb_bytes[0..4].copy_from_slice(&MAGIC);
         sb_bytes[4] = VERSION;
         sb_bytes[6..8].copy_from_slice(&(n_streams as u16).to_le_bytes());
-        let writes = vec![PmrWrite {
-            offset: 0,
-            bytes: sb_bytes,
-        }];
+        let writes = sb_bytes
+            .chunks(PmrRecord::SIZE)
+            .enumerate()
+            .map(|(i, piece)| PmrWrite {
+                offset: i * PmrRecord::SIZE,
+                bytes: PmrBytes::new(piece),
+            })
+            .collect();
         (log, writes)
     }
 
@@ -151,7 +188,7 @@ impl PmrLog {
             SlotRef(abs),
             PmrWrite {
                 offset: self.slot_offset(abs),
-                bytes: stamped.encode().to_vec(),
+                bytes: PmrBytes::new(&stamped.encode()),
             },
         ))
     }
@@ -160,7 +197,7 @@ impl PmrLog {
     pub fn mark_persist(&self, slot: SlotRef) -> PmrWrite {
         PmrWrite {
             offset: self.slot_offset(slot.0) + PmrRecord::PERSIST_OFFSET,
-            bytes: vec![1],
+            bytes: PmrBytes::new(&[1]),
         }
     }
 
@@ -200,7 +237,7 @@ impl PmrLog {
         assert!((stream.0 as usize) < self.n_streams, "unknown stream");
         PmrWrite {
             offset: 8 + 4 * stream.0 as usize,
-            bytes: seq.0.to_le_bytes().to_vec(),
+            bytes: PmrBytes::new(&seq.0.to_le_bytes()),
         }
     }
 
@@ -276,15 +313,22 @@ mod tests {
 
     #[test]
     fn format_and_scan_empty() {
-        let mut region = vec![0u8; 4096];
-        let (log, writes) = PmrLog::format(region.len(), 4);
-        for w in &writes {
-            apply(&mut region, w);
+        // 24 streams need a superblock of four record-sized writes.
+        for n_streams in [4, 24] {
+            let mut region = vec![0u8; 4096];
+            let (log, writes) = PmrLog::format(region.len(), n_streams);
+            assert_eq!(
+                writes.iter().map(|w| w.bytes.len()).sum::<usize>(),
+                PmrLog::superblock_size(n_streams)
+            );
+            for w in &writes {
+                apply(&mut region, w);
+            }
+            assert!(log.capacity() > 0);
+            let scan = PmrLog::scan(&region).expect("formatted");
+            assert_eq!(scan.head_seqs.len(), n_streams);
+            assert!(scan.records.is_empty());
         }
-        assert!(log.capacity() > 0);
-        let scan = PmrLog::scan(&region).expect("formatted");
-        assert_eq!(scan.head_seqs.len(), 4);
-        assert!(scan.records.is_empty());
     }
 
     #[test]
@@ -391,7 +435,7 @@ mod tests {
         let (_s2, w2) = log.append(&rec(0, 3)).unwrap();
         // Slot 2 reuses physical slot 0, one lap later.
         assert_eq!(w2.offset, w0.offset);
-        let rec2 = PmrRecord::decode(&w2.bytes.as_slice().try_into().unwrap()).unwrap();
+        let rec2 = PmrRecord::decode(&w2.bytes[..].try_into().unwrap()).unwrap();
         assert_eq!(rec2.generation, 1);
     }
 

@@ -32,7 +32,7 @@ pub mod pmr;
 pub mod profile;
 pub mod ssd;
 
-pub use media::{BlockImage, BlockStore, SharedBytes};
+pub use media::{BlockImage, BlockRun, BlockStore, Images, SharedBytes};
 pub use pmr::Pmr;
 pub use profile::SsdProfile;
 pub use ssd::{Ssd, SsdOpKind, SsdStats};

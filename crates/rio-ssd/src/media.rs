@@ -2,7 +2,10 @@
 //!
 //! Stores a [`BlockImage`] per logical block. File-system tests write
 //! real bytes; raw block benchmarks use cheap tags, so a simulated
-//! multi-gigabyte run costs megabytes of host memory.
+//! multi-gigabyte run costs megabytes of host memory — and, because
+//! nothing reads a benchmark's blocks back, [`BlockStore`] only
+//! journals tagged writes and builds its per-block index when a reader
+//! first asks.
 //!
 //! With end-to-end integrity on, every block that lands on media is
 //! *sealed*: the store records the CRC-32C of the intended image next
@@ -18,6 +21,7 @@
 //! the scrub checksum the bytes where they lie
 //! ([`BlockImage::crc32c`]).
 
+use std::cell::{Ref, RefCell};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -136,18 +140,144 @@ impl BlockImage {
     }
 }
 
-/// A sparse persistent store of block images with write versioning.
-///
-/// Lives on the per-write hot path (every accepted block lands here
-/// once in the logical image and once on media), so the map uses the
-/// simulator's fast deterministic hasher.
+/// The block images of one write command.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Images {
+    /// This many consecutive blocks, all holding the one image (a
+    /// benchmark's tagged write of any length, or any single block).
+    Run(BlockImage, u32),
+    /// One image per consecutive block.
+    List(Vec<BlockImage>),
+}
+
+/// A single-image list is a run, so one-block writes — the common
+/// case — never carry a vector through the device.
+impl From<Vec<BlockImage>> for Images {
+    fn from(mut list: Vec<BlockImage>) -> Self {
+        if list.len() == 1 {
+            Images::Run(list.pop().expect("one image"), 1)
+        } else {
+            Images::List(list)
+        }
+    }
+}
+
+impl Images {
+    /// Number of blocks written.
+    pub fn blocks(&self) -> u32 {
+        match self {
+            Images::Run(_, n) => *n,
+            Images::List(list) => list.len() as u32,
+        }
+    }
+}
+
+/// A run of consecutive blocks holding one image: the unit a write
+/// travels in, from the device's queues to the store's journal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockRun {
+    /// First block address.
+    pub lba: u64,
+    /// What every block of the run holds.
+    pub image: BlockImage,
+    /// Number of blocks.
+    pub blocks: u32,
+    /// CRC-32C of the *intended* image, when the blocks land sealed.
+    /// Clean data carries the checksum of `image` itself; a torn-write
+    /// injection passes the intended checksum next to the partial bytes
+    /// that actually hit media.
+    pub seal: Option<u32>,
+}
+
+/// The per-block state readers query, built from the journal on demand.
 #[derive(Debug, Default, Clone)]
-pub struct BlockStore {
+struct Index {
     blocks: FxHashMap<u64, (u64, BlockImage)>,
     /// Intended-content CRC-32C per sealed block (integrity runs only;
     /// empty — and cost-free — otherwise).
     seals: FxHashMap<u64, u32>,
+    /// Version of the last block write folded in.
+    version: u64,
+}
+
+impl Index {
+    /// Applies one write: each block takes the next version, and an
+    /// unsealed write drops any stale seal — the recorded checksum
+    /// always belongs to the last write.
+    fn apply(&mut self, run: BlockRun) {
+        for lba in run.lba..run.lba + run.blocks as u64 {
+            self.version += 1;
+            self.blocks.insert(lba, (self.version, run.image.clone()));
+            match run.seal {
+                Some(seal) => {
+                    self.seals.insert(lba, seal);
+                }
+                None if !self.seals.is_empty() => {
+                    self.seals.remove(&lba);
+                }
+                None => {}
+            }
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct State {
+    /// Writes no reader has looked at yet, in append order. Versions
+    /// are not stored — every block write takes the next one in append
+    /// order, so the fold recounts them.
+    journal: Vec<BlockRun>,
+    index: Index,
+}
+
+impl State {
+    /// Replays the journal into the index, in append order, and frees
+    /// it. Deterministic: versions were fixed by the appends, and the
+    /// last write to a block wins exactly as if each had been applied
+    /// on arrival.
+    fn fold(&mut self) -> &mut Index {
+        for run in std::mem::take(&mut self.journal) {
+            self.index.apply(run);
+        }
+        &mut self.index
+    }
+}
+
+/// A sparse persistent store of block images with write versioning.
+///
+/// A write journal with a fold-on-read index: a write appends one
+/// record per run of equal blocks and hashes nothing, and the first
+/// reader after it replays the journal, in order, into the per-block
+/// maps. Every accepted command lands here twice (logical image and
+/// media) and a fault-free run never reads either, so it pays one
+/// append per command instead of two map inserts per block; a crash
+/// pays the same inserts once, batched, when recovery first looks. The
+/// journal grows with the writes since the last read — the same order
+/// as the device's own pending-op list — and is freed by the fold.
+/// Only tagged and zero blocks wait there; real data is indexed on
+/// arrival (see [`BlockStore::write_run`]).
+///
+/// The fold hides behind a `RefCell` so readers keep taking `&self`:
+/// observing a store never changes what it holds. The maps use the
+/// simulator's fast deterministic hasher.
+#[derive(Debug, Default)]
+pub struct BlockStore {
+    state: RefCell<State>,
     next_version: u64,
+}
+
+/// A clone is the folded image of the store; it starts with an empty
+/// journal.
+impl Clone for BlockStore {
+    fn clone(&self) -> Self {
+        BlockStore {
+            state: RefCell::new(State {
+                journal: Vec::new(),
+                index: self.index().clone(),
+            }),
+            next_version: self.next_version,
+        }
+    }
 }
 
 impl BlockStore {
@@ -156,17 +286,48 @@ impl BlockStore {
         BlockStore::default()
     }
 
+    /// The folded index, for readers. With nothing to fold it only
+    /// borrows shared, so a reader's callback may read again.
+    fn index(&self) -> Ref<'_, Index> {
+        if !self.state.borrow().journal.is_empty() {
+            self.state.borrow_mut().fold();
+        }
+        Ref::map(self.state.borrow(), |s| &s.index)
+    }
+
+    /// The folded index, for the writers that edit blocks in place.
+    fn index_mut(&mut self) -> &mut Index {
+        self.state.get_mut().fold()
+    }
+
+    /// Writes a run of blocks. Returns the version of the first block;
+    /// the rest take the following ones.
+    pub fn write_run(&mut self, run: BlockRun) -> u64 {
+        let first = self.next_version + 1;
+        self.next_version += run.blocks as u64;
+        let state = self.state.get_mut();
+        if run.image.data().is_some() {
+            // A journalled record would pin its payload buffer until
+            // the next fold, however often the block is overwritten, so
+            // real data goes straight to the index; producing and
+            // checksumming it dwarfs the two map inserts anyway.
+            state.fold().apply(run);
+        } else {
+            state.journal.push(run);
+        }
+        first
+    }
+
     /// Writes one block, returning its new version number. An unsealed
     /// write drops any stale seal: the recorded checksum always belongs
     /// to the last write.
     pub fn write(&mut self, lba: u64, image: BlockImage) -> u64 {
-        self.next_version += 1;
-        let v = self.next_version;
-        self.blocks.insert(lba, (v, image));
-        if !self.seals.is_empty() {
-            self.seals.remove(&lba);
-        }
-        v
+        self.write_run(BlockRun {
+            lba,
+            image,
+            blocks: 1,
+            seal: None,
+        })
     }
 
     /// Writes one block together with the CRC-32C of its *intended*
@@ -174,22 +335,37 @@ impl BlockStore {
     /// itself; a torn-write injection passes the intended checksum next
     /// to the partial bytes that actually hit media.
     pub fn write_sealed(&mut self, lba: u64, image: BlockImage, seal: u32) -> u64 {
-        let v = self.write(lba, image);
-        self.seals.insert(lba, seal);
-        v
+        self.write_run(BlockRun {
+            lba,
+            image,
+            blocks: 1,
+            seal: Some(seal),
+        })
     }
 
     /// The recorded seal of `lba`, if the block was written sealed.
     pub fn seal(&self, lba: u64) -> Option<u32> {
-        self.seals.get(&lba).copied()
+        self.index().seals.get(&lba).copied()
     }
 
-    /// Every sealed block address, ascending (a deterministic scrub
-    /// order).
+    /// Every sealed block address, ascending.
     pub fn sealed_lbas(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.seals.keys().copied().collect();
-        v.sort_unstable();
-        v
+        let mut lbas = Vec::new();
+        self.for_each_sealed(|lba, _, _| lbas.push(lba));
+        lbas
+    }
+
+    /// Calls `f(lba, seal, image)` for every sealed block, ascending by
+    /// address (a deterministic scrub order), lending each stored image
+    /// — a scrub re-checksums every block without cloning any.
+    pub fn for_each_sealed(&self, mut f: impl FnMut(u64, u32, &BlockImage)) {
+        let index = self.index();
+        let mut sealed: Vec<(u64, u32)> = index.seals.iter().map(|(k, v)| (*k, *v)).collect();
+        sealed.sort_unstable();
+        for (lba, seal) in sealed {
+            let (_, img) = index.blocks.get(&lba).expect("sealed block has an image");
+            f(lba, seal, img);
+        }
     }
 
     /// Flips one bit of the stored image of `lba` without touching its
@@ -197,7 +373,7 @@ impl BlockStore {
     /// data. `bit` indexes into the materialised `block_size`-byte
     /// image.
     pub fn flip_bit(&mut self, lba: u64, bit: usize, block_size: usize) -> bool {
-        let Some((_, img)) = self.blocks.get_mut(&lba) else {
+        let Some((_, img)) = self.index_mut().blocks.get_mut(&lba) else {
             return false;
         };
         let mut bytes = img.to_bytes(block_size);
@@ -206,43 +382,219 @@ impl BlockStore {
         true
     }
 
-    /// Borrows the stored image of `lba` (`None` when never written),
-    /// for callers that only inspect it — a scrub re-checksums every
-    /// block without cloning any.
-    pub fn get(&self, lba: u64) -> Option<&BlockImage> {
-        self.blocks.get(&lba).map(|(_, img)| img)
-    }
-
     /// Reads one block (unwritten blocks read back as [`BlockImage::Zero`]).
     pub fn read(&self, lba: u64) -> BlockImage {
-        self.get(lba).cloned().unwrap_or(BlockImage::Zero)
+        let index = self.index();
+        index
+            .blocks
+            .get(&lba)
+            .map_or(BlockImage::Zero, |(_, img)| img.clone())
     }
 
     /// The version of the last write to `lba` (0 when never written).
     pub fn version(&self, lba: u64) -> u64 {
-        self.blocks.get(&lba).map(|(v, _)| *v).unwrap_or(0)
+        self.index().blocks.get(&lba).map_or(0, |(v, _)| *v)
     }
 
     /// Erases `count` blocks starting at `lba` (recovery roll-back /
     /// TRIM). Seals go with their blocks.
     pub fn discard(&mut self, lba: u64, count: u64) {
+        let index = self.index_mut();
         for b in lba..lba + count {
-            self.blocks.remove(&b);
-            if !self.seals.is_empty() {
-                self.seals.remove(&b);
+            index.blocks.remove(&b);
+            if !index.seals.is_empty() {
+                index.seals.remove(&b);
             }
         }
     }
 
     /// Number of written blocks.
     pub fn written_blocks(&self) -> usize {
-        self.blocks.len()
+        self.index().blocks.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_sim::SimRng;
+
+    /// The eager store the journal replaced, kept as the reference
+    /// model: every write updates the per-block maps on arrival.
+    #[derive(Default, Clone)]
+    struct EagerStore {
+        blocks: FxHashMap<u64, (u64, BlockImage)>,
+        seals: FxHashMap<u64, u32>,
+        next_version: u64,
+    }
+
+    impl EagerStore {
+        fn write(&mut self, lba: u64, image: BlockImage) -> u64 {
+            self.next_version += 1;
+            self.blocks.insert(lba, (self.next_version, image));
+            self.seals.remove(&lba);
+            self.next_version
+        }
+
+        fn write_sealed(&mut self, lba: u64, image: BlockImage, seal: u32) -> u64 {
+            let v = self.write(lba, image);
+            self.seals.insert(lba, seal);
+            v
+        }
+
+        fn sealed_lbas(&self) -> Vec<u64> {
+            let mut v: Vec<u64> = self.seals.keys().copied().collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn flip_bit(&mut self, lba: u64, bit: usize, block_size: usize) -> bool {
+            let Some((_, img)) = self.blocks.get_mut(&lba) else {
+                return false;
+            };
+            let mut bytes = img.to_bytes(block_size);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            *img = BlockImage::Bytes(bytes.into_boxed_slice());
+            true
+        }
+
+        fn read(&self, lba: u64) -> BlockImage {
+            self.blocks
+                .get(&lba)
+                .map_or(BlockImage::Zero, |(_, img)| img.clone())
+        }
+
+        fn version(&self, lba: u64) -> u64 {
+            self.blocks.get(&lba).map_or(0, |(v, _)| *v)
+        }
+
+        fn discard(&mut self, lba: u64, count: u64) {
+            for b in lba..lba + count {
+                self.blocks.remove(&b);
+                self.seals.remove(&b);
+            }
+        }
+    }
+
+    /// Every reader of `store` against the reference, over all of the
+    /// script's address space.
+    fn assert_same_view(store: &BlockStore, oracle: &EagerStore, at: &str) {
+        assert_eq!(store.written_blocks(), oracle.blocks.len(), "{at}");
+        assert_eq!(store.sealed_lbas(), oracle.sealed_lbas(), "{at}");
+        for lba in 0..LBAS + 8 {
+            assert_eq!(store.read(lba), oracle.read(lba), "{at}: image of {lba}");
+            assert_eq!(
+                store.version(lba),
+                oracle.version(lba),
+                "{at}: version of {lba}"
+            );
+            assert_eq!(
+                store.seal(lba),
+                oracle.seals.get(&lba).copied(),
+                "{at}: seal of {lba}"
+            );
+        }
+        let mut visited = Vec::new();
+        store.for_each_sealed(|lba, seal, img| {
+            assert_eq!(Some(seal), store.seal(lba), "{at}");
+            assert_eq!(*img, store.read(lba), "{at}");
+            visited.push(lba);
+        });
+        assert_eq!(visited, oracle.sealed_lbas(), "{at}: scrub order");
+    }
+
+    const LBAS: u64 = 24;
+
+    #[test]
+    fn journal_store_matches_the_eager_reference_under_random_scripts() {
+        for seed in 0..64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut store = BlockStore::new();
+            let mut oracle = EagerStore::default();
+            // Some scripts never read until the end, some read often.
+            let read_permille = [0, 50, 300][seed as usize % 3];
+            for step in 0..400 {
+                let at = format!("seed {seed} step {step}");
+                let lba = rng.below(LBAS);
+                let image = match rng.below(4) {
+                    0 => BlockImage::Zero,
+                    1 => BlockImage::Bytes(vec![rng.below(256) as u8; 16].into_boxed_slice()),
+                    _ => BlockImage::Tag(rng.below(1 << 20)),
+                };
+                let seal = rng.below(1 << 32) as u32;
+                match rng.below(12) {
+                    0..=2 => assert_eq!(
+                        store.write(lba, image.clone()),
+                        oracle.write(lba, image),
+                        "{at}"
+                    ),
+                    3..=4 => assert_eq!(
+                        store.write_sealed(lba, image.clone(), seal),
+                        oracle.write_sealed(lba, image, seal),
+                        "{at}"
+                    ),
+                    5..=7 => {
+                        // A run equals its blocks written one by one.
+                        let blocks = rng.between(1, 8) as u32;
+                        let seal = rng.chance(0.5).then_some(seal);
+                        let first = store.write_run(BlockRun {
+                            lba,
+                            image: image.clone(),
+                            blocks,
+                            seal,
+                        });
+                        for b in lba..lba + blocks as u64 {
+                            let v = match seal {
+                                Some(seal) => oracle.write_sealed(b, image.clone(), seal),
+                                None => oracle.write(b, image.clone()),
+                            };
+                            assert_eq!(v, first + (b - lba), "{at}: contiguous versions");
+                        }
+                    }
+                    8 => {
+                        let count = rng.between(1, 6);
+                        store.discard(lba, count);
+                        oracle.discard(lba, count);
+                    }
+                    9 => {
+                        let bit = rng.below(64 * 8) as usize;
+                        assert_eq!(
+                            store.flip_bit(lba, bit, 64),
+                            oracle.flip_bit(lba, bit, 64),
+                            "{at}"
+                        );
+                    }
+                    10 => {
+                        // Carry on with the clone; the original must
+                        // still answer the same afterwards.
+                        let copy = store.clone();
+                        assert_same_view(&store, &oracle, &at);
+                        store = copy;
+                    }
+                    _ => {}
+                }
+                if rng.below(1000) < read_permille {
+                    match rng.below(4) {
+                        0 => assert_eq!(store.read(lba), oracle.read(lba), "{at}"),
+                        1 => assert_eq!(store.version(lba), oracle.version(lba), "{at}"),
+                        2 => assert_eq!(store.sealed_lbas(), oracle.sealed_lbas(), "{at}"),
+                        _ => assert_eq!(store.written_blocks(), oracle.blocks.len(), "{at}"),
+                    }
+                }
+            }
+            assert_same_view(&store, &oracle, &format!("seed {seed} end"));
+        }
+    }
+
+    #[test]
+    fn single_image_lists_travel_as_runs() {
+        let one = vec![BlockImage::Tag(3)];
+        assert_eq!(Images::from(one), Images::Run(BlockImage::Tag(3), 1));
+        let two = vec![BlockImage::Tag(3), BlockImage::Zero];
+        assert_eq!(Images::from(two.clone()), Images::List(two));
+        assert_eq!(Images::from(Vec::new()).blocks(), 0);
+        assert_eq!(Images::Run(BlockImage::Zero, 7).blocks(), 7);
+    }
 
     #[test]
     fn unwritten_reads_zero() {

@@ -31,7 +31,7 @@ use rio_order::scheduler::split_attr_into;
 use rio_order::{Rio, RioSetup, SubmissionGate};
 use rio_proto::{payload, PayloadDigest};
 use rio_sim::{EventHeap, Histogram, SimRng, SimTime, Slab};
-use rio_ssd::{BlockImage, Ssd};
+use rio_ssd::{BlockImage, Images, Ssd};
 
 use crate::config::{ClusterConfig, FaultKind, OrderingMode};
 use crate::cpu::CoreSet;
@@ -1009,11 +1009,14 @@ impl Cluster {
     fn next_group_spec(&mut self, t: usize) -> GroupSpec {
         if self.threads[t].queue.is_empty() {
             let th = &mut self.threads[t];
-            let groups = self
-                .workload
-                .op(th.next_op, th.area_start, th.area_blocks, &mut th.rng);
+            self.workload.op_into(
+                th.next_op,
+                th.area_start,
+                th.area_blocks,
+                &mut th.rng,
+                &mut th.queue,
+            );
             th.next_op += 1;
-            th.queue.extend(groups);
         }
         self.threads[t].queue.pop_front().expect("queue refilled")
     }
@@ -1231,7 +1234,7 @@ impl Cluster {
             {
                 let spec = self.next_group_spec(t);
                 cpu = self.note_group_start(cpu, t, &spec);
-                for m in &spec.members {
+                for m in spec.members.iter() {
                     cpu = self.init_run_on(t, cpu, self.cfg.cpu.submit_bio);
                     let mut bio = rio_block::Bio::write(bio_id, m.range, bio_id);
                     bio.flags.flush = spec.flush;
@@ -1358,7 +1361,7 @@ impl Cluster {
         self.threads[t].sync_stage = SyncStage::AwaitWrite;
         self.threads[t].cur_flush_leg = spec.stage.is_none() || spec.flush;
         self.threads[t].cur_sync_after = spec.sync_after || spec.stage.is_none();
-        for m in &spec.members {
+        for m in spec.members.iter() {
             cpu = self.init_run_on(t, cpu, self.cfg.cpu.submit_bio);
             cpu = self.dispatch_plain_unit(cpu, t, m.range, 1, false);
         }
@@ -1438,7 +1441,7 @@ impl Cluster {
             .pop_front()
             .expect("ctrl ack without pending group");
         let mut c = cpu;
-        for m in &spec.members {
+        for m in spec.members.iter() {
             c = self.init_run_on(t, c, self.cfg.cpu.submit_bio);
             c = self.dispatch_plain_unit(c, t, m.range, 1, spec.flush);
         }
@@ -1804,12 +1807,12 @@ impl Cluster {
                 digest,
                 "corrupted payload reached the target SSD queue"
             );
-            let images = seeds
+            let images: Vec<BlockImage> = seeds
                 .map(|s| BlockImage::Bytes(payload::block_for(s)))
                 .collect();
-            (at, images)
+            (at, images.into())
         } else {
-            (now, vec![BlockImage::Tag(tag); blocks as usize])
+            (now, Images::Run(BlockImage::Tag(tag), blocks))
         };
         if let Some(tm) = &mut self.telemetry {
             tm.ssd_admit(at, target_idx);

@@ -244,7 +244,7 @@ impl Cluster {
                         let mut owner = None;
                         'find: for th in &self.threads {
                             for &(seq, ref spec) in &th.replay {
-                                for m in &spec.members {
+                                for m in spec.members.iter() {
                                     if logical >= m.range.lba
                                         && logical < m.range.lba + m.range.blocks as u64
                                     {

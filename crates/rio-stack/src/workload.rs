@@ -5,6 +5,9 @@
 //! *ordered groups*. A group is a set of write requests that may
 //! reorder freely among themselves; consecutive groups are ordered.
 
+use std::collections::VecDeque;
+use std::ops::Deref;
+
 use rio_order::attr::BlockRange;
 use rio_sim::SimRng;
 
@@ -13,6 +16,28 @@ use rio_sim::SimRng;
 pub struct MemberSpec {
     /// Logical range on the volume.
     pub range: BlockRange,
+}
+
+/// The member writes of a group. A single member — every group the
+/// built-in patterns emit — sits inline, so generating, queueing and
+/// cloning such a group never touches the heap. Derefs to the slice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Members {
+    /// A one-write group.
+    One(MemberSpec),
+    /// Any number of writes.
+    Many(Vec<MemberSpec>),
+}
+
+impl Deref for Members {
+    type Target = [MemberSpec];
+
+    fn deref(&self) -> &[MemberSpec] {
+        match self {
+            Members::One(m) => std::slice::from_ref(m),
+            Members::Many(ms) => ms,
+        }
+    }
 }
 
 /// Journaling stage of a group within an fsync operation (Fig. 14).
@@ -30,7 +55,7 @@ pub enum FsyncStage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSpec {
     /// The member writes (issued in order; final one is the boundary).
-    pub members: Vec<MemberSpec>,
+    pub members: Members,
     /// Whether the final member carries a FLUSH (fsync-style commit).
     pub flush: bool,
     /// The thread blocks after this group until all its in-flight
@@ -47,7 +72,7 @@ impl GroupSpec {
     /// A plain single-write group.
     pub fn plain(range: BlockRange) -> Self {
         GroupSpec {
-            members: vec![MemberSpec { range }],
+            members: Members::One(MemberSpec { range }),
             flush: false,
             sync_after: false,
             stage: None,
@@ -157,13 +182,7 @@ impl Workload {
         }
     }
 
-    /// Generates the ordered groups of script unit `idx` for a thread
-    /// owning `[area_start, area_start + area_blocks)`.
-    ///
-    /// Plain patterns yield one group per unit; [`Pattern::FsyncJournal`]
-    /// yields the D/JM/JC stages of one fsync operation. Sequential
-    /// patterns wrap within the private area; random patterns draw from
-    /// `rng`.
+    /// The groups [`Workload::op_into`] generates, as a fresh list.
     pub fn op(
         &self,
         idx: u64,
@@ -171,22 +190,37 @@ impl Workload {
         area_blocks: u64,
         rng: &mut SimRng,
     ) -> Vec<GroupSpec> {
+        let mut out = VecDeque::new();
+        self.op_into(idx, area_start, area_blocks, rng, &mut out);
+        out.into()
+    }
+
+    /// Appends to `out` the ordered groups of script unit `idx` for a
+    /// thread owning `[area_start, area_start + area_blocks)`.
+    ///
+    /// Plain patterns yield one group per unit; [`Pattern::FsyncJournal`]
+    /// yields the D/JM/JC stages of one fsync operation. Sequential
+    /// patterns wrap within the private area; random patterns draw from
+    /// `rng`.
+    pub fn op_into(
+        &self,
+        idx: u64,
+        area_start: u64,
+        area_blocks: u64,
+        rng: &mut SimRng,
+        out: &mut VecDeque<GroupSpec>,
+    ) {
+        let mut plain = |lba, blocks| out.push_back(GroupSpec::plain(BlockRange::new(lba, blocks)));
         match self.pattern {
             Pattern::RandomWrite { blocks } => {
                 let slots = (area_blocks / blocks as u64).max(1);
                 let slot = rng.below(slots);
-                vec![GroupSpec::plain(BlockRange::new(
-                    area_start + slot * blocks as u64,
-                    blocks,
-                ))]
+                plain(area_start + slot * blocks as u64, blocks);
             }
             Pattern::SeqWrite { blocks } => {
                 let slots = (area_blocks / blocks as u64).max(1);
                 let slot = idx % slots;
-                vec![GroupSpec::plain(BlockRange::new(
-                    area_start + slot * blocks as u64,
-                    blocks,
-                ))]
+                plain(area_start + slot * blocks as u64, blocks);
             }
             Pattern::JournalTriplet => {
                 // Triplet t occupies 3 consecutive blocks; units 2t
@@ -195,9 +229,9 @@ impl Workload {
                 let slots = (area_blocks / 3).max(1);
                 let base = area_start + (triplet % slots) * 3;
                 if idx % 2 == 0 {
-                    vec![GroupSpec::plain(BlockRange::new(base, 2))]
+                    plain(base, 2);
                 } else {
-                    vec![GroupSpec::plain(BlockRange::new(base + 2, 1))]
+                    plain(base + 2, 1);
                 }
             }
             Pattern::FsyncJournal {
@@ -221,39 +255,37 @@ impl Workload {
                 let tx_blocks = (meta_blocks + 1) as u64;
                 let journal_slots = (journal_cap / tx_blocks).max(1);
                 let jm_lba = journal_start + (idx % journal_slots) * tx_blocks;
-                let mut out = Vec::with_capacity(3);
                 if d_blocks > 0 {
                     let data_slots = (data_cap / d_blocks as u64).max(1);
                     let d_lba = area_start + (idx % data_slots) * d_blocks as u64;
-                    out.push(GroupSpec {
-                        members: vec![MemberSpec {
+                    out.push_back(GroupSpec {
+                        members: Members::One(MemberSpec {
                             range: BlockRange::new(d_lba, d_blocks),
-                        }],
+                        }),
                         flush: false,
                         sync_after: false,
                         stage: Some(FsyncStage::Data),
                         app_cpu_ns,
                     });
                 }
-                out.push(GroupSpec {
-                    members: vec![MemberSpec {
+                out.push_back(GroupSpec {
+                    members: Members::One(MemberSpec {
                         range: BlockRange::new(jm_lba, meta_blocks),
-                    }],
+                    }),
                     flush: false,
                     sync_after: false,
                     stage: Some(FsyncStage::Meta),
                     app_cpu_ns: if d_blocks == 0 { app_cpu_ns } else { 0 },
                 });
-                out.push(GroupSpec {
-                    members: vec![MemberSpec {
+                out.push_back(GroupSpec {
+                    members: Members::One(MemberSpec {
                         range: BlockRange::new(jm_lba + meta_blocks as u64, 1),
-                    }],
+                    }),
                     flush: true,
                     sync_after: true,
                     stage: Some(FsyncStage::Commit),
                     app_cpu_ns: 0,
                 });
-                out
             }
         }
     }
@@ -348,6 +380,39 @@ mod tests {
         let groups = w.op(0, 0, 1000, &mut rng);
         assert_eq!(groups.len(), 2, "metadata-only op has no D stage");
         assert_eq!(groups[0].stage, Some(FsyncStage::Meta));
+    }
+
+    #[test]
+    fn op_into_appends_what_op_returns() {
+        let workloads = [
+            Workload::random_4k(1, 10),
+            Workload::seq_batched(1, 10, 4, 2),
+            Workload::journal_triplet(1, 5),
+            Workload::fsync_append(1, 10),
+        ];
+        for w in workloads {
+            let (mut a, mut b) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
+            let mut queue = VecDeque::from([GroupSpec::plain(BlockRange::new(0, 1))]);
+            let mut listed = vec![queue[0].clone()];
+            for idx in 0..10 {
+                w.op_into(idx, 64, 4096, &mut a, &mut queue);
+                listed.extend(w.op(idx, 64, 4096, &mut b));
+            }
+            assert_eq!(Vec::from(queue), listed, "{:?}", w.pattern);
+        }
+    }
+
+    #[test]
+    fn members_are_a_slice_whether_inline_or_listed() {
+        let m = |lba| MemberSpec {
+            range: BlockRange::new(lba, 1),
+        };
+        let mut g = GroupSpec::plain(BlockRange::new(8, 1));
+        assert_eq!(*g.members, [m(8)]);
+        g.members = Members::Many(vec![m(1), m(2), m(3)]);
+        assert_eq!(g.members.len(), 3);
+        assert_eq!(g.blocks(), 3);
+        assert_eq!(g.members.iter().map(|m| m.range.lba).sum::<u64>(), 6);
     }
 
     #[test]
