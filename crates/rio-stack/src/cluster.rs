@@ -408,32 +408,9 @@ impl Target {
     }
 }
 
-/// Copy-able discriminant of [`OrderingMode`], hoisted out of the
-/// per-event dispatch so handlers never touch (or clone) the config
-/// enum on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModeKind {
-    Rio,
-    Orderless,
-    Horae,
-    Linux,
-}
-
-impl ModeKind {
-    fn of(mode: &OrderingMode) -> Self {
-        match mode {
-            OrderingMode::Rio { .. } => ModeKind::Rio,
-            OrderingMode::Orderless => ModeKind::Orderless,
-            OrderingMode::Horae => ModeKind::Horae,
-            OrderingMode::LinuxNvmf => ModeKind::Linux,
-        }
-    }
-}
-
 /// The simulated cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
-    mode_kind: ModeKind,
     workload: Workload,
     events: EventHeap<Event>,
     fabric: Fabric,
@@ -756,7 +733,6 @@ impl Cluster {
             epoch_ops_base: 0,
             events: EventHeap::with_capacity(inflight_hint),
             fabric,
-            mode_kind: ModeKind::of(&cfg.mode),
             cfg,
             workload,
         }
@@ -991,11 +967,11 @@ impl Cluster {
         if self.threads[t].syncing {
             return;
         }
-        match self.mode_kind {
-            ModeKind::Rio => self.submit_async_rio(now, t),
-            ModeKind::Orderless => self.submit_async_orderless(now, t),
-            ModeKind::Horae => self.submit_horae(now, t),
-            ModeKind::Linux => self.submit_linux(now, t),
+        match self.cfg.mode {
+            OrderingMode::Rio { .. } => self.submit_async_rio(now, t),
+            OrderingMode::Orderless => self.submit_async_orderless(now, t),
+            OrderingMode::Horae => self.submit_horae(now, t),
+            OrderingMode::LinuxNvmf => self.submit_linux(now, t),
         }
     }
 
@@ -2136,7 +2112,7 @@ impl Cluster {
             self.delivered_scratch = delivered;
         } else {
             self.deliver(t, unit.plain_groups, unit.blocks as u64, unit.submitted, cpu);
-            if self.mode_kind == ModeKind::Linux {
+            if self.cfg.mode == OrderingMode::LinuxNvmf {
                 // Write leg finished; issue the FLUSH leg.
                 self.on_sync_write_complete(cpu, t, &cmd);
             } else {

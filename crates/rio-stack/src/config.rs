@@ -8,7 +8,7 @@ use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 
 /// Which ordering engine drives the stack (§6.2's compared systems).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OrderingMode {
     /// No ordering guarantees (the paper's "orderless" upper bound).
     Orderless,
