@@ -178,57 +178,16 @@ struct Unit {
     submitted: SimTime,
 }
 
-/// Per-group bookkeeping for latency and window accounting (Rio).
-#[derive(Debug, Clone, Copy)]
-struct GroupInfo {
-    blocks: u32,
+/// One submitted-but-undelivered group of a Rio thread.
+#[derive(Debug)]
+struct Undelivered {
+    /// Group sequence number on the thread's stream.
+    seq: u32,
+    /// When its last member was submitted (the latency clock's start).
     submitted: SimTime,
-    thread: usize,
-    stage: Option<FsyncStage>,
-}
-
-/// Dense per-stream store of [`GroupInfo`].
-///
-/// Group sequence numbers are allocated contiguously per stream and
-/// both inserted (at submit) and removed (at in-order delivery) in
-/// ascending order, so the map `(stream, seq) -> GroupInfo` collapses
-/// into one ring per stream: `buf[0]` is group `head_seq`, lookups are
-/// index arithmetic, and no hashing happens on the event path.
-#[derive(Debug, Default)]
-struct GroupInfoRing {
-    /// Sequence number of `buf[0]` (meaningful only when non-empty).
-    head_seq: u32,
-    buf: VecDeque<GroupInfo>,
-}
-
-impl GroupInfoRing {
-    /// Inserts the info for `seq`; sequences arrive in order.
-    fn insert(&mut self, seq: u32, info: GroupInfo) {
-        if self.buf.is_empty() {
-            self.head_seq = seq;
-        } else {
-            debug_assert_eq!(seq, self.head_seq + self.buf.len() as u32);
-        }
-        self.buf.push_back(info);
-    }
-
-    /// Looks up the info for `seq`, if still live.
-    fn get(&self, seq: u32) -> Option<&GroupInfo> {
-        if self.buf.is_empty() || seq < self.head_seq {
-            return None;
-        }
-        self.buf.get((seq - self.head_seq) as usize)
-    }
-
-    /// Removes the info for `seq`. Delivery is in-order per stream, so
-    /// `seq` is always the ring head.
-    fn remove(&mut self, seq: u32) -> Option<GroupInfo> {
-        if self.buf.is_empty() || seq != self.head_seq {
-            return None;
-        }
-        self.head_seq += 1;
-        self.buf.pop_front()
-    }
+    /// The script entry, moved in at submit: its blocks and fsync stage
+    /// are read off it, and a recovery re-queues it from here.
+    spec: GroupSpec,
 }
 
 /// Slot index of an fsync stage in `stage_marks` / `stage_dispatch`.
@@ -282,11 +241,20 @@ struct ThreadState {
     /// Horae: earliest instant the next control post may issue (the
     /// serialized ordering-layer gap).
     ctrl_gate_until: SimTime,
-    /// Rio under fault injection: submitted-but-undelivered groups, in
-    /// sequence order, so a recovery can redeliver the durable prefix
-    /// and re-queue the rolled-back tail. Empty when no faults are
-    /// configured.
-    replay: VecDeque<(u32, GroupSpec)>,
+    /// Rio: submitted-but-undelivered groups. Thread `i` owns stream
+    /// `i` and delivery is in order, so this is one FIFO with
+    /// contiguous sequence numbers: group `seq` sits at index
+    /// `seq - front.seq`, a delivery pops the front, and a recovery
+    /// redelivers the durable prefix and re-queues the rolled-back tail.
+    undelivered: VecDeque<Undelivered>,
+}
+
+impl ThreadState {
+    /// The still-undelivered group `seq` of this thread's stream.
+    fn undelivered_group(&self, seq: u32) -> Option<&Undelivered> {
+        let front = self.undelivered.front()?;
+        self.undelivered.get(seq.checked_sub(front.seq)? as usize)
+    }
 }
 
 /// One initiator host: its driver cores, fabric NIC and `librio`
@@ -433,8 +401,6 @@ pub struct Cluster {
     cmds: Slab<Cmd>,
     /// In-flight dispatch units, same keying scheme as `cmds`.
     units: Slab<Unit>,
-    /// Per-stream group bookkeeping rings.
-    group_info: Vec<GroupInfoRing>,
     /// Scratch buffer for gate releases (reused across events).
     gate_scratch: Vec<(OrderingAttr, u64)>,
     /// Scratch buffer for completer deliveries (reused across events).
@@ -472,8 +438,6 @@ pub struct Cluster {
     /// Media-side integrity ledger (wire-side counters come from the
     /// NICs at snapshot time).
     integ: IntegrityMetrics,
-    /// Whether per-thread replay buffers are maintained (fault plans).
-    track_replay: bool,
     /// Next fault in `cfg.faults` that has not fired yet.
     fault_cursor: usize,
     /// One breakdown per fault survived so far.
@@ -651,6 +615,11 @@ impl Cluster {
             .collect();
 
         let per_thread_blocks = volume.capacity_blocks() / workload.threads as u64;
+        // Only Rio threads queue undelivered groups, one window deep.
+        let undelivered_cap = match cfg.mode {
+            OrderingMode::Rio { .. } => cfg.max_inflight_per_stream,
+            _ => 0,
+        };
         let threads: Vec<ThreadState> = (0..workload.threads)
             .map(|i| ThreadState {
                 init: init_of_stream[i],
@@ -674,7 +643,7 @@ impl Cluster {
                 ctrl_pending: VecDeque::new(),
                 ctrl_outstanding: false,
                 ctrl_gate_until: SimTime::ZERO,
-                replay: VecDeque::new(),
+                undelivered: VecDeque::with_capacity(undelivered_cap),
             })
             .collect();
 
@@ -700,7 +669,6 @@ impl Cluster {
             targets,
             cmds: Slab::with_capacity(inflight_hint),
             units: Slab::with_capacity(inflight_hint),
-            group_info: (0..total_streams).map(|_| GroupInfoRing::default()).collect(),
             gate_scratch: Vec::with_capacity(16),
             delivered_scratch: Vec::with_capacity(16),
             map_scratch: Vec::with_capacity(16),
@@ -723,7 +691,6 @@ impl Cluster {
             last_completion: SimTime::ZERO,
             integrity,
             integ: IntegrityMetrics::default(),
-            track_replay: !cfg.faults.events.is_empty(),
             fault_cursor: 0,
             recoveries: Vec::new(),
             epochs: Vec::new(),
@@ -1059,8 +1026,7 @@ impl Cluster {
                 cpu = self.note_group_start(cpu, t, &spec);
                 let stream = self.threads[t].stream;
                 let n = spec.members.len();
-                let blocks = spec.blocks();
-                let mut group_seq = 0u32;
+                let mut seq = 0u32;
                 for (i, m) in spec.members.iter().enumerate() {
                     let last = i == n - 1;
                     cpu = self.init_run_on(
@@ -1074,31 +1040,22 @@ impl Cluster {
                         last,
                         last && spec.flush,
                     );
-                    if last {
-                        group_seq = attr.seq_start.0;
-                        self.group_info[stream.0 as usize].insert(
-                            attr.seq_start.0,
-                            GroupInfo {
-                                blocks,
-                                submitted: cpu,
-                                thread: t,
-                                stage: spec.stage,
-                            },
-                        );
-                        if let Some(tm) = &mut self.telemetry {
-                            tm.group_submitted(cpu, 1);
-                        }
-                    }
+                    seq = attr.seq_start.0;
                 }
-                if self.track_replay {
-                    // Keep the spec until delivery so a recovery can
-                    // re-queue rolled-back groups for resubmission.
-                    self.threads[t].replay.push_back((group_seq, spec.clone()));
+                if let Some(tm) = &mut self.telemetry {
+                    tm.group_submitted(cpu, 1);
                 }
-                self.threads[t].inflight += 1;
+                hit_sync = spec.sync_after;
+                let th = &mut self.threads[t];
+                debug_assert!(th.undelivered.back().map_or(true, |g| g.seq + 1 == seq));
+                th.undelivered.push_back(Undelivered {
+                    seq,
+                    submitted: cpu,
+                    spec,
+                });
+                th.inflight += 1;
                 submitted += 1;
-                if spec.sync_after {
-                    hit_sync = true;
+                if hit_sync {
                     break;
                 }
             }
@@ -1186,8 +1143,8 @@ impl Cluster {
         // Stage dispatch marks for the Fig. 14 breakdown, all at the
         // same `cpu` instant.
         for p in unit.parts.iter().filter(|p| p.attr.boundary) {
-            let info = self.group_info[p.attr.stream.0 as usize].get(p.attr.seq_start.0);
-            if let Some(stage) = info.and_then(|i| i.stage) {
+            let group = self.threads[t].undelivered_group(p.attr.seq_start.0);
+            if let Some(stage) = group.and_then(|g| g.spec.stage) {
                 self.mark_stage(t, stage, cpu);
             }
         }
@@ -2095,19 +2052,15 @@ impl Cluster {
                 }
             }
             for &seq in &delivered {
-                let info = self.group_info[stream.0 as usize]
-                    .remove(seq.0)
+                // In-order delivery: the group is the queue's front.
+                let g = self.threads[t]
+                    .undelivered
+                    .pop_front()
                     .expect("delivered group was submitted");
-                if self.track_replay {
-                    let popped = self.threads[info.thread].replay.pop_front();
-                    debug_assert!(
-                        matches!(popped, Some((s, _)) if s == seq.0),
-                        "replay buffer out of sync with in-order delivery"
-                    );
-                }
-                self.deliver(info.thread, 1, info.blocks as u64, info.submitted, cpu);
-                self.threads[info.thread].inflight -= 1;
-                self.maybe_wake(cpu, info.thread);
+                debug_assert_eq!(g.seq, seq.0);
+                self.deliver(t, 1, g.spec.blocks() as u64, g.submitted, cpu);
+                self.threads[t].inflight -= 1;
+                self.maybe_wake(cpu, t);
             }
             self.delivered_scratch = delivered;
         } else {

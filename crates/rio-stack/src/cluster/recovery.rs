@@ -30,7 +30,7 @@ use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan}
 use rio_order::SubmissionGate;
 use rio_sim::{SimDuration, SimTime};
 
-use super::{Cluster, Event, GroupInfoRing, SyncStage};
+use super::{Cluster, Event, SyncStage};
 use crate::config::FaultKind;
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
 
@@ -99,11 +99,10 @@ impl Cluster {
         if self.telemetry.is_some() {
             // In-flight commands and queued writes died with the
             // connections. The pending-group gauge survives only when
-            // replay tracking will account it back (redeliver/requeue)
-            // after recovery.
-            let drop_pending = !(ev.resume && self.track_replay);
+            // a resume will account it back (redeliver/requeue) after
+            // recovery.
             let tm = self.telemetry.as_mut().expect("checked above");
-            tm.crash(now, drop_pending);
+            tm.crash(now, !ev.resume);
         }
 
         // Physical failure. Power loss kills volatile SSD state on the
@@ -243,12 +242,12 @@ impl Cluster {
                         let logical = self.volume.logical_of(leg, plba);
                         let mut owner = None;
                         'find: for th in &self.threads {
-                            for &(seq, ref spec) in &th.replay {
-                                for m in spec.members.iter() {
+                            for g in &th.undelivered {
+                                for m in g.spec.members.iter() {
                                     if logical >= m.range.lba
                                         && logical < m.range.lba + m.range.blocks as u64
                                     {
-                                        owner = Some((th.stream.0 as usize, seq));
+                                        owner = Some((th.stream.0 as usize, g.seq));
                                         break 'find;
                                     }
                                 }
@@ -385,32 +384,30 @@ impl Cluster {
 
         if s < self.threads.len() {
             let t = s;
-            let mut replay = std::mem::take(&mut self.threads[t].replay);
+            let mut undelivered = std::mem::take(&mut self.threads[t].undelivered);
             // 1. Deliver the durable-but-unacknowledged prefix now: its
             //    data survived in storage order, so re-executing it
             //    would double-apply.
-            while replay.front().is_some_and(|&(seq, _)| seq <= valid) {
-                let (seq, _) = replay.pop_front().expect("front exists");
-                let info = self.group_info[s]
-                    .remove(seq)
-                    .expect("undelivered group is tracked");
-                self.deliver(t, 1, info.blocks as u64, info.submitted, resumed_at);
+            while undelivered.front().is_some_and(|g| g.seq <= valid) {
+                let g = undelivered.pop_front().expect("front exists");
+                self.deliver(t, 1, g.spec.blocks() as u64, g.submitted, resumed_at);
                 row.redelivered += 1;
             }
             // 2. Everything beyond the prefix was rolled back: re-queue
             //    it ahead of the thread's ungenerated script,
             //    preserving submission order.
-            row.requeued = replay.len() as u64;
+            row.requeued = undelivered.len() as u64;
             if row.requeued > 0 {
                 if let Some(tm) = &mut self.telemetry {
                     tm.requeued(resumed_at, row.requeued);
                 }
             }
-            while let Some((_, spec)) = replay.pop_back() {
-                self.threads[t].queue.push_front(spec);
+            while let Some(g) = undelivered.pop_back() {
+                self.threads[t].queue.push_front(g.spec);
             }
-            self.group_info[s] = GroupInfoRing::default();
             let th = &mut self.threads[t];
+            // Hand the emptied queue (and its capacity) back.
+            th.undelivered = undelivered;
             th.inflight = 0;
             th.parked = false;
             th.done_submitting = false;
