@@ -35,7 +35,9 @@ use rio_ssd::{BlockImage, Images, Ssd};
 
 use crate::config::{ClusterConfig, FaultKind, OrderingMode};
 use crate::cpu::CoreSet;
-use crate::metrics::{EpochMetrics, IntegrityMetrics, RecoveryMetrics, RunMetrics};
+use crate::metrics::{
+    EpochMetrics, InitiatorMetrics, IntegrityMetrics, RecoveryMetrics, RunMetrics,
+};
 use crate::telemetry::TelemetrySampler;
 use crate::trace::{Stage, StageTrace, TRACE_NONE};
 use crate::workload::{FsyncStage, GroupSpec, Workload};
@@ -260,7 +262,7 @@ impl ThreadState {
 /// One initiator host: its driver cores, fabric NIC and `librio`
 /// handle (sequencer, ORDER queues, in-order completer), plus the
 /// slice of the global stream space it owns. Stream ids are global —
-/// initiator `i` owns `[stream_base, stream_base + n_streams)` — so
+/// initiator `i` owns `[m.stream_base, m.stream_base + m.streams)` — so
 /// every structure keyed by (global) stream is implicitly keyed by
 /// (initiator, stream) with no id translation anywhere on the event
 /// path.
@@ -270,23 +272,13 @@ struct Initiator {
     /// Sized at the *global* stream count; the initiator only ever
     /// touches its own slice.
     rio: Rio,
-    /// Tenant this initiator bills to, and its index in
-    /// `Cluster::tenants`.
-    tenant: u32,
+    /// Index of the tenant it bills to in `Cluster::tenants`.
     tenant_idx: usize,
-    /// QoS weight its tenant share carries in the target DRR.
-    weight: u32,
-    /// First global stream id of this initiator's slice.
-    stream_base: usize,
-    /// Streams in this initiator's slice.
-    n_streams: usize,
-    // Per-initiator accounting for the RunMetrics breakdown.
-    groups_done: u64,
-    blocks_done: u64,
-    commands_sent: u64,
-    gate_buffered: u64,
-    group_latency: Histogram,
-    finished_at: SimTime,
+    /// Its `RunMetrics::initiators` row — identity (tenant, weight,
+    /// stream slice) and the counters the event path bumps in place.
+    /// Run totals are sums of these rows; `util` is filled in by
+    /// `metrics()`.
+    m: InitiatorMetrics,
 }
 
 /// Blocks of SSD service one DRR weight unit earns per round.
@@ -416,14 +408,11 @@ pub struct Cluster {
     admit_scratch: Vec<(usize, u64, SimTime)>,
     /// Round-robin cursor for the scatter (non-pinned) QP policy.
     scatter_qp: u64,
-    // Metrics.
-    groups_done: u64,
-    blocks_done: u64,
+    // Metrics. Groups, blocks, commands and group latency are counted
+    // once, on the owning initiator's row.
     ops_done: u64,
-    commands_sent: u64,
     ctrl_sent: u64,
     events_processed: u64,
-    group_latency: Histogram,
     op_latency: Histogram,
     stage_lat: [rio_sim::MeanAccum; 4],
     /// Per-command stage recorder (`None` = tracing off, zero cost).
@@ -444,11 +433,9 @@ pub struct Cluster {
     recoveries: Vec<RecoveryMetrics>,
     /// Closed crash-free epochs (the open one is closed by `metrics`).
     epochs: Vec<EpochMetrics>,
-    /// Start of the open epoch and the counter bases at that instant.
+    /// Start of the open epoch (its counts are the run totals minus
+    /// the closed epochs).
     epoch_start: SimTime,
-    epoch_groups_base: u64,
-    epoch_blocks_base: u64,
-    epoch_ops_base: u64,
 }
 
 impl Cluster {
@@ -587,7 +574,8 @@ impl Cluster {
         let initiators: Vec<Initiator> = init_cfgs
             .iter()
             .zip(tenant_idx)
-            .map(|(ic, tenant_idx)| {
+            .enumerate()
+            .map(|(i, (ic, tenant_idx))| {
                 let init = Initiator {
                     cores: CoreSet::new(ic.cores),
                     nic: Nic::for_profile(n_targets * cfg.qps_per_target, &wire),
@@ -597,17 +585,21 @@ impl Cluster {
                         merge: matches!(cfg.mode, OrderingMode::Rio { merge: true }),
                         window: cfg.max_inflight_per_stream * 2,
                     }),
-                    tenant: ic.tenant,
                     tenant_idx,
-                    weight: ic.weight,
-                    stream_base,
-                    n_streams: ic.streams,
-                    groups_done: 0,
-                    blocks_done: 0,
-                    commands_sent: 0,
-                    gate_buffered: 0,
-                    group_latency: Histogram::new(),
-                    finished_at: SimTime::ZERO,
+                    m: InitiatorMetrics {
+                        initiator: i,
+                        tenant: ic.tenant,
+                        weight: ic.weight,
+                        stream_base,
+                        streams: ic.streams,
+                        groups_done: 0,
+                        blocks_done: 0,
+                        commands_sent: 0,
+                        gate_buffered: 0,
+                        group_latency: Histogram::new(),
+                        util: 0.0,
+                        finished_at: SimTime::ZERO,
+                    },
                 };
                 stream_base += ic.streams;
                 init
@@ -623,7 +615,7 @@ impl Cluster {
         let threads: Vec<ThreadState> = (0..workload.threads)
             .map(|i| ThreadState {
                 init: init_of_stream[i],
-                core: (i - initiators[init_of_stream[i]].stream_base)
+                core: (i - initiators[init_of_stream[i]].m.stream_base)
                     % initiators[init_of_stream[i]].cores.len(),
                 stream: StreamId(i as u16),
                 next_op: 0,
@@ -677,13 +669,9 @@ impl Cluster {
             frag_scratch: Vec::with_capacity(16),
             admit_scratch: Vec::new(),
             scatter_qp: 0,
-            groups_done: 0,
-            blocks_done: 0,
             ops_done: 0,
-            commands_sent: 0,
             ctrl_sent: 0,
             events_processed: 0,
-            group_latency: Histogram::new(),
             op_latency: Histogram::new(),
             stage_lat: Default::default(),
             trace,
@@ -695,9 +683,6 @@ impl Cluster {
             recoveries: Vec::new(),
             epochs: Vec::new(),
             epoch_start: SimTime::ZERO,
-            epoch_groups_base: 0,
-            epoch_blocks_base: 0,
-            epoch_ops_base: 0,
             events: EventHeap::with_capacity(inflight_hint),
             fabric,
             cfg,
@@ -826,25 +811,20 @@ impl Cluster {
         // is then empty, not negative.
         let mut epochs = self.epochs.clone();
         epochs.push(self.open_epoch(self.last_completion.max(self.epoch_start)));
-        let initiators: Vec<crate::metrics::InitiatorMetrics> = self
+        let initiators: Vec<InitiatorMetrics> = self
             .initiators
             .iter()
-            .enumerate()
-            .map(|(i, init)| crate::metrics::InitiatorMetrics {
-                initiator: i,
-                tenant: init.tenant,
-                weight: init.weight,
-                stream_base: init.stream_base,
-                streams: init.n_streams,
-                groups_done: init.groups_done,
-                blocks_done: init.blocks_done,
-                commands_sent: init.commands_sent,
-                gate_buffered: init.gate_buffered,
-                group_latency: init.group_latency.clone(),
+            .map(|init| InitiatorMetrics {
                 util: init.cores.utilization(span),
-                finished_at: init.finished_at,
+                ..init.m.clone()
             })
             .collect();
+        // Run totals are sums of the initiator rows (the histogram is
+        // integer buckets, so the merge is exact).
+        let mut group_latency = Histogram::new();
+        for i in &initiators {
+            group_latency.merge(&i.group_latency);
+        }
         // Per-tenant rollup: the sum of the tenant's initiators, plus
         // the DRR admission wait recorded at the targets.
         let mut tenants: Vec<crate::metrics::TenantMetrics> = self
@@ -861,26 +841,26 @@ impl Cluster {
                     gate_wait: self.tenant_gate_wait[ti].clone(),
                     finished_at: SimTime::ZERO,
                 };
-                for init in self.initiators.iter().filter(|i| i.tenant == tenant) {
-                    t.weight += init.weight;
-                    t.groups_done += init.groups_done;
-                    t.blocks_done += init.blocks_done;
-                    t.group_latency.merge(&init.group_latency);
-                    t.finished_at = t.finished_at.max(init.finished_at);
+                for i in initiators.iter().filter(|i| i.tenant == tenant) {
+                    t.weight += i.weight;
+                    t.groups_done += i.groups_done;
+                    t.blocks_done += i.blocks_done;
+                    t.group_latency.merge(&i.group_latency);
+                    t.finished_at = t.finished_at.max(i.finished_at);
                 }
                 t
             })
             .collect();
         tenants.sort_by_key(|t| t.tenant);
         RunMetrics {
-            blocks_done: self.blocks_done,
-            groups_done: self.groups_done,
+            blocks_done: initiators.iter().map(|i| i.blocks_done).sum(),
+            groups_done: initiators.iter().map(|i| i.groups_done).sum(),
             ops_done: self.ops_done,
             gate_buffered,
-            commands_sent: self.commands_sent,
+            commands_sent: initiators.iter().map(|i| i.commands_sent).sum(),
             events_processed: self.events_processed,
             span,
-            group_latency: self.group_latency.clone(),
+            group_latency,
             op_latency: self.op_latency.clone(),
             stage_dispatch: self.stage_lat.clone(),
             initiator_util: initiators.iter().map(|i| i.util).sum::<f64>()
@@ -898,14 +878,19 @@ impl Cluster {
         }
     }
 
-    /// The open epoch's row, as if it closed at `to`.
+    /// The open epoch's row, as if it closed at `to`: the run totals
+    /// minus what the closed epochs already account for.
     fn open_epoch(&self, to: SimTime) -> EpochMetrics {
+        let total = |f: fn(&InitiatorMetrics) -> u64| -> u64 {
+            self.initiators.iter().map(|i| f(&i.m)).sum()
+        };
+        let closed = |f: fn(&EpochMetrics) -> u64| -> u64 { self.epochs.iter().map(f).sum() };
         EpochMetrics {
             from: self.epoch_start,
             to,
-            groups_done: self.groups_done - self.epoch_groups_base,
-            blocks_done: self.blocks_done - self.epoch_blocks_base,
-            ops_done: self.ops_done - self.epoch_ops_base,
+            groups_done: total(|m| m.groups_done) - closed(|e| e.groups_done),
+            blocks_done: total(|m| m.blocks_done) - closed(|e| e.blocks_done),
+            ops_done: self.ops_done - closed(|e| e.ops_done),
         }
     }
 
@@ -1496,9 +1481,8 @@ impl Cluster {
     /// instant the command was stamped/generated, before the post CPU
     /// charge — the head of its stage trace.
     fn send_cmd(&mut self, now: SimTime, stamped: SimTime, mut cmd: Cmd) {
-        self.commands_sent += 1;
         let init = self.threads[cmd.thread].init;
-        self.initiators[init].commands_sent += 1;
+        self.initiators[init].m.commands_sent += 1;
         if let Some(tm) = &mut self.telemetry {
             tm.cmd_sent(now);
         }
@@ -1655,7 +1639,7 @@ impl Cluster {
             if !released.iter().any(|&(_, rid)| rid == id) {
                 // The arriving command was held back out of order;
                 // bill the buffering to its initiator.
-                self.initiators[init].gate_buffered += 1;
+                self.initiators[init].m.gate_buffered += 1;
             }
             let mut cpu = recv_done;
             for &(r_attr, r_id) in &released {
@@ -2078,22 +2062,18 @@ impl Cluster {
 
     /// `groups` groups of thread `owner`, `blocks` blocks in all,
     /// submitted at `submitted`, became visible to the application at
-    /// `at`: the one place delivery is accounted, globally and for the
-    /// owning initiator.
+    /// `at`: the one place delivery is accounted, on the owning
+    /// initiator's row.
     fn deliver(&mut self, owner: usize, groups: u64, blocks: u64, submitted: SimTime, at: SimTime) {
-        let latency = at.since(submitted);
-        self.groups_done += groups;
-        self.blocks_done += blocks;
-        self.group_latency.record(latency);
         self.last_completion = self.last_completion.max(at);
         if let Some(tm) = &mut self.telemetry {
             tm.delivered(at, groups, blocks);
         }
-        let im = &mut self.initiators[self.threads[owner].init];
-        im.groups_done += groups;
-        im.blocks_done += blocks;
-        im.group_latency.record(latency);
-        im.finished_at = im.finished_at.max(at);
+        let m = &mut self.initiators[self.threads[owner].init].m;
+        m.groups_done += groups;
+        m.blocks_done += blocks;
+        m.group_latency.record(at.since(submitted));
+        m.finished_at = m.finished_at.max(at);
     }
 
     /// Linux mode: after the ordered write completes, send a FLUSH leg

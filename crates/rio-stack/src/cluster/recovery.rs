@@ -80,9 +80,6 @@ impl Cluster {
 
         // Close the current epoch at the fault instant.
         self.epochs.push(self.open_epoch(now));
-        self.epoch_groups_base = self.groups_done;
-        self.epoch_blocks_base = self.blocks_done;
-        self.epoch_ops_base = self.ops_done;
 
         // The initiator's connections die with the fault: every
         // in-flight command, data pull, completion and retransmission
