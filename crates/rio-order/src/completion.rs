@@ -8,9 +8,17 @@
 //! boundary request has completed (telling us `num`) and all `num`
 //! members have completed; a merged span completes as a unit.
 //!
+//! A merge is reported *once*, with the merged unit's attribute: the
+//! ORDER queue only merges whole groups and marks every merge
+//! `boundary` with `member_idx == 0`, so such a completion is credited
+//! with all `num` members of its group (or, across groups, completes
+//! the whole span) — callers never unroll a merge into its parts.
+//!
 //! Fragment (split) completions are rejoined *below* this layer by the
 //! block layer — exactly as Linux completes a parent bio only when all
 //! split children finish — so the completer only sees logical members.
+//! Every fragment carries its unit's ordering identity, so the attribute
+//! of whichever fragment finishes last serves as the unit's completion.
 //!
 //! # Hot-path layout
 //!
@@ -48,7 +56,8 @@ struct StreamCompletions {
     /// Dense pending ring: `ring[i]` tracks group
     /// `delivered_through + 1 + i`.
     ring: VecDeque<Pending>,
-    /// Occupied (non-vacant) ring slots, i.e. buffered groups.
+    /// Buffered groups: one per occupied group slot, a merged span
+    /// counting every group it covers.
     pending_count: usize,
 }
 
@@ -208,7 +217,12 @@ impl InOrderCompleter {
             }
             match slot {
                 Pending::Group { members_done, num } => {
-                    *members_done += 1;
+                    // A whole-group unit (first member and boundary at
+                    // once) stands for every member of its group.
+                    // (`max(1)`: a malformed zero count still trips the
+                    // overrun check below.)
+                    let whole_group = attr.boundary && attr.member_idx == 0;
+                    *members_done += if whole_group { attr.num.max(1) } else { 1 };
                     if attr.boundary {
                         assert!(num.is_none(), "duplicate boundary completion");
                         *num = Some(attr.num);
@@ -226,7 +240,7 @@ impl InOrderCompleter {
             }
         }
         if was_vacant {
-            st.pending_count += 1;
+            st.pending_count += (attr.seq_end.0 - attr.seq_start.0) as usize + 1;
         }
 
         // Release the contiguous prefix of finished groups.
@@ -243,14 +257,12 @@ impl InOrderCompleter {
                 _ => break,
             };
             // Drop the covered slots; a merged span's tail slots are
-            // vacant (the span completes as one unit).
+            // vacant (the span completes as one unit) but were counted
+            // as buffered groups with its head.
             let mut s = st.delivered_through.next();
             loop {
-                if let Some(p) = st.ring.pop_front() {
-                    if !matches!(p, Pending::Vacant) {
-                        st.pending_count -= 1;
-                    }
-                }
+                st.ring.pop_front();
+                st.pending_count -= 1;
                 released.push(s);
                 if s == finished_to {
                     break;
@@ -276,6 +288,7 @@ mod tests {
     use super::*;
     use crate::attr::BlockRange;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn single(seq: u32) -> OrderingAttr {
         let mut a = OrderingAttr::single(StreamId(0), Seq(seq), BlockRange::new(0, 1));
@@ -355,6 +368,33 @@ mod tests {
         assert_eq!(c.on_done(&single(1)), vec![Seq(1), Seq(2), Seq(3), Seq(4)]);
     }
 
+    /// A merge inside one group is dispatched as a whole-group unit
+    /// (first member and boundary at once): its single completion
+    /// stands for every member.
+    #[test]
+    fn whole_group_unit_completes_all_its_members_at_once() {
+        let mut c = InOrderCompleter::new(1);
+        assert_eq!(c.on_done(&boundary(1, 0, 3)), vec![Seq(1)]);
+        assert_eq!(c.pending_groups(StreamId(0)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already-delivered")]
+    fn whole_group_unit_completes_only_once() {
+        let mut c = InOrderCompleter::new(1);
+        c.on_done(&boundary(1, 0, 3));
+        c.on_done(&boundary(1, 0, 3));
+    }
+
+    #[test]
+    fn held_back_merged_span_counts_every_group_it_covers() {
+        let mut c = InOrderCompleter::new(1);
+        assert!(c.on_done(&merged(2, 4)).is_empty());
+        assert_eq!(c.total_pending(), 3);
+        assert_eq!(c.on_done(&single(1)).len(), 4);
+        assert_eq!(c.total_pending(), 0);
+    }
+
     #[test]
     fn is_delivered_observer() {
         let mut c = InOrderCompleter::new(1);
@@ -402,6 +442,114 @@ mod tests {
         assert_eq!(c.delivered_through(StreamId(0)), Seq(7));
         assert_eq!(c.pending_groups(StreamId(0)), 0);
         assert_eq!(c.on_done(&single(8)), vec![Seq(8)]);
+    }
+
+    /// The obviously-correct reference the dense ring is checked
+    /// against: per stream, a map from group sequence to (members
+    /// done, member count once the boundary told it).
+    struct RefCompleter {
+        streams: Vec<(u32, BTreeMap<u32, (u16, Option<u16>)>)>,
+    }
+
+    impl RefCompleter {
+        fn on_done(&mut self, attr: &OrderingAttr) -> Vec<Seq> {
+            let (delivered, groups) = &mut self.streams[attr.stream.0 as usize];
+            if attr.is_merged_span() {
+                // Whole groups only: every covered group is complete.
+                for seq in attr.seq_start.0..=attr.seq_end.0 {
+                    assert!(groups.insert(seq, (1, Some(1))).is_none());
+                }
+            } else {
+                let g = groups.entry(attr.seq_start.0).or_insert((0, None));
+                g.0 += if attr.boundary && attr.member_idx == 0 { attr.num } else { 1 };
+                if attr.boundary {
+                    g.1 = Some(attr.num);
+                }
+            }
+            let mut released = Vec::new();
+            while let Some(&(done, Some(num))) = groups.get(&(*delivered + 1)) {
+                if done != num {
+                    break;
+                }
+                *delivered += 1;
+                groups.remove(delivered);
+                released.push(Seq(*delivered));
+            }
+            released
+        }
+
+        fn total_pending(&self) -> usize {
+            self.streams.iter().map(|(_, groups)| groups.len()).sum()
+        }
+    }
+
+    /// Seeded random scripts on two streams: groups of 1–4 members laid
+    /// out so the real ORDER queue dispatches some unmerged, some merged
+    /// inside one group and some merged across groups; the units
+    /// complete in random order, and after every completion the ring
+    /// and the reference must have released the same sequences and hold
+    /// back the same number of groups.
+    #[test]
+    fn lockstep_with_the_map_based_reference() {
+        use crate::scheduler::{OrderQueue, OrderQueueConfig};
+        use crate::sequencer::{Sequencer, SubmitOpts};
+        use rand::{Rng, SeedableRng};
+        const STREAMS: usize = 2;
+        // Units seen: unmerged, merged inside one group, merged across.
+        let mut kinds = [0usize; 3];
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut sequencer = Sequencer::new(STREAMS, 1);
+            let mut units = Vec::new();
+            let groups = rng.gen_range(1..=12u32);
+            for s in 0..STREAMS {
+                let stream = StreamId(s as u16);
+                let mut queue = OrderQueue::new(stream, OrderQueueConfig::default());
+                let mut lba = 0u64;
+                for _ in 0..groups {
+                    let members = rng.gen_range(1..=4u16);
+                    for m in 0..members {
+                        // A gap keeps this request from merging.
+                        lba += if rng.gen_bool(0.6) { 1 } else { 5 };
+                        let opts = SubmitOpts {
+                            end_group: m == members - 1,
+                            ..Default::default()
+                        };
+                        queue.push(sequencer.submit(stream, BlockRange::new(lba, 1), opts), 0);
+                    }
+                    if rng.gen_bool(0.4) {
+                        units.extend(queue.flush());
+                    }
+                }
+                units.extend(queue.flush());
+            }
+            for u in &units {
+                kinds[match (u.is_merged(), u.attr.is_merged_span()) {
+                    (false, _) => 0,
+                    (true, false) => 1,
+                    (true, true) => 2,
+                }] += 1;
+            }
+            for i in (1..units.len()).rev() {
+                units.swap(i, rng.gen_range(0..=i));
+            }
+            let mut ring = InOrderCompleter::new(STREAMS);
+            let mut reference = RefCompleter {
+                streams: vec![(0, BTreeMap::new()); STREAMS],
+            };
+            let mut released = Vec::new();
+            for u in &units {
+                released.clear();
+                ring.on_done_into(&u.attr, &mut released);
+                assert_eq!(released, reference.on_done(&u.attr), "seed {seed}");
+                assert_eq!(ring.total_pending(), reference.total_pending(), "seed {seed}");
+            }
+            for s in 0..STREAMS {
+                assert_eq!(ring.delivered_through(StreamId(s as u16)), Seq(groups));
+            }
+            assert_eq!(ring.total_pending(), 0);
+        }
+        assert!(kinds.iter().all(|&n| n > 50), "script mix too thin: {kinds:?}");
     }
 
     proptest! {

@@ -24,10 +24,9 @@
 //! // The plug flushes: everything queued on the stream is scheduled.
 //! let units = rio.flush(st);
 //! assert_eq!(units.len(), 1, "body and commit merged into one unit");
-//! // The driver dispatches units; completions come back asynchronously.
-//! for part in &units[0].parts {
-//!     rio.on_done(&part.attr);
-//! }
+//! // The driver dispatches units; completions come back asynchronously,
+//! // one per unit — a merge is reported with the merged attribute.
+//! rio.on_done(&units[0].attr);
 //! // rio_wait: the group is durable and delivered in order.
 //! assert!(rio.wait(st, commit.seq_end));
 //! ```
@@ -246,9 +245,7 @@ mod tests {
         assert_eq!(units[0].attr.range, BlockRange::new(4, 2));
         assert_eq!((units[0].attr.seq_start, units[0].attr.seq_end), (Seq(1), Seq(2)));
         let mut delivered = Vec::new();
-        for part in &units[0].parts {
-            rio.on_done_into(&part.attr, &mut delivered);
-        }
+        rio.on_done_into(&units[0].attr, &mut delivered);
         assert_eq!(delivered, vec![Seq(1), Seq(2)]);
         assert_eq!(rio.total_pending(), 0);
     }

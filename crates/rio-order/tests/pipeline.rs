@@ -49,7 +49,7 @@ proptest! {
         // parity slices (forces splits), stamp per fragment.
         let units = queue.flush();
         let mut fragments = Vec::new();
-        let mut unit_parts = Vec::new();
+        let mut unit_frags = Vec::new();
         for unit in units {
             // Merged units cover whole groups only.
             if unit.parts.len() > 1 {
@@ -79,8 +79,8 @@ proptest! {
             } else {
                 split_attr(&attr, &[attr.range])
             };
-            let unit_id = unit_parts.len();
-            unit_parts.push((unit.parts.clone(), frags.len()));
+            let unit_id = unit_frags.len();
+            unit_frags.push(frags.len());
             for (fi, mut f) in frags.into_iter().enumerate() {
                 let server = ServerId(((f.range.lba as usize + fi) % n_servers) as u16);
                 seq.stamp_dispatch(&mut f, server);
@@ -98,7 +98,7 @@ proptest! {
         // One gate per server; track per-server release order.
         let mut gates: Vec<SubmissionGate> = (0..n_servers).map(|_| SubmissionGate::new()).collect();
         let mut released: Vec<Vec<u64>> = vec![Vec::new(); n_servers];
-        let mut frag_done: Vec<usize> = vec![0; unit_parts.len()];
+        let mut frag_done: Vec<usize> = vec![0; unit_frags.len()];
         let mut completer = InOrderCompleter::new(1);
         let mut delivered: Vec<Seq> = Vec::new();
         for &i in &order {
@@ -107,7 +107,8 @@ proptest! {
             for (r_attr, _) in gates[srv].arrive(attr, i as u64) {
                 released[srv].push(r_attr.dispatch_idx);
                 // "Submit to SSD" and complete immediately: count
-                // fragment completions per unit; unroll on unit done.
+                // fragment completions per unit; the last fragment's
+                // own attribute reports the unit (merges included).
                 let uid = fragments
                     .iter()
                     .position(|(u, a)| {
@@ -116,10 +117,8 @@ proptest! {
                     .map(|k| fragments[k].0)
                     .expect("fragment exists");
                 frag_done[uid] += 1;
-                if frag_done[uid] == unit_parts[uid].1 {
-                    for p in &unit_parts[uid].0 {
-                        delivered.extend(completer.on_done(&p.attr));
-                    }
+                if frag_done[uid] == unit_frags[uid] {
+                    delivered.extend(completer.on_done(&r_attr));
                 }
             }
         }

@@ -166,11 +166,11 @@ impl Cmd {
 }
 
 /// One logical dispatch unit: a (possibly merged) request whose
-/// fragments all must complete before the unit completes.
+/// fragments all must complete before the unit completes. A Rio unit
+/// keeps no ordering state here — every fragment's command carries the
+/// unit's ordering identity, and the last one to complete reports it.
 #[derive(Debug)]
 struct Unit {
-    /// Original logical attributes to unroll into the completer (Rio).
-    parts: Vec<OrderingAttr>,
     /// Orderless/baseline accounting: groups and blocks this unit
     /// represents.
     plain_groups: u64,
@@ -1109,7 +1109,6 @@ impl Cluster {
         split_attr_into(&attr, &slices, &mut frags);
         let blocks_total: u32 = attr.range.blocks;
         let unit_id = self.units.insert(Unit {
-            parts: unit.parts.iter().map(|p| p.attr).collect(),
             plain_groups: 0,
             blocks: blocks_total,
             fragments_total: frags.len(),
@@ -1200,7 +1199,6 @@ impl Cluster {
         extents.clear();
         self.chunked_extents_into(range, &mut extents);
         let unit_id = self.units.insert(Unit {
-            parts: Vec::new(),
             plain_groups: groups,
             blocks: range.blocks,
             fragments_total: extents.len(),
@@ -2011,15 +2009,15 @@ impl Cluster {
         }
         let unit = self.units.remove(unit_id).expect("unit exists");
 
-        if cmd.attr.is_some() {
-            // Rio: unroll the unit's parts into the in-order completer.
+        if let Some(attr) = &cmd.attr {
+            // Rio: this last fragment's attribute carries the unit's
+            // ordering identity (merged span included); report the unit
+            // to the in-order completer once.
             let mut delivered = std::mem::take(&mut self.delivered_scratch);
             delivered.clear();
             let init = self.threads[t].init;
-            for part in &unit.parts {
-                self.initiators[init].rio.on_done_into(part, &mut delivered);
-            }
-            let stream = unit.parts[0].stream;
+            self.initiators[init].rio.on_done_into(attr, &mut delivered);
+            let stream = attr.stream;
             if self.trace.is_some() || self.telemetry.is_some() {
                 // Sample the completer's held-back pressure.
                 let held: usize = self.initiators.iter().map(|i| i.rio.total_pending()).sum();
