@@ -206,7 +206,7 @@ fn stage_index(stage: FsyncStage) -> usize {
 enum SyncStage {
     Idle,
     AwaitWrite,
-    AwaitFlush { remaining: usize },
+    AwaitFlush,
 }
 
 /// Per-thread state.
@@ -236,10 +236,10 @@ struct ThreadState {
     /// whether it ends an op.
     cur_flush_leg: bool,
     cur_sync_after: bool,
-    /// Horae: group specs whose control ack is pending / data not yet
-    /// dispatched.
-    ctrl_pending: VecDeque<(GroupSpec, SimTime)>,
-    ctrl_outstanding: bool,
+    /// Horae: the group whose control message awaits its ack (its data
+    /// path dispatches then). The control path is serialized, so there
+    /// is at most one.
+    ctrl_pending: Option<GroupSpec>,
     /// Horae: earliest instant the next control post may issue (the
     /// serialized ordering-layer gap).
     ctrl_gate_until: SimTime,
@@ -632,8 +632,7 @@ impl Cluster {
                 stage_marks: [None; 3],
                 cur_flush_leg: false,
                 cur_sync_after: false,
-                ctrl_pending: VecDeque::new(),
-                ctrl_outstanding: false,
+                ctrl_pending: None,
                 ctrl_gate_until: SimTime::ZERO,
                 undelivered: VecDeque::with_capacity(undelivered_cap),
             })
@@ -1297,7 +1296,7 @@ impl Cluster {
         }
         let window = self.cfg.max_inflight_per_stream;
         let mut cpu = now;
-        while !self.threads[t].ctrl_outstanding
+        while self.threads[t].ctrl_pending.is_none()
             && self.threads[t].inflight < window
             && self.thread_has_work(t)
         {
@@ -1314,8 +1313,7 @@ impl Cluster {
                 .fabric
                 .send(&mut self.initiators[init].nic, init_qp, cpu, 64);
             self.ctrl_sent += 1;
-            self.threads[t].ctrl_pending.push_back((spec, cpu));
-            self.threads[t].ctrl_outstanding = true;
+            self.threads[t].ctrl_pending = Some(spec);
             self.events.push(
                 delivery,
                 Event::CtrlArrive {
@@ -1350,11 +1348,10 @@ impl Cluster {
     fn on_ctrl_ack(&mut self, now: SimTime, thread: usize) {
         let t = thread;
         let cpu = self.init_run_on(t, now, self.cfg.cpu.irq);
-        self.threads[t].ctrl_outstanding = false;
         // Dispatch the acknowledged group's data path asynchronously.
-        let (spec, _posted) = self.threads[t]
+        let spec = self.threads[t]
             .ctrl_pending
-            .pop_front()
+            .take()
             .expect("ctrl ack without pending group");
         let mut c = cpu;
         for m in spec.members.iter() {
@@ -2083,22 +2080,18 @@ impl Cluster {
             self.finish_sync_group(cpu, t);
             return;
         }
-        self.threads[t].sync_stage = SyncStage::AwaitFlush { remaining: 1 };
+        self.threads[t].sync_stage = SyncStage::AwaitFlush;
         let c = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
         let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp);
         self.send_cmd(c, cpu, flush_cmd);
     }
 
     fn on_sync_flush_complete(&mut self, now: SimTime, t: usize) {
-        let SyncStage::AwaitFlush { remaining } = self.threads[t].sync_stage else {
-            unreachable!("flush completion outside AwaitFlush");
-        };
-        if remaining > 1 {
-            self.threads[t].sync_stage = SyncStage::AwaitFlush {
-                remaining: remaining - 1,
-            };
-            return;
-        }
+        assert_eq!(
+            self.threads[t].sync_stage,
+            SyncStage::AwaitFlush,
+            "flush completion outside AwaitFlush"
+        );
         self.finish_sync_group(now, t);
     }
 
@@ -2128,7 +2121,7 @@ impl Cluster {
             return;
         }
         if self.threads[t].parked
-            && (self.thread_has_work(t) || !self.threads[t].ctrl_pending.is_empty())
+            && (self.thread_has_work(t) || self.threads[t].ctrl_pending.is_some())
             && self.threads[t].inflight < self.cfg.max_inflight_per_stream
         {
             self.threads[t].parked = false;
