@@ -901,7 +901,7 @@ impl Cluster {
             Event::SsdSubmit(c) => self.on_ssd_submit(now, c),
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
-            Event::SsdFlushDone(c) => self.on_ssd_flush_done(now, c),
+            Event::SsdFlushDone(c) => self.on_media_done(now, c, true),
             Event::CmdComplete(c) => self.on_cmd_complete(now, c),
             Event::CtrlArrive { target, thread } => self.on_ctrl_arrive(now, target, thread),
             Event::CtrlAck { thread } => self.on_ctrl_ack(now, thread),
@@ -1870,20 +1870,10 @@ impl Cluster {
         }
     }
 
+    /// A command's SSD write finished: free its DRR admission slot,
+    /// then run the media-done path.
     fn on_ssd_write_done(&mut self, now: SimTime, id: u64) {
-        let (target_idx, core, flush_embedded, is_rio, slot_opt, plp, tid) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            let plp = self.targets[cmd.target].ssds[cmd.ssd].profile().plp;
-            (
-                cmd.target,
-                self.conn_qp(cmd.thread, cmd.qp),
-                cmd.flush_embedded,
-                cmd.attr.is_some(),
-                cmd.slot,
-                plp,
-                cmd.trace,
-            )
-        };
+        let target_idx = self.cmds.get(id).expect("cmd exists").target;
         if let Some(tm) = &mut self.telemetry {
             tm.ssd_done(now, target_idx);
         }
@@ -1893,24 +1883,40 @@ impl Cluster {
             drr.outstanding = drr.outstanding.saturating_sub(1);
             self.drr_pump(now, target_idx);
         }
+        self.on_media_done(now, id, false);
+    }
+
+    /// The device finished a command's write (`flushed == false`) or
+    /// its FLUSH — embedded or explicit (`flushed == true`): IRQ, then
+    /// either chain the embedded FLUSH or complete the command.
+    fn on_media_done(&mut self, now: SimTime, id: u64, flushed: bool) {
+        let cmd = self.cmds.get(id).expect("cmd exists");
+        let (target_idx, core, slot, tid) =
+            (cmd.target, self.conn_qp(cmd.thread, cmd.qp), cmd.slot, cmd.trace);
+        let chain_flush = cmd.flush_embedded && !flushed;
+        // Rio toggles the record's persist bit once the data is durable
+        // (step ⑦): at write completion on PLP drives; otherwise only on
+        // the FLUSH carrier, which vouches for everything before it
+        // (§4.3.2).
+        let plp = self.targets[target_idx].ssds[cmd.ssd].profile().plp;
+        let persist = cmd.attr.is_some() && (flushed || plp);
         if let Some(tr) = &mut self.trace {
-            // An embedded FLUSH overwrites this stamp when it lands
-            // (last write wins): media-done is the durability instant.
+            // An embedded FLUSH overwrites the write's stamp when it
+            // lands (last write wins): media-done is the durability
+            // instant.
             tr.rec(tid, Stage::MediaDone, now);
         }
         let mut cpu = self.targets[target_idx]
             .cores
             .run_on(core, now, self.cfg.cpu.irq);
-        if flush_embedded {
+        if chain_flush {
             // The final request of a durability group embeds a FLUSH
             // (§4.6): run it before completing.
             self.events.push(cpu, Event::SsdFlushSubmit(id));
             return;
         }
-        if is_rio && plp {
-            // PLP drives: data is durable at completion; toggle the
-            // persist bit now (step ⑦).
-            cpu = self.pmr_persist(cpu, target_idx, core, slot_opt);
+        if persist {
+            cpu = self.pmr_persist(cpu, target_idx, core, slot);
         }
         self.send_completion(cpu, id);
     }
@@ -1930,31 +1936,6 @@ impl Cluster {
             target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
         }
         target.cores.run_on(core, cpu, self.cfg.cpu.pmr_toggle)
-    }
-
-    fn on_ssd_flush_done(&mut self, now: SimTime, id: u64) {
-        let (target_idx, core, is_rio, slot_opt, tid) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                self.conn_qp(cmd.thread, cmd.qp),
-                cmd.attr.is_some(),
-                cmd.slot,
-                cmd.trace,
-            )
-        };
-        if let Some(tr) = &mut self.trace {
-            tr.rec(tid, Stage::MediaDone, now);
-        }
-        let mut cpu = self.targets[target_idx]
-            .cores
-            .run_on(core, now, self.cfg.cpu.irq);
-        if is_rio {
-            // Non-PLP durability: only the FLUSH carrier's persist bit
-            // is toggled; it vouches for everything before it (§4.3.2).
-            cpu = self.pmr_persist(cpu, target_idx, core, slot_opt);
-        }
-        self.send_completion(cpu, id);
     }
 
     /// Sends the completion capsule back to the initiator (with the
