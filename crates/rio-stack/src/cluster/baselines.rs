@@ -1,0 +1,181 @@
+//! The two systems the paper compares against (§6.2), on the shared
+//! data path: Horae's synchronous control path ahead of an asynchronous
+//! data path, and stock Linux NVMe-oF's one-group-at-a-time write +
+//! FLUSH. Both dispatch plain (unordered) units; what differs from the
+//! orderless engine is only *when* a thread may submit.
+
+use rio_sim::{SimDuration, SimTime};
+
+use super::{Cluster, Cmd, CmdKind, Event};
+
+/// Synchronous-mode thread stage (Linux NVMe-oF).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum SyncStage {
+    Idle,
+    AwaitWrite,
+    AwaitFlush,
+}
+
+impl Cluster {
+    /// Horae: serialized control path, then asynchronous data path.
+    pub(super) fn submit_horae(&mut self, now: SimTime, t: usize) {
+        // Respect the serialized control-path gap even when woken early
+        // by a data completion.
+        if now < self.threads[t].ctrl_gate_until {
+            let at = self.threads[t].ctrl_gate_until;
+            self.events.push(at, Event::Resume(t));
+            return;
+        }
+        let window = self.cfg.max_inflight_per_stream;
+        let mut cpu = now;
+        while self.threads[t].ctrl_pending.is_none()
+            && self.threads[t].inflight < window
+            && self.thread_has_work(t)
+        {
+            let spec = self.next_group_spec(t);
+            cpu = self.note_group_start(cpu, t, &spec);
+            self.threads[t].inflight += 1;
+            cpu = self.init_run_on(t, cpu, self.cfg.cpu.horae_ctrl_post);
+            // Control metadata goes to the group's primary target.
+            let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
+            let qp = self.threads[t].stream.0 as usize % self.cfg.qps_per_target;
+            let init_qp = self.target_qp(primary, qp);
+            let init = self.threads[t].init;
+            let delivery = self
+                .fabric
+                .send(&mut self.initiators[init].nic, init_qp, cpu, 64);
+            self.ctrl_sent += 1;
+            self.threads[t].ctrl_pending = Some(spec);
+            self.events.push(
+                delivery,
+                Event::CtrlArrive {
+                    target: primary,
+                    thread: t,
+                },
+            );
+        }
+        self.park_or_finish(t);
+    }
+
+    /// A Horae control message reached its target: persist the ordering
+    /// metadata, acknowledge.
+    pub(super) fn on_ctrl_arrive(&mut self, now: SimTime, target: usize, thread: usize) {
+        // Target CPU: RECV + ordering-layer bookkeeping + PMR MMIO.
+        // The ordering layer appends metadata in global order, so the
+        // handler serializes on one dedicated core.
+        let core = 0;
+        let done = self.targets[target]
+            .cores
+            .run_on(core, now, self.cfg.cpu.horae_ctrl_handle);
+        // Acknowledge over the target's NIC, on the sender's
+        // connection QP group.
+        let qp = self.conn_qp(
+            thread,
+            self.threads[thread].stream.0 as usize % self.cfg.qps_per_target,
+        );
+        let delivery = self
+            .fabric
+            .send(&mut self.targets[target].nic, qp, done, 16);
+        self.events.push(delivery, Event::CtrlAck { thread });
+    }
+
+    /// The control acknowledgement is back: the group's data path may go.
+    pub(super) fn on_ctrl_ack(&mut self, now: SimTime, thread: usize) {
+        let t = thread;
+        let cpu = self.init_run_on(t, now, self.cfg.cpu.irq);
+        // Dispatch the acknowledged group's data path asynchronously.
+        let spec = self.threads[t]
+            .ctrl_pending
+            .take()
+            .expect("ctrl ack without pending group");
+        let mut c = cpu;
+        for m in spec.members.iter() {
+            c = self.init_run_on(t, c, self.cfg.cpu.submit_bio);
+            c = self.dispatch_plain_unit(c, t, m.range, 1, spec.flush);
+        }
+        if let Some(stage) = spec.stage {
+            self.mark_stage(t, stage, c);
+        }
+        if spec.sync_after {
+            if !self.wait_for_sync(t, c) {
+                self.events.push(c, Event::Resume(t));
+            }
+            return;
+        }
+        // The serialized control path may proceed with the next group
+        // only after the ordering-layer gap.
+        let next = c + SimDuration::from_nanos(self.cfg.cpu.horae_ctrl_gap);
+        self.threads[t].ctrl_gate_until = next;
+        self.events.push(next, Event::Resume(t));
+    }
+
+    /// Linux ordered NVMe-oF: one group at a time, completion + FLUSH.
+    ///
+    /// Block-level ordered workloads flush after every request (the
+    /// classic ordered NVMe-oF of §2.2). File-system journaling flushes
+    /// only on the commit record, like Ext4's sync transfer.
+    pub(super) fn submit_linux(&mut self, now: SimTime, t: usize) {
+        if self.threads[t].sync_stage != SyncStage::Idle {
+            return;
+        }
+        if !self.thread_has_work(t) {
+            self.threads[t].done_submitting = true;
+            return;
+        }
+        let spec = self.next_group_spec(t);
+        let mut cpu = self.note_group_start(now, t, &spec);
+        // Journaling stages pay the jbd2 kthread handoff (wakeup of the
+        // journal thread plus the completion softirq).
+        if spec.stage.is_some() {
+            cpu = self.init_run_on(t, cpu, 2 * self.cfg.cpu.ctx_switch);
+        }
+        self.threads[t].inflight += 1;
+        self.threads[t].sync_stage = SyncStage::AwaitWrite;
+        self.threads[t].cur_flush_leg = spec.stage.is_none() || spec.flush;
+        self.threads[t].cur_sync_after = spec.sync_after || spec.stage.is_none();
+        for m in spec.members.iter() {
+            cpu = self.init_run_on(t, cpu, self.cfg.cpu.submit_bio);
+            cpu = self.dispatch_plain_unit(cpu, t, m.range, 1, false);
+        }
+        if let Some(stage) = spec.stage {
+            self.mark_stage(t, stage, cpu);
+        }
+    }
+
+    /// Linux mode: after the ordered write completes, send a FLUSH leg
+    /// when the group requires one, otherwise finish the group.
+    pub(super) fn on_sync_write_complete(&mut self, now: SimTime, t: usize, cmd: &Cmd) {
+        debug_assert_eq!(self.threads[t].sync_stage, SyncStage::AwaitWrite);
+        let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+        if !self.threads[t].cur_flush_leg {
+            self.finish_sync_group(cpu, t);
+            return;
+        }
+        self.threads[t].sync_stage = SyncStage::AwaitFlush;
+        let c = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
+        let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp);
+        self.send_cmd(c, cpu, flush_cmd);
+    }
+
+    /// Linux mode: the FLUSH leg completed, so the group is durable.
+    pub(super) fn on_sync_flush_complete(&mut self, now: SimTime, t: usize) {
+        assert_eq!(
+            self.threads[t].sync_stage,
+            SyncStage::AwaitFlush,
+            "flush completion outside AwaitFlush"
+        );
+        self.finish_sync_group(now, t);
+    }
+
+    /// Finishes the current synchronous group and moves on.
+    fn finish_sync_group(&mut self, now: SimTime, t: usize) {
+        self.threads[t].sync_stage = SyncStage::Idle;
+        self.threads[t].inflight -= 1;
+        self.last_completion = self.last_completion.max(now);
+        if self.threads[t].cur_sync_after {
+            self.finish_op(t, now);
+        }
+        let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+        self.events.push(cpu, Event::Resume(t));
+    }
+}

@@ -30,7 +30,8 @@ use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan}
 use rio_order::SubmissionGate;
 use rio_sim::{SimDuration, SimTime};
 
-use super::{Cluster, Event, SyncStage};
+use super::baselines::SyncStage;
+use super::{Cluster, Event};
 use crate::config::FaultKind;
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
 

@@ -1,0 +1,189 @@
+//! The wire between initiator and target: the three transfer legs of a
+//! command, QP arithmetic, and go-back-N resends.
+//!
+//! Every command crosses the fabric three times — capsule out, data
+//! pull, completion back — strictly in sequence, so one parked
+//! retransmission window per command suffices and one `Resend` event
+//! serves all three legs.
+
+use rio_net::XferStep;
+use rio_sim::SimTime;
+
+use super::{Cluster, Cmd, CmdKind, Event};
+
+/// NVMe-oF command capsule size on the wire (64 B SQE + headers).
+const CMD_CAPSULE_BYTES: u64 = 96;
+/// Completion capsule size on the wire.
+const COMPLETION_BYTES: u64 = 32;
+
+/// One of the three wire transfers of a command. They run strictly in
+/// sequence, so one go-back-N window per command suffices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Leg {
+    /// Command capsule, initiator → target; delivery is `CmdArrive`.
+    Capsule,
+    /// One-sided data pull by the target; delivery sets `data_ready`.
+    Pull,
+    /// Completion capsule, target → initiator; delivery is `CmdComplete`.
+    Completion,
+}
+
+impl Cluster {
+    /// Initiator-side QP index for (target, qp-within-connection).
+    pub(super) fn target_qp(&self, target: usize, qp: usize) -> usize {
+        target * self.cfg.qps_per_target + qp
+    }
+
+    /// Target-side connection QP for thread `t`'s command: every
+    /// initiator owns one group of `qps_per_target` QPs on each target
+    /// NIC, so the wire QP is the initiator's base plus the
+    /// within-connection QP. Single-initiator runs reduce to `qp`.
+    pub(super) fn conn_qp(&self, t: usize, qp: usize) -> usize {
+        self.threads[t].init * self.cfg.qps_per_target + qp
+    }
+
+    /// Picks the QP for a command of `stream`: pinned (Principle 2) or
+    /// scattered round-robin (the ablation).
+    pub(super) fn pick_qp(&mut self, stream: usize) -> usize {
+        if self.cfg.pin_stream_to_qp {
+            stream % self.cfg.qps_per_target
+        } else {
+            self.scatter_qp += 1;
+            (self.scatter_qp as usize) % self.cfg.qps_per_target
+        }
+    }
+
+    /// Applies one fabric transfer step of command `id`'s `leg`: a
+    /// delivery runs the leg's continuation at the arrival instant; a
+    /// drop parks the go-back-N window on the command and schedules its
+    /// resend at the recovery timeout.
+    pub(super) fn xfer_step(&mut self, id: u64, leg: Leg, bytes: u64, step: XferStep) {
+        match (step, leg) {
+            (XferStep::Delivered { at }, Leg::Capsule) => {
+                self.events.push(at, Event::CmdArrive(id));
+            }
+            (XferStep::Delivered { at }, Leg::Pull) => {
+                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
+                self.try_ssd_submit(id);
+            }
+            (XferStep::Delivered { at }, Leg::Completion) => {
+                self.events.push(at, Event::CmdComplete(id));
+            }
+            (
+                XferStep::Dropped {
+                    resume_at,
+                    pkts_left,
+                    corrupted,
+                },
+                _,
+            ) => {
+                let cmd = self.cmds.get_mut(id).expect("cmd exists");
+                cmd.leg = leg;
+                cmd.retx_pkts = pkts_left;
+                cmd.retx_bytes = bytes;
+                cmd.retx_corrupt = corrupted;
+                self.events.push(resume_at, Event::Resend(id));
+            }
+        }
+    }
+
+    /// Sends one command capsule over the fabric: either it arrives at
+    /// the target (`CmdArrive`) or a packet drops and the go-back-N
+    /// timeout is scheduled as a `Resend` event. `stamped` is the
+    /// instant the command was stamped/generated, before the post CPU
+    /// charge — the head of its stage trace.
+    pub(super) fn send_cmd(&mut self, now: SimTime, stamped: SimTime, mut cmd: Cmd) {
+        let init = self.threads[cmd.thread].init;
+        self.initiators[init].m.commands_sent += 1;
+        if let Some(tm) = &mut self.telemetry {
+            tm.cmd_sent(now);
+        }
+        if let Some(tr) = &mut self.trace {
+            let stream = self.threads[cmd.thread].stream.0;
+            let tid = tr.open(
+                init as u16,
+                stream,
+                cmd.attr.map(|a| (a.seq_start.0, a.seq_end.0)),
+                cmd.target as u16,
+                cmd.ssd as u16,
+                cmd.phys.lba,
+                cmd.flush_embedded || cmd.kind == CmdKind::Flush,
+                stamped,
+                now,
+            );
+            if let Some(a) = &cmd.attr {
+                tr.pending_push(a.stream.0 as usize, a.seq_end.0, tid);
+            }
+            cmd.trace = tid;
+        }
+        let qp = self.target_qp(cmd.target, cmd.qp);
+        let id = self.cmds.insert(cmd);
+        let step =
+            self.fabric
+                .send_burst(&mut self.initiators[init].nic, qp, now, CMD_CAPSULE_BYTES);
+        self.xfer_step(id, Leg::Capsule, CMD_CAPSULE_BYTES, step);
+    }
+
+    /// A leg's retransmission timeout fired: resend the window from the
+    /// lost packet (go-back-N), on the NIC that owns the leg.
+    pub(super) fn on_resend(&mut self, now: SimTime, id: u64) {
+        let cmd = self.cmds.get(id).expect("cmd exists");
+        let (leg, target, pkts, bytes, tid, corrupt) = (
+            cmd.leg,
+            cmd.target,
+            cmd.retx_pkts,
+            cmd.retx_bytes,
+            cmd.trace,
+            cmd.retx_corrupt,
+        );
+        let init = self.threads[cmd.thread].init;
+        let init_qp = self.target_qp(target, cmd.qp);
+        let conn_qp = self.conn_qp(cmd.thread, cmd.qp);
+        // The whole remaining window goes back on the wire this round,
+        // each packet annotated exactly once — except after a lost pull
+        // *request*, encoded as `pkts > packets_for(bytes)`: only that
+        // one header packet is a retransmission; the data window, never
+        // transmitted, goes out as a first try.
+        let n = if leg == Leg::Pull && pkts > self.fabric.profile().packets_for(bytes) {
+            1
+        } else {
+            pkts
+        };
+        let n_corrupt = if corrupt { n } else { 0 };
+        if let Some(tr) = &mut self.trace {
+            if corrupt {
+                tr.retx_corrupt(tid, n);
+            } else {
+                tr.retx(tid, n);
+            }
+        }
+        if let Some(tm) = &mut self.telemetry {
+            match leg {
+                Leg::Capsule => tm.retx_initiator(now, init, n, n_corrupt),
+                Leg::Pull | Leg::Completion => tm.retx_target(now, target, n, n_corrupt),
+            }
+        }
+        let init_nic = &mut self.initiators[init].nic;
+        let target_nic = &mut self.targets[target].nic;
+        let step = match leg {
+            Leg::Capsule => self.fabric.resume_send(init_nic, init_qp, now, pkts, bytes),
+            Leg::Pull => self.fabric.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes),
+            Leg::Completion => self.fabric.resume_send(target_nic, conn_qp, now, pkts, bytes),
+        };
+        self.xfer_step(id, leg, bytes, step);
+    }
+
+    /// Sends the completion capsule back to the initiator (with the
+    /// same go-back-N recovery as the command capsule).
+    pub(super) fn send_completion(&mut self, now: SimTime, id: u64) {
+        let cmd = self.cmds.get(id).expect("cmd exists");
+        let (target_idx, qp) = (cmd.target, self.conn_qp(cmd.thread, cmd.qp));
+        let step = self.fabric.send_burst(
+            &mut self.targets[target_idx].nic,
+            qp,
+            now,
+            COMPLETION_BYTES,
+        );
+        self.xfer_step(id, Leg::Completion, COMPLETION_BYTES, step);
+    }
+}

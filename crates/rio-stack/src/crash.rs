@@ -9,8 +9,8 @@
 //! on an ordinary Rio [`crate::config::ClusterConfig`], and its report
 //! is `RunMetrics::recoveries[0]` ([`crate::metrics::RecoveryMetrics`]).
 //! The fault handling and its cost model live in
-//! [`crate::cluster::recovery`]; the tests below pin the experiment's
-//! shape through that public path only.
+//! [`crate::cluster::recovery`]; this test-only module pins the
+//! experiment's shape through that public path only.
 
 #[cfg(test)]
 mod tests {

@@ -29,7 +29,8 @@
 //! discard) and resumes the workload, reporting per-epoch throughput
 //! and recovery breakdowns in [`metrics::RunMetrics`]. The handler and
 //! its cost model are [`cluster::recovery`]; the §6.5 experiment is a
-//! [`config::FaultPlan::crash_all_at`] plan (see [`crash`]).
+//! [`config::FaultPlan::crash_all_at`] plan whose report is
+//! `RunMetrics::recoveries[0]`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +38,8 @@
 pub mod cluster;
 pub mod config;
 pub mod cpu;
-pub mod crash;
+#[cfg(test)]
+mod crash;
 pub mod metrics;
 pub mod telemetry;
 pub mod trace;
