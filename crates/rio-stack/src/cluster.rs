@@ -255,7 +255,8 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on inconsistent configuration (zero threads, streams
-    /// fewer than threads, or targets without SSDs).
+    /// fewer than threads, targets without SSDs, or a zero in-flight
+    /// window).
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
         assert!(workload.threads > 0, "need at least one thread");
         // The one place the initiator topology is read from the config:
@@ -281,6 +282,8 @@ impl Cluster {
             "multi-initiator runs need exactly one thread per stream"
         );
         assert!(!cfg.targets.is_empty(), "need at least one target");
+        // A zero window would admit nothing and "finish" at t = 0.
+        assert!(cfg.max_inflight_per_stream > 0, "need a non-zero in-flight window");
         if !cfg.faults.events.is_empty() {
             // Pure packet-corruption faults only retune the fabric and
             // work under any mode; everything else runs the recovery

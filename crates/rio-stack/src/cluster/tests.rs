@@ -18,6 +18,15 @@ fn small_cfg(mode: OrderingMode, threads: usize) -> ClusterConfig {
     cfg
 }
 
+/// The crash-free epochs partition the run totals (the open epoch is
+/// derived as total minus the closed ones).
+fn assert_epochs_partition(m: &RunMetrics) {
+    let sum = |f: fn(&EpochMetrics) -> u64| m.epochs.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|e| e.groups_done), m.groups_done);
+    assert_eq!(sum(|e| e.blocks_done), m.blocks_done);
+    assert_eq!(sum(|e| e.ops_done), m.ops_done);
+}
+
 fn run(mode: OrderingMode, threads: usize, groups: u64) -> RunMetrics {
     let cfg = small_cfg(mode, threads);
     let wl = Workload::random_4k(threads, groups);
@@ -397,15 +406,19 @@ fn a_run_survives_multiple_faults() {
             },
         ],
     };
-    let m = Cluster::new(cfg, Workload::random_4k(threads, groups)).run();
+    let m = Cluster::new(cfg.clone(), Workload::random_4k(threads, groups)).run();
     assert_eq!(m.groups_done, threads as u64 * groups, "exactly once");
     assert_eq!(m.recoveries.len(), 2);
     assert_eq!(m.epochs.len(), 3);
     assert_eq!(m.recoveries[1].crashed_targets, vec![0, 1]);
-    assert_eq!(
-        m.epochs.iter().map(|e| e.groups_done).sum::<u64>(),
-        m.groups_done
-    );
+    assert_epochs_partition(&m);
+    // The same plan halting at its last fault: the open epoch is empty
+    // and the closed ones still account for everything delivered.
+    cfg.faults.events[1].resume = false;
+    let halted = Cluster::new(cfg, Workload::random_4k(threads, groups)).run();
+    assert!(halted.groups_done < m.groups_done, "the run stopped at the fault");
+    assert_eq!(halted.epochs.len(), 3);
+    assert_epochs_partition(&halted);
 }
 
 #[test]
@@ -426,6 +439,7 @@ fn crash_during_fsync_ops_preserves_op_count() {
     let m = Cluster::new(cfg, Workload::fsync_append(threads, ops)).run();
     assert_eq!(m.ops_done, threads as u64 * ops, "every fsync returns once");
     assert_eq!(m.groups_done, threads as u64 * ops * 3, "D/JM/JC each once");
+    assert_epochs_partition(&m);
 }
 
 #[test]
@@ -802,6 +816,7 @@ fn per_initiator_breakdowns_partition_global_totals() {
         m.initiators.iter().map(|i| i.blocks_done).sum::<u64>(),
         m.blocks_done
     );
+    assert_epochs_partition(&m);
     // Each initiator moved real bytes through its own NIC; if
     // absorb only saw one NIC the aggregate would undercount the
     // per-command wire traffic by ~3x.
