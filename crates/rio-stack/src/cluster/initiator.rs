@@ -65,8 +65,9 @@ pub(super) struct ThreadState {
     pub(super) sync_stage: SyncStage,
     /// The thread issued a sync point and waits for inflight == 0.
     pub(super) syncing: bool,
-    /// Start of the current fsync op (D submission).
-    pub(super) op_start: SimTime,
+    /// Start of the current fsync op (its first stage's submission;
+    /// `None` between ops — an op may well start at t = 0).
+    pub(super) op_start: Option<SimTime>,
     /// Dispatch timestamps of the current op's stages.
     pub(super) stage_marks: [Option<SimTime>; 3],
     /// Linux mode: whether the in-flight group needs a FLUSH leg and
@@ -115,7 +116,7 @@ impl ThreadState {
             done_submitting: false,
             sync_stage: SyncStage::Idle,
             syncing: false,
-            op_start: SimTime::ZERO,
+            op_start: None,
             stage_marks: [None; 3],
             cur_flush_leg: false,
             cur_sync_after: false,
@@ -238,15 +239,10 @@ impl Cluster {
         if spec.app_cpu_ns > 0 {
             cpu = self.init_run_on(t, cpu, spec.app_cpu_ns);
         }
-        let first_stage = matches!(spec.stage, Some(FsyncStage::Data))
-            || (matches!(spec.stage, Some(FsyncStage::Meta))
-                && self.threads[t].stage_marks[0].is_none()
-                && self.threads[t].op_start == SimTime::ZERO)
-            || (spec.stage.is_some()
-                && self.threads[t].stage_marks.iter().all(|m| m.is_none())
-                && !self.threads[t].syncing);
-        if spec.stage.is_some() && first_stage && self.threads[t].op_start == SimTime::ZERO {
-            self.threads[t].op_start = cpu;
+        // The op clock starts at the first staged group after the
+        // previous op finished.
+        if spec.stage.is_some() && self.threads[t].op_start.is_none() {
+            self.threads[t].op_start = Some(cpu);
         }
         cpu
     }
@@ -261,11 +257,11 @@ impl Cluster {
 
     /// Finishes the current fsync op at `now` (the sync point cleared).
     pub(super) fn finish_op(&mut self, t: usize, now: SimTime) {
-        let th = &self.threads[t];
-        let start = th.op_start;
-        let marks = th.stage_marks;
+        let th = &mut self.threads[t];
+        let start = th.op_start.take();
+        let marks = std::mem::take(&mut th.stage_marks);
         self.ops_done += 1;
-        if start != SimTime::ZERO || marks.iter().any(|m| m.is_some()) {
+        if let Some(start) = start {
             self.op_latency.record(now.since(start));
             let mut prev = start;
             for (i, m) in marks.iter().enumerate() {
@@ -276,9 +272,6 @@ impl Cluster {
             }
             self.stage_lat[3].record(now.since(prev).as_nanos() as f64);
         }
-        let th = &mut self.threads[t];
-        th.op_start = SimTime::ZERO;
-        th.stage_marks = [None; 3];
     }
 
     /// Rio: submit batches through the initiator's `librio` handle.

@@ -17,3 +17,15 @@ fn a_zero_inflight_window_is_rejected_at_construction() {
     cfg.max_inflight_per_stream = 0;
     let _ = Cluster::new(cfg, Workload::random_4k(2, 10));
 }
+
+/// A thread's first fsync op submits its D group at t = 0, and the op
+/// is measured from there — not from the JM group a microsecond later,
+/// which is where a clock that reads "started at 0" as "not started"
+/// restarts it.
+#[test]
+fn the_first_fsync_op_is_measured_from_its_data_submission() {
+    let m = Cluster::new(rio_cfg(1), Workload::fsync_append(1, 1)).run();
+    assert_eq!((m.ops_done, m.op_latency.count()), (1, 1));
+    // One thread, one op: the op spans the whole run.
+    assert_eq!(m.op_latency.max(), m.span);
+}
