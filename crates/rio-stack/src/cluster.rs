@@ -223,7 +223,6 @@ pub struct Cluster {
     // Metrics. Groups, blocks, commands and group latency are counted
     // once, on the owning initiator's row.
     ops_done: u64,
-    ctrl_sent: u64,
     events_processed: u64,
     op_latency: Histogram,
     stage_lat: [rio_sim::MeanAccum; 4],
@@ -437,7 +436,6 @@ impl Cluster {
             admit_scratch: Vec::new(),
             scatter_qp: 0,
             ops_done: 0,
-            ctrl_sent: 0,
             events_processed: 0,
             op_latency: Histogram::new(),
             stage_lat: Default::default(),
@@ -464,33 +462,8 @@ impl Cluster {
         self.metrics()
     }
 
-    /// Runs the workload, then asserts every target's media holds
-    /// exactly what was submitted before building metrics: every
-    /// sealed block matches its seal (no corrupt block survives a run
-    /// — all are detected and either rolled back + resubmitted or
-    /// discarded during recovery) and is byte-for-byte the payload its
-    /// embedded seed generates (recovered bytes == submitted bytes).
-    #[cfg(test)]
-    pub(crate) fn run_and_verify(mut self) -> RunMetrics {
-        self.run_loop();
-        let m = self.metrics();
-        for (t, target) in self.targets.iter().enumerate() {
-            for (s, ssd) in target.ssds.iter().enumerate() {
-                assert!(
-                    ssd.media_verified(),
-                    "corrupt block survived the run on target {t} ssd {s}"
-                );
-                assert!(
-                    ssd.payload_verified(),
-                    "media block differs from its submitted payload on target {t} ssd {s}"
-                );
-            }
-        }
-        m
-    }
-
-    /// The event loop body shared by [`Cluster::run`] and the
-    /// verifying test harness.
+    /// The event loop: drains the heap, firing any fault whose event
+    /// died with an earlier halting fault.
     fn run_loop(&mut self) {
         self.start();
         loop {
@@ -513,7 +486,7 @@ impl Cluster {
     }
 
     /// Schedules the initial thread wake-ups and the fault plan.
-    pub(crate) fn start(&mut self) {
+    fn start(&mut self) {
         for t in 0..self.threads.len() {
             self.events.push(SimTime::ZERO, Event::Resume(t));
         }
@@ -523,25 +496,8 @@ impl Cluster {
         }
     }
 
-    /// Runs until the event heap drains or `deadline` passes; returns
-    /// the virtual time reached.
-    #[cfg(test)]
-    pub(crate) fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let mut reached = SimTime::ZERO;
-        while let Some((now, ev)) = self.events.pop_if_at_or_before(deadline) {
-            self.events_processed += 1;
-            self.handle(now, ev);
-            reached = now;
-        }
-        if self.events.is_empty() {
-            reached
-        } else {
-            deadline
-        }
-    }
-
     /// Builds the final metrics snapshot.
-    pub(crate) fn metrics(&mut self) -> RunMetrics {
+    fn metrics(&mut self) -> RunMetrics {
         // Settle device-internal effects (stats, drains) up to the end.
         for t in &mut self.targets {
             for ssd in &mut t.ssds {
@@ -675,18 +631,6 @@ impl Cluster {
             Event::CtrlAck { thread } => self.on_ctrl_ack(now, thread),
             Event::Fault(i) => self.on_fault(now, i as usize),
         }
-    }
-
-    /// Immutable access to a target's SSDs.
-    #[cfg(test)]
-    pub(crate) fn target_ssds(&self, target: usize) -> &[rio_ssd::Ssd] {
-        &self.targets[target].ssds
-    }
-
-    /// Number of targets.
-    #[cfg(test)]
-    pub(crate) fn n_targets(&self) -> usize {
-        self.targets.len()
     }
 }
 

@@ -44,7 +44,6 @@ impl Cluster {
             let delivery = self
                 .fabric
                 .send(&mut self.initiators[init].nic, init_qp, cpu, 64);
-            self.ctrl_sent += 1;
             self.threads[t].ctrl_pending = Some(spec);
             self.events.push(
                 delivery,

@@ -372,28 +372,21 @@ impl Cluster {
         let mut extents = std::mem::take(&mut self.extent_scratch);
         extents.clear();
         self.chunked_extents_into(attr.range, &mut extents);
-        // Build logical slices for the splitter, then graft physical
-        // ranges onto the fragments.
+        // One fragment per extent, carrying its physical range.
         let mut slices = std::mem::take(&mut self.slice_scratch);
         slices.clear();
-        let mut off = 0u64;
-        for e in &extents {
-            slices.push(BlockRange::new(attr.range.lba + off, e.range.blocks));
-            off += e.range.blocks as u64;
-        }
+        slices.extend(extents.iter().map(|e| e.range));
         let mut frags = std::mem::take(&mut self.frag_scratch);
         frags.clear();
         split_attr_into(&attr, &slices, &mut frags);
-        let blocks_total: u32 = attr.range.blocks;
         let unit_id = self.units.insert(Unit {
             plain_groups: 0,
-            blocks: blocks_total,
+            blocks: attr.range.blocks,
             fragments_total: frags.len(),
             fragments_done: 0,
             submitted: cpu,
         });
         for (frag, ext) in frags.iter_mut().zip(extents.iter()) {
-            frag.range = ext.range;
             frag.ssd = ext.ssd as u8;
             self.initiators[self.threads[t].init].rio.stamp(frag, ext.server);
             cpu = self.post_write(cpu, t, ext, Some(*frag), frag.flush, unit_id);

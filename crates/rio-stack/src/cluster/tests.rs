@@ -1,11 +1,60 @@
 //! In-crate cluster tests: everything here runs whole simulations
-//! through `Cluster`, a few peeking at private state (`run_and_verify`,
-//! `run_until`, `target_ssds`, thread placement).
+//! through `Cluster`, a few peeking at private state (the media check
+//! of `run_and_verify`, `run_until`, thread placement).
 
 use super::*;
 use crate::config::{FabricConfig, FaultEvent, FaultKind, FaultPlan};
 use proptest::prelude::*;
 use rio_ssd::SsdProfile;
+
+impl Cluster {
+    /// Runs the workload, then asserts every target's media holds
+    /// exactly what was submitted before building metrics: every
+    /// sealed block matches its seal (no corrupt block survives a run
+    /// — all are detected and either rolled back + resubmitted or
+    /// discarded during recovery) and is byte-for-byte the payload its
+    /// embedded seed generates (recovered bytes == submitted bytes).
+    fn run_and_verify(mut self) -> RunMetrics {
+        self.run_loop();
+        let m = self.metrics();
+        for (t, target) in self.targets.iter().enumerate() {
+            for (s, ssd) in target.ssds.iter().enumerate() {
+                assert!(
+                    ssd.media_verified(),
+                    "corrupt block survived the run on target {t} ssd {s}"
+                );
+                assert!(
+                    ssd.payload_verified(),
+                    "media block differs from its submitted payload on target {t} ssd {s}"
+                );
+            }
+        }
+        m
+    }
+
+    /// Runs until the event heap drains or `deadline` passes; returns
+    /// the virtual time reached.
+    fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        let mut reached = SimTime::ZERO;
+        while let Some((now, ev)) = self.events.pop_if_at_or_before(deadline) {
+            self.events_processed += 1;
+            self.handle(now, ev);
+            reached = now;
+        }
+        if self.events.is_empty() {
+            reached
+        } else {
+            deadline
+        }
+    }
+}
+
+const ALL_MODES: [OrderingMode; 4] = [
+    OrderingMode::Orderless,
+    OrderingMode::LinuxNvmf,
+    OrderingMode::Horae,
+    OrderingMode::Rio { merge: true },
+];
 
 /// One Optane target, eight cores and QPs a side, a 16-deep window.
 fn small_cfg(mode: OrderingMode, threads: usize) -> ClusterConfig {
@@ -272,12 +321,7 @@ proptest! {
         migrate in 0u64..3,
         seed in any::<u64>(),
     ) {
-        for mode in [
-            OrderingMode::Orderless,
-            OrderingMode::LinuxNvmf,
-            OrderingMode::Horae,
-            OrderingMode::Rio { merge: true },
-        ] {
+        for mode in ALL_MODES {
             let groups = if mode == OrderingMode::LinuxNvmf { 15 } else { 60 };
             let mut cfg = small_cfg(mode.clone(), 2);
             cfg.seed = seed;
@@ -305,6 +349,16 @@ fn two_target_cfg(threads: usize) -> ClusterConfig {
     cfg.seed = 9;
     cfg.targets.push(cfg.targets[0].clone());
     cfg
+}
+
+/// A one-fault plan: `kind` strikes halfway through the fault-free run
+/// of `cfg` under `wl`, and the run resumes.
+fn fault_at_half(cfg: &ClusterConfig, wl: &Workload, kind: FaultKind) -> FaultPlan {
+    let baseline = Cluster::new(cfg.clone(), wl.clone()).run();
+    let at = SimTime::from_nanos(baseline.finished_at.as_nanos() / 2);
+    FaultPlan {
+        events: vec![FaultEvent { at, kind, resume: true }],
+    }
 }
 
 /// The acceptance scenario: loss = 1e-3, 2 paths, one of two
@@ -359,20 +413,10 @@ fn survivable_crash_completes_every_group_exactly_once() {
 fn nic_reset_fault_recovers_without_power_loss() {
     let threads = 2usize;
     let groups = 400u64;
-    let baseline = Cluster::new(
-        two_target_cfg(threads),
-        Workload::random_4k(threads, groups),
-    )
-    .run();
+    let wl = Workload::random_4k(threads, groups);
     let mut cfg = two_target_cfg(threads);
-    cfg.faults = FaultPlan {
-        events: vec![FaultEvent {
-            at: SimTime::from_nanos(baseline.finished_at.as_nanos() / 2),
-            kind: FaultKind::NicReset { target: 0 },
-            resume: true,
-        }],
-    };
-    let m = Cluster::new(cfg, Workload::random_4k(threads, groups)).run();
+    cfg.faults = fault_at_half(&cfg, &wl, FaultKind::NicReset { target: 0 });
+    let m = Cluster::new(cfg, wl).run();
     assert_eq!(m.groups_done, threads as u64 * groups);
     assert_eq!(m.recoveries.len(), 1);
     assert!(!m.recoveries[0].power_fail, "link flap, not power failure");
@@ -558,20 +602,10 @@ fn wire_corruption_is_detected_refetched_and_never_delivered() {
 fn packet_corrupt_fault_turns_corruption_on_mid_run() {
     let threads = 2usize;
     let groups = 400u64;
-    let baseline = Cluster::new(
-        small_cfg(OrderingMode::Rio { merge: true }, threads),
-        Workload::random_4k(threads, groups),
-    )
-    .run();
+    let wl = Workload::random_4k(threads, groups);
     let mut cfg = small_cfg(OrderingMode::Rio { merge: true }, threads);
-    cfg.faults = FaultPlan {
-        events: vec![FaultEvent {
-            at: SimTime::from_nanos(baseline.finished_at.as_nanos() / 2),
-            kind: FaultKind::PacketCorrupt { rate: 0.05 },
-            resume: true,
-        }],
-    };
-    let m = Cluster::new(cfg, Workload::random_4k(threads, groups)).run_and_verify();
+    cfg.faults = fault_at_half(&cfg, &wl, FaultKind::PacketCorrupt { rate: 0.05 });
+    let m = Cluster::new(cfg, wl).run_and_verify();
     assert_eq!(m.groups_done, threads as u64 * groups);
     assert!(
         m.integrity.wire_injected > 0,
@@ -586,31 +620,18 @@ fn packet_corrupt_fault_turns_corruption_on_mid_run() {
 fn torn_write_tears_are_scrubbed_and_repaired() {
     let threads = 2usize;
     let groups = 600u64;
+    let wl = Workload::random_4k(threads, groups);
     // Volatile-cache drives: the write cache is essentially never
     // empty mid-run, so the power cut reliably catches a write
     // mid-drain and tears it. (A PLP Optane completes writes in
     // microseconds and may be idle at any given instant.)
-    let volatile = |mut cfg: ClusterConfig| {
-        for t in &mut cfg.targets {
-            t.ssds = vec![SsdProfile::pm981()];
-        }
-        cfg
-    };
-    let baseline = Cluster::new(
-        volatile(two_target_cfg(threads)),
-        Workload::random_4k(threads, groups),
-    )
-    .run();
-    let mut cfg = volatile(two_target_cfg(threads));
+    let mut cfg = two_target_cfg(threads);
+    for t in &mut cfg.targets {
+        t.ssds = vec![SsdProfile::pm981()];
+    }
+    cfg.faults = fault_at_half(&cfg, &wl, FaultKind::TornWrite { targets: vec![1] });
     cfg.integrity = true;
-    cfg.faults = FaultPlan {
-        events: vec![FaultEvent {
-            at: SimTime::from_nanos(baseline.finished_at.as_nanos() / 2),
-            kind: FaultKind::TornWrite { targets: vec![1] },
-            resume: true,
-        }],
-    };
-    let m = Cluster::new(cfg, Workload::random_4k(threads, groups)).run_and_verify();
+    let m = Cluster::new(cfg, wl).run_and_verify();
     assert_eq!(m.groups_done, threads as u64 * groups, "exactly once");
     assert_eq!(m.recoveries.len(), 1);
     assert!(m.recoveries[0].power_fail, "a torn write rides a power cut");
@@ -627,23 +648,14 @@ fn torn_write_tears_are_scrubbed_and_repaired() {
 fn bit_rot_is_detected_and_repaired_or_reported() {
     let threads = 2usize;
     let groups = 600u64;
-    let baseline = Cluster::new(
-        two_target_cfg(threads),
-        Workload::random_4k(threads, groups),
-    )
-    .run();
+    let wl = Workload::random_4k(threads, groups);
     let mut cfg = two_target_cfg(threads);
-    cfg.faults = FaultPlan {
-        events: vec![FaultEvent {
-            at: SimTime::from_nanos(baseline.finished_at.as_nanos() / 2),
-            kind: FaultKind::BitRot {
-                targets: Vec::new(),
-                flips: 3,
-            },
-            resume: true,
-        }],
+    let rot = FaultKind::BitRot {
+        targets: Vec::new(),
+        flips: 3,
     };
-    let m = Cluster::new(cfg, Workload::random_4k(threads, groups)).run_and_verify();
+    cfg.faults = fault_at_half(&cfg, &wl, rot);
+    let m = Cluster::new(cfg, wl).run_and_verify();
     assert_eq!(m.groups_done, threads as u64 * groups, "exactly once");
     assert_eq!(m.recoveries.len(), 1);
     assert!(!m.recoveries[0].power_fail, "rot strikes powered media");
@@ -678,12 +690,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let paths = [1usize, 2, 4][paths_sel];
-        for mode in [
-            OrderingMode::Orderless,
-            OrderingMode::LinuxNvmf,
-            OrderingMode::Horae,
-            OrderingMode::Rio { merge: true },
-        ] {
+        for mode in ALL_MODES {
             let groups = if mode == OrderingMode::LinuxNvmf { 15 } else { 60 };
             let mut cfg = small_cfg(mode.clone(), 2);
             cfg.seed = seed;
@@ -891,12 +898,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let threads = n_init * streams_each;
-        for mode in [
-            OrderingMode::Orderless,
-            OrderingMode::LinuxNvmf,
-            OrderingMode::Horae,
-            OrderingMode::Rio { merge: true },
-        ] {
+        for mode in ALL_MODES {
             let groups = if mode == OrderingMode::LinuxNvmf { 12 } else { 40 };
             let mut cfg = ClusterConfig::multi_initiator(mode.clone(), n_init, streams_each, 2);
             cfg.seed = seed;
@@ -986,9 +988,7 @@ fn multi_target_striping_reaches_all_ssds() {
     let m = cl.metrics();
     assert_eq!(m.groups_done, 200);
     // Every SSD saw writes.
-    for t in 0..cl.n_targets() {
-        for ssd in cl.target_ssds(t) {
-            assert!(ssd.stats().writes > 0, "an SSD saw no writes");
-        }
+    for ssd in cl.targets.iter().flat_map(|t| &t.ssds) {
+        assert!(ssd.stats().writes > 0, "an SSD saw no writes");
     }
 }

@@ -38,8 +38,6 @@
 pub mod cluster;
 pub mod config;
 pub mod cpu;
-#[cfg(test)]
-mod crash;
 pub mod metrics;
 pub mod telemetry;
 pub mod trace;
@@ -59,3 +57,7 @@ pub use telemetry::{
 };
 pub use trace::{CmdTraceRecord, LatencyBreakdown, Stage, TraceConfig};
 pub use workload::Workload;
+
+// The §6.5 recovery-time experiment's shape tests (test-only module).
+#[cfg(test)]
+mod crash;
