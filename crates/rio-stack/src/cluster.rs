@@ -258,6 +258,7 @@ impl Cluster {
     /// window).
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
         assert!(workload.threads > 0, "need at least one thread");
+        let rio_mode = matches!(cfg.mode, OrderingMode::Rio { .. });
         // The one place the initiator topology is read from the config:
         // everything below works from this normalised list.
         let init_cfgs = cfg.effective_initiators();
@@ -293,7 +294,7 @@ impl Cluster {
                 .iter()
                 .any(|e| !matches!(e.kind, FaultKind::PacketCorrupt { .. }));
             assert!(
-                !needs_recovery || matches!(cfg.mode, OrderingMode::Rio { .. }),
+                !needs_recovery || rio_mode,
                 "fault injection requires a Rio mode: recovery rebuilds \
                  the order from persisted attributes, which only Rio keeps"
             );
@@ -346,7 +347,6 @@ impl Cluster {
             tenant_idx.push(i);
         }
         let multi_tenant = tenants.len() > 1;
-        let rio_mode = matches!(cfg.mode, OrderingMode::Rio { .. });
         let targets: Vec<Target> = cfg
             .targets
             .iter()

@@ -302,6 +302,7 @@ impl Cluster {
                         last,
                         last && spec.flush,
                     );
+                    // Every member carries its group's sequence number.
                     seq = attr.seq_start.0;
                 }
                 if let Some(tm) = &mut self.telemetry {
@@ -602,7 +603,6 @@ impl Cluster {
             delivered.clear();
             let init = self.threads[t].init;
             self.initiators[init].rio.on_done_into(attr, &mut delivered);
-            let stream = attr.stream;
             if self.trace.is_some() || self.telemetry.is_some() {
                 // Sample the completer's held-back pressure.
                 let held: usize = self.initiators.iter().map(|i| i.rio.total_pending()).sum();
@@ -610,7 +610,7 @@ impl Cluster {
                     // Commands delivered through the in-order completer
                     // close now.
                     if let Some(&last) = delivered.last() {
-                        tr.deliver(stream.0 as usize, last.0, cpu);
+                        tr.deliver(attr.stream.0 as usize, last.0, cpu);
                     }
                     tr.note_completer_held(held as u64);
                 }

@@ -394,10 +394,10 @@ impl Cluster {
     /// share.
     pub(super) fn on_ssd_submit(&mut self, now: SimTime, id: u64) {
         let cmd = self.cmds.get(id).expect("cmd exists");
-        let (target_idx, blocks) = (cmd.target, cmd.phys.blocks);
-        let tenant_idx = self.initiators[self.threads[cmd.thread].init].tenant_idx;
+        let target_idx = cmd.target;
         if let Some(drr) = &mut self.targets[target_idx].drr {
-            drr.queues[tenant_idx].push_back((id, now, blocks));
+            let tenant_idx = self.initiators[self.threads[cmd.thread].init].tenant_idx;
+            drr.queues[tenant_idx].push_back((id, now, cmd.phys.blocks));
             self.drr_pump(now, target_idx);
             return;
         }
