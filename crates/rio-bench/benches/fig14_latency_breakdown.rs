@@ -127,7 +127,7 @@ fn traced_config(loss: f64, crash: bool) -> ClusterConfig {
             3,
         )
     };
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     for t in &mut cfg.targets {
         t.cores = 8;
     }

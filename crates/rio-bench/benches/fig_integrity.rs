@@ -29,8 +29,8 @@ use rio_bench::{all_modes, header, kiops, row, run};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
-    RunMetrics, TargetConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
+    OrderingMode, RunMetrics, TargetConfig, Workload,
 };
 
 const THREADS: usize = 4;
@@ -133,7 +133,6 @@ fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> Clust
     let mut cfg = ClusterConfig {
         seed: 77,
         mode,
-        initiator_cores: 8,
         targets: vec![
             TargetConfig {
                 ssds: vec![ssd()],
@@ -147,7 +146,6 @@ fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> Clust
         fabric: rio_net::FabricProfile::connectx6(),
         net: FabricConfig::lossy(0.0, 2),
         cpu: Default::default(),
-        streams: THREADS,
         qps_per_target: 8,
         stripe_blocks: 1,
         max_inflight_per_stream: 64,
@@ -157,7 +155,7 @@ fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> Clust
         faults: Default::default(),
         trace: None,
         telemetry: None,
-        initiators: Vec::new(),
+        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(THREADS, 0) }],
     };
     cfg.net.corrupt_rate = corrupt;
     cfg

@@ -30,15 +30,14 @@ use rio_bench::{header, kiops, row};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
-    TargetConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
+    OrderingMode, TargetConfig, Workload,
 };
 
 fn paper_cfg(seed: u64, threads: usize) -> ClusterConfig {
     ClusterConfig {
         seed,
         mode: OrderingMode::Rio { merge: true },
-        initiator_cores: threads,
         targets: vec![
             TargetConfig {
                 ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
@@ -52,7 +51,6 @@ fn paper_cfg(seed: u64, threads: usize) -> ClusterConfig {
         fabric: rio_net::FabricProfile::connectx6(),
         net: Default::default(),
         cpu: Default::default(),
-        streams: threads,
         qps_per_target: threads,
         stripe_blocks: 1,
         // "continuously without explicitly waiting": deep windows.
@@ -63,7 +61,7 @@ fn paper_cfg(seed: u64, threads: usize) -> ClusterConfig {
         faults: Default::default(),
         trace: None,
         telemetry: None,
-        initiators: Vec::new(),
+        initiators: vec![InitiatorConfig { cores: threads, ..InitiatorConfig::new(threads, 0) }],
     }
 }
 
@@ -131,7 +129,6 @@ fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig {
         seed: 77,
         mode,
-        initiator_cores: 8,
         targets: vec![
             TargetConfig {
                 ssds: vec![SsdProfile::optane905p()],
@@ -145,7 +142,6 @@ fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
         fabric: rio_net::FabricProfile::connectx6(),
         net: FabricConfig::lossy(loss, 2),
         cpu: Default::default(),
-        streams: threads,
         qps_per_target: 8,
         stripe_blocks: 1,
         max_inflight_per_stream: 64,
@@ -155,7 +151,7 @@ fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
         faults: Default::default(),
         trace: None,
         telemetry: None,
-        initiators: Vec::new(),
+        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(threads, 0) }],
     };
     cfg.net.migrate_every = 64;
     cfg

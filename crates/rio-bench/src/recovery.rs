@@ -22,7 +22,8 @@
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, TargetConfig, Workload,
+    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig, OrderingMode,
+    TargetConfig, Workload,
 };
 
 use crate::gate::{render, Rule, Trajectory};
@@ -100,7 +101,6 @@ fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
     ClusterConfig {
         seed,
         mode: OrderingMode::Rio { merge: true },
-        initiator_cores: threads,
         targets: vec![
             TargetConfig {
                 ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
@@ -114,7 +114,6 @@ fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
         fabric: rio_net::FabricProfile::connectx6(),
         net: Default::default(),
         cpu: Default::default(),
-        streams: threads,
         qps_per_target: threads,
         stripe_blocks: 1,
         max_inflight_per_stream: 96,
@@ -124,7 +123,7 @@ fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
         faults: Default::default(),
         trace: None,
         telemetry: None,
-        initiators: Vec::new(),
+        initiators: vec![InitiatorConfig { cores: threads, ..InitiatorConfig::new(threads, 0) }],
     }
 }
 

@@ -186,12 +186,11 @@ pub struct Cluster {
     workload: Workload,
     events: EventHeap<Event>,
     fabric: Fabric,
-    /// The initiator hosts, one per entry of the normalised
-    /// `effective_initiators()` list.
+    /// The initiator hosts, one per entry of `cfg.initiators`.
     initiators: Vec<Initiator>,
     volume: StripedVolume,
     /// Distinct tenant ids, in order of first appearance across the
-    /// effective initiator list.
+    /// initiator list.
     tenants: Vec<u32>,
     /// Per-tenant DRR admission-wait histograms (indexed like
     /// `tenants`; all empty when the scheduler is inert).
@@ -258,9 +257,10 @@ impl Cluster {
     /// window).
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
         assert!(workload.threads > 0, "need at least one thread");
+        assert!(!cfg.initiators.is_empty(), "need at least one initiator");
         let rio_mode = matches!(cfg.mode, OrderingMode::Rio { .. });
         // The one place the initiator topology is read from the config:
-        // everything below works from this normalised list.
+        // everything below works from this weight-clamped list.
         let init_cfgs = cfg.effective_initiators();
         // Thread i owns global stream i, partitioned across initiators
         // by their configured stream counts.

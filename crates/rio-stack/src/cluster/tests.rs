@@ -60,7 +60,7 @@ const ALL_MODES: [OrderingMode; 4] = [
 fn small_cfg(mode: OrderingMode, threads: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
     cfg.seed = 7;
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     cfg.targets[0].cores = 8;
     cfg.qps_per_target = 8;
     cfg.max_inflight_per_stream = 16;
@@ -326,7 +326,6 @@ proptest! {
             let mut cfg = small_cfg(mode.clone(), 2);
             cfg.seed = seed;
             cfg.net = FabricConfig::lossy(loss, paths);
-            cfg.net.rto_us = 25.0;
             cfg.net.migrate_every = migrate * 32;
             let m = Cluster::new(cfg, Workload::random_4k(2, groups)).run();
             prop_assert_eq!(m.groups_done, 2 * groups, "{} lost groups", mode.label());
@@ -696,7 +695,6 @@ proptest! {
             cfg.seed = seed;
             cfg.net = FabricConfig::lossy(loss, paths);
             cfg.net.corrupt_rate = corrupt;
-            cfg.net.rto_us = 25.0;
             let m = Cluster::new(cfg, Workload::random_4k(2, groups)).run_and_verify();
             prop_assert_eq!(m.groups_done, 2 * groups, "{} lost groups", mode.label());
             prop_assert_eq!(
@@ -755,8 +753,8 @@ fn four_initiators_four_targets_lossy_exactly_once_and_fair() {
     assert_eq!(m, run(), "same seed replays byte-identically");
 }
 
-/// Normalisation facts the event path relies on instead of
-/// per-use fallbacks. A zero QoS weight is raised to 1 once, in
+/// The one normalisation the event path relies on instead of
+/// per-use fallbacks: a zero QoS weight is raised to 1 once, in
 /// `effective_initiators()`, before the DRR (whose quantum would
 /// otherwise never grow) or the metrics see it.
 #[test]
@@ -777,7 +775,7 @@ fn zero_weight_is_raised_to_one_at_normalisation() {
 #[test]
 fn every_stream_has_an_owning_initiator_by_construction() {
     let mut cfg = small_cfg(OrderingMode::Rio { merge: true }, 2);
-    cfg.streams = 5;
+    cfg.initiators[0].streams = 5;
     let cl = Cluster::new(cfg, Workload::random_4k(2, 10));
     assert_eq!(cl.init_of_stream, vec![0; 5]);
     let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 2, 1);
@@ -903,7 +901,6 @@ proptest! {
             let mut cfg = ClusterConfig::multi_initiator(mode.clone(), n_init, streams_each, 2);
             cfg.seed = seed;
             cfg.net = FabricConfig::lossy(loss, 2);
-            cfg.net.rto_us = 25.0;
             let m = Cluster::new(cfg.clone(), Workload::random_4k(threads, groups)).run();
             prop_assert_eq!(
                 m.groups_done, threads as u64 * groups,
@@ -971,7 +968,7 @@ proptest! {
 #[test]
 fn multi_target_striping_reaches_all_ssds() {
     let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 2);
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     for t in &mut cfg.targets {
         t.cores = 8;
     }

@@ -39,13 +39,14 @@ impl OrderingMode {
     }
 }
 
-/// Fabric transport configuration: loss, segmentation and paths.
+/// Fabric transport configuration: loss, corruption and paths.
 ///
 /// These knobs parameterize the packet-level model in `rio-net`: the
 /// cluster applies them on top of the base [`FabricProfile`] timing
 /// profile when it builds the fabric (see [`FabricConfig::apply`]).
-/// The default is the lossless single-path fabric earlier experiments
-/// ran on.
+/// Segmentation (MTU) and the go-back-N recovery latency stay the base
+/// profile's. The default is the lossless single-path fabric earlier
+/// experiments ran on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Per-packet drop probability (clamped to `[0, 0.995]` by the
@@ -57,17 +58,10 @@ pub struct FabricConfig {
     /// go-back-N recovery a drop takes. Non-zero rates force
     /// integrity checking on (see [`ClusterConfig::integrity`]).
     pub corrupt_rate: f64,
-    /// Maximum transmission unit in bytes; messages are segmented into
-    /// packets of at most this size.
-    pub mtu_bytes: u32,
-    /// Go-back-N recovery latency in microseconds (NAK-triggered
-    /// recovery on a busy RC queue pair; a few fabric round trips).
-    pub rto_us: f64,
     /// Number of asymmetric paths per NIC. The base bandwidth is split
-    /// evenly; path `i` runs at `base_latency * (1 + spread * i)`.
+    /// evenly; path `i` runs at
+    /// `base_latency * (1 + PATH_LATENCY_SPREAD * i)`.
     pub paths: usize,
-    /// Per-path latency spread factor (see [`FabricConfig::paths`]).
-    pub path_latency_spread: f64,
     /// Messages per queue pair between path migrations; `0` pins each
     /// QP to its initial path. When non-zero, a retransmission timeout
     /// also fails the QP over to the next path.
@@ -79,14 +73,15 @@ impl Default for FabricConfig {
         FabricConfig {
             loss_rate: 0.0,
             corrupt_rate: 0.0,
-            mtu_bytes: 4096,
-            rto_us: 25.0,
             paths: 1,
-            path_latency_spread: 0.15,
             migrate_every: 0,
         }
     }
 }
+
+/// Latency step between adjacent paths of a multi-path fabric, as a
+/// fraction of the base one-way latency (see [`FabricConfig::paths`]).
+const PATH_LATENCY_SPREAD: f64 = 0.15;
 
 impl FabricConfig {
     /// A lossy multi-path fabric — the `fig_lossy_fabric` sweep shape.
@@ -98,16 +93,16 @@ impl FabricConfig {
         }
     }
 
-    /// Builds the `rio-net` profile: `base` timing plus this config's
-    /// segmentation, loss and path layout.
+    /// Builds the `rio-net` profile: `base` timing, MTU and recovery
+    /// latency plus this config's loss, corruption and path layout.
     pub fn apply(&self, base: FabricProfile) -> FabricProfile {
+        let rto_us = base.rto_us;
         let mut p = base
-            .with_mtu(self.mtu_bytes)
-            .with_loss(self.loss_rate, self.rto_us)
+            .with_loss(self.loss_rate, rto_us)
             .with_corruption(self.corrupt_rate)
             .with_migration(self.migrate_every);
         if self.paths > 1 {
-            p = p.with_paths(self.paths, self.path_latency_spread);
+            p = p.with_paths(self.paths, PATH_LATENCY_SPREAD);
         }
         p
     }
@@ -390,27 +385,19 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Ordering engine.
     pub mode: OrderingMode,
-    /// Cores on the initiator server.
-    pub initiator_cores: usize,
     /// Target servers.
     pub targets: Vec<TargetConfig>,
     /// Fabric timing profile (latency, bandwidth, jitter).
     pub fabric: FabricProfile,
-    /// Fabric transport behavior: loss, MTU, paths, migration.
+    /// Fabric transport behavior: loss, corruption, paths, migration.
     pub net: FabricConfig,
     /// CPU cost model.
     pub cpu: CpuCosts,
-    /// Number of ordered streams (`rio_setup`; default = threads).
-    /// Ignored when [`ClusterConfig::initiators`] is non-empty — the
-    /// stream space is then the concatenation of every initiator's
-    /// streams.
-    pub streams: usize,
-    /// Initiator servers. Empty (the default everywhere) is shorthand
-    /// for one initiator with [`ClusterConfig::initiator_cores`] cores
-    /// and [`ClusterConfig::streams`] streams (tenant 0, weight 1);
-    /// [`ClusterConfig::effective_initiators`] expands it, and the
-    /// cluster builds one NIC + `librio` handle per entry over a shared
-    /// global stream space either way.
+    /// Initiator servers, never empty: every constructor fills the list
+    /// (the single-initiator shapes with one tenant-0, weight-1 entry).
+    /// The cluster builds one NIC + `librio` handle per entry over a
+    /// shared global stream space — the concatenation of every
+    /// initiator's streams (`rio_setup`; at least one per thread).
     pub initiators: Vec<InitiatorConfig>,
     /// NIC queue pairs per (initiator, target) connection.
     pub qps_per_target: usize,
@@ -460,7 +447,6 @@ impl ClusterConfig {
         ClusterConfig {
             seed: 42,
             mode,
-            initiator_cores: 36,
             targets: vec![TargetConfig {
                 ssds: vec![ssd],
                 cores: 36,
@@ -468,8 +454,7 @@ impl ClusterConfig {
             fabric: FabricProfile::connectx6(),
             net: FabricConfig::default(),
             cpu: CpuCosts::default(),
-            streams,
-            initiators: Vec::new(),
+            initiators: vec![InitiatorConfig::new(streams, 0)],
             qps_per_target: 36,
             stripe_blocks: 1,
             max_inflight_per_stream: 48,
@@ -487,7 +472,6 @@ impl ClusterConfig {
         ClusterConfig {
             seed: 42,
             mode,
-            initiator_cores: 36,
             targets: vec![
                 TargetConfig {
                     ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
@@ -501,8 +485,7 @@ impl ClusterConfig {
             fabric: FabricProfile::connectx6(),
             net: FabricConfig::default(),
             cpu: CpuCosts::default(),
-            streams,
-            initiators: Vec::new(),
+            initiators: vec![InitiatorConfig::new(streams, 0)],
             qps_per_target: 36,
             stripe_blocks: 1,
             max_inflight_per_stream: 48,
@@ -541,35 +524,21 @@ impl ClusterConfig {
         cfg
     }
 
-    /// The effective initiator list, normalised: the configured
-    /// [`ClusterConfig::initiators`], or the single initiator the
-    /// `initiator_cores` / `streams` fields describe, with every QoS
-    /// weight raised to at least 1. The cluster reads its initiator
-    /// topology from this list and nowhere else.
+    /// The initiator list with every QoS weight raised to at least 1
+    /// (a zero weight would starve its tenant's DRR quantum). The
+    /// cluster reads its initiator topology from this list and nowhere
+    /// else.
     pub fn effective_initiators(&self) -> Vec<InitiatorConfig> {
-        if self.initiators.is_empty() {
-            vec![InitiatorConfig {
-                cores: self.initiator_cores,
-                streams: self.streams,
-                tenant: 0,
-                weight: 1,
-            }]
-        } else {
-            self.initiators
-                .iter()
-                .map(|ic| ic.clone().with_weight(ic.weight.max(1)))
-                .collect()
-        }
+        self.initiators
+            .iter()
+            .map(|ic| ic.clone().with_weight(ic.weight.max(1)))
+            .collect()
     }
 
-    /// Total streams across all effective initiators — the size of the
-    /// global stream-id space every per-stream structure is sized for.
+    /// Total streams across all initiators — the size of the global
+    /// stream-id space every per-stream structure is sized for.
     pub fn total_streams(&self) -> usize {
-        if self.initiators.is_empty() {
-            self.streams
-        } else {
-            self.initiators.iter().map(|i| i.streams).sum()
-        }
+        self.initiators.iter().map(|i| i.streams).sum()
     }
 
     /// Total SSDs across targets.
@@ -600,21 +569,20 @@ mod tests {
         assert_eq!(c.targets.len(), 2);
     }
 
+    /// The single-initiator constructors spell the legacy scalar
+    /// shorthand out as the one-entry list it always stood for.
     #[test]
     fn empty_initiators_derive_the_legacy_single_initiator() {
         let c = ClusterConfig::single_ssd(OrderingMode::Orderless, SsdProfile::pm981(), 4);
-        assert!(c.initiators.is_empty());
         assert_eq!(c.total_streams(), 4);
-        let eff = c.effective_initiators();
-        assert_eq!(
-            eff,
-            vec![InitiatorConfig {
-                cores: c.initiator_cores,
-                streams: 4,
-                tenant: 0,
-                weight: 1
-            }]
-        );
+        let single = vec![InitiatorConfig {
+            cores: 36,
+            streams: 4,
+            tenant: 0,
+            weight: 1,
+        }];
+        assert_eq!(c.initiators, single);
+        assert_eq!(c.effective_initiators(), single);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{ClusterConfig, FaultPlan, OrderingMode, TargetConfig};
+    use crate::config::{ClusterConfig, FaultPlan, InitiatorConfig, OrderingMode, TargetConfig};
     use crate::metrics::RecoveryMetrics;
     use crate::{Cluster, Workload};
     use rio_net::FabricProfile;
@@ -34,7 +34,6 @@ mod tests {
         ClusterConfig {
             seed: 11,
             mode: OrderingMode::Rio { merge: true },
-            initiator_cores: threads.max(4),
             targets: vec![
                 TargetConfig {
                     ssds: vec![SsdProfile::optane905p()],
@@ -48,7 +47,6 @@ mod tests {
             fabric: FabricProfile::connectx6(),
             net: Default::default(),
             cpu: Default::default(),
-            streams: threads,
             qps_per_target: 8,
             stripe_blocks: 1,
             max_inflight_per_stream: 16,
@@ -58,7 +56,10 @@ mod tests {
             faults: FaultPlan::none(),
             trace: None,
             telemetry: None,
-            initiators: Vec::new(),
+            initiators: vec![InitiatorConfig {
+                cores: threads.max(4),
+                ..InitiatorConfig::new(threads, 0)
+            }],
         }
     }
 

@@ -17,14 +17,14 @@ use rio::net::FabricProfile;
 use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
 use rio::stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, TargetConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultPlan, InitiatorConfig, OrderingMode, TargetConfig,
+    Workload,
 };
 
 fn base_cfg() -> ClusterConfig {
     ClusterConfig {
         seed: 2023,
         mode: OrderingMode::Rio { merge: true },
-        initiator_cores: 8,
         targets: vec![
             TargetConfig {
                 ssds: vec![SsdProfile::optane905p()],
@@ -38,7 +38,6 @@ fn base_cfg() -> ClusterConfig {
         fabric: FabricProfile::connectx6(),
         net: Default::default(),
         cpu: Default::default(),
-        streams: 8,
         qps_per_target: 8,
         stripe_blocks: 1,
         max_inflight_per_stream: 32,
@@ -48,7 +47,7 @@ fn base_cfg() -> ClusterConfig {
         faults: FaultPlan::none(),
         trace: None,
         telemetry: None,
-        initiators: Vec::new(),
+        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(8, 0) }],
     }
 }
 

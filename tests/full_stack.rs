@@ -14,7 +14,7 @@ use rio::workloads::{MiniKv, Varmail};
 /// paths, target 1 power-fails mid-flight and the run survives.
 fn crash_under_loss() -> ClusterConfig {
     let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     for t in &mut cfg.targets {
         t.cores = 8;
     }
@@ -27,7 +27,7 @@ fn crash_under_loss() -> ClusterConfig {
 
 fn small(mode: OrderingMode, threads: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     cfg.targets[0].cores = 8;
     cfg.qps_per_target = 8;
     cfg.max_inflight_per_stream = 16;
@@ -207,11 +207,11 @@ fn run_metrics_snapshot_identical_with_multi_initiator_crash_under_loss() {
 
 #[test]
 fn explicit_default_initiator_reproduces_legacy_snapshots() {
-    // The compatibility pin: `initiators: [default]` must be
-    // *byte-identical* to the legacy scalar-field path — same event
-    // interleaving (pinned to the pre-tenancy literals), same full
-    // `RunMetrics` — in every mode. A divergence here means the
-    // multi-initiator generalization changed single-initiator runs.
+    // The compatibility pin: the one-entry initiator list the canned
+    // constructor builds must keep the event interleaving of the
+    // pre-tenancy single-initiator engine (pinned to those literals)
+    // in every mode. A divergence here means the multi-initiator
+    // generalization changed single-initiator runs.
     let expected = [
         (OrderingMode::Orderless, 5_039u64),
         (OrderingMode::LinuxNvmf, 1_443),
@@ -224,27 +224,22 @@ fn explicit_default_initiator_reproduces_legacy_snapshots() {
         } else {
             400
         };
-        let legacy = Cluster::new(small(mode.clone(), 3), Workload::random_4k(3, groups)).run();
-        let explicit = {
-            let mut cfg = small(mode.clone(), 3);
-            cfg.initiators = vec![InitiatorConfig {
-                cores: cfg.initiator_cores,
-                streams: cfg.streams,
+        let cfg = small(mode, 3);
+        assert_eq!(
+            cfg.initiators,
+            vec![InitiatorConfig {
+                cores: 8,
+                streams: 3,
                 tenant: 0,
                 weight: 1,
-            }];
-            Cluster::new(cfg, Workload::random_4k(3, groups)).run()
-        };
+            }],
+            "the constructor spells out the default initiator"
+        );
+        let m = Cluster::new(cfg, Workload::random_4k(3, groups)).run();
         assert_eq!(
-            legacy.events_processed,
+            m.events_processed,
             pinned_events,
             "{}: single-initiator event count moved off the snapshot",
-            mode.label()
-        );
-        assert_eq!(
-            legacy,
-            explicit,
-            "{}: explicit [default] initiator diverged from the legacy path",
             mode.label()
         );
     }
@@ -531,7 +526,7 @@ proptest::proptest! {
 #[test]
 fn crash_recovery_restores_a_prefix_on_every_stream() {
     let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 6);
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     for t in &mut cfg.targets {
         t.cores = 8;
     }
@@ -721,7 +716,7 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
     runs.push(("nic reset during fsync".into(), flap, Workload::fsync_append(3, 60)));
     let mut scatter = small(OrderingMode::Rio { merge: true }, 3);
     scatter.pin_stream_to_qp = false;
-    scatter.streams = 5;
+    scatter.initiators[0].streams = 5;
     runs.push(("scatter qp, spare streams".into(), scatter, wl));
     let mut tenants = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 2, 2, 1);
     tenants.initiators[0] = tenants.initiators[0].clone().with_weight(4);

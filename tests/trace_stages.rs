@@ -30,7 +30,7 @@ fn traced_cfg(mode: OrderingMode, threads: usize, loss: f64, paths: usize, crash
     } else {
         ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads)
     };
-    cfg.initiator_cores = 8;
+    cfg.initiators[0].cores = 8;
     for t in &mut cfg.targets {
         t.cores = 8;
     }
