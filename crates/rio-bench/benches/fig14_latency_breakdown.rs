@@ -126,12 +126,8 @@ fn traced_config(loss: f64, crash: bool) -> ClusterConfig {
             SsdProfile::optane905p(),
             3,
         )
-    };
-    cfg.initiators[0].cores = 8;
-    for t in &mut cfg.targets {
-        t.cores = 8;
     }
-    cfg.qps_per_target = 8;
+    .with_cores(8);
     cfg.max_inflight_per_stream = 16;
     if loss > 0.0 {
         cfg.net = FabricConfig::lossy(loss, 2);

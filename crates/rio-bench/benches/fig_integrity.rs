@@ -29,8 +29,8 @@ use rio_bench::{all_modes, header, kiops, row, run};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
-    OrderingMode, RunMetrics, TargetConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
+    RunMetrics, Workload,
 };
 
 const THREADS: usize = 4;
@@ -130,35 +130,17 @@ fn corruption_sweep(smoke: bool) {
 }
 
 fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> ClusterConfig {
-    let mut cfg = ClusterConfig {
+    ClusterConfig {
         seed: 77,
-        mode,
-        targets: vec![
-            TargetConfig {
-                ssds: vec![ssd()],
-                cores: 8,
-            },
-            TargetConfig {
-                ssds: vec![ssd()],
-                cores: 8,
-            },
-        ],
-        fabric: rio_net::FabricProfile::connectx6(),
-        net: FabricConfig::lossy(0.0, 2),
-        cpu: Default::default(),
-        qps_per_target: 8,
-        stripe_blocks: 1,
+        net: FabricConfig {
+            corrupt_rate: corrupt,
+            ..FabricConfig::lossy(0.0, 2)
+        },
         max_inflight_per_stream: 64,
-        plug_merge: true,
-        pin_stream_to_qp: true,
         integrity: true,
-        faults: Default::default(),
-        trace: None,
-        telemetry: None,
-        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(THREADS, 0) }],
-    };
-    cfg.net.corrupt_rate = corrupt;
-    cfg
+        ..ClusterConfig::new(mode, vec![vec![ssd()], vec![ssd()]], THREADS)
+    }
+    .with_cores(8)
 }
 
 /// Part 2: corruption × crash (Rio only: recovery needs the persisted

@@ -26,44 +26,13 @@
 //! # regenerate the recovery-time trajectory baseline (bench_gate input)
 //! ```
 
+use rio_bench::recovery::trial_cfg;
 use rio_bench::{header, kiops, row};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
-    OrderingMode, TargetConfig, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
 };
-
-fn paper_cfg(seed: u64, threads: usize) -> ClusterConfig {
-    ClusterConfig {
-        seed,
-        mode: OrderingMode::Rio { merge: true },
-        targets: vec![
-            TargetConfig {
-                ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
-                cores: threads,
-            },
-            TargetConfig {
-                ssds: vec![SsdProfile::pm981(), SsdProfile::p4800x()],
-                cores: threads,
-            },
-        ],
-        fabric: rio_net::FabricProfile::connectx6(),
-        net: Default::default(),
-        cpu: Default::default(),
-        qps_per_target: threads,
-        stripe_blocks: 1,
-        // "continuously without explicitly waiting": deep windows.
-        max_inflight_per_stream: 96,
-        plug_merge: true,
-        pin_stream_to_qp: true,
-        integrity: false,
-        faults: Default::default(),
-        trace: None,
-        telemetry: None,
-        initiators: vec![InitiatorConfig { cores: threads, ..InitiatorConfig::new(threads, 0) }],
-    }
-}
 
 /// Part 1: the paper's one-shot recovery-time table.
 fn paper_table(smoke: bool) {
@@ -78,7 +47,7 @@ fn paper_table(smoke: bool) {
     let mut records = 0usize;
     let mut discards = 0usize;
     for trial in 0..trials {
-        let mut cfg = paper_cfg(1000 + trial, threads);
+        let mut cfg = trial_cfg(1000 + trial, threads);
         let wl = Workload::random_4k(threads, 1_000_000);
         // Crash at a pseudo-random instant in [2, 6] ms of steady state.
         let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
@@ -126,35 +95,17 @@ fn paper_table(smoke: bool) {
 }
 
 fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig {
+    let optane = || vec![SsdProfile::optane905p()];
+    ClusterConfig {
         seed: 77,
-        mode,
-        targets: vec![
-            TargetConfig {
-                ssds: vec![SsdProfile::optane905p()],
-                cores: 8,
-            },
-            TargetConfig {
-                ssds: vec![SsdProfile::optane905p()],
-                cores: 8,
-            },
-        ],
-        fabric: rio_net::FabricProfile::connectx6(),
-        net: FabricConfig::lossy(loss, 2),
-        cpu: Default::default(),
-        qps_per_target: 8,
-        stripe_blocks: 1,
+        net: FabricConfig {
+            migrate_every: 64,
+            ..FabricConfig::lossy(loss, 2)
+        },
         max_inflight_per_stream: 64,
-        plug_merge: true,
-        pin_stream_to_qp: true,
-        integrity: false,
-        faults: Default::default(),
-        trace: None,
-        telemetry: None,
-        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(threads, 0) }],
-    };
-    cfg.net.migrate_every = 64;
-    cfg
+        ..ClusterConfig::new(mode, vec![optane(), optane()], threads)
+    }
+    .with_cores(8)
 }
 
 /// Part 2: the survivable loss × crash-pattern × mode sweep.

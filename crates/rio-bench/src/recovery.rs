@@ -20,10 +20,8 @@
 //! ```
 
 use rio_sim::SimTime;
-use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig, OrderingMode,
-    TargetConfig, Workload,
+    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
 };
 
 use crate::gate::{render, Rule, Trajectory};
@@ -97,34 +95,16 @@ impl Trajectory for RecoveryCell {
     }
 }
 
-fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
+/// The §6.5 testbed: four SSDs over two targets, `threads` cores and
+/// queue pairs a side, and windows deep enough that every thread
+/// submits "continuously without explicitly waiting".
+pub fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
     ClusterConfig {
         seed,
-        mode: OrderingMode::Rio { merge: true },
-        targets: vec![
-            TargetConfig {
-                ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
-                cores: threads,
-            },
-            TargetConfig {
-                ssds: vec![SsdProfile::pm981(), SsdProfile::p4800x()],
-                cores: threads,
-            },
-        ],
-        fabric: rio_net::FabricProfile::connectx6(),
-        net: Default::default(),
-        cpu: Default::default(),
-        qps_per_target: threads,
-        stripe_blocks: 1,
         max_inflight_per_stream: 96,
-        plug_merge: true,
-        pin_stream_to_qp: true,
-        integrity: false,
-        faults: Default::default(),
-        trace: None,
-        telemetry: None,
-        initiators: vec![InitiatorConfig { cores: threads, ..InitiatorConfig::new(threads, 0) }],
+        ..ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, threads)
     }
+    .with_cores(threads)
 }
 
 /// Runs the deterministic recovery trajectory: four one-shot crash

@@ -58,11 +58,8 @@ const ALL_MODES: [OrderingMode; 4] = [
 
 /// One Optane target, eight cores and QPs a side, a 16-deep window.
 fn small_cfg(mode: OrderingMode, threads: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
+    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads).with_cores(8);
     cfg.seed = 7;
-    cfg.initiators[0].cores = 8;
-    cfg.targets[0].cores = 8;
-    cfg.qps_per_target = 8;
     cfg.max_inflight_per_stream = 16;
     cfg
 }
@@ -967,12 +964,8 @@ proptest! {
 
 #[test]
 fn multi_target_striping_reaches_all_ssds() {
-    let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 2);
-    cfg.initiators[0].cores = 8;
-    for t in &mut cfg.targets {
-        t.cores = 8;
-    }
-    cfg.qps_per_target = 8;
+    let cfg =
+        ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 2).with_cores(8);
     let wl = Workload {
         threads: 2,
         groups_per_thread: 100,

@@ -442,15 +442,20 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A single-target, single-SSD cluster — the Fig. 2/10(a,b) shape.
-    pub fn single_ssd(mode: OrderingMode, ssd: SsdProfile, streams: usize) -> Self {
+    /// The shape every canned constructor is an instance of: one
+    /// initiator with `streams` streams driving one target per entry of
+    /// `targets` (the entry lists that target's SSDs), 36 cores and
+    /// queue pairs a side over a lossless single-path ConnectX-6 fabric.
+    /// Experiments override what they vary with struct-update syntax
+    /// and [`ClusterConfig::with_cores`].
+    pub fn new(mode: OrderingMode, targets: Vec<Vec<SsdProfile>>, streams: usize) -> Self {
         ClusterConfig {
             seed: 42,
             mode,
-            targets: vec![TargetConfig {
-                ssds: vec![ssd],
-                cores: 36,
-            }],
+            targets: targets
+                .into_iter()
+                .map(|ssds| TargetConfig { ssds, cores: 36 })
+                .collect(),
             fabric: FabricProfile::connectx6(),
             net: FabricConfig::default(),
             cpu: CpuCosts::default(),
@@ -467,35 +472,18 @@ impl ClusterConfig {
         }
     }
 
+    /// A single-target, single-SSD cluster — the Fig. 2/10(a,b) shape.
+    pub fn single_ssd(mode: OrderingMode, ssd: SsdProfile, streams: usize) -> Self {
+        ClusterConfig::new(mode, vec![vec![ssd]], streams)
+    }
+
     /// The 4-SSD / 2-target configuration of Fig. 10(d)–12.
     pub fn four_ssd_two_targets(mode: OrderingMode, streams: usize) -> Self {
-        ClusterConfig {
-            seed: 42,
-            mode,
-            targets: vec![
-                TargetConfig {
-                    ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
-                    cores: 36,
-                },
-                TargetConfig {
-                    ssds: vec![SsdProfile::pm981(), SsdProfile::p4800x()],
-                    cores: 36,
-                },
-            ],
-            fabric: FabricProfile::connectx6(),
-            net: FabricConfig::default(),
-            cpu: CpuCosts::default(),
-            initiators: vec![InitiatorConfig::new(streams, 0)],
-            qps_per_target: 36,
-            stripe_blocks: 1,
-            max_inflight_per_stream: 48,
-            plug_merge: true,
-            pin_stream_to_qp: true,
-            integrity: false,
-            faults: FaultPlan::none(),
-            trace: None,
-            telemetry: None,
-        }
+        let targets = vec![
+            vec![SsdProfile::pm981(), SsdProfile::optane905p()],
+            vec![SsdProfile::pm981(), SsdProfile::p4800x()],
+        ];
+        ClusterConfig::new(mode, targets, streams)
     }
 
     /// A multi-initiator cluster: `n_initiators` equal-weight tenants
@@ -507,21 +495,28 @@ impl ClusterConfig {
         streams_each: usize,
         n_targets: usize,
     ) -> Self {
-        let mut cfg = ClusterConfig::single_ssd(
-            mode,
-            SsdProfile::optane905p(),
-            n_initiators * streams_each,
-        );
-        cfg.targets = (0..n_targets.max(1))
-            .map(|_| TargetConfig {
-                ssds: vec![SsdProfile::optane905p()],
-                cores: 36,
-            })
-            .collect();
-        cfg.initiators = (0..n_initiators)
-            .map(|i| InitiatorConfig::new(streams_each, i as u32))
-            .collect();
-        cfg
+        let targets = vec![vec![SsdProfile::optane905p()]; n_targets.max(1)];
+        ClusterConfig {
+            initiators: (0..n_initiators)
+                .map(|i| InitiatorConfig::new(streams_each, i as u32))
+                .collect(),
+            ..ClusterConfig::new(mode, targets, streams_each)
+        }
+    }
+
+    /// `n` cores a side: every initiator's and every target's driver
+    /// runs on `n` cores and every connection gets `n` queue pairs —
+    /// the small testbeds of the recovery, integrity and tracing
+    /// experiments.
+    pub fn with_cores(mut self, n: usize) -> Self {
+        for ic in &mut self.initiators {
+            ic.cores = n;
+        }
+        for tc in &mut self.targets {
+            tc.cores = n;
+        }
+        self.qps_per_target = n;
+        self
     }
 
     /// The initiator list with every QoS weight raised to at least 1

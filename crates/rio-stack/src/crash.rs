@@ -14,10 +14,9 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{ClusterConfig, FaultPlan, InitiatorConfig, OrderingMode, TargetConfig};
+    use crate::config::{ClusterConfig, FaultPlan, OrderingMode};
     use crate::metrics::RecoveryMetrics;
     use crate::{Cluster, Workload};
-    use rio_net::FabricProfile;
     use rio_sim::{SimDuration, SimTime};
     use rio_ssd::SsdProfile;
 
@@ -31,36 +30,19 @@ mod tests {
     }
 
     fn crash_cfg(threads: usize) -> ClusterConfig {
-        ClusterConfig {
+        let optane = || vec![SsdProfile::optane905p()];
+        let mut cfg = ClusterConfig {
             seed: 11,
-            mode: OrderingMode::Rio { merge: true },
-            targets: vec![
-                TargetConfig {
-                    ssds: vec![SsdProfile::optane905p()],
-                    cores: 8,
-                },
-                TargetConfig {
-                    ssds: vec![SsdProfile::optane905p()],
-                    cores: 8,
-                },
-            ],
-            fabric: FabricProfile::connectx6(),
-            net: Default::default(),
-            cpu: Default::default(),
-            qps_per_target: 8,
-            stripe_blocks: 1,
             max_inflight_per_stream: 16,
-            plug_merge: true,
-            pin_stream_to_qp: true,
-            integrity: false,
-            faults: FaultPlan::none(),
-            trace: None,
-            telemetry: None,
-            initiators: vec![InitiatorConfig {
-                cores: threads.max(4),
-                ..InitiatorConfig::new(threads, 0)
-            }],
+            ..ClusterConfig::new(
+                OrderingMode::Rio { merge: true },
+                vec![optane(), optane()],
+                threads,
+            )
         }
+        .with_cores(8);
+        cfg.initiators[0].cores = threads.max(4);
+        cfg
     }
 
     #[test]

@@ -13,42 +13,21 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use rio::net::FabricProfile;
 use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
-use rio::stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultPlan, InitiatorConfig, OrderingMode, TargetConfig,
-    Workload,
-};
+use rio::stack::{Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, Workload};
 
 fn base_cfg() -> ClusterConfig {
     ClusterConfig {
         seed: 2023,
-        mode: OrderingMode::Rio { merge: true },
-        targets: vec![
-            TargetConfig {
-                ssds: vec![SsdProfile::optane905p()],
-                cores: 8,
-            },
-            TargetConfig {
-                ssds: vec![SsdProfile::pm981()],
-                cores: 8,
-            },
-        ],
-        fabric: FabricProfile::connectx6(),
-        net: Default::default(),
-        cpu: Default::default(),
-        qps_per_target: 8,
-        stripe_blocks: 1,
         max_inflight_per_stream: 32,
-        plug_merge: true,
-        pin_stream_to_qp: true,
-        integrity: false,
-        faults: FaultPlan::none(),
-        trace: None,
-        telemetry: None,
-        initiators: vec![InitiatorConfig { cores: 8, ..InitiatorConfig::new(8, 0) }],
+        ..ClusterConfig::new(
+            OrderingMode::Rio { merge: true },
+            vec![vec![SsdProfile::optane905p()], vec![SsdProfile::pm981()]],
+            8,
+        )
     }
+    .with_cores(8)
 }
 
 fn main() {
