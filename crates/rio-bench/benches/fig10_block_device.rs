@@ -10,30 +10,10 @@
 //! Rio's throughput and efficiency come close to orderless everywhere.
 
 use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
-use rio_bench::{all_modes, geomean, header, kiops, ratio, row, run};
-use rio_ssd::SsdProfile;
-use rio_stack::{
-    ClusterConfig, OrderingMode, RunMetrics, TargetConfig, TelemetryConfig, TraceConfig, Workload,
-};
+use rio_bench::{all_modes, fig10_cfg, geomean, header, kiops, ratio, row, run};
+use rio_stack::{OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload};
 
 const THREADS: [usize; 4] = [2, 4, 8, 12];
-
-fn config(part: char, mode: OrderingMode, streams: usize) -> ClusterConfig {
-    match part {
-        'a' => ClusterConfig::single_ssd(mode, SsdProfile::pm981(), streams),
-        'b' => ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), streams),
-        'c' => {
-            let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::pm981(), streams);
-            cfg.targets = vec![TargetConfig {
-                ssds: vec![SsdProfile::pm981(), SsdProfile::optane905p()],
-                cores: 36,
-            }];
-            cfg
-        }
-        'd' => ClusterConfig::four_ssd_two_targets(mode, streams),
-        _ => unreachable!(),
-    }
-}
 
 fn groups_for(mode: &OrderingMode, threads: usize, ssds: usize) -> u64 {
     match mode {
@@ -56,7 +36,7 @@ fn part(part_id: char, title: &str) {
     for mode in all_modes() {
         let mut series = Vec::new();
         for &threads in &THREADS {
-            let cfg = config(part_id, mode.clone(), threads);
+            let cfg = fig10_cfg(part_id, mode.clone(), threads);
             let ssds = cfg.total_ssds();
             let wl = Workload::random_4k(threads, groups_for(&mode, threads, ssds));
             series.push(run(cfg, wl));
@@ -138,7 +118,7 @@ fn main() {
         // One representative traced run (RIO on Optane, part b) instead
         // of the whole sweep: the Chrome trace is per-command, so a
         // single cell is already thousands of spans.
-        let mut cfg = config('b', OrderingMode::Rio { merge: true }, 2);
+        let mut cfg = fig10_cfg('b', OrderingMode::Rio { merge: true }, 2);
         cfg.trace = Some(TraceConfig::default());
         cfg.telemetry = Some(TelemetryConfig::default());
         let m = run(cfg, Workload::random_4k(2, 2_000));

@@ -25,7 +25,7 @@
 //! cargo bench -p rio-bench --bench fig_integrity -- --smoke # CI-sized
 //! ```
 
-use rio_bench::{all_modes, header, kiops, row, run};
+use rio_bench::{all_modes, header, kiops, lossy_cfg, row, run};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
@@ -36,9 +36,7 @@ use rio_stack::{
 const THREADS: usize = 4;
 
 fn config(mode: OrderingMode, corrupt: f64) -> ClusterConfig {
-    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), THREADS);
-    cfg.max_inflight_per_stream = 64;
-    cfg.net = FabricConfig::lossy(0.0, 2);
+    let mut cfg = lossy_cfg(mode, THREADS, 0.0, 2);
     cfg.net.corrupt_rate = corrupt;
     // corrupt == 0 still runs with payload bytes and digests: the
     // integrity flag isolates the checksum machinery's cost from the

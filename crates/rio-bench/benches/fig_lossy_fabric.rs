@@ -23,22 +23,10 @@
 //! ```
 
 use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
-use rio_bench::{all_modes, header, kiops, row, run};
-use rio_ssd::SsdProfile;
-use rio_stack::{
-    ClusterConfig, FabricConfig, OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload,
-};
+use rio_bench::{all_modes, header, kiops, lossy_cfg, row, run};
+use rio_stack::{OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload};
 
 const THREADS: usize = 4;
-
-fn config(mode: OrderingMode, loss: f64, paths: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), THREADS);
-    // The paper's asynchronous window: deep enough that per-stream
-    // go-back-N stalls overlap instead of starving the SSD.
-    cfg.max_inflight_per_stream = 64;
-    cfg.net = FabricConfig::lossy(loss, paths);
-    cfg
-}
 
 fn groups_for(mode: &OrderingMode, smoke: bool) -> u64 {
     let scale = if smoke { 10 } else { 1 };
@@ -69,7 +57,7 @@ fn sweep(smoke: bool) {
             let series: Vec<RunMetrics> = losses
                 .iter()
                 .map(|&loss| {
-                    let cfg = config(mode.clone(), loss, paths);
+                    let cfg = lossy_cfg(mode.clone(), THREADS, loss, paths);
                     let wl = Workload::random_4k(THREADS, groups_for(&mode, smoke));
                     run(cfg, wl)
                 })
@@ -120,7 +108,7 @@ fn main() {
     if let Some(path) = trace_out_arg(&args) {
         // The interesting cell: RIO under real loss, where retransmit
         // spans and gate stalls show up in the trace.
-        let mut cfg = config(OrderingMode::Rio { merge: true }, 1e-3, 2);
+        let mut cfg = lossy_cfg(OrderingMode::Rio { merge: true }, THREADS, 1e-3, 2);
         cfg.trace = Some(TraceConfig::default());
         cfg.telemetry = Some(TelemetryConfig::default());
         let m = run(cfg, Workload::random_4k(THREADS, 2_000));

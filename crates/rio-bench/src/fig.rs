@@ -20,7 +20,7 @@ use rio_stack::{ClusterConfig, FabricConfig, OrderingMode, Workload};
 
 use crate::gate::{render, Rule, Trajectory};
 use crate::json::{Field, Record, Slot};
-use crate::{all_modes, run};
+use crate::{all_modes, fig10_cfg, lossy_cfg, run};
 
 /// Schema version of `BENCH_fig.json`.
 pub const FIG_SCHEMA: u64 = 1;
@@ -84,15 +84,6 @@ impl Trajectory for FigCell {
     fn workload_drift(&self, base: &FigCell) -> Option<String> {
         (self.groups != base.groups)
             .then(|| format!("workload drift: {} groups vs baseline {}", self.groups, base.groups))
-    }
-}
-
-fn fig10_cfg(part: char, mode: OrderingMode, streams: usize) -> ClusterConfig {
-    match part {
-        'a' => ClusterConfig::single_ssd(mode, SsdProfile::pm981(), streams),
-        'b' => ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), streams),
-        'd' => ClusterConfig::four_ssd_two_targets(mode, streams),
-        _ => unreachable!("trajectory only samples fig10 parts a/b/d"),
     }
 }
 
@@ -166,10 +157,7 @@ pub fn trajectory() -> Vec<FigCell> {
                 OrderingMode::LinuxNvmf => 60,
                 _ => 2_000,
             };
-            let mut cfg =
-                ClusterConfig::single_ssd(mode.clone(), SsdProfile::optane905p(), threads);
-            cfg.max_inflight_per_stream = 64;
-            cfg.net = FabricConfig::lossy(loss, 2);
+            let cfg = lossy_cfg(mode.clone(), threads, loss, 2);
             let m = run(cfg, Workload::random_4k(threads, groups));
             cells.push(FigCell {
                 figure: "fig_lossy".to_string(),

@@ -5,11 +5,20 @@
 //! experiment and prints the series the paper reports, side by side
 //! with the paper's qualitative expectation. EXPERIMENTS.md records the
 //! measured numbers against the paper's.
+//!
+//! The cluster shapes more than one harness runs are catalogued here,
+//! once: [`fig10_cfg`] (Figure 10's four topologies), [`lossy_cfg`]
+//! (the lossy-fabric cell) and [`recovery::trial_cfg`] (the §6.5
+//! testbed). The figure benches, the `BENCH_fig.json` /
+//! `BENCH_recovery.json` trajectories and the `sim_engine` sweep all
+//! build their configurations from these, so a figure and the gate
+//! that guards it cannot drift apart.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rio_stack::{Cluster, ClusterConfig, OrderingMode, RunMetrics, Workload};
+use rio_ssd::SsdProfile;
+use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, RunMetrics, Workload};
 
 pub mod fig;
 pub mod gate;
@@ -26,6 +35,37 @@ pub fn all_modes() -> Vec<OrderingMode> {
         OrderingMode::Rio { merge: true },
         OrderingMode::Orderless,
     ]
+}
+
+/// Figure 10's cluster shapes: (a) one flash SSD, (b) one Optane SSD,
+/// (c) two SSDs on one target, (d) four SSDs across two targets.
+///
+/// # Panics
+///
+/// Panics on a part other than `'a'..='d'`.
+pub fn fig10_cfg(part: char, mode: OrderingMode, streams: usize) -> ClusterConfig {
+    match part {
+        'a' => ClusterConfig::single_ssd(mode, SsdProfile::pm981(), streams),
+        'b' => ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), streams),
+        'c' => {
+            let ssds = vec![SsdProfile::pm981(), SsdProfile::optane905p()];
+            ClusterConfig::new(mode, vec![ssds], streams)
+        }
+        'd' => ClusterConfig::four_ssd_two_targets(mode, streams),
+        other => panic!("Figure 10 has parts a-d, not {other:?}"),
+    }
+}
+
+/// The lossy-fabric cell: `threads` streams on one Optane SSD over a
+/// fabric that drops packets at `loss` across `paths` paths.
+pub fn lossy_cfg(mode: OrderingMode, threads: usize, loss: f64, paths: usize) -> ClusterConfig {
+    ClusterConfig {
+        // The paper's asynchronous window: deep enough that per-stream
+        // go-back-N stalls overlap instead of starving the SSD.
+        max_inflight_per_stream: 64,
+        net: FabricConfig::lossy(loss, paths),
+        ..ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads)
+    }
 }
 
 /// Runs one configuration and returns its metrics.

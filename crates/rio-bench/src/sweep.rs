@@ -10,10 +10,9 @@
 
 use std::time::Instant;
 
-use rio_ssd::SsdProfile;
 use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, Workload};
 
-use crate::all_modes;
+use crate::{all_modes, fig10_cfg, lossy_cfg};
 use crate::gate::{render, Rule, Trajectory, MAX_EPS_DROP, MAX_P99_RISE};
 use crate::json::{Field, Record, Slot};
 
@@ -334,31 +333,22 @@ pub fn run_spec(spec: &CellSpec) -> Cell {
 }
 
 fn run_spec_once(spec: &CellSpec) -> Cell {
-    let mut cfg = match spec.figure {
-        "fig10a_flash" => {
-            ClusterConfig::single_ssd(spec.mode.clone(), SsdProfile::pm981(), spec.threads)
-        }
-        "fig10b_optane" => {
-            ClusterConfig::single_ssd(spec.mode.clone(), SsdProfile::optane905p(), spec.threads)
-        }
-        "fig10d_4ssd" => ClusterConfig::four_ssd_two_targets(spec.mode.clone(), spec.threads),
-        "lossy_fabric" => {
-            let mut cfg =
-                ClusterConfig::single_ssd(spec.mode.clone(), SsdProfile::optane905p(), spec.threads);
-            cfg.max_inflight_per_stream = 64;
-            cfg
-        }
-        "multi_initiator" => ClusterConfig::multi_initiator(
-            spec.mode.clone(),
-            spec.initiators,
-            spec.threads / spec.initiators,
-            2,
-        ),
+    let cfg = match spec.figure {
+        "fig10a_flash" => fig10_cfg('a', spec.mode, spec.threads),
+        "fig10b_optane" => fig10_cfg('b', spec.mode, spec.threads),
+        "fig10d_4ssd" => fig10_cfg('d', spec.mode, spec.threads),
+        "lossy_fabric" => lossy_cfg(spec.mode, spec.threads, spec.loss, spec.paths),
+        "multi_initiator" => ClusterConfig {
+            net: FabricConfig::lossy(spec.loss, spec.paths),
+            ..ClusterConfig::multi_initiator(
+                spec.mode,
+                spec.initiators,
+                spec.threads / spec.initiators,
+                2,
+            )
+        },
         other => panic!("unknown sweep figure {other}"),
     };
-    if spec.loss > 0.0 {
-        cfg.net = FabricConfig::lossy(spec.loss, spec.paths);
-    }
     let wl = Workload::random_4k(spec.threads, spec.groups);
     let started = Instant::now();
     let m = Cluster::new(cfg, wl).run();
