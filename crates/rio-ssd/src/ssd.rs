@@ -134,8 +134,10 @@ impl Landing {
         Some((head.lba, head.image.clone(), head.seal?))
     }
 
-    /// Zeroes the images of the blocks inside `lbas`, seals untouched;
-    /// a write the range touches is kept block by block from then on.
+    /// Zeroes the images of the blocks inside `lbas` and drops their
+    /// seals — the seal vouched for the discarded data, and a zero
+    /// block landing under it would scrub as corruption; a write the
+    /// range touches is kept block by block from then on.
     fn zero(&mut self, lbas: std::ops::Range<u64>) {
         let touched = |r: &BlockRun| r.lba < lbas.end && lbas.start < r.lba + r.blocks as u64;
         if !self.runs().iter().any(touched) {
@@ -150,7 +152,7 @@ impl Landing {
                     r.image.clone()
                 },
                 blocks: 1,
-                seal: r.seal,
+                seal: r.seal.filter(|_| !lbas.contains(&lba)),
             })
         });
         *self = Landing::Many(blocks.collect());
@@ -1210,6 +1212,21 @@ mod tests {
         let landed: Vec<_> = (10..14).map(|lba| s.durable_read(lba)).collect();
         let (tag, zero) = (BlockImage::Tag(7), BlockImage::Zero);
         assert_eq!(landed, [tag.clone(), zero.clone(), zero, tag]);
+    }
+
+    /// The seal goes with the data it vouched for: a discarded block
+    /// that later lands from the cache as zeroes is not a corruption.
+    #[test]
+    fn discard_of_a_cached_sealed_write_drops_its_seal() {
+        let mut s = ssd(SsdProfile::pm981());
+        s.set_integrity(true);
+        let images = vec![BlockImage::Bytes(block_for(5))];
+        let (_, done) = s.submit_write(SimTime::ZERO, 5, images, false);
+        s.advance(done);
+        s.submit_discard(done, 5, 1);
+        let (_, flushed) = s.submit_flush(done);
+        s.advance(flushed);
+        assert_eq!(s.scrub(), (0, Vec::new()), "nobody injected a corruption");
     }
 
     #[test]

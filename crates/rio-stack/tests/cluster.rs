@@ -1,8 +1,11 @@
 //! Cluster behaviour pinned through the public API only
 //! (`Cluster::new(..).run()` and the `RunMetrics` it returns).
 
+use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
-use rio_stack::{Cluster, ClusterConfig, OrderingMode, Workload};
+use rio_stack::{
+    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
+};
 
 fn rio_cfg(threads: usize) -> ClusterConfig {
     ClusterConfig::single_ssd(OrderingMode::Rio { merge: true }, SsdProfile::optane905p(), threads)
@@ -28,4 +31,36 @@ fn the_first_fsync_op_is_measured_from_its_data_submission() {
     assert_eq!((m.ops_done, m.op_latency.count()), (1, 1));
     // One thread, one op: the op spans the whole run.
     assert_eq!(m.op_latency.max(), m.span);
+}
+
+/// A recovery discard that cuts through a write still sitting in a
+/// volatile cache must take the write's seal with it: the block later
+/// lands as zeroes, and a scrub that still held the discarded data's
+/// CRC would report corruption nobody injected. A NIC flap rolls back
+/// 60 cached blocks; the zero-flip `BitRot` that follows is a pure
+/// scrub of what landed since.
+#[test]
+fn a_rollback_through_cached_sealed_writes_scrubs_clean() {
+    let rio = OrderingMode::Rio { merge: true };
+    let mut cfg = ClusterConfig::single_ssd(rio, SsdProfile::pm981(), 2);
+    cfg.integrity = true;
+    let fault = |us: u64, kind| FaultEvent {
+        at: SimTime::from_nanos(us * 1_000),
+        kind,
+        resume: true,
+    };
+    cfg.faults = FaultPlan {
+        events: vec![
+            fault(300, FaultKind::NicReset { target: 0 }),
+            fault(700, FaultKind::BitRot { targets: Vec::new(), flips: 0 }),
+        ],
+    };
+    let m = Cluster::new(cfg, Workload::random_4k(2, 400)).run();
+    assert_eq!(m.groups_done, 800, "both faults resume: exactly once");
+    let i = &m.integrity;
+    assert_eq!(i.injected(), 0);
+    assert_eq!((i.media_detected, i.media_unrepairable), (0, 0));
+    assert!(i.balanced());
+    assert_eq!(m.recoveries[0].discards, 60);
+    assert_eq!(m.recoveries[1].discards, 60, "no phantom corruption to purge");
 }
