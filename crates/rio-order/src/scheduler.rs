@@ -21,26 +21,6 @@ use std::collections::VecDeque;
 
 use crate::attr::{BlockRange, OrderingAttr, SplitInfo, StreamId};
 
-/// Why two adjacent queued requests did not merge (diagnostics and
-/// tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeDecision {
-    /// Merged successfully.
-    Merged,
-    /// LBAs are not consecutive.
-    NonAdjacentLba,
-    /// Sequence numbers are not continuous whole groups.
-    SeqGap,
-    /// The combined request would exceed the size cap.
-    TooLarge,
-    /// IPU and non-IPU requests never merge (different recovery).
-    IpuMismatch,
-    /// A FLUSH in the middle of a run would lose its barrier point.
-    InteriorFlush,
-    /// Fragments of split requests are not re-merged.
-    SplitFragment,
-}
-
 /// One queued ordered request: the logical attribute plus an opaque
 /// caller token (e.g. the block-layer request id).
 #[derive(Debug, Clone, Copy)]
@@ -130,45 +110,34 @@ impl OrderQueue {
         self.queue.push_back(QueuedRequest { attr, token });
     }
 
-    /// Checks whether `next` may extend a run currently ending in `last`
-    /// with `run_blocks` blocks accumulated.
-    fn may_extend(
-        &self,
-        last: &OrderingAttr,
-        next: &OrderingAttr,
-        run_blocks: u32,
-    ) -> MergeDecision {
+    /// Whether `next` may extend a run currently ending in `last` with
+    /// `run_blocks` blocks accumulated.
+    fn may_extend(&self, last: &OrderingAttr, next: &OrderingAttr, run_blocks: u32) -> bool {
+        // Fragments of split requests are not re-merged.
         if last.split.is_some() || next.split.is_some() {
-            return MergeDecision::SplitFragment;
+            return false;
         }
-        if !last.range.abuts(&next.range) {
-            return MergeDecision::NonAdjacentLba;
+        // LBAs must be consecutive, within the size cap.
+        if !last.range.abuts(&next.range)
+            || run_blocks + next.range.blocks > self.config.max_merge_blocks
+        {
+            return false;
         }
-        if run_blocks + next.range.blocks > self.config.max_merge_blocks {
-            return MergeDecision::TooLarge;
-        }
+        // IPU and non-IPU requests never merge (different recovery).
         if last.ipu != next.ipu {
-            return MergeDecision::IpuMismatch;
+            return false;
         }
         // A FLUSH barrier is only preserved if it ends the merged unit.
         if last.flush {
-            return MergeDecision::InteriorFlush;
+            return false;
         }
-        // Whole-group continuity.
-        let same_group = next.seq_start == last.seq_end && !last.boundary;
-        let next_group = last.boundary && next.seq_start.0 == last.seq_end.0 + 1;
-        if same_group {
-            if next.member_idx != last.member_idx + 1 {
-                return MergeDecision::SeqGap;
-            }
-        } else if next_group {
-            if next.member_idx != 0 {
-                return MergeDecision::SeqGap;
-            }
+        // Whole-group continuity: the next member of the same group, or
+        // the first member of the next one.
+        if last.boundary {
+            next.seq_start.0 == last.seq_end.0 + 1 && next.member_idx == 0
         } else {
-            return MergeDecision::SeqGap;
+            next.seq_start == last.seq_end && next.member_idx == last.member_idx + 1
         }
-        MergeDecision::Merged
     }
 
     /// Drains the queue into dispatch units, merging whole-group runs
@@ -189,7 +158,7 @@ impl OrderQueue {
                 let mut run_blocks = first.attr.range.blocks;
                 while let Some(next) = self.queue.front() {
                     let last = &parts.last().expect("non-empty run").attr;
-                    if self.may_extend(last, &next.attr, run_blocks) != MergeDecision::Merged {
+                    if !self.may_extend(last, &next.attr, run_blocks) {
                         break;
                     }
                     run_blocks += next.attr.range.blocks;

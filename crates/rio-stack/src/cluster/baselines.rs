@@ -118,7 +118,6 @@ impl Cluster {
             return;
         }
         if !self.thread_has_work(t) {
-            self.threads[t].done_submitting = true;
             return;
         }
         let spec = self.next_group_spec(t);

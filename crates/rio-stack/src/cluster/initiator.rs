@@ -61,7 +61,6 @@ pub(super) struct ThreadState {
     pub(super) area_blocks: u64,
     pub(super) rng: SimRng,
     pub(super) parked: bool,
-    pub(super) done_submitting: bool,
     pub(super) sync_stage: SyncStage,
     /// The thread issued a sync point and waits for inflight == 0.
     pub(super) syncing: bool,
@@ -113,7 +112,6 @@ impl ThreadState {
             area_blocks,
             rng,
             parked: false,
-            done_submitting: false,
             sync_stage: SyncStage::Idle,
             syncing: false,
             op_start: None,
@@ -355,11 +353,7 @@ impl Cluster {
     /// Submit-loop epilogue: the thread parks while it has work queued
     /// or in flight, and is done submitting otherwise.
     pub(super) fn park_or_finish(&mut self, t: usize) {
-        if self.thread_has_work(t) || self.threads[t].inflight > 0 {
-            self.threads[t].parked = true;
-        } else {
-            self.threads[t].done_submitting = true;
-        }
+        self.threads[t].parked = self.thread_has_work(t) || self.threads[t].inflight > 0;
     }
 
     /// Dispatches one Rio unit: stripe, split, stamp, send fragments.

@@ -408,7 +408,6 @@ impl Cluster {
             th.undelivered = undelivered;
             th.inflight = 0;
             th.parked = false;
-            th.done_submitting = false;
             th.sync_stage = SyncStage::Idle;
             let was_syncing = th.syncing;
             th.syncing = false;
