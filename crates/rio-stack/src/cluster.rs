@@ -42,7 +42,7 @@ use rio_order::RioSetup;
 use rio_proto::PayloadDigest;
 use rio_sim::{EventHeap, Histogram, SimRng, SimTime, Slab};
 
-use crate::config::{ClusterConfig, FaultKind, OrderingMode};
+use crate::config::{ClusterConfig, OrderingMode};
 use crate::metrics::{
     EpochMetrics, InitiatorMetrics, IntegrityMetrics, NetMetrics, RecoveryMetrics, RunMetrics,
     TenantMetrics,
@@ -252,12 +252,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (zero threads, streams
-    /// fewer than threads, targets without SSDs, or a zero in-flight
-    /// window).
+    /// Panics with the [`crate::config::ConfigError`] message when
+    /// [`ClusterConfig::validate`] refuses the pair.
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
-        assert!(workload.threads > 0, "need at least one thread");
-        assert!(!cfg.initiators.is_empty(), "need at least one initiator");
+        // rio-lint: allow(S2) a bad configuration is refused here, before any event runs
+        cfg.validate(&workload).unwrap_or_else(|e| panic!("{e}"));
         let rio_mode = matches!(cfg.mode, OrderingMode::Rio { .. });
         // The one place the initiator topology is read from the config:
         // everything below works from this weight-clamped list.
@@ -270,43 +269,6 @@ impl Cluster {
             .flat_map(|(ii, ic)| std::iter::repeat(ii).take(ic.streams))
             .collect();
         let total_streams = init_of_stream.len();
-        assert!(
-            init_cfgs.iter().all(|ic| ic.streams > 0),
-            "every initiator needs at least one stream"
-        );
-        assert!(total_streams >= workload.threads, "need one stream per thread");
-        // Spare streams are only meaningful on a single initiator; with
-        // several, a short thread count would leave whole hosts idle.
-        assert!(
-            init_cfgs.len() == 1 || workload.threads == total_streams,
-            "multi-initiator runs need exactly one thread per stream"
-        );
-        assert!(!cfg.targets.is_empty(), "need at least one target");
-        // A zero window would admit nothing and "finish" at t = 0.
-        assert!(cfg.max_inflight_per_stream > 0, "need a non-zero in-flight window");
-        if !cfg.faults.events.is_empty() {
-            // Pure packet-corruption faults only retune the fabric and
-            // work under any mode; everything else runs the recovery
-            // machinery, which only Rio's persisted attributes support.
-            let needs_recovery = cfg
-                .faults
-                .events
-                .iter()
-                .any(|e| !matches!(e.kind, FaultKind::PacketCorrupt { .. }));
-            assert!(
-                !needs_recovery || rio_mode,
-                "fault injection requires a Rio mode: recovery rebuilds \
-                 the order from persisted attributes, which only Rio keeps"
-            );
-            for w in cfg.faults.events.windows(2) {
-                assert!(w[0].at < w[1].at, "fault times must strictly increase");
-            }
-            for ev in &cfg.faults.events {
-                for t in ev.kind.hit_targets(cfg.targets.len()) {
-                    assert!(t < cfg.targets.len(), "fault names target {t} of {}", cfg.targets.len());
-                }
-            }
-        }
         let mut root_rng = SimRng::seed_from_u64(cfg.seed);
         // Integrity is on when asked for explicitly, or implied by any
         // corruption source: the run then carries real payload bytes
@@ -323,7 +285,6 @@ impl Cluster {
         let mut legs = Vec::new();
         let mut min_cap = u64::MAX;
         for (t, tc) in cfg.targets.iter().enumerate() {
-            assert!(!tc.ssds.is_empty(), "target {t} has no SSDs");
             for (s, prof) in tc.ssds.iter().enumerate() {
                 legs.push((ServerId(t as u16), s));
                 min_cap = min_cap.min(prof.capacity_blocks);

@@ -3,6 +3,7 @@
 
 use crate::telemetry::TelemetryConfig;
 use crate::trace::TraceConfig;
+use crate::workload::Workload;
 use rio_net::FabricProfile;
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
@@ -44,9 +45,8 @@ impl OrderingMode {
 /// These knobs parameterize the packet-level model in `rio-net`: the
 /// cluster applies them on top of the base [`FabricProfile`] timing
 /// profile when it builds the fabric (see [`FabricConfig::apply`]).
-/// Segmentation (MTU) and the go-back-N recovery latency stay the base
-/// profile's. The default is the lossless single-path fabric earlier
-/// experiments ran on.
+/// MTU and go-back-N recovery latency stay the base profile's. The
+/// default is the lossless single-path fabric earlier experiments ran on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Per-packet drop probability (clamped to `[0, 0.995]` by the
@@ -59,8 +59,7 @@ pub struct FabricConfig {
     /// integrity checking on (see [`ClusterConfig::integrity`]).
     pub corrupt_rate: f64,
     /// Number of asymmetric paths per NIC. The base bandwidth is split
-    /// evenly; path `i` runs at
-    /// `base_latency * (1 + PATH_LATENCY_SPREAD * i)`.
+    /// evenly; path `i` runs at `base_latency * (1 + 0.15 * i)`.
     pub paths: usize,
     /// Messages per queue pair between path migrations; `0` pins each
     /// QP to its initial path. When non-zero, a retransmission timeout
@@ -80,7 +79,7 @@ impl Default for FabricConfig {
 }
 
 /// Latency step between adjacent paths of a multi-path fabric, as a
-/// fraction of the base one-way latency (see [`FabricConfig::paths`]).
+/// fraction of the base one-way latency (quoted by [`FabricConfig::paths`]).
 const PATH_LATENCY_SPREAD: f64 = 0.15;
 
 impl FabricConfig {
@@ -378,6 +377,65 @@ impl Default for CpuCosts {
     }
 }
 
+/// Why a configuration cannot run a workload; `Display` gives the
+/// message [`crate::Cluster::new`] panics with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The workload has no threads.
+    NoThreads,
+    /// The initiator list is empty.
+    NoInitiators,
+    /// An initiator opens no stream.
+    InitiatorWithoutStreams,
+    /// Fewer streams than workload threads.
+    TooFewStreams,
+    /// Several initiators but fewer threads than streams: hosts would idle.
+    IdleStreams,
+    /// The target list is empty.
+    NoTargets,
+    /// This target has no SSD.
+    TargetWithoutSsds(usize),
+    /// A zero window admits nothing: the run would "finish" at t = 0.
+    ZeroWindow,
+    /// A recovering fault (anything but `PacketCorrupt`) under a non-Rio mode.
+    FaultsNeedRio,
+    /// Fault times do not strictly increase.
+    UnorderedFaults,
+    /// A fault names a target the cluster does not have.
+    MissingFaultTarget {
+        /// The index the fault names.
+        target: usize,
+        /// How many targets there are.
+        of: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError::*;
+        f.write_str(match self {
+            NoThreads => "need at least one thread",
+            NoInitiators => "need at least one initiator",
+            InitiatorWithoutStreams => "every initiator needs at least one stream",
+            TooFewStreams => "need one stream per thread",
+            IdleStreams => "multi-initiator runs need exactly one thread per stream",
+            NoTargets => "need at least one target",
+            TargetWithoutSsds(t) => return write!(f, "target {t} has no SSDs"),
+            ZeroWindow => "need a non-zero in-flight window",
+            FaultsNeedRio => {
+                "fault injection requires a Rio mode: recovery rebuilds \
+                 the order from persisted attributes, which only Rio keeps"
+            }
+            UnorderedFaults => "fault times must strictly increase",
+            MissingFaultTarget { target, of } => {
+                return write!(f, "fault names target {target} of {of}")
+            }
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -395,9 +453,8 @@ pub struct ClusterConfig {
     pub cpu: CpuCosts,
     /// Initiator servers, never empty: every constructor fills the list
     /// (the single-initiator shapes with one tenant-0, weight-1 entry).
-    /// The cluster builds one NIC + `librio` handle per entry over a
-    /// shared global stream space — the concatenation of every
-    /// initiator's streams (`rio_setup`; at least one per thread).
+    /// The cluster builds one NIC + `librio` handle per entry over one
+    /// global stream space, the concatenation of every entry's streams.
     pub initiators: Vec<InitiatorConfig>,
     /// NIC queue pairs per (initiator, target) connection.
     pub qps_per_target: usize,
@@ -446,8 +503,6 @@ impl ClusterConfig {
     /// initiator with `streams` streams driving one target per entry of
     /// `targets` (the entry lists that target's SSDs), 36 cores and
     /// queue pairs a side over a lossless single-path ConnectX-6 fabric.
-    /// Experiments override what they vary with struct-update syntax
-    /// and [`ClusterConfig::with_cores`].
     pub fn new(mode: OrderingMode, targets: Vec<Vec<SsdProfile>>, streams: usize) -> Self {
         ClusterConfig {
             seed: 42,
@@ -505,9 +560,7 @@ impl ClusterConfig {
     }
 
     /// `n` cores a side: every initiator's and every target's driver
-    /// runs on `n` cores and every connection gets `n` queue pairs —
-    /// the small testbeds of the recovery, integrity and tracing
-    /// experiments.
+    /// runs on `n` cores and every connection gets `n` queue pairs.
     pub fn with_cores(mut self, n: usize) -> Self {
         for ic in &mut self.initiators {
             ic.cores = n;
@@ -519,10 +572,9 @@ impl ClusterConfig {
         self
     }
 
-    /// The initiator list with every QoS weight raised to at least 1
-    /// (a zero weight would starve its tenant's DRR quantum). The
-    /// cluster reads its initiator topology from this list and nowhere
-    /// else.
+    /// The initiator list with every QoS weight raised to at least 1 (a
+    /// zero weight would starve its tenant's DRR quantum) — the only
+    /// place the cluster reads its initiator topology from.
     pub fn effective_initiators(&self) -> Vec<InitiatorConfig> {
         self.initiators
             .iter()
@@ -534,6 +586,30 @@ impl ClusterConfig {
     /// stream-id space every per-stream structure is sized for.
     pub fn total_streams(&self) -> usize {
         self.initiators.iter().map(|i| i.streams).sum()
+    }
+
+    /// Checks every condition the cluster relies on instead of testing per event.
+    pub fn validate(&self, workload: &Workload) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        let ensure = |ok: bool, e: ConfigError| if ok { Ok(()) } else { Err(e) };
+        let (threads, streams) = (workload.threads, self.total_streams());
+        ensure(threads > 0, NoThreads)?;
+        ensure(!self.initiators.is_empty(), NoInitiators)?;
+        ensure(self.initiators.iter().all(|ic| ic.streams > 0), InitiatorWithoutStreams)?;
+        ensure(streams >= threads, TooFewStreams)?;
+        ensure(self.initiators.len() == 1 || threads == streams, IdleStreams)?;
+        ensure(!self.targets.is_empty(), NoTargets)?;
+        let ssdless = self.targets.iter().position(|tc| tc.ssds.is_empty());
+        ssdless.map_or(Ok(()), |t| Err(TargetWithoutSsds(t)))?;
+        ensure(self.max_inflight_per_stream > 0, ZeroWindow)?;
+        let faults = &self.faults.events;
+        let recovers = |e: &FaultEvent| !matches!(e.kind, FaultKind::PacketCorrupt { .. });
+        let rio = matches!(self.mode, OrderingMode::Rio { .. });
+        ensure(rio || !faults.iter().any(recovers), FaultsNeedRio)?;
+        ensure(faults.windows(2).all(|w| w[0].at < w[1].at), UnorderedFaults)?;
+        let of = self.targets.len();
+        let missing = faults.iter().flat_map(|e| e.kind.hit_targets(of)).find(|&t| t >= of);
+        missing.map_or(Ok(()), |target| Err(MissingFaultTarget { target, of }))
     }
 
     /// Total SSDs across targets.
@@ -578,6 +654,59 @@ mod tests {
         }];
         assert_eq!(c.initiators, single);
         assert_eq!(c.effective_initiators(), single);
+    }
+
+    /// A power failure of `target` at `us` microseconds, resuming.
+    fn crash(us: u64, target: usize) -> FaultEvent {
+        FaultEvent {
+            at: SimTime::from_nanos(us * 1_000),
+            kind: FaultKind::PowerFail { targets: vec![target] },
+            resume: true,
+        }
+    }
+
+    #[test]
+    fn validate_names_each_bad_configuration() {
+        use ConfigError::*;
+        // One initiator with two streams over two single-SSD targets.
+        let good = || ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 1, 2, 2);
+        let wl = |threads| Workload::random_4k(threads, 10);
+        assert_eq!(good().validate(&wl(2)), Ok(()));
+        assert_eq!(good().validate(&wl(1)), Ok(()), "one initiator may keep a spare stream");
+        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 11] = [
+            (|_| {}, 0, NoThreads),
+            (|c| c.initiators.clear(), 2, NoInitiators),
+            (|c| c.initiators[0].streams = 0, 2, InitiatorWithoutStreams),
+            (|_| {}, 3, TooFewStreams),
+            (|c| c.initiators.push(InitiatorConfig::new(1, 1)), 2, IdleStreams),
+            (|c| c.targets.clear(), 2, NoTargets),
+            (|c| c.targets[1].ssds.clear(), 2, TargetWithoutSsds(1)),
+            (|c| c.max_inflight_per_stream = 0, 2, ZeroWindow),
+            (
+                |c| {
+                    c.mode = OrderingMode::Horae;
+                    c.faults.events = vec![crash(100, 0)];
+                },
+                2,
+                FaultsNeedRio,
+            ),
+            (|c| c.faults.events = vec![crash(100, 0), crash(100, 1)], 2, UnorderedFaults),
+            (|c| c.faults.events = vec![crash(100, 2)], 2, MissingFaultTarget { target: 2, of: 2 }),
+        ];
+        for (break_it, threads, want) in table {
+            let mut cfg = good();
+            break_it(&mut cfg);
+            assert_eq!(cfg.validate(&wl(threads)), Err(want.clone()), "{want}");
+        }
+        // A plan of pure packet corruption only retunes the fabric: any
+        // mode takes it.
+        let mut cfg = good();
+        cfg.mode = OrderingMode::Horae;
+        cfg.faults.events = vec![FaultEvent {
+            kind: FaultKind::PacketCorrupt { rate: 1e-3 },
+            ..crash(100, 0)
+        }];
+        assert_eq!(cfg.validate(&wl(2)), Ok(()));
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub mod workload;
 
 pub use cluster::Cluster;
 pub use config::{
-    ClusterConfig, CpuCosts, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
-    OrderingMode, TargetConfig,
+    ClusterConfig, ConfigError, CpuCosts, FabricConfig, FaultEvent, FaultKind, FaultPlan,
+    InitiatorConfig, OrderingMode, TargetConfig,
 };
 pub use metrics::{
     jain_index, EpochMetrics, InitiatorMetrics, IntegrityMetrics, NetMetrics, RecoveryMetrics,
