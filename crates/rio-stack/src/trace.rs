@@ -194,9 +194,9 @@ pub struct LatencyBreakdown {
     /// Go-back-N recovery rounds summed over traced commands.
     pub retx_rounds: u64,
     /// Packets retransmitted, summed over traced commands. Counted
-    /// per wire transmission, exactly once, so for runs where every
-    /// retransmitted message belongs to a traced command this equals
-    /// `NetMetrics::retransmits`.
+    /// per wire transmission, exactly once, so this equals
+    /// `NetMetrics::retransmits` in every mode but Horae, whose control
+    /// messages ride the untraced `Fabric::send`.
     pub retx_pkts: u64,
     /// The subset of `retx_rounds` triggered by receiver-detected
     /// packet corruptions (CRC mismatch NAKs).
