@@ -1,5 +1,8 @@
 //! Cluster configuration: topology, ordering mode, CPU cost model,
-//! and the fault-injection plan.
+//! and the fault-injection plan. Every experiment is one
+//! [`ClusterConfig::new`] (or a canned instance of it) plus the fields
+//! it overrides; the initiator side has one description, `initiators`;
+//! and [`ClusterConfig::validate`] names what makes a pair unrunnable.
 
 use crate::telemetry::TelemetryConfig;
 use crate::trace::TraceConfig;
@@ -562,12 +565,8 @@ impl ClusterConfig {
     /// `n` cores a side: every initiator's and every target's driver
     /// runs on `n` cores and every connection gets `n` queue pairs.
     pub fn with_cores(mut self, n: usize) -> Self {
-        for ic in &mut self.initiators {
-            ic.cores = n;
-        }
-        for tc in &mut self.targets {
-            tc.cores = n;
-        }
+        self.initiators.iter_mut().for_each(|ic| ic.cores = n);
+        self.targets.iter_mut().for_each(|tc| tc.cores = n);
         self.qps_per_target = n;
         self
     }
