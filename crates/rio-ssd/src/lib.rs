@@ -35,4 +35,4 @@ pub mod ssd;
 pub use media::{BlockImage, BlockRun, BlockStore, Images, SharedBytes};
 pub use pmr::Pmr;
 pub use profile::SsdProfile;
-pub use ssd::{Ssd, SsdOpKind, SsdStats};
+pub use ssd::{Ssd, SsdStats};

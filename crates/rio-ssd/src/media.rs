@@ -15,11 +15,11 @@
 //! checks for.
 //!
 //! Real bytes are held once per write: the device moves a submitted
-//! buffer behind a [`SharedBytes`] and its logical and durable stores
-//! alias it. Images are immutable once shared — fault injection builds
-//! a fresh image for the one store it corrupts — and both the seal and
-//! the scrub checksum the bytes where they lie
-//! ([`BlockImage::crc32c`]).
+//! buffer behind a [`SharedBytes`], and the in-flight command, the
+//! media store and every read of it alias that buffer. Images are
+//! immutable once shared — fault injection stores a fresh image in
+//! place of the one it corrupts — and both the seal and the scrub
+//! checksum the bytes where they lie ([`BlockImage::crc32c`]).
 
 use std::cell::{Ref, RefCell};
 use std::ops::Deref;
@@ -31,8 +31,8 @@ use rio_sim::FxHashMap;
 /// An immutable payload buffer several block images can alias.
 ///
 /// The device moves every submitted [`BlockImage::Bytes`] behind one
-/// of these, so its logical and durable views (and every read of
-/// either) share the submitter's allocation instead of copying it.
+/// of these, so the in-flight command, the media image (and every read
+/// of it) share the submitter's allocation instead of copying it.
 /// Only the device creates them; readers borrow the bytes through
 /// `Deref`.
 #[derive(Debug, Clone)]
@@ -248,14 +248,13 @@ impl State {
 /// A write journal with a fold-on-read index: a write appends one
 /// record per run of equal blocks and hashes nothing, and the first
 /// reader after it replays the journal, in order, into the per-block
-/// maps. Every accepted command lands here twice (logical image and
-/// media) and a fault-free run never reads either, so it pays one
-/// append per command instead of two map inserts per block; a crash
-/// pays the same inserts once, batched, when recovery first looks. The
-/// journal grows with the writes since the last read — the same order
-/// as the device's own pending-op list — and is freed by the fold.
-/// Only tagged and zero blocks wait there; real data is indexed on
-/// arrival (see [`BlockStore::write_run`]).
+/// maps. Every accepted command lands here once and a fault-free run
+/// never reads it back, so it pays one append per command instead of
+/// a map insert per block; a crash pays the same inserts once,
+/// batched, when recovery first looks. The journal grows with the
+/// writes since the last read and is freed by the fold. Only tagged
+/// and zero blocks wait there; real data is indexed on arrival (see
+/// [`BlockStore::write_run`]).
 ///
 /// The fold hides behind a `RefCell` so readers keep taking `&self`:
 /// observing a store never changes what it holds. The maps use the
@@ -409,6 +408,7 @@ impl BlockStore {
     }
 
     /// Number of written blocks.
+    #[cfg(test)]
     pub fn written_blocks(&self) -> usize {
         self.index().blocks.len()
     }

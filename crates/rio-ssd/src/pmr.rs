@@ -11,8 +11,6 @@
 #[derive(Debug, Clone)]
 pub struct Pmr {
     bytes: Vec<u8>,
-    writes: u64,
-    bytes_written: u64,
 }
 
 impl Pmr {
@@ -20,8 +18,6 @@ impl Pmr {
     pub fn new(len: usize) -> Self {
         Pmr {
             bytes: vec![0; len],
-            writes: 0,
-            bytes_written: 0,
         }
     }
 
@@ -49,8 +45,6 @@ impl Pmr {
             self.bytes.len()
         );
         self.bytes[offset..offset + data.len()].copy_from_slice(data);
-        self.writes += 1;
-        self.bytes_written += data.len() as u64;
     }
 
     /// Reads `len` bytes at `offset`.
@@ -58,6 +52,7 @@ impl Pmr {
     /// # Panics
     ///
     /// Panics if the read exceeds the region.
+    #[cfg(test)]
     pub fn mmio_read(&self, offset: usize, len: usize) -> &[u8] {
         assert!(offset + len <= self.bytes.len(), "PMR read out of bounds");
         &self.bytes[offset..offset + len]
@@ -66,16 +61,6 @@ impl Pmr {
     /// The whole region (post-crash scanning).
     pub fn contents(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Number of MMIO writes performed (stats).
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total bytes written (stats).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 }
 
@@ -89,8 +74,6 @@ mod tests {
         p.mmio_write(8, &[1, 2, 3]);
         assert_eq!(p.mmio_read(8, 3), &[1, 2, 3]);
         assert_eq!(p.mmio_read(0, 2), &[0, 0]);
-        assert_eq!(p.write_count(), 1);
-        assert_eq!(p.bytes_written(), 3);
     }
 
     #[test]

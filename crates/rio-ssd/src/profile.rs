@@ -122,11 +122,13 @@ impl SsdProfile {
     }
 
     /// Theoretical peak 4 KB write IOPS from the command-processing cap.
+    #[cfg(test)]
     pub fn iops_cap(&self) -> f64 {
         self.queue_processors as f64 / (self.cmd_overhead_us * 1e-6)
     }
 
     /// Sustained 4 KB write IOPS from the media bandwidth.
+    #[cfg(test)]
     pub fn bandwidth_iops(&self) -> f64 {
         self.media_bw / 4096.0
     }
