@@ -11,9 +11,9 @@
 //!
 //! The fabric stays passive: operations take `now` and either return a
 //! delivery instant or a [`XferStep::Dropped`] resumption point the
-//! caller schedules as an event. The convenience wrappers ([`Fabric::send`],
-//! [`Fabric::rdma_read`], [`Fabric::rdma_write`]) run the retransmission
-//! loop internally and return only the final delivery instant.
+//! caller schedules as an event. One convenience wrapper,
+//! [`Fabric::send`], runs the retransmission loop internally and
+//! returns only the final delivery instant.
 
 use rio_sim::{BandwidthLink, SimDuration, SimRng, SimTime};
 
@@ -112,12 +112,6 @@ impl FabricProfile {
     /// drop enters.
     pub fn with_corruption(mut self, rate: f64) -> Self {
         self.corrupt_rate = rate.clamp(0.0, 0.995);
-        self
-    }
-
-    /// Sets the MTU (at least 256 bytes).
-    pub fn with_mtu(mut self, mtu_bytes: u32) -> Self {
-        self.mtu_bytes = mtu_bytes.max(256);
         self
     }
 
@@ -302,7 +296,13 @@ impl Nic {
     /// and messages parked in retransmission are forgotten (their
     /// resend events died with the crash). Cumulative statistics —
     /// including the retransmission-inflight peak — are kept.
-    pub fn reset(&mut self, now: SimTime) {
+    ///
+    /// Crash handlers must call this whenever they also discard the
+    /// simulation events that would have driven this NIC's pending
+    /// `resume_*` calls; otherwise [`NicStats::retx_inflight`] leaks the
+    /// messages that were parked in retransmission at the crash, and a
+    /// stale post-crash delivery would underflow the counter.
+    pub fn crash_reset(&mut self, now: SimTime) {
         let n_paths = self.paths.len().max(1);
         for (q, qp) in self.qps.iter_mut().enumerate() {
             qp.last_delivery = now;
@@ -310,19 +310,6 @@ impl Nic {
             qp.msgs = 0;
         }
         self.stats.retx_inflight = 0;
-    }
-
-    /// The crash entry point: resets in-flight NIC state at a fault.
-    ///
-    /// Crash handlers must call this whenever they also discard the
-    /// simulation events that would have driven this NIC's pending
-    /// `resume_*` calls; otherwise [`NicStats::retx_inflight`] leaks the
-    /// messages that were parked in retransmission at the crash, and a
-    /// stale post-crash delivery would underflow the counter. Semantics
-    /// are those of [`Nic::reset`]: queue pairs reconnect fresh at
-    /// `now`, cumulative statistics survive.
-    pub fn crash_reset(&mut self, now: SimTime) {
-        self.reset(now);
     }
 
     /// Settles one parked message (a retransmission recovery finished).
@@ -340,8 +327,8 @@ impl Nic {
 /// Outcome of one transmit round of a message.
 ///
 /// Event-driven callers schedule `Dropped::resume_at` as a simulation
-/// event and call the matching `resume_*` method there; the analytic
-/// wrappers loop internally.
+/// event and call the matching `resume_*` method there;
+/// [`Fabric::send`] loops internally.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum XferStep {
     /// Every packet arrived; the message is delivered at `at`.
@@ -702,64 +689,6 @@ impl Fabric {
         }
         step
     }
-
-    /// Issues a one-sided RDMA READ and runs recovery internally,
-    /// returning when the data has fully arrived at the reader.
-    pub fn rdma_read(
-        &mut self,
-        reader: &mut Nic,
-        source: &mut Nic,
-        now: SimTime,
-        bytes: u64,
-    ) -> SimTime {
-        let mut step = self.pull_burst(reader, source, 0, now, bytes);
-        loop {
-            match step {
-                XferStep::Delivered { at } => return at,
-                XferStep::Dropped {
-                    resume_at,
-                    pkts_left,
-                    ..
-                } => step = self.resume_pull(reader, source, 0, resume_at, pkts_left, bytes),
-            }
-        }
-    }
-
-    /// Issues a one-sided RDMA WRITE: `writer` pushes `bytes` into the
-    /// remote side's memory. Returns when the data is placed remotely
-    /// (recovery runs internally).
-    pub fn rdma_write(&mut self, writer: &mut Nic, now: SimTime, bytes: u64) -> SimTime {
-        writer.stats.one_sided += 1;
-        let total = self.profile.packets_for(bytes);
-        let mut step = self.xmit_round(writer, 0, now, bytes, total, false, false);
-        let mut parked = false;
-        loop {
-            match step {
-                XferStep::Delivered { at } => {
-                    if parked {
-                        writer.retx_settled();
-                    }
-                    return at;
-                }
-                XferStep::Dropped {
-                    resume_at,
-                    pkts_left,
-                    ..
-                } => {
-                    if !parked {
-                        parked = true;
-                        writer.stats.retx_inflight += 1;
-                        writer.stats.retx_inflight_peak = writer
-                            .stats
-                            .retx_inflight_peak
-                            .max(writer.stats.retx_inflight);
-                    }
-                    writer.stats.retx_rounds += 1;
-                    step = self.xmit_round(writer, 0, resume_at, bytes, pkts_left, true, false);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -769,6 +698,47 @@ mod tests {
 
     fn fabric() -> Fabric {
         Fabric::new(FabricProfile::connectx6(), 7)
+    }
+
+    /// Drives one RDMA READ on queue pair 0 to delivery the way the
+    /// cluster's event loop does: every `Dropped` step resumes at its
+    /// timeout.
+    fn pull(
+        f: &mut Fabric,
+        reader: &mut Nic,
+        source: &mut Nic,
+        now: SimTime,
+        bytes: u64,
+    ) -> SimTime {
+        let mut step = f.pull_burst(reader, source, 0, now, bytes);
+        loop {
+            match step {
+                XferStep::Delivered { at } => return at,
+                XferStep::Dropped {
+                    resume_at,
+                    pkts_left,
+                    ..
+                } => step = f.resume_pull(reader, source, 0, resume_at, pkts_left, bytes),
+            }
+        }
+    }
+
+    #[test]
+    fn lossy_pulls_always_deliver_and_settle() {
+        let profile = FabricProfile::connectx6().with_loss(0.3, 20.0);
+        let mut f = Fabric::new(profile, 17);
+        let mut reader = Nic::new(1, f.profile().bandwidth);
+        let mut source = Nic::new(1, f.profile().bandwidth);
+        for i in 0..64 {
+            let now = SimTime::from_nanos(i * 100_000);
+            assert!(pull(&mut f, &mut reader, &mut source, now, 16 * 1024) >= now);
+        }
+        // Lost requests are charged to the reader, lost data to the
+        // source; every parked read was settled on the reader.
+        assert!(reader.stats().drops > 0 && source.stats().drops > 0);
+        assert!(source.stats().retransmits > 0);
+        assert_eq!(reader.stats().one_sided, 64);
+        assert_eq!(reader.stats().retx_inflight, 0);
     }
 
     #[test]
@@ -844,7 +814,7 @@ mod tests {
         let mut initiator = Nic::new(1, f.profile().bandwidth);
         let mut target = Nic::new(1, f.profile().bandwidth);
         // Target reads 8 KB from the initiator (NVMe-oF write data pull).
-        let done = f.rdma_read(&mut target, &mut initiator, SimTime::ZERO, 8192);
+        let done = pull(&mut f, &mut target, &mut initiator, SimTime::ZERO, 8192);
         let us = done.as_micros_f64();
         // Two latencies plus ~0.33 us of wire time.
         assert!((2.5..8.0).contains(&us), "read completed at {us} us");
@@ -854,25 +824,14 @@ mod tests {
     }
 
     #[test]
-    fn rdma_write_one_way() {
-        let mut f = fabric();
-        let mut nic = Nic::new(1, f.profile().bandwidth);
-        let done = f.rdma_write(&mut nic, SimTime::ZERO, 4096);
-        let us = done.as_micros_f64();
-        assert!((1.0..4.0).contains(&us), "write placed at {us} us");
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut f = fabric();
         let mut nic = Nic::new(2, f.profile().bandwidth);
         f.send(&mut nic, 0, SimTime::ZERO, 100);
         f.send(&mut nic, 1, SimTime::ZERO, 100);
-        f.rdma_write(&mut nic, SimTime::ZERO, 100);
         assert_eq!(nic.stats().sends, 2);
-        assert_eq!(nic.stats().one_sided, 1);
-        assert_eq!(nic.stats().bytes_out, 300);
-        assert_eq!(nic.stats().packets, 3, "one packet per small message");
+        assert_eq!(nic.stats().bytes_out, 200);
+        assert_eq!(nic.stats().packets, 2, "one packet per small message");
         assert_eq!(nic.stats().drops, 0);
     }
 
@@ -881,7 +840,7 @@ mod tests {
         let mut f = fabric();
         let mut nic = Nic::new(1, f.profile().bandwidth);
         f.send(&mut nic, 0, SimTime::ZERO, 1 << 20);
-        nic.reset(SimTime::from_nanos(500));
+        nic.crash_reset(SimTime::from_nanos(500));
         // After reset a send is not held behind the old cursor.
         let d = f.send(&mut nic, 0, SimTime::from_nanos(500), 64);
         assert!(d.as_micros_f64() < 50.0);
