@@ -94,12 +94,11 @@ impl Cluster {
             // tail redispatches with fresh traces in the next epoch.
             tr.abort_open(idx as u32);
         }
-        if self.telemetry.is_some() {
+        if let Some(tm) = &mut self.telemetry {
             // In-flight commands and queued writes died with the
             // connections. The pending-group gauge survives only when
             // a resume will account it back (redeliver/requeue) after
             // recovery.
-            let tm = self.telemetry.as_mut().expect("checked above");
             tm.crash(now, !ev.resume);
         }
 

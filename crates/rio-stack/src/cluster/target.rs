@@ -285,10 +285,8 @@ impl Cluster {
             tr.rec(tid, Stage::GateAdmit, recv_done);
             tr.gate_depth(tid, self.targets[target_idx].gate.buffered() as u32);
         }
-        if self.telemetry.is_some() {
-            let depth = self.targets[target_idx].gate.buffered() as u32;
-            let tm = self.telemetry.as_mut().expect("checked above");
-            tm.gate_depth(recv_done, depth);
+        if let Some(tm) = &mut self.telemetry {
+            tm.gate_depth(recv_done, self.targets[target_idx].gate.buffered() as u32);
         }
 
         if kind == CmdKind::Flush {
