@@ -25,11 +25,11 @@ use std::fmt::Write as _;
 use rio_stack::trace::STAGES;
 use rio_stack::{LatencyBreakdown, RunMetrics, Telemetry};
 
-use crate::json::{read, Value};
+use crate::json::read;
 
 /// The `pid` lane used for watchdog annotations (stall windows and
 /// recovery spans), far away from real initiator indices.
-pub const WATCHDOG_PID: u32 = 999;
+const WATCHDOG_PID: u32 = 999;
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
@@ -239,18 +239,6 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     read(s).map(drop)
 }
 
-/// Counts duration spans (`"ph": "X"`) named `name` in a Chrome trace
-/// document; 0 if it does not parse.
-pub fn count_spans(json: &str, name: &str) -> usize {
-    let is = |e: &Value, key, want: &str| matches!(e.get(key), Some(Value::Str(s)) if s == want);
-    match read(json).ok().as_ref().and_then(|doc| doc.get("traceEvents")) {
-        Some(Value::Array(events)) => {
-            events.iter().filter(|e| is(e, "name", name) && is(e, "ph", "X")).count()
-        }
-        _ => 0,
-    }
-}
-
 /// Parses `--trace-out <path>` from a bench's argument list.
 pub fn trace_out_arg(args: &[String]) -> Option<String> {
     args.windows(2)
@@ -261,7 +249,21 @@ pub fn trace_out_arg(args: &[String]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use rio_sim::SimTime;
+
+    /// Counts duration spans (`"ph": "X"`) named `name` in a Chrome
+    /// trace document; 0 if it does not parse.
+    fn count_spans(json: &str, name: &str) -> usize {
+        let is = |e: &Value, key, want: &str| matches!(e.get(key), Some(Value::Str(s)) if s == want);
+        match read(json).ok().as_ref().and_then(|doc| doc.get("traceEvents")) {
+            Some(Value::Array(events)) => {
+                events.iter().filter(|e| is(e, "name", name) && is(e, "ph", "X")).count()
+            }
+            _ => 0,
+        }
+    }
+
     use rio_ssd::SsdProfile;
     use rio_stack::{
         Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, TelemetryConfig,

@@ -8,7 +8,7 @@ use rio_bench::gate::parse;
 use rio_bench::json::read;
 use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
-use rio_bench::trace_export::{chrome_trace, count_spans, validate_json};
+use rio_bench::trace_export::{chrome_trace, validate_json};
 use rio_sim::SimRng;
 use rio_ssd::SsdProfile;
 use rio_stack::{Cluster, ClusterConfig, OrderingMode, TelemetryConfig, TraceConfig, Workload};
@@ -19,7 +19,7 @@ fn feed(text: &str) {
     let _ = parse::<Cell>(text);
     let _ = parse::<FigCell>(text);
     let _ = parse::<RecoveryCell>(text);
-    let _ = count_spans(text, "media");
+    let _ = validate_json(text);
 }
 
 fn small_chrome_trace() -> String {

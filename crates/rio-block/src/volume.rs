@@ -73,11 +73,6 @@ impl StripedVolume {
         self.capacity_blocks
     }
 
-    /// Number of stripe legs.
-    pub fn n_legs(&self) -> usize {
-        self.legs.len()
-    }
-
     /// The legs (server, ssd) in round-robin order.
     pub fn legs(&self) -> &[(ServerId, usize)] {
         &self.legs

@@ -93,11 +93,6 @@ impl OrderedDev {
         self.group
     }
 
-    /// Number of logged (un-checkpointed) writes.
-    pub fn logged_writes(&self) -> usize {
-        self.log.len()
-    }
-
     /// Materialises the device image as it would look after a crash
     /// that persisted exactly groups `0..keep_groups` (plus the
     /// FLUSH-pinned prefix, whichever is larger).
@@ -114,11 +109,6 @@ impl OrderedDev {
             }
         }
         img
-    }
-
-    /// The fully-applied (no crash) image.
-    pub fn settled_image(&self) -> MemDev {
-        self.crash_image(self.group)
     }
 }
 
@@ -219,7 +209,7 @@ mod tests {
         let mut d = OrderedDev::new(8);
         d.write_block(5, &[9]);
         d.end_group();
-        let img = d.settled_image();
+        let img = d.crash_image(d.groups());
         assert_eq!(img.read_block(5)[0], 9);
     }
 }

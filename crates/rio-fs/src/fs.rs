@@ -634,7 +634,7 @@ mod tests {
             assert_eq!(fs2.read("a", 0, 5).expect("a survives"), b"first");
         }
         // And the fully-settled image has both.
-        let fs3 = RioFs::mount(dev.settled_image()).expect("mount settled");
+        let fs3 = RioFs::mount(dev.crash_image(dev.groups())).expect("mount settled");
         assert_eq!(fs3.read("b", 0, 6).expect("b present"), b"second");
     }
 }

@@ -76,6 +76,7 @@ impl BlockRange {
     }
 
     /// Whether the two ranges share any block.
+    #[cfg(test)]
     pub fn overlaps(&self, other: &BlockRange) -> bool {
         self.lba < other.end() && other.lba < self.end()
     }
@@ -171,6 +172,7 @@ impl OrderingAttr {
     }
 
     /// Whether this attribute covers group `seq`.
+    #[cfg(test)]
     pub fn covers(&self, seq: Seq) -> bool {
         self.seq_start <= seq && seq <= self.seq_end
     }
@@ -204,6 +206,7 @@ impl OrderingAttr {
 
     /// Reconstructs the attribute from the wire extension plus the
     /// request geometry the command itself carries.
+    #[cfg(test)]
     pub fn from_wire(ext: &RioExt, range: BlockRange, server: ServerId) -> Self {
         OrderingAttr {
             stream: StreamId(ext.stream),
@@ -268,6 +271,7 @@ impl OrderingAttr {
     /// Reconstructs an attribute from a scanned PMR record. The `server`
     /// is supplied by the scanner (records live on the server that wrote
     /// them); `dispatch_idx` is not persisted and reads back as zero.
+    #[cfg(test)]
     pub fn from_pmr_record(rec: &PmrRecord, server: ServerId) -> Self {
         OrderingAttr {
             stream: StreamId(rec.stream),

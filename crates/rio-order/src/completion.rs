@@ -146,6 +146,7 @@ impl InOrderCompleter {
     }
 
     /// Number of groups buffered but not yet deliverable on `stream`.
+    #[cfg(test)]
     pub fn pending_groups(&self, stream: StreamId) -> usize {
         self.streams[stream.0 as usize].pending_count
     }

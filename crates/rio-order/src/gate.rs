@@ -47,8 +47,10 @@ struct GateStream {
 /// let mut first = OrderingAttr::single(StreamId(0), Seq(1), BlockRange::new(0, 1));
 /// first.dispatch_idx = 0;
 /// // The network delivered them out of order.
-/// assert!(gate.arrive(early, 20).is_empty());
-/// let released = gate.arrive(first, 10);
+/// let mut released = Vec::new();
+/// gate.arrive_into(early, 20, &mut released);
+/// assert!(released.is_empty());
+/// gate.arrive_into(first, 10, &mut released);
 /// assert_eq!(released.len(), 2);
 /// assert_eq!(released[0].1, 10);
 /// assert_eq!(released[1].1, 20);
@@ -76,26 +78,23 @@ impl SubmissionGate {
         g
     }
 
-    /// Handles the arrival of an ordered request and returns the
-    /// requests (attribute, token) now releasable to the SSD, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate or stale dispatch ordinal (the transport is
-    /// reliable; duplicates indicate a protocol bug).
+    /// [`Self::arrive_into`] with a fresh buffer per arrival, for tests.
+    #[cfg(test)]
     pub fn arrive(&mut self, attr: OrderingAttr, token: u64) -> Vec<(OrderingAttr, u64)> {
         let mut released = Vec::new();
         self.arrive_into(attr, token, &mut released);
         released
     }
 
-    /// Allocation-free form of [`Self::arrive`]: appends releasable
-    /// requests to `released` (which is *not* cleared), letting hot
-    /// callers reuse one buffer across arrivals.
+    /// Handles the arrival of an ordered request: appends the requests
+    /// (attribute, token) now releasable to the SSD, in order, to
+    /// `released` (which is *not* cleared), letting hot callers reuse
+    /// one buffer across arrivals.
     ///
     /// # Panics
     ///
-    /// As [`Self::arrive`].
+    /// Panics on a duplicate or stale dispatch ordinal (the transport is
+    /// reliable; duplicates indicate a protocol bug).
     pub fn arrive_into(
         &mut self,
         attr: OrderingAttr,

@@ -42,6 +42,7 @@ pub struct DispatchUnit {
 
 impl DispatchUnit {
     /// Whether this unit is a merge of several requests.
+    #[cfg(test)]
     pub fn is_merged(&self) -> bool {
         self.parts.len() > 1
     }
@@ -154,33 +155,40 @@ impl OrderQueue {
             }
             // Candidate runs start only at a group's first member.
             let mut parts = vec![first];
+            // The run as of its last whole group: how many parts, and
+            // the attribute of the one that closes it.
+            let mut whole = (1, first.attr);
             if first.attr.member_idx == 0 && first.attr.split.is_none() {
                 let mut run_blocks = first.attr.range.blocks;
-                while let Some(next) = self.queue.front() {
-                    let last = &parts.last().expect("non-empty run").attr;
-                    if !self.may_extend(last, &next.attr, run_blocks) {
+                let mut last = first.attr;
+                while let Some(&next) = self.queue.front() {
+                    if !self.may_extend(&last, &next.attr, run_blocks) {
                         break;
                     }
                     run_blocks += next.attr.range.blocks;
-                    parts.push(self.queue.pop_front().expect("front exists"));
+                    self.queue.pop_front();
+                    parts.push(next);
+                    last = next.attr;
+                    if last.boundary {
+                        whole = (parts.len(), last);
+                    }
                 }
-                // A merged unit must end at a boundary (whole groups);
-                // otherwise fall back to dispatching the head unmerged.
-                while parts.len() > 1 && !parts.last().expect("non-empty").attr.boundary {
-                    let tail = parts.pop().expect("non-empty");
+                // A merged unit must end at a boundary (whole groups):
+                // the members past the last one go back to the head of
+                // the queue, and with no boundary at all the head is
+                // dispatched unmerged.
+                for tail in parts.drain(whole.0..).rev() {
                     self.queue.push_front(tail);
                 }
             }
+            let (first_attr, last_attr) = (first.attr, whole.1);
             if parts.len() == 1 {
-                let only = parts[0];
                 units.push(DispatchUnit {
-                    attr: only.attr,
+                    attr: first_attr,
                     parts,
                 });
                 continue;
             }
-            let first_attr = parts[0].attr;
-            let last_attr = parts.last().expect("non-empty").attr;
             let mut range = first_attr.range;
             let mut num_total: u16 = 0;
             for p in &parts[1..] {
@@ -208,7 +216,9 @@ impl OrderQueue {
 }
 
 /// Splits an attribute into fragments tiling `extents` (volume striping
-/// or transfer-size limits, Fig. 8b).
+/// or transfer-size limits, Fig. 8b), appending them to `frags` (which
+/// is *not* cleared), letting hot callers reuse one buffer across
+/// dispatches.
 ///
 /// Each fragment inherits the ordering identity and gains
 /// `SplitInfo { idx, last }` so recovery can rejoin them.
@@ -218,19 +228,6 @@ impl OrderQueue {
 /// Panics if `extents` do not exactly tile the attribute's range, if the
 /// attribute is already a fragment, or if there are more than 256
 /// fragments.
-pub fn split_attr(attr: &OrderingAttr, extents: &[BlockRange]) -> Vec<OrderingAttr> {
-    let mut frags = Vec::with_capacity(extents.len());
-    split_attr_into(attr, extents, &mut frags);
-    frags
-}
-
-/// Allocation-free form of [`split_attr`]: appends the fragments to
-/// `frags` (which is *not* cleared), letting hot callers reuse one
-/// buffer across dispatches.
-///
-/// # Panics
-///
-/// As [`split_attr`].
 pub fn split_attr_into(attr: &OrderingAttr, extents: &[BlockRange], frags: &mut Vec<OrderingAttr>) {
     assert!(attr.split.is_none(), "re-splitting a fragment");
     assert!(!extents.is_empty(), "no extents");
@@ -262,6 +259,13 @@ mod tests {
     use super::*;
     use crate::attr::Seq;
     use crate::sequencer::{Sequencer, SubmitOpts};
+
+    /// [`split_attr_into`] with a fresh buffer per split.
+    fn split_attr(attr: &OrderingAttr, extents: &[BlockRange]) -> Vec<OrderingAttr> {
+        let mut frags = Vec::new();
+        split_attr_into(attr, extents, &mut frags);
+        frags
+    }
 
     fn queue() -> OrderQueue {
         OrderQueue::new(StreamId(0), OrderQueueConfig::default())

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rio_order::attr::{BlockRange, Seq, ServerId, StreamId};
-use rio_order::scheduler::{split_attr, OrderQueue, OrderQueueConfig};
+use rio_order::scheduler::{split_attr_into, OrderQueue, OrderQueueConfig};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_order::{InOrderCompleter, SubmissionGate};
 
@@ -67,17 +67,19 @@ proptest! {
             }
             let attr = unit.attr;
             // Split in two halves when >1 block (mimics striping).
-            let frags = if attr.range.blocks > 1 {
+            let mut frags = Vec::new();
+            if attr.range.blocks > 1 {
                 let half = attr.range.blocks / 2;
-                split_attr(
+                split_attr_into(
                     &attr,
                     &[
                         BlockRange::new(attr.range.lba, half),
                         BlockRange::new(attr.range.lba + half as u64, attr.range.blocks - half),
                     ],
+                    &mut frags,
                 )
             } else {
-                split_attr(&attr, &[attr.range])
+                split_attr_into(&attr, &[attr.range], &mut frags)
             };
             let unit_id = unit_frags.len();
             unit_frags.push(frags.len());
@@ -104,7 +106,9 @@ proptest! {
         for &i in &order {
             let (_unit_id, attr) = fragments[i];
             let srv = attr.server.0 as usize;
-            for (r_attr, _) in gates[srv].arrive(attr, i as u64) {
+            let mut now_releasable = Vec::new();
+            gates[srv].arrive_into(attr, i as u64, &mut now_releasable);
+            for (r_attr, _) in now_releasable {
                 released[srv].push(r_attr.dispatch_idx);
                 // "Submit to SSD" and complete immediately: count
                 // fragment completions per unit; the last fragment's

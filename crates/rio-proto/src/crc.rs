@@ -219,11 +219,6 @@ impl PayloadDigest {
         }
         PayloadDigest(!state)
     }
-
-    /// One-shot digest over raw payload bytes.
-    pub fn over_bytes(data: &[u8]) -> Self {
-        PayloadDigest(crc32c(data))
-    }
 }
 
 #[cfg(test)]
@@ -360,6 +355,6 @@ mod tests {
         for s in [1u64, 2, 3] {
             bytes.extend_from_slice(&s.to_le_bytes());
         }
-        assert_eq!(d1, PayloadDigest::over_bytes(&bytes));
+        assert_eq!(d1, PayloadDigest(crc32c(&bytes)));
     }
 }

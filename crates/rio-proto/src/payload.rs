@@ -17,8 +17,6 @@
 //! * the regenerate-and-compare against the embedded seed (which also
 //!   catches a hypothetical coherent overwrite with a valid seal).
 
-use crate::crc::crc32c;
-
 /// Payload block size in bytes (one logical block everywhere in the
 /// repository).
 pub const BLOCK_BYTES: usize = 4096;
@@ -82,15 +80,10 @@ pub fn verify_block(block: &[u8]) -> bool {
     block == expect
 }
 
-/// CRC-32C seal of the payload image of `seed` (what a clean media
-/// landing records).
-pub fn seal_for(seed: u64) -> u32 {
-    crc32c(&block_for(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32c;
 
     #[test]
     fn block_round_trips_through_embedded_seed() {
@@ -124,8 +117,17 @@ mod tests {
 
     #[test]
     fn seal_matches_crc_of_materialised_block() {
-        let seed = seed_for(0, 42, 7);
-        assert_eq!(seal_for(seed), crc32c(&block_for(seed)));
+        // What a clean media landing records is the CRC-32C of the
+        // image, so it vouches for every bit of the block, the
+        // embedded seed included.
+        let mut block = block_for(seed_for(0, 42, 7));
+        let seal = crc32c(&block);
+        for bit in [0, 63, 64, BLOCK_BYTES * 8 - 1] {
+            block[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32c(&block), seal, "bit {bit}");
+            block[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(crc32c(&block), seal);
     }
 
     #[test]

@@ -106,6 +106,7 @@ impl Sqe {
     }
 
     /// Sets the Force Unit Access bit.
+    #[cfg(test)]
     pub fn set_fua(&mut self, fua: bool) {
         if fua {
             self.dw[12] |= 1 << 30;

@@ -10,7 +10,7 @@
 //! Use it only for maps whose *contents* are never iterated in an
 //! order-sensitive way, or iterate sorted.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -77,9 +77,6 @@ impl Hasher for FxHasher {
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,8 +111,5 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert!(m.contains_key(&999));
-        let mut s: FxHashSet<u32> = FxHashSet::default();
-        s.insert(7);
-        assert!(s.contains(&7));
     }
 }

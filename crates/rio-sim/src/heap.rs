@@ -153,8 +153,8 @@ impl<E> EventHeap<E> {
     /// Removes and returns the earliest event only when it is scheduled
     /// at or before `deadline`; leaves the heap untouched otherwise.
     ///
-    /// This is the single-probe form of `peek_time` + `pop` that the
-    /// engine's bounded-run loop uses.
+    /// This is the single-probe form of `peek` + `pop` for a
+    /// bounded-run loop.
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let key = self.heap.peek()?.key;
         if unpack_time(key) > deadline {
@@ -171,11 +171,6 @@ impl<E> EventHeap<E> {
             .as_ref()
             .expect("heap node points at live slot");
         Some((unpack_time(node.key), event))
-    }
-
-    /// Returns the timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|n| unpack_time(n.key))
     }
 
     /// Returns the number of pending events.
@@ -239,11 +234,10 @@ mod tests {
         let mut h = EventHeap::new();
         h.push(SimTime::from_nanos(9), 'a');
         h.push(SimTime::from_nanos(3), 'b');
-        assert_eq!(h.peek_time(), Some(SimTime::from_nanos(3)));
         assert_eq!(h.peek(), Some((SimTime::from_nanos(3), &'b')));
         let (t, e) = h.pop().unwrap();
         assert_eq!((t, e), (SimTime::from_nanos(3), 'b'));
-        assert_eq!(h.peek_time(), Some(SimTime::from_nanos(9)));
+        assert_eq!(h.peek(), Some((SimTime::from_nanos(9), &'a')));
     }
 
     #[test]

@@ -30,10 +30,10 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use hash::{FxHashMap, FxHashSet};
+pub use hash::FxHashMap;
 pub use heap::EventHeap;
 pub use resource::{BandwidthLink, FifoResource, MultiServer};
 pub use rng::SimRng;
 pub use slab::Slab;
-pub use stats::{Counter, Histogram, MeanAccum};
+pub use stats::{Histogram, MeanAccum};
 pub use time::{SimDuration, SimTime};

@@ -99,6 +99,7 @@ impl MultiServer {
     }
 
     /// Admits a job to a *specific* server (hash-affinity models).
+    #[cfg(test)]
     pub fn admit_to(&mut self, server: usize, now: SimTime, service: SimDuration) -> SimTime {
         let idx = server % self.free_at.len();
         let start = self.free_at[idx].max(now);
@@ -106,11 +107,6 @@ impl MultiServer {
         self.free_at[idx] = done;
         self.busy += service;
         done
-    }
-
-    /// Earliest instant any server becomes idle.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("at least one server")
     }
 
     /// Total busy time across all servers.

@@ -49,11 +49,6 @@ impl SimRng {
         }
     }
 
-    /// A uniform draw in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen::<f64>() < p.clamp(0.0, 1.0)
@@ -66,18 +61,6 @@ impl SimRng {
     /// paper attributes to SSD internal parallelism and the NIC).
     pub fn jitter(&mut self, amp: f64) -> f64 {
         1.0 + (self.inner.gen::<f64>() * 2.0 - 1.0) * amp.clamp(0.0, 0.99)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        let n = items.len();
-        if n < 2 {
-            return;
-        }
-        for i in (1..n).rev() {
-            let j = self.inner.gen_range(0..=i);
-            items.swap(i, j);
-        }
     }
 
     /// Picks one element index uniformly; `None` for an empty slice length.
@@ -153,16 +136,6 @@ mod tests {
         // Out-of-range probabilities clamp instead of panicking.
         assert!(r.chance(2.0));
         assert!(!r.chance(-1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from_u64(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

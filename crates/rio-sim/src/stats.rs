@@ -7,39 +7,6 @@
 
 use crate::time::SimDuration;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-
-    /// Adds `k`.
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    /// Returns the current count.
-    pub fn get(&self) -> u64 {
-        self.n
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.n = 0;
-    }
-}
-
 /// Streaming mean/min/max accumulator over `f64` samples.
 ///
 /// `PartialEq` compares the raw accumulator state; deterministic
@@ -130,7 +97,7 @@ const MAX_EXP: usize = 40; // Covers up to ~2^40 ns ≈ 18 minutes.
 ///
 /// let mut h = Histogram::new();
 /// for us in 1..=100u64 {
-///     h.record(SimDuration::from_micros(us));
+///     h.record(SimDuration::from_nanos(us * 1_000));
 /// }
 /// let p50 = h.quantile(0.50).as_micros_f64();
 /// assert!((45.0..=56.0).contains(&p50), "p50 was {p50}");
@@ -259,16 +226,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
     fn mean_accum_tracks_extremes() {
         let mut m = MeanAccum::new();
         assert_eq!(m.mean(), 0.0);
@@ -304,7 +261,7 @@ mod tests {
     fn histogram_quantile_bounded_error() {
         let mut h = Histogram::new();
         for us in 1..=10_000u64 {
-            h.record(SimDuration::from_micros(us));
+            h.record(SimDuration::from_nanos(us * 1_000));
         }
         for &(q, expect_us) in &[(0.5, 5_000.0), (0.9, 9_000.0), (0.99, 9_900.0)] {
             let got = h.quantile(q).as_micros_f64();

@@ -65,16 +65,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Creates a duration from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
-    /// Creates a duration from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
-    }
-
     /// Creates a duration from seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
@@ -184,8 +174,6 @@ mod tests {
 
     #[test]
     fn construction_round_trips() {
-        assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_nanos(42).as_nanos(), 42);
     }
@@ -219,7 +207,7 @@ mod tests {
     #[test]
     fn display_picks_unit() {
         assert_eq!(format!("{}", SimDuration::from_nanos(1_500)), "1.500us");
-        assert_eq!(format!("{}", SimDuration::from_millis(3)), "3.000ms");
+        assert_eq!(format!("{}", SimDuration::from_nanos(3_000_000)), "3.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
     }
 

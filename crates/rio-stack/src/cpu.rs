@@ -106,7 +106,7 @@ mod tests {
         cs.run_on(0, SimTime::ZERO, 1_000_000);
         cs.run_on(1, SimTime::ZERO, 1_000_000);
         // 2 of 4 cores busy for the first millisecond.
-        let u = cs.utilization(SimDuration::from_millis(1));
+        let u = cs.utilization(SimDuration::from_nanos(1_000_000));
         assert!((u - 0.5).abs() < 1e-9, "got {u}");
     }
 

@@ -64,14 +64,6 @@ impl NetMetrics {
             agg.retransmits += p.retransmits;
         }
     }
-
-    /// Fraction of transmitted packets that were dropped.
-    pub fn drop_ratio(&self) -> f64 {
-        if self.packets == 0 {
-            return 0.0;
-        }
-        self.drops as f64 / self.packets as f64
-    }
 }
 
 /// End-to-end data-integrity ledger of one run: every corruption the
@@ -115,6 +107,7 @@ pub struct IntegrityMetrics {
 
 impl IntegrityMetrics {
     /// Total corruptions injected anywhere (wire + media).
+    #[cfg(test)]
     pub fn injected(&self) -> u64 {
         self.wire_injected + self.torn_injected + self.rot_injected
     }
@@ -374,14 +367,6 @@ impl RunMetrics {
         self.blocks_done as f64 / self.span.as_secs_f64()
     }
 
-    /// Groups (ordered requests) per second.
-    pub fn group_iops(&self) -> f64 {
-        if self.span.as_nanos() == 0 {
-            return 0.0;
-        }
-        self.groups_done as f64 / self.span.as_secs_f64()
-    }
-
     /// fsync operations per second (FS workloads).
     pub fn op_iops(&self) -> f64 {
         if self.span.as_nanos() == 0 {
@@ -422,6 +407,7 @@ impl RunMetrics {
     /// Jain's fairness index over *weight-normalized* per-tenant
     /// throughput: 1.0 means every tenant got service exactly
     /// proportional to its QoS weight.
+    #[cfg(test)]
     pub fn weighted_tenant_fairness(&self) -> f64 {
         let rates: Vec<f64> = self
             .tenants
@@ -444,7 +430,7 @@ mod tests {
             gate_buffered: 0,
             commands_sent: blocks,
             events_processed: blocks,
-            span: SimDuration::from_millis(span_ms),
+            span: SimDuration::from_nanos(span_ms * 1_000_000),
             group_latency: Histogram::new(),
             op_latency: Histogram::new(),
             stage_dispatch: Default::default(),

@@ -464,8 +464,8 @@ mod tests {
     #[test]
     fn drr_wait_accumulates_per_tenant() {
         let mut s = sampler();
-        s.drr_wait(t(2), 0, SimDuration::from_micros(5));
-        s.drr_wait(t(3), 0, SimDuration::from_micros(7));
+        s.drr_wait(t(2), 0, SimDuration::from_nanos(5_000));
+        s.drr_wait(t(3), 0, SimDuration::from_nanos(7_000));
         let m = s.finish();
         assert_eq!(m.buckets[0].gate_wait[0].wait_ns, 12_000);
         assert_eq!(m.buckets[0].gate_wait[0].waits, 2);

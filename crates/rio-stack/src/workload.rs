@@ -289,11 +289,6 @@ impl Workload {
             }
         }
     }
-
-    /// Total script units across all threads.
-    pub fn total_groups(&self) -> u64 {
-        self.threads as u64 * self.groups_per_thread
-    }
 }
 
 #[cfg(test)]
@@ -417,7 +412,11 @@ mod tests {
 
     #[test]
     fn totals() {
-        let w = Workload::random_4k(12, 1000);
-        assert_eq!(w.total_groups(), 12_000);
+        // Script units across all threads: a triplet is two units, an
+        // fsync op one.
+        let total = |w: Workload| w.threads as u64 * w.groups_per_thread;
+        assert_eq!(total(Workload::random_4k(12, 1000)), 12_000);
+        assert_eq!(total(Workload::journal_triplet(3, 5)), 30);
+        assert_eq!(total(Workload::fsync_append(4, 25)), 100);
     }
 }

@@ -58,7 +58,7 @@ fn a_rollback_through_cached_sealed_writes_scrubs_clean() {
     let m = Cluster::new(cfg, Workload::random_4k(2, 400)).run();
     assert_eq!(m.groups_done, 800, "both faults resume: exactly once");
     let i = &m.integrity;
-    assert_eq!(i.injected(), 0);
+    assert_eq!(i.wire_injected + i.torn_injected + i.rot_injected, 0);
     assert_eq!((i.media_detected, i.media_unrepairable), (0, 0));
     assert!(i.balanced());
     assert_eq!(m.recoveries[0].discards, 60);

@@ -565,7 +565,7 @@ fn riofs_full_crash_sweep_with_applications() {
         );
     }
     // The settled image retains every fsync'ed KV record.
-    let settled = RioFs::mount(dev.settled_image()).expect("settled");
+    let settled = RioFs::mount(dev.crash_image(groups)).expect("settled");
     assert!(settled.stat("kv.wal.0").unwrap_or(0) > 0);
 }
 
