@@ -18,6 +18,7 @@
 //! | S2 | no `panic!`/`todo!`/`unimplemented!` in non-test event-path code |
 //! | S3 | every crate root carries `#![deny(missing_docs)]` |
 //! | S4 | inline suppressions must name a real rule, give a reason, and be used |
+//! | S6 | every `pub` item in `crates/*/src` is named by some non-test code besides its declaration |
 //!
 //! A violation may be excused with a line comment starting
 //! `rio-lint: allow(<rule>) <reason>` placed on the offending line or
@@ -31,7 +32,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check, FileMeta, Finding, EVENT_PATH_CRATES, RULES};
+pub use rules::{check, check_all, FileMeta, Finding, EVENT_PATH_CRATES, RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -105,10 +106,10 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Resul
 /// Returns `(files scanned, findings)`; findings are sorted by path,
 /// line, then rule, so output (and CI logs) are stable.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Finding>)> {
+    let mut paths = Vec::new();
+    collect_rs(root, root, &mut paths)?;
     let mut files = Vec::new();
-    collect_rs(root, root, &mut files)?;
-    let mut findings = Vec::new();
-    for path in &files {
+    for path in &paths {
         let rel: String = path
             .strip_prefix(root)
             .unwrap_or(path)
@@ -116,9 +117,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Finding>)> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let src = std::fs::read_to_string(path)?;
-        findings.extend(check(&src, &classify(&rel)));
+        files.push((classify(&rel), std::fs::read_to_string(path)?));
     }
+    let mut findings = check_all(&files);
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok((files.len(), findings))
 }

@@ -1,11 +1,12 @@
-//! The rule engine: determinism (D1–D4) and safety (S1–S4) rules.
+//! The rule engine: determinism (D1–D4) and safety (S1–S6) rules.
 //!
 //! Rules operate on the token stream produced by [`crate::lexer`], so
 //! comments, string literals and raw strings can never hide or fake a
 //! violation. Each rule reports `file:line:rule`; inline suppressions
 //! (see [`check`]) excuse a single line with a recorded reason, and
 //! suppressions that no longer excuse anything are themselves reported
-//! so allows cannot rot.
+//! so allows cannot rot. S6 is the one rule that needs every file at
+//! once, so it runs from [`check_all`].
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -16,7 +17,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line of the violation.
     pub line: u32,
-    /// Rule id (`D1` … `S4`).
+    /// Rule id (`D1` … `S6`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub msg: String,
@@ -71,7 +72,7 @@ const D3_ALLOWED: &[&str] = &["crates/rio-sim/src/rng.rs"];
 
 /// Every rule id, in report order. Suppressions naming anything else
 /// are flagged by S4.
-pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "S1", "S2", "S3", "S4"];
+pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "S1", "S2", "S3", "S4", "S6"];
 
 /// An inline suppression parsed from a line comment of the form
 /// `rio-lint: allow(<rule>) <reason>` (the comment must start with the
@@ -94,15 +95,150 @@ fn finding(meta: &FileMeta, line: u32, rule: &'static str, msg: String) -> Findi
     }
 }
 
-/// Lints one file's source text under the given classification.
+/// Lints one file's source text under the given classification: every
+/// rule that needs no other file (all but S6).
 ///
-/// This is the whole engine; the binary and the golden tests both call
-/// it, so fixtures exercise exactly the code CI runs.
+/// The binary and the golden tests both reach this, so fixtures
+/// exercise exactly the code CI runs.
 pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
-    let toks = lex(src);
-    let in_test = test_regions(&toks);
-    let mut sups = collect_suppressions(&toks);
-    let safety = safety_comment_lines(&toks);
+    check_toks(&lex(src), meta, Vec::new())
+}
+
+/// Lints a set of files together: the single-file rules on each, plus
+/// S6 over all of them, with one file's suppressions applied to its
+/// findings from both passes. Findings come out in input order.
+pub fn check_all(files: &[(FileMeta, String)]) -> Vec<Finding> {
+    let lexed: Vec<Vec<Tok>> = files.iter().map(|(_, src)| lex(src)).collect();
+    let mut unreached = unreached_pub_items(files, &lexed);
+    let mut out = Vec::new();
+    for ((meta, _), toks) in files.iter().zip(&lexed) {
+        let (mine, rest) = unreached.into_iter().partition(|f| f.path == meta.rel);
+        unreached = rest;
+        out.extend(check_toks(toks, meta, mine));
+    }
+    out
+}
+
+/// Whether S6 treats the whole file as test code: anything under a
+/// `tests/` tree, and a `tests.rs` module file (declared `#[cfg(test)]`
+/// by its parent, which a per-file scan cannot see). Benches and
+/// examples are real callers.
+fn s6_test_file(rel: &str) -> bool {
+    rel.split('/').any(|p| p == "tests" || p == "tests.rs")
+}
+
+/// S6: a `pub` item declared in the non-test part of `crates/<c>/src`
+/// whose name is an identifier of no other non-test code in `files`.
+///
+/// A name-only scan: a second item of the same name anywhere, or any
+/// unrelated use of the word, counts as a reference, so common names
+/// (`new`, `len`) are never flagged — the conservative side. Integration
+/// tests are not references: an item only they name is an item nothing
+/// in the product reaches.
+fn unreached_pub_items(files: &[(FileMeta, String)], lexed: &[Vec<Tok>]) -> Vec<Finding> {
+    const ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const"];
+    let mut uses: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
+    let mut decls: Vec<(&FileMeta, &Tok)> = Vec::new();
+    for ((meta, _), toks) in files.iter().zip(lexed) {
+        if s6_test_file(&meta.rel) {
+            continue;
+        }
+        let in_test = test_regions(toks);
+        let code: Vec<&Tok> = toks
+            .iter()
+            .zip(&in_test)
+            .filter(|(t, test)| {
+                !**test && !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
+            })
+            .map(|(t, _)| t)
+            .collect();
+        let declares = meta.rel.starts_with("crates/") && meta.rel.contains("/src/");
+        let mut in_use = false;
+        // The `impl` block being walked: the identifiers of its header
+        // (the type, the trait, their parameters) and the brace depth
+        // its body closes at. A type's own impl does not reach it.
+        let mut own: Vec<&str> = Vec::new();
+        let (mut in_header, mut body, mut depth) = (false, None, 0u32);
+        for (ci, t) in code.iter().enumerate() {
+            // An import or re-export names an item without reaching it.
+            in_use = (in_use && t.text != ";") || t.text == "use";
+            match (t.kind, t.text.as_str()) {
+                (TokKind::Punct, "{") => {
+                    depth += 1;
+                    if std::mem::take(&mut in_header) {
+                        body = Some(depth);
+                    }
+                }
+                (TokKind::Punct, "}") => {
+                    if body == Some(depth) {
+                        body = None;
+                        own.clear();
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                // At item position only: `impl Trait` in a signature
+                // follows `:`, `(`, `<`, `>` or `&`.
+                (TokKind::Ident, "impl") if body.is_none() => {
+                    let before = ci.checked_sub(1).map_or("", |p| code[p].text.as_str());
+                    in_header = matches!(before, "" | ";" | "}" | "{" | "]" | "unsafe");
+                }
+                _ => {}
+            }
+            if t.kind != TokKind::Ident || in_use {
+                continue;
+            }
+            if in_header {
+                own.push(t.text.as_str());
+            }
+            if own.contains(&t.text.as_str()) {
+                continue;
+            }
+            *uses.entry(t.text.as_str()).or_default() += 1;
+            if !declares || t.text != "pub" {
+                continue;
+            }
+            // `pub [const|async|unsafe]* fn NAME`, or `pub <item> NAME`;
+            // `pub(crate)` has a `(` next and is not a public item.
+            let mut k = ci + 1;
+            while k + 1 < code.len()
+                && matches!(code[k].text.as_str(), "const" | "async" | "unsafe")
+                && ITEMS.contains(&code[k + 1].text.as_str())
+            {
+                k += 1;
+            }
+            if let (Some(item), Some(name)) = (code.get(k), code.get(k + 1)) {
+                if ITEMS.contains(&item.text.as_str()) && name.kind == TokKind::Ident {
+                    decls.push((meta, name));
+                }
+            }
+        }
+    }
+    decls
+        .into_iter()
+        .filter(|(_, name)| uses.get(name.text.as_str()).is_none_or(|n| *n <= 1))
+        .map(|(meta, name)| {
+            finding(
+                meta,
+                name.line,
+                "S6",
+                format!(
+                    "pub item `{}` is named by no non-test code but its own declaration; \
+                     delete it, mark it #[cfg(test)] if its crate's unit tests observe \
+                     state through it, or record the caller it waits for",
+                    name.text
+                ),
+            )
+        })
+        .collect()
+}
+
+/// The single-file rules over `toks`, then suppressions and their
+/// hygiene over those findings and `extra` (this file's share of a
+/// cross-file pass).
+fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding> {
+    let in_test = test_regions(toks);
+    let mut sups = collect_suppressions(toks);
+    let safety = safety_comment_lines(toks);
 
     // Indices of non-comment tokens, for sequence matching.
     let code: Vec<usize> = toks
@@ -114,7 +250,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
 
     let event_path = EVENT_PATH_CRATES.contains(&meta.krate.as_str());
     let rel = meta.rel.as_str();
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut raw: Vec<Finding> = extra;
 
     for (ci, &ti) in code.iter().enumerate() {
         let t = &toks[ti];
@@ -135,7 +271,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
                 "D1",
                 format!(
                     "raw std {} has nondeterministic iteration order on the event path; \
-                     use rio_sim::FxHashMap/FxHashSet or BTreeMap/BTreeSet",
+                     use rio_sim::FxHashMap or BTreeMap/BTreeSet",
                     t.text
                 ),
             ));
@@ -145,7 +281,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
         // time is the only clock a deterministic replay may observe.
         if !D2_ALLOWED.contains(&rel)
             && (t.text == "Instant" || t.text == "SystemTime")
-            && path_call_is(&toks, &code, ci, "now")
+            && path_call_is(toks, &code, ci, "now")
         {
             raw.push(finding(
                 meta,
@@ -172,7 +308,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
                         t.text
                     ),
                 ));
-            } else if t.text == "rand" && rand_is_path_or_use(&toks, &code, ci) {
+            } else if t.text == "rand" && rand_is_path_or_use(toks, &code, ci) {
                 raw.push(finding(
                     meta,
                     t.line,
@@ -187,7 +323,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
         // D4: wall-clock date/time formatting in deterministic output.
         if !test {
             let date_now = (t.text == "Local" || t.text == "Utc")
-                && path_call_is(&toks, &code, ci, "now");
+                && path_call_is(toks, &code, ci, "now");
             let date_ident = matches!(
                 t.text.as_str(),
                 "chrono" | "strftime" | "asctime" | "OffsetDateTime"
@@ -208,7 +344,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
 
         // S1: every unsafe block needs a SAFETY comment.
         if t.text == "unsafe" {
-            let covered = safety.contains(&t.line) || (t.line > 1 && covered_above(&safety, &toks, t.line));
+            let covered = safety.contains(&t.line) || (t.line > 1 && covered_above(&safety, toks, t.line));
             if !covered {
                 raw.push(finding(
                     meta,
@@ -225,7 +361,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
         if event_path
             && !test
             && matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && next_punct_is(&toks, &code, ci, "!")
+            && next_punct_is(toks, &code, ci, "!")
         {
             raw.push(finding(
                 meta,
@@ -242,7 +378,7 @@ pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
     }
 
     // S3: crate roots must deny missing docs.
-    if meta.is_crate_root && !has_deny_missing_docs(&toks, &code) {
+    if meta.is_crate_root && !has_deny_missing_docs(toks, &code) {
         raw.push(finding(
             meta,
             1,

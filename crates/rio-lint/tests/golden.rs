@@ -3,7 +3,7 @@
 //! `file:line:rule` and exits nonzero, and the real workspace is
 //! lint-clean.
 
-use rio_lint::{check, classify, FileMeta};
+use rio_lint::{check, check_all, classify, FileMeta};
 use std::path::{Path, PathBuf};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -97,6 +97,53 @@ fn s4_unused_suppression_golden() {
     );
 }
 
+const S6_DECL: &str = "crates/rio-order/src/s6_unreached_pub.rs";
+
+/// Lints the S6 fixture pair as a two-crate workspace, the caller
+/// fixture at `caller_rel`; returns `(path, line, rule)`.
+fn lint_s6_pair(caller_rel: &str) -> Vec<(String, u32, &'static str)> {
+    let read = |name| std::fs::read_to_string(fixture_path(name)).expect("read fixture");
+    let files = [
+        (classify(S6_DECL), read("s6_unreached_pub.rs")),
+        (classify(caller_rel), read("s6_caller.rs")),
+    ];
+    let found = check_all(&files);
+    found.iter().map(|f| (f.path.clone(), f.line, f.rule)).collect()
+}
+
+#[test]
+fn s6_fires_on_pub_items_no_code_reaches() {
+    // Line 8: no reference at all (the caller's unused import is not
+    // one). Line 11: only a unit test names it. Line 14: only its own
+    // impl and a re-export name the type. `reached`, `build`, the
+    // allowed const, the pub(crate) fn and the #[cfg(test)] fn stay
+    // silent, and nothing in the calling crate is a declaration.
+    let decl = |line| (S6_DECL.to_string(), line, "S6");
+    assert_eq!(
+        lint_s6_pair("crates/rio-stack/src/s6_caller.rs"),
+        vec![decl(8), decl(11), decl(14)]
+    );
+    // An example or a bench is a caller like any other…
+    assert_eq!(lint_s6_pair("examples/s6_caller.rs").len(), 3);
+    assert_eq!(lint_s6_pair("crates/rio-bench/benches/s6.rs").len(), 3);
+    // …an integration test is not: what only it calls is unreached.
+    assert_eq!(
+        lint_s6_pair("tests/s6_caller.rs"),
+        vec![decl(5), decl(8), decl(11), decl(14), decl(18)]
+    );
+}
+
+#[test]
+fn s6_allow_that_excuses_nothing_is_reported_unused() {
+    // With a caller for the const the allow on line 24 has nothing
+    // left to excuse, and S4 says so.
+    let src = std::fs::read_to_string(fixture_path("s6_unreached_pub.rs")).unwrap();
+    let caller = "#![deny(missing_docs)]\nfn f() -> u32 { WAITING }\n".to_string();
+    let files = [(classify(S6_DECL), src), (classify("src/lib.rs"), caller)];
+    let got: Vec<_> = check_all(&files).iter().map(|f| (f.line, f.rule)).collect();
+    assert!(got.contains(&(24, "S4")), "{got:?}");
+}
+
 #[test]
 fn non_event_path_crate_is_exempt_from_d1_and_s2() {
     let src = std::fs::read_to_string(fixture_path("s2_panic.rs")).unwrap();
@@ -143,7 +190,7 @@ fn classify_knows_crate_roots_and_test_dirs() {
 // clean crate, linted through the real walker + CLI.
 // ---------------------------------------------------------------------
 
-const CLEAN_LIB: &str = "//! A synthetic crate root for the golden test.\n\n#![deny(missing_docs)]\n#![forbid(unsafe_code)]\n\n/// Does nothing, deterministically.\npub fn noop() {}\n";
+const CLEAN_LIB: &str = "//! A synthetic crate root for the golden test.\n\n#![deny(missing_docs)]\n#![forbid(unsafe_code)]\n\n/// Does nothing, deterministically.\npub fn noop() {}\n\n/// Does nothing, twice.\npub(crate) fn twice() {\n    noop();\n    noop();\n}\n";
 
 fn scratch_workspace(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rio-lint-golden-{tag}-{}", std::process::id()));

@@ -155,6 +155,7 @@ impl<E> EventHeap<E> {
     ///
     /// This is the single-probe form of `peek` + `pop` for a
     /// bounded-run loop.
+    // rio-lint: allow(S6) rio-stack's cluster tests bound their runs with it; ROADMAP 2(a)'s stop-at-event-N trigger is its product caller
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let key = self.heap.peek()?.key;
         if unpack_time(key) > deadline {

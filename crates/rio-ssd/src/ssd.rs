@@ -581,6 +581,7 @@ impl Ssd {
 
     /// Whether every sealed media block still matches its seal (the
     /// end-state check integrity tests run after a workload).
+    // rio-lint: allow(S6) rio-stack's cluster tests end every verified run with it; ROADMAP 1(b)'s refinement check is its product caller
     pub fn media_verified(&self) -> bool {
         self.scrub().1.is_empty()
     }
@@ -590,6 +591,7 @@ impl Ssd {
     /// submission produced. Only meaningful for stacks that write
     /// [`rio_proto::payload`] blocks (seal checks alone cannot tell a
     /// coherent wrong-data overwrite from the intended write).
+    // rio-lint: allow(S6) rio-stack's cluster tests end every verified run with it; ROADMAP 1(b)'s refinement check is its product caller
     pub fn payload_verified(&self) -> bool {
         let mut verified = true;
         self.media.for_each_sealed(|_, _, img| {
@@ -601,6 +603,7 @@ impl Ssd {
     }
 
     /// Durable view of a block (what a post-crash read would return).
+    // rio-lint: allow(S6) ROADMAP 1(b) reads the post-recovery media image back through it
     pub fn durable_read(&self, lba: u64) -> BlockImage {
         self.media.read(lba)
     }

@@ -7,6 +7,7 @@ use rio_fs::{BlockDev, RioFs};
 
 /// One FIO job against a mounted file system.
 #[derive(Debug, Clone)]
+// rio-lint: allow(S6) ROADMAP 1(a): the simplest source of a recorded block script
 pub struct FioJob {
     /// File name this job owns.
     pub file: String,
