@@ -20,8 +20,6 @@ pub struct SsdProfile {
     pub write_us: f64,
     /// Additional per-block latency beyond the first block.
     pub write_us_per_extra_block: f64,
-    /// 4 KB read latency.
-    pub read_us: f64,
     /// Sustained media (drain) bandwidth in bytes/second.
     pub media_bw: f64,
     /// Volatile (or PLP-protected) write-cache capacity in bytes.
@@ -60,7 +58,6 @@ impl SsdProfile {
             capacity_blocks: 256 * 1024 * 1024 / 4, // 256 GiB
             write_us: 12.0,
             write_us_per_extra_block: 1.4,
-            read_us: 80.0,
             media_bw: 600.0e6,
             cache_bytes: 48 * 1024 * 1024,
             drain_lag_us: 2_000.0,
@@ -85,7 +82,6 @@ impl SsdProfile {
             capacity_blocks: 480 * 1024 * 1024 / 4, // 480 GiB
             write_us: 10.0,
             write_us_per_extra_block: 1.2,
-            read_us: 10.0,
             media_bw: 2.2e9,
             cache_bytes: 16 * 1024 * 1024,
             drain_lag_us: 0.0,
@@ -107,7 +103,6 @@ impl SsdProfile {
             capacity_blocks: 375 * 1024 * 1024 / 4,
             write_us: 10.0,
             write_us_per_extra_block: 1.1,
-            read_us: 10.0,
             media_bw: 2.0e9,
             cache_bytes: 16 * 1024 * 1024,
             drain_lag_us: 0.0,
