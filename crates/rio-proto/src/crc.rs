@@ -14,15 +14,33 @@
 //!   tables (29–30 ns).
 //! * [`crc32c`] — CRC-32C (Castagnoli), the payload checksum used for
 //!   per-command digests on the wire and per-block seals on media.
-//!   Castagnoli is what NVMe end-to-end protection and iSCSI use. The
-//!   kernel is slicing-by-16: sixteen input bytes per step, each looked
-//!   up in its own table and xor-ed together, so the lookups of a step
-//!   do not wait on one another the way a byte-at-a-time register
-//!   update does. Slicing-by-8 was measured beside it (1.34–1.41 GB/s
-//!   against 1.79–1.84 GB/s on warm 4 KB blocks, and slower end to
-//!   end); only the wider kernel ships. The byte-at-a-time loop
-//!   survives as the tail handler for the last `< 8` bytes and as the
-//!   oracle the tests compare the kernel against.
+//!   Castagnoli is what NVMe end-to-end protection and iSCSI use.
+//!   [`crc32c_update`] is four stages, chosen by the input's length
+//!   alone:
+//!   1. *Page loop.* Every whole 4 096-byte page — what a block seal
+//!      and a scrub checksum — runs as two 2 048-byte lanes in one
+//!      loop: two registers that do not depend on each other, each
+//!      advanced by the slicing-by-16 step, so one lane's table lookups
+//!      fill the load slots the other's dependent update leaves idle.
+//!   2. *Lane join.* The register update is linear over GF(2), so
+//!      `crc(A‖B) = shift_|B|(crc(A)) ⊕ crc₀(B)`: the first lane goes
+//!      through a `const` "advance by 2 048 zero bytes" operator and is
+//!      xor-ed with the second, which started from zero.
+//!   3. *Sliced remainder.* What is shorter than a page takes one
+//!      register through the same step (sixteen input bytes, each
+//!      looked up in its own table), then at most one eight-byte half
+//!      step — so the 8-byte seeds of [`PayloadDigest::over_seeds`]
+//!      never fall to the byte loop.
+//!   4. *Bytewise tail* for the last `< 8` bytes — also the oracle the
+//!      tests compare every other stage against.
+//!
+//!   Every input keeps the value the bytewise loop gives it. Two lanes
+//!   is the measured choice: one lane runs a warm 4 KB block in
+//!   2.2 µs, two in 1.2 µs. Four are faster still in isolation
+//!   (0.95–1.0 µs) but an integrity run end to end was no faster with
+//!   them (EXPERIMENTS.md, "Integrity data path II") — only two ship.
+//!   Slicing-by-8 was measured beside slicing-by-16 on one lane
+//!   (1.34–1.41 against 1.79–1.84 GB/s); only the wider step ships.
 //!
 //! Every table is `const`-built — no lazy initialisation, nothing to
 //! set up at run time — and all of it is safe Rust without intrinsics.
@@ -154,8 +172,94 @@ fn slice4(word: u32, after: usize) -> u32 {
         ^ t[after][(word >> 24) as usize]
 }
 
-fn le32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+/// The little-endian word in the first eight bytes of `bytes`.
+pub(crate) fn le64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// One slicing-by-16 step: folds the sixteen bytes `lo ‖ hi` (each
+/// little-endian) into `crc`, one independent table lookup per byte.
+/// Takes the bytes as words so a generator can feed the kernel from
+/// registers ([`crate::payload::sealed_block_for`]).
+#[inline(always)]
+pub(crate) fn step16(crc: u32, lo: u64, hi: u64) -> u32 {
+    slice4(lo as u32 ^ crc, 12)
+        ^ slice4((lo >> 32) as u32, 8)
+        ^ slice4(hi as u32, 4)
+        ^ slice4((hi >> 32) as u32, 0)
+}
+
+/// Bytes per lane of the page loop.
+pub(crate) const LANE_BYTES: usize = 2048;
+
+/// The page loop walks whole blocks of this many bytes as two lanes.
+const PAGE_BYTES: usize = 2 * LANE_BYTES;
+
+/// "Advance the register by [`LANE_BYTES`] zero bytes" as four byte
+/// tables: the operator is linear over GF(2), so the image of a
+/// register is the xor of the images of its four bytes.
+const LANE_SHIFT: [[u32; 256]; 4] = build_lane_shift();
+
+/// Applies a GF(2) operator given by the images of the 32 unit
+/// registers.
+const fn gf2_apply(op: &[u32; 32], mut x: u32) -> u32 {
+    let mut out = 0;
+    let mut bit = 0;
+    while x != 0 {
+        if x & 1 != 0 {
+            out ^= op[bit];
+        }
+        x >>= 1;
+        bit += 1;
+    }
+    out
+}
+
+const fn build_lane_shift() -> [[u32; 256]; 4] {
+    // The one-zero-byte operator, squared eleven times: 2^11 = 2 048.
+    let mut op = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let x = 1u32 << bit;
+        op[bit] = (x >> 8) ^ CRC32C_TABLES[0][(x & 0xFF) as usize];
+        bit += 1;
+    }
+    let mut bytes = 1;
+    while bytes < LANE_BYTES {
+        let mut squared = [0u32; 32];
+        let mut bit = 0;
+        while bit < 32 {
+            squared[bit] = gf2_apply(&op, op[bit]);
+            bit += 1;
+        }
+        op = squared;
+        bytes *= 2;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            tables[k][b] = gf2_apply(&op, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Joins two lanes: the register after `first`'s bytes followed by the
+/// [`LANE_BYTES`] bytes that took a zero register to `second`.
+#[inline(always)]
+pub(crate) fn join_lanes(first: u32, second: u32) -> u32 {
+    let t = &LANE_SHIFT;
+    t[0][(first & 0xFF) as usize]
+        ^ t[1][((first >> 8) & 0xFF) as usize]
+        ^ t[2][((first >> 16) & 0xFF) as usize]
+        ^ t[3][(first >> 24) as usize]
+        ^ second
 }
 
 /// Folds `data` into a running CRC-32C state (use [`crc32c`] for the
@@ -163,22 +267,30 @@ fn le32(bytes: &[u8]) -> u32 {
 /// from `!0` and invert the final state yourself, or let the wrappers
 /// do it.
 ///
-/// Slicing-by-16: sixteen input bytes per step, one independent table
-/// lookup each; then at most one eight-byte half step over the low
-/// eight tables (so the 8-byte seeds of [`PayloadDigest::over_seeds`]
-/// never fall to the byte loop); then the bytewise tail.
+/// Whole 4 096-byte pages run as two lanes, the rest through one
+/// register and the bytewise tail (see the module documentation);
+/// which stages run depends on `data.len()` only, and every input
+/// keeps the value the bytewise loop gives it.
 pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
     let mut crc = state;
-    let mut steps = data.chunks_exact(SLICES);
+    let mut pages = data.chunks_exact(PAGE_BYTES);
+    for page in &mut pages {
+        let (first, second) = page.split_at(LANE_BYTES);
+        let mut lane = 0;
+        for (a, b) in first.chunks_exact(SLICES).zip(second.chunks_exact(SLICES)) {
+            crc = step16(crc, le64(a), le64(&a[8..]));
+            lane = step16(lane, le64(b), le64(&b[8..]));
+        }
+        crc = join_lanes(crc, lane);
+    }
+    let mut steps = pages.remainder().chunks_exact(SLICES);
     for c in &mut steps {
-        crc = slice4(le32(&c[0..4]) ^ crc, 12)
-            ^ slice4(le32(&c[4..8]), 8)
-            ^ slice4(le32(&c[8..12]), 4)
-            ^ slice4(le32(&c[12..16]), 0);
+        crc = step16(crc, le64(c), le64(&c[8..]));
     }
     let mut rest = steps.remainder();
     if rest.len() >= 8 {
-        crc = slice4(le32(&rest[0..4]) ^ crc, 4) ^ slice4(le32(&rest[4..8]), 0);
+        let word = le64(rest);
+        crc = slice4(word as u32 ^ crc, 4) ^ slice4((word >> 32) as u32, 0);
         rest = &rest[8..];
     }
     crc32c_bytewise(crc, rest)
@@ -204,11 +316,6 @@ impl PayloadDigest {
     /// The sentinel carried by commands of integrity-off runs.
     pub const NONE: PayloadDigest = PayloadDigest(0);
 
-    /// Whether this is the integrity-off sentinel.
-    pub fn is_none(&self) -> bool {
-        self.0 == 0
-    }
-
     /// Digest over a sequence of per-block payload seeds (the compact
     /// wire form: each 4 KB block is generated from its 8-byte seed,
     /// so the command digest covers the seeds in order).
@@ -225,6 +332,7 @@ impl PayloadDigest {
 mod tests {
     use super::*;
     use crate::payload::{block_for, BLOCK_BYTES};
+    use rio_sim::SimRng;
 
     /// The shift-and-branch definition of CRC-16/CCITT-FALSE the table
     /// is checked against.
@@ -279,11 +387,27 @@ mod tests {
         assert_eq!(crc32c(&descending), 0x113F_DB5C);
     }
 
+    /// `len` payload-stream bytes (any deterministic noise will do).
+    fn noise(len: usize) -> Vec<u8> {
+        (0..len.div_ceil(BLOCK_BYTES) as u64)
+            .flat_map(|seed| block_for(seed ^ 0xC0FFEE).into_vec())
+            .take(len)
+            .collect()
+    }
+
     #[test]
     fn sliced_kernel_matches_bytewise_at_every_length_and_offset() {
-        let buf = block_for(0xC0FFEE);
-        for start in 0..16 {
-            for len in 0..=64 {
+        // Short inputs, then lengths either side of a lane, of one, two
+        // and three pages — every stage of the kernel and every
+        // hand-over between them.
+        let lens = (0..=64)
+            .chain(2047..=2049)
+            .chain(4095..=4097)
+            .chain(8191..=8193)
+            .chain([12_293]);
+        let buf = noise(12_293 + 16);
+        for len in lens {
+            for start in 0..16 {
                 let data = &buf[start..start + len];
                 assert_eq!(
                     crc32c_update(!0, data),
@@ -292,6 +416,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lane_join_advances_by_a_lane_of_zero_bytes() {
+        let mut rng = SimRng::seed_from_u64(0x1A9E);
+        for _ in 0..1000 {
+            let x = rng.below(1 << 32) as u32;
+            assert_eq!(
+                join_lanes(x, 0),
+                crc32c_bytewise(x, &[0; LANE_BYTES]),
+                "{x:#x}"
+            );
+        }
+        assert_eq!(join_lanes(0, 0xDEAD_BEEF), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -310,6 +448,12 @@ mod tests {
     #[test]
     fn crc32c_update_composes() {
         let msg = &block_for(7)[..100];
+        // Streaming across page boundaries: 100 cuts of a buffer of two
+        // pages and a tail, spread out and bunched around both edges.
+        let long = noise(9000);
+        let cuts = (0..50).map(|k| k * 180).chain(4084..4109).chain(8180..8205);
+        let cuts: Vec<usize> = cuts.collect();
+        assert_eq!(cuts.len(), 100);
         for state in [!0u32, 0, 0x1234_5678] {
             let whole = crc32c_update(state, msg);
             for split in 0..=msg.len() {
@@ -318,6 +462,16 @@ mod tests {
                     crc32c_update(crc32c_update(state, a), b),
                     whole,
                     "split {split}"
+                );
+            }
+            let whole = crc32c_update(state, &long);
+            assert_eq!(whole, crc32c_bytewise(state, &long));
+            for &cut in &cuts {
+                let (a, b) = long.split_at(cut);
+                assert_eq!(
+                    crc32c_update(crc32c_update(state, a), b),
+                    whole,
+                    "cut {cut}"
                 );
             }
         }
@@ -343,13 +497,13 @@ mod tests {
 
     #[test]
     fn digest_sentinel_and_seed_form() {
-        assert!(PayloadDigest::NONE.is_none());
+        assert_eq!(PayloadDigest::NONE, PayloadDigest::default());
         let d1 = PayloadDigest::over_seeds([1u64, 2, 3]);
         let d2 = PayloadDigest::over_seeds([1u64, 2, 3]);
         let d3 = PayloadDigest::over_seeds([1u64, 3, 2]);
         assert_eq!(d1, d2);
         assert_ne!(d1, d3, "seed order matters");
-        assert!(!d1.is_none());
+        assert_ne!(d1, PayloadDigest::NONE);
         // The seed form is the CRC over the concatenated LE bytes.
         let mut bytes = Vec::new();
         for s in [1u64, 2, 3] {

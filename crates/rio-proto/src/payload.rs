@@ -5,53 +5,82 @@
 //! queue — it ships a compact 8-byte *seed* per block and materialises
 //! the full 4 KB image only where bytes matter: at the device, where
 //! the block lands on media under a CRC-32C seal, and in tests that
-//! read media back. A block's bytes are a pure function of its seed
-//! (the seed itself occupies the first 8 bytes, followed by a
-//! SplitMix64 word stream), so "the recovered bytes equal the
-//! submitted bytes" is checkable from the block alone: re-derive the
-//! image from the embedded seed and compare.
+//! read media back. A block's bytes are a pure function of its seed:
+//! little-endian word 0 is the seed itself, and word `i ≥ 1` is the
+//! `i`-th output of the textbook SplitMix64 stream seeded with it,
+//! `mix64(seed + i·γ)` — a counter advanced by the golden-ratio
+//! increment, then the two-multiply finaliser. No word depends on
+//! another, so any part of a block can be generated or checked on its
+//! own and the multiplies of neighbouring words overlap in the
+//! pipeline. "The recovered bytes equal the submitted bytes" is
+//! checkable from the block alone: re-derive the stream from the
+//! embedded seed and compare.
 //!
 //! Any in-flight or at-rest corruption breaks one of two checks:
 //!
 //! * the CRC-32C seal over the stored bytes (torn writes, bit rot),
 //! * the regenerate-and-compare against the embedded seed (which also
 //!   catches a hypothetical coherent overwrite with a valid seal).
+//!
+//! The device needs both the bytes and their seal, so
+//! [`sealed_block_for`] produces them in one pass: the two halves of
+//! the block are generated side by side and each word goes to its CRC
+//! lane straight from the register it was computed in.
+
+use crate::crc::{join_lanes, le64, step16, LANE_BYTES};
 
 /// Payload block size in bytes (one logical block everywhere in the
 /// repository).
 pub const BLOCK_BYTES: usize = 4096;
 
-/// SplitMix64 — the cheap deterministic word stream behind payload
-/// bodies.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+// `sealed_block_for` feeds a block to the CRC as one two-lane page.
+const _: () = assert!(BLOCK_BYTES == 2 * LANE_BYTES);
+
+/// SplitMix64's counter increment (2⁶⁴ / φ, odd).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finaliser.
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Little-endian word `i` of the payload image of `seed`.
+#[inline(always)]
+fn word(seed: u64, i: usize) -> u64 {
+    if i == 0 {
+        seed
+    } else {
+        mix64(seed.wrapping_add((i as u64).wrapping_mul(GAMMA)))
+    }
 }
 
 /// Derives the payload seed of one block from its command identity:
 /// the ordered stream, the command tag (group sequence for ordered
 /// commands, unit id for plain ones) and the physical block address.
 pub fn seed_for(stream: u16, tag: u64, lba: u64) -> u64 {
-    splitmix64(((stream as u64) << 48) ^ tag.rotate_left(16) ^ lba)
+    mix64((((stream as u64) << 48) ^ tag.rotate_left(16) ^ lba).wrapping_add(GAMMA))
+}
+
+/// Fills `out` with the words of `seed`'s payload image from word
+/// `first` on.
+fn fill_words(seed: u64, first: usize, out: &mut [u8]) {
+    for (i, chunk) in out.chunks_exact_mut(8).enumerate() {
+        chunk.copy_from_slice(&word(seed, first + i).to_le_bytes());
+    }
 }
 
 /// Fills `out` (`BLOCK_BYTES` long) with the payload image of `seed`:
-/// the seed itself little-endian in bytes `0..8`, then SplitMix64
-/// words of the seed stream.
+/// the seed itself little-endian in bytes `0..8`, then the SplitMix64
+/// stream of the seed.
 ///
 /// # Panics
 ///
 /// Panics if `out` is not exactly [`BLOCK_BYTES`] long.
 pub fn fill_block(seed: u64, out: &mut [u8]) {
     assert_eq!(out.len(), BLOCK_BYTES, "payload blocks are 4 KB");
-    out[..8].copy_from_slice(&seed.to_le_bytes());
-    let mut state = seed;
-    for chunk in out[8..].chunks_exact_mut(8) {
-        state = splitmix64(state);
-        chunk.copy_from_slice(&state.to_le_bytes());
-    }
+    fill_words(seed, 0, out);
 }
 
 /// Materialises the payload image of `seed` as an owned block.
@@ -61,23 +90,80 @@ pub fn block_for(seed: u64) -> Box<[u8]> {
     v.into_boxed_slice()
 }
 
+/// A payload block together with the CRC-32C of its bytes.
+///
+/// Only [`sealed_block_for`] builds one, so the checksum always belongs
+/// to the bytes: a device may record it as the block's seal without
+/// reading the block again.
+#[derive(Debug, Clone)]
+pub struct SealedBlock {
+    bytes: Box<[u8; BLOCK_BYTES]>,
+    crc: u32,
+}
+
+impl SealedBlock {
+    /// The block's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes[..]
+    }
+
+    /// Splits into the bytes and their CRC-32C.
+    pub fn into_parts(self) -> (Box<[u8]>, u32) {
+        (self.bytes, self.crc)
+    }
+}
+
+/// Materialises the payload image of `seed` and its CRC-32C in one
+/// pass over the block: the bytes equal [`block_for`]'s and the
+/// checksum equals [`crate::crc32c`] over them.
+///
+/// The two halves are generated side by side, one per lane of the
+/// CRC's page loop, and every word is folded into its lane as it is
+/// stored — the block is written once and never read back.
+pub fn sealed_block_for(seed: u64) -> SealedBlock {
+    let mut bytes: Box<[u8; BLOCK_BYTES]> = vec![0u8; BLOCK_BYTES]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a BLOCK_BYTES-long vector");
+    let (first, second) = bytes.split_at_mut(LANE_BYTES);
+    let (mut crc, mut lane) = (!0u32, 0u32);
+    let steps = first.chunks_exact_mut(16).zip(second.chunks_exact_mut(16));
+    for (i, (a, b)) in steps.enumerate() {
+        let (a_lo, a_hi) = (word(seed, 2 * i), word(seed, 2 * i + 1));
+        let at = LANE_BYTES / 8 + 2 * i;
+        let (b_lo, b_hi) = (word(seed, at), word(seed, at + 1));
+        a[..8].copy_from_slice(&a_lo.to_le_bytes());
+        a[8..].copy_from_slice(&a_hi.to_le_bytes());
+        b[..8].copy_from_slice(&b_lo.to_le_bytes());
+        b[8..].copy_from_slice(&b_hi.to_le_bytes());
+        crc = step16(crc, a_lo, a_hi);
+        lane = step16(lane, b_lo, b_hi);
+    }
+    SealedBlock {
+        bytes,
+        crc: !join_lanes(crc, lane),
+    }
+}
+
 /// The seed embedded in a payload image (its first 8 bytes).
 pub fn embedded_seed(block: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&block[..8]);
-    u64::from_le_bytes(b)
+    le64(block)
 }
 
 /// Whether `block` is byte-for-byte the payload its embedded seed
 /// generates — i.e. exactly what some submission produced, with no
-/// corruption anywhere between submission and this read.
+/// corruption anywhere between submission and this read. Compares word
+/// by word against the stream; nothing is materialised.
 pub fn verify_block(block: &[u8]) -> bool {
     if block.len() != BLOCK_BYTES {
         return false;
     }
-    let mut expect = [0u8; BLOCK_BYTES];
-    fill_block(embedded_seed(block), &mut expect);
-    block == expect
+    let seed = embedded_seed(block);
+    let mut diff = 0;
+    for (i, chunk) in block.chunks_exact(8).enumerate() {
+        diff |= le64(chunk) ^ word(seed, i);
+    }
+    diff == 0
 }
 
 #[cfg(test)]
@@ -128,6 +214,49 @@ mod tests {
             block[bit / 8] ^= 1 << (bit % 8);
         }
         assert_eq!(crc32c(&block), seal);
+    }
+
+    #[test]
+    fn sealed_block_is_the_block_and_its_crc() {
+        for n in 0..1000u64 {
+            let seed = seed_for(n as u16, n, n * 8);
+            let (bytes, crc) = sealed_block_for(seed).into_parts();
+            assert_eq!(bytes, block_for(seed), "seed {seed:#x}");
+            assert_eq!(crc, crc32c(&bytes), "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn any_aligned_sub_range_fills_on_its_own() {
+        let seed = seed_for(5, 6, 7);
+        let whole = block_for(seed);
+        let words = BLOCK_BYTES / 8;
+        for first in (0..words).step_by(13) {
+            for len in [0, 1, 2, 7, 64, words - first] {
+                let len = len.min(words - first);
+                let mut part = vec![0xEE; len * 8];
+                fill_words(seed, first, &mut part);
+                assert_eq!(part, whole[first * 8..][..len * 8], "words {first}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // Nothing else pins payload content: no digest, metric or
+        // fingerprint depends on it. A change of bytes re-pins this.
+        let block = block_for(seed_for(0, 1, 0));
+        let words: Vec<u64> = block.chunks_exact(8).take(4).map(le64).collect();
+        assert_eq!(
+            words,
+            [
+                0x09AA_B36C_FDA2_D1B3,
+                0xB62E_9E3F_4C82_A851,
+                0x4DFC_07BE_550D_CBAC,
+                0xB9EF_E8CA_539E_A7FB
+            ]
+        );
+        assert_eq!(crc32c(&block), 0x1538_511E);
     }
 
     #[test]
