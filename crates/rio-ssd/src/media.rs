@@ -26,13 +26,15 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use rio_proto::crc32c_update;
+use rio_proto::payload::SealedBlock;
 use rio_sim::FxHashMap;
 
 /// An immutable payload buffer several block images can alias.
 ///
-/// The device moves every submitted [`BlockImage::Bytes`] behind one
-/// of these, so the in-flight command, the media image (and every read
-/// of it) share the submitter's allocation instead of copying it.
+/// The device moves every submitted [`BlockImage::Bytes`] or
+/// [`BlockImage::Sealed`] behind one of these, so the in-flight
+/// command, the media image (and every read of it) share the
+/// submitter's allocation instead of copying it.
 /// Only the device creates them; readers borrow the bytes through
 /// `Deref`.
 #[derive(Debug, Clone)]
@@ -55,6 +57,10 @@ pub enum BlockImage {
     Tag(u64),
     /// Real data (file-system paths), as a submitter hands it in.
     Bytes(Box<[u8]>),
+    /// A generated payload block handed in with the CRC-32C its
+    /// generator computed, which the device records as the seal instead
+    /// of reading the bytes again.
+    Sealed(SealedBlock),
     /// Real data the device has accepted: the same bytes behind a
     /// shared immutable buffer. Reads of accepted real data return
     /// this variant; it compares equal to a [`BlockImage::Bytes`] of
@@ -83,17 +89,29 @@ impl BlockImage {
         match self {
             BlockImage::Zero | BlockImage::Tag(_) => None,
             BlockImage::Bytes(b) => Some(b),
+            BlockImage::Sealed(s) => Some(s.bytes()),
             BlockImage::Shared(s) => Some(s),
         }
     }
 
     /// Moves uniquely owned real data behind a shared buffer, in place
     /// and without copying it, so clones of this image alias one
-    /// allocation. `Zero` and `Tag` stay inline.
-    pub(crate) fn share(&mut self) {
-        if let BlockImage::Bytes(b) = self {
-            *self = BlockImage::Shared(SharedBytes(Arc::new(std::mem::take(b))));
-        }
+    /// allocation. `Zero` and `Tag` stay inline. Returns the checksum a
+    /// [`BlockImage::Sealed`] image came with.
+    pub(crate) fn share(&mut self) -> Option<u32> {
+        let (bytes, crc) = match std::mem::replace(self, BlockImage::Zero) {
+            BlockImage::Bytes(b) => (b, None),
+            BlockImage::Sealed(s) => {
+                let (b, crc) = s.into_parts();
+                (b, Some(crc))
+            }
+            inline => {
+                *self = inline;
+                return None;
+            }
+        };
+        *self = BlockImage::Shared(SharedBytes(Arc::new(bytes)));
+        crc
     }
 
     /// Runs `f` over the bytes the image spells out, cut to
@@ -107,6 +125,7 @@ impl BlockImage {
                 &tag
             }
             BlockImage::Bytes(b) => b,
+            BlockImage::Sealed(s) => s.bytes(),
             BlockImage::Shared(s) => s,
         };
         f(&prefix[..prefix.len().min(block_size)])
@@ -417,6 +436,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_proto::payload::{block_for, sealed_block_for};
     use rio_sim::SimRng;
 
     /// The eager store the journal replaced, kept as the reference
@@ -680,6 +700,7 @@ mod tests {
             BlockImage::Tag(0x0123_4567_89AB_CDEF),
             BlockImage::Bytes(vec![9, 9].into_boxed_slice()),
             BlockImage::Bytes(full),
+            BlockImage::Sealed(sealed_block_for(77)),
             shared,
         ];
         // 4 096 is the device block; the others cover a pad longer than
@@ -701,15 +722,23 @@ mod tests {
         let data: Box<[u8]> = vec![0xAB; 4096].into_boxed_slice();
         let mut img = BlockImage::Bytes(data.clone());
         let at = img.data().map(<[u8]>::as_ptr);
-        img.share();
+        assert_eq!(img.share(), None, "plain bytes come with no checksum");
         assert!(matches!(img, BlockImage::Shared(_)));
         assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
         let copy = img.clone();
         assert_eq!(copy.data().map(<[u8]>::as_ptr), at, "a clone aliases it");
         assert_eq!(img, BlockImage::Bytes(data), "equality is by content");
+        // A generated block moves the same way and hands over the
+        // checksum it came with.
+        let mut img = BlockImage::Sealed(sealed_block_for(9));
+        let at = img.data().map(<[u8]>::as_ptr);
+        assert_eq!(img.share(), Some(rio_proto::crc32c(&block_for(9))));
+        assert!(matches!(img, BlockImage::Shared(_)));
+        assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
+        assert_eq!(img, BlockImage::Bytes(block_for(9)));
         // Zero and Tag have nothing to share and stay inline.
         let mut tag = BlockImage::Tag(5);
-        tag.share();
+        assert_eq!(tag.share(), None);
         assert!(matches!(tag, BlockImage::Tag(5)));
         assert_ne!(BlockImage::Tag(0), BlockImage::Zero);
         assert_ne!(
@@ -717,6 +746,13 @@ mod tests {
             BlockImage::Zero,
             "real zero bytes are still real data"
         );
+    }
+
+    #[test]
+    fn a_block_image_stays_three_words() {
+        // Every media hash-map entry and pending device operation holds
+        // one; a fourth word costs each of them eight bytes per block.
+        assert_eq!(std::mem::size_of::<BlockImage>(), 24);
     }
 
     #[test]

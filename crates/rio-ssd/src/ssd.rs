@@ -72,11 +72,17 @@ enum Landing {
 impl Landing {
     /// Takes over a submitted write: real bytes move behind a shared
     /// buffer, and with `integrity` each block is sealed with the CRC
-    /// of the image the submitter intends to land.
+    /// of the image the submitter intends to land — the one a
+    /// [`BlockImage::Sealed`] image came with, computed here otherwise.
     fn new(lba: u64, images: Images, integrity: bool) -> Self {
         let run = |lba, mut image: BlockImage, blocks| {
-            image.share();
-            let seal = integrity.then(|| image.crc32c(BLOCK_SIZE as usize));
+            let generated = image.share();
+            let checksum = || image.crc32c(BLOCK_SIZE as usize);
+            debug_assert!(
+                generated.is_none_or(|crc| crc == checksum()),
+                "a generated block's checksum is its bytes'"
+            );
+            let seal = integrity.then(|| generated.unwrap_or_else(checksum));
             BlockRun {
                 lba,
                 image,
@@ -972,6 +978,33 @@ mod tests {
             scripted_torn_and_rot(SsdProfile::pm981()),
             (17, vec![0, 8, 14, 20])
         );
+    }
+
+    #[test]
+    fn a_sealed_image_lands_exactly_as_its_bytes_would() {
+        use rio_proto::payload::sealed_block_for;
+        for profile in [SsdProfile::optane905p(), SsdProfile::pm981()] {
+            for integrity in [false, true] {
+                let run = |image: fn(u64) -> BlockImage| {
+                    let mut s = ssd(profile.clone());
+                    s.set_integrity(integrity);
+                    // A one-block run and a two-block list.
+                    let (_, a) = s.submit_write(SimTime::ZERO, 3, Images::Run(image(3), 1), false);
+                    let (_, b) = s.submit_write(a, 8, vec![image(8), image(9)], false);
+                    let (_, flushed) = s.submit_flush(b);
+                    s.advance(flushed);
+                    assert!(s.payload_verified());
+                    let seals: Vec<_> = (0..12).map(|lba| s.media.seal(lba)).collect();
+                    let reads: Vec<_> = (0..12).map(|lba| s.durable_read(lba)).collect();
+                    (seals, reads, s.scrub())
+                };
+                let bytes = run(|seed| BlockImage::Bytes(block_for(seed)));
+                let sealed = run(|seed| BlockImage::Sealed(sealed_block_for(seed)));
+                assert_eq!(bytes, sealed);
+                let (scanned, corrupt) = sealed.2;
+                assert_eq!((scanned, corrupt.len()), (3 * integrity as u64, 0));
+            }
+        }
     }
 
     /// A real-data image already behind a shared buffer, and a second

@@ -433,16 +433,21 @@ impl Cluster {
                 now,
                 self.cfg.cpu.crc_per_block * blocks as u64,
             );
-            let seeds = (0..blocks as u64).map(|j| payload::seed_for(stream, tag, lba + j));
+            let seed = |j| payload::seed_for(stream, tag, lba + j);
             assert_eq!(
-                PayloadDigest::over_seeds(seeds.clone()),
+                PayloadDigest::over_seeds((0..blocks as u64).map(seed)),
                 digest,
                 "corrupted payload reached the target SSD queue"
             );
-            let images: Vec<BlockImage> = seeds
-                .map(|s| BlockImage::Bytes(payload::block_for(s)))
-                .collect();
-            (at, images.into())
+            // Generated and checksummed in one pass; the one-block
+            // command that is nearly every command carries no list.
+            let image = |j| BlockImage::Sealed(payload::sealed_block_for(seed(j)));
+            let images = if blocks == 1 {
+                Images::Run(image(0), 1)
+            } else {
+                Images::List((0..blocks as u64).map(image).collect())
+            };
+            (at, images)
         } else {
             (now, Images::Run(BlockImage::Tag(tag), blocks))
         };
