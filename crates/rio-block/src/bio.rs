@@ -52,7 +52,7 @@ impl Bio {
     }
 
     /// Creates an ordered write bio carrying `attr`.
-    // rio-lint: allow(S6) ROADMAP 3(c) decides what Bio / Plug keep; Rio-mode submission through the plug is its caller
+    #[cfg(test)]
     pub fn ordered_write(id: u64, attr: OrderingAttr, tag: u64) -> Self {
         Bio {
             id: BioId(id),

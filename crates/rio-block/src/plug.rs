@@ -20,10 +20,15 @@ pub struct MergedRun {
     pub bios: Vec<Bio>,
 }
 
-/// A per-thread plug list.
+/// A per-thread plug list. A merged run is a stretch of *consecutive*
+/// plugged bios, so a flushed plug lends slices of its own list; kept
+/// and cleared by its owner, it allocates nothing per batch.
 #[derive(Debug, Default)]
 pub struct Plug {
     bios: Vec<Bio>,
+    /// Per run of the last flush, in order: its covering range and how
+    /// many of `bios` it holds.
+    spans: Vec<(BlockRange, usize)>,
 }
 
 impl Plug {
@@ -47,38 +52,58 @@ impl Plug {
         self.bios.push(bio);
     }
 
+    /// Unplugs everything, keeping the buffers for the next batch.
+    pub fn clear(&mut self) {
+        self.bios.clear();
+    }
+
     /// Flushes the plug, merging adjacent orderless writes up to
-    /// `max_blocks` per merged request (`blk_finish_plug`).
+    /// `max_blocks` per merged request (`blk_finish_plug`), and lends
+    /// each run as its covering range and constituent bios, in
+    /// submission order. The bios stay plugged until [`Self::clear`].
     ///
     /// Ordered bios and reads pass through unmerged — they take the
     /// ORDER-queue path instead.
-    pub fn finish(&mut self, max_blocks: u32) -> Vec<MergedRun> {
-        let mut out: Vec<MergedRun> = Vec::new();
-        for bio in self.bios.drain(..) {
+    pub fn merged_runs(&mut self, max_blocks: u32) -> impl Iterator<Item = (BlockRange, &[Bio])> {
+        self.spans.clear();
+        // Whether the previous bio left its run open to growth.
+        let mut open = false;
+        for bio in &self.bios {
             let mergeable = bio.flags.write && !bio.is_ordered() && !bio.flags.flush;
-            if mergeable {
-                if let Some(last) = out.last_mut() {
-                    let last_mergeable = last
-                        .bios
-                        .last()
-                        .map(|b| b.flags.write && !b.is_ordered() && !b.flags.flush)
-                        .unwrap_or(false);
-                    if last_mergeable
-                        && last.range.abuts(&bio.range)
-                        && last.range.blocks + bio.range.blocks <= max_blocks
-                    {
-                        last.range = last.range.join(&bio.range);
-                        last.bios.push(bio);
-                        continue;
-                    }
+            match self.spans.last_mut() {
+                Some((range, len))
+                    if open
+                        && mergeable
+                        && range.abuts(&bio.range)
+                        && range.blocks + bio.range.blocks <= max_blocks =>
+                {
+                    *range = range.join(&bio.range);
+                    *len += 1;
                 }
+                _ => self.spans.push((bio.range, 1)),
             }
-            out.push(MergedRun {
-                range: bio.range,
-                bios: vec![bio],
-            });
+            open = mergeable;
         }
-        out
+        let mut rest = self.bios.as_slice();
+        self.spans.iter().map(move |&(range, len)| {
+            let (bios, tail) = rest.split_at(len);
+            rest = tail;
+            (range, bios)
+        })
+    }
+
+    /// [`Self::merged_runs`] with every run's bios copied out, leaving
+    /// the plug empty.
+    pub fn finish(&mut self, max_blocks: u32) -> Vec<MergedRun> {
+        let runs = self
+            .merged_runs(max_blocks)
+            .map(|(range, bios)| MergedRun {
+                range,
+                bios: bios.to_vec(),
+            })
+            .collect();
+        self.clear();
+        runs
     }
 }
 
@@ -86,10 +111,78 @@ impl Plug {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rio_order::attr::{OrderingAttr, Seq, StreamId};
 
     fn w(id: u64, lba: u64, blocks: u32) -> Bio {
         Bio::write(id, BlockRange::new(lba, blocks), id)
+    }
+
+    /// `finish` as it stood before spans: every run owns a vector of
+    /// its bios. Kept as the oracle [`Plug::merged_runs`] is checked
+    /// against.
+    fn oracle_finish(bios: &[Bio], max_blocks: u32) -> Vec<MergedRun> {
+        let mergeable = |b: &Bio| b.flags.write && !b.is_ordered() && !b.flags.flush;
+        let mut out: Vec<MergedRun> = Vec::new();
+        for bio in bios {
+            if let Some(last) = out.last_mut().filter(|_| mergeable(bio)) {
+                if last.bios.last().is_some_and(mergeable)
+                    && last.range.abuts(&bio.range)
+                    && last.range.blocks + bio.range.blocks <= max_blocks
+                {
+                    last.range = last.range.join(&bio.range);
+                    last.bios.push(bio.clone());
+                    continue;
+                }
+            }
+            out.push(MergedRun {
+                range: bio.range,
+                bios: vec![bio.clone()],
+            });
+        }
+        out
+    }
+
+    /// 200 seeded plugs — abutting and non-abutting writes of 1–3
+    /// blocks, FLUSH bios, ordered bios and reads in between, caps 1, 4
+    /// and 32 — through one reused plug: the lent runs, and the copying
+    /// `finish`, equal the oracle run for run.
+    #[test]
+    fn merged_runs_match_the_oracle_on_seeded_plugs() {
+        let shape = |range: BlockRange, bios: &[Bio]| (range, bios.iter().map(|b| b.id.0).collect::<Vec<_>>());
+        let mut plug = Plug::new();
+        let mut merged = 0;
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let max_blocks = [1, 4, 32][(seed % 3) as usize];
+            let mut lba = 0u64;
+            for id in 0..rng.gen_range(1..=24u64) {
+                if rng.gen_bool(0.25) {
+                    lba += rng.gen_range(1..=5u64);
+                }
+                let range = BlockRange::new(lba, rng.gen_range(1..=3u32));
+                lba = range.end();
+                let mut bio = if rng.gen_bool(0.1) {
+                    Bio::ordered_write(id, OrderingAttr::single(StreamId(0), Seq(1), range), id)
+                } else {
+                    w(id, range.lba, range.blocks)
+                };
+                bio.flags.flush |= rng.gen_bool(0.12);
+                bio.flags.write &= rng.gen_bool(0.92);
+                plug.add(bio);
+            }
+            let want: Vec<_> = oracle_finish(&plug.bios, max_blocks)
+                .iter()
+                .map(|r| shape(r.range, &r.bios))
+                .collect();
+            let got: Vec<_> = plug.merged_runs(max_blocks).map(|(r, b)| shape(r, b)).collect();
+            assert_eq!(got, want, "seed {seed}");
+            let copied: Vec<_> = plug.finish(max_blocks).iter().map(|r| shape(r.range, &r.bios)).collect();
+            assert_eq!(copied, want, "seed {seed}: the copying wrapper");
+            assert!(plug.is_empty(), "seed {seed}");
+            merged += want.iter().filter(|r| r.1.len() > 1).count();
+        }
+        assert!(merged > 200, "the plugs must exercise merging: {merged}");
     }
 
     #[test]

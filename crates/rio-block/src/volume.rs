@@ -120,9 +120,10 @@ impl StripedVolume {
     }
 
     /// Allocation-free form of [`Self::map`]: appends the extents to
-    /// `extents` (which is *not* cleared). The hot path — a write that
-    /// stays inside one stripe chunk, e.g. every 4 KB write on a 4 KB
-    /// stripe — takes a direct arithmetic shortcut.
+    /// `extents` (which is *not* cleared), a stripe chunk at a time.
+    /// Chunks `n_legs` apart sit back to back on their device, so each
+    /// leg a range touches carries exactly one extent, opened by the
+    /// range's first chunk on it; a one-leg volume is the identity.
     ///
     /// # Panics
     ///
@@ -132,41 +133,34 @@ impl StripedVolume {
             range.end() <= self.capacity_blocks,
             "range beyond volume capacity"
         );
-        // Fast path: the whole range sits inside one stripe chunk, so
-        // it is one physically contiguous extent on one device.
-        if range.lba % self.stripe_blocks + range.blocks as u64 <= self.stripe_blocks {
-            let (server, ssd, plba) = self.map_block(range.lba);
-            extents.push(Extent {
-                server,
-                ssd,
-                range: BlockRange::new(plba, range.blocks),
-                logical_offset: 0,
-            });
-            return;
-        }
+        let (n, end) = (self.legs.len(), range.end());
         let base = extents.len();
-        // Index of the open extent per leg (relative to `base`), or
-        // usize::MAX. Legs counts are small; a stack-avoiding scan of
-        // the freshly appended extents would also do, but this keeps
-        // the general path identical to the original algorithm.
-        let mut open: Vec<usize> = vec![usize::MAX; self.legs.len()];
-        for i in 0..range.blocks as u64 {
-            let lba = range.lba + i;
-            let chunk = lba / self.stripe_blocks;
-            let leg = (chunk % self.legs.len() as u64) as usize;
-            let (server, ssd, plba) = self.map_block(lba);
-            let slot = open[leg];
-            if slot != usize::MAX && extents[base + slot].range.end() == plba {
-                extents[base + slot].range.blocks += 1;
-                continue;
+        let mut lba = range.lba;
+        // A one-leg volume has nothing to interleave with: the whole
+        // range is one chunk (and `plba == lba`).
+        let mut chunk_end = if n == 1 {
+            end
+        } else {
+            lba - lba % self.stripe_blocks + self.stripe_blocks
+        };
+        // The extent (past `base`) the next chunk lands in.
+        let mut slot = 0;
+        while lba < end {
+            let take = (chunk_end.min(end) - lba) as u32;
+            if extents.len() - base < n {
+                let (server, ssd, plba) = self.map_block(lba);
+                extents.push(Extent {
+                    server,
+                    ssd,
+                    range: BlockRange::new(plba, take),
+                    logical_offset: lba - range.lba,
+                });
+            } else {
+                extents[base + slot].range.blocks += take;
             }
-            open[leg] = extents.len() - base;
-            extents.push(Extent {
-                server,
-                ssd,
-                range: BlockRange::new(plba, 1),
-                logical_offset: i,
-            });
+            slot = if slot + 1 == n { 0 } else { slot + 1 };
+            lba = chunk_end;
+            chunk_end += self.stripe_blocks;
         }
     }
 }
@@ -188,6 +182,32 @@ mod tests {
             1,
             1 << 20,
         )
+    }
+
+    /// `map` as it stood before chunk arithmetic: one `map_block` per
+    /// logical block, gathered into the leg's open extent when the
+    /// physical addresses abut. Kept as the oracle `map_into` is
+    /// checked against.
+    fn oracle_map(v: &StripedVolume, range: BlockRange) -> Vec<Extent> {
+        let mut extents: Vec<Extent> = Vec::new();
+        let mut open = vec![usize::MAX; v.legs.len()];
+        for i in 0..range.blocks as u64 {
+            let leg = ((range.lba + i) / v.stripe_blocks % v.legs.len() as u64) as usize;
+            let (server, ssd, plba) = v.map_block(range.lba + i);
+            match extents.get_mut(open[leg]) {
+                Some(e) if e.range.end() == plba => e.range.blocks += 1,
+                _ => {
+                    open[leg] = extents.len();
+                    extents.push(Extent {
+                        server,
+                        ssd,
+                        range: BlockRange::new(plba, 1),
+                        logical_offset: i,
+                    });
+                }
+            }
+        }
+        extents
     }
 
     #[test]
@@ -301,6 +321,13 @@ mod tests {
             let legs_v: Vec<(ServerId, usize)> = (0..legs).map(|i| (ServerId(i as u16), 0)).collect();
             let v = StripedVolume::new(legs_v, stripe, 1 << 20);
             let e = v.map(BlockRange::new(lba, blocks));
+            // Extent for extent what the block-by-block walk gathers,
+            // one-leg and wide-stripe volumes included.
+            prop_assert_eq!(&e, &oracle_map(&v, BlockRange::new(lba, blocks)));
+            if legs == 1 {
+                prop_assert_eq!(e.len(), 1, "a one-leg volume is the identity");
+                prop_assert_eq!((e[0].range, e[0].logical_offset), (BlockRange::new(lba, blocks), 0));
+            }
             let total: u64 = e.iter().map(|x| x.range.blocks as u64).sum();
             prop_assert_eq!(total, blocks as u64);
             // Collect the expected physical blocks per device.

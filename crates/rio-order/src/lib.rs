@@ -48,5 +48,5 @@ pub use recovery::{
     DiscardOp, IpuEvent, RecoveryInput, RecoveryMode, RecoveryPlan, ReplayOp, ServerScan,
     StreamPlan,
 };
-pub use scheduler::{DispatchUnit, OrderQueue, OrderQueueConfig};
+pub use scheduler::{DispatchBatch, DispatchUnit, OrderQueue, OrderQueueConfig};
 pub use sequencer::{Sequencer, SubmitOpts};

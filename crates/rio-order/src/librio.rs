@@ -4,8 +4,8 @@
 //! This is the paper's user-facing API shape, bundling the sequencer,
 //! per-stream ORDER queues and the in-order completer into one object.
 //! It is transport-agnostic: `rio_submit` stamps and queues a request,
-//! [`Rio::flush`] (the block layer's plug-flush point) hands back the
-//! dispatch units the caller's driver must send, and the caller feeds
+//! [`Rio::flush_into`] (the block layer's plug-flush point) hands back
+//! the dispatch units the caller's driver must send, and the caller feeds
 //! internal completions back through [`Rio::on_done`]. The simulator's
 //! initiator driver (`rio_stack::Cluster`, one [`Rio`] per initiator
 //! host) is exactly such a caller; a real transport plugs in the same
@@ -14,6 +14,7 @@
 //! ```
 //! use rio_order::librio::{Rio, RioSetup};
 //! use rio_order::attr::{BlockRange, StreamId};
+//! use rio_order::DispatchBatch;
 //!
 //! // rio_setup: 2 streams over 1 target server.
 //! let mut rio = Rio::setup(RioSetup { streams: 2, servers: 1, merge: true, window: 16 });
@@ -21,19 +22,24 @@
 //! // rio_submit: journal body, then commit with FLUSH + group end.
 //! rio.submit(st, BlockRange::new(0, 2), false, false);
 //! let commit = rio.submit(st, BlockRange::new(2, 1), true, true);
-//! // The plug flushes: everything queued on the stream is scheduled.
-//! let units = rio.flush(st);
+//! // The plug flushes: everything queued on the stream is scheduled,
+//! // into a batch the driver keeps and lends to every flush.
+//! let mut batch = DispatchBatch::default();
+//! rio.flush_into(st, &mut batch);
+//! let units: Vec<_> = batch.units().collect();
 //! assert_eq!(units.len(), 1, "body and commit merged into one unit");
 //! // The driver dispatches units; completions come back asynchronously,
 //! // one per unit — a merge is reported with the merged attribute.
-//! rio.on_done(&units[0].attr);
+//! let (merged, parts) = units[0];
+//! assert_eq!(parts.len(), 2);
+//! rio.on_done(merged);
 //! // rio_wait: the group is durable and delivered in order.
 //! assert!(rio.wait(st, commit.seq_end));
 //! ```
 
 use crate::attr::{BlockRange, OrderingAttr, Seq, ServerId, StreamId};
 use crate::completion::InOrderCompleter;
-use crate::scheduler::{DispatchUnit, OrderQueue, OrderQueueConfig};
+use crate::scheduler::{DispatchBatch, OrderQueue, OrderQueueConfig};
 use crate::sequencer::{Sequencer, SubmitOpts};
 
 /// `rio_setup` parameters: stream count ("ideally the number of
@@ -113,10 +119,17 @@ impl Rio {
     }
 
     /// Drains `stream`'s ORDER queue into the dispatch units ready for
-    /// the driver (the plug-flush point). Everything queued since the
-    /// last flush is one merge window, so consecutive whole groups
-    /// merge across group boundaries (Fig. 8a).
-    pub fn flush(&mut self, stream: StreamId) -> Vec<DispatchUnit> {
+    /// the driver (the plug-flush point), replacing what `batch` held.
+    /// Everything queued since the last flush is one merge window, so
+    /// consecutive whole groups merge across group boundaries
+    /// (Fig. 8a). A driver keeps one batch and lends it to every flush.
+    pub fn flush_into(&mut self, stream: StreamId, batch: &mut DispatchBatch) {
+        self.queues[stream.0 as usize].flush_into(batch);
+    }
+
+    /// [`Self::flush_into`] with the units copied out of a fresh batch.
+    #[cfg(test)]
+    pub fn flush(&mut self, stream: StreamId) -> Vec<crate::DispatchUnit> {
         self.queues[stream.0 as usize].flush()
     }
 

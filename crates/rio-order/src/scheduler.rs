@@ -17,8 +17,6 @@
 //! request may subsequently be split by volume striping; a fragment is
 //! never re-merged.
 
-use std::collections::VecDeque;
-
 use crate::attr::{BlockRange, OrderingAttr, SplitInfo, StreamId};
 
 /// One queued ordered request: the logical attribute plus an opaque
@@ -48,6 +46,32 @@ impl DispatchUnit {
     }
 }
 
+/// One flush's dispatch units without a copy: a flush drains the whole
+/// queue and every unit is a run of *consecutive* queued requests, so
+/// the batch is the drained request vector itself plus one
+/// `(attribute, length)` span per unit. The caller owns it and hands it
+/// back to every flush, which recycles both vectors.
+#[derive(Debug, Default)]
+pub struct DispatchBatch {
+    parts: Vec<QueuedRequest>,
+    /// Per unit, in order: its (possibly merged) attribute and how many
+    /// of `parts` it covers. The lengths sum to `parts.len()`.
+    spans: Vec<(OrderingAttr, usize)>,
+}
+
+impl DispatchBatch {
+    /// The units in dispatch order: each one's attribute and its
+    /// constituent requests, in submission order.
+    pub fn units(&self) -> impl Iterator<Item = (&OrderingAttr, &[QueuedRequest])> {
+        let mut rest = self.parts.as_slice();
+        self.spans.iter().map(move |(attr, len)| {
+            let (parts, tail) = rest.split_at(*len);
+            rest = tail;
+            (attr, parts)
+        })
+    }
+}
+
 /// Configuration for one ORDER queue.
 #[derive(Debug, Clone, Copy)]
 pub struct OrderQueueConfig {
@@ -72,7 +96,7 @@ impl Default for OrderQueueConfig {
 #[derive(Debug, Clone)]
 pub struct OrderQueue {
     stream: StreamId,
-    queue: VecDeque<QueuedRequest>,
+    queue: Vec<QueuedRequest>,
     config: OrderQueueConfig,
 }
 
@@ -81,7 +105,7 @@ impl OrderQueue {
     pub fn new(stream: StreamId, config: OrderQueueConfig) -> Self {
         OrderQueue {
             stream,
-            queue: VecDeque::new(),
+            queue: Vec::new(),
             config,
         }
     }
@@ -108,7 +132,7 @@ impl OrderQueue {
     /// Panics if the attribute belongs to another stream.
     pub fn push(&mut self, attr: OrderingAttr, token: u64) {
         assert_eq!(attr.stream, self.stream, "request on wrong ORDER queue");
-        self.queue.push_back(QueuedRequest { attr, token });
+        self.queue.push(QueuedRequest { attr, token });
     }
 
     /// Whether `next` may extend a run currently ending in `last` with
@@ -141,76 +165,66 @@ impl OrderQueue {
         }
     }
 
-    /// Drains the queue into dispatch units, merging whole-group runs
-    /// when enabled (the plug-flush point of the block layer).
-    pub fn flush(&mut self) -> Vec<DispatchUnit> {
-        let mut units = Vec::new();
-        while let Some(first) = self.queue.pop_front() {
-            if !self.config.merge {
-                units.push(DispatchUnit {
-                    attr: first.attr,
-                    parts: vec![first],
-                });
-                continue;
-            }
+    /// Drains the queue into `batch` (replacing what it held), merging
+    /// whole-group runs when enabled (the plug-flush point of the block
+    /// layer). The queue keeps the batch's old request vector, so a
+    /// batch reused across flushes allocates nothing.
+    pub fn flush_into(&mut self, batch: &mut DispatchBatch) {
+        batch.parts.clear();
+        batch.spans.clear();
+        std::mem::swap(&mut self.queue, &mut batch.parts);
+        let parts = batch.parts.as_slice();
+        let mut at = 0;
+        while let Some(first) = parts.get(at).map(|p| p.attr) {
+            // The unit as of its last whole group: the merged attribute
+            // and how many requests it covers.
+            let mut whole = (first, 1);
             // Candidate runs start only at a group's first member.
-            let mut parts = vec![first];
-            // The run as of its last whole group: how many parts, and
-            // the attribute of the one that closes it.
-            let mut whole = (1, first.attr);
-            if first.attr.member_idx == 0 && first.attr.split.is_none() {
-                let mut run_blocks = first.attr.range.blocks;
-                let mut last = first.attr;
-                while let Some(&next) = self.queue.front() {
-                    if !self.may_extend(&last, &next.attr, run_blocks) {
+            if self.config.merge && first.member_idx == 0 && first.split.is_none() {
+                // The run so far as one attribute; `num` counts the
+                // members of its closed groups only.
+                let mut run = first;
+                run.num = if first.boundary { first.num } else { 0 };
+                let mut last = first;
+                for (extra, next) in parts[at + 1..].iter().enumerate() {
+                    if !self.may_extend(&last, &next.attr, run.range.blocks) {
                         break;
                     }
-                    run_blocks += next.attr.range.blocks;
-                    self.queue.pop_front();
-                    parts.push(next);
                     last = next.attr;
+                    run.range = run.range.join(&last.range);
+                    // A merged unit must end at a boundary (whole
+                    // groups): members past the last one start the next
+                    // unit, and with no boundary at all the head is
+                    // dispatched unmerged.
                     if last.boundary {
-                        whole = (parts.len(), last);
+                        run.num += last.num;
+                        run.seq_end = last.seq_end;
+                        run.flush = last.flush;
+                        run.boundary = true;
+                        whole = (run, extra + 2);
                     }
                 }
-                // A merged unit must end at a boundary (whole groups):
-                // the members past the last one go back to the head of
-                // the queue, and with no boundary at all the head is
-                // dispatched unmerged.
-                for tail in parts.drain(whole.0..).rev() {
-                    self.queue.push_front(tail);
-                }
             }
-            let (first_attr, last_attr) = (first.attr, whole.1);
-            if parts.len() == 1 {
-                units.push(DispatchUnit {
-                    attr: first_attr,
-                    parts,
-                });
-                continue;
-            }
-            let mut range = first_attr.range;
-            let mut num_total: u16 = 0;
-            for p in &parts[1..] {
-                range = range.join(&p.attr.range);
-            }
-            for p in &parts {
-                if p.attr.boundary {
-                    num_total += p.attr.num;
-                }
-            }
-            let mut merged = first_attr;
-            merged.seq_end = last_attr.seq_end;
-            merged.num = num_total;
-            merged.member_idx = 0;
-            merged.boundary = true;
-            merged.flush = last_attr.flush;
-            merged.range = range;
-            units.push(DispatchUnit {
-                attr: merged,
-                parts,
-            });
+            batch.spans.push(whole);
+            at += whole.1;
         }
+    }
+
+    /// [`Self::flush_into`] with the units copied out into vectors of
+    /// their own. The queue takes its buffer back, so it keeps its
+    /// capacity across calls.
+    pub fn flush(&mut self) -> Vec<DispatchUnit> {
+        let mut batch = DispatchBatch::default();
+        self.flush_into(&mut batch);
+        let units = batch
+            .units()
+            .map(|(attr, parts)| DispatchUnit {
+                attr: *attr,
+                parts: parts.to_vec(),
+            })
+            .collect();
+        batch.parts.clear();
+        self.queue = batch.parts;
         units
     }
 }
@@ -218,40 +232,42 @@ impl OrderQueue {
 /// Splits an attribute into fragments tiling `extents` (volume striping
 /// or transfer-size limits, Fig. 8b), appending them to `frags` (which
 /// is *not* cleared), letting hot callers reuse one buffer across
-/// dispatches.
+/// dispatches and pass the ranges straight out of their extent list.
 ///
 /// Each fragment inherits the ordering identity and gains
-/// `SplitInfo { idx, last }` so recovery can rejoin them.
+/// `SplitInfo { idx, last }` so recovery can rejoin them; a single
+/// extent is not a split.
 ///
 /// # Panics
 ///
 /// Panics if `extents` do not exactly tile the attribute's range, if the
 /// attribute is already a fragment, or if there are more than 256
 /// fragments.
-pub fn split_attr_into(attr: &OrderingAttr, extents: &[BlockRange], frags: &mut Vec<OrderingAttr>) {
+pub fn split_attr_into(
+    attr: &OrderingAttr,
+    extents: impl ExactSizeIterator<Item = BlockRange>,
+    frags: &mut Vec<OrderingAttr>,
+) {
     assert!(attr.split.is_none(), "re-splitting a fragment");
-    assert!(!extents.is_empty(), "no extents");
-    assert!(extents.len() <= 256, "too many fragments");
-    let total: u64 = extents.iter().map(|e| e.blocks as u64).sum();
+    let n = extents.len();
+    assert!(n > 0, "no extents");
+    assert!(n <= 256, "too many fragments");
+    let mut total = 0u64;
+    frags.extend(extents.enumerate().map(|(i, range)| {
+        total += range.blocks as u64;
+        OrderingAttr {
+            range,
+            split: (n > 1).then_some(SplitInfo {
+                idx: i as u8,
+                last: i == n - 1,
+            }),
+            ..*attr
+        }
+    }));
     assert_eq!(
         total, attr.range.blocks as u64,
         "extents do not tile the request"
     );
-    if extents.len() == 1 {
-        let mut only = *attr;
-        only.range = extents[0];
-        frags.push(only);
-        return;
-    }
-    frags.extend(extents.iter().enumerate().map(|(i, e)| {
-        let mut frag = *attr;
-        frag.range = *e;
-        frag.split = Some(SplitInfo {
-            idx: i as u8,
-            last: i == extents.len() - 1,
-        });
-        frag
-    }));
 }
 
 #[cfg(test)]
@@ -259,16 +275,143 @@ mod tests {
     use super::*;
     use crate::attr::Seq;
     use crate::sequencer::{Sequencer, SubmitOpts};
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     /// [`split_attr_into`] with a fresh buffer per split.
     fn split_attr(attr: &OrderingAttr, extents: &[BlockRange]) -> Vec<OrderingAttr> {
         let mut frags = Vec::new();
-        split_attr_into(attr, extents, &mut frags);
+        split_attr_into(attr, extents.iter().copied(), &mut frags);
         frags
     }
 
     fn queue() -> OrderQueue {
         OrderQueue::new(StreamId(0), OrderQueueConfig::default())
+    }
+
+    /// The flush algorithm as it stood before batches: pop the head,
+    /// pop while the run extends, push the members past the last
+    /// boundary back, copy every unit's parts into a vector of its own.
+    /// Kept as the oracle [`OrderQueue::flush_into`] is checked against.
+    fn oracle_flush(q: &OrderQueue) -> Vec<DispatchUnit> {
+        let mut queue: VecDeque<QueuedRequest> = q.queue.iter().copied().collect();
+        let mut units = Vec::new();
+        while let Some(first) = queue.pop_front() {
+            let mut parts = vec![first];
+            let mut whole = (1, first.attr);
+            if q.config.merge && first.attr.member_idx == 0 && first.attr.split.is_none() {
+                let mut run_blocks = first.attr.range.blocks;
+                let mut last = first.attr;
+                while let Some(&next) = queue.front() {
+                    if !q.may_extend(&last, &next.attr, run_blocks) {
+                        break;
+                    }
+                    run_blocks += next.attr.range.blocks;
+                    queue.pop_front();
+                    parts.push(next);
+                    last = next.attr;
+                    if last.boundary {
+                        whole = (parts.len(), last);
+                    }
+                }
+                for tail in parts.drain(whole.0..).rev() {
+                    queue.push_front(tail);
+                }
+            }
+            let mut attr = first.attr;
+            if parts.len() > 1 {
+                for p in &parts[1..] {
+                    attr.range = attr.range.join(&p.attr.range);
+                }
+                let closed = parts.iter().filter(|p| p.attr.boundary);
+                attr.num = closed.map(|p| p.attr.num).sum();
+                attr.seq_end = whole.1.seq_end;
+                attr.member_idx = 0;
+                attr.boundary = true;
+                attr.flush = whole.1.flush;
+            }
+            units.push(DispatchUnit { attr, parts });
+        }
+        units
+    }
+
+    /// A unit as comparable data: its attribute and its part tokens.
+    fn shape<'a>(attr: &OrderingAttr, parts: impl Iterator<Item = &'a QueuedRequest>) -> (OrderingAttr, Vec<u64>) {
+        (*attr, parts.map(|p| p.token).collect())
+    }
+
+    /// 200 seeded push scripts — groups of 1–4 members, abutting and
+    /// non-abutting LBAs, interior and trailing FLUSH, IPU groups,
+    /// pre-split fragments, merge on and off, caps 4 and 32, flushes in
+    /// the middle of a group and an open group at the tail — through
+    /// one reused batch: every flush equals the oracle unit for unit.
+    #[test]
+    fn flush_into_matches_the_oracle_on_seeded_scripts() {
+        let (mut merged_units, mut merged_spans) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let config = OrderQueueConfig {
+                merge: seed % 4 != 0,
+                max_merge_blocks: if seed % 2 == 0 { 32 } else { 4 },
+            };
+            let mut s = Sequencer::new(1, 1);
+            let mut q = OrderQueue::new(StreamId(0), config);
+            let mut batch = DispatchBatch::default();
+            let mut check = |q: &mut OrderQueue| {
+                let want = oracle_flush(q);
+                let copied = q.clone().flush();
+                q.flush_into(&mut batch);
+                assert!(q.is_empty(), "seed {seed}: a flush drains the queue");
+                let want: Vec<_> = want.iter().map(|u| shape(&u.attr, u.parts.iter())).collect();
+                let got: Vec<_> = batch.units().map(|(a, p)| shape(a, p.iter())).collect();
+                assert_eq!(got, want, "seed {seed}");
+                let copied: Vec<_> = copied.iter().map(|u| shape(&u.attr, u.parts.iter())).collect();
+                assert_eq!(copied, want, "seed {seed}: the copying wrapper");
+                merged_units += want.iter().filter(|u| u.1.len() > 1).count();
+                merged_spans += want.iter().filter(|u| u.0.is_merged_span()).count();
+            };
+            let (mut lba, mut token) = (0u64, 0u64);
+            let groups = rng.gen_range(1..=12u32);
+            for g in 0..groups {
+                let members = rng.gen_range(1..=4u32);
+                let ipu = rng.gen_bool(0.1);
+                // The last group may stay open: its boundary never comes.
+                let open = g == groups - 1 && rng.gen_bool(0.5);
+                for m in 0..members {
+                    if rng.gen_bool(0.2) {
+                        lba += rng.gen_range(1..=5u64);
+                    }
+                    let end_group = m == members - 1 && !open;
+                    let opts = SubmitOpts {
+                        end_group,
+                        ipu,
+                        flush: end_group && rng.gen_bool(0.2),
+                    };
+                    let blocks = rng.gen_range(1..=2u32);
+                    let attr = s.submit(StreamId(0), BlockRange::new(lba, blocks), opts);
+                    lba += blocks as u64;
+                    if blocks > 1 && rng.gen_bool(0.2) {
+                        let (head, tail) = (attr.range.lba, attr.range.end() - 1);
+                        let cut = [BlockRange::new(head, blocks - 1), BlockRange::new(tail, 1)];
+                        for frag in split_attr(&attr, &cut) {
+                            q.push(frag, token);
+                            token += 1;
+                        }
+                    } else {
+                        q.push(attr, token);
+                        token += 1;
+                    }
+                    if rng.gen_bool(0.05) {
+                        check(&mut q);
+                    }
+                }
+            }
+            check(&mut q);
+        }
+        assert!(
+            merged_units > 200 && merged_spans > 50,
+            "the scripts must exercise merging: {merged_units} merged units, {merged_spans} across groups"
+        );
     }
 
     fn end() -> SubmitOpts {

@@ -72,14 +72,15 @@ proptest! {
                 let half = attr.range.blocks / 2;
                 split_attr_into(
                     &attr,
-                    &[
+                    [
                         BlockRange::new(attr.range.lba, half),
                         BlockRange::new(attr.range.lba + half as u64, attr.range.blocks - half),
-                    ],
+                    ]
+                    .into_iter(),
                     &mut frags,
                 )
             } else {
-                split_attr_into(&attr, &[attr.range], &mut frags)
+                split_attr_into(&attr, std::iter::once(attr.range), &mut frags)
             };
             let unit_id = unit_frags.len();
             unit_frags.push(frags.len());

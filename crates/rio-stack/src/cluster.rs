@@ -34,11 +34,11 @@
 //! * `wire` — the three transfer legs, QP arithmetic, go-back-N resends;
 //! * [`recovery`] — fault handling and the §4.4 / §6.5 recovery.
 
-use rio_block::StripedVolume;
+use rio_block::{Plug, StripedVolume};
 use rio_net::{Fabric, Nic};
 use rio_order::attr::{BlockRange, OrderingAttr, Seq, ServerId};
 use rio_order::pmrlog::SlotRef;
-use rio_order::RioSetup;
+use rio_order::{DispatchBatch, RioSetup};
 use rio_proto::PayloadDigest;
 use rio_sim::{EventHeap, Histogram, SimRng, SimTime, Slab};
 
@@ -208,12 +208,15 @@ pub struct Cluster {
     gate_scratch: Vec<(OrderingAttr, u64)>,
     /// Scratch buffer for completer deliveries (reused across events).
     delivered_scratch: Vec<Seq>,
-    /// Scratch buffers for the dispatch path (volume mapping, chunking,
-    /// slicing and splitting), reused across units.
+    /// Scratch buffers for the dispatch path (volume mapping, chunking
+    /// and splitting), reused across units.
     map_scratch: Vec<rio_block::Extent>,
     extent_scratch: Vec<rio_block::Extent>,
-    slice_scratch: Vec<BlockRange>,
     frag_scratch: Vec<OrderingAttr>,
+    /// The plug-flush point's output, lent to every flush: a Rio
+    /// stream's drained ORDER queue, or the orderless threads' plug.
+    rio_batch: DispatchBatch,
+    plug: Plug,
     /// Scratch buffer for one DRR pump's admissions: (tenant index,
     /// command id, enqueue instant).
     admit_scratch: Vec<(usize, u64, SimTime)>,
@@ -392,8 +395,9 @@ impl Cluster {
             delivered_scratch: Vec::with_capacity(16),
             map_scratch: Vec::with_capacity(16),
             extent_scratch: Vec::with_capacity(16),
-            slice_scratch: Vec::with_capacity(16),
             frag_scratch: Vec::with_capacity(16),
+            rio_batch: DispatchBatch::default(),
+            plug: Plug::new(),
             admit_scratch: Vec::new(),
             scatter_qp: 0,
             ops_done: 0,

@@ -9,11 +9,11 @@
 
 use std::collections::VecDeque;
 
-use rio_block::{Bio, Extent, Plug};
+use rio_block::{Bio, Extent};
 use rio_net::Nic;
 use rio_order::attr::{BlockRange, OrderingAttr, StreamId};
-use rio_order::scheduler::split_attr_into;
-use rio_order::{DispatchUnit, Rio, RioSetup};
+use rio_order::scheduler::{split_attr_into, QueuedRequest};
+use rio_order::{Rio, RioSetup};
 use rio_proto::{payload, PayloadDigest};
 use rio_sim::{Histogram, SimRng, SimTime};
 
@@ -320,15 +320,18 @@ impl Cluster {
                     break;
                 }
             }
-            // Flush the ORDER queue: merge pass + dispatch.
-            let units = self.initiators[self.threads[t].init].rio.flush(self.threads[t].stream);
-            for unit in units {
-                let merged_extra = unit.parts.len().saturating_sub(1) as u64;
+            // Flush the ORDER queue: merge pass + dispatch, out of the
+            // one batch every flush of the run recycles.
+            let mut batch = std::mem::take(&mut self.rio_batch);
+            self.initiators[self.threads[t].init].rio.flush_into(self.threads[t].stream, &mut batch);
+            for (attr, parts) in batch.units() {
+                let merged_extra = parts.len() as u64 - 1;
                 if merged_extra > 0 {
                     cpu = self.init_run_on(t, cpu, self.cfg.cpu.merge_per_bio * merged_extra);
                 }
-                cpu = self.dispatch_rio_unit(cpu, t, unit);
+                cpu = self.dispatch_rio_unit(cpu, t, attr, parts);
             }
+            self.rio_batch = batch;
             if hit_sync && self.wait_for_sync(t, cpu) {
                 return;
             }
@@ -356,24 +359,22 @@ impl Cluster {
         self.threads[t].parked = self.thread_has_work(t) || self.threads[t].inflight > 0;
     }
 
-    /// Dispatches one Rio unit: stripe, split, stamp, send fragments.
+    /// Dispatches one Rio unit — its (merged) attribute and the queued
+    /// requests it covers: stripe, split, stamp, send fragments.
     fn dispatch_rio_unit(
         &mut self,
         mut cpu: SimTime,
         t: usize,
-        unit: DispatchUnit,
+        attr: &OrderingAttr,
+        parts: &[QueuedRequest],
     ) -> SimTime {
-        let attr = unit.attr;
         let mut extents = std::mem::take(&mut self.extent_scratch);
         extents.clear();
         self.chunked_extents_into(attr.range, &mut extents);
         // One fragment per extent, carrying its physical range.
-        let mut slices = std::mem::take(&mut self.slice_scratch);
-        slices.clear();
-        slices.extend(extents.iter().map(|e| e.range));
         let mut frags = std::mem::take(&mut self.frag_scratch);
         frags.clear();
-        split_attr_into(&attr, &slices, &mut frags);
+        split_attr_into(attr, extents.iter().map(|e| e.range), &mut frags);
         let unit_id = self.units.insert(Unit {
             plain_groups: 0,
             blocks: attr.range.blocks,
@@ -387,11 +388,10 @@ impl Cluster {
             cpu = self.post_write(cpu, t, ext, Some(*frag), frag.flush, unit_id);
         }
         self.extent_scratch = extents;
-        self.slice_scratch = slices;
         self.frag_scratch = frags;
         // Stage dispatch marks for the Fig. 14 breakdown, all at the
         // same `cpu` instant.
-        for p in unit.parts.iter().filter(|p| p.attr.boundary) {
+        for p in parts.iter().filter(|p| p.attr.boundary) {
             let group = self.threads[t].undelivered_group(p.attr.seq_start.0);
             if let Some(stage) = group.and_then(|g| g.spec.stage) {
                 self.mark_stage(t, stage, cpu);
@@ -406,7 +406,9 @@ impl Cluster {
         let mut cpu = now;
         while self.threads[t].inflight < window && self.thread_has_work(t) {
             let batch = self.workload.batch.max(1);
-            let mut plug = Plug::new();
+            // The one plug every batch of the run refills.
+            let mut plug = std::mem::take(&mut self.plug);
+            plug.clear();
             let mut groups_in_batch = 0u64;
             let mut bio_id = 0u64;
             let mut hit_sync = false;
@@ -434,15 +436,15 @@ impl Cluster {
                 }
             }
             let max_blocks = if self.cfg.plug_merge { 32 } else { 1 };
-            let runs = plug.finish(max_blocks);
-            for run in runs {
-                let merged_extra = run.bios.len().saturating_sub(1) as u64;
+            for (range, bios) in plug.merged_runs(max_blocks) {
+                let merged_extra = bios.len() as u64 - 1;
                 if merged_extra > 0 {
                     cpu = self.init_run_on(t, cpu, self.cfg.cpu.merge_per_bio * merged_extra);
                 }
-                let flush = run.bios.iter().any(|b| b.flags.flush);
-                cpu = self.dispatch_plain_unit(cpu, t, run.range, run.bios.len() as u64, flush);
+                let flush = bios.iter().any(|b| b.flags.flush);
+                cpu = self.dispatch_plain_unit(cpu, t, range, bios.len() as u64, flush);
             }
+            self.plug = plug;
             if hit_sync && self.wait_for_sync(t, cpu) {
                 return;
             }
