@@ -1,71 +1,53 @@
-//! Simulation-engine throughput harness.
+//! Simulation-engine throughput report.
 //!
 //! Runs the fixed Fig. 10-style sweep defined in [`rio_bench::sweep`]
-//! (every ordering mode over the paper's cluster shapes) and records
+//! (every ordering mode over the paper's cluster shapes) and prints
 //! *host* wall-clock and simulator event throughput (events/sec) for
-//! each figure cell, writing the machine-readable trajectory to
-//! `BENCH_sim.json` at the repo root. The simulated workload is pinned
-//! — seeds, thread counts and group counts never vary — so the JSON
-//! tracks only how fast the engine itself executes, PR over PR. The
-//! `bench_gate` binary compares a committed baseline against a re-run.
+//! each cell. The simulated workload is pinned — seeds, thread counts
+//! and group counts never vary — so the numbers track only how fast
+//! the engine itself executes on this host. Nothing is written and
+//! nothing is gated: host time is judged by `benchmark/` (alternating
+//! pairs, a bound per metric), and this file is the only one outside
+//! it that reads the wall clock.
 //!
 //! Usage:
 //!
 //! ```sh
 //! cargo bench -p rio-bench --bench sim_engine            # full sweep
-//! cargo bench -p rio-bench --bench sim_engine -- --smoke # CI-sized
-//! cargo bench -p rio-bench --bench sim_engine -- --out /tmp/x.json
+//! cargo bench -p rio-bench --bench sim_engine -- --smoke # scaled down 10x
 //! ```
 
-use rio_bench::sweep::{calibrate, render_json, sweep};
+use std::time::Instant;
+
+use rio_bench::sweep::{cluster, specs, Cell};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            // crates/rio-bench -> repo root.
-            format!("{}/../../BENCH_sim.json", env!("CARGO_MANIFEST_DIR"))
-        });
-
+    let smoke = std::env::args().any(|a| a == "--smoke");
     println!(
-        "sim_engine throughput harness ({} sweep)",
+        "sim_engine throughput report ({} sweep)",
         if smoke { "smoke" } else { "full" }
     );
-    let cells = sweep(smoke);
-    for c in &cells {
+    let (mut total_wall, mut total_events) = (0.0, 0u64);
+    for spec in specs(smoke) {
+        let cluster = cluster(&spec);
+        let started = Instant::now();
+        let m = cluster.run();
+        let wall_secs = started.elapsed().as_secs_f64();
+        let c = Cell::measured(&spec, &m);
         println!(
             "{:>14} {:>14} t={:<2} {:>9.3}s wall  {:>12} events  {:>11.0} ev/s",
             c.figure,
             c.mode,
             c.threads,
-            c.wall_secs,
+            wall_secs,
             c.events,
-            c.events_per_sec(),
+            c.events as f64 / wall_secs.max(1e-12),
         );
+        total_wall += wall_secs;
+        total_events += c.events;
     }
-    let total_wall: f64 = cells.iter().map(|c| c.wall_secs).sum();
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
     println!(
         "total: {total_wall:.3}s wall, {total_events} events, {:.0} events/sec",
         total_events as f64 / total_wall.max(1e-12)
     );
-    // Stamp the file with this machine's speed so the gate can compare
-    // runs taken on different (or differently-loaded) hosts.
-    let calib_secs = calibrate();
-    println!("machine calibration: {calib_secs:.4}s");
-    let json = render_json(&cells, smoke, calib_secs);
-    // Cargo runs benches with the package dir as cwd, so a relative
-    // --out like `target/BENCH_sim_smoke.json` points at a directory
-    // that may not exist; create it instead of failing the smoke run.
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, json).expect("write BENCH_sim.json");
-    println!("wrote {out_path}");
 }

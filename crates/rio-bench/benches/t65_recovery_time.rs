@@ -22,8 +22,6 @@
 //! ```sh
 //! cargo bench -p rio-bench --bench t65_recovery_time            # full
 //! cargo bench -p rio-bench --bench t65_recovery_time -- --smoke # CI-sized
-//! cargo bench -p rio-bench --bench t65_recovery_time -- --out BENCH_recovery.json
-//! # regenerate the recovery-time trajectory baseline (bench_gate input)
 //! ```
 
 use rio_bench::recovery::trial_cfg;
@@ -193,25 +191,7 @@ fn survivable_sweep(smoke: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // --out PATH: write the deterministic recovery-time trajectory
-    // (the bench_gate baseline) instead of the report tables. Cargo
-    // runs benches from the package directory, so a relative path is
-    // resolved against the repo root — where bench_gate looks for it.
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        let path = args.get(i + 1).expect("--out needs a path");
-        let path = if path.starts_with('/') {
-            path.clone()
-        } else {
-            format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"))
-        };
-        let cells = rio_bench::recovery::trajectory();
-        let json = rio_bench::recovery::render_recovery_json(&cells);
-        std::fs::write(&path, json).expect("write trajectory");
-        println!("wrote {} recovery cells to {path}", cells.len());
-        return;
-    }
+    let smoke = std::env::args().any(|a| a == "--smoke");
     println!("Reproduction of paper §6.5 (recovery time) + survivable fault sweep.");
     println!("Paper: Rio ~55 ms order rebuild + ~125 ms data recovery;");
     println!("Horae ~38 ms + ~101 ms (smaller ordering metadata).");

@@ -7,6 +7,7 @@
 use rio_bench::{header, row};
 use rio_proto::{RioExt, RioFlags, RioOpcode, Sqe};
 use rio_ssd::SsdProfile;
+use rio_stack::cpu::PMR_APPEND_NS;
 
 fn main() {
     println!("Reproduction of paper Table 1 (Rio NVMe-oF command format).");
@@ -93,7 +94,7 @@ fn main() {
             p.name,
             &[
                 format!("PMR {} MB", p.pmr_bytes / (1024 * 1024)),
-                format!("persist {:.1} us / 32 B", p.pmr_persist_us),
+                format!("persist {:.1} us / 32 B", PMR_APPEND_NS as f64 / 1e3),
             ],
         );
     }

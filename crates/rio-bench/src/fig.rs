@@ -1,29 +1,19 @@
-//! The `BENCH_fig.json` per-figure throughput regression gate.
+//! The per-figure throughput trajectory: the `figures` section of
+//! `BENCH.json`.
 //!
 //! The figure benches (fig10, fig13, the lossy-fabric and
 //! multi-initiator sweeps) are pure virtual time: `(config, seed)`
-//! fixes every cell's KIOPS exactly, so like the recovery gate there
-//! is no machine factor and no retry logic. The trajectory runs a
-//! smoke-sized slice of each figure and the gate fails on a >10% drop
-//! in any cell's delivered KIOPS; rises (improvements) and
-//! sub-threshold drift only warn, flagging that the baseline should be
-//! regenerated deliberately.
-//!
-//! Regenerate with:
-//!
-//! ```sh
-//! cargo run --release -p rio-bench --bin bench_gate -- --write-fig BENCH_fig.json
-//! ```
+//! fixes every cell's KIOPS exactly. The trajectory runs a smoke-sized
+//! slice of each figure and the gate fails on a >10% drop in any cell's
+//! delivered KIOPS; rises (improvements) and sub-threshold drift only
+//! warn, flagging that the baseline should be regenerated deliberately.
 
 use rio_ssd::SsdProfile;
 use rio_stack::{ClusterConfig, FabricConfig, OrderingMode, Workload};
 
-use crate::gate::{render, Rule, Trajectory};
+use crate::gate::{Rule, Trajectory};
 use crate::json::{Field, Record, Slot};
 use crate::{all_modes, fig10_cfg, lossy_cfg, run};
-
-/// Schema version of `BENCH_fig.json`.
-pub const FIG_SCHEMA: u64 = 1;
 
 /// Maximum tolerated drop in any cell's deterministic KIOPS.
 pub const MAX_FIG_DROP: f64 = 0.10;
@@ -69,13 +59,7 @@ impl Record for FigCell {
 /// must be covered, a >[`MAX_FIG_DROP`] KIOPS drop fails, and any
 /// smaller movement is noted.
 impl Trajectory for FigCell {
-    type Header = ();
-    const SCHEMA: u64 = FIG_SCHEMA;
-    const HARNESS: &'static str = "fig_trajectory";
-    const ARRAY: &'static str = "figures";
-    const REGEN: &'static str = "with `cargo run --release -p rio-bench --bin bench_gate -- \
-                                 --write-fig BENCH_fig.json`";
-    const CURRENT: &'static str = "trajectory";
+    const SECTION: &'static str = "figures";
     const RULES: &'static [Rule<FigCell>] = &[Rule {
         drift: Some("the figures are"),
         ..Rule::new("kiops", |c| c.kiops, -MAX_FIG_DROP, |x| format!("{x:.3}"))
@@ -200,15 +184,10 @@ pub fn trajectory() -> Vec<FigCell> {
     cells
 }
 
-/// Renders the cells as the `BENCH_fig.json` document.
-pub fn render_fig_json(cells: &[FigCell]) -> String {
-    render(&(), cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::{compare, parse};
+    use crate::gate::{compare, Document};
 
     fn cell(figure: &str, mode: &str, kiops: f64) -> FigCell {
         FigCell {
@@ -224,21 +203,25 @@ mod tests {
         }
     }
 
+    /// The `figures` section of a document written and read back.
+    fn round_trip(figures: Vec<FigCell>) -> Vec<FigCell> {
+        let doc = Document { figures, ..Document::default() }.padded();
+        Document::parse(&doc.render()).expect("parse").figures
+    }
+
     #[test]
     fn render_parse_round_trip() {
-        let cells = vec![cell("fig10a", "RIO", 512.125), cell("fig13", "Linux", 1.5)];
-        let parsed = parse::<FigCell>(&render_fig_json(&cells)).expect("parse");
-        assert_eq!(parsed.schema, FIG_SCHEMA);
-        assert_eq!(parsed.cells.len(), 2);
-        assert_eq!(parsed.cells[0].figure, "fig10a");
-        assert_eq!(parsed.cells[1].mode, "Linux");
-        assert!((parsed.cells[0].kiops - 512.125).abs() < 1e-9);
-        assert!((parsed.cells[0].loss - 0.001).abs() < 1e-12);
+        let parsed = round_trip(vec![cell("fig10a", "RIO", 512.125), cell("fig13", "Linux", 1.5)]);
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].figure, "fig10a");
+        assert_eq!(parsed[1].mode, "Linux");
+        assert!((parsed[0].kiops - 512.125).abs() < 1e-9);
+        assert!((parsed[0].loss - 0.001).abs() < 1e-12);
     }
 
     #[test]
     fn wrong_schema_is_rejected_with_guidance() {
-        let err = parse::<FigCell>("{\n \"schema\": 99,\n \"figures\": [\n{}\n]\n}")
+        let err = Document::parse("{\n \"schema\": 99,\n \"figures\": [\n{}\n]\n}")
             .expect_err("unknown schema must be rejected");
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -249,24 +232,24 @@ mod tests {
         let base = vec![cell("fig10a", "RIO", 500.0)];
         // 8% slower: tolerated, but noted as drift.
         let ok = vec![cell("fig10a", "RIO", 460.0)];
-        let out = compare(&base, &ok, true, 1.0);
+        let out = compare(&base, &ok, true);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("drift"));
         // 20% slower: fails.
         let slow = vec![cell("fig10a", "RIO", 400.0)];
-        let out = compare(&base, &slow, true, 1.0);
+        let out = compare(&base, &slow, true);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("kiops regression"));
         // Faster: an improvement passes (with a drift note).
         let better = vec![cell("fig10a", "RIO", 600.0)];
-        assert!(!compare(&base, &better, true, 1.0).failed());
+        assert!(!compare(&base, &better, true).failed());
     }
 
     #[test]
     fn missing_cells_always_fail() {
         let base = vec![cell("fig10a", "RIO", 500.0), cell("fig13", "Linux", 2.0)];
         let partial = vec![cell("fig10a", "RIO", 500.0)];
-        let out = compare(&base, &partial, true, 1.0);
+        let out = compare(&base, &partial, true);
         assert!(out.failed());
         assert_eq!(out.uncovered.len(), 1);
     }
@@ -275,12 +258,11 @@ mod tests {
     fn delimiters_inside_strings_round_trip() {
         let mut odd = cell("fig, \"10\" }a{ [x] \\ \t", "Li}nux", 7.5);
         odd.loss = 0.0;
-        let parsed = parse::<FigCell>(&render_fig_json(&[odd.clone(), cell("fig13", "RIO", 1.0)]))
-            .expect("a delimiter inside a string is not a delimiter");
-        assert_eq!(parsed.cells.len(), 2);
-        assert_eq!(parsed.cells[0].figure, odd.figure);
-        assert_eq!(parsed.cells[0].mode, "Li}nux");
-        assert_eq!(parsed.cells[0].key_label(), odd.key_label());
-        assert_eq!(parsed.cells[1].mode, "RIO");
+        let parsed = round_trip(vec![odd.clone(), cell("fig13", "RIO", 1.0)]);
+        assert_eq!(parsed.len(), 2, "a delimiter inside a string is not a delimiter");
+        assert_eq!(parsed[0].figure, odd.figure);
+        assert_eq!(parsed[0].mode, "Li}nux");
+        assert_eq!(parsed[0].key_label(), odd.key_label());
+        assert_eq!(parsed[1].mode, "RIO");
     }
 }

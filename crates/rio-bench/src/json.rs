@@ -1,5 +1,5 @@
 //! The crate's one JSON reader, and the field lists that drive both
-//! directions of every `BENCH_*.json` cell.
+//! directions of every `BENCH.json` cell.
 //!
 //! [`read`] is a recursive-descent parser of the JSON grammar into a
 //! [`Value`] tree (the build vendors no JSON dependency). Nothing else
@@ -174,8 +174,6 @@ impl Reader<'_> {
 pub enum Slot<'a> {
     /// A string (written escaped).
     Str(&'a mut String),
-    /// A boolean.
-    Bool(&'a mut bool),
     /// A count held as `usize`.
     Count(&'a mut usize),
     /// A count held as `u64`.
@@ -183,9 +181,6 @@ pub enum Slot<'a> {
     /// A float and its printed precision (`None` prints the shortest
     /// text that reads back exactly).
     Float(&'a mut f64, Option<usize>),
-    /// Computed from the record's other fields: written at the given
-    /// precision for human readers, skipped when reading.
-    Derived(f64, usize),
 }
 
 /// One entry of a field list: the JSON member name; for a field that is
@@ -217,11 +212,6 @@ pub trait Record: Clone + Default + Debug + 'static {
     }
 }
 
-/// Documents without header fields of their own use `()`.
-impl Record for () {
-    const FIELDS: &'static [Field<()>] = &[];
-}
-
 impl Slot<'_> {
     /// Appends the value as JSON: strings quoted and escaped, floats at
     /// their printed precision.
@@ -238,12 +228,10 @@ impl Slot<'_> {
                 }
                 out.push('"');
             }
-            Slot::Bool(b) => out.push_str(&b.to_string()),
             Slot::Count(n) => out.push_str(&n.to_string()),
             Slot::Int(n) => out.push_str(&n.to_string()),
             Slot::Float(x, Some(p)) => out.push_str(&format!("{:.p$}", *x)),
             Slot::Float(x, None) => out.push_str(&x.to_string()),
-            Slot::Derived(x, p) => out.push_str(&format!("{x:.p$}")),
         }
     }
 
@@ -251,29 +239,25 @@ impl Slot<'_> {
     fn set(self, v: &Value) -> Result<(), &'static str> {
         match (self, v) {
             (Slot::Str(s), Value::Str(v)) => *s = v.clone(),
-            (Slot::Bool(b), Value::Bool(v)) => *b = *v,
             (Slot::Count(n), Value::Int(v)) => *n = usize::try_from(*v).unwrap_or(usize::MAX),
             (Slot::Int(n), Value::Int(v)) => *n = *v,
             (Slot::Float(x, _), Value::Int(v)) => *x = *v as f64,
             (Slot::Float(x, _), Value::Num(v)) => *x = *v,
             (Slot::Str(_), _) => return Err("a string"),
-            (Slot::Bool(_), _) => return Err("a boolean"),
             (Slot::Count(_) | Slot::Int(_), _) => return Err("an integer"),
-            (Slot::Float(..) | Slot::Derived(..), _) => return Err("a number"),
+            (Slot::Float(..), _) => return Err("a number"),
         }
         Ok(())
     }
 }
 
-/// Appends `rec`'s members as `"name": value`, each wrapped in
-/// `before` / `after`, with `between` separating neighbours.
-pub(crate) fn write_members<R: Record>(out: &mut String, rec: &R, wrap: [&str; 3]) {
-    let ([before, between, after], mut rec) = (wrap, rec.clone());
+/// Appends `rec`'s members as comma-separated `"name": value` pairs.
+pub(crate) fn write_members<R: Record>(out: &mut String, rec: &R) {
+    let mut rec = rec.clone();
     for (i, Field(name, _, slot)) in R::FIELDS.iter().enumerate() {
-        out.push_str(if i > 0 { between } else { "" });
-        out.push_str(&format!("{before}\"{name}\": "));
+        out.push_str(if i > 0 { ", " } else { "" });
+        out.push_str(&format!("\"{name}\": "));
         slot(&mut rec).write(out);
-        out.push_str(after);
     }
 }
 
@@ -281,13 +265,10 @@ pub(crate) fn write_members<R: Record>(out: &mut String, rec: &R, wrap: [&str; 3
 pub(crate) fn fill<R: Record>(obj: &Value, ctx: &str) -> Result<R, String> {
     let mut rec = R::default();
     for Field(name, _, slot) in R::FIELDS {
-        match (slot(&mut rec), obj.get(name)) {
-            (Slot::Derived(..), _) => {}
-            (_, None) => return Err(format!("missing field \"{name}\" in {ctx}")),
-            (slot, Some(v)) => slot
-                .set(v)
-                .map_err(|kind| format!("field \"{name}\" in {ctx} is not {kind}"))?,
-        }
+        let v = obj.get(name).ok_or_else(|| format!("missing field \"{name}\" in {ctx}"))?;
+        slot(&mut rec)
+            .set(v)
+            .map_err(|kind| format!("field \"{name}\" in {ctx} is not {kind}"))?;
     }
     Ok(rec)
 }

@@ -9,8 +9,8 @@
 //! The cluster shapes more than one harness runs are catalogued here,
 //! once: [`fig10_cfg`] (Figure 10's four topologies), [`lossy_cfg`]
 //! (the lossy-fabric cell) and [`recovery::trial_cfg`] (the §6.5
-//! testbed). The figure benches, the `BENCH_fig.json` /
-//! `BENCH_recovery.json` trajectories and the `sim_engine` sweep all
+//! testbed). The figure benches and the three sections of `BENCH.json`
+//! (the `sim_engine` grid, the figure slices, the recovery trials) all
 //! build their configurations from these, so a figure and the gate
 //! that guards it cannot drift apart.
 

@@ -1,34 +1,25 @@
-//! The `BENCH_recovery.json` recovery-time regression gate.
+//! The recovery-time trajectory: the `recoveries` section of
+//! `BENCH.json`.
 //!
 //! §6.5 recovery time is pure virtual time — `(config, seed)` fixes
-//! both phases to the nanosecond — so unlike the wall-clock engine
-//! gate there is no machine factor and no retry logic: the trajectory
-//! either reproduces or the recovery path's *cost model* changed. The
-//! gate fails on a >15% rise in either phase of any cell; drops
-//! (improvements) and sub-threshold drift only warn, flagging that the
-//! baseline should be regenerated deliberately.
+//! both phases to the nanosecond: the trajectory either reproduces or
+//! the recovery path's *cost model* changed. The gate fails on a >15%
+//! rise in either phase of any cell; drops (improvements) and
+//! sub-threshold drift only warn, flagging that the baseline should be
+//! regenerated deliberately.
 //!
 //! The trajectory covers four crash trials at staggered instants plus
 //! two integrity cells (a torn write and at-rest bit rot, both with
 //! the post-quiesce scrub), so a regression in the scrub/repair pass
 //! is gated alongside the classic scan/merge/discard phases.
-//!
-//! Regenerate with:
-//!
-//! ```sh
-//! cargo bench -p rio-bench --bench t65_recovery_time -- --out BENCH_recovery.json
-//! ```
 
 use rio_sim::SimTime;
 use rio_stack::{
     Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
 };
 
-use crate::gate::{render, Rule, Trajectory};
+use crate::gate::{Rule, Trajectory};
 use crate::json::{Field, Record, Slot};
-
-/// Schema version of `BENCH_recovery.json`.
-pub const RECOVERY_SCHEMA: u64 = 1;
 
 /// Maximum tolerated rise in either deterministic recovery phase.
 pub const MAX_RECOVERY_RISE: f64 = 0.15;
@@ -73,13 +64,7 @@ const fn phase(stem: &'static str, metric: fn(&RecoveryCell) -> f64) -> Rule<Rec
 /// Recovery is deterministic virtual time: every baseline cell must be
 /// covered, and either phase is gated.
 impl Trajectory for RecoveryCell {
-    type Header = ();
-    const SCHEMA: u64 = RECOVERY_SCHEMA;
-    const HARNESS: &'static str = "t65_recovery_time";
-    const ARRAY: &'static str = "recoveries";
-    const REGEN: &'static str = "with `cargo bench -p rio-bench --bench t65_recovery_time -- \
-                                 --out BENCH_recovery.json`";
-    const CURRENT: &'static str = "trajectory";
+    const SECTION: &'static str = "recoveries";
     const RULES: &'static [Rule<RecoveryCell>] = &[
         phase("order rebuild", |c| c.order_rebuild_ms),
         phase("data recovery", |c| c.data_recovery_ms),
@@ -173,15 +158,10 @@ pub fn trajectory() -> Vec<RecoveryCell> {
     cells
 }
 
-/// Renders the cells as the `BENCH_recovery.json` document.
-pub fn render_recovery_json(cells: &[RecoveryCell]) -> String {
-    render(&(), cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::{compare, parse};
+    use crate::gate::{compare, Document};
 
     fn cell(label: &str, rebuild: f64, data: f64) -> RecoveryCell {
         RecoveryCell {
@@ -196,18 +176,18 @@ mod tests {
 
     #[test]
     fn render_parse_round_trip() {
-        let cells = vec![cell("trial0", 52.125, 110.5), cell("integrity", 12.0, 30.25)];
-        let parsed = parse::<RecoveryCell>(&render_recovery_json(&cells)).expect("parse");
-        assert_eq!(parsed.schema, RECOVERY_SCHEMA);
-        assert_eq!(parsed.cells.len(), 2);
-        assert_eq!(parsed.cells[1].label, "integrity");
-        assert!((parsed.cells[0].order_rebuild_ms - 52.125).abs() < 1e-9);
-        assert!((parsed.cells[1].data_recovery_ms - 30.25).abs() < 1e-9);
+        let recoveries = vec![cell("trial0", 52.125, 110.5), cell("integrity", 12.0, 30.25)];
+        let doc = Document { recoveries, ..Document::default() }.padded();
+        let parsed = Document::parse(&doc.render()).expect("parse").recoveries;
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[1].label, "integrity");
+        assert!((parsed[0].order_rebuild_ms - 52.125).abs() < 1e-9);
+        assert!((parsed[1].data_recovery_ms - 30.25).abs() < 1e-9);
     }
 
     #[test]
     fn wrong_schema_is_rejected_with_guidance() {
-        let err = parse::<RecoveryCell>("{\n \"schema\": 99,\n \"recoveries\": [\n{}\n]\n}")
+        let err = Document::parse("{\n \"schema\": 99,\n \"recoveries\": [\n{}\n]\n}")
             .expect_err("unknown schema must be rejected");
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -218,24 +198,24 @@ mod tests {
         let base = vec![cell("trial0", 50.0, 100.0)];
         // 14% slower rebuild: tolerated, but noted as drift.
         let ok = vec![cell("trial0", 57.0, 100.0)];
-        let out = compare(&base, &ok, true, 1.0);
+        let out = compare(&base, &ok, true);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("drift"));
         // 20% slower data recovery: fails.
         let slow = vec![cell("trial0", 50.0, 120.0)];
-        let out = compare(&base, &slow, true, 1.0);
+        let out = compare(&base, &slow, true);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("data recovery"));
         // Faster: an improvement passes (with a drift note).
         let better = vec![cell("trial0", 40.0, 80.0)];
-        assert!(!compare(&base, &better, true, 1.0).failed());
+        assert!(!compare(&base, &better, true).failed());
     }
 
     #[test]
     fn missing_cells_always_fail() {
         let base = vec![cell("trial0", 50.0, 100.0), cell("integrity", 10.0, 20.0)];
         let partial = vec![cell("trial0", 50.0, 100.0)];
-        let out = compare(&base, &partial, true, 1.0);
+        let out = compare(&base, &partial, true);
         assert!(out.failed());
         assert_eq!(out.uncovered.len(), 1);
     }

@@ -1,14 +1,17 @@
 //! Golden-file tests for the `bench_gate` binary: a fixture baseline
-//! against doctored current runs must fail naming the right cells,
-//! improved runs must pass, and wrong-schema files must exit 2.
+//! against doctored current documents must fail naming the right
+//! cells, improved ones must pass, and wrong-schema files and unknown
+//! flags must exit 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use rio_bench::fig::{render_fig_json, FigCell};
-use rio_bench::sweep::{render_json, Cell};
+use rio_bench::fig::FigCell;
+use rio_bench::gate::Document;
+use rio_bench::recovery::RecoveryCell;
+use rio_bench::sweep::Cell;
 
-fn cell(figure: &str, mode: &str, wall_secs: f64, events: u64, p99: f64) -> Cell {
+fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
     Cell {
         figure: figure.into(),
         mode: mode.into(),
@@ -16,201 +19,12 @@ fn cell(figure: &str, mode: &str, wall_secs: f64, events: u64, p99: f64) -> Cell
         initiators: 1,
         loss: 0.0,
         paths: 1,
-        wall_secs,
         events,
         sim_span_secs: 0.2,
         blocks_done: 120_000,
         groups: 60_000,
         group_p99_us: p99,
     }
-}
-
-fn baseline_cells() -> Vec<Cell> {
-    vec![
-        cell("fig10b_optane", "RIO", 0.200, 532_029, 48.0),
-        cell("fig10b_optane", "orderless", 0.150, 538_569, 30.0),
-        cell("fig10b_optane", "Linux", 0.0013, 9_602, 21.5),
-    ]
-}
-
-/// Renders a fixture with a fixed machine-calibration stamp, so both
-/// sides claim the same machine speed and comparisons are raw.
-fn render(cells: &[Cell], smoke: bool) -> String {
-    render_json(cells, smoke, 0.05)
-}
-
-fn write(name: &str, text: &str) -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::write(&path, text).expect("write fixture");
-    path
-}
-
-fn gate(baseline: &PathBuf, current: &PathBuf) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .arg("--baseline")
-        .arg(baseline)
-        .arg("--current")
-        .arg(current)
-        .output()
-        .expect("run bench_gate")
-}
-
-#[test]
-fn identical_run_passes() {
-    let base = write("golden_base.json", &render(&baseline_cells(), false));
-    let cur = write("golden_same.json", &render(&baseline_cells(), false));
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert_eq!(stdout.matches("PASS fig10b_optane").count(), 3, "{stdout}");
-}
-
-#[test]
-fn doctored_events_per_sec_regression_fails_naming_the_cell() {
-    let base = write("golden_base_eps.json", &render(&baseline_cells(), false));
-    // RIO cell 20% slower on the wall clock; others untouched.
-    let mut cells = baseline_cells();
-    cells[0].wall_secs *= 1.25;
-    let cur = write("golden_eps_regressed.json", &render(&cells, false));
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/RIO"), "{stdout}");
-    assert!(stdout.contains("events/s regression"), "{stdout}");
-    assert!(stdout.contains("PASS fig10b_optane/orderless"), "{stdout}");
-    assert!(stdout.contains("PASS fig10b_optane/Linux"), "{stdout}");
-}
-
-#[test]
-fn doctored_p99_regression_fails_naming_the_cell() {
-    let base = write("golden_base_p99.json", &render(&baseline_cells(), false));
-    // The orderless cell's tail grows 30%; throughput unchanged.
-    let mut cells = baseline_cells();
-    cells[1].group_p99_us *= 1.30;
-    let cur = write("golden_p99_regressed.json", &render(&cells, false));
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/orderless"), "{stdout}");
-    assert!(stdout.contains("p99 regression"), "{stdout}");
-    assert!(stdout.contains("PASS fig10b_optane/RIO"), "{stdout}");
-}
-
-#[test]
-fn within_tolerance_and_improvements_pass() {
-    let base = write("golden_base_tol.json", &render(&baseline_cells(), false));
-    let mut cells = baseline_cells();
-    cells[0].wall_secs /= 0.92; // 8% slower: inside the 10% tolerance.
-    cells[1].group_p99_us *= 1.10; // 10% worse tail: inside 15%.
-    cells[2].wall_secs *= 0.5; // 2x faster.
-    cells[2].group_p99_us *= 0.5; // 2x tighter tail.
-    let cur = write("golden_improved.json", &render(&cells, false));
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-}
-
-#[test]
-fn uniformly_slower_machine_passes_when_calibration_agrees() {
-    let base = write(
-        "golden_base_calib.json",
-        &render(&baseline_cells(), false),
-    );
-    // Every cell 25% slower on the wall clock — on an equal-speed
-    // machine that is an engine regression...
-    let mut cells = baseline_cells();
-    for c in &mut cells {
-        c.wall_secs *= 1.25;
-    }
-    let raw = write("golden_slow_raw.json", &render(&cells, false));
-    let out = gate(&base, &raw);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-
-    // ...but when the calibration loop also ran 25% slower, the gate
-    // attributes the slowdown to the machine and passes.
-    let normalized = write(
-        "golden_slow_calibrated.json",
-        &render_json(&cells, false, 0.05 * 1.25),
-    );
-    let out = gate(&base, &normalized);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-
-    // A genuine regression on the slow machine still fails: same
-    // calibration stamp, but one cell is 60% slower rather than 25%.
-    let mut worse = baseline_cells();
-    for c in &mut worse {
-        c.wall_secs *= 1.25;
-    }
-    worse[0].wall_secs = baseline_cells()[0].wall_secs * 1.60;
-    let cur = write(
-        "golden_slow_regressed.json",
-        &render_json(&worse, false, 0.05 * 1.25),
-    );
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/RIO"), "{stdout}");
-    assert!(stdout.contains("machine factor"), "{stdout}");
-}
-
-#[test]
-fn missing_cell_fails_a_full_comparison() {
-    let base = write("golden_base_miss.json", &render(&baseline_cells(), false));
-    let cur = write(
-        "golden_missing.json",
-        &render(&baseline_cells()[..2], false),
-    );
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("missing from current run"), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
-}
-
-#[test]
-fn schema_mismatch_exits_2() {
-    let old = render(&baseline_cells(), false).replace("\"schema\": 4", "\"schema\": 2");
-    let base = write("golden_base_schema2.json", &old);
-    let cur = write("golden_cur_ok.json", &render(&baseline_cells(), false));
-    let out = gate(&base, &cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("schema mismatch"), "{stderr}");
-
-    // And a current-run schema mismatch is the same error path.
-    let good_base = write("golden_base_ok.json", &render(&baseline_cells(), false));
-    let bad_cur = write("golden_cur_schema2.json", &old);
-    let out = gate(&good_base, &bad_cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("schema mismatch"), "{stderr}");
-}
-
-#[test]
-fn event_count_drift_warning_names_cells_with_expected_and_actual() {
-    let base = write("golden_base_drift.json", &render(&baseline_cells(), false));
-    // Event counts drift by ~1% (same wall clock): inside the events/s
-    // tolerance, so the gate passes but must name the drifted cell with
-    // both counts.
-    let mut cells = baseline_cells();
-    cells[0].events = 527_000;
-    let cur = write("golden_drifted.json", &render(&cells, false));
-    let out = gate(&base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(
-        stdout.contains("WARNING — deterministic event counts drifted in 1 cell(s)"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains(
-            "fig10b_optane/RIO t=2 init=1 loss=0 paths=1: event-count drift: \
-             expected 532029 events, measured 527000"
-        ),
-        "{stdout}"
-    );
 }
 
 fn fig_cell(figure: &str, mode: &str, kiops: f64) -> FigCell {
@@ -227,141 +41,265 @@ fn fig_cell(figure: &str, mode: &str, kiops: f64) -> FigCell {
     }
 }
 
-fn fig_baseline_cells() -> Vec<FigCell> {
-    vec![
-        fig_cell("fig10a", "RIO", 704.2),
-        fig_cell("fig10a", "orderless", 761.9),
-        fig_cell("fig13", "Linux", 9.1),
-    ]
+/// The fixture baseline: three cells in the two sections the tests
+/// doctor, one in the third.
+fn baseline() -> Document {
+    Document {
+        engine: vec![
+            cell("fig10b_optane", "RIO", 532_029, 48.0),
+            cell("fig10b_optane", "orderless", 538_569, 30.0),
+            cell("fig10b_optane", "Linux", 9_602, 21.5),
+        ],
+        figures: vec![
+            fig_cell("fig10a", "RIO", 704.2),
+            fig_cell("fig10a", "orderless", 761.9),
+            fig_cell("fig13", "Linux", 9.1),
+        ],
+        recoveries: vec![RecoveryCell {
+            label: "trial0".into(),
+            threads: 8,
+            order_rebuild_ms: 54.0,
+            data_recovery_ms: 30.0,
+            records: 4_673,
+            discards: 767,
+        }],
+    }
 }
 
-/// Runs the gate with a passing engine comparison plus the given
-/// figure baseline/current pair, so the exit code reflects the figure
-/// gate alone.
-fn fig_gate(name: &str, fig_base: &PathBuf, fig_cur: &PathBuf) -> Output {
-    let eng_base = write(
-        &format!("golden_eng_base_{name}.json"),
-        &render(&baseline_cells(), false),
-    );
-    let eng_cur = write(
-        &format!("golden_eng_cur_{name}.json"),
-        &render(&baseline_cells(), false),
-    );
-    Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .arg("--baseline")
-        .arg(&eng_base)
-        .arg("--current")
-        .arg(&eng_cur)
-        .arg("--fig")
-        .arg(fig_base)
-        .arg("--fig-current")
-        .arg(fig_cur)
+fn write(name: &str, text: &str) -> PathBuf {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("write fixture");
+    path
+}
+
+fn bench_gate(args: &[&str]) -> (Option<i32>, String, String) {
+    let out: Output = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+        .args(args)
         .output()
-        .expect("run bench_gate")
+        .expect("run bench_gate");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).to_string();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// Gates the texts `current` against `base`, written as fixtures
+/// called `name`; returns the exit code, stdout and stderr.
+fn gate_texts(name: &str, base: &str, current: &str) -> (Option<i32>, String, String) {
+    let base = write(&format!("golden_{name}_base.json"), base);
+    let cur = write(&format!("golden_{name}_cur.json"), current);
+    bench_gate(&["--baseline", base.to_str().unwrap(), "--current", cur.to_str().unwrap()])
+}
+
+/// Gates `current` against the fixture baseline.
+fn gate(name: &str, current: &Document) -> (Option<i32>, String, String) {
+    gate_texts(name, &baseline().render(), &current.render())
+}
+
+#[test]
+fn identical_run_passes() {
+    let (code, stdout, _) = gate("same", &baseline());
+    assert_eq!(code, Some(0), "{stdout}");
+    assert_eq!(stdout.matches("PASS fig10b_optane").count(), 3, "{stdout}");
+    assert!(stdout.contains("engine PASS (3 cells compared)"), "{stdout}");
+}
+
+/// The wall-clock events/s rule's successor (the name is pinned by the
+/// test-name floor): the same workload dispatching more events is the
+/// regression, exact to one event.
+#[test]
+fn doctored_events_per_sec_regression_fails_naming_the_cell() {
+    // RIO cell one event busier; others untouched.
+    let mut cur = baseline();
+    cur.engine[0].events += 1;
+    let (code, stdout, _) = gate("events_rise", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL fig10b_optane/RIO"), "{stdout}");
+    assert!(
+        stdout.contains("events regression: 532030 vs baseline 532029 (+0.0%, tolerance +0%)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("PASS fig10b_optane/orderless"), "{stdout}");
+    assert!(stdout.contains("PASS fig10b_optane/Linux"), "{stdout}");
+    assert!(stdout.contains("bench_gate: engine FAIL"), "{stdout}");
+    assert!(stdout.contains("bench_gate: figures PASS"), "{stdout}");
+}
+
+#[test]
+fn doctored_p99_regression_fails_naming_the_cell() {
+    // The orderless cell's tail grows 30%; event counts unchanged.
+    let mut cur = baseline();
+    cur.engine[1].group_p99_us *= 1.30;
+    let (code, stdout, _) = gate("p99", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL fig10b_optane/orderless"), "{stdout}");
+    assert!(stdout.contains("p99 regression"), "{stdout}");
+    assert!(stdout.contains("PASS fig10b_optane/RIO"), "{stdout}");
+}
+
+#[test]
+fn within_tolerance_and_improvements_pass() {
+    let mut cur = baseline();
+    cur.engine[1].group_p99_us *= 1.10; // 10% worse tail: inside 15%.
+    cur.engine[2].events /= 2; // Half the events.
+    cur.engine[2].group_p99_us *= 0.5; // 2x tighter tail.
+    cur.figures[0].kiops *= 0.92; // 8% fewer KIOPS: inside 10%.
+    cur.recoveries[0].data_recovery_ms *= 1.10; // 10% slower: inside 15%.
+    let (code, stdout, _) = gate("improved", &cur);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("note: group p99 drift"), "{stdout}");
+}
+
+#[test]
+fn missing_cell_fails_a_full_comparison() {
+    let mut cur = baseline();
+    cur.engine.pop();
+    let (code, stdout, _) = gate("missing", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("missing from the current engine"), "{stdout}");
+    assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
+}
+
+#[test]
+fn schema_mismatch_exits_2() {
+    let good = baseline().render();
+    let old = good.replace("\"schema\": 5", "\"schema\": 4");
+    let (code, _, stderr) = gate_texts("schema_base", &old, &good);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("schema mismatch"), "{stderr}");
+
+    // And a current-run schema mismatch is the same error path.
+    let (code, _, stderr) = gate_texts("schema_cur", &good, &old);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("schema mismatch"), "{stderr}");
+}
+
+#[test]
+fn event_count_drift_warning_names_cells_with_expected_and_actual() {
+    // Event counts fall by ~1%: not a regression, so the gate passes
+    // but must name the drifted cell with both counts.
+    let mut cur = baseline();
+    cur.engine[0].events = 527_000;
+    let (code, stdout, _) = gate("drifted", &cur);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains("WARNING — deterministic event counts drifted in 1 cell(s)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "fig10b_optane/RIO t=2 init=1 loss=0 paths=1: event-count drift: \
+             expected 532029 events, measured 527000"
+        ),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn fig_identical_trajectory_passes() {
-    let base = write("golden_fig_base.json", &render_fig_json(&fig_baseline_cells()));
-    let cur = write("golden_fig_same.json", &render_fig_json(&fig_baseline_cells()));
-    let out = fig_gate("same", &base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let (code, stdout, _) = gate("fig_same", &baseline());
+    assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("figures PASS (3 cells compared)"), "{stdout}");
 }
 
 #[test]
 fn fig_doctored_kiops_regression_fails_naming_the_cell() {
-    let base = write(
-        "golden_fig_base_kiops.json",
-        &render_fig_json(&fig_baseline_cells()),
-    );
     // The RIO cell loses 20% of its KIOPS; others untouched.
-    let mut cells = fig_baseline_cells();
-    cells[0].kiops *= 0.80;
-    let cur = write("golden_fig_regressed.json", &render_fig_json(&cells));
-    let out = fig_gate("kiops", &base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let mut cur = baseline();
+    cur.figures[0].kiops *= 0.80;
+    let (code, stdout, _) = gate("fig_kiops", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("FAIL fig10a RIO"), "{stdout}");
     assert!(stdout.contains("kiops regression"), "{stdout}");
     assert!(stdout.contains("PASS fig10a orderless"), "{stdout}");
     assert!(stdout.contains("PASS fig13 Linux"), "{stdout}");
+    assert!(stdout.contains("bench_gate: engine PASS"), "{stdout}");
 }
 
 #[test]
 fn fig_missing_cell_fails() {
-    let base = write(
-        "golden_fig_base_miss.json",
-        &render_fig_json(&fig_baseline_cells()),
-    );
-    let cur = write(
-        "golden_fig_missing.json",
-        &render_fig_json(&fig_baseline_cells()[..2]),
-    );
-    let out = fig_gate("miss", &base, &cur);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("missing from current trajectory"), "{stdout}");
+    let mut cur = baseline();
+    cur.figures.pop();
+    let (code, stdout, _) = gate("fig_missing", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("missing from the current figures"), "{stdout}");
     assert!(stdout.contains("FAIL fig13 Linux"), "{stdout}");
 }
 
 #[test]
 fn fig_schema_mismatch_exits_2() {
-    let doc = render_fig_json(&fig_baseline_cells()).replace("\"schema\": 1", "\"schema\": 99");
-    let base = write("golden_fig_base_schema99.json", &doc);
-    let cur = write(
-        "golden_fig_cur_ok.json",
-        &render_fig_json(&fig_baseline_cells()),
-    );
-    let out = fig_gate("schema", &base, &cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("schema mismatch"), "{stderr}");
+    // A `BENCH_fig.json` as it was before the three files became one.
+    let old = "{\n  \"schema\": 1,\n  \"harness\": \"fig_trajectory\",\n  \"figures\": [\n    \
+               {\"figure\": \"fig10a\", \"mode\": \"RIO\", \"threads\": 2, \"initiators\": 1, \
+               \"targets\": 1, \"loss\": 0.000000, \"paths\": 1, \"kiops\": 704.2, \"groups\": 6000}\n  ]\n}\n";
+    let (code, _, stderr) = gate_texts("fig_schema", old, &baseline().render());
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("file has schema 1, this gate reads schema 5"), "{stderr}");
+    assert!(stderr.contains("bench_gate -- --write BENCH.json"), "{stderr}");
 }
 
 #[test]
-fn smoke_baseline_is_refused() {
-    let base = write("golden_base_smoke.json", &render(&baseline_cells(), true));
-    let cur = write("golden_cur_full.json", &render(&baseline_cells(), false));
-    let out = gate(&base, &cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--smoke sweep"), "{stderr}");
+fn one_current_document_feeds_all_three_sections() {
+    // One regression per section, all in the one `--current` file.
+    let mut cur = baseline();
+    cur.engine[2].events += 100;
+    cur.figures[2].kiops *= 0.5;
+    cur.recoveries[0].order_rebuild_ms *= 1.2;
+    let (code, stdout, _) = gate("three", &cur);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
+    assert!(stdout.contains("FAIL fig13 Linux"), "{stdout}");
+    assert!(stdout.contains("FAIL recovery trial0 t=8"), "{stdout}");
+    assert!(stdout.contains("order rebuild regression"), "{stdout}");
+    for section in ["engine", "figures", "recoveries"] {
+        assert!(stdout.contains(&format!("bench_gate: {section} FAIL")), "{stdout}");
+    }
+    // And a document missing a section is unusable, not a pass.
+    let text = cur.render().replace("\"recoveries\": [", "\"other\": [");
+    let (code, _, stderr) = gate_texts("no_section", &baseline().render(), &text);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("no \"recoveries\" array"), "{stderr}");
+}
+
+#[test]
+fn a_deleted_or_unknown_flag_exits_2_naming_it() {
+    for flag in [
+        "--recovery",
+        "--no-recovery",
+        "--fig",
+        "--fig-current",
+        "--no-fig",
+        "--write-fig",
+        "--frobnicate",
+    ] {
+        let (code, stdout, stderr) = bench_gate(&[flag, "x.json"]);
+        assert_eq!(code, Some(2), "{flag}: {stdout}{stderr}");
+        assert!(stderr.contains(&format!("unknown argument {flag}")), "{stderr}");
+        assert!(stderr.contains("usage: bench_gate"), "{stderr}");
+        assert!(stdout.is_empty(), "nothing runs: {stdout}");
+    }
+    let (code, _, stderr) = bench_gate(&["--current"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--current needs a path"), "{stderr}");
 }
 
 #[test]
 fn non_finite_engine_measurement_exits_2_naming_file_and_offset() {
-    let base = write("golden_base_nan.json", &render(&baseline_cells(), false));
     // A `NaN` p99 satisfies no `<` / `>` threshold; it must not pass.
-    let doc = render(&baseline_cells(), false);
+    let doc = baseline().render();
     assert!(doc.contains("\"group_p99_us\": 48.000"), "{doc}");
-    let cur = write(
-        "golden_cur_nan.json",
-        &doc.replace("\"group_p99_us\": 48.000", "\"group_p99_us\": NaN"),
-    );
-    let out = gate(&base, &cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("golden_cur_nan.json"), "{stderr}");
+    let nan = doc.replace("\"group_p99_us\": 48.000", "\"group_p99_us\": NaN");
+    let (code, _, stderr) = gate_texts("nan", &doc, &nan);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("golden_nan_cur.json"), "{stderr}");
     assert!(stderr.contains("at byte"), "{stderr}");
 }
 
 #[test]
 fn fig_non_finite_kiops_exits_2_naming_file_and_offset() {
-    let base = write(
-        "golden_fig_base_nan.json",
-        &render_fig_json(&fig_baseline_cells()),
-    );
-    let doc = render_fig_json(&fig_baseline_cells());
+    let doc = baseline().render();
     assert!(doc.contains("\"kiops\": 704.200000"), "{doc}");
-    let cur = write(
-        "golden_fig_cur_nan.json",
-        &doc.replace("\"kiops\": 704.200000", "\"kiops\": NaN"),
-    );
-    let out = fig_gate("nan", &base, &cur);
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("golden_fig_cur_nan.json"), "{stderr}");
+    let nan = doc.replace("\"kiops\": 704.200000", "\"kiops\": NaN");
+    let (code, _, stderr) = gate_texts("fig_nan", &doc, &nan);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("golden_fig_nan_cur.json"), "{stderr}");
     assert!(stderr.contains("at byte"), "{stderr}");
 }

@@ -1,13 +1,10 @@
-//! The one JSON reader and the three trajectory loaders built on it
+//! The one JSON reader and the `BENCH.json` loader built on it
 //! must answer every input — truncated, bit-flipped, spliced or
 //! absurdly nested — with `Ok` or `Err`, never a panic or a stack
 //! overflow. Seeded, fixed iteration count: a sub-second `cargo test`.
 
-use rio_bench::fig::FigCell;
-use rio_bench::gate::parse;
+use rio_bench::gate::Document;
 use rio_bench::json::read;
-use rio_bench::recovery::RecoveryCell;
-use rio_bench::sweep::Cell;
 use rio_bench::trace_export::{chrome_trace, validate_json};
 use rio_sim::SimRng;
 use rio_ssd::SsdProfile;
@@ -16,9 +13,7 @@ use rio_stack::{Cluster, ClusterConfig, OrderingMode, TelemetryConfig, TraceConf
 /// Every entry point that takes JSON text from outside the program.
 fn feed(text: &str) {
     let _ = read(text);
-    let _ = parse::<Cell>(text);
-    let _ = parse::<FigCell>(text);
-    let _ = parse::<RecoveryCell>(text);
+    let _ = Document::parse(text);
     let _ = validate_json(text);
 }
 
@@ -34,16 +29,11 @@ fn small_chrome_trace() -> String {
 fn mutated_documents_never_panic() {
     let trace = small_chrome_trace();
     validate_json(&trace).expect("the unmutated trace is valid");
-    let corpus = [
-        include_str!("../../../BENCH_sim.json"),
-        include_str!("../../../BENCH_fig.json"),
-        include_str!("../../../BENCH_recovery.json"),
-        trace.as_str(),
-    ];
+    let corpus = [include_str!("../../../BENCH.json"), trace.as_str()];
     let mut rng = SimRng::seed_from_u64(0x5EED_150A);
     for doc in corpus {
         feed(doc);
-        for _ in 0..64 {
+        for _ in 0..128 {
             let mut bytes = doc.as_bytes().to_vec();
             for _ in 0..=rng.below(3) {
                 let at = rng.below(bytes.len() as u64) as usize;

@@ -63,9 +63,9 @@ pub const EVENT_PATH_CRATES: &[&str] = &[
 /// deterministic `FxHashMap` aliases are defined there.
 const D1_ALLOWED: &[&str] = &["crates/rio-sim/src/hash.rs"];
 
-/// rio-bench's wall-clock measurement module: the only place allowed
-/// to read `Instant::now` (engine events/s is real elapsed time).
-const D2_ALLOWED: &[&str] = &["crates/rio-bench/src/sweep.rs"];
+/// rio-bench's wall-clock report: the only place allowed to read
+/// `Instant::now` (engine events/s is real elapsed time).
+const D2_ALLOWED: &[&str] = &["crates/rio-bench/benches/sim_engine.rs"];
 
 /// The `SimRng` implementation itself wraps the vendored `rand`.
 const D3_ALLOWED: &[&str] = &["crates/rio-sim/src/rng.rs"];
@@ -289,7 +289,7 @@ fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding
                 "D2",
                 format!(
                     "{}::now() reads the wall clock; simulation code must use virtual \
-                     SimTime (wall-clock measurement lives in rio-bench's sweep module)",
+                     SimTime (wall-clock measurement lives in rio-bench's sim_engine bench)",
                     t.text
                 ),
             ));

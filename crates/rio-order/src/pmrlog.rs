@@ -357,6 +357,37 @@ mod tests {
     }
 
     #[test]
+    fn scan_refuses_valid_checksum_slots_no_encoder_wrote() {
+        let mut region = vec![0u8; 4096];
+        let (mut log, writes) = PmrLog::format(region.len(), 1);
+        for w in &writes {
+            apply(&mut region, w);
+        }
+        let (_, w) = log.append(&rec(0, 5)).expect("space");
+        apply(&mut region, &w);
+        // Two more slots as a CRC-16 collision on a torn write could
+        // leave them: the checksum holds over a body with no blocks,
+        // and over one whose sequence range runs backwards.
+        let reseal = |mut image: [u8; PmrRecord::SIZE]| {
+            let ck = rio_proto::crc16(&image[0..28]);
+            image[28..30].copy_from_slice(&ck.to_le_bytes());
+            image
+        };
+        let (mut empty, mut inverted) = (rec(0, 6).encode(), rec(0, 7).encode());
+        empty[26] = 0;
+        inverted[12..16].copy_from_slice(&6u32.to_le_bytes());
+        let at = w.offset + PmrRecord::SIZE;
+        region[at..at + PmrRecord::SIZE].copy_from_slice(&reseal(empty));
+        region[at + PmrRecord::SIZE..at + 2 * PmrRecord::SIZE].copy_from_slice(&reseal(inverted));
+        let scan = PmrLog::scan(&region).expect("formatted");
+        assert_eq!(scan.records, vec![rec(0, 5)], "neither hand-built slot is a record");
+        // Resealed unpatched, the same slots are records: the refusal
+        // is the body's, not the fixture's.
+        region[at..at + PmrRecord::SIZE].copy_from_slice(&reseal(rec(0, 6).encode()));
+        assert_eq!(PmrLog::scan(&region).expect("formatted").records.len(), 2);
+    }
+
+    #[test]
     fn head_seq_round_trips() {
         let mut region = vec![0u8; 4096];
         let (log, writes) = PmrLog::format(region.len(), 3);

@@ -156,7 +156,9 @@ impl PmrRecord {
     }
 
     /// Parses a 32-byte image; `None` on bad magic or checksum (a torn or
-    /// never-written slot).
+    /// never-written slot), and on an empty block range or an inverted
+    /// sequence range — nothing [`PmrRecord::encode`] writes, so a
+    /// CRC-16 collision on a torn slot, not a record.
     pub fn decode(bytes: &[u8; Self::SIZE]) -> Option<Self> {
         if bytes[0] != Self::MAGIC {
             return None;
@@ -167,7 +169,7 @@ impl PmrRecord {
         }
         let mut lba_bytes = [0u8; 8];
         lba_bytes[0..6].copy_from_slice(&bytes[20..26]);
-        Some(PmrRecord {
+        let rec = PmrRecord {
             generation: bytes[1],
             flags: RecordFlags::from_byte(bytes[2]),
             member_idx: bytes[3],
@@ -181,7 +183,8 @@ impl PmrRecord {
             split_idx: bytes[27],
             persist: bytes[30] != 0,
             ssd: bytes[31],
-        })
+        };
+        (rec.len > 0 && rec.seq_end >= rec.seq_start).then_some(rec)
     }
 }
 

@@ -122,10 +122,11 @@ impl RioExt {
     }
 
     /// Extracts the extension from a command; `None` when the Rio opcode
-    /// field is zero (a plain orderless NVMe-oF command).
+    /// field is zero (a plain orderless NVMe-oF command) or the sequence
+    /// range is inverted (nothing [`RioExt::embed`] writes; corrupt bytes).
     pub fn extract(sqe: &Sqe) -> Option<RioExt> {
         let op = RioOpcode::from_bits(((sqe.dw[0] >> 10) & 0xf) as u8)?;
-        Some(RioExt {
+        (sqe.dw[3] >= sqe.dw[2]).then_some(RioExt {
             op,
             seq_start: sqe.dw[2],
             seq_end: sqe.dw[3],

@@ -39,8 +39,6 @@ pub struct SsdProfile {
     pub max_transfer_blocks: u32,
     /// PMR region size in bytes (0 disables PMR).
     pub pmr_bytes: usize,
-    /// Cost of a persistent 32 B MMIO write to PMR, microseconds.
-    pub pmr_persist_us: f64,
     /// Multiplicative service-time jitter amplitude (models internal
     /// reordering across queues).
     pub jitter: f64,
@@ -66,7 +64,6 @@ impl SsdProfile {
             cmd_overhead_us: 1.6,
             max_transfer_blocks: 128,
             pmr_bytes: 2 * 1024 * 1024,
-            pmr_persist_us: 0.6,
             jitter: 0.12,
         }
     }
@@ -90,7 +87,6 @@ impl SsdProfile {
             cmd_overhead_us: 1.55,
             max_transfer_blocks: 32,
             pmr_bytes: 2 * 1024 * 1024,
-            pmr_persist_us: 0.6,
             jitter: 0.08,
         }
     }
@@ -111,7 +107,6 @@ impl SsdProfile {
             cmd_overhead_us: 1.5,
             max_transfer_blocks: 32,
             pmr_bytes: 2 * 1024 * 1024,
-            pmr_persist_us: 0.6,
             jitter: 0.08,
         }
     }
@@ -157,10 +152,6 @@ mod tests {
             SsdProfile::p4800x(),
         ] {
             assert_eq!(p.pmr_bytes, 2 * 1024 * 1024, "{}: 2 MB PMR (§6.1)", p.name);
-            assert!(
-                (p.pmr_persist_us - 0.6).abs() < 1e-9,
-                "0.6 us persist (§6.1)"
-            );
         }
     }
 

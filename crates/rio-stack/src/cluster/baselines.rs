@@ -7,6 +7,10 @@
 use rio_sim::{SimDuration, SimTime};
 
 use super::{Cluster, Cmd, CmdKind, Event};
+use crate::cpu::{
+    CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
+    IRQ_NS, SUBMIT_BIO_NS,
+};
 
 /// Synchronous-mode thread stage (Linux NVMe-oF).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +39,7 @@ impl Cluster {
             let spec = self.next_group_spec(t);
             cpu = self.note_group_start(cpu, t, &spec);
             self.threads[t].inflight += 1;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.horae_ctrl_post);
+            cpu = self.init_run_on(t, cpu, HORAE_CTRL_POST_NS);
             // Control metadata goes to the group's primary target.
             let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
             let qp = self.threads[t].stream.0 as usize % self.cfg.qps_per_target;
@@ -65,7 +69,7 @@ impl Cluster {
         let core = 0;
         let done = self.targets[target]
             .cores
-            .run_on(core, now, self.cfg.cpu.horae_ctrl_handle);
+            .run_on(core, now, HORAE_CTRL_HANDLE_NS);
         // Acknowledge over the target's NIC, on the sender's
         // connection QP group.
         let qp = self.conn_qp(
@@ -81,7 +85,7 @@ impl Cluster {
     /// The control acknowledgement is back: the group's data path may go.
     pub(super) fn on_ctrl_ack(&mut self, now: SimTime, thread: usize) {
         let t = thread;
-        let cpu = self.init_run_on(t, now, self.cfg.cpu.irq);
+        let cpu = self.init_run_on(t, now, IRQ_NS);
         // Dispatch the acknowledged group's data path asynchronously.
         let spec = self.threads[t]
             .ctrl_pending
@@ -89,7 +93,7 @@ impl Cluster {
             .expect("ctrl ack without pending group");
         let mut c = cpu;
         for m in spec.members.iter() {
-            c = self.init_run_on(t, c, self.cfg.cpu.submit_bio);
+            c = self.init_run_on(t, c, SUBMIT_BIO_NS);
             c = self.dispatch_plain_unit(c, t, m.range, 1, spec.flush);
         }
         if let Some(stage) = spec.stage {
@@ -103,7 +107,7 @@ impl Cluster {
         }
         // The serialized control path may proceed with the next group
         // only after the ordering-layer gap.
-        let next = c + SimDuration::from_nanos(self.cfg.cpu.horae_ctrl_gap);
+        let next = c + SimDuration::from_nanos(HORAE_CTRL_GAP_NS);
         self.threads[t].ctrl_gate_until = next;
         self.events.push(next, Event::Resume(t));
     }
@@ -125,14 +129,14 @@ impl Cluster {
         // Journaling stages pay the jbd2 kthread handoff (wakeup of the
         // journal thread plus the completion softirq).
         if spec.stage.is_some() {
-            cpu = self.init_run_on(t, cpu, 2 * self.cfg.cpu.ctx_switch);
+            cpu = self.init_run_on(t, cpu, 2 * CTX_SWITCH_NS);
         }
         self.threads[t].inflight += 1;
         self.threads[t].sync_stage = SyncStage::AwaitWrite;
         self.threads[t].cur_flush_leg = spec.stage.is_none() || spec.flush;
         self.threads[t].cur_sync_after = spec.sync_after || spec.stage.is_none();
         for m in spec.members.iter() {
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.submit_bio);
+            cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
             cpu = self.dispatch_plain_unit(cpu, t, m.range, 1, false);
         }
         if let Some(stage) = spec.stage {
@@ -144,13 +148,13 @@ impl Cluster {
     /// when the group requires one, otherwise finish the group.
     pub(super) fn on_sync_write_complete(&mut self, now: SimTime, t: usize, cmd: &Cmd) {
         debug_assert_eq!(self.threads[t].sync_stage, SyncStage::AwaitWrite);
-        let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+        let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
         if !self.threads[t].cur_flush_leg {
             self.finish_sync_group(cpu, t);
             return;
         }
         self.threads[t].sync_stage = SyncStage::AwaitFlush;
-        let c = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
+        let c = self.init_run_on(t, cpu, CMD_POST_NS);
         let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp);
         self.send_cmd(c, cpu, flush_cmd);
     }
@@ -173,7 +177,7 @@ impl Cluster {
         if self.threads[t].cur_sync_after {
             self.finish_op(t, now);
         }
-        let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+        let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
         self.events.push(cpu, Event::Resume(t));
     }
 }

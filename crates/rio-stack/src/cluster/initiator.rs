@@ -20,7 +20,10 @@ use rio_sim::{Histogram, SimRng, SimTime};
 use super::baselines::SyncStage;
 use super::{Cluster, Cmd, CmdKind, Event, Unit};
 use crate::config::{InitiatorConfig, OrderingMode};
-use crate::cpu::CoreSet;
+use crate::cpu::{
+    CoreSet, CMD_POST_NS, CRC_PER_BLOCK_NS, CTX_SWITCH_NS, IRQ_NS, MERGE_PER_BIO_NS,
+    ORDER_QUEUE_NS, SUBMIT_BIO_NS,
+};
 use crate::metrics::InitiatorMetrics;
 use crate::trace::Stage;
 use crate::workload::{FsyncStage, GroupSpec};
@@ -292,7 +295,7 @@ impl Cluster {
                     cpu = self.init_run_on(
                         t,
                         cpu,
-                        self.cfg.cpu.submit_bio + self.cfg.cpu.order_queue,
+                        SUBMIT_BIO_NS + ORDER_QUEUE_NS,
                     );
                     let attr = self.initiators[self.threads[t].init].rio.submit(
                         stream,
@@ -327,7 +330,7 @@ impl Cluster {
             for (attr, parts) in batch.units() {
                 let merged_extra = parts.len() as u64 - 1;
                 if merged_extra > 0 {
-                    cpu = self.init_run_on(t, cpu, self.cfg.cpu.merge_per_bio * merged_extra);
+                    cpu = self.init_run_on(t, cpu, MERGE_PER_BIO_NS * merged_extra);
                 }
                 cpu = self.dispatch_rio_unit(cpu, t, attr, parts);
             }
@@ -419,7 +422,7 @@ impl Cluster {
                 let spec = self.next_group_spec(t);
                 cpu = self.note_group_start(cpu, t, &spec);
                 for m in spec.members.iter() {
-                    cpu = self.init_run_on(t, cpu, self.cfg.cpu.submit_bio);
+                    cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
                     let mut bio = Bio::write(bio_id, m.range, bio_id);
                     bio.flags.flush = spec.flush;
                     plug.add(bio);
@@ -439,7 +442,7 @@ impl Cluster {
             for (range, bios) in plug.merged_runs(max_blocks) {
                 let merged_extra = bios.len() as u64 - 1;
                 if merged_extra > 0 {
-                    cpu = self.init_run_on(t, cpu, self.cfg.cpu.merge_per_bio * merged_extra);
+                    cpu = self.init_run_on(t, cpu, MERGE_PER_BIO_NS * merged_extra);
                 }
                 let flush = bios.iter().any(|b| b.flags.flush);
                 cpu = self.dispatch_plain_unit(cpu, t, range, bios.len() as u64, flush);
@@ -502,14 +505,14 @@ impl Cluster {
         let mut cmd = Cmd::new(CmdKind::Write, t, ext.server.0 as usize, ext.ssd, 0);
         if self.integrity {
             let blocks = ext.range.blocks as u64;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * blocks);
+            cpu = self.init_run_on(t, cpu, CRC_PER_BLOCK_NS * blocks);
             let lba = ext.range.lba;
             cmd.digest = PayloadDigest::over_seeds(
                 (0..blocks).map(|j| payload::seed_for(stream, tag, lba + j)),
             );
         }
         let stamped = cpu;
-        cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
+        cpu = self.init_run_on(t, cpu, CMD_POST_NS);
         cmd.qp = self.pick_qp(stream as usize);
         cmd.phys = ext.range;
         cmd.tag = tag;
@@ -561,7 +564,7 @@ impl Cluster {
     pub(super) fn on_cmd_complete(&mut self, now: SimTime, id: u64) {
         let cmd = self.cmds.remove(id).expect("cmd exists");
         let t = cmd.thread;
-        let cpu = self.init_run_on(t, now, self.cfg.cpu.irq);
+        let cpu = self.init_run_on(t, now, IRQ_NS);
         if let Some(tm) = &mut self.telemetry {
             tm.cmd_done(cpu);
         }
@@ -670,7 +673,7 @@ impl Cluster {
                 self.threads[t].syncing = false;
                 self.finish_op(t, now);
                 self.threads[t].parked = false;
-                let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+                let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
                 self.events.push(cpu, Event::Resume(t));
             }
             return;
@@ -680,7 +683,7 @@ impl Cluster {
             && self.threads[t].inflight < self.cfg.max_inflight_per_stream
         {
             self.threads[t].parked = false;
-            let cpu = self.init_run_on(t, now, self.cfg.cpu.ctx_switch);
+            let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
             self.events.push(cpu, Event::Resume(t));
         }
     }

@@ -19,7 +19,10 @@ use rio_ssd::{BlockImage, Images, Ssd};
 use super::wire::Leg;
 use super::{Cluster, CmdKind, Event};
 use crate::config::TargetConfig;
-use crate::cpu::CoreSet;
+use crate::cpu::{
+    CoreSet, CRC_PER_BLOCK_NS, IRQ_NS, PMR_APPEND_NS, PMR_TOGGLE_NS, SSD_SUBMIT_NS,
+    TARGET_RECV_NS,
+};
 use crate::trace::Stage;
 
 /// Blocks of SSD service one DRR weight unit earns per round.
@@ -280,7 +283,7 @@ impl Cluster {
         let core = init * self.cfg.qps_per_target + qp;
         let recv_done = self.targets[target_idx]
             .cores
-            .run_on(core, now, self.cfg.cpu.target_recv);
+            .run_on(core, now, TARGET_RECV_NS);
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::GateAdmit, recv_done);
             tr.gate_depth(tid, self.targets[target_idx].gate.buffered() as u32);
@@ -346,7 +349,7 @@ impl Cluster {
     fn ungated_submit(&mut self, at: SimTime, target_idx: usize, core: usize, tid: u32) -> SimTime {
         let submit = self.targets[target_idx]
             .cores
-            .run_on(core, at, self.cfg.cpu.ssd_submit);
+            .run_on(core, at, SSD_SUBMIT_NS);
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::GateRelease, submit);
         }
@@ -372,7 +375,7 @@ impl Cluster {
         }
         let cpu = self.targets[target_idx]
             .cores
-            .run_on(core, cpu, self.cfg.cpu.pmr_append);
+            .run_on(core, cpu, PMR_APPEND_NS);
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::PmrPersist, cpu);
         }
@@ -381,7 +384,7 @@ impl Cluster {
         // retransmitted data pull may still be in flight here.
         let submit = self.targets[target_idx]
             .cores
-            .run_on(core, cpu, self.cfg.cpu.ssd_submit);
+            .run_on(core, cpu, SSD_SUBMIT_NS);
         self.cmds.get_mut(id).expect("cmd exists").driver_ready = submit;
         self.try_ssd_submit(id);
         cpu
@@ -431,7 +434,7 @@ impl Cluster {
             let at = self.targets[target_idx].cores.run_on(
                 core,
                 now,
-                self.cfg.cpu.crc_per_block * blocks as u64,
+                CRC_PER_BLOCK_NS * blocks as u64,
             );
             let seed = |j| payload::seed_for(stream, tag, lba + j);
             assert_eq!(
@@ -524,7 +527,7 @@ impl Cluster {
             tr.rec(tid, Stage::MediaDone, now);
         }
         let target = &mut self.targets[target_idx];
-        let mut cpu = target.cores.run_on(core, now, self.cfg.cpu.irq);
+        let mut cpu = target.cores.run_on(core, now, IRQ_NS);
         if chain_flush {
             // The final request of a durability group embeds a FLUSH
             // (§4.6): run it before completing.
@@ -532,7 +535,7 @@ impl Cluster {
             return;
         }
         if persist {
-            cpu = target.pmr_persist(cpu, core, slot, self.cfg.cpu.pmr_toggle);
+            cpu = target.pmr_persist(cpu, core, slot, PMR_TOGGLE_NS);
         }
         self.send_completion(cpu, id);
     }

@@ -315,71 +315,6 @@ pub struct TargetConfig {
     pub cores: usize,
 }
 
-/// CPU cost model, nanoseconds per software step.
-///
-/// Values are in the range kernel-bypass studies report for NVMe-oF
-/// software overheads; the ratios between paths matter more than the
-/// absolute numbers, and EXPERIMENTS.md documents the calibration.
-#[derive(Debug, Clone)]
-pub struct CpuCosts {
-    /// Block-layer submission work per bio (bio alloc, checks, queue).
-    pub submit_bio: u64,
-    /// ORDER-queue bookkeeping per bio (attribute stamping, push).
-    pub order_queue: u64,
-    /// Extra work to merge one additional bio into a request.
-    pub merge_per_bio: u64,
-    /// Building one NVMe-oF command + posting the RDMA SEND.
-    pub cmd_post: u64,
-    /// Target-side two-sided RECV handling per command.
-    pub target_recv: u64,
-    /// Submitting one command to the local SSD (doorbell path).
-    pub ssd_submit: u64,
-    /// Persistent MMIO append of a 32 B ordering attribute (§6.1).
-    pub pmr_append: u64,
-    /// Single-byte persist toggle (posted MMIO).
-    pub pmr_toggle: u64,
-    /// Interrupt + completion handling per command (either side).
-    pub irq: u64,
-    /// Blocking wait / wakeup (context switch pair) on the initiator.
-    pub ctx_switch: u64,
-    /// Horae: initiator-side control-path post.
-    pub horae_ctrl_post: u64,
-    /// Horae: target-side control handling (RECV + ordering-layer
-    /// bookkeeping + PMR MMIO).
-    pub horae_ctrl_handle: u64,
-    /// Horae: serialization gap of the control path beyond raw wire and
-    /// CPU costs — kernel wakeups, doorbells and ordering-layer locking
-    /// on the synchronous path. Calibrated so Horae needs many cores to
-    /// drive an SSD, as in §3.1 (see EXPERIMENTS.md).
-    pub horae_ctrl_gap: u64,
-    /// CRC-32C digest work per 4 KB payload block (hardware CRC32
-    /// instructions stream ~2-3 bytes/cycle; 4 KB lands around 1.5 µs
-    /// on one core). Charged at submission stamping and target-side
-    /// verification, only when integrity checking is on.
-    pub crc_per_block: u64,
-}
-
-impl Default for CpuCosts {
-    fn default() -> Self {
-        CpuCosts {
-            submit_bio: 900,
-            order_queue: 150,
-            merge_per_bio: 150,
-            cmd_post: 650,
-            target_recv: 700,
-            ssd_submit: 400,
-            pmr_append: 600,
-            pmr_toggle: 250,
-            irq: 850,
-            ctx_switch: 2_200,
-            horae_ctrl_post: 650,
-            horae_ctrl_handle: 2_000,
-            horae_ctrl_gap: 14_000,
-            crc_per_block: 1_500,
-        }
-    }
-}
-
 /// Why a configuration cannot run a workload; `Display` gives the
 /// message [`crate::Cluster::new`] panics with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,8 +387,6 @@ pub struct ClusterConfig {
     pub fabric: FabricProfile,
     /// Fabric transport behavior: loss, corruption, paths, migration.
     pub net: FabricConfig,
-    /// CPU cost model.
-    pub cpu: CpuCosts,
     /// Initiator servers, never empty: every constructor fills the list
     /// (the single-initiator shapes with one tenant-0, weight-1 entry).
     /// The cluster builds one NIC + `librio` handle per entry over one
@@ -516,7 +449,6 @@ impl ClusterConfig {
                 .collect(),
             fabric: FabricProfile::connectx6(),
             net: FabricConfig::default(),
-            cpu: CpuCosts::default(),
             initiators: vec![InitiatorConfig::new(streams, 0)],
             qps_per_target: 36,
             stripe_blocks: 1,

@@ -8,6 +8,47 @@
 
 use rio_sim::{FifoResource, SimDuration, SimTime};
 
+// The CPU cost model, nanoseconds per software step. Values are in the
+// range kernel-bypass studies report for NVMe-oF software overheads; the
+// ratios between paths matter more than the absolute numbers, and
+// EXPERIMENTS.md documents the calibration.
+
+/// Block-layer submission work per bio (bio alloc, checks, queue).
+pub const SUBMIT_BIO_NS: u64 = 900;
+/// ORDER-queue bookkeeping per bio (attribute stamping, push).
+pub const ORDER_QUEUE_NS: u64 = 150;
+/// Extra work to merge one additional bio into a request.
+pub const MERGE_PER_BIO_NS: u64 = 150;
+/// Building one NVMe-oF command + posting the RDMA SEND.
+pub const CMD_POST_NS: u64 = 650;
+/// Target-side two-sided RECV handling per command.
+pub const TARGET_RECV_NS: u64 = 700;
+/// Submitting one command to the local SSD (doorbell path).
+pub const SSD_SUBMIT_NS: u64 = 400;
+/// Persistent MMIO append of a 32 B ordering attribute (§6.1).
+pub const PMR_APPEND_NS: u64 = 600;
+/// Single-byte persist toggle (posted MMIO).
+pub const PMR_TOGGLE_NS: u64 = 250;
+/// Interrupt + completion handling per command (either side).
+pub const IRQ_NS: u64 = 850;
+/// Blocking wait / wakeup (context switch pair) on the initiator.
+pub const CTX_SWITCH_NS: u64 = 2_200;
+/// Horae: initiator-side control-path post.
+pub const HORAE_CTRL_POST_NS: u64 = 650;
+/// Horae: target-side control handling (RECV + ordering-layer
+/// bookkeeping + PMR MMIO).
+pub const HORAE_CTRL_HANDLE_NS: u64 = 2_000;
+/// Horae: serialization gap of the control path beyond raw wire and
+/// CPU costs — kernel wakeups, doorbells and ordering-layer locking on
+/// the synchronous path. Calibrated so Horae needs many cores to drive
+/// an SSD, as in §3.1 (see EXPERIMENTS.md).
+pub const HORAE_CTRL_GAP_NS: u64 = 14_000;
+/// CRC-32C digest work per 4 KB payload block (hardware CRC32
+/// instructions stream ~2-3 bytes/cycle; 4 KB lands around 1.5 µs on
+/// one core). Charged at submission stamping and target-side
+/// verification, only when integrity checking is on.
+pub const CRC_PER_BLOCK_NS: u64 = 1_500;
+
 /// A set of cores on one server.
 #[derive(Debug)]
 pub struct CoreSet {

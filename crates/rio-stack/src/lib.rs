@@ -45,7 +45,7 @@ pub mod workload;
 
 pub use cluster::Cluster;
 pub use config::{
-    ClusterConfig, ConfigError, CpuCosts, FabricConfig, FaultEvent, FaultKind, FaultPlan,
+    ClusterConfig, ConfigError, FabricConfig, FaultEvent, FaultKind, FaultPlan,
     InitiatorConfig, OrderingMode, TargetConfig,
 };
 pub use metrics::{
