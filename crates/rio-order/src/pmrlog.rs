@@ -244,7 +244,10 @@ impl PmrLog {
     /// Parses a PMR region after a crash: superblock head pointers plus
     /// every slot that still holds a decodable record.
     ///
-    /// Returns `None` when the region was never formatted.
+    /// Returns `None` when the region was never formatted, and when a
+    /// head pointer is `u32::MAX`: no sequencer delivers that group
+    /// (closing it would exhaust the sequence space), so only a torn
+    /// superblock holds it, and recovery would step past it.
     pub fn scan(region: &[u8]) -> Option<ScanOutcome> {
         if region.len() < 8 || region[0..4] != MAGIC || region[4] != VERSION {
             return None;
@@ -263,6 +266,9 @@ impl PmrLog {
                 region[off + 2],
                 region[off + 3],
             ]);
+            if seq == u32::MAX {
+                return None;
+            }
             head_seqs.push((StreamId(s as u16), Seq(seq)));
         }
         let mut records = Vec::new();

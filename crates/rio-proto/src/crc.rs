@@ -182,7 +182,7 @@ pub(crate) fn le64(bytes: &[u8]) -> u64 {
 /// One slicing-by-16 step: folds the sixteen bytes `lo ‖ hi` (each
 /// little-endian) into `crc`, one independent table lookup per byte.
 /// Takes the bytes as words so a generator can feed the kernel from
-/// registers ([`crate::payload::sealed_block_for`]).
+/// registers ([`crate::payload::seal_for`]).
 #[inline(always)]
 pub(crate) fn step16(crc: u32, lo: u64, hi: u64) -> u32 {
     slice4(lo as u32 ^ crc, 12)

@@ -2,13 +2,13 @@
 //! checks.
 //!
 //! The simulated stack does not ship application bytes through every
-//! queue — it ships a compact 8-byte *seed* per block and materialises
-//! the full 4 KB image only where bytes matter: at the device, where
-//! the block lands on media under a CRC-32C seal, and in tests that
-//! read media back. A block's bytes are a pure function of its seed:
-//! little-endian word 0 is the seed itself, and word `i ≥ 1` is the
-//! `i`-th output of the textbook SplitMix64 stream seeded with it,
-//! `mix64(seed + i·γ)` — a counter advanced by the golden-ratio
+//! queue, nor keep them on media — it ships and stores a compact 8-byte
+//! *seed* per block and materialises the full 4 KB image only where
+//! bytes are read: a torn write or bit rot that damages the block, and
+//! tests that read media back. A block's bytes are a pure function of
+//! its seed: little-endian word 0 is the seed itself, and word `i ≥ 1`
+//! is the `i`-th output of the textbook SplitMix64 stream seeded with
+//! it, `mix64(seed + i·γ)` — a counter advanced by the golden-ratio
 //! increment, then the two-multiply finaliser. No word depends on
 //! another, so any part of a block can be generated or checked on its
 //! own and the multiplies of neighbouring words overlap in the
@@ -22,10 +22,10 @@
 //! * the regenerate-and-compare against the embedded seed (which also
 //!   catches a hypothetical coherent overwrite with a valid seal).
 //!
-//! The device needs both the bytes and their seal, so
-//! [`sealed_block_for`] produces them in one pass: the two halves of
-//! the block are generated side by side and each word goes to its CRC
-//! lane straight from the register it was computed in.
+//! The device seals a block from its seed alone: [`seal_for`] generates
+//! the two halves of the block side by side and feeds each word to its
+//! CRC lane straight from the register it was computed in, storing
+//! nothing.
 
 use crate::crc::{join_lanes, le64, step16, LANE_BYTES};
 
@@ -33,7 +33,7 @@ use crate::crc::{join_lanes, le64, step16, LANE_BYTES};
 /// repository).
 pub const BLOCK_BYTES: usize = 4096;
 
-// `sealed_block_for` feeds a block to the CRC as one two-lane page.
+// `seal_for` feeds a block to the CRC as one two-lane page.
 const _: () = assert!(BLOCK_BYTES == 2 * LANE_BYTES);
 
 /// SplitMix64's counter increment (2⁶⁴ / φ, odd).
@@ -90,59 +90,20 @@ pub fn block_for(seed: u64) -> Box<[u8]> {
     v.into_boxed_slice()
 }
 
-/// A payload block together with the CRC-32C of its bytes.
-///
-/// Only [`sealed_block_for`] builds one, so the checksum always belongs
-/// to the bytes: a device may record it as the block's seal without
-/// reading the block again.
-#[derive(Debug, Clone)]
-pub struct SealedBlock {
-    bytes: Box<[u8; BLOCK_BYTES]>,
-    crc: u32,
-}
-
-impl SealedBlock {
-    /// The block's bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes[..]
-    }
-
-    /// Splits into the bytes and their CRC-32C.
-    pub fn into_parts(self) -> (Box<[u8]>, u32) {
-        (self.bytes, self.crc)
-    }
-}
-
-/// Materialises the payload image of `seed` and its CRC-32C in one
-/// pass over the block: the bytes equal [`block_for`]'s and the
-/// checksum equals [`crate::crc32c`] over them.
+/// The CRC-32C of the payload image of `seed` — [`crate::crc32c`] over
+/// [`block_for`]'s bytes — without materialising them.
 ///
 /// The two halves are generated side by side, one per lane of the
-/// CRC's page loop, and every word is folded into its lane as it is
-/// stored — the block is written once and never read back.
-pub fn sealed_block_for(seed: u64) -> SealedBlock {
-    let mut bytes: Box<[u8; BLOCK_BYTES]> = vec![0u8; BLOCK_BYTES]
-        .into_boxed_slice()
-        .try_into()
-        .expect("a BLOCK_BYTES-long vector");
-    let (first, second) = bytes.split_at_mut(LANE_BYTES);
+/// CRC's page loop, and every word is folded into its lane from the
+/// register it was computed in.
+pub fn seal_for(seed: u64) -> u32 {
     let (mut crc, mut lane) = (!0u32, 0u32);
-    let steps = first.chunks_exact_mut(16).zip(second.chunks_exact_mut(16));
-    for (i, (a, b)) in steps.enumerate() {
-        let (a_lo, a_hi) = (word(seed, 2 * i), word(seed, 2 * i + 1));
-        let at = LANE_BYTES / 8 + 2 * i;
-        let (b_lo, b_hi) = (word(seed, at), word(seed, at + 1));
-        a[..8].copy_from_slice(&a_lo.to_le_bytes());
-        a[8..].copy_from_slice(&a_hi.to_le_bytes());
-        b[..8].copy_from_slice(&b_lo.to_le_bytes());
-        b[8..].copy_from_slice(&b_hi.to_le_bytes());
-        crc = step16(crc, a_lo, a_hi);
-        lane = step16(lane, b_lo, b_hi);
+    for i in (0..LANE_BYTES / 8).step_by(2) {
+        let at = LANE_BYTES / 8 + i;
+        crc = step16(crc, word(seed, i), word(seed, i + 1));
+        lane = step16(lane, word(seed, at), word(seed, at + 1));
     }
-    SealedBlock {
-        bytes,
-        crc: !join_lanes(crc, lane),
-    }
+    !join_lanes(crc, lane)
 }
 
 /// The seed embedded in a payload image (its first 8 bytes).
@@ -220,9 +181,7 @@ mod tests {
     fn sealed_block_is_the_block_and_its_crc() {
         for n in 0..1000u64 {
             let seed = seed_for(n as u16, n, n * 8);
-            let (bytes, crc) = sealed_block_for(seed).into_parts();
-            assert_eq!(bytes, block_for(seed), "seed {seed:#x}");
-            assert_eq!(crc, crc32c(&bytes), "seed {seed:#x}");
+            assert_eq!(seal_for(seed), crc32c(&block_for(seed)), "seed {seed:#x}");
         }
     }
 

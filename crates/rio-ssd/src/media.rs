@@ -1,11 +1,11 @@
 //! The persistent block store behind the write cache.
 //!
 //! Stores a [`BlockImage`] per logical block. File-system tests write
-//! real bytes; raw block benchmarks use cheap tags, so a simulated
-//! multi-gigabyte run costs megabytes of host memory — and, because
-//! nothing reads a benchmark's blocks back, [`BlockStore`] only
-//! journals tagged writes and builds its per-block index when a reader
-//! first asks.
+//! real bytes; raw block benchmarks use cheap tags and integrity runs
+//! their payload seeds, so a simulated multi-gigabyte run costs
+//! megabytes of host memory — and, because nothing reads a benchmark's
+//! blocks back, [`BlockStore`] only journals token writes and builds
+//! its per-block index when a reader first asks.
 //!
 //! With end-to-end integrity on, every block that lands on media is
 //! *sealed*: the store records the CRC-32C of the intended image next
@@ -14,27 +14,29 @@
 //! leaves the two inconsistent, which is exactly what a recovery scrub
 //! checks for.
 //!
-//! Real bytes are held once per write: the device moves a submitted
-//! buffer behind a [`SharedBytes`], and the in-flight command, the
-//! media store and every read of it alias that buffer. Images are
-//! immutable once shared — fault injection stores a fresh image in
-//! place of the one it corrupts — and both the seal and the scrub
-//! checksum the bytes where they lie ([`BlockImage::crc32c`]).
+//! A generated payload block stays its seed ([`BlockImage::Payload`])
+//! until someone reads it: a seal or scrub streams the words into the
+//! CRC, and a read materialises them on the stack. Real bytes are held
+//! once per write: the device moves a submitted buffer behind a
+//! [`SharedBytes`], and the in-flight command, the media store and
+//! every read of it alias that buffer. Images are immutable once
+//! shared — fault injection stores a fresh image in place of the one
+//! it corrupts — and both the seal and the scrub checksum the bytes
+//! where they lie ([`BlockImage::crc32c`]).
 
 use std::cell::{Ref, RefCell};
 use std::ops::Deref;
 use std::sync::Arc;
 
 use rio_proto::crc32c_update;
-use rio_proto::payload::SealedBlock;
+use rio_proto::payload::{self, BLOCK_BYTES};
 use rio_sim::FxHashMap;
 
 /// An immutable payload buffer several block images can alias.
 ///
-/// The device moves every submitted [`BlockImage::Bytes`] or
-/// [`BlockImage::Sealed`] behind one of these, so the in-flight
-/// command, the media image (and every read of it) share the
-/// submitter's allocation instead of copying it.
+/// The device moves every submitted [`BlockImage::Bytes`] behind one
+/// of these, so the in-flight command, the media image (and every read
+/// of it) share the submitter's allocation instead of copying it.
 /// Only the device creates them; readers borrow the bytes through
 /// `Deref`.
 #[derive(Debug, Clone)]
@@ -57,10 +59,11 @@ pub enum BlockImage {
     Tag(u64),
     /// Real data (file-system paths), as a submitter hands it in.
     Bytes(Box<[u8]>),
-    /// A generated payload block handed in with the CRC-32C its
-    /// generator computed, which the device records as the seal instead
-    /// of reading the bytes again.
-    Sealed(SealedBlock),
+    /// A generated payload block, carried as its
+    /// [`rio_proto::payload`] seed: the device seals it by streaming
+    /// the words into the CRC, and a read materialises it. It compares
+    /// equal to real data of the same content.
+    Payload(u64),
     /// Real data the device has accepted: the same bytes behind a
     /// shared immutable buffer. Reads of accepted real data return
     /// this variant; it compares equal to a [`BlockImage::Bytes`] of
@@ -69,14 +72,16 @@ pub enum BlockImage {
 }
 
 /// Two images are equal when they are the same kind of block with the
-/// same content; whether real data is uniquely owned or shared does
-/// not matter.
+/// same content; whether real data is uniquely owned, shared or
+/// generated from a seed does not matter.
 impl PartialEq for BlockImage {
     fn eq(&self, other: &Self) -> bool {
+        use BlockImage::*;
         match (self, other) {
-            (BlockImage::Zero, BlockImage::Zero) => true,
-            (BlockImage::Tag(a), BlockImage::Tag(b)) => a == b,
-            _ => self.data().is_some() && self.data() == other.data(),
+            (Zero, Zero) => true,
+            (Tag(a), Tag(b)) | (Payload(a), Payload(b)) => a == b,
+            (Zero | Tag(_), _) | (_, Zero | Tag(_)) => false,
+            _ => self.with_prefix(usize::MAX, |a| other.with_prefix(usize::MAX, |b| a == b)),
         }
     }
 }
@@ -84,40 +89,30 @@ impl PartialEq for BlockImage {
 impl Eq for BlockImage {}
 
 impl BlockImage {
-    /// The real bytes this image holds (`None` for `Zero` and `Tag`).
+    /// The real bytes this image holds in memory (`None` for `Zero`,
+    /// `Tag` and `Payload`, which a token stands for).
     pub fn data(&self) -> Option<&[u8]> {
         match self {
-            BlockImage::Zero | BlockImage::Tag(_) => None,
+            BlockImage::Zero | BlockImage::Tag(_) | BlockImage::Payload(_) => None,
             BlockImage::Bytes(b) => Some(b),
-            BlockImage::Sealed(s) => Some(s.bytes()),
             BlockImage::Shared(s) => Some(s),
         }
     }
 
     /// Moves uniquely owned real data behind a shared buffer, in place
     /// and without copying it, so clones of this image alias one
-    /// allocation. `Zero` and `Tag` stay inline. Returns the checksum a
-    /// [`BlockImage::Sealed`] image came with.
-    pub(crate) fn share(&mut self) -> Option<u32> {
-        let (bytes, crc) = match std::mem::replace(self, BlockImage::Zero) {
-            BlockImage::Bytes(b) => (b, None),
-            BlockImage::Sealed(s) => {
-                let (b, crc) = s.into_parts();
-                (b, Some(crc))
-            }
-            inline => {
-                *self = inline;
-                return None;
-            }
-        };
-        *self = BlockImage::Shared(SharedBytes(Arc::new(bytes)));
-        crc
+    /// allocation. Token images stay inline.
+    pub(crate) fn share(&mut self) {
+        if let BlockImage::Bytes(b) = self {
+            *self = BlockImage::Shared(SharedBytes(Arc::new(std::mem::take(b))));
+        }
     }
 
     /// Runs `f` over the bytes the image spells out, cut to
-    /// `block_size`; the rest of the block is implicit zeroes.
-    fn with_prefix<R>(&self, block_size: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        let tag;
+    /// `block_size`; the rest of the block is implicit zeroes. A
+    /// payload block is materialised on the stack for the call.
+    pub(crate) fn with_prefix<R>(&self, block_size: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let (tag, mut block);
         let prefix: &[u8] = match self {
             BlockImage::Zero => &[],
             BlockImage::Tag(t) => {
@@ -125,7 +120,11 @@ impl BlockImage {
                 &tag
             }
             BlockImage::Bytes(b) => b,
-            BlockImage::Sealed(s) => s.bytes(),
+            BlockImage::Payload(seed) => {
+                block = [0; BLOCK_BYTES];
+                payload::fill_block(*seed, &mut block);
+                &block
+            }
             BlockImage::Shared(s) => s,
         };
         f(&prefix[..prefix.len().min(block_size)])
@@ -143,9 +142,12 @@ impl BlockImage {
     /// CRC-32C of the block as [`BlockImage::to_bytes`] would
     /// materialise it, without materialising it: the bytes the image
     /// holds are checksummed where they lie, the implicit rest as zero
-    /// padding.
+    /// padding, and a whole payload block streams from its seed.
     pub fn crc32c(&self, block_size: usize) -> u32 {
         static ZEROS: [u8; 4096] = [0; 4096];
+        if let (BlockImage::Payload(seed), BLOCK_BYTES) = (self, block_size) {
+            return payload::seal_for(*seed);
+        }
         self.with_prefix(block_size, |prefix| {
             let mut state = crc32c_update(!0, prefix);
             let mut pad = block_size - prefix.len();
@@ -271,9 +273,9 @@ impl State {
 /// never reads it back, so it pays one append per command instead of
 /// a map insert per block; a crash pays the same inserts once,
 /// batched, when recovery first looks. The journal grows with the
-/// writes since the last read and is freed by the fold. Only tagged
-/// and zero blocks wait there; real data is indexed on arrival (see
-/// [`BlockStore::write_run`]).
+/// writes since the last read and is freed by the fold. Only tagged,
+/// zero and payload blocks wait there; real data is indexed on arrival
+/// (see [`BlockStore::write_run`]).
 ///
 /// The fold hides behind a `RefCell` so readers keep taking `&self`:
 /// observing a store never changes what it holds. The maps use the
@@ -325,10 +327,12 @@ impl BlockStore {
         self.next_version += run.blocks as u64;
         let state = self.state.get_mut();
         if run.image.data().is_some() {
-            // A journalled record would pin its payload buffer until
-            // the next fold, however often the block is overwritten, so
-            // real data goes straight to the index; producing and
-            // checksumming it dwarfs the two map inserts anyway.
+            // A journalled record would pin its buffer until the next
+            // fold, however often the block is overwritten, so real
+            // data goes straight to the index; producing and
+            // checksumming it dwarfs the two map inserts anyway. A
+            // payload block has no buffer to pin and journals like a
+            // tag.
             state.fold().apply(run);
         } else {
             state.journal.push(run);
@@ -436,7 +440,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rio_proto::payload::{block_for, sealed_block_for};
+    use rio_proto::payload::{block_for, seal_for};
     use rio_sim::SimRng;
 
     /// The eager store the journal replaced, kept as the reference
@@ -536,9 +540,10 @@ mod tests {
             for step in 0..400 {
                 let at = format!("seed {seed} step {step}");
                 let lba = rng.below(LBAS);
-                let image = match rng.below(4) {
+                let image = match rng.below(5) {
                     0 => BlockImage::Zero,
                     1 => BlockImage::Bytes(vec![rng.below(256) as u8; 16].into_boxed_slice()),
+                    2 => BlockImage::Payload(rng.below(1 << 20)),
                     _ => BlockImage::Tag(rng.below(1 << 20)),
                 };
                 let seal = rng.below(1 << 32) as u32;
@@ -700,21 +705,22 @@ mod tests {
             BlockImage::Tag(0x0123_4567_89AB_CDEF),
             BlockImage::Bytes(vec![9, 9].into_boxed_slice()),
             BlockImage::Bytes(full),
-            BlockImage::Sealed(sealed_block_for(77)),
+            BlockImage::Payload(77),
             shared,
         ];
-        // 4 096 is the device block; the others cover a pad longer than
-        // the static zero run and an image longer than the block.
+        // 4 096 is the device block, where a payload block streams from
+        // its seed; the others cover a pad longer than the static zero
+        // run and an image longer than the block, where it is cut.
         for block_size in [4096, 10_000, 64, 4] {
             for img in &images {
                 assert_eq!(
                     img.crc32c(block_size),
                     rio_proto::crc32c(&img.to_bytes(block_size)),
-                    "{block_size}-byte block of {:?}",
-                    img.data().map(<[u8]>::len)
+                    "{block_size}-byte block of {img:?}",
                 );
             }
         }
+        assert_eq!(BlockImage::Payload(77).crc32c(4096), seal_for(77));
     }
 
     #[test]
@@ -722,23 +728,30 @@ mod tests {
         let data: Box<[u8]> = vec![0xAB; 4096].into_boxed_slice();
         let mut img = BlockImage::Bytes(data.clone());
         let at = img.data().map(<[u8]>::as_ptr);
-        assert_eq!(img.share(), None, "plain bytes come with no checksum");
+        img.share();
         assert!(matches!(img, BlockImage::Shared(_)));
         assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
         let copy = img.clone();
         assert_eq!(copy.data().map(<[u8]>::as_ptr), at, "a clone aliases it");
         assert_eq!(img, BlockImage::Bytes(data), "equality is by content");
-        // A generated block moves the same way and hands over the
-        // checksum it came with.
-        let mut img = BlockImage::Sealed(sealed_block_for(9));
-        let at = img.data().map(<[u8]>::as_ptr);
-        assert_eq!(img.share(), Some(rio_proto::crc32c(&block_for(9))));
-        assert!(matches!(img, BlockImage::Shared(_)));
-        assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
-        assert_eq!(img, BlockImage::Bytes(block_for(9)));
+        // A generated block has no buffer: it stays its seed, seals to
+        // `seal_for` and equals the bytes it spells, shared or not.
+        let mut img = BlockImage::Payload(9);
+        img.share();
+        assert!(matches!(img, BlockImage::Payload(9)));
+        assert_eq!(img.data(), None);
+        assert_eq!(img.crc32c(4096), seal_for(9));
+        assert_eq!(seal_for(9), rio_proto::crc32c(&block_for(9)));
+        let mut bytes = BlockImage::Bytes(block_for(9));
+        assert_eq!(img, bytes);
+        bytes.share();
+        assert_eq!(bytes, img);
+        assert_ne!(img, BlockImage::Payload(10));
+        assert_ne!(img, BlockImage::Bytes(block_for(10)));
+        assert_ne!(img, BlockImage::Tag(9), "a seed is not a tag");
         // Zero and Tag have nothing to share and stay inline.
         let mut tag = BlockImage::Tag(5);
-        assert_eq!(tag.share(), None);
+        tag.share();
         assert!(matches!(tag, BlockImage::Tag(5)));
         assert_ne!(BlockImage::Tag(0), BlockImage::Zero);
         assert_ne!(

@@ -29,10 +29,11 @@
 //! * [`Ssd::scrub`] re-checksums every sealed block and reports the
 //!   mismatches; with integrity off none of this costs anything.
 //!
-//! Payload bytes are never copied on this path: a submitted buffer is
-//! shared between the in-flight command and the media image, sealed
-//! and scrubbed in place, and replaced (not mutated) on media when a
-//! torn write or bit rot corrupts it.
+//! Payload bytes are never copied on this path: a generated block
+//! travels and lands as its seed, and a submitted buffer is shared
+//! between the in-flight command and the media image. Both are sealed
+//! and scrubbed in place, and replaced (not mutated) on media by
+//! materialised bytes when a torn write or bit rot corrupts them.
 
 use std::collections::VecDeque;
 
@@ -72,17 +73,12 @@ enum Landing {
 impl Landing {
     /// Takes over a submitted write: real bytes move behind a shared
     /// buffer, and with `integrity` each block is sealed with the CRC
-    /// of the image the submitter intends to land — the one a
-    /// [`BlockImage::Sealed`] image came with, computed here otherwise.
+    /// of the image the submitter intends to land — streamed from the
+    /// seed for a [`BlockImage::Payload`] image.
     fn new(lba: u64, images: Images, integrity: bool) -> Self {
         let run = |lba, mut image: BlockImage, blocks| {
-            let generated = image.share();
-            let checksum = || image.crc32c(BLOCK_SIZE as usize);
-            debug_assert!(
-                generated.is_none_or(|crc| crc == checksum()),
-                "a generated block's checksum is its bytes'"
-            );
-            let seal = integrity.then(|| generated.unwrap_or_else(checksum));
+            image.share();
+            let seal = integrity.then(|| image.crc32c(BLOCK_SIZE as usize));
             BlockRun {
                 lba,
                 image,
@@ -601,9 +597,9 @@ impl Ssd {
     pub fn payload_verified(&self) -> bool {
         let mut verified = true;
         self.media.for_each_sealed(|_, _, img| {
-            // Anything but full-length real data cannot be a payload
-            // block (`verify_block` rejects other lengths).
-            verified &= img.data().is_some_and(rio_proto::payload::verify_block);
+            // Materialised whole, so anything but 4 KB of real data
+            // fails (`verify_block` rejects other lengths).
+            verified &= img.with_prefix(usize::MAX, rio_proto::payload::verify_block);
         });
         verified
     }
@@ -982,7 +978,6 @@ mod tests {
 
     #[test]
     fn a_sealed_image_lands_exactly_as_its_bytes_would() {
-        use rio_proto::payload::sealed_block_for;
         for profile in [SsdProfile::optane905p(), SsdProfile::pm981()] {
             for integrity in [false, true] {
                 let run = |image: fn(u64) -> BlockImage| {
@@ -999,12 +994,113 @@ mod tests {
                     (seals, reads, s.scrub())
                 };
                 let bytes = run(|seed| BlockImage::Bytes(block_for(seed)));
-                let sealed = run(|seed| BlockImage::Sealed(sealed_block_for(seed)));
+                let sealed = run(BlockImage::Payload);
                 assert_eq!(bytes, sealed);
                 let (scanned, corrupt) = sealed.2;
                 assert_eq!((scanned, corrupt.len()), (3 * integrity as u64, 0));
             }
         }
+    }
+
+    /// Everything a reader can observe of a device on `lbas`: each
+    /// block's image and seal, the scrub report, both end-state checks.
+    type View = (Vec<(BlockImage, Option<u32>)>, (u64, Vec<u64>), bool, bool);
+
+    fn view(s: &Ssd, lbas: u64) -> View {
+        let blocks = (0..lbas).map(|lba| (s.durable_read(lba), s.media.seal(lba)));
+        let verified = (s.payload_verified(), s.media_verified());
+        (blocks.collect(), s.scrub(), verified.0, verified.1)
+    }
+
+    /// The lockstep check behind carrying generated blocks as seeds: a
+    /// device handed `Payload(seed)` and one handed the bytes that seed
+    /// spells run the same seeded write / flush / discard / crash /
+    /// rot script, and after every step every read (compared by
+    /// content), seal, scrub report, end-state check and tear agrees.
+    #[test]
+    fn payload_images_match_a_byte_carrying_device_under_seeded_scripts() {
+        const SPAN: u64 = 12;
+        let (mut writes, mut tears, mut rots) = (0, 0, 0);
+        for (profile, script) in [SsdProfile::optane905p(), SsdProfile::pm981()]
+            .iter()
+            .flat_map(|p| (0..200u64).map(move |script| (p, script)))
+        {
+            let mut rng = SimRng::seed_from_u64(script);
+            let mut devices = [0, 1].map(|_| Ssd::new(profile.clone(), script));
+            devices.iter_mut().for_each(|s| s.set_integrity(true));
+            let [seeds, bytes] = &mut devices;
+            let mut now = SimTime::ZERO;
+            for step in 0..24 {
+                let at = format!("script {script} step {step}");
+                let lba = rng.below(SPAN - 3);
+                let (a, b) = match rng.below(12) {
+                    0..=5 => {
+                        // A list of one to three blocks, or one image
+                        // repeated over a run.
+                        let list: Vec<u64> = (0..rng.between(1, 3))
+                            .map(|_| rng.below(u64::MAX))
+                            .collect();
+                        let fua = rng.chance(0.2);
+                        let (seeded, byte): (Images, Images) = if rng.chance(0.25) {
+                            let n = list.len() as u32;
+                            let bytes = BlockImage::Bytes(block_for(list[0]));
+                            (
+                                Images::Run(BlockImage::Payload(list[0]), n),
+                                Images::Run(bytes, n),
+                            )
+                        } else {
+                            let bytes = list.iter().map(|&s| BlockImage::Bytes(block_for(s)));
+                            let seeded = list.iter().copied().map(BlockImage::Payload);
+                            (
+                                seeded.collect::<Vec<_>>().into(),
+                                bytes.collect::<Vec<_>>().into(),
+                            )
+                        };
+                        writes += 1;
+                        (
+                            seeds.submit_write(now, lba, seeded, fua),
+                            bytes.submit_write(now, lba, byte, fua),
+                        )
+                    }
+                    6 => (seeds.submit_flush(now), bytes.submit_flush(now)),
+                    7 => {
+                        let count = rng.between(1, 3) as u32;
+                        (
+                            seeds.submit_discard(now, lba, count),
+                            bytes.submit_discard(now, lba, count),
+                        )
+                    }
+                    8 => {
+                        seeds.advance(now);
+                        bytes.advance(now);
+                        ((0, now), (0, now))
+                    }
+                    9 => {
+                        let torn = seeds.crash(now);
+                        tears += torn;
+                        ((torn, now), (bytes.crash(now), now))
+                    }
+                    10 => {
+                        let flips = rng.between(1, 3) as u32;
+                        let rotted = seeds.rot_at_rest(flips);
+                        rots += rotted;
+                        ((rotted, now), (bytes.rot_at_rest(flips), now))
+                    }
+                    _ => ((0, now), (0, now)),
+                };
+                assert_eq!(a, b, "{at}: op id, completion, tears or rot");
+                assert!(
+                    view(seeds, SPAN) == view(bytes, SPAN),
+                    "{at}: the views part"
+                );
+                now += SimDuration::from_nanos(rng.between(1_000, 12_000));
+            }
+        }
+        // The scripts are not vacuous: both kinds of fault fired often.
+        assert!(
+            writes > 4_000 && tears > 300 && rots > 500,
+            "{writes} {tears} {rots}"
+        );
     }
 
     /// A real-data image already behind a shared buffer, and a second

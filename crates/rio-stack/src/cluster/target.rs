@@ -414,7 +414,7 @@ impl Cluster {
     /// packet back into go-back-N recovery, so by construction the
     /// check always passes here — the assert *is* the end-to-end
     /// guarantee that no corrupted payload reaches media. The write
-    /// then carries real payload bytes, sealed on landing.
+    /// then carries each block's payload seed, sealed on acceptance.
     fn ssd_submit_now(&mut self, now: SimTime, id: u64) {
         let (target_idx, ssd_idx, lba, blocks, tag, core, stream, digest) = {
             let cmd = self.cmds.get(id).expect("cmd exists");
@@ -442,9 +442,10 @@ impl Cluster {
                 digest,
                 "corrupted payload reached the target SSD queue"
             );
-            // Generated and checksummed in one pass; the one-block
-            // command that is nearly every command carries no list.
-            let image = |j| BlockImage::Sealed(payload::sealed_block_for(seed(j)));
+            // A payload block travels as its seed, which the device
+            // seals; the one-block command that is nearly every
+            // command carries no list.
+            let image = |j| BlockImage::Payload(seed(j));
             let images = if blocks == 1 {
                 Images::Run(image(0), 1)
             } else {

@@ -105,8 +105,8 @@ fn per_block(build: impl Fn() -> Cluster, blocks: u64) -> (f64, f64) {
 const RIO: OrderingMode = OrderingMode::Rio { merge: true };
 
 /// A 2 000-group random-4 KB workload on the paper's four-SSD,
-/// two-target testbed. With `integrity` every block is a real 4 KB
-/// payload that stays live on media.
+/// two-target testbed. With `integrity` every block is a 4 KB payload
+/// block, sealed on media.
 fn rand4k(mode: OrderingMode, integrity: bool) -> Cluster {
     const THREADS: usize = 8;
     Cluster::new(
@@ -144,10 +144,11 @@ fn event_path_stays_inside_its_heap_budget() {
     // 2.0, a plug built per batch 3.0); the SSD's one block store
     // journals a 48-byte record per write, and a second store (or a
     // per-write completion record kept only for statistics) is that
-    // much again. The integrity-on cell (2.134 / 4 279) adds the
-    // block's 4 096 bytes, the `Arc` that shares them between the
-    // in-flight command and media, and a media index entry per block; a
-    // one-element `Vec` around the image is 1.0 more. The two
+    // much again. The integrity-on cell (0.123 / 116) sits on the same
+    // floor: a block travels and lands as its 8-byte payload seed,
+    // sealed by streaming, and the store journals it like a tag, so a
+    // 4 KB buffer per block would be 1.0 allocation and 4 096 bytes
+    // more, and a one-element `Vec` around the image 1.0 more. The two
     // single-SSD cells (0.059 / 37, 0.068 / 108) hold the merge path —
     // 16 one-block groups leave as one command, where per-unit vectors
     // are 0.375 per block — and the fsync path — D, JM and JC groups of
@@ -158,7 +159,7 @@ fn event_path_stays_inside_its_heap_budget() {
         ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 123.0),
         ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 97.0),
         ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 144.0),
-        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 2.18, 4365.0),
+        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 125.0),
         ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 38.0),
         ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 111.0),
     ];
