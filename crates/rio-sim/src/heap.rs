@@ -268,7 +268,7 @@ mod tests {
             h.pop_if_at_or_before(SimTime::from_nanos(20)),
             Some((SimTime::from_nanos(20), 'b'))
         );
-        assert_eq!(h.pop_if_at_or_before(SimTime::FAR_FUTURE), None);
+        assert_eq!(h.pop_if_at_or_before(SimTime::from_nanos(u64::MAX)), None);
     }
 
     #[test]

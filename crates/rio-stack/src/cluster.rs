@@ -22,8 +22,10 @@
 //!
 //! This file holds the shared state ([`Cluster`], the in-flight
 //! command and unit records), construction, the run loop, the event
-//! dispatch and metrics assembly. The handlers are `impl Cluster`
-//! blocks in child modules, one per role:
+//! dispatch, the one command lookup and metrics assembly. A command
+//! keeps only what outlives an event; what one handler hands the next
+//! (a parked retransmission window) rides in the event. The handlers
+//! are `impl Cluster` blocks in child modules, one per role:
 //!
 //! * `initiator` — threads, the RIO and orderless submit loops,
 //!   dispatch, completion and in-order delivery;
@@ -48,7 +50,7 @@ use crate::metrics::{
     TenantMetrics,
 };
 use crate::telemetry::TelemetrySampler;
-use crate::trace::{StageTrace, TRACE_NONE};
+use crate::trace::StageTrace;
 use crate::workload::Workload;
 
 use initiator::{Initiator, ThreadState};
@@ -68,9 +70,10 @@ enum Event {
     Resume(usize),
     /// A command SEND was delivered at its target.
     CmdArrive(u64),
-    /// The go-back-N timeout of a command's current wire [`Leg`] fired;
-    /// resend the window.
-    Resend(u64),
+    /// The go-back-N timeout of command `id`'s parked wire [`Leg`]
+    /// fired: resend its `pkts` undelivered packets. `corrupt` says the
+    /// failure was a detected corruption rather than a plain drop.
+    Resend { id: u64, leg: Leg, pkts: u32, corrupt: bool },
     /// A command is ready for SSD submission (gate passed + data in).
     SsdSubmit(u64),
     /// A command's embedded FLUSH may be submitted.
@@ -96,8 +99,11 @@ enum CmdKind {
     Flush,
 }
 
-/// One in-flight NVMe-oF command.
-#[derive(Debug)]
+/// One in-flight NVMe-oF command: what it writes (or flushes) and
+/// where, fixed when it is posted, plus the two facts the target learns
+/// on the way (`ready`, `slot`). Only what outlives an event lives
+/// here: a parked go-back-N window rides in its `Resend` event.
+#[derive(Debug, Clone, Copy)]
 struct Cmd {
     kind: CmdKind,
     thread: usize,
@@ -105,63 +111,32 @@ struct Cmd {
     ssd: usize,
     qp: usize,
     phys: BlockRange,
-    tag: u64,
     /// Rio ordering attribute (None on baseline paths).
     attr: Option<OrderingAttr>,
     /// Embedded FLUSH (fsync-style final request).
     flush_embedded: bool,
     /// Initiator-side unit this command belongs to.
     unit: u64,
-    /// When the pulled data is in target memory (`FAR_FUTURE` until the
-    /// pull — including any retransmissions — completes).
-    data_ready: SimTime,
-    /// When the target driver finished its CPU work and, for Rio, the
-    /// gate released the command (`FAR_FUTURE` until then). The SSD
-    /// submission fires once both this and `data_ready` are known.
-    driver_ready: SimTime,
-    /// Go-back-N bookkeeping of a parked leg: which one, the packets
-    /// still undelivered, and the leg's total message size.
-    leg: Leg,
-    retx_pkts: u32,
-    retx_bytes: u64,
-    /// Whether the parked leg's failure was a detected corruption (as
-    /// opposed to a plain drop) — the latest failure wins.
-    retx_corrupt: bool,
+    /// The target rendezvous: the instant its first half landed — the
+    /// data pull (retransmissions included), or the driver work and,
+    /// for Rio, the gate release. The second half submits to the SSD
+    /// at the later of the two.
+    ready: Option<SimTime>,
     /// CRC-32C over the command's payload seeds, stamped at submission
     /// on integrity runs ([`PayloadDigest::NONE`] otherwise).
     digest: PayloadDigest,
     /// PMR log slot holding this command's ordering record.
     slot: Option<SlotRef>,
-    /// Stage-trace slot of this command ([`TRACE_NONE`] when tracing
-    /// is off; assigned by `send_cmd`).
+    /// Stage-trace slot of this command ([`crate::trace::TRACE_NONE`]
+    /// when tracing is off; assigned by `send_cmd`).
     trace: u32,
 }
 
 impl Cmd {
-    /// A command about to be posted: nothing on the wire yet, no
-    /// ordering identity, payload or unit (writes fill those in).
-    fn new(kind: CmdKind, thread: usize, target: usize, ssd: usize, qp: usize) -> Self {
-        Cmd {
-            kind,
-            thread,
-            target,
-            ssd,
-            qp,
-            phys: BlockRange::new(0, 1),
-            tag: 0,
-            attr: None,
-            flush_embedded: false,
-            unit: u64::MAX,
-            data_ready: SimTime::FAR_FUTURE,
-            driver_ready: SimTime::FAR_FUTURE,
-            leg: Leg::Capsule,
-            retx_pkts: 0,
-            retx_bytes: 0,
-            retx_corrupt: false,
-            digest: PayloadDigest::NONE,
-            slot: None,
-            trace: TRACE_NONE,
-        }
+    /// The tag its payload blocks are generated from: the group
+    /// sequence under Rio, the unit id on the baseline paths.
+    fn tag(&self) -> u64 {
+        self.attr.map_or(self.unit, |a| a.seq_start.0 as u64)
     }
 }
 
@@ -582,11 +557,21 @@ impl Cluster {
         }
     }
 
+    /// In-flight command `id`. An event names only live commands: a
+    /// crash clears the slab together with the heap.
+    fn cmd(&self, id: u64) -> &Cmd {
+        self.cmds.get(id).expect("cmd exists")
+    }
+
+    fn cmd_mut(&mut self, id: u64) -> &mut Cmd {
+        self.cmds.get_mut(id).expect("cmd exists")
+    }
+
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Resume(t) => self.on_resume(now, t),
             Event::CmdArrive(c) => self.on_cmd_arrive(now, c),
-            Event::Resend(c) => self.on_resend(now, c),
+            Event::Resend { id, leg, pkts, corrupt } => self.on_resend(now, id, leg, pkts, corrupt),
             Event::SsdSubmit(c) => self.on_ssd_submit(now, c),
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),

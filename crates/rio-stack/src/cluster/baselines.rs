@@ -4,9 +4,12 @@
 //! FLUSH. Both dispatch plain (unordered) units; what differs from the
 //! orderless engine is only *when* a thread may submit.
 
+use rio_order::attr::BlockRange;
+use rio_proto::PayloadDigest;
 use rio_sim::{SimDuration, SimTime};
 
 use super::{Cluster, Cmd, CmdKind, Event};
+use crate::trace::TRACE_NONE;
 use crate::cpu::{
     CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
     IRQ_NS, SUBMIT_BIO_NS,
@@ -146,7 +149,7 @@ impl Cluster {
 
     /// Linux mode: after the ordered write completes, send a FLUSH leg
     /// when the group requires one, otherwise finish the group.
-    pub(super) fn on_sync_write_complete(&mut self, now: SimTime, t: usize, cmd: &Cmd) {
+    pub(super) fn on_sync_write_complete(&mut self, now: SimTime, t: usize, write: &Cmd) {
         debug_assert_eq!(self.threads[t].sync_stage, SyncStage::AwaitWrite);
         let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
         if !self.threads[t].cur_flush_leg {
@@ -155,8 +158,18 @@ impl Cluster {
         }
         self.threads[t].sync_stage = SyncStage::AwaitFlush;
         let c = self.init_run_on(t, cpu, CMD_POST_NS);
-        let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp);
-        self.send_cmd(c, cpu, flush_cmd);
+        // The FLUSH rides the write's connection to the write's SSD. It
+        // moves no data: its range is the one block at LBA 0 (the LBA
+        // its trace reports), and it carries no payload digest.
+        let flush = Cmd {
+            kind: CmdKind::Flush,
+            phys: BlockRange::new(0, 1),
+            ready: None,
+            digest: PayloadDigest::NONE,
+            trace: TRACE_NONE,
+            ..*write
+        };
+        self.send_cmd(c, cpu, flush);
     }
 
     /// Linux mode: the FLUSH leg completed, so the group is durable.

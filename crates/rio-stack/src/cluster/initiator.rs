@@ -25,7 +25,7 @@ use crate::cpu::{
     ORDER_QUEUE_NS, SUBMIT_BIO_NS,
 };
 use crate::metrics::InitiatorMetrics;
-use crate::trace::Stage;
+use crate::trace::{Stage, TRACE_NONE};
 use crate::workload::{FsyncStage, GroupSpec};
 
 /// Slot index of an fsync stage in `stage_marks` / `stage_dispatch`.
@@ -501,24 +501,30 @@ impl Cluster {
         unit: u64,
     ) -> SimTime {
         let stream = self.threads[t].stream.0;
-        let tag = attr.map_or(unit, |a| a.seq_start.0 as u64);
-        let mut cmd = Cmd::new(CmdKind::Write, t, ext.server.0 as usize, ext.ssd, 0);
+        let mut cmd = Cmd {
+            kind: CmdKind::Write,
+            thread: t,
+            target: ext.server.0 as usize,
+            ssd: ext.ssd,
+            qp: self.pick_qp(stream as usize),
+            phys: ext.range,
+            attr,
+            flush_embedded,
+            unit,
+            ready: None,
+            digest: PayloadDigest::NONE,
+            slot: None,
+            trace: TRACE_NONE,
+        };
         if self.integrity {
-            let blocks = ext.range.blocks as u64;
+            let (lba, blocks, tag) = (ext.range.lba, ext.range.blocks as u64, cmd.tag());
             cpu = self.init_run_on(t, cpu, CRC_PER_BLOCK_NS * blocks);
-            let lba = ext.range.lba;
             cmd.digest = PayloadDigest::over_seeds(
                 (0..blocks).map(|j| payload::seed_for(stream, tag, lba + j)),
             );
         }
         let stamped = cpu;
         cpu = self.init_run_on(t, cpu, CMD_POST_NS);
-        cmd.qp = self.pick_qp(stream as usize);
-        cmd.phys = ext.range;
-        cmd.tag = tag;
-        cmd.attr = attr;
-        cmd.flush_embedded = flush_embedded;
-        cmd.unit = unit;
         self.send_cmd(cpu, stamped, cmd);
         cpu
     }

@@ -30,7 +30,6 @@ use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan}
 use rio_order::SubmissionGate;
 use rio_sim::{SimDuration, SimTime};
 
-use super::baselines::SyncStage;
 use super::{Cluster, Event};
 use crate::config::FaultKind;
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
@@ -407,7 +406,6 @@ impl Cluster {
             th.undelivered = undelivered;
             th.inflight = 0;
             th.parked = false;
-            th.sync_stage = SyncStage::Idle;
             let was_syncing = th.syncing;
             th.syncing = false;
             if was_syncing && row.requeued == 0 {

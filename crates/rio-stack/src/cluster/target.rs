@@ -250,37 +250,27 @@ impl Target {
 }
 
 impl Cluster {
-    /// Schedules the SSD submission once both halves of a command are
-    /// ready: the driver work (CPU + gate release) and the data pull.
-    /// Whichever side finishes second triggers the event, so it fires
-    /// exactly once.
-    pub(super) fn try_ssd_submit(&mut self, id: u64) {
-        let cmd = self.cmds.get(id).expect("cmd exists");
-        if cmd.data_ready != SimTime::FAR_FUTURE && cmd.driver_ready != SimTime::FAR_FUTURE {
-            let at = cmd.data_ready.max(cmd.driver_ready);
-            self.events.push(at, Event::SsdSubmit(id));
+    /// One half of command `id`'s target rendezvous landed at `at`: the
+    /// data pull, or the driver work (CPU + gate release). The first
+    /// half only records its instant; the second schedules the SSD
+    /// submission at the later of the two, so it fires exactly once.
+    pub(super) fn rendezvous(&mut self, id: u64, at: SimTime) {
+        let cmd = self.cmd_mut(id);
+        match cmd.ready {
+            None => cmd.ready = Some(at),
+            Some(first) => self.events.push(first.max(at), Event::SsdSubmit(id)),
         }
     }
 
     /// A command capsule reached its target: RECV, start the data pull,
     /// and pass the gate (Rio) or go straight to the driver (baselines).
     pub(super) fn on_cmd_arrive(&mut self, now: SimTime, id: u64) {
-        let (target_idx, qp, kind, bytes, attr, ssd_idx, tid, init) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                cmd.qp,
-                cmd.kind,
-                cmd.phys.blocks as u64 * 4096,
-                cmd.attr,
-                cmd.ssd,
-                cmd.trace,
-                self.threads[cmd.thread].init,
-            )
-        };
+        let cmd = *self.cmd(id);
+        let (target_idx, tid) = (cmd.target, cmd.trace);
+        let init = self.threads[cmd.thread].init;
         // Target-side work lands on the core of the sender's
         // connection QP (one QP group per initiator).
-        let core = init * self.cfg.qps_per_target + qp;
+        let core = self.conn_qp(cmd.thread, cmd.qp);
         let recv_done = self.targets[target_idx]
             .cores
             .run_on(core, now, TARGET_RECV_NS);
@@ -292,29 +282,24 @@ impl Cluster {
             tm.gate_depth(recv_done, self.targets[target_idx].gate.buffered() as u32);
         }
 
-        if kind == CmdKind::Flush {
+        if cmd.kind == CmdKind::Flush {
             // Explicit FLUSH command (Linux mode): straight to the SSD.
             let submit = self.ungated_submit(recv_done, target_idx, core, tid);
-            let (_op, done) = self.targets[target_idx].ssds[ssd_idx].submit_flush(submit);
+            let (_op, done) = self.targets[target_idx].ssds[cmd.ssd].submit_flush(submit);
             self.events.push(done, Event::SsdFlushDone(id));
             return;
         }
 
         // Pull the data blocks with a one-sided RDMA READ (overlaps any
         // gate wait). A dropped packet parks the pull in go-back-N
-        // recovery; `data_ready` stays FAR_FUTURE until the resend
-        // completes and the submission waits for it.
-        let init_qp = self.target_qp(target_idx, qp);
-        let step = self.fabric.pull_burst(
-            &mut self.targets[target_idx].nic,
-            &mut self.initiators[init].nic,
-            init_qp,
-            recv_done,
-            bytes,
-        );
-        self.xfer_step(id, Leg::Pull, bytes, step);
+        // recovery; its half of the rendezvous lands when the resend
+        // completes, and the submission waits for it.
+        let (init_qp, bytes) = (self.target_qp(target_idx, cmd.qp), Leg::Pull.bytes(&cmd));
+        let (reader, source) = (&mut self.targets[target_idx].nic, &mut self.initiators[init].nic);
+        let step = self.fabric.pull_burst(reader, source, init_qp, recv_done, bytes);
+        self.xfer_step(id, Leg::Pull, step);
 
-        if let Some(attr) = attr {
+        if let Some(attr) = cmd.attr {
             // Apply the release piggyback for this stream.
             let through = self.initiators[init].rio.delivered_through(attr.stream);
             self.targets[target_idx].apply_release(attr.stream, through.0);
@@ -339,8 +324,7 @@ impl Cluster {
             // pull both finish (a scheduled event keeps the device
             // clock monotone).
             let submit = self.ungated_submit(recv_done, target_idx, core, tid);
-            self.cmds.get_mut(id).expect("cmd exists").driver_ready = submit;
-            self.try_ssd_submit(id);
+            self.rendezvous(id, submit);
         }
     }
 
@@ -366,7 +350,7 @@ impl Cluster {
     ) -> SimTime {
         // Persist the ordering attribute before the data (step ⑤).
         let slot = self.targets[target_idx].pmr_append(&attr);
-        let cmd = self.cmds.get_mut(id).expect("cmd exists");
+        let cmd = self.cmd_mut(id);
         cmd.slot = Some(slot);
         let (thread, qp, tid) = (cmd.thread, cmd.qp, cmd.trace);
         let core = self.conn_qp(thread, qp);
@@ -385,8 +369,7 @@ impl Cluster {
         let submit = self.targets[target_idx]
             .cores
             .run_on(core, cpu, SSD_SUBMIT_NS);
-        self.cmds.get_mut(id).expect("cmd exists").driver_ready = submit;
-        self.try_ssd_submit(id);
+        self.rendezvous(id, submit);
         cpu
     }
 
@@ -394,12 +377,11 @@ impl Cluster {
     /// write — directly, or on multi-tenant runs behind its tenant's DRR
     /// share.
     pub(super) fn on_ssd_submit(&mut self, now: SimTime, id: u64) {
-        let cmd = self.cmds.get(id).expect("cmd exists");
-        let target_idx = cmd.target;
-        if let Some(drr) = &mut self.targets[target_idx].drr {
+        let cmd = *self.cmd(id);
+        if let Some(drr) = &mut self.targets[cmd.target].drr {
             let tenant_idx = self.initiators[self.threads[cmd.thread].init].tenant_idx;
             drr.queues[tenant_idx].push_back((id, now, cmd.phys.blocks));
-            self.drr_pump(now, target_idx);
+            self.drr_pump(now, cmd.target);
             return;
         }
         self.ssd_submit_now(now, id);
@@ -416,30 +398,20 @@ impl Cluster {
     /// guarantee that no corrupted payload reaches media. The write
     /// then carries each block's payload seed, sealed on acceptance.
     fn ssd_submit_now(&mut self, now: SimTime, id: u64) {
-        let (target_idx, ssd_idx, lba, blocks, tag, core, stream, digest) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            let stream = self.threads[cmd.thread].stream.0;
-            (
-                cmd.target,
-                cmd.ssd,
-                cmd.phys.lba,
-                cmd.phys.blocks,
-                cmd.tag,
-                self.conn_qp(cmd.thread, cmd.qp),
-                stream,
-                cmd.digest,
-            )
-        };
+        let cmd = *self.cmd(id);
+        let (target_idx, lba, blocks, tag) = (cmd.target, cmd.phys.lba, cmd.phys.blocks, cmd.tag());
         let (at, images) = if self.integrity {
+            let core = self.conn_qp(cmd.thread, cmd.qp);
             let at = self.targets[target_idx].cores.run_on(
                 core,
                 now,
                 CRC_PER_BLOCK_NS * blocks as u64,
             );
+            let stream = self.threads[cmd.thread].stream.0;
             let seed = |j| payload::seed_for(stream, tag, lba + j);
             assert_eq!(
                 PayloadDigest::over_seeds((0..blocks as u64).map(seed)),
-                digest,
+                cmd.digest,
                 "corrupted payload reached the target SSD queue"
             );
             // A payload block travels as its seed, which the device
@@ -459,7 +431,7 @@ impl Cluster {
             tm.ssd_admit(at, target_idx);
         }
         let (_op, done) =
-            self.targets[target_idx].ssds[ssd_idx].submit_write(at, lba, images, false);
+            self.targets[target_idx].ssds[cmd.ssd].submit_write(at, lba, images, false);
         self.events.push(done, Event::SsdWriteDone(id));
     }
 
@@ -483,18 +455,15 @@ impl Cluster {
 
     /// Submits a command's embedded FLUSH at the event's instant.
     pub(super) fn on_ssd_flush_submit(&mut self, now: SimTime, id: u64) {
-        let (target_idx, ssd_idx) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (cmd.target, cmd.ssd)
-        };
-        let (_op, done) = self.targets[target_idx].ssds[ssd_idx].submit_flush(now);
+        let cmd = *self.cmd(id);
+        let (_op, done) = self.targets[cmd.target].ssds[cmd.ssd].submit_flush(now);
         self.events.push(done, Event::SsdFlushDone(id));
     }
 
     /// A command's SSD write finished: free its DRR admission slot,
     /// then run the media-done path.
     pub(super) fn on_ssd_write_done(&mut self, now: SimTime, id: u64) {
-        let target_idx = self.cmds.get(id).expect("cmd exists").target;
+        let target_idx = self.cmd(id).target;
         if let Some(tm) = &mut self.telemetry {
             tm.ssd_done(now, target_idx);
         }
@@ -511,9 +480,8 @@ impl Cluster {
     /// its FLUSH — embedded or explicit (`flushed == true`): IRQ, then
     /// either chain the embedded FLUSH or complete the command.
     pub(super) fn on_media_done(&mut self, now: SimTime, id: u64, flushed: bool) {
-        let cmd = self.cmds.get(id).expect("cmd exists");
-        let (target_idx, core, slot, tid) =
-            (cmd.target, self.conn_qp(cmd.thread, cmd.qp), cmd.slot, cmd.trace);
+        let cmd = *self.cmd(id);
+        let (target_idx, core) = (cmd.target, self.conn_qp(cmd.thread, cmd.qp));
         let chain_flush = cmd.flush_embedded && !flushed;
         // Rio toggles the record's persist bit once the data is durable
         // (step ⑦): at write completion on PLP drives; otherwise only on
@@ -525,7 +493,7 @@ impl Cluster {
             // An embedded FLUSH overwrites the write's stamp when it
             // lands (last write wins): media-done is the durability
             // instant.
-            tr.rec(tid, Stage::MediaDone, now);
+            tr.rec(cmd.trace, Stage::MediaDone, now);
         }
         let target = &mut self.targets[target_idx];
         let mut cpu = target.cores.run_on(core, now, IRQ_NS);
@@ -536,7 +504,7 @@ impl Cluster {
             return;
         }
         if persist {
-            cpu = target.pmr_persist(cpu, core, slot, PMR_TOGGLE_NS);
+            cpu = target.pmr_persist(cpu, core, cmd.slot, PMR_TOGGLE_NS);
         }
         self.send_completion(cpu, id);
     }

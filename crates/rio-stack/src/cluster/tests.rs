@@ -982,3 +982,19 @@ fn multi_target_striping_reaches_all_ssds() {
         assert!(ssd.stats().writes > 0, "an SSD saw no writes");
     }
 }
+
+// ---- layout ------------------------------------------------------------
+
+#[test]
+fn an_event_stays_three_words() {
+    // The heap moves every event by value. A parked go-back-N window
+    // rides in `Resend` and fits beside the widest payload.
+    assert_eq!(std::mem::size_of::<Event>(), 24);
+}
+
+#[test]
+fn a_command_carries_no_parked_state() {
+    // 176 bytes while the command also held its parked window, both
+    // rendezvous instants and its payload tag.
+    assert!(std::mem::size_of::<Cmd>() <= 160, "Cmd is {} bytes", std::mem::size_of::<Cmd>());
+}

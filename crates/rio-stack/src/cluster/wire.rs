@@ -2,9 +2,10 @@
 //! command, QP arithmetic, and go-back-N resends.
 //!
 //! Every command crosses the fabric three times — capsule out, data
-//! pull, completion back — strictly in sequence, so one parked
-//! retransmission window per command suffices and one `Resend` event
-//! serves all three legs.
+//! pull, completion back — strictly in sequence, so at most one of its
+//! windows is parked at a time. The parked window (leg, packets left,
+//! whether a corruption failed it) rides in the `Resend` event that
+//! resumes it; the command itself keeps none of it.
 
 use rio_net::XferStep;
 use rio_sim::SimTime;
@@ -16,16 +17,28 @@ const CMD_CAPSULE_BYTES: u64 = 96;
 /// Completion capsule size on the wire.
 const COMPLETION_BYTES: u64 = 32;
 
-/// One of the three wire transfers of a command. They run strictly in
-/// sequence, so one go-back-N window per command suffices.
+/// One of the three wire transfers of a command, in the order they run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Leg {
     /// Command capsule, initiator → target; delivery is `CmdArrive`.
     Capsule,
-    /// One-sided data pull by the target; delivery sets `data_ready`.
+    /// One-sided data pull by the target; delivery is one half of the
+    /// target rendezvous.
     Pull,
     /// Completion capsule, target → initiator; delivery is `CmdComplete`.
     Completion,
+}
+
+impl Leg {
+    /// The leg's message size on the wire: a fixed capsule each way,
+    /// the command's blocks for the data pull.
+    pub(super) fn bytes(self, cmd: &Cmd) -> u64 {
+        match self {
+            Leg::Capsule => CMD_CAPSULE_BYTES,
+            Leg::Pull => cmd.phys.blocks as u64 * 4096,
+            Leg::Completion => COMPLETION_BYTES,
+        }
+    }
 }
 
 impl Cluster {
@@ -55,34 +68,20 @@ impl Cluster {
 
     /// Applies one fabric transfer step of command `id`'s `leg`: a
     /// delivery runs the leg's continuation at the arrival instant; a
-    /// drop parks the go-back-N window on the command and schedules its
-    /// resend at the recovery timeout.
-    pub(super) fn xfer_step(&mut self, id: u64, leg: Leg, bytes: u64, step: XferStep) {
+    /// drop parks the go-back-N window in a `Resend` event at the
+    /// recovery timeout.
+    pub(super) fn xfer_step(&mut self, id: u64, leg: Leg, step: XferStep) {
         match (step, leg) {
             (XferStep::Delivered { at }, Leg::Capsule) => {
                 self.events.push(at, Event::CmdArrive(id));
             }
-            (XferStep::Delivered { at }, Leg::Pull) => {
-                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
-                self.try_ssd_submit(id);
-            }
+            (XferStep::Delivered { at }, Leg::Pull) => self.rendezvous(id, at),
             (XferStep::Delivered { at }, Leg::Completion) => {
                 self.events.push(at, Event::CmdComplete(id));
             }
-            (
-                XferStep::Dropped {
-                    resume_at,
-                    pkts_left,
-                    corrupted,
-                },
-                _,
-            ) => {
-                let cmd = self.cmds.get_mut(id).expect("cmd exists");
-                cmd.leg = leg;
-                cmd.retx_pkts = pkts_left;
-                cmd.retx_bytes = bytes;
-                cmd.retx_corrupt = corrupted;
-                self.events.push(resume_at, Event::Resend(id));
+            (XferStep::Dropped { resume_at, pkts_left, corrupted }, _) => {
+                let resend = Event::Resend { id, leg, pkts: pkts_left, corrupt: corrupted };
+                self.events.push(resume_at, resend);
             }
         }
     }
@@ -117,27 +116,20 @@ impl Cluster {
             cmd.trace = tid;
         }
         let qp = self.target_qp(cmd.target, cmd.qp);
+        let bytes = Leg::Capsule.bytes(&cmd);
         let id = self.cmds.insert(cmd);
-        let step =
-            self.fabric
-                .send_burst(&mut self.initiators[init].nic, qp, now, CMD_CAPSULE_BYTES);
-        self.xfer_step(id, Leg::Capsule, CMD_CAPSULE_BYTES, step);
+        let step = self.fabric.send_burst(&mut self.initiators[init].nic, qp, now, bytes);
+        self.xfer_step(id, Leg::Capsule, step);
     }
 
-    /// A leg's retransmission timeout fired: resend the window from the
-    /// lost packet (go-back-N), on the NIC that owns the leg.
-    pub(super) fn on_resend(&mut self, now: SimTime, id: u64) {
-        let cmd = self.cmds.get(id).expect("cmd exists");
-        let (leg, target, pkts, bytes, tid, corrupt) = (
-            cmd.leg,
-            cmd.target,
-            cmd.retx_pkts,
-            cmd.retx_bytes,
-            cmd.trace,
-            cmd.retx_corrupt,
-        );
+    /// A leg's retransmission timeout fired: resend the window of
+    /// `pkts` packets from the lost one (go-back-N), on the NIC that
+    /// owns the leg.
+    pub(super) fn on_resend(&mut self, now: SimTime, id: u64, leg: Leg, pkts: u32, corrupt: bool) {
+        let cmd = *self.cmd(id);
+        let bytes = leg.bytes(&cmd);
         let init = self.threads[cmd.thread].init;
-        let init_qp = self.target_qp(target, cmd.qp);
+        let init_qp = self.target_qp(cmd.target, cmd.qp);
         let conn_qp = self.conn_qp(cmd.thread, cmd.qp);
         // The whole remaining window goes back on the wire this round,
         // each packet annotated exactly once — except after a lost pull
@@ -152,38 +144,34 @@ impl Cluster {
         let n_corrupt = if corrupt { n } else { 0 };
         if let Some(tr) = &mut self.trace {
             if corrupt {
-                tr.retx_corrupt(tid, n);
+                tr.retx_corrupt(cmd.trace, n);
             } else {
-                tr.retx(tid, n);
+                tr.retx(cmd.trace, n);
             }
         }
         if let Some(tm) = &mut self.telemetry {
             match leg {
                 Leg::Capsule => tm.retx_initiator(now, init, n, n_corrupt),
-                Leg::Pull | Leg::Completion => tm.retx_target(now, target, n, n_corrupt),
+                Leg::Pull | Leg::Completion => tm.retx_target(now, cmd.target, n, n_corrupt),
             }
         }
         let init_nic = &mut self.initiators[init].nic;
-        let target_nic = &mut self.targets[target].nic;
+        let target_nic = &mut self.targets[cmd.target].nic;
         let step = match leg {
             Leg::Capsule => self.fabric.resume_send(init_nic, init_qp, now, pkts, bytes),
             Leg::Pull => self.fabric.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes),
             Leg::Completion => self.fabric.resume_send(target_nic, conn_qp, now, pkts, bytes),
         };
-        self.xfer_step(id, leg, bytes, step);
+        self.xfer_step(id, leg, step);
     }
 
     /// Sends the completion capsule back to the initiator (with the
     /// same go-back-N recovery as the command capsule).
     pub(super) fn send_completion(&mut self, now: SimTime, id: u64) {
-        let cmd = self.cmds.get(id).expect("cmd exists");
-        let (target_idx, qp) = (cmd.target, self.conn_qp(cmd.thread, cmd.qp));
-        let step = self.fabric.send_burst(
-            &mut self.targets[target_idx].nic,
-            qp,
-            now,
-            COMPLETION_BYTES,
-        );
-        self.xfer_step(id, Leg::Completion, COMPLETION_BYTES, step);
+        let cmd = *self.cmd(id);
+        let qp = self.conn_qp(cmd.thread, cmd.qp);
+        let bytes = Leg::Completion.bytes(&cmd);
+        let step = self.fabric.send_burst(&mut self.targets[cmd.target].nic, qp, now, bytes);
+        self.xfer_step(id, Leg::Completion, step);
     }
 }

@@ -77,7 +77,9 @@ pub const STAGES: usize = 8;
 /// (`STAGES - 1`).
 pub const SEGMENTS: usize = STAGES - 1;
 
-/// Sentinel trace id carried by untraced commands.
+/// Sentinel trace id carried by untraced commands. No [`StageTrace`]
+/// ever sees it: when a recorder exists, every command gets a real id
+/// before its first stage.
 pub(crate) const TRACE_NONE: u32 = u32::MAX;
 
 /// One command's trace: identity, stage timestamps and annotations.
@@ -354,9 +356,6 @@ impl StageTrace {
     /// causal chain — not the per-core clock skew — is what the trace
     /// reports.
     pub(crate) fn rec(&mut self, id: u32, stage: Stage, at: SimTime) {
-        if id == TRACE_NONE {
-            return;
-        }
         debug_assert!(self.live[id as usize], "stage on a closed trace");
         let r = &mut self.slots[id as usize];
         let mut t = at;
@@ -368,18 +367,12 @@ impl StageTrace {
 
     /// Records the gate depth observed when the command was admitted.
     pub(crate) fn gate_depth(&mut self, id: u32, depth: u32) {
-        if id == TRACE_NONE {
-            return;
-        }
         self.slots[id as usize].gate_depth = depth;
     }
 
     /// Annotates one go-back-N recovery round retransmitting `pkts`
     /// packets for command `id`.
     pub(crate) fn retx(&mut self, id: u32, pkts: u32) {
-        if id == TRACE_NONE {
-            return;
-        }
         let r = &mut self.slots[id as usize];
         r.retx_rounds += 1;
         r.retx_pkts += pkts;
@@ -390,9 +383,6 @@ impl StageTrace {
     /// Annotates a corruption-triggered recovery round: counted in the
     /// overall retransmit totals *and* in the corrupt-specific subset.
     pub(crate) fn retx_corrupt(&mut self, id: u32, pkts: u32) {
-        if id == TRACE_NONE {
-            return;
-        }
         self.retx(id, pkts);
         let r = &mut self.slots[id as usize];
         r.retx_corrupt_rounds += 1;
@@ -430,9 +420,6 @@ impl StageTrace {
     /// Stamps delivery at `at` and closes trace `id` — the baseline
     /// path, where completion *is* delivery.
     pub(crate) fn finish_unordered(&mut self, id: u32, at: SimTime) {
-        if id == TRACE_NONE {
-            return;
-        }
         self.rec(id, Stage::Delivered, at);
         self.close(id);
     }
