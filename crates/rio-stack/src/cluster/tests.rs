@@ -305,6 +305,30 @@ fn lossy_fabric_degrades_linux_more_than_rio() {
     );
 }
 
+#[test]
+fn telemetry_charges_each_retransmit_to_the_nic_that_sent_it() {
+    // The per-NIC retransmit series must split exactly as the NICs'
+    // own counters do: a pull's data window is resent by the initiator
+    // (the source), only a lost pull request by the target (the
+    // reader). Horae is left out: its control messages ride the
+    // untraced `Fabric::send`, which no telemetry hook sees.
+    for mode in ALL_MODES.into_iter().filter(|m| *m != OrderingMode::Horae) {
+        let mut cfg = small_cfg(mode.clone(), 3);
+        cfg.net = FabricConfig::lossy(0.05, 2);
+        cfg.telemetry = Some(crate::TelemetryConfig::default());
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
+        let mut cl = Cluster::new(cfg, Workload::random_4k(3, groups));
+        cl.run_loop();
+        let tm = cl.metrics().telemetry.expect("telemetry on");
+        let nics = cl.initiators.iter().map(|i| &i.nic).chain(cl.targets.iter().map(|t| &t.nic));
+        for (n, nic) in nics.enumerate() {
+            let charged: u64 = tm.buckets.iter().map(|b| b.retx_pkts[n] as u64).sum();
+            assert!(nic.stats().retransmits > 0, "{}: NIC {n} never resent", mode.label());
+            assert_eq!(charged, nic.stats().retransmits, "{}: NIC {n}", mode.label());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 

@@ -136,11 +136,8 @@ impl Cluster {
         // *request*, encoded as `pkts > packets_for(bytes)`: only that
         // one header packet is a retransmission; the data window, never
         // transmitted, goes out as a first try.
-        let n = if leg == Leg::Pull && pkts > self.fabric.profile().packets_for(bytes) {
-            1
-        } else {
-            pkts
-        };
+        let request_retry = leg == Leg::Pull && pkts > self.fabric.profile().packets_for(bytes);
+        let n = if request_retry { 1 } else { pkts };
         let n_corrupt = if corrupt { n } else { 0 };
         if let Some(tr) = &mut self.trace {
             if corrupt {
@@ -150,9 +147,12 @@ impl Cluster {
             }
         }
         if let Some(tm) = &mut self.telemetry {
-            match leg {
-                Leg::Capsule => tm.retx_initiator(now, init, n, n_corrupt),
-                Leg::Pull | Leg::Completion => tm.retx_target(now, cmd.target, n, n_corrupt),
+            // Charged to the NIC that transmits: a pull's data window
+            // leaves the initiator (the source), its request the target.
+            if leg == Leg::Completion || request_retry {
+                tm.retx_target(now, cmd.target, n, n_corrupt);
+            } else {
+                tm.retx_initiator(now, init, n, n_corrupt);
             }
         }
         let init_nic = &mut self.initiators[init].nic;
