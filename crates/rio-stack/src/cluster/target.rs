@@ -409,9 +409,10 @@ impl Cluster {
             );
             let stream = self.threads[cmd.thread].stream.0;
             let seed = |j| payload::seed_for(stream, tag, lba + j);
-            assert_eq!(
-                PayloadDigest::over_seeds((0..blocks as u64).map(seed)),
-                cmd.digest,
+            // Compared by value: a reference into `cmd` handed to the
+            // failure path would keep the whole copy in memory.
+            assert!(
+                PayloadDigest::over_seeds((0..blocks as u64).map(seed)) == cmd.digest,
                 "corrupted payload reached the target SSD queue"
             );
             // A payload block travels as its seed, which the device
