@@ -9,11 +9,11 @@ use rio_proto::PayloadDigest;
 use rio_sim::{SimDuration, SimTime};
 
 use super::{Cluster, Cmd, CmdKind, Event};
-use crate::trace::TRACE_NONE;
 use crate::cpu::{
     CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
     IRQ_NS, SUBMIT_BIO_NS,
 };
+use crate::trace::TRACE_NONE;
 
 /// Synchronous-mode thread stage (Linux NVMe-oF).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -313,7 +313,7 @@ fn telemetry_charges_each_retransmit_to_the_nic_that_sent_it() {
     // reader). Horae is left out: its control messages ride the
     // untraced `Fabric::send`, which no telemetry hook sees.
     for mode in ALL_MODES.into_iter().filter(|m| *m != OrderingMode::Horae) {
-        let mut cfg = small_cfg(mode.clone(), 3);
+        let mut cfg = small_cfg(mode, 3);
         cfg.net = FabricConfig::lossy(0.05, 2);
         cfg.telemetry = Some(crate::TelemetryConfig::default());
         let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
@@ -1018,7 +1018,7 @@ fn an_event_stays_three_words() {
 
 #[test]
 fn a_command_carries_no_parked_state() {
-    // 176 bytes while the command also held its parked window, both
-    // rendezvous instants and its payload tag.
+    // A parked window rides in its event, the rendezvous is one
+    // instant and the payload tag is derived: none of them is stored.
     assert!(std::mem::size_of::<Cmd>() <= 160, "Cmd is {} bytes", std::mem::size_of::<Cmd>());
 }
