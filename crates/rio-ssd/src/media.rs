@@ -242,12 +242,73 @@ impl Index {
     }
 }
 
+/// A journalled [`BlockRun`] in three words. Only token runs — `Zero`,
+/// `Tag` and `Payload` — wait in the journal, so the image is a kind
+/// and an 8-byte token, and whether a seal rides along is one bit
+/// beside the block count.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    lba: u64,
+    /// The tag or payload seed (0 for a zero run).
+    token: u64,
+    /// `blocks << COUNT_SHIFT | SEALED | kind`.
+    meta: u32,
+    /// The seal, when `meta` has `SEALED` set.
+    seal: u32,
+}
+
+/// `Record::meta`'s low bits: the image kind (0 for a zero run), then
+/// the seal flag; the block count sits above them.
+const TAG: u32 = 1;
+const PAYLOAD: u32 = 2;
+const KIND: u32 = 3;
+const SEALED: u32 = 4;
+const COUNT_SHIFT: u32 = 3;
+
+impl Record {
+    /// Packs a token run. A run of real data, or one whose block count
+    /// does not fit beside the kind, is handed back for the index to
+    /// take on arrival.
+    fn pack(run: BlockRun) -> Result<Record, BlockRun> {
+        let (kind, token) = match run.image {
+            BlockImage::Zero => (0, 0),
+            BlockImage::Tag(tag) => (TAG, tag),
+            BlockImage::Payload(seed) => (PAYLOAD, seed),
+            BlockImage::Bytes(_) | BlockImage::Shared(_) => return Err(run),
+        };
+        if run.blocks >> (u32::BITS - COUNT_SHIFT) != 0 {
+            return Err(run);
+        }
+        let sealed = if run.seal.is_some() { SEALED } else { 0 };
+        Ok(Record {
+            lba: run.lba,
+            token,
+            meta: run.blocks << COUNT_SHIFT | sealed | kind,
+            seal: run.seal.unwrap_or(0),
+        })
+    }
+
+    fn unpack(self) -> BlockRun {
+        let image = match self.meta & KIND {
+            TAG => BlockImage::Tag(self.token),
+            PAYLOAD => BlockImage::Payload(self.token),
+            _ => BlockImage::Zero,
+        };
+        BlockRun {
+            lba: self.lba,
+            image,
+            blocks: self.meta >> COUNT_SHIFT,
+            seal: (self.meta & SEALED != 0).then_some(self.seal),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
     /// Writes no reader has looked at yet, in append order. Versions
     /// are not stored — every block write takes the next one in append
     /// order, so the fold recounts them.
-    journal: Vec<BlockRun>,
+    journal: Vec<Record>,
     index: Index,
 }
 
@@ -257,8 +318,8 @@ impl State {
     /// last write to a block wins exactly as if each had been applied
     /// on arrival.
     fn fold(&mut self) -> &mut Index {
-        for run in std::mem::take(&mut self.journal) {
-            self.index.apply(run);
+        for record in std::mem::take(&mut self.journal) {
+            self.index.apply(record.unpack());
         }
         &mut self.index
     }
@@ -267,7 +328,7 @@ impl State {
 /// A sparse persistent store of block images with write versioning.
 ///
 /// A write journal with a fold-on-read index: a write appends one
-/// record per run of equal blocks and hashes nothing, and the first
+/// 24-byte record per run of equal blocks and hashes nothing, and the first
 /// reader after it replays the journal, in order, into the per-block
 /// maps. Every accepted command lands here once and a fault-free run
 /// never reads it back, so it pays one append per command instead of
@@ -326,16 +387,15 @@ impl BlockStore {
         let first = self.next_version + 1;
         self.next_version += run.blocks as u64;
         let state = self.state.get_mut();
-        if run.image.data().is_some() {
+        match Record::pack(run) {
+            Ok(record) => state.journal.push(record),
             // A journalled record would pin its buffer until the next
             // fold, however often the block is overwritten, so real
             // data goes straight to the index; producing and
             // checksumming it dwarfs the two map inserts anyway. A
             // payload block has no buffer to pin and journals like a
             // tag.
-            state.fold().apply(run);
-        } else {
-            state.journal.push(run);
+            Err(run) => state.fold().apply(run),
         }
         first
     }
@@ -766,6 +826,45 @@ mod tests {
         // Every media hash-map entry and pending device operation holds
         // one; a fourth word costs each of them eight bytes per block.
         assert_eq!(std::mem::size_of::<BlockImage>(), 24);
+    }
+
+    #[test]
+    fn a_journal_record_is_three_words() {
+        // One per token write since the last read: a benchmark run's
+        // journal is this many bytes per command.
+        assert_eq!(std::mem::size_of::<Record>(), 24);
+    }
+
+    #[test]
+    fn a_record_unpacks_to_the_run_it_packed() {
+        for image in [
+            BlockImage::Zero,
+            BlockImage::Tag(u64::MAX),
+            BlockImage::Payload(7),
+        ] {
+            for seal in [None, Some(0), Some(u32::MAX)] {
+                let run = BlockRun {
+                    lba: u64::MAX - 1,
+                    image: image.clone(),
+                    blocks: (1 << 29) - 1,
+                    seal,
+                };
+                let record = Record::pack(run.clone()).expect("a token run packs");
+                assert_eq!(record.unpack(), run);
+            }
+        }
+        // Real data and an over-long run go to the index instead.
+        let bytes = BlockImage::Bytes(vec![1; 8].into_boxed_slice());
+        let long = BlockImage::Tag(1);
+        for (image, blocks) in [(bytes, 1), (long, 1 << 29)] {
+            let run = BlockRun {
+                lba: 0,
+                image,
+                blocks,
+                seal: None,
+            };
+            assert_eq!(Record::pack(run.clone()).unwrap_err(), run);
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! and scrubbed in place, and replaced (not mutated) on media by
 //! materialised bytes when a torn write or bit rot corrupts them.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rio_sim::{MultiServer, SimDuration, SimRng, SimTime};
 
@@ -175,6 +177,35 @@ enum PendingOp {
     Flush { submitted: SimTime },
 }
 
+/// A pending operation under its `(completion, op id)` key. Keys are
+/// unique, so the order is total and settlement deterministic.
+#[derive(Debug)]
+struct Pending {
+    due: (SimTime, u64),
+    op: PendingOp,
+}
+
+/// Reversed, so a `BinaryHeap` of them yields the earliest first.
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.due.cmp(&self.due)
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due
+    }
+}
+
+impl Eq for Pending {}
+
 /// The simulated NVMe SSD.
 #[derive(Debug)]
 pub struct Ssd {
@@ -195,12 +226,11 @@ pub struct Ssd {
     media: BlockStore,
     pmr: Pmr,
     /// Durable writes and FLUSHes not yet settled — only what changes
-    /// durable state at its completion time. Nothing consumes this
-    /// mid-run (effects are settled by [`Ssd::advance`] at run end or
-    /// crash), so submissions are O(1) appends and the list is sorted
-    /// lazily when `advance` runs — a `BTreeMap` here would pay tree
-    /// churn on every accepted command.
-    pending: Vec<((SimTime, u64), PendingOp)>,
+    /// durable state at its completion time — earliest first. On a PLP
+    /// drive [`Ssd::retire`] lands them as they complete, so this holds
+    /// what is in flight; a volatile drive's FLUSHes and FUA writes
+    /// wait here for [`Ssd::advance`].
+    pending: BinaryHeap<Pending>,
     next_op: u64,
     stats: SsdStats,
     /// Whether media landings are checksummed and crashes tear.
@@ -222,7 +252,7 @@ impl Ssd {
             last_drain_update: SimTime::ZERO,
             media: BlockStore::new(),
             pmr,
-            pending: Vec::new(),
+            pending: BinaryHeap::new(),
             next_op: 0,
             stats: SsdStats::default(),
             integrity: false,
@@ -263,6 +293,11 @@ impl Ssd {
     }
 
     fn update_drain(&mut self, now: SimTime) {
+        // The clock never runs back: `advance` steps through completion
+        // instants the submissions may have passed already, and a
+        // rewound clock would credit the same interval twice. A step
+        // to an instant the clock has passed is therefore a no-op.
+        let now = now.max(self.last_drain_update);
         let elapsed = now.since(self.last_drain_update);
         self.last_drain_update = now;
         if self.cache.is_empty() {
@@ -300,46 +335,76 @@ impl Ssd {
     /// Applies every effect due at or before `now`. Call before querying
     /// durable state and at crash time.
     pub fn advance(&mut self, now: SimTime) {
-        // Process due ops in completion order, advancing the drain clock
+        // Due ops run in completion order, the drain clock advancing
         // alongside so FLUSH/drain interleavings resolve correctly.
-        // Keys (completion, op id) are unique, so the unstable sort is
-        // deterministic.
-        self.pending.sort_unstable_by_key(|(k, _)| *k);
-        let due = self.pending.partition_point(|(k, _)| *k <= (now, u64::MAX));
-        // The list leaves `self` while its due prefix drains, because
-        // the loop body needs the rest of the device.
-        let mut pending = std::mem::take(&mut self.pending);
-        for ((done_at, _), op) in pending.drain(..due) {
+        while let Some((done_at, op)) = self.pop_due(now) {
             self.update_drain(done_at);
-            match op {
-                PendingOp::DurableWrite(write) => write.land(&mut self.media),
-                PendingOp::Flush { submitted } => {
-                    self.stats.flushes += 1;
-                    // On a volatile-cache drive, everything completed at
-                    // or before the flush submission is now durable. On
-                    // PLP drives the flush is a durability no-op and the
-                    // cache entries stay, so the media-bandwidth bound
-                    // cannot be laundered through cheap flushes.
-                    if !self.profile.plp {
-                        let (media, cache_sum) = (&mut self.media, &mut self.cache_sum);
-                        self.cache.retain(|e| {
-                            let covered = e.submitted_at <= submitted;
-                            if covered {
-                                *cache_sum -= e.bytes;
-                                e.write.land(media);
-                            }
-                            !covered
-                        });
-                    }
+            self.settle(op);
+        }
+        self.update_drain(now);
+    }
+
+    /// Lands, in completion order, every operation a PLP drive
+    /// completed by `floor`, so that `pending` holds only what is in
+    /// flight. `floor` is a promise that no later call to this device
+    /// carries an earlier instant: a cluster passes its event clock. A
+    /// submission instant makes no such promise, because a target core
+    /// may submit ahead of that clock, and a crash at the clock must
+    /// still find the command in flight.
+    ///
+    /// Under the promise this is exactly what [`Ssd::advance`] would do
+    /// for these operations later:
+    /// - every operation left, or accepted later, completes after them,
+    ///   so they land in the same order;
+    /// - only operations the drain clock has passed land, so the drain
+    ///   steps `advance` would take for them are no-ops;
+    /// - a PLP cache entry holds no images, so nothing else lands in
+    ///   between.
+    ///
+    /// A volatile drive lands nothing here: its FLUSH evicts cache
+    /// entries, and the cache is timing state.
+    pub fn retire(&mut self, floor: SimTime) {
+        if !self.profile.plp {
+            return;
+        }
+        let through = floor.min(self.last_drain_update);
+        while let Some((_, op)) = self.pop_due(through) {
+            self.settle(op);
+        }
+    }
+
+    /// Takes the earliest pending operation if it completes at or
+    /// before `now`, with its completion instant.
+    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, PendingOp)> {
+        let next = self.pending.peek_mut().filter(|p| p.due.0 <= now)?;
+        let Pending { due, op } = PeekMut::pop(next);
+        Some((due.0, op))
+    }
+
+    /// Applies an operation's durable effect.
+    fn settle(&mut self, op: PendingOp) {
+        match op {
+            PendingOp::DurableWrite(write) => write.land(&mut self.media),
+            PendingOp::Flush { submitted } => {
+                self.stats.flushes += 1;
+                // On a volatile-cache drive, everything completed at
+                // or before the flush submission is now durable. On
+                // PLP drives the flush is a durability no-op and the
+                // cache entries stay, so the media-bandwidth bound
+                // cannot be laundered through cheap flushes.
+                if !self.profile.plp {
+                    let (media, cache_sum) = (&mut self.media, &mut self.cache_sum);
+                    self.cache.retain(|e| {
+                        let covered = e.submitted_at <= submitted;
+                        if covered {
+                            *cache_sum -= e.bytes;
+                            e.write.land(media);
+                        }
+                        !covered
+                    });
                 }
             }
         }
-        // A fully settled list hands its buffer back, so at run end
-        // one device's spent list is not held while the next settles.
-        if !pending.is_empty() {
-            self.pending = pending;
-        }
-        self.update_drain(now);
     }
 
     fn op_id(&mut self) -> u64 {
@@ -354,7 +419,8 @@ impl Ssd {
     }
 
     /// Submits a write of `images` starting at `lba`. Returns the op id
-    /// and completion instant; effects apply via [`Ssd::advance`].
+    /// and completion instant; effects apply via [`Ssd::retire`] or
+    /// [`Ssd::advance`].
     ///
     /// # Panics
     ///
@@ -405,8 +471,10 @@ impl Ssd {
         // holds the images until the drain or a FLUSH reaches them; on
         // the durable path the completion-time media write owns them.
         let cached = if durable_at_completion {
-            self.pending
-                .push(((completion, id), PendingOp::DurableWrite(write)));
+            self.pending.push(Pending {
+                due: (completion, id),
+                op: PendingOp::DurableWrite(write),
+            });
             Landing::Many(Vec::new())
         } else {
             write
@@ -441,10 +509,7 @@ impl Ssd {
             );
             let completion = self.flush_unit.admit(cmd_done, dur);
             self.stats.flush_time += dur;
-            let id = self.op_id();
-            self.pending
-                .push(((completion, id), PendingOp::Flush { submitted: now }));
-            return (id, completion);
+            return self.push_flush(now, completion);
         }
         let start = cmd_done.max(self.flush_busy_until);
         let drain_us = self.dirty_bytes() as f64 / self.profile.media_bw * 1e6;
@@ -455,9 +520,16 @@ impl Ssd {
         // FLUSH stalls the device: later commands queue behind it.
         self.flush_busy_until = completion;
         self.stats.flush_time += dur;
+        self.push_flush(now, completion)
+    }
+
+    /// Queues a FLUSH submitted at `now` that completes at `completion`.
+    fn push_flush(&mut self, now: SimTime, completion: SimTime) -> (u64, SimTime) {
         let id = self.op_id();
-        self.pending
-            .push(((completion, id), PendingOp::Flush { submitted: now }));
+        self.pending.push(Pending {
+            due: (completion, id),
+            op: PendingOp::Flush { submitted: now },
+        });
         (id, completion)
     }
 
@@ -494,7 +566,7 @@ impl Ssd {
         let settle = self
             .pending
             .iter()
-            .map(|((done_at, _), _)| *done_at)
+            .map(|p| p.due.0)
             .max()
             .unwrap_or(now)
             .max(now);
@@ -518,11 +590,15 @@ impl Ssd {
         self.advance(now);
         let mut torn = 0u64;
         if self.integrity {
-            self.pending.sort_unstable_by_key(|(k, _)| *k);
-            let inflight = self.pending.iter().find_map(|(_, op)| match op {
-                PendingOp::DurableWrite(write) => write.sealed_head(),
-                _ => None,
-            });
+            let inflight = self
+                .pending
+                .iter()
+                .filter_map(|p| match &p.op {
+                    PendingOp::DurableWrite(write) => Some((p.due, write.sealed_head()?)),
+                    PendingOp::Flush { .. } => None,
+                })
+                .min_by_key(|(due, _)| *due)
+                .map(|(_, head)| head);
             let mid_drain = || self.cache.front().and_then(|e| e.write.sealed_head());
             if let Some((lba, img, seal)) = inflight.or_else(mid_drain) {
                 let mut bytes = img.to_bytes(BLOCK_SIZE as usize);
@@ -621,6 +697,7 @@ impl Ssd {
 mod tests {
     use super::*;
     use rio_proto::payload::block_for;
+    use std::collections::BTreeMap;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1000)
@@ -1362,5 +1439,291 @@ mod tests {
             achieved < cap * 1.1,
             "IOPS {achieved:.0} exceeds cap {cap:.0}"
         );
+    }
+
+    #[test]
+    fn advance_never_rewinds_the_drain_clock() {
+        // A small cache keeps the drain busy; the writes complete long
+        // after the last submission, so `advance` steps back through
+        // completion instants the drain clock has passed.
+        let mut p = SsdProfile::optane905p();
+        p.cache_bytes = 1024 * 1024;
+        let mut s = ssd(p);
+        let mut now = SimTime::ZERO;
+        for i in 0..2_000u64 {
+            now = t(i);
+            s.submit_write(now, i * 4 % 4096, Images::Run(BlockImage::Tag(i), 4), false);
+        }
+        let dirty = s.dirty_bytes();
+        assert!(dirty > 1024 * 1024, "the drain is behind: {dirty}");
+        s.advance(now);
+        assert_eq!(s.dirty_bytes(), dirty, "no interval is drained twice");
+    }
+
+    /// A write's first block and tags, or `None` for a FLUSH.
+    type ModelOp = Option<(u64, Vec<u64>)>;
+
+    /// What a PLP drive's media must hold: the writes settled so far,
+    /// landed in `(completion, op id)` order — the last one to a block
+    /// wins — with discards erasing what had landed before them.
+    #[derive(Default)]
+    struct LandingModel {
+        /// Accepted and not yet settled, by `(completion, op id)`.
+        pending: BTreeMap<(SimTime, u64), ModelOp>,
+        /// Block → (version, tag).
+        media: BTreeMap<u64, (u64, u64)>,
+        version: u64,
+        flushes: u64,
+    }
+
+    impl LandingModel {
+        fn settle(&mut self, now: SimTime) {
+            while let Some(next) = self.pending.first_entry() {
+                if next.key().0 > now {
+                    break;
+                }
+                match next.remove() {
+                    Some((lba, tags)) => {
+                        for (lba, tag) in (lba..).zip(tags) {
+                            self.version += 1;
+                            self.media.insert(lba, (self.version, tag));
+                        }
+                    }
+                    None => self.flushes += 1,
+                }
+            }
+        }
+    }
+
+    /// One seeded script of overlapping writes (runs and lists, some
+    /// FUA), flushes, discards, advances and crashes, with submissions
+    /// often at the same instant, each followed by a `retire` at its
+    /// instant. After every submission a PLP drive must hold nothing
+    /// due in `pending` and show the model's media and FLUSH count; a
+    /// volatile drive must land nothing. Returns how many submissions
+    /// left an operation pending past its completion.
+    fn settlement_script(profile: SsdProfile, script: u64) -> u64 {
+        const SPAN: u64 = 16;
+        let plp = profile.plp;
+        let mut rng = SimRng::seed_from_u64(script);
+        let mut s = Ssd::new(profile, script);
+        let mut model = LandingModel::default();
+        let mut now = SimTime::ZERO;
+        let mut overdue = 0;
+        for step in 0..48 {
+            let at = format!("script {script} step {step}");
+            let before = s.pending.len();
+            let lba = rng.below(SPAN - 3);
+            let queued = match rng.below(16) {
+                0..=8 => {
+                    let blocks = rng.between(1, 3) as usize;
+                    let (tags, images) = if rng.chance(0.5) {
+                        let tag = rng.below(1 << 20);
+                        let run = Images::Run(BlockImage::Tag(tag), blocks as u32);
+                        (vec![tag; blocks], run)
+                    } else {
+                        let tags: Vec<u64> = (0..blocks).map(|_| rng.below(1 << 20)).collect();
+                        let list: Vec<_> = tags.iter().map(|&t| BlockImage::Tag(t)).collect();
+                        (tags, list.into())
+                    };
+                    let fua = rng.chance(0.2);
+                    let (id, done) = s.submit_write(now, lba, images, fua);
+                    model.pending.insert((done, id), Some((lba, tags)));
+                    plp || fua
+                }
+                9..=11 => {
+                    let (id, done) = s.submit_flush(now);
+                    model.pending.insert((done, id), None);
+                    true
+                }
+                12 => {
+                    let count = rng.between(1, 4);
+                    s.submit_discard(now, lba, count as u32);
+                    for lba in lba..lba + count {
+                        model.media.remove(&lba);
+                    }
+                    false
+                }
+                13 => {
+                    s.advance(now);
+                    model.settle(now);
+                    continue;
+                }
+                14 => {
+                    s.crash(now);
+                    model.settle(now);
+                    model.pending.clear();
+                    continue;
+                }
+                _ => {
+                    now += SimDuration::from_nanos(rng.between(1_000, 20_000));
+                    continue;
+                }
+            };
+            s.retire(now);
+            model.settle(now);
+            overdue += s.pending.iter().any(|p| p.due.0 <= now) as u64;
+            if plp {
+                assert!(
+                    s.pending.iter().all(|p| p.due.0 > now),
+                    "{at}: due op pending"
+                );
+                let mut keys: Vec<_> = s.pending.iter().map(|p| p.due).collect();
+                keys.sort_unstable();
+                assert!(keys.iter().eq(model.pending.keys()), "{at}: in flight");
+                for lba in 0..SPAN {
+                    let (version, image) = model
+                        .media
+                        .get(&lba)
+                        .map_or((0, BlockImage::Zero), |&(v, tag)| (v, BlockImage::Tag(tag)));
+                    assert_eq!(s.durable_read(lba), image, "{at}: image of {lba}");
+                    assert_eq!(s.media.version(lba), version, "{at}: version of {lba}");
+                }
+                assert_eq!(s.stats().flushes, model.flushes, "{at}: flushes");
+            } else {
+                let grown = s.pending.len() - before;
+                assert_eq!(grown, queued as usize, "{at}: nothing retired");
+            }
+            // Bursts at one instant as often as spread-out arrivals.
+            if rng.chance(0.5) {
+                now += SimDuration::from_nanos(rng.between(0, 6_000));
+            }
+        }
+        overdue
+    }
+
+    #[test]
+    fn a_plp_device_settles_each_write_as_it_completes() {
+        let plp: u64 = (0..200)
+            .map(|script| settlement_script(SsdProfile::optane905p(), script))
+            .sum();
+        assert_eq!(plp, 0);
+        // The volatile path is unchanged: FLUSHes and FUA writes wait
+        // for `advance`, well past their completion.
+        let volatile: u64 = (0..200)
+            .map(|script| settlement_script(SsdProfile::pm981(), script))
+            .sum();
+        assert!(volatile > 500, "{volatile}");
+    }
+
+    /// A later submission does not move the floor: a write completing
+    /// between the clock and that submission is still in flight for a
+    /// crash at the clock.
+    #[test]
+    fn retire_lands_nothing_past_its_floor() {
+        let mut s = ssd(SsdProfile::optane905p());
+        let (_, done) = s.submit_write(SimTime::ZERO, 5, one_block(9), false);
+        // A core submits far ahead of the clock, which reads 1 µs.
+        s.submit_write(t(50), 6, one_block(1), false);
+        assert!(done < t(50));
+        s.retire(t(1));
+        assert_eq!(s.pending.len(), 2);
+        s.crash(t(5));
+        assert!(!s.is_durable(5), "in flight at the crash");
+    }
+
+    /// `retire` lands only what the drain clock has passed. Past it,
+    /// `advance` still owes the drain one step per completion: a single
+    /// step would hold the drain to its 1 MB allowance.
+    #[test]
+    fn retire_leaves_the_drain_steps_to_advance() {
+        let mut p = SsdProfile::optane905p();
+        p.cache_bytes = 1024 * 1024;
+        let [mut lazy, mut eager] = [0, 1].map(|_| ssd(p.clone()));
+        let mut last = SimTime::ZERO;
+        for i in 0..600u64 {
+            let images = Images::Run(BlockImage::Tag(i), 4);
+            lazy.submit_write(SimTime::from_nanos(i), i * 4, images.clone(), false);
+            last = eager
+                .submit_write(SimTime::from_nanos(i), i * 4, images, false)
+                .1;
+        }
+        eager.retire(last);
+        lazy.advance(last);
+        eager.advance(last);
+        assert_eq!(lazy.dirty_bytes(), eager.dirty_bytes());
+        assert!(lazy.dirty_bytes() < 1024 * 1024, "the drain kept up");
+    }
+
+    /// Why [`Ssd::retire`] is exact under its promise: two PLP devices
+    /// run one seeded script and only one retires, at the clock, after
+    /// every step. Submissions land ahead of a monotone clock and out
+    /// of order with each other, as target cores make them; advances,
+    /// quiesces (each followed by a discard, as in a recovery) and
+    /// crashes come at the clock; a small cache keeps the drain and
+    /// overflow delay busy. Every returned instant, tear and dirty-byte
+    /// count agrees, and whenever the lazy device settles, so do both
+    /// media and FLUSH counts.
+    #[test]
+    fn retiring_at_the_clock_changes_nothing_advance_sees() {
+        const SPAN: u64 = 16;
+        let mut small = SsdProfile::optane905p();
+        small.cache_bytes = 64 * 1024;
+        let (mut retired, mut tears) = (0, 0);
+        for (profile, script) in [SsdProfile::optane905p(), small]
+            .iter()
+            .flat_map(|p| (0..100u64).map(move |script| (p, script)))
+        {
+            let mut rng = SimRng::seed_from_u64(script);
+            let [mut lazy, mut eager] = [0, 1].map(|_| Ssd::new(profile.clone(), script));
+            lazy.set_integrity(true);
+            eager.set_integrity(true);
+            let mut clock = SimTime::ZERO;
+            for step in 0..64 {
+                let at = format!("{} script {script} step {step}", profile.cache_bytes);
+                let ahead = clock + SimDuration::from_nanos(rng.below(30_000));
+                let lba = rng.below(SPAN - 3);
+                let settled = match rng.below(12) {
+                    0..=6 => {
+                        let seed = BlockImage::Payload(rng.below(u64::MAX));
+                        let images = Images::Run(seed, rng.between(1, 3) as u32);
+                        let fua = rng.chance(0.2);
+                        let a = lazy.submit_write(ahead, lba, images.clone(), fua);
+                        assert_eq!(a, eager.submit_write(ahead, lba, images, fua), "{at}");
+                        false
+                    }
+                    7 => {
+                        assert_eq!(lazy.submit_flush(ahead), eager.submit_flush(ahead), "{at}");
+                        false
+                    }
+                    8 => {
+                        lazy.advance(clock);
+                        eager.advance(clock);
+                        true
+                    }
+                    9 => {
+                        assert_eq!(lazy.quiesce(clock), eager.quiesce(clock), "{at}");
+                        let count = rng.between(1, 4) as u32;
+                        let a = lazy.submit_discard(clock, lba, count);
+                        assert_eq!(a, eager.submit_discard(clock, lba, count), "{at}");
+                        true
+                    }
+                    10 => {
+                        let torn = lazy.crash(clock);
+                        assert_eq!(torn, eager.crash(clock), "{at}: tears");
+                        tears += torn;
+                        true
+                    }
+                    _ => false,
+                };
+                assert_eq!(lazy.dirty_bytes(), eager.dirty_bytes(), "{at}: drain");
+                if settled {
+                    let versions = |s: &Ssd| {
+                        (0..SPAN)
+                            .map(|lba| s.media.version(lba))
+                            .collect::<Vec<_>>()
+                    };
+                    assert!(view(&lazy, SPAN) == view(&eager, SPAN), "{at}: media");
+                    assert_eq!(versions(&lazy), versions(&eager), "{at}: versions");
+                    assert_eq!(lazy.stats().flushes, eager.stats().flushes, "{at}");
+                }
+                clock += SimDuration::from_nanos(rng.below(6_000));
+                let before = eager.pending.len();
+                eager.retire(clock);
+                retired += before - eager.pending.len();
+            }
+        }
+        // Not vacuous: operations retired early, and crashes tore.
+        assert!(retired > 1_000 && tears > 300, "{retired} {tears}");
     }
 }

@@ -285,7 +285,9 @@ impl Cluster {
         if cmd.kind == CmdKind::Flush {
             // Explicit FLUSH command (Linux mode): straight to the SSD.
             let submit = self.ungated_submit(recv_done, target_idx, core, tid);
-            let (_op, done) = self.targets[target_idx].ssds[cmd.ssd].submit_flush(submit);
+            let ssd = &mut self.targets[target_idx].ssds[cmd.ssd];
+            let (_op, done) = ssd.submit_flush(submit);
+            ssd.retire(now);
             self.events.push(done, Event::SsdFlushDone(id));
             return;
         }
@@ -431,8 +433,10 @@ impl Cluster {
         if let Some(tm) = &mut self.telemetry {
             tm.ssd_admit(at, target_idx);
         }
-        let (_op, done) =
-            self.targets[target_idx].ssds[cmd.ssd].submit_write(at, lba, images, false);
+        let ssd = &mut self.targets[target_idx].ssds[cmd.ssd];
+        let (_op, done) = ssd.submit_write(at, lba, images, false);
+        // `at` may run ahead of the clock; `now` is the floor.
+        ssd.retire(now);
         self.events.push(done, Event::SsdWriteDone(id));
     }
 
@@ -457,7 +461,9 @@ impl Cluster {
     /// Submits a command's embedded FLUSH at the event's instant.
     pub(super) fn on_ssd_flush_submit(&mut self, now: SimTime, id: u64) {
         let cmd = *self.cmd(id);
-        let (_op, done) = self.targets[cmd.target].ssds[cmd.ssd].submit_flush(now);
+        let ssd = &mut self.targets[cmd.target].ssds[cmd.ssd];
+        let (_op, done) = ssd.submit_flush(now);
+        ssd.retire(now);
         self.events.push(done, Event::SsdFlushDone(id));
     }
 

@@ -133,8 +133,8 @@ type Cell = (&'static str, fn() -> Cluster, u64, f64, f64);
 fn event_path_stays_inside_its_heap_budget() {
     // Peak ceilings are about 2 % above the exact counts and allocation
     // ceilings 0.01–0.03 above them (the harness's own thread adds a
-    // handful to whichever cell runs first): 0.124 / 121, 0.082 / 120,
-    // 0.082 / 95, 0.087 / 141 on random 4 KB. The fixed
+    // handful to whichever cell runs first): 0.120 / 111, 0.078 / 111,
+    // 0.076 / 70, 0.080 / 108 on random 4 KB. The fixed
     // allocations of `Cluster::new` are spread over only 2 000 blocks,
     // which is the 0.08 every mode carries; RIO's 0.04 above it is its
     // eight ORDER queues and the batch they trade buffers with growing
@@ -142,26 +142,29 @@ fn event_path_stays_inside_its_heap_budget() {
     // dispatch unit, plugged bio, SSD write or PMR update is 1.0
     // allocation per block each (a flush that copies its units out is
     // 2.0, a plug built per batch 3.0); the SSD's one block store
-    // journals a 48-byte record per write, and a second store (or a
-    // per-write completion record kept only for statistics) is that
-    // much again. The integrity-on cell (0.123 / 116) sits on the same
-    // floor: a block travels and lands as its 8-byte payload seed,
-    // sealed by streaming, and the store journals it like a tag, so a
-    // 4 KB buffer per block would be 1.0 allocation and 4 096 bytes
-    // more, and a one-element `Vec` around the image 1.0 more. The two
-    // single-SSD cells (0.059 / 37, 0.068 / 108) hold the merge path —
+    // journals a 24-byte record per write, and a PLP drive holds a
+    // write's landing only while it is in flight — held to the end of
+    // the run instead, it is 64 bytes per write more, and a second
+    // store (or a per-write completion record kept only for
+    // statistics) is 24 bytes or more. The integrity-on cell
+    // (0.121 / 113) sits on the same floor: a block travels and lands
+    // as its 8-byte payload seed, sealed by streaming, and the store
+    // journals it like a tag, so a 4 KB buffer per block would be 1.0
+    // allocation and 4 096 bytes more, and a one-element `Vec` around
+    // the image 1.0 more. The two
+    // single-SSD cells (0.057 / 36, 0.065 / 58) hold the merge path —
     // 16 one-block groups leave as one command, where per-unit vectors
     // are 0.375 per block — and the fsync path — D, JM and JC groups of
     // 1 + 2 + 1 blocks, one blocking wait per op, 1.25 per block with
     // per-unit vectors — to the same floor.
     let budgets: [Cell; 7] = [
-        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 124.0),
-        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 123.0),
-        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 97.0),
-        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 144.0),
-        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 125.0),
-        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 38.0),
-        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 111.0),
+        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 114.0),
+        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 114.0),
+        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 72.0),
+        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 111.0),
+        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 116.0),
+        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 37.0),
+        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 60.0),
     ];
     for (cell, build, blocks, max_allocs, max_peak) in budgets {
         let (allocs, peak) = per_block(build, blocks);
