@@ -1,7 +1,7 @@
 //! Simulation-engine throughput report.
 //!
-//! Runs the fixed Fig. 10-style sweep defined in [`rio_bench::sweep`]
-//! (every ordering mode over the paper's cluster shapes) and prints
+//! Runs the gated grid defined in [`rio_bench::sweep`] (every ordering
+//! mode over the paper's cluster shapes, plus the figure slices) and prints
 //! *host* wall-clock and simulator event throughput (events/sec) for
 //! each cell. The simulated workload is pinned — seeds, thread counts
 //! and group counts never vary — so the numbers track only how fast
@@ -13,8 +13,7 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo bench -p rio-bench --bench sim_engine            # full sweep
-//! cargo bench -p rio-bench --bench sim_engine -- --smoke # scaled down 10x
+//! cargo bench -p rio-bench --bench sim_engine
 //! ```
 
 use std::time::Instant;
@@ -22,13 +21,9 @@ use std::time::Instant;
 use rio_bench::sweep::{cluster, specs, Cell};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!(
-        "sim_engine throughput report ({} sweep)",
-        if smoke { "smoke" } else { "full" }
-    );
+    println!("sim_engine throughput report");
     let (mut total_wall, mut total_events) = (0.0, 0u64);
-    for spec in specs(smoke) {
+    for spec in specs() {
         let cluster = cluster(&spec);
         let started = Instant::now();
         let m = cluster.run();

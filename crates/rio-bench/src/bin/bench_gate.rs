@@ -1,10 +1,11 @@
 //! Regression gate over the committed `BENCH.json`.
 //!
-//! Loads the baseline and compares it, section by section, against a
-//! current measurement — a re-run, or an ingested document — failing
-//! (exit 1) on any rise in an engine cell's event count or a >15% rise
-//! in its group p99, a >10% drop in any figure cell's KIOPS, or a >15%
-//! rise in either phase of any recovery cell, with a per-cell report.
+//! Loads the baseline and compares both sections — the grid and the
+//! recoveries — against a current measurement (a re-run, or an
+//! ingested document), failing (exit 1) on a missing cell, any rise in
+//! a grid cell's event count, a >15% rise in its group p99 or a >10%
+//! drop in its KIOPS, or a >15% rise in either phase of any recovery
+//! cell, with a per-cell report.
 //! Every column is virtual time or a count, so the verdict is a
 //! function of the tree alone. Malformed or wrong-schema files and
 //! unknown arguments exit 2.
@@ -12,8 +13,7 @@
 //! Usage:
 //!
 //! ```sh
-//! bench_gate                         # full re-run vs BENCH.json
-//! bench_gate --smoke                 # CI: re-run a subset of the engine grid
+//! bench_gate                         # re-run every cell vs BENCH.json
 //! bench_gate --current run.json      # ingest a measurement instead
 //! bench_gate --baseline other.json   # compare against another baseline
 //! bench_gate --write out.json        # measure and write; nothing is gated
@@ -23,20 +23,14 @@
 #![forbid(unsafe_code)]
 
 use rio_bench::gate::{compare, Document, Trajectory};
-use rio_bench::sweep::{run_spec, smoke_subset, specs};
-use rio_bench::{fig, recovery};
+use rio_bench::recovery;
+use rio_bench::sweep::{run_spec, specs};
 
-const USAGE: &str = "usage: bench_gate [--baseline PATH] [--current PATH] [--smoke] [--write PATH]";
+const USAGE: &str = "usage: bench_gate [--baseline PATH] [--current PATH] [--write PATH]";
 
-/// Runs every cell of the document (with `smoke`, only the engine
-/// grid's CI-affordable full-sized subset).
-fn measure(smoke: bool) -> Document {
-    let grid = specs(false).into_iter().filter(|s| !smoke || smoke_subset(s));
-    Document {
-        engine: grid.map(|s| run_spec(&s)).collect(),
-        figures: fig::trajectory(),
-        recoveries: recovery::trajectory(),
-    }
+/// Runs every cell of the document.
+fn measure() -> Document {
+    Document { grid: specs().iter().map(run_spec).collect(), recoveries: recovery::trajectory() }
 }
 
 fn load(path: &str, role: &str) -> Result<Document, String> {
@@ -47,8 +41,8 @@ fn load(path: &str, role: &str) -> Result<Document, String> {
 
 /// Judges one section, prints its per-cell report and verdict line,
 /// and returns whether it failed.
-fn gate<C: Trajectory>(baseline: &[C], current: &[C], require_all: bool) -> bool {
-    let out = compare(baseline, current, require_all);
+fn gate<C: Trajectory>(baseline: &[C], current: &[C]) -> bool {
+    let out = compare(baseline, current);
     for v in &out.verdicts {
         if v.failures.is_empty() {
             println!("PASS {}", v.key);
@@ -61,9 +55,6 @@ fn gate<C: Trajectory>(baseline: &[C], current: &[C], require_all: bool) -> bool
         for n in &v.notes {
             println!("     note: {n}");
         }
-    }
-    if !out.uncovered.is_empty() {
-        println!("({} baseline cells not covered by this run)", out.uncovered.len());
     }
     // The simulation is deterministic, so any event-count drift means
     // the engine's behavior changed — name every drifted cell with its
@@ -89,14 +80,10 @@ fn gate<C: Trajectory>(baseline: &[C], current: &[C], require_all: bool) -> bool
 }
 
 fn real_main() -> Result<bool, String> {
-    let (mut baseline, mut current, mut write, mut smoke) = (None, None, None, false);
+    let (mut baseline, mut current, mut write) = (None, None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let path = match arg.as_str() {
-            "--smoke" => {
-                smoke = true;
-                continue;
-            }
             "--baseline" => &mut baseline,
             "--current" => &mut current,
             "--write" => &mut write,
@@ -106,7 +93,7 @@ fn real_main() -> Result<bool, String> {
     }
 
     if let Some(path) = write {
-        std::fs::write(&path, measure(false).render())
+        std::fs::write(&path, measure().render())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("bench_gate: wrote {path}");
         return Ok(false);
@@ -119,17 +106,13 @@ fn real_main() -> Result<bool, String> {
     let current = match current {
         Some(path) => load(&path, "current")?,
         None => {
-            println!(
-                "bench_gate: re-running {}, the figures and the recoveries",
-                if smoke { "the engine grid's smoke subset" } else { "the full engine grid" }
-            );
-            measure(smoke)
+            println!("bench_gate: re-running the grid and the recoveries");
+            measure()
         }
     };
-    let engine = gate(&baseline.engine, &current.engine, !smoke);
-    let figures = gate(&baseline.figures, &current.figures, true);
-    let recoveries = gate(&baseline.recoveries, &current.recoveries, true);
-    Ok(engine | figures | recoveries)
+    let grid = gate(&baseline.grid, &current.grid);
+    let recoveries = gate(&baseline.recoveries, &current.recoveries);
+    Ok(grid | recoveries)
 }
 
 fn main() {

@@ -1,8 +1,8 @@
 //! The trajectory mechanism behind the one committed `BENCH.json`.
 //!
-//! A [`Document`] holds three sections — the `engine` grid, the
-//! `figures` slices and the `recoveries` trials — and every column in
-//! it is virtual time or a count, so `(tree, seed)` fixes the whole
+//! A [`Document`] holds two sections — the `grid` of engine cells and
+//! figure slices, and the `recoveries` trials — and every column in it
+//! is virtual time or a count, so `(tree, seed)` fixes the whole
 //! file and `bench_gate --write` reproduces it byte for byte on any
 //! machine. A [`Trajectory`] is one section's cell type: the field list
 //! ([`Record`]) that [`Document::render`] and [`Document::parse`] (over
@@ -16,14 +16,14 @@
 //! deterministic column means *behavior* changed, which is not by
 //! itself a performance regression.
 
-use crate::fig::FigCell;
 use crate::json::{fill, read, write_members, Record, Value};
 use crate::recovery::RecoveryCell;
 use crate::sweep::Cell;
 
 /// Schema version written, and the only one read. Versions 1–4 were
-/// the three per-section files this document replaced.
-pub const SCHEMA: u64 = 5;
+/// the three per-section files this document replaced; version 5 held
+/// the figure slices in a section of their own.
+pub const SCHEMA: u64 = 6;
 
 /// How to regenerate the file, completing "regenerate …".
 const REGEN: &str =
@@ -55,11 +55,6 @@ pub trait Trajectory: Record {
     /// The gated metrics.
     const RULES: &'static [Rule<Self>];
 
-    /// Why nothing about `self` can be judged against `base`, if so.
-    fn incomparable(&self, _base: &Self) -> Option<String> {
-        None
-    }
-
     /// The note left when the deterministic workload size differs.
     fn workload_drift(&self, base: &Self) -> Option<String>;
 }
@@ -67,24 +62,22 @@ pub trait Trajectory: Record {
 /// `BENCH.json`, parsed or measured.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
-    /// The `sim_engine` grid ([`crate::sweep`]).
-    pub engine: Vec<Cell>,
-    /// The per-figure throughput slices ([`crate::fig`]).
-    pub figures: Vec<FigCell>,
+    /// The grid: engine cells and figure slices ([`crate::sweep`]).
+    pub grid: Vec<Cell>,
     /// The §6.5 recovery trials ([`crate::recovery`]).
     pub recoveries: Vec<RecoveryCell>,
 }
 
 impl Document {
-    /// Renders the document's text.
+    /// Renders the document's text. The header's `total_events` is the
+    /// sum of `events` over every grid cell; the reader skips it.
     pub fn render(&self) -> String {
-        let total_events: u64 = self.engine.iter().map(|c| c.events).sum();
+        let total_events: u64 = self.grid.iter().map(|c| c.events).sum();
         let mut out = format!(
             "{{\n  \"schema\": {SCHEMA},\n  \"harness\": \"bench_gate\",\n  \
              \"total_events\": {total_events}"
         );
-        write_section(&mut out, &self.engine);
-        write_section(&mut out, &self.figures);
+        write_section(&mut out, &self.grid);
         write_section(&mut out, &self.recoveries);
         out + "\n}\n"
     }
@@ -103,8 +96,7 @@ impl Document {
             ));
         }
         Ok(Document {
-            engine: read_section(&doc)?,
-            figures: read_section(&doc)?,
+            grid: read_section(&doc)?,
             recoveries: read_section(&doc)?,
         })
     }
@@ -147,10 +139,8 @@ pub struct CellVerdict {
 /// The outcome of one section's gate.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
-    /// One verdict per compared baseline cell.
+    /// One verdict per baseline cell.
     pub verdicts: Vec<CellVerdict>,
-    /// Baseline cells the current measurement did not cover.
-    pub uncovered: Vec<String>,
 }
 
 impl GateOutcome {
@@ -201,11 +191,9 @@ impl<C> Rule<C> {
     }
 }
 
-/// Compares current cells against the baseline. Baseline cells absent
-/// from `current` are listed as uncovered; with `require_all` they fail
-/// the gate (a `--smoke` re-run legitimately covers only a subset of
-/// the engine grid; everything else passes `true`).
-pub fn compare<C: Trajectory>(baseline: &[C], current: &[C], require_all: bool) -> GateOutcome {
+/// Compares current cells against the baseline, matched by identity. A
+/// baseline cell absent from `current` fails.
+pub fn compare<C: Trajectory>(baseline: &[C], current: &[C]) -> GateOutcome {
     let current_keys: Vec<String> = current.iter().map(Record::key_label).collect();
     let mut out = GateOutcome::default();
     for base in baseline {
@@ -214,22 +202,14 @@ pub fn compare<C: Trajectory>(baseline: &[C], current: &[C], require_all: bool) 
             failures: Vec::new(),
             notes: Vec::new(),
         };
-        let Some(at) = current_keys.iter().position(|k| *k == v.key) else {
-            out.uncovered.push(v.key.clone());
-            if require_all {
-                v.failures.push(format!("cell missing from the current {}", C::SECTION));
-                out.verdicts.push(v);
-            }
-            continue;
-        };
-        let cur = &current[at];
-        if let Some(why) = cur.incomparable(base) {
-            v.failures.push(why);
-        } else {
+        if let Some(at) = current_keys.iter().position(|k| *k == v.key) {
+            let cur = &current[at];
             for rule in C::RULES {
                 rule.check(&mut v, cur, base);
             }
             v.notes.extend(cur.workload_drift(base));
+        } else {
+            v.failures.push(format!("cell missing from the current {}", C::SECTION));
         }
         out.verdicts.push(v);
     }
@@ -246,8 +226,7 @@ impl Document {
                 cells.push(C::default());
             }
         }
-        pad(&mut self.engine);
-        pad(&mut self.figures);
+        pad(&mut self.grid);
         pad(&mut self.recoveries);
         self
     }
@@ -265,16 +244,17 @@ mod tests {
             initiators: 1,
             loss: 0.0,
             paths: 1,
+            groups: 1_000,
             events,
             sim_span_secs: 0.2,
             blocks_done: 1_000,
-            groups: 1_000,
             group_p99_us: p99,
+            kiops: 5.0,
         }
     }
 
-    fn doc(engine: Vec<Cell>) -> Document {
-        Document { engine, ..Document::default() }.padded()
+    fn doc(grid: Vec<Cell>) -> Document {
+        Document { grid, ..Document::default() }.padded()
     }
 
     #[test]
@@ -284,18 +264,19 @@ mod tests {
             cell("fig10b_optane", "Linux", 9_602, 20.25),
         ]);
         let parsed = Document::parse(&written.render()).expect("parse");
-        assert_eq!(parsed.engine, written.engine);
-        assert_eq!(parsed.engine[0].events, 500_000);
-        assert_eq!(parsed.engine[1].mode, "Linux");
-        assert!((parsed.engine[0].group_p99_us - 45.5).abs() < 1e-9);
-        assert_eq!((parsed.figures.len(), parsed.recoveries.len()), (1, 1));
+        assert_eq!(parsed.grid, written.grid);
+        assert_eq!(parsed.grid[0].events, 500_000);
+        assert_eq!(parsed.grid[1].mode, "Linux");
+        assert!((parsed.grid[0].group_p99_us - 45.5).abs() < 1e-9);
+        assert_eq!(parsed.recoveries.len(), 1);
         assert_eq!(parsed.render(), written.render());
     }
 
     #[test]
     fn old_schema_is_rejected_with_guidance() {
-        // Schemas 4 and 1 are the three files this document replaced.
-        for old in [1, 2, 4, 99] {
+        // Schemas 4 and 1 are the three files this document replaced;
+        // schema 5 kept the figure slices apart.
+        for old in [1, 2, 4, 5, 99] {
             let text = doc(vec![cell("x", "RIO", 1, 1.0)])
                 .render()
                 .replace(&format!("\"schema\": {SCHEMA}"), &format!("\"schema\": {old}"));
@@ -308,11 +289,10 @@ mod tests {
 
     #[test]
     fn a_missing_or_empty_section_is_rejected_naming_it() {
-        for section in ["engine", "figures", "recoveries"] {
+        for section in ["grid", "recoveries"] {
             let mut empty = doc(vec![cell("x", "RIO", 1, 1.0)]);
             match section {
-                "engine" => empty.engine.clear(),
-                "figures" => empty.figures.clear(),
+                "grid" => empty.grid.clear(),
                 _ => empty.recoveries.clear(),
             }
             let err = Document::parse(&empty.render()).expect_err("empty section");
@@ -330,55 +310,44 @@ mod tests {
         let base = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
         // 14% worse p99: inside tolerance, noted.
         let ok = vec![cell("fig10b_optane", "RIO", 500_000, 114.0)];
-        let out = compare(&base, &ok, true);
+        let out = compare(&base, &ok);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("group p99 drift"));
         // One event more: the exact gate fires, with both counts.
         let busier = vec![cell("fig10b_optane", "RIO", 500_001, 100.0)];
-        let out = compare(&base, &busier, true);
+        let out = compare(&base, &busier);
         assert!(out.failed());
         let failure = &out.verdicts[0].failures[0];
         assert!(failure.contains("events regression: 500001 vs baseline 500000"), "{failure}");
         // 30% worse p99: tail gate fires.
         let tail = vec![cell("fig10b_optane", "RIO", 500_000, 130.0)];
-        let out = compare(&base, &tail, true);
+        let out = compare(&base, &tail);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("p99"));
         // Fewer events and tighter: improvements pass.
         let better = vec![cell("fig10b_optane", "RIO", 400_000, 50.0)];
-        assert!(!compare(&base, &better, true).failed());
+        assert!(!compare(&base, &better).failed());
     }
 
     #[test]
     fn event_drift_warns_but_does_not_fail() {
         let base = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
         let drifted = vec![cell("fig10b_optane", "RIO", 490_000, 100.0)];
-        let out = compare(&base, &drifted, true);
+        let out = compare(&base, &drifted);
         assert!(!out.failed());
         assert!(out.verdicts[0].notes[0].contains("drift"));
     }
 
     #[test]
-    fn missing_cells_fail_only_full_runs() {
-        let base = vec![
-            cell("fig10b_optane", "RIO", 500_000, 100.0),
-            cell("fig10b_optane", "Linux", 9_602, 20.0),
-        ];
-        let partial = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
-        assert!(compare(&base, &partial, true).failed());
-        let out = compare(&base, &partial, false);
-        assert!(!out.failed());
-        assert_eq!(out.uncovered.len(), 1);
-    }
-
-    #[test]
     fn group_mismatch_is_incomparable() {
+        // `groups` is part of the identity: a run of another size is
+        // another cell, and the baseline's is missing.
         let base = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
         let mut shrunk = base.clone();
         shrunk[0].groups = 100;
-        let out = compare(&base, &shrunk, true);
+        let out = compare(&base, &shrunk);
         assert!(out.failed());
-        assert!(out.verdicts[0].failures[0].contains("shape drift"));
+        assert_eq!(out.verdicts[0].failures, ["cell missing from the current grid"]);
     }
 
     #[test]
@@ -386,12 +355,12 @@ mod tests {
         let good = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
         let nan = vec![cell("fig10b_optane", "RIO", 500_000, f64::NAN)];
         // Measured NaN: no `>` threshold fires, so it must be its own failure.
-        let out = compare(&good, &nan, true);
+        let out = compare(&good, &nan);
         assert!(out.failed());
         assert!(out.verdicts[0].failures[0].contains("group p99 is not finite"));
         // A non-finite baseline can vouch for nothing either.
-        assert!(compare(&nan, &good, true).failed());
+        assert!(compare(&nan, &good).failed());
         let inf = vec![cell("fig10b_optane", "RIO", 500_000, f64::INFINITY)];
-        assert!(compare(&inf, &inf, true).failed());
+        assert!(compare(&inf, &inf).failed());
     }
 }

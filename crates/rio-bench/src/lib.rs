@@ -9,9 +9,9 @@
 //! The cluster shapes more than one harness runs are catalogued here,
 //! once: [`fig10_cfg`] (Figure 10's four topologies), [`lossy_cfg`]
 //! (the lossy-fabric cell) and [`recovery::trial_cfg`] (the §6.5
-//! testbed). The figure benches and the three sections of `BENCH.json`
-//! (the `sim_engine` grid, the figure slices, the recovery trials) all
-//! build their configurations from these, so a figure and the gate
+//! testbed). The figure benches and the two sections of `BENCH.json`
+//! (the grid of engine cells and figure slices, the recovery trials)
+//! all build their configurations from these, so a figure and the gate
 //! that guards it cannot drift apart.
 
 #![deny(missing_docs)]

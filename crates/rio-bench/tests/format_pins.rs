@@ -3,67 +3,58 @@
 //! of the writer, reader or gates cannot move a byte or a verdict
 //! unnoticed.
 
-use rio_bench::fig::FigCell;
 use rio_bench::gate::{compare, Document};
 use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
 
 const BENCH: &str = include_str!("../../../BENCH.json");
 
-/// Two cells per section; each pin below checks its own section of the
-/// one rendering.
+/// Four grid cells (two engine cells, then two figure slices) and two
+/// recoveries; each pin below checks its own part of the one rendering.
 fn document() -> Document {
+    let cell = |figure: &str, mode: &str, threads, initiators, loss, paths, groups| Cell {
+        figure: String::from(figure),
+        mode: String::from(mode),
+        threads,
+        initiators,
+        loss,
+        paths,
+        groups,
+        ..Cell::default()
+    };
     Document {
-        engine: vec![
+        grid: vec![
             Cell {
-                figure: "fig10b_optane".into(),
-                mode: "RIO".into(),
-                threads: 2,
-                initiators: 1,
-                loss: 0.0,
-                paths: 1,
                 events: 1_000,
                 sim_span_secs: 0.25,
                 blocks_done: 400,
-                groups: 100,
                 group_p99_us: 123.4567,
+                kiops: 1.6,
+                ..cell("fig10b_optane", "RIO", 2, 1, 0.0, 1, 100)
             },
             Cell {
-                figure: "lossy_fabric".into(),
-                mode: "Linux".into(),
-                threads: 4,
-                initiators: 1,
-                loss: 0.001,
-                paths: 2,
                 events: 9_602,
                 sim_span_secs: 1.5,
                 blocks_done: 1_200,
-                groups: 1_200,
                 group_p99_us: 20.25,
+                kiops: 0.8,
+                ..cell("lossy_fabric", "Linux", 4, 1, 0.001, 2, 1_200)
             },
-        ],
-        figures: vec![
-            FigCell {
-                figure: "fig10a".into(),
-                mode: "RIO".into(),
-                threads: 2,
-                initiators: 1,
-                targets: 1,
-                loss: 0.0,
-                paths: 1,
+            Cell {
+                events: 54_321,
+                sim_span_secs: 0.008520,
+                blocks_done: 6_000,
+                group_p99_us: 41.5,
                 kiops: 704.25,
-                groups: 6_000,
+                ..cell("fig10a_flash", "RIO", 2, 1, 0.0, 1, 6_000)
             },
-            FigCell {
-                figure: "fig_multi".into(),
-                mode: "orderless".into(),
-                threads: 4,
-                initiators: 4,
-                targets: 2,
-                loss: 0.001,
-                paths: 2,
+            Cell {
+                events: 77,
+                sim_span_secs: 0.000012,
+                blocks_done: 1_600,
+                group_p99_us: 9.0,
                 kiops: 9.1234567,
-                groups: 1_600,
+                ..cell("multi_initiator", "orderless", 4, 4, 0.001, 2, 1_600)
             },
         ],
         recoveries: vec![
@@ -95,30 +86,29 @@ fn between<'a>(doc: &'a str, from: &str, to: &str) -> &'a str {
 
 #[test]
 fn sim_document_bytes_are_pinned() {
-    // The header and the `engine` section: the document's first bytes.
+    // The header and the grid's engine cells: the document's first bytes.
     let doc = document().render();
     assert_eq!(
-        between(&doc, "{", "  \"figures\""),
+        between(&doc, "{", "    {\"figure\": \"fig10a_flash\""),
         r#"{
-  "schema": 5,
+  "schema": 6,
   "harness": "bench_gate",
-  "total_events": 10602,
-  "engine": [
-    {"figure": "fig10b_optane", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "groups": 100, "group_p99_us": 123.457},
-    {"figure": "lossy_fabric", "mode": "Linux", "threads": 4, "initiators": 1, "loss": 0.001, "paths": 2, "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "groups": 1200, "group_p99_us": 20.250}
-  ],
+  "total_events": 65000,
+  "grid": [
+    {"figure": "fig10b_optane", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "groups": 100, "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "group_p99_us": 123.457, "kiops": 1.600000},
+    {"figure": "lossy_fabric", "mode": "Linux", "threads": 4, "initiators": 1, "loss": 0.001, "paths": 2, "groups": 1200, "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "group_p99_us": 20.250, "kiops": 0.800000},
 "#
     );
 }
 
 #[test]
 fn fig_document_bytes_are_pinned() {
+    // The figure slices are rows of the same grid, in the same format.
     let doc = document().render();
     assert_eq!(
-        between(&doc, "  \"figures\"", "  \"recoveries\""),
-        r#"  "figures": [
-    {"figure": "fig10a", "mode": "RIO", "threads": 2, "initiators": 1, "targets": 1, "loss": 0.000000, "paths": 1, "kiops": 704.250000, "groups": 6000},
-    {"figure": "fig_multi", "mode": "orderless", "threads": 4, "initiators": 4, "targets": 2, "loss": 0.001000, "paths": 2, "kiops": 9.123457, "groups": 1600}
+        between(&doc, "    {\"figure\": \"fig10a_flash\"", "  \"recoveries\""),
+        r#"    {"figure": "fig10a_flash", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "groups": 6000, "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000},
+    {"figure": "multi_initiator", "mode": "orderless", "threads": 4, "initiators": 4, "loss": 0.001, "paths": 2, "groups": 1600, "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457}
   ],
 "#
     );
@@ -140,18 +130,20 @@ fn recovery_document_bytes_are_pinned() {
 }
 
 /// The committed document and its re-rendering, each split where the
-/// `figures` section starts.
+/// figure slices start: after the grid's 44 engine cells.
 fn committed_and_rerendered(doc: &Document) -> [(String, String); 2] {
     [BENCH.to_string(), doc.render()].map(|text| {
-        let (head, tail) = text.split_once("  \"figures\"").expect("figures section");
-        (head.to_string(), tail.to_string())
+        let at = text.match_indices("\n    {\"figure\"").nth(44).expect("figure slices").0;
+        (text[..at].to_string(), text[at..].to_string())
     })
 }
 
 #[test]
 fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    assert_eq!(doc.figures.len(), 31);
+    let slices = rio_bench::fig::slices();
+    assert_eq!(slices.len(), 31);
+    assert!(doc.grid[44..].iter().map(|c| c.figure.as_str()).eq(slices.iter().map(|s| s.figure)));
     assert_eq!(doc.recoveries.len(), 6);
     let [committed, rerendered] = committed_and_rerendered(&doc);
     assert_eq!(rerendered.1, committed.1);
@@ -160,10 +152,10 @@ fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
 #[test]
 fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
     // Every column is stored, none derived from a rounded one, so the
-    // engine section re-renders exactly too — and so does the header
+    // engine cells re-render exactly too — and so does the header
     // total, which the reader skips and the writer sums afresh.
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    assert_eq!(doc.engine.len(), 44);
+    assert_eq!(doc.grid.len(), 75);
     let [committed, rerendered] = committed_and_rerendered(&doc);
     assert_eq!(rerendered.0, committed.0);
 }
@@ -171,15 +163,10 @@ fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
 #[test]
 fn committed_baselines_pass_their_own_gates_without_a_note() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    for (name, out) in [
-        ("engine", compare(&doc.engine, &doc.engine, true)),
-        ("figures", compare(&doc.figures, &doc.figures, true)),
-        ("recoveries", compare(&doc.recoveries, &doc.recoveries, true)),
-    ] {
-        assert!(out.uncovered.is_empty(), "{name}");
-        for v in &out.verdicts {
-            assert!(v.failures.is_empty() && v.notes.is_empty(), "{name} {v:?}");
-        }
+    let grid = compare(&doc.grid, &doc.grid);
+    let recoveries = compare(&doc.recoveries, &doc.recoveries);
+    assert_eq!((grid.verdicts.len(), recoveries.verdicts.len()), (75, 6));
+    for v in grid.verdicts.iter().chain(&recoveries.verdicts) {
+        assert!(v.failures.is_empty() && v.notes.is_empty(), "{v:?}");
     }
-    assert_eq!(compare(&doc.engine, &doc.engine, true).verdicts.len(), 44);
 }

@@ -6,10 +6,12 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use rio_bench::fig::FigCell;
 use rio_bench::gate::Document;
+use rio_bench::json::Record;
 use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
+
+const BENCH: &str = include_str!("../../../BENCH.json");
 
 fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
     Cell {
@@ -19,40 +21,30 @@ fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
         initiators: 1,
         loss: 0.0,
         paths: 1,
+        groups: 60_000,
         events,
         sim_span_secs: 0.2,
         blocks_done: 120_000,
-        groups: 60_000,
         group_p99_us: p99,
+        kiops: 600.0,
     }
 }
 
-fn fig_cell(figure: &str, mode: &str, kiops: f64) -> FigCell {
-    FigCell {
-        figure: figure.into(),
-        mode: mode.into(),
-        threads: 2,
-        initiators: 1,
-        targets: 1,
-        loss: 0.0,
-        paths: 1,
-        kiops,
-        groups: 6_000,
-    }
+/// A figure-slice cell: the same type, a smaller workload.
+fn fig_cell(figure: &str, mode: &str, kiops: f64) -> Cell {
+    Cell { groups: 6_000, events: 60_000, blocks_done: 6_000, kiops, ..cell(figure, mode, 0, 40.0) }
 }
 
-/// The fixture baseline: three cells in the two sections the tests
-/// doctor, one in the third.
+/// The fixture baseline: three engine cells and three figure slices in
+/// the grid, one recovery.
 fn baseline() -> Document {
     Document {
-        engine: vec![
+        grid: vec![
             cell("fig10b_optane", "RIO", 532_029, 48.0),
             cell("fig10b_optane", "orderless", 538_569, 30.0),
             cell("fig10b_optane", "Linux", 9_602, 21.5),
-        ],
-        figures: vec![
-            fig_cell("fig10a", "RIO", 704.2),
-            fig_cell("fig10a", "orderless", 761.9),
+            fig_cell("fig10a_flash", "RIO", 704.2),
+            fig_cell("fig10a_flash", "orderless", 761.9),
             fig_cell("fig13", "Linux", 9.1),
         ],
         recoveries: vec![RecoveryCell {
@@ -99,7 +91,7 @@ fn identical_run_passes() {
     let (code, stdout, _) = gate("same", &baseline());
     assert_eq!(code, Some(0), "{stdout}");
     assert_eq!(stdout.matches("PASS fig10b_optane").count(), 3, "{stdout}");
-    assert!(stdout.contains("engine PASS (3 cells compared)"), "{stdout}");
+    assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
 }
 
 /// The wall-clock events/s rule's successor (the name is pinned by the
@@ -109,7 +101,7 @@ fn identical_run_passes() {
 fn doctored_events_per_sec_regression_fails_naming_the_cell() {
     // RIO cell one event busier; others untouched.
     let mut cur = baseline();
-    cur.engine[0].events += 1;
+    cur.grid[0].events += 1;
     let (code, stdout, _) = gate("events_rise", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("FAIL fig10b_optane/RIO"), "{stdout}");
@@ -119,15 +111,15 @@ fn doctored_events_per_sec_regression_fails_naming_the_cell() {
     );
     assert!(stdout.contains("PASS fig10b_optane/orderless"), "{stdout}");
     assert!(stdout.contains("PASS fig10b_optane/Linux"), "{stdout}");
-    assert!(stdout.contains("bench_gate: engine FAIL"), "{stdout}");
-    assert!(stdout.contains("bench_gate: figures PASS"), "{stdout}");
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
+    assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
 }
 
 #[test]
 fn doctored_p99_regression_fails_naming_the_cell() {
     // The orderless cell's tail grows 30%; event counts unchanged.
     let mut cur = baseline();
-    cur.engine[1].group_p99_us *= 1.30;
+    cur.grid[1].group_p99_us *= 1.30;
     let (code, stdout, _) = gate("p99", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("FAIL fig10b_optane/orderless"), "{stdout}");
@@ -138,10 +130,10 @@ fn doctored_p99_regression_fails_naming_the_cell() {
 #[test]
 fn within_tolerance_and_improvements_pass() {
     let mut cur = baseline();
-    cur.engine[1].group_p99_us *= 1.10; // 10% worse tail: inside 15%.
-    cur.engine[2].events /= 2; // Half the events.
-    cur.engine[2].group_p99_us *= 0.5; // 2x tighter tail.
-    cur.figures[0].kiops *= 0.92; // 8% fewer KIOPS: inside 10%.
+    cur.grid[1].group_p99_us *= 1.10; // 10% worse tail: inside 15%.
+    cur.grid[2].events /= 2; // Half the events.
+    cur.grid[2].group_p99_us *= 0.5; // 2x tighter tail.
+    cur.grid[3].kiops *= 0.92; // 8% fewer KIOPS: inside 10%.
     cur.recoveries[0].data_recovery_ms *= 1.10; // 10% slower: inside 15%.
     let (code, stdout, _) = gate("improved", &cur);
     assert_eq!(code, Some(0), "{stdout}");
@@ -151,17 +143,17 @@ fn within_tolerance_and_improvements_pass() {
 #[test]
 fn missing_cell_fails_a_full_comparison() {
     let mut cur = baseline();
-    cur.engine.pop();
+    cur.grid.remove(2);
     let (code, stdout, _) = gate("missing", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("missing from the current engine"), "{stdout}");
+    assert!(stdout.contains("missing from the current grid"), "{stdout}");
     assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
 }
 
 #[test]
 fn schema_mismatch_exits_2() {
     let good = baseline().render();
-    let old = good.replace("\"schema\": 5", "\"schema\": 4");
+    let old = good.replace("\"schema\": 6", "\"schema\": 5");
     let (code, _, stderr) = gate_texts("schema_base", &old, &good);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("schema mismatch"), "{stderr}");
@@ -177,7 +169,7 @@ fn event_count_drift_warning_names_cells_with_expected_and_actual() {
     // Event counts fall by ~1%: not a regression, so the gate passes
     // but must name the drifted cell with both counts.
     let mut cur = baseline();
-    cur.engine[0].events = 527_000;
+    cur.grid[0].events = 527_000;
     let (code, stdout, _) = gate("drifted", &cur);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(
@@ -186,7 +178,7 @@ fn event_count_drift_warning_names_cells_with_expected_and_actual() {
     );
     assert!(
         stdout.contains(
-            "fig10b_optane/RIO t=2 init=1 loss=0 paths=1: event-count drift: \
+            "fig10b_optane/RIO t=2 init=1 loss=0 paths=1 groups=60000: event-count drift: \
              expected 532029 events, measured 527000"
         ),
         "{stdout}"
@@ -197,31 +189,32 @@ fn event_count_drift_warning_names_cells_with_expected_and_actual() {
 fn fig_identical_trajectory_passes() {
     let (code, stdout, _) = gate("fig_same", &baseline());
     assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("figures PASS (3 cells compared)"), "{stdout}");
+    assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
+    assert!(stdout.contains("PASS fig13/Linux t=2 init=1 loss=0 paths=1 groups=6000"), "{stdout}");
 }
 
 #[test]
 fn fig_doctored_kiops_regression_fails_naming_the_cell() {
     // The RIO cell loses 20% of its KIOPS; others untouched.
     let mut cur = baseline();
-    cur.figures[0].kiops *= 0.80;
+    cur.grid[3].kiops *= 0.80;
     let (code, stdout, _) = gate("fig_kiops", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10a RIO"), "{stdout}");
+    assert!(stdout.contains("FAIL fig10a_flash/RIO"), "{stdout}");
     assert!(stdout.contains("kiops regression"), "{stdout}");
-    assert!(stdout.contains("PASS fig10a orderless"), "{stdout}");
-    assert!(stdout.contains("PASS fig13 Linux"), "{stdout}");
-    assert!(stdout.contains("bench_gate: engine PASS"), "{stdout}");
+    assert!(stdout.contains("PASS fig10a_flash/orderless"), "{stdout}");
+    assert!(stdout.contains("PASS fig13/Linux"), "{stdout}");
+    assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
 }
 
 #[test]
 fn fig_missing_cell_fails() {
     let mut cur = baseline();
-    cur.figures.pop();
+    cur.grid.pop();
     let (code, stdout, _) = gate("fig_missing", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("missing from the current figures"), "{stdout}");
-    assert!(stdout.contains("FAIL fig13 Linux"), "{stdout}");
+    assert!(stdout.contains("missing from the current grid"), "{stdout}");
+    assert!(stdout.contains("FAIL fig13/Linux"), "{stdout}");
 }
 
 #[test]
@@ -232,24 +225,24 @@ fn fig_schema_mismatch_exits_2() {
                \"targets\": 1, \"loss\": 0.000000, \"paths\": 1, \"kiops\": 704.2, \"groups\": 6000}\n  ]\n}\n";
     let (code, _, stderr) = gate_texts("fig_schema", old, &baseline().render());
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("file has schema 1, this gate reads schema 5"), "{stderr}");
+    assert!(stderr.contains("file has schema 1, this gate reads schema 6"), "{stderr}");
     assert!(stderr.contains("bench_gate -- --write BENCH.json"), "{stderr}");
 }
 
 #[test]
-fn one_current_document_feeds_all_three_sections() {
-    // One regression per section, all in the one `--current` file.
+fn one_current_document_feeds_both_sections() {
+    // Regressions in both sections, all in the one `--current` file.
     let mut cur = baseline();
-    cur.engine[2].events += 100;
-    cur.figures[2].kiops *= 0.5;
+    cur.grid[2].events += 100;
+    cur.grid[5].kiops *= 0.5;
     cur.recoveries[0].order_rebuild_ms *= 1.2;
-    let (code, stdout, _) = gate("three", &cur);
+    let (code, stdout, _) = gate("both", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
-    assert!(stdout.contains("FAIL fig13 Linux"), "{stdout}");
+    assert!(stdout.contains("FAIL fig13/Linux"), "{stdout}");
     assert!(stdout.contains("FAIL recovery trial0 t=8"), "{stdout}");
     assert!(stdout.contains("order rebuild regression"), "{stdout}");
-    for section in ["engine", "figures", "recoveries"] {
+    for section in ["grid", "recoveries"] {
         assert!(stdout.contains(&format!("bench_gate: {section} FAIL")), "{stdout}");
     }
     // And a document missing a section is unusable, not a pass.
@@ -268,6 +261,7 @@ fn a_deleted_or_unknown_flag_exits_2_naming_it() {
         "--fig-current",
         "--no-fig",
         "--write-fig",
+        "--smoke",
         "--frobnicate",
     ] {
         let (code, stdout, stderr) = bench_gate(&[flag, "x.json"]);
@@ -302,4 +296,34 @@ fn fig_non_finite_kiops_exits_2_naming_file_and_offset() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("golden_fig_nan_cur.json"), "{stderr}");
     assert!(stderr.contains("at byte"), "{stderr}");
+}
+
+/// The committed baseline with one grid cell doctored, gated against
+/// the undoctored file; returns the exit code and stdout.
+fn gate_committed(name: &str, key: &str, doctor: fn(&mut Cell)) -> (Option<i32>, String) {
+    let mut cur = Document::parse(BENCH).expect("BENCH.json parses");
+    let hit = cur.grid.iter_mut().find(|c| c.key_label() == key);
+    doctor(hit.unwrap_or_else(|| panic!("no grid cell {key}")));
+    let (code, stdout, _) = gate_texts(name, BENCH, &cur.render());
+    (code, stdout)
+}
+
+#[test]
+fn a_kiops_drop_on_a_full_size_engine_cell_fails_naming_it() {
+    let key = "fig10d_4ssd/RIO t=8 init=1 loss=0 paths=1 groups=480000";
+    let (code, stdout) = gate_committed("full_kiops", key, |c| c.kiops *= 0.80);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains(&format!("FAIL {key}\n     kiops regression:")), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("FAIL ")).count(), 1, "{stdout}");
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
+}
+
+#[test]
+fn an_event_rise_on_a_fig13_cell_fails_naming_it() {
+    let key = "fig13/RIO t=16 init=1 loss=0 paths=1 groups=14400";
+    let (code, stdout) = gate_committed("fig13_events", key, |c| c.events += 1);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains(&format!("FAIL {key}\n     events regression:")), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("FAIL ")).count(), 1, "{stdout}");
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
 }
