@@ -11,9 +11,9 @@
 //!
 //! The fabric stays passive: operations take `now` and either return a
 //! delivery instant or a [`XferStep::Dropped`] resumption point the
-//! caller schedules as an event. One convenience wrapper,
-//! [`Fabric::send`], runs the retransmission loop internally and
-//! returns only the final delivery instant.
+//! caller schedules as an event. No operation runs a retransmission
+//! loop itself, so a resend draws from the rng and books its egress
+//! link at the instant its event fires, in order with all other traffic.
 
 use rio_sim::{BandwidthLink, SimDuration, SimRng, SimTime};
 
@@ -141,6 +141,7 @@ impl FabricProfile {
     }
 
     /// Number of paths.
+    #[cfg(test)]
     pub fn n_paths(&self) -> usize {
         self.paths.len()
     }
@@ -200,7 +201,7 @@ pub struct NicStats {
 }
 
 /// One reliable-connected queue pair's delivery cursor and path pin.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct QueuePair {
     last_delivery: SimTime,
     path: u32,
@@ -223,24 +224,6 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// Creates a single-path NIC with `n_qps` queue pairs on a link of
-    /// `bandwidth` bytes/second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_qps` is zero.
-    pub fn new(n_qps: usize, bandwidth: f64) -> Self {
-        assert!(n_qps > 0, "need at least one queue pair");
-        Nic {
-            paths: vec![PathPort {
-                link: BandwidthLink::new(bandwidth),
-                stats: PathStats::default(),
-            }],
-            qps: vec![QueuePair::default(); n_qps],
-            stats: NicStats::default(),
-        }
-    }
-
     /// Creates a NIC with one egress link per path of `profile`, and
     /// queue pairs pinned round-robin across the paths.
     ///
@@ -271,12 +254,8 @@ impl Nic {
         }
     }
 
-    /// Number of queue pairs.
-    pub fn n_qps(&self) -> usize {
-        self.qps.len()
-    }
-
     /// Number of egress paths.
+    #[cfg(test)]
     pub fn n_paths(&self) -> usize {
         self.paths.len()
     }
@@ -327,8 +306,7 @@ impl Nic {
 /// Outcome of one transmit round of a message.
 ///
 /// Event-driven callers schedule `Dropped::resume_at` as a simulation
-/// event and call the matching `resume_*` method there;
-/// [`Fabric::send`] loops internally.
+/// event and call the matching `resume_*` method there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum XferStep {
     /// Every packet arrived; the message is delivered at `at`.
@@ -576,27 +554,6 @@ impl Fabric {
         step
     }
 
-    /// Posts a two-sided SEND and runs go-back-N recovery internally,
-    /// returning only the final delivery instant (loss and timeouts are
-    /// folded into the returned time).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range queue pair.
-    pub fn send(&mut self, src: &mut Nic, qp: usize, now: SimTime, bytes: u64) -> SimTime {
-        let mut step = self.send_burst(src, qp, now, bytes);
-        loop {
-            match step {
-                XferStep::Delivered { at } => return at,
-                XferStep::Dropped {
-                    resume_at,
-                    pkts_left,
-                    ..
-                } => step = self.resume_send(src, qp, resume_at, pkts_left, bytes),
-            }
-        }
-    }
-
     /// Issues a one-sided RDMA READ: `reader` pulls `bytes` from the
     /// remote `source` NIC's memory, using `qp`'s path pin on the
     /// source side. Returns either the instant the data has fully
@@ -700,6 +657,22 @@ mod tests {
         Fabric::new(FabricProfile::connectx6(), 7)
     }
 
+    /// Drives one SEND on `qp` to delivery the way the cluster's event
+    /// loop does: every `Dropped` step resumes at its timeout.
+    fn send(f: &mut Fabric, src: &mut Nic, qp: usize, now: SimTime, bytes: u64) -> SimTime {
+        let mut step = f.send_burst(src, qp, now, bytes);
+        loop {
+            match step {
+                XferStep::Delivered { at } => return at,
+                XferStep::Dropped {
+                    resume_at,
+                    pkts_left,
+                    ..
+                } => step = f.resume_send(src, qp, resume_at, pkts_left, bytes),
+            }
+        }
+    }
+
     /// Drives one RDMA READ on queue pair 0 to delivery the way the
     /// cluster's event loop does: every `Dropped` step resumes at its
     /// timeout.
@@ -727,8 +700,8 @@ mod tests {
     fn lossy_pulls_always_deliver_and_settle() {
         let profile = FabricProfile::connectx6().with_loss(0.3, 20.0);
         let mut f = Fabric::new(profile, 17);
-        let mut reader = Nic::new(1, f.profile().bandwidth);
-        let mut source = Nic::new(1, f.profile().bandwidth);
+        let mut reader = Nic::for_profile(1, f.profile());
+        let mut source = Nic::for_profile(1, f.profile());
         for i in 0..64 {
             let now = SimTime::from_nanos(i * 100_000);
             assert!(pull(&mut f, &mut reader, &mut source, now, 16 * 1024) >= now);
@@ -744,8 +717,8 @@ mod tests {
     #[test]
     fn send_latency_near_profile() {
         let mut f = fabric();
-        let mut nic = Nic::new(4, f.profile().bandwidth);
-        let d = f.send(&mut nic, 0, SimTime::ZERO, 64);
+        let mut nic = Nic::for_profile(4, f.profile());
+        let d = send(&mut f, &mut nic, 0, SimTime::ZERO, 64);
         let us = d.as_micros_f64();
         assert!((1.0..3.0).contains(&us), "delivery at {us} us");
     }
@@ -753,10 +726,10 @@ mod tests {
     #[test]
     fn same_qp_delivery_is_fifo() {
         let mut f = fabric();
-        let mut nic = Nic::new(1, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(1, f.profile());
         let mut prev = SimTime::ZERO;
         for i in 0..200 {
-            let d = f.send(&mut nic, 0, SimTime::from_nanos(i * 10), 64);
+            let d = send(&mut f, &mut nic, 0, SimTime::from_nanos(i * 10), 64);
             assert!(d >= prev, "RC in-order delivery violated at send {i}");
             prev = d;
         }
@@ -765,15 +738,15 @@ mod tests {
     #[test]
     fn cross_qp_can_reorder() {
         let mut f = fabric();
-        let mut nic = Nic::new(8, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(8, f.profile());
         // Send on alternating QPs at identical instants; jitter must
         // produce at least one inversion over enough trials.
         let mut inverted = false;
         let mut last_a = SimTime::ZERO;
         for i in 0..100 {
             let now = SimTime::from_nanos(i * 1000);
-            let a = f.send(&mut nic, 0, now, 64);
-            let b = f.send(&mut nic, 1, now, 64);
+            let a = send(&mut f, &mut nic, 0, now, 64);
+            let b = send(&mut f, &mut nic, 1, now, 64);
             if b < a || a < last_a {
                 inverted = true;
             }
@@ -785,12 +758,12 @@ mod tests {
     #[test]
     fn large_transfer_pays_serialization() {
         let mut f = fabric();
-        let mut nic = Nic::new(1, f.profile().bandwidth);
-        let small = f.send(&mut nic, 0, SimTime::ZERO, 64);
+        let mut nic = Nic::for_profile(1, f.profile());
+        let small = send(&mut f, &mut nic, 0, SimTime::ZERO, 64);
         let mut f2 = fabric();
-        let mut nic2 = Nic::new(1, f2.profile().bandwidth);
+        let mut nic2 = Nic::for_profile(1, f2.profile());
         // 1 MB at 25 GB/s is 40 us of wire time.
-        let large = f2.send(&mut nic2, 0, SimTime::ZERO, 1 << 20);
+        let large = send(&mut f2, &mut nic2, 0, SimTime::ZERO, 1 << 20);
         let delta = large.as_micros_f64() - small.as_micros_f64();
         assert!(delta > 30.0, "1 MB should add ≥30 us, added {delta}");
     }
@@ -798,10 +771,10 @@ mod tests {
     #[test]
     fn egress_is_shared_across_qps() {
         let mut f = fabric();
-        let mut nic = Nic::new(2, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(2, f.profile());
         // Two 1 MB sends at t=0 on different QPs serialize on the wire.
-        let a = f.send(&mut nic, 0, SimTime::ZERO, 1 << 20);
-        let b = f.send(&mut nic, 1, SimTime::ZERO, 1 << 20);
+        let a = send(&mut f, &mut nic, 0, SimTime::ZERO, 1 << 20);
+        let b = send(&mut f, &mut nic, 1, SimTime::ZERO, 1 << 20);
         assert!(
             b.as_micros_f64() > a.as_micros_f64() + 25.0,
             "second transfer must queue behind the first"
@@ -811,8 +784,8 @@ mod tests {
     #[test]
     fn rdma_read_round_trip_and_no_reader_egress() {
         let mut f = fabric();
-        let mut initiator = Nic::new(1, f.profile().bandwidth);
-        let mut target = Nic::new(1, f.profile().bandwidth);
+        let mut initiator = Nic::for_profile(1, f.profile());
+        let mut target = Nic::for_profile(1, f.profile());
         // Target reads 8 KB from the initiator (NVMe-oF write data pull).
         let done = pull(&mut f, &mut target, &mut initiator, SimTime::ZERO, 8192);
         let us = done.as_micros_f64();
@@ -826,9 +799,9 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut f = fabric();
-        let mut nic = Nic::new(2, f.profile().bandwidth);
-        f.send(&mut nic, 0, SimTime::ZERO, 100);
-        f.send(&mut nic, 1, SimTime::ZERO, 100);
+        let mut nic = Nic::for_profile(2, f.profile());
+        send(&mut f, &mut nic, 0, SimTime::ZERO, 100);
+        send(&mut f, &mut nic, 1, SimTime::ZERO, 100);
         assert_eq!(nic.stats().sends, 2);
         assert_eq!(nic.stats().bytes_out, 200);
         assert_eq!(nic.stats().packets, 2, "one packet per small message");
@@ -838,11 +811,11 @@ mod tests {
     #[test]
     fn reset_clears_cursors() {
         let mut f = fabric();
-        let mut nic = Nic::new(1, f.profile().bandwidth);
-        f.send(&mut nic, 0, SimTime::ZERO, 1 << 20);
+        let mut nic = Nic::for_profile(1, f.profile());
+        send(&mut f, &mut nic, 0, SimTime::ZERO, 1 << 20);
         nic.crash_reset(SimTime::from_nanos(500));
         // After reset a send is not held behind the old cursor.
-        let d = f.send(&mut nic, 0, SimTime::from_nanos(500), 64);
+        let d = send(&mut f, &mut nic, 0, SimTime::from_nanos(500), 64);
         assert!(d.as_micros_f64() < 50.0);
     }
 
@@ -850,7 +823,7 @@ mod tests {
     fn crash_reset_forgets_parked_retransmissions() {
         let profile = FabricProfile::connectx6().with_loss(0.995, 10.0);
         let mut f = Fabric::new(profile, 1);
-        let mut nic = Nic::new(1, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(1, f.profile());
         // Park a message in go-back-N recovery, then crash before its
         // resend timeout: the parked message must be forgotten.
         let step = f.send_burst(&mut nic, 0, SimTime::ZERO, 64);
@@ -865,7 +838,7 @@ mod tests {
         // Post-crash traffic must not underflow the settled counter: a
         // fresh lossless fabric delivers and the counter stays at zero.
         let mut clean = Fabric::new(FabricProfile::connectx6(), 2);
-        let d = clean.send(&mut nic, 0, SimTime::from_nanos(1_000), 64);
+        let d = send(&mut clean, &mut nic, 0, SimTime::from_nanos(1_000), 64);
         assert!(d >= SimTime::from_nanos(1_000));
         assert_eq!(nic.stats().retx_inflight, 0);
     }
@@ -883,7 +856,7 @@ mod tests {
         for seed in 0..1_000u64 {
             let profile = FabricProfile::connectx6().with_loss(0.25, 10.0);
             let mut f = Fabric::new(profile, seed);
-            let mut nic = Nic::new(1, f.profile().bandwidth);
+            let mut nic = Nic::for_profile(1, f.profile());
             let total = f.profile().packets_for(bytes);
             assert!(total >= 8, "need a multi-packet message");
             let mut step = f.send_burst(&mut nic, 0, SimTime::ZERO, bytes);
@@ -919,20 +892,20 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_qp_rejected() {
         let mut f = fabric();
-        let mut nic = Nic::new(1, f.profile().bandwidth);
-        f.send(&mut nic, 3, SimTime::ZERO, 64);
+        let mut nic = Nic::for_profile(1, f.profile());
+        send(&mut f, &mut nic, 3, SimTime::ZERO, 64);
     }
 
     #[test]
     fn tcp_profile_is_slower_but_ordered() {
         let mut f = Fabric::new(FabricProfile::tcp_200g(), 7);
-        let mut nic = Nic::new(2, f.profile().bandwidth);
-        let d = f.send(&mut nic, 0, SimTime::ZERO, 64);
+        let mut nic = Nic::for_profile(2, f.profile());
+        let d = send(&mut f, &mut nic, 0, SimTime::ZERO, 64);
         assert!(d.as_micros_f64() > 8.0, "TCP latency should dwarf RDMA");
         // Per-socket FIFO still holds.
         let mut prev = SimTime::ZERO;
         for i in 0..50 {
-            let d = f.send(&mut nic, 0, SimTime::from_nanos(i * 100), 64);
+            let d = send(&mut f, &mut nic, 0, SimTime::from_nanos(i * 100), 64);
             assert!(d >= prev);
             prev = d;
         }
@@ -942,11 +915,11 @@ mod tests {
     fn determinism_same_seed_same_timing() {
         let run = || {
             let mut f = Fabric::new(FabricProfile::connectx6(), 99);
-            let mut nic = Nic::new(4, f.profile().bandwidth);
+            let mut nic = Nic::for_profile(4, f.profile());
             (0..50)
                 .map(|i| {
-                    f.send(&mut nic, i % 4, SimTime::from_nanos(i as u64 * 100), 64)
-                        .as_nanos()
+                    let at = SimTime::from_nanos(i as u64 * 100);
+                    send(&mut f, &mut nic, i % 4, at, 64).as_nanos()
                 })
                 .collect::<Vec<_>>()
         };
@@ -969,12 +942,12 @@ mod tests {
     fn loss_triggers_timeout_and_retransmit() {
         let profile = FabricProfile::connectx6().with_loss(0.4, 50.0);
         let mut f = Fabric::new(profile, 11);
-        let mut nic = Nic::new(1, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(1, f.profile());
         // Enough sends that some are certainly dropped at 40% loss.
         let mut any_slow = false;
         for i in 0..64 {
             let now = SimTime::from_nanos(i * 100_000);
-            let d = f.send(&mut nic, 0, now, 64);
+            let d = send(&mut f, &mut nic, 0, now, 64);
             if d.since(now).as_micros_f64() > 45.0 {
                 any_slow = true;
             }
@@ -982,18 +955,14 @@ mod tests {
         assert!(any_slow, "some send must pay the 50 us timeout");
         assert!(nic.stats().drops > 0, "drops counted");
         assert!(nic.stats().retransmits > 0, "retransmits counted");
-        assert_eq!(
-            nic.stats().retx_inflight,
-            0,
-            "all recoveries completed synchronously"
-        );
+        assert_eq!(nic.stats().retx_inflight, 0, "all recoveries settled");
     }
 
     #[test]
     fn burst_api_reports_resume_points() {
         let profile = FabricProfile::connectx6().with_loss(0.995, 10.0);
         let mut f = Fabric::new(profile, 1);
-        let mut nic = Nic::new(1, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(1, f.profile());
         // At 99.5% loss the first round almost surely drops.
         let step = f.send_burst(&mut nic, 0, SimTime::ZERO, 64);
         match step {
@@ -1027,10 +996,10 @@ mod tests {
     fn corruption_naks_into_goback_n_and_balances_ledger() {
         let profile = FabricProfile::connectx6().with_corruption(0.3);
         let mut f = Fabric::new(profile, 21);
-        let mut nic = Nic::new(1, f.profile().bandwidth);
+        let mut nic = Nic::for_profile(1, f.profile());
         for i in 0..64 {
             let now = SimTime::from_nanos(i * 100_000);
-            let d = f.send(&mut nic, 0, now, 64 * 1024);
+            let d = send(&mut f, &mut nic, 0, now, 64 * 1024);
             assert!(d >= now, "corrupted sends still deliver eventually");
         }
         let s = nic.stats().clone();
@@ -1049,8 +1018,8 @@ mod tests {
     fn corrupted_pull_request_parks_with_request_marker() {
         let profile = FabricProfile::connectx6().with_corruption(0.995);
         let mut f = Fabric::new(profile, 3);
-        let mut reader = Nic::new(1, f.profile().bandwidth);
-        let mut source = Nic::new(1, f.profile().bandwidth);
+        let mut reader = Nic::for_profile(1, f.profile());
+        let mut source = Nic::for_profile(1, f.profile());
         let total = f.profile().packets_for(8192);
         let step = f.pull_burst(&mut reader, &mut source, 0, SimTime::ZERO, 8192);
         match step {
@@ -1078,11 +1047,11 @@ mod tests {
         let run = |corrupt: f64| {
             let p = FabricProfile::connectx6().with_loss(0.2, 25.0).with_corruption(corrupt);
             let mut f = Fabric::new(p, 123);
-            let mut nic = Nic::new(2, f.profile().bandwidth);
+            let mut nic = Nic::for_profile(2, f.profile());
             (0..100)
                 .map(|i| {
-                    f.send(&mut nic, (i % 2) as usize, SimTime::from_nanos(i * 500), 8192)
-                        .as_nanos()
+                    let at = SimTime::from_nanos(i * 500);
+                    send(&mut f, &mut nic, (i % 2) as usize, at, 8192).as_nanos()
                 })
                 .collect::<Vec<_>>()
         };
@@ -1105,7 +1074,7 @@ mod tests {
         assert_eq!(nic.n_paths(), 4);
         // QPs 0..8 round-robin over paths; sends land on all four.
         for qp in 0..8 {
-            f.send(&mut nic, qp, SimTime::ZERO, 4096);
+            send(&mut f, &mut nic, qp, SimTime::ZERO, 4096);
         }
         let per_path = nic.path_stats();
         assert_eq!(per_path.len(), 4);
@@ -1120,7 +1089,7 @@ mod tests {
         let mut f = Fabric::new(p.clone(), 5);
         let mut nic = Nic::for_profile(1, &p);
         for i in 0..10 {
-            f.send(&mut nic, 0, SimTime::from_nanos(i * 10_000), 64);
+            send(&mut f, &mut nic, 0, SimTime::from_nanos(i * 10_000), 64);
         }
         let per_path = nic.path_stats();
         assert!(
@@ -1139,8 +1108,8 @@ mod tests {
             let mut nic = Nic::for_profile(6, &p);
             let times: Vec<u64> = (0..200)
                 .map(|i| {
-                    f.send(&mut nic, (i % 6) as usize, SimTime::from_nanos(i * 500), 8192)
-                        .as_nanos()
+                    let at = SimTime::from_nanos(i * 500);
+                    send(&mut f, &mut nic, (i % 6) as usize, at, 8192).as_nanos()
                 })
                 .collect();
             (times, nic.stats().clone(), nic.path_stats())
@@ -1163,10 +1132,10 @@ mod tests {
         ) {
             let p = FabricProfile::connectx6().with_loss(loss, 20.0);
             let mut f = Fabric::new(p, seed);
-            let mut nic = Nic::new(2, f.profile().bandwidth);
+            let mut nic = Nic::for_profile(2, f.profile());
             for i in 0..msgs {
                 let now = SimTime::from_nanos(i * 10_000);
-                let d = f.send(&mut nic, (i % 2) as usize, now, bytes);
+                let d = send(&mut f, &mut nic, (i % 2) as usize, now, bytes);
                 prop_assert!(d >= now, "delivery before posting");
             }
             prop_assert_eq!(nic.stats().sends, msgs);

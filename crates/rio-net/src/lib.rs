@@ -20,9 +20,11 @@
 //!    every NIC can spread queue pairs over asymmetric paths (distinct
 //!    latency/bandwidth/jitter) with optional migration.
 //!
-//! Like the SSD model, the fabric is passive: operations take `now` and
-//! return delivery instants — or, for the event-driven burst APIs, a
-//! [`fabric::XferStep::Dropped`] resumption point the caller schedules.
+//! Like the SSD model, the fabric is passive: every operation takes
+//! `now` and returns one [`fabric::XferStep`] — a delivery instant, or a
+//! `Dropped` resumption point the caller schedules as an event and
+//! resumes there. Nothing retransmits behind the caller's back, so
+//! every resend happens in event order.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -45,11 +45,6 @@ impl FifoResource {
         done
     }
 
-    /// The instant at which the resource next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total busy time accumulated (for utilisation accounting).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
@@ -157,16 +152,6 @@ impl BandwidthLink {
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let ser = self.serialization(bytes);
         self.wire.admit(now, ser)
-    }
-
-    /// Total wire-busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.wire.busy_time()
-    }
-
-    /// Configured bandwidth in bytes per second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
     }
 }
 

@@ -84,10 +84,6 @@ enum Event {
     SsdFlushDone(u64),
     /// A completion SEND was delivered at the initiator.
     CmdComplete(u64),
-    /// A Horae control message was delivered at its target.
-    CtrlArrive { target: usize, thread: usize },
-    /// A Horae control acknowledgement reached the initiator.
-    CtrlAck { thread: usize },
     /// A scheduled fault fires (index into the config's `FaultPlan`).
     Fault(u32),
 }
@@ -97,12 +93,18 @@ enum Event {
 enum CmdKind {
     Write,
     Flush,
+    /// A Horae control message: a group's ordering metadata out on the
+    /// capsule leg, its acknowledgement back on the completion leg. It
+    /// is not an NVMe command: it moves no data, opens no trace and is
+    /// not counted in `commands_sent`.
+    Ctrl,
 }
 
-/// One in-flight NVMe-oF command: what it writes (or flushes) and
-/// where, fixed when it is posted, plus the two facts the target learns
-/// on the way (`ready`, `slot`). Only what outlives an event lives
-/// here: a parked go-back-N window rides in its `Resend` event.
+/// One in-flight NVMe-oF command (or Horae control message): what it
+/// writes (or flushes) and where, fixed when it is posted, plus the two
+/// facts the target learns on the way (`ready`, `slot`). Only what
+/// outlives an event lives here: a parked go-back-N window rides in its
+/// `Resend` event.
 #[derive(Debug, Clone, Copy)]
 struct Cmd {
     kind: CmdKind,
@@ -128,7 +130,8 @@ struct Cmd {
     /// PMR log slot holding this command's ordering record.
     slot: Option<SlotRef>,
     /// Stage-trace slot of this command ([`crate::trace::TRACE_NONE`]
-    /// when tracing is off; assigned by `send_cmd`).
+    /// when tracing is off, and always for `Ctrl`; assigned by
+    /// `send_cmd`).
     trace: u32,
 }
 
@@ -577,8 +580,6 @@ impl Cluster {
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
             Event::SsdFlushDone(c) => self.on_media_done(now, c, true),
             Event::CmdComplete(c) => self.on_cmd_complete(now, c),
-            Event::CtrlArrive { target, thread } => self.on_ctrl_arrive(now, target, thread),
-            Event::CtrlAck { thread } => self.on_ctrl_ack(now, thread),
             Event::Fault(i) => self.on_fault(now, i as usize),
         }
     }

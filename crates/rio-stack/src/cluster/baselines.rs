@@ -43,29 +43,34 @@ impl Cluster {
             cpu = self.note_group_start(cpu, t, &spec);
             self.threads[t].inflight += 1;
             cpu = self.init_run_on(t, cpu, HORAE_CTRL_POST_NS);
-            // Control metadata goes to the group's primary target.
+            // Control metadata goes to the group's primary target, on
+            // the stream's QP. It moves no data: like a FLUSH, its range
+            // is the one block at LBA 0.
             let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
-            let qp = self.threads[t].stream.0 as usize % self.cfg.qps_per_target;
-            let init_qp = self.target_qp(primary, qp);
-            let init = self.threads[t].init;
-            let delivery = self
-                .fabric
-                .send(&mut self.initiators[init].nic, init_qp, cpu, 64);
             self.threads[t].ctrl_pending = Some(spec);
-            self.events.push(
-                delivery,
-                Event::CtrlArrive {
-                    target: primary,
-                    thread: t,
-                },
-            );
+            let ctrl = Cmd {
+                kind: CmdKind::Ctrl,
+                thread: t,
+                target: primary,
+                ssd: 0,
+                qp: self.threads[t].stream.0 as usize % self.cfg.qps_per_target,
+                phys: BlockRange::new(0, 1),
+                attr: None,
+                flush_embedded: false,
+                unit: 0,
+                ready: None,
+                digest: PayloadDigest::NONE,
+                slot: None,
+                trace: TRACE_NONE,
+            };
+            self.post_capsule(cpu, ctrl);
         }
         self.park_or_finish(t);
     }
 
-    /// A Horae control message reached its target: persist the ordering
-    /// metadata, acknowledge.
-    pub(super) fn on_ctrl_arrive(&mut self, now: SimTime, target: usize, thread: usize) {
+    /// Horae control message `id` reached `target`: persist the
+    /// ordering metadata, acknowledge on the completion leg.
+    pub(super) fn on_ctrl_arrive(&mut self, now: SimTime, id: u64, target: usize) {
         // Target CPU: RECV + ordering-layer bookkeeping + PMR MMIO.
         // The ordering layer appends metadata in global order, so the
         // handler serializes on one dedicated core.
@@ -73,16 +78,7 @@ impl Cluster {
         let done = self.targets[target]
             .cores
             .run_on(core, now, HORAE_CTRL_HANDLE_NS);
-        // Acknowledge over the target's NIC, on the sender's
-        // connection QP group.
-        let qp = self.conn_qp(
-            thread,
-            self.threads[thread].stream.0 as usize % self.cfg.qps_per_target,
-        );
-        let delivery = self
-            .fabric
-            .send(&mut self.targets[target].nic, qp, done, 16);
-        self.events.push(delivery, Event::CtrlAck { thread });
+        self.send_completion(done, id);
     }
 
     /// The control acknowledgement is back: the group's data path may go.

@@ -567,7 +567,18 @@ impl Cluster {
 
     /// A completion capsule reached the initiator: IRQ, fragment rejoin,
     /// then in-order delivery (Rio) or immediate delivery (baselines).
+    /// A Horae control acknowledgement takes its own handler, which
+    /// charges its own IRQ and touches no telemetry or trace.
     pub(super) fn on_cmd_complete(&mut self, now: SimTime, id: u64) {
+        // Kind and thread are read in place: a control message's
+        // removal then copies nothing out.
+        let c = self.cmd(id);
+        if c.kind == CmdKind::Ctrl {
+            let thread = c.thread;
+            self.cmds.remove(id);
+            self.on_ctrl_ack(now, thread);
+            return;
+        }
         let cmd = self.cmds.remove(id).expect("cmd exists");
         let t = cmd.thread;
         let cpu = self.init_run_on(t, now, IRQ_NS);

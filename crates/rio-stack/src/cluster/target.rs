@@ -264,8 +264,16 @@ impl Cluster {
 
     /// A command capsule reached its target: RECV, start the data pull,
     /// and pass the gate (Rio) or go straight to the driver (baselines).
+    /// A Horae control message goes to its own handler first, before
+    /// the command is copied.
     pub(super) fn on_cmd_arrive(&mut self, now: SimTime, id: u64) {
-        let cmd = *self.cmd(id);
+        let cmd = self.cmd(id);
+        if cmd.kind == CmdKind::Ctrl {
+            let target = cmd.target;
+            self.on_ctrl_arrive(now, id, target);
+            return;
+        }
+        let cmd = *cmd;
         let (target_idx, tid) = (cmd.target, cmd.trace);
         let init = self.threads[cmd.thread].init;
         // Target-side work lands on the core of the sender's

@@ -310,9 +310,9 @@ fn telemetry_charges_each_retransmit_to_the_nic_that_sent_it() {
     // The per-NIC retransmit series must split exactly as the NICs'
     // own counters do: a pull's data window is resent by the initiator
     // (the source), only a lost pull request by the target (the
-    // reader). Horae is left out: its control messages ride the
-    // untraced `Fabric::send`, which no telemetry hook sees.
-    for mode in ALL_MODES.into_iter().filter(|m| *m != OrderingMode::Horae) {
+    // reader). Horae's control messages and acknowledgements ride the
+    // same legs and are charged the same way.
+    for mode in ALL_MODES {
         let mut cfg = small_cfg(mode, 3);
         cfg.net = FabricConfig::lossy(0.05, 2);
         cfg.telemetry = Some(crate::TelemetryConfig::default());
@@ -1010,10 +1010,10 @@ fn multi_target_striping_reaches_all_ssds() {
 // ---- layout ------------------------------------------------------------
 
 #[test]
-fn an_event_stays_three_words() {
-    // The heap moves every event by value. A parked go-back-N window
-    // rides in `Resend` and fits beside the widest payload.
-    assert_eq!(std::mem::size_of::<Event>(), 24);
+fn an_event_is_two_words() {
+    // The heap moves every event by value. `Resend`, which carries a
+    // parked go-back-N window, is the widest payload.
+    assert_eq!(std::mem::size_of::<Event>(), 16);
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //!
 //! Every command crosses the fabric three times — capsule out, data
 //! pull, completion back — strictly in sequence, so at most one of its
-//! windows is parked at a time. The parked window (leg, packets left,
-//! whether a corruption failed it) rides in the `Resend` event that
-//! resumes it; the command itself keeps none of it.
+//! windows is parked at a time. A Horae control message is a command
+//! that skips the pull. The parked window (leg, packets left, whether a
+//! corruption failed it) rides in the `Resend` event that resumes it;
+//! the command itself keeps none of it.
 
 use rio_net::XferStep;
 use rio_sim::SimTime;
@@ -16,6 +17,10 @@ use super::{Cluster, Cmd, CmdKind, Event};
 const CMD_CAPSULE_BYTES: u64 = 96;
 /// Completion capsule size on the wire.
 const COMPLETION_BYTES: u64 = 32;
+/// Horae control message size on the wire (a group's ordering metadata).
+const CTRL_CAPSULE_BYTES: u64 = 64;
+/// Horae control acknowledgement size on the wire.
+const CTRL_ACK_BYTES: u64 = 16;
 
 /// One of the three wire transfers of a command, in the order they run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +35,16 @@ pub(super) enum Leg {
 }
 
 impl Leg {
-    /// The leg's message size on the wire: a fixed capsule each way,
-    /// the command's blocks for the data pull.
+    /// The leg's message size on the wire: a fixed capsule each way
+    /// (smaller for a Horae control message), the command's blocks for
+    /// the data pull.
     pub(super) fn bytes(self, cmd: &Cmd) -> u64 {
+        let ctrl = cmd.kind == CmdKind::Ctrl;
         match self {
+            Leg::Capsule if ctrl => CTRL_CAPSULE_BYTES,
             Leg::Capsule => CMD_CAPSULE_BYTES,
             Leg::Pull => cmd.phys.blocks as u64 * 4096,
+            Leg::Completion if ctrl => CTRL_ACK_BYTES,
             Leg::Completion => COMPLETION_BYTES,
         }
     }
@@ -86,11 +95,10 @@ impl Cluster {
         }
     }
 
-    /// Sends one command capsule over the fabric: either it arrives at
-    /// the target (`CmdArrive`) or a packet drops and the go-back-N
-    /// timeout is scheduled as a `Resend` event. `stamped` is the
-    /// instant the command was stamped/generated, before the post CPU
-    /// charge — the head of its stage trace.
+    /// Sends one NVMe-oF command: counts it, opens its stage trace, and
+    /// puts its capsule on the wire. `stamped` is the instant the
+    /// command was stamped/generated, before the post CPU charge — the
+    /// head of its stage trace.
     pub(super) fn send_cmd(&mut self, now: SimTime, stamped: SimTime, mut cmd: Cmd) {
         let init = self.threads[cmd.thread].init;
         self.initiators[init].m.commands_sent += 1;
@@ -115,6 +123,14 @@ impl Cluster {
             }
             cmd.trace = tid;
         }
+        self.post_capsule(now, cmd);
+    }
+
+    /// Puts `cmd` in flight and its capsule on the wire at `now`: either
+    /// it arrives at the target (`CmdArrive`) or a packet drops and the
+    /// go-back-N timeout is scheduled as a `Resend` event.
+    pub(super) fn post_capsule(&mut self, now: SimTime, cmd: Cmd) {
+        let init = self.threads[cmd.thread].init;
         let qp = self.target_qp(cmd.target, cmd.qp);
         let bytes = Leg::Capsule.bytes(&cmd);
         let id = self.cmds.insert(cmd);
@@ -168,10 +184,10 @@ impl Cluster {
     /// Sends the completion capsule back to the initiator (with the
     /// same go-back-N recovery as the command capsule).
     pub(super) fn send_completion(&mut self, now: SimTime, id: u64) {
-        let cmd = *self.cmd(id);
+        let cmd = self.cmd(id);
+        let (target, bytes) = (cmd.target, Leg::Completion.bytes(cmd));
         let qp = self.conn_qp(cmd.thread, cmd.qp);
-        let bytes = Leg::Completion.bytes(&cmd);
-        let step = self.fabric.send_burst(&mut self.targets[cmd.target].nic, qp, now, bytes);
+        let step = self.fabric.send_burst(&mut self.targets[target].nic, qp, now, bytes);
         self.xfer_step(id, Leg::Completion, step);
     }
 }

@@ -85,11 +85,6 @@ impl CoreSet {
         self.cores[idx].admit(now, SimDuration::from_nanos(cost_ns))
     }
 
-    /// Instant at which `core` becomes free.
-    pub fn free_at(&self, core: usize) -> SimTime {
-        self.cores[core % self.cores.len()].free_at()
-    }
-
     /// Total busy time across all cores.
     pub fn busy_total(&self) -> SimDuration {
         let mut total = SimDuration::ZERO;

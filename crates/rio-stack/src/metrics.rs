@@ -525,7 +525,7 @@ mod tests {
         let profile = rio_net::FabricProfile::connectx6().with_loss(0.995, 10.0);
         for seed in [1, 2] {
             let mut f = rio_net::Fabric::new(profile.clone(), seed);
-            let mut nic = rio_net::Nic::new(1, f.profile().bandwidth);
+            let mut nic = rio_net::Nic::for_profile(1, f.profile());
             // Almost surely parks (99.5% loss), bumping this NIC's peak.
             let _ = f.send_burst(&mut nic, 0, SimTime::ZERO, 64);
             nic.crash_reset(SimTime::ZERO);

@@ -10,7 +10,10 @@
 //! and folds the deltas into a deterministic [`LatencyBreakdown`]
 //! exposed in [`crate::metrics::RunMetrics`] — so *any* figure or
 //! bench config can render the fig. 14 breakdown, not just the
-//! hand-built one.
+//! hand-built one. Every message rides the same wire legs, so the
+//! aggregate counts each retransmission exactly once and equals the
+//! NICs' counters in every mode; a Horae control message opens no
+//! record and shows up in the aggregate only.
 //!
 //! The recorder is allocation-free on the event path: open traces live
 //! in a pre-sized free-list arena, closed records go into a bounded
@@ -77,9 +80,10 @@ pub const STAGES: usize = 8;
 /// (`STAGES - 1`).
 pub const SEGMENTS: usize = STAGES - 1;
 
-/// Sentinel trace id carried by untraced commands. No [`StageTrace`]
-/// ever sees it: when a recorder exists, every command gets a real id
-/// before its first stage.
+/// Sentinel trace id carried by untraced commands. When a recorder
+/// exists, every NVMe-oF command gets a real id before its first stage;
+/// only a Horae control message keeps this one, and [`StageTrace`]
+/// then counts its retransmissions in the aggregate alone.
 pub(crate) const TRACE_NONE: u32 = u32::MAX;
 
 /// One command's trace: identity, stage timestamps and annotations.
@@ -120,8 +124,9 @@ pub struct CmdTraceRecord {
     /// Go-back-N recovery rounds this command's transfers entered.
     pub retx_rounds: u32,
     /// Packets retransmitted for this command across all rounds; each
-    /// wire retransmission is counted exactly once, so these sum to
-    /// the NIC-level retransmit counter.
+    /// wire retransmission is counted exactly once, so these — plus the
+    /// Horae control messages' retransmits, which only the aggregate
+    /// counts — sum to the NIC-level retransmit counter.
     pub retx_pkts: u32,
     /// The subset of `retx_rounds` triggered by a receiver-detected
     /// packet corruption (CRC mismatch NAK) rather than a plain drop.
@@ -193,12 +198,12 @@ pub struct LatencyBreakdown {
     pub completed: u64,
     /// Commands killed in flight by a crash.
     pub aborted: u64,
-    /// Go-back-N recovery rounds summed over traced commands.
+    /// Go-back-N recovery rounds summed over every message on the wire:
+    /// traced commands and Horae's record-less control messages.
     pub retx_rounds: u64,
-    /// Packets retransmitted, summed over traced commands. Counted
-    /// per wire transmission, exactly once, so this equals
-    /// `NetMetrics::retransmits` in every mode but Horae, whose control
-    /// messages ride the untraced `Fabric::send`.
+    /// Packets retransmitted, summed like `retx_rounds`. Counted per
+    /// wire transmission, exactly once, so this equals
+    /// `NetMetrics::retransmits` in every mode.
     pub retx_pkts: u64,
     /// The subset of `retx_rounds` triggered by receiver-detected
     /// packet corruptions (CRC mismatch NAKs).
@@ -371,24 +376,29 @@ impl StageTrace {
     }
 
     /// Annotates one go-back-N recovery round retransmitting `pkts`
-    /// packets for command `id`.
+    /// packets for command `id`. A [`TRACE_NONE`] id (a Horae control
+    /// message) counts in the aggregate only.
     pub(crate) fn retx(&mut self, id: u32, pkts: u32) {
-        let r = &mut self.slots[id as usize];
-        r.retx_rounds += 1;
-        r.retx_pkts += pkts;
         self.agg.retx_rounds += 1;
         self.agg.retx_pkts += pkts as u64;
+        if id != TRACE_NONE {
+            let r = &mut self.slots[id as usize];
+            r.retx_rounds += 1;
+            r.retx_pkts += pkts;
+        }
     }
 
     /// Annotates a corruption-triggered recovery round: counted in the
     /// overall retransmit totals *and* in the corrupt-specific subset.
     pub(crate) fn retx_corrupt(&mut self, id: u32, pkts: u32) {
         self.retx(id, pkts);
-        let r = &mut self.slots[id as usize];
-        r.retx_corrupt_rounds += 1;
-        r.retx_corrupt_pkts += pkts;
         self.agg.retx_corrupt_rounds += 1;
         self.agg.retx_corrupt_pkts += pkts as u64;
+        if id != TRACE_NONE {
+            let r = &mut self.slots[id as usize];
+            r.retx_corrupt_rounds += 1;
+            r.retx_corrupt_pkts += pkts;
+        }
     }
 
     /// Queues ordered command `id` (covering groups through `seq_end`)

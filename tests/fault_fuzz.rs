@@ -191,9 +191,6 @@ fn corrupting_fabrics_replay_exactly_in_every_mode() {
         assert_eq!(m.tenants.iter().map(|t| t.blocks_done).sum::<u64>(), blocks);
         let b = m.breakdown.as_ref().expect("traced");
         assert_eq!(b.completed, m.commands_sent);
-        // Horae's control messages ride the untraced `Fabric::send`.
-        if mode != OrderingMode::Horae {
-            assert_eq!(b.retx_pkts, m.net.retransmits);
-        }
+        assert_eq!(b.retx_pkts, m.net.retransmits);
     }
 }

@@ -112,37 +112,27 @@ fn check_trace_invariants(mode: &OrderingMode, m: &RunMetrics) {
     }
 
     // 4. Retransmit annotations reconcile with the wire: every data,
-    //    capsule and completion retransmission belongs to exactly one
-    //    command, so the per-command counts sum to the NIC counter.
-    //    (Horae's control path retransmits inside `Fabric::send`,
-    //    invisible to commands, so it only gets an upper bound.)
-    if matches!(mode, OrderingMode::Horae) {
-        assert!(
-            b.retx_pkts <= m.net.retransmits,
-            "{label}: trace retx {} beyond wire {}",
-            b.retx_pkts,
-            m.net.retransmits
+    //    capsule and completion retransmission — Horae's control
+    //    messages included — is annotated exactly once, so the
+    //    aggregate equals the NIC counter.
+    assert_eq!(
+        b.retx_pkts, m.net.retransmits,
+        "{label}: retx annotations must partition the wire count"
+    );
+    if m.recoveries.is_empty() {
+        assert_eq!(
+            b.retx_rounds, m.net.retx_rounds,
+            "{label}: retx rounds must partition the wire rounds"
         );
     } else {
-        assert_eq!(
-            b.retx_pkts, m.net.retransmits,
-            "{label}: per-command retx annotations must partition the wire count"
+        // The wire counts a round at drop time; a crash can clear
+        // the resend event before the trace annotates it.
+        assert!(
+            b.retx_rounds <= m.net.retx_rounds,
+            "{label}: trace rounds {} beyond wire {}",
+            b.retx_rounds,
+            m.net.retx_rounds
         );
-        if m.recoveries.is_empty() {
-            assert_eq!(
-                b.retx_rounds, m.net.retx_rounds,
-                "{label}: per-command retx rounds must partition the wire rounds"
-            );
-        } else {
-            // The wire counts a round at drop time; a crash can clear
-            // the resend event before the trace annotates it.
-            assert!(
-                b.retx_rounds <= m.net.retx_rounds,
-                "{label}: trace rounds {} beyond wire {}",
-                b.retx_rounds,
-                m.net.retx_rounds
-            );
-        }
     }
 }
 
