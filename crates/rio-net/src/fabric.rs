@@ -272,9 +272,11 @@ impl Nic {
 
     /// Resets in-flight state (crash / reconnect): delivery cursors,
     /// path pins and message counters return to their initial values,
-    /// and messages parked in retransmission are forgotten (their
-    /// resend events died with the crash). Cumulative statistics —
-    /// including the retransmission-inflight peak — are kept.
+    /// transfers still queued on an egress link are dropped (the first
+    /// message after the crash waits for none of them), and messages
+    /// parked in retransmission are forgotten (their resend events died
+    /// with the crash). Cumulative statistics — including the
+    /// retransmission-inflight peak — are kept.
     ///
     /// Crash handlers must call this whenever they also discard the
     /// simulation events that would have driven this NIC's pending
@@ -287,6 +289,9 @@ impl Nic {
             qp.last_delivery = now;
             qp.path = (q % n_paths) as u32;
             qp.msgs = 0;
+        }
+        for p in &mut self.paths {
+            p.link.reset(now);
         }
         self.stats.retx_inflight = 0;
     }
@@ -814,9 +819,10 @@ mod tests {
         let mut nic = Nic::for_profile(1, f.profile());
         send(&mut f, &mut nic, 0, SimTime::ZERO, 1 << 20);
         nic.crash_reset(SimTime::from_nanos(500));
-        // After reset a send is not held behind the old cursor.
+        // After reset a send is held behind neither the old cursor nor
+        // the ~40 µs of the dead 1 MB transfer still queued on the link.
         let d = send(&mut f, &mut nic, 0, SimTime::from_nanos(500), 64);
-        assert!(d.as_micros_f64() < 50.0);
+        assert!(d.as_micros_f64() < 5.0, "delivered at {d:?}");
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl MultiServer {
         done
     }
 
-    /// Admits a job to a *specific* server (hash-affinity models).
-    #[cfg(test)]
+    /// Admits a job to a *specific* server (hash-affinity models, or
+    /// work one server runs in order).
     pub fn admit_to(&mut self, server: usize, now: SimTime, service: SimDuration) -> SimTime {
         let idx = server % self.free_at.len();
         let start = self.free_at[idx].max(now);
@@ -152,6 +152,12 @@ impl BandwidthLink {
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let ser = self.serialization(bytes);
         self.wire.admit(now, ser)
+    }
+
+    /// Forgets every transfer still queued for the wire (used on
+    /// simulated crash).
+    pub fn reset(&mut self, now: SimTime) {
+        self.wire.reset(now);
     }
 }
 

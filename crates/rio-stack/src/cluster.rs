@@ -54,6 +54,7 @@ use crate::trace::StageTrace;
 use crate::workload::Workload;
 
 use initiator::{Initiator, ThreadState};
+use recovery::Recovering;
 use target::{DrrSched, Target};
 use wire::Leg;
 
@@ -82,6 +83,8 @@ enum Event {
     SsdWriteDone(u64),
     /// A command's embedded FLUSH finished.
     SsdFlushDone(u64),
+    /// The last discard of a recovery discard batch finished.
+    DiscardsDone(u64),
     /// A completion SEND was delivered at the initiator.
     CmdComplete(u64),
     /// A scheduled fault fires (index into the config's `FaultPlan`).
@@ -98,9 +101,16 @@ enum CmdKind {
     /// is not an NVMe command: it moves no data, opens no trace and is
     /// not counted in `commands_sent`.
     Ctrl,
+    /// A recovery scan request, under the `Ctrl` contract: the target
+    /// scans its PMR log — over MMIO if it lost power — and ships back
+    /// `phys.blocks` 32-byte slots on the completion leg.
+    Scan { mmio: bool },
+    /// A recovery discard batch, under the `Ctrl` contract: every
+    /// discard the recovery owes SSD `ssd` of `target`.
+    Discard,
 }
 
-/// One in-flight NVMe-oF command (or Horae control message): what it
+/// One in-flight NVMe-oF command (or control or recovery message): what it
 /// writes (or flushes) and where, fixed when it is posted, plus the two
 /// facts the target learns on the way (`ready`, `slot`). Only what
 /// outlives an event lives here: a parked go-back-N window rides in its
@@ -130,12 +140,33 @@ struct Cmd {
     /// PMR log slot holding this command's ordering record.
     slot: Option<SlotRef>,
     /// Stage-trace slot of this command ([`crate::trace::TRACE_NONE`]
-    /// when tracing is off, and always for `Ctrl`; assigned by
-    /// `send_cmd`).
+    /// when tracing is off, and always for `Ctrl`, `Scan` and `Discard`;
+    /// assigned by `send_cmd`).
     trace: u32,
 }
 
 impl Cmd {
+    /// A `kind` command from thread `t` to SSD `ssd` of `target` on QP
+    /// `qp`, covering `phys`: unordered, undigested, untraced, and
+    /// nothing learned at the target yet.
+    fn new(kind: CmdKind, t: usize, target: usize, ssd: usize, qp: usize, phys: BlockRange) -> Cmd {
+        Cmd {
+            kind,
+            thread: t,
+            target,
+            ssd,
+            qp,
+            phys,
+            attr: None,
+            flush_embedded: false,
+            unit: 0,
+            ready: None,
+            digest: PayloadDigest::NONE,
+            slot: None,
+            trace: crate::trace::TRACE_NONE,
+        }
+    }
+
     /// The tag its payload blocks are generated from: the group
     /// sequence under Rio, the unit id on the baseline paths.
     fn tag(&self) -> u64 {
@@ -222,6 +253,8 @@ pub struct Cluster {
     fault_cursor: usize,
     /// One breakdown per fault survived so far.
     recoveries: Vec<RecoveryMetrics>,
+    /// The recovery whose messages are on the wire, if any.
+    recovering: Option<Recovering>,
     /// Closed crash-free epochs (the open one is closed by `metrics`).
     epochs: Vec<EpochMetrics>,
     /// Start of the open epoch (its counts are the run totals minus
@@ -389,6 +422,7 @@ impl Cluster {
             integ: IntegrityMetrics::default(),
             fault_cursor: 0,
             recoveries: Vec::new(),
+            recovering: None,
             epochs: Vec::new(),
             epoch_start: SimTime::ZERO,
             events: EventHeap::with_capacity(inflight_hint),
@@ -579,6 +613,7 @@ impl Cluster {
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
             Event::SsdFlushDone(c) => self.on_media_done(now, c, true),
+            Event::DiscardsDone(c) => self.send_completion(now, c),
             Event::CmdComplete(c) => self.on_cmd_complete(now, c),
             Event::Fault(i) => self.on_fault(now, i as usize),
         }

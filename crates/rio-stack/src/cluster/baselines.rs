@@ -5,7 +5,6 @@
 //! orderless engine is only *when* a thread may submit.
 
 use rio_order::attr::BlockRange;
-use rio_proto::PayloadDigest;
 use rio_sim::{SimDuration, SimTime};
 
 use super::{Cluster, Cmd, CmdKind, Event};
@@ -13,7 +12,6 @@ use crate::cpu::{
     CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
     IRQ_NS, SUBMIT_BIO_NS,
 };
-use crate::trace::TRACE_NONE;
 
 /// Synchronous-mode thread stage (Linux NVMe-oF).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,21 +46,8 @@ impl Cluster {
             // is the one block at LBA 0.
             let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
             self.threads[t].ctrl_pending = Some(spec);
-            let ctrl = Cmd {
-                kind: CmdKind::Ctrl,
-                thread: t,
-                target: primary,
-                ssd: 0,
-                qp: self.threads[t].stream.0 as usize % self.cfg.qps_per_target,
-                phys: BlockRange::new(0, 1),
-                attr: None,
-                flush_embedded: false,
-                unit: 0,
-                ready: None,
-                digest: PayloadDigest::NONE,
-                slot: None,
-                trace: TRACE_NONE,
-            };
+            let qp = self.threads[t].stream.0 as usize % self.cfg.qps_per_target;
+            let ctrl = Cmd::new(CmdKind::Ctrl, t, primary, 0, qp, BlockRange::new(0, 1));
             self.post_capsule(cpu, ctrl);
         }
         self.park_or_finish(t);
@@ -157,14 +142,8 @@ impl Cluster {
         // The FLUSH rides the write's connection to the write's SSD. It
         // moves no data: its range is the one block at LBA 0 (the LBA
         // its trace reports), and it carries no payload digest.
-        let flush = Cmd {
-            kind: CmdKind::Flush,
-            phys: BlockRange::new(0, 1),
-            ready: None,
-            digest: PayloadDigest::NONE,
-            trace: TRACE_NONE,
-            ..*write
-        };
+        let one = BlockRange::new(0, 1);
+        let flush = Cmd::new(CmdKind::Flush, t, write.target, write.ssd, write.qp, one);
         self.send_cmd(c, cpu, flush);
     }
 

@@ -25,7 +25,7 @@ use crate::cpu::{
     ORDER_QUEUE_NS, SUBMIT_BIO_NS,
 };
 use crate::metrics::InitiatorMetrics;
-use crate::trace::{Stage, TRACE_NONE};
+use crate::trace::Stage;
 use crate::workload::{FsyncStage, GroupSpec};
 
 /// Slot index of an fsync stage in `stage_marks` / `stage_dispatch`.
@@ -501,21 +501,9 @@ impl Cluster {
         unit: u64,
     ) -> SimTime {
         let stream = self.threads[t].stream.0;
-        let mut cmd = Cmd {
-            kind: CmdKind::Write,
-            thread: t,
-            target: ext.server.0 as usize,
-            ssd: ext.ssd,
-            qp: self.pick_qp(stream as usize),
-            phys: ext.range,
-            attr,
-            flush_embedded,
-            unit,
-            ready: None,
-            digest: PayloadDigest::NONE,
-            slot: None,
-            trace: TRACE_NONE,
-        };
+        let qp = self.pick_qp(stream as usize);
+        let write = Cmd::new(CmdKind::Write, t, ext.server.0 as usize, ext.ssd, qp, ext.range);
+        let mut cmd = Cmd { attr, flush_embedded, unit, ..write };
         if self.integrity {
             let (lba, blocks, tag) = (ext.range.lba, ext.range.blocks as u64, cmd.tag());
             cpu = self.init_run_on(t, cpu, CRC_PER_BLOCK_NS * blocks);
@@ -567,16 +555,19 @@ impl Cluster {
 
     /// A completion capsule reached the initiator: IRQ, fragment rejoin,
     /// then in-order delivery (Rio) or immediate delivery (baselines).
-    /// A Horae control acknowledgement takes its own handler, which
-    /// charges its own IRQ and touches no telemetry or trace.
+    /// A control acknowledgement or a recovery reply takes its own
+    /// handler, which touches no telemetry or trace.
     pub(super) fn on_cmd_complete(&mut self, now: SimTime, id: u64) {
-        // Kind and thread are read in place: a control message's
-        // removal then copies nothing out.
+        // Kind and thread are read in place: a control or recovery
+        // message's removal then copies nothing out.
         let c = self.cmd(id);
-        if c.kind == CmdKind::Ctrl {
-            let thread = c.thread;
+        let (kind, thread) = (c.kind, c.thread);
+        if !matches!(kind, CmdKind::Write | CmdKind::Flush) {
             self.cmds.remove(id);
-            self.on_ctrl_ack(now, thread);
+            match kind {
+                CmdKind::Ctrl => self.on_ctrl_ack(now, thread),
+                _ => self.on_recovery_reply(now, kind),
+            }
             return;
         }
         let cmd = self.cmds.remove(id).expect("cmd exists");

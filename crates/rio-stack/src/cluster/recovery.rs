@@ -1,69 +1,58 @@
-//! In-loop fault handling and the §4.4 / §6.5 recovery: the cost model
-//! and the orchestration that spends it.
+//! In-loop fault handling and the §4.4 / §6.5 recovery.
 //!
 //! A [`crate::config::FaultPlan`] on the cluster configuration crashes
 //! arbitrary target subsets (or single NICs) at arbitrary virtual
 //! times — including while retransmissions are in flight. The handler
-//! here applies the physical failure, then the initiator (1) rebuilds
-//! the global order from the PMR logs and (2) discards the data blocks
-//! that disobey the storage order, and — for survivable faults —
-//! re-arms every ordering engine and resumes the workload in a fresh
-//! epoch. Both phases are timed separately in
-//! [`crate::metrics::RecoveryMetrics`], matching the paper's "~55 ms to
-//! reconstruct the global order" and "~125 ms data recovery" breakdown.
+//! here applies the physical failure, then initiator 0 (1) rebuilds the
+//! global order from the PMR logs and (2) discards the data blocks that
+//! disobey the storage order, and — for survivable faults — re-arms
+//! every ordering engine and resumes the workload in a fresh epoch.
 //!
-//! Recovery cost model:
-//!
-//! * PMR scanning is MMIO-bound: each 32 B slot read costs
-//!   [`PMR_SCAN_US_PER_SLOT`] µs of target CPU — this, not the 2 MB
-//!   network transfer, dominates phase 1 exactly as the paper observes
-//!   ("most of which is spent on reading data from PMR").
-//! * Scanned records travel to the initiator as one RDMA transfer.
-//! * The global merge is CPU work proportional to the live records.
-//! * Each discard is an SSD command; discards run concurrently per SSD
-//!   (the paper's "discarding is performed asynchronously for each SSD
-//!   and each server").
+//! Recovery is traffic on the legs every command rides: phase 1 sends
+//! each target a scan request and takes its records back, phase 2 sends
+//! each SSD that owes discards one batch of them. The module holds no
+//! cost model: scans and the merge cost CPU time ([`crate::cpu`]),
+//! discards and the scrub device time (`rio_ssd::ssd`), so both phases
+//! in [`crate::metrics::RecoveryMetrics`] are measured between events,
+//! matching the paper's "~55 ms to reconstruct the global order" and
+//! "~125 ms data recovery" breakdown.
 
-use rio_order::attr::{Seq, ServerId, StreamId};
+use std::collections::BTreeMap;
+
+use rio_order::attr::{BlockRange, Seq, ServerId, StreamId};
 use rio_order::pmrlog::PmrLog;
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
 use rio_order::SubmissionGate;
+use rio_proto::PmrRecord;
 use rio_sim::{SimDuration, SimTime};
+use rio_ssd::ssd::SCRUB_US_PER_BLOCK;
 
-use super::{Cluster, Event};
+use super::{Cluster, Cmd, CmdKind, Event};
 use crate::config::FaultKind;
+use crate::cpu::{DRAM_SCAN_NS_PER_RECORD, MERGE_NS_PER_RECORD, PMR_SCAN_NS_PER_SLOT};
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
 
-/// Cost of one 32 B MMIO read while scanning the PMR (µs). Paid only
-/// by power-failed targets, whose driver state died with them.
-pub const PMR_SCAN_US_PER_SLOT: f64 = 0.8;
-
-/// Cost of reading one live record from an *alive* target driver's
-/// in-memory log mirror (µs). A target that kept power never rescans
-/// its PMR over MMIO — the driver still knows its live slots and ships
-/// them from DRAM, which is why a NIC flap recovers orders of
-/// magnitude faster than a power failure.
-pub const DRAM_SCAN_US_PER_RECORD: f64 = 0.05;
-
-/// CPU cost of merging one scanned record into the global list (ns).
-pub const MERGE_NS_PER_RECORD: u64 = 350;
-
-/// SSD-side cost of one discard command (µs). TRIM-class commands on
-/// scattered 4 KB ranges are far slower than reads/writes on real
-/// devices (calibrated against the paper's ~125 ms data recovery).
-pub const DISCARD_US: f64 = 150.0;
-
-/// Cost of verifying one sealed media block during the post-quiesce
-/// integrity scrub (µs): a 4 KB read plus a CRC-32C pass. Paid only on
-/// integrity runs, in parallel per SSD.
-pub const SCRUB_US_PER_BLOCK: f64 = 2.0;
+/// A recovery whose messages are on the wire: what the fault handler
+/// found, kept until the last reply of each phase lands.
+pub(super) struct Recovering {
+    /// Its report; the phase spans and streams are filled in as they end.
+    row: RecoveryMetrics,
+    /// Replies the current phase still waits for.
+    waiting: usize,
+    /// When every alive SSD has settled the commands it accepted.
+    quiesced: SimTime,
+    /// The integrity scrub's device time on the slowest SSD.
+    scrub: SimDuration,
+    /// Per stream, the last group the scrub lets redeliver.
+    repair_cut: Vec<u32>,
+    /// The ranges to discard, per (target, SSD) that owes any.
+    owed: BTreeMap<(usize, usize), Vec<BlockRange>>,
+}
 
 impl Cluster {
-    /// Handles one scheduled fault: applies the physical failure, runs
-    /// the §4.4 recovery (parallel PMR scans, global merge, discard of
-    /// out-of-order blocks) inside the event loop, and — for survivable
-    /// faults — re-arms every ordering engine and resumes the workload
-    /// in a fresh epoch.
+    /// Handles one scheduled fault: applies the physical failure, plans
+    /// the §4.4 recovery from the PMR logs and the scrub, and posts
+    /// phase 1's scan requests. Their replies drive the rest.
     pub(super) fn on_fault(&mut self, now: SimTime, idx: usize) {
         self.fault_cursor = idx + 1;
         let ev = self.cfg.faults.events[idx].clone();
@@ -109,13 +98,11 @@ impl Cluster {
         if power_fail {
             // On integrity runs the power cut tears the write each SSD
             // was absorbing (half-landed bytes under the intended seal).
-            let mut torn = 0u64;
             for &t in &crashed {
                 for ssd in &mut self.targets[t].ssds {
-                    torn += ssd.crash(now);
+                    self.integ.torn_injected += ssd.crash(now);
                 }
             }
-            self.integ.torn_injected += torn;
         }
         for t in &mut self.targets {
             t.nic.crash_reset(now);
@@ -148,61 +135,48 @@ impl Cluster {
         // (single-bit errors are exactly what CRC-32C always catches,
         // so every injected flip is detectable by the scrub below).
         if let FaultKind::BitRot { flips, .. } = &ev.kind {
-            let mut rotted = 0u64;
             for &t in &crashed {
                 for ssd in &mut self.targets[t].ssds {
-                    rotted += ssd.rot_at_rest(*flips);
+                    self.integ.rot_injected += ssd.rot_at_rest(*flips);
                 }
             }
-            self.integ.rot_injected += rotted;
         }
 
         // ---- Phase 1: rebuild the global order ------------------------
-        // Targets scan in parallel and ship their records in one
-        // transfer each; the initiator merges serially. A power-failed
-        // target lost its driver and must MMIO-scan the whole PMR
-        // region; an alive target's driver still knows its live slots
-        // and answers from DRAM — which is why a NIC flap recovers
-        // orders of magnitude faster than a power failure.
-        let fabric_bw = self.cfg.fabric.bandwidth;
-        let one_way_us = self.cfg.fabric.one_way_latency_us;
+        // Nothing writes a log or a block until the resume, so the scans
+        // and the plan are read here; the scan requests spend their
+        // time. A power-failed target lost its driver and must MMIO-scan
+        // the whole PMR region; an alive target's driver still knows its
+        // head marks and live slots and answers from DRAM — which is why
+        // a NIC flap recovers orders of magnitude faster than a power
+        // failure. Initiator 0 sends every recovery message, on its first
+        // thread's connection; a scan's `phys` counts the slots it ships.
+        let heads = PmrLog::superblock_size(self.init_of_stream.len()) / PmrRecord::SIZE;
         let mut scans = Vec::new();
-        let mut scan_parallel = SimDuration::ZERO;
-        let mut records_total = 0usize;
-        for (t, target) in self.targets.iter().enumerate() {
-            let plp = target.ssds[0].profile().plp;
-            let pmr = target.ssds[0].pmr();
-            let outcome = PmrLog::scan(pmr.contents()).expect("formatted PMR");
-            let full_scan = power_fail && crashed.contains(&t);
-            let (scan_us, bytes) = if full_scan {
-                let slots = pmr.len() / 32;
-                (slots as f64 * PMR_SCAN_US_PER_SLOT, pmr.len() as u64)
-            } else {
-                let live = outcome.records.len();
-                (
-                    live as f64 * DRAM_SCAN_US_PER_RECORD,
-                    live as u64 * 32,
-                )
-            };
-            let scan_time = SimDuration::from_micros_f64(scan_us);
-            let wire = SimDuration::from_micros_f64(
-                bytes as f64 / fabric_bw * 1e6 + 2.0 * one_way_us,
-            );
-            scan_parallel = scan_parallel.max(scan_time + wire);
-            records_total += outcome.records.len();
+        for t in 0..self.targets.len() {
+            let ssd = &self.targets[t].ssds[0];
+            let outcome = PmrLog::scan(ssd.pmr().contents()).expect("formatted PMR");
+            let mmio = power_fail && crashed.contains(&t);
+            let live = heads + outcome.records.len();
+            let slots = if mmio { ssd.pmr().len() / PmrRecord::SIZE } else { live };
             scans.push(ServerScan {
                 server: ServerId(t as u16),
-                plp,
+                plp: ssd.profile().plp,
                 head_seqs: outcome.head_seqs,
                 records: outcome.records,
             });
+            let scan = BlockRange::new(0, slots as u32);
+            self.post_capsule(now, Cmd::new(CmdKind::Scan { mmio }, 0, t, 0, 0, scan));
         }
-        let merge_cpu = SimDuration::from_nanos(MERGE_NS_PER_RECORD * records_total as u64);
-        let order_rebuild = scan_parallel + merge_cpu;
+        let records_scanned = scans.iter().map(|s| s.records.len()).sum();
         let plan = RecoveryPlan::compute(&RecoveryInput {
             scans,
             mode: RecoveryMode::InitiatorRestart,
         });
+        let mut owed: BTreeMap<(usize, usize), Vec<BlockRange>> = BTreeMap::new();
+        for d in plan.streams.iter().flat_map(|sp| &sp.discard) {
+            owed.entry((d.server.0 as usize, d.ssd as usize)).or_default().push(d.range);
+        }
 
         // ---- Integrity scrub (before any discard) ---------------------
         // Every sealed media block is re-checksummed — in parallel per
@@ -214,125 +188,149 @@ impl Cluster {
         // resubmission with fresh bytes (exactly-once is preserved —
         // the group was never delivered). A corrupt block outside any
         // tracked group (e.g. rot on already-delivered data) is
-        // unrepairable data loss: reported and discarded.
+        // unrepairable data loss: reported. Either way the block is
+        // discarded: a repairable block's group resubmits fresh bytes,
+        // an unrepairable one must at least never read back with a
+        // valid-looking payload.
         let mut repair_cut = vec![u32::MAX; self.init_of_stream.len()];
-        let mut extra_discards: Vec<(usize, usize, u64)> = Vec::new();
-        let mut scrub_parallel = SimDuration::ZERO;
+        let mut scrub = SimDuration::ZERO;
         if self.integrity {
-            let mut scrubbed = 0u64;
-            let mut detected = 0u64;
-            let mut repaired = 0u64;
-            let mut unrepairable = 0u64;
             // Physical legs were registered target-major, SSD-minor —
             // the same nested order as this walk.
             let mut leg = 0usize;
             for (t, target) in self.targets.iter().enumerate() {
                 for (s_idx, ssd) in target.ssds.iter().enumerate() {
                     let (scanned, corrupt) = ssd.scrub();
-                    scrubbed += scanned;
-                    scrub_parallel = scrub_parallel.max(SimDuration::from_micros_f64(
-                        scanned as f64 * SCRUB_US_PER_BLOCK,
-                    ));
+                    self.integ.scrubbed_records += scanned;
+                    let us = scanned as f64 * SCRUB_US_PER_BLOCK;
+                    scrub = scrub.max(SimDuration::from_micros_f64(us));
                     for &plba in &corrupt {
-                        detected += 1;
                         let logical = self.volume.logical_of(leg, plba);
-                        let mut owner = None;
-                        'find: for th in &self.threads {
-                            for g in &th.undelivered {
-                                for m in g.spec.members.iter() {
-                                    if logical >= m.range.lba
-                                        && logical < m.range.lba + m.range.blocks as u64
-                                    {
-                                        owner = Some((th.stream.0 as usize, g.seq));
-                                        break 'find;
-                                    }
-                                }
-                            }
-                        }
+                        let owns = |m: &BlockRange| m.lba <= logical && logical < m.end();
+                        let owner = self.threads.iter().find_map(|th| {
+                            let mut groups = th.undelivered.iter();
+                            let g = groups.find(|g| g.spec.members.iter().any(|m| owns(&m.range)));
+                            g.map(|g| (th.stream.0 as usize, g.seq))
+                        });
                         if let Some((s, seq)) = owner {
-                            repaired += 1;
+                            self.integ.media_repaired += 1;
                             repair_cut[s] = repair_cut[s].min(seq.saturating_sub(1));
                         } else {
-                            unrepairable += 1;
+                            self.integ.media_unrepairable += 1;
                         }
-                        extra_discards.push((t, s_idx, plba));
+                        owed.entry((t, s_idx)).or_default().push(BlockRange::new(plba, 1));
                     }
+                    self.integ.media_detected += corrupt.len() as u64;
                     leg += 1;
                 }
             }
-            self.integ.scrubbed_records += scrubbed;
-            self.integ.media_detected += detected;
-            self.integ.media_repaired += repaired;
-            self.integ.media_unrepairable += unrepairable;
-            self.integ.scrub_us += scrub_parallel.as_nanos() as f64 / 1e3;
+            self.integ.scrub_us += scrub.as_nanos() as f64 / 1e3;
         }
 
-        // ---- Phase 2: discard out-of-order blocks ---------------------
-        // Discards run concurrently per (server, ssd); within one SSD
-        // they serialize at DISCARD_US plus one wire round trip.
-        let t_disc = (now + order_rebuild + scrub_parallel).max(quiesced);
-        for target in &mut self.targets {
-            for ssd in &mut target.ssds {
-                ssd.advance(t_disc);
-            }
+        self.recovering = Some(Recovering {
+            row: RecoveryMetrics {
+                fault: idx,
+                crashed_targets: crashed,
+                power_fail,
+                crashed_at: now,
+                resumed_at: now,
+                order_rebuild: SimDuration::ZERO,
+                data_recovery: SimDuration::ZERO,
+                records_scanned,
+                discards: owed.values().map(Vec::len).sum(),
+                streams: Vec::new(),
+                plan,
+            },
+            waiting: self.targets.len(),
+            quiesced,
+            scrub,
+            repair_cut,
+            owed,
+        });
+    }
+
+    /// A recovery message reached its target. A scan occupies a target
+    /// core, then ships its records back. A discard batch goes to its
+    /// SSD, which runs the discards one at a time; the batch completes
+    /// with the last.
+    pub(super) fn on_recovery_arrive(&mut self, now: SimTime, id: u64) {
+        let msg = *self.cmd(id);
+        if let CmdKind::Scan { mmio } = msg.kind {
+            let per_slot = if mmio { PMR_SCAN_NS_PER_SLOT } else { DRAM_SCAN_NS_PER_RECORD };
+            let core = &mut self.targets[msg.target].cores;
+            let scanned = core.run_on(0, now, per_slot * msg.phys.blocks as u64);
+            self.send_completion(scanned, id);
+        } else if let Some(rec) = &self.recovering {
+            let ssd = &mut self.targets[msg.target].ssds[msg.ssd];
+            let owed = rec.owed[&(msg.target, msg.ssd)].iter();
+            let done = owed.fold(now, |_, r| ssd.submit_discard(now, r.lba, r.blocks).1);
+            self.events.push(done, Event::DiscardsDone(id));
         }
-        let mut per_ssd_counts: std::collections::BTreeMap<(usize, usize), usize> =
-            std::collections::BTreeMap::new();
-        let mut discards = 0usize;
-        for sp in &plan.streams {
-            for d in &sp.discard {
-                discards += 1;
-                *per_ssd_counts
-                    .entry((d.server.0 as usize, d.ssd as usize))
-                    .or_insert(0) += 1;
-                let ssd = &mut self.targets[d.server.0 as usize].ssds[d.ssd as usize];
-                ssd.submit_discard(t_disc, d.range.lba, d.range.blocks);
-            }
+    }
+
+    /// A recovery reply reached initiator 0. The last scan reply runs
+    /// the global merge and posts one discard batch per SSD that owes
+    /// any; the last discard reply ends the recovery.
+    pub(super) fn on_recovery_reply(&mut self, now: SimTime, kind: CmdKind) {
+        let Some(rec) = &mut self.recovering else {
+            return;
+        };
+        rec.waiting -= 1;
+        if rec.waiting > 0 {
+            return;
         }
-        // Scrub-detected corrupt blocks are discarded too: a repairable
-        // block's group resubmits fresh bytes, an unrepairable block
-        // must at least never read back with a valid-looking payload.
-        for &(t, s_idx, plba) in &extra_discards {
-            discards += 1;
-            *per_ssd_counts.entry((t, s_idx)).or_insert(0) += 1;
-            self.targets[t].ssds[s_idx].submit_discard(t_disc, plba, 1);
+        if kind == CmdKind::Discard {
+            self.finish_recovery(now);
+            return;
         }
-        let data_recovery = per_ssd_counts
-            .values()
-            .map(|&n| SimDuration::from_micros_f64(n as f64 * DISCARD_US + 2.0 * one_way_us))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let resumed_at = t_disc + data_recovery;
+        // Unlike a scan, the merge stays off the cores' ledger: an
+        // initiator's is `initiator_util`, the I/O path's CPU that §6.1's
+        // efficiency divides by, and nothing else waits for the merge.
+        let merge_ns = MERGE_NS_PER_RECORD * rec.row.records_scanned as u64;
+        let merged = now + SimDuration::from_nanos(merge_ns);
+        rec.row.order_rebuild = merged.since(rec.row.crashed_at);
+        let from = (merged + rec.scrub).max(rec.quiesced);
+        let batches: Vec<_> = rec.owed.iter().map(|(&to, r)| (to, r.len() as u32)).collect();
+        rec.waiting = batches.len();
+        if batches.is_empty() {
+            self.finish_recovery(from);
+        }
+        for ((t, ssd), n) in batches {
+            let batch = Cmd::new(CmdKind::Discard, 0, t, ssd, 0, BlockRange::new(0, n));
+            self.post_capsule(from, batch);
+        }
+    }
+
+    /// Ends the recovery at `resumed_at`: settles every stream against
+    /// the plan and reports the recovery; a survivable fault also
+    /// reconnects the targets and resumes the workload in a fresh epoch.
+    fn finish_recovery(&mut self, resumed_at: SimTime) {
+        let Some(rec) = self.recovering.take() else {
+            return;
+        };
+        let idx = rec.row.fault;
+        let resume = self.cfg.faults.events[idx].resume;
+        let data_recovery = resumed_at.since(rec.row.crashed_at + rec.row.order_rebuild);
         if let Some(tm) = &mut self.telemetry {
-            tm.recovery_span(idx as u32, now, resumed_at);
+            tm.recovery_span(idx as u32, rec.row.crashed_at, resumed_at);
         }
-
-        // ---- Re-arm and resume (or halt for one-shot experiments) -----
-        let rearm = ev.resume.then_some(resumed_at);
+        let rearm = resume.then_some(resumed_at);
         let streams: Vec<StreamRecovery> = (0..self.init_of_stream.len())
-            .map(|s| self.recover_stream(s, &plan, repair_cut[s], rearm))
+            .map(|s| self.recover_stream(s, &rec.row.plan, rec.repair_cut[s], rearm))
             .collect();
-        if ev.resume {
+        if resume {
             self.reconnect_targets(&streams);
         }
-
         self.recoveries.push(RecoveryMetrics {
-            fault: idx,
-            crashed_targets: crashed,
-            power_fail,
-            crashed_at: now,
             resumed_at,
-            order_rebuild,
             data_recovery,
-            records_scanned: records_total,
-            discards,
             streams,
-            plan,
+            ..rec.row
         });
 
         self.epoch_start = resumed_at;
-        if ev.resume {
-            // The heap clear above killed the later fault events too;
+        if resume {
+            // The fault's heap clear killed the later fault events too;
             // re-arm them. A fault scheduled inside this recovery
             // window slips to the resume instant.
             for j in (idx + 1)..self.cfg.faults.events.len() {

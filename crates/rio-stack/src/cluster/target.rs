@@ -264,14 +264,21 @@ impl Cluster {
 
     /// A command capsule reached its target: RECV, start the data pull,
     /// and pass the gate (Rio) or go straight to the driver (baselines).
-    /// A Horae control message goes to its own handler first, before
-    /// the command is copied.
+    /// A control or recovery message goes to its own handler first,
+    /// before the command is copied.
     pub(super) fn on_cmd_arrive(&mut self, now: SimTime, id: u64) {
         let cmd = self.cmd(id);
-        if cmd.kind == CmdKind::Ctrl {
-            let target = cmd.target;
-            self.on_ctrl_arrive(now, id, target);
-            return;
+        match cmd.kind {
+            CmdKind::Ctrl => {
+                let target = cmd.target;
+                self.on_ctrl_arrive(now, id, target);
+                return;
+            }
+            CmdKind::Scan { .. } | CmdKind::Discard => {
+                self.on_recovery_arrive(now, id);
+                return;
+            }
+            CmdKind::Write | CmdKind::Flush => {}
         }
         let cmd = *cmd;
         let (target_idx, tid) = (cmd.target, cmd.trace);

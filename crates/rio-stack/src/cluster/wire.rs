@@ -3,12 +3,13 @@
 //!
 //! Every command crosses the fabric three times — capsule out, data
 //! pull, completion back — strictly in sequence, so at most one of its
-//! windows is parked at a time. A Horae control message is a command
-//! that skips the pull. The parked window (leg, packets left, whether a
-//! corruption failed it) rides in the `Resend` event that resumes it;
-//! the command itself keeps none of it.
+//! windows is parked at a time. A Horae control message and a recovery
+//! message are commands that skip the pull. The parked window (leg,
+//! packets left, whether a corruption failed it) rides in the `Resend`
+//! event that resumes it; the command itself keeps none of it.
 
 use rio_net::XferStep;
+use rio_proto::PmrRecord;
 use rio_sim::SimTime;
 
 use super::{Cluster, Cmd, CmdKind, Event};
@@ -37,15 +38,17 @@ pub(super) enum Leg {
 impl Leg {
     /// The leg's message size on the wire: a fixed capsule each way
     /// (smaller for a Horae control message), the command's blocks for
-    /// the data pull.
+    /// the data pull, and a scan's records on its way back.
     pub(super) fn bytes(self, cmd: &Cmd) -> u64 {
-        let ctrl = cmd.kind == CmdKind::Ctrl;
-        match self {
-            Leg::Capsule if ctrl => CTRL_CAPSULE_BYTES,
-            Leg::Capsule => CMD_CAPSULE_BYTES,
-            Leg::Pull => cmd.phys.blocks as u64 * 4096,
-            Leg::Completion if ctrl => CTRL_ACK_BYTES,
-            Leg::Completion => COMPLETION_BYTES,
+        match (self, cmd.kind) {
+            (Leg::Capsule, CmdKind::Ctrl) => CTRL_CAPSULE_BYTES,
+            (Leg::Capsule, _) => CMD_CAPSULE_BYTES,
+            (Leg::Pull, _) => cmd.phys.blocks as u64 * 4096,
+            (Leg::Completion, CmdKind::Ctrl) => CTRL_ACK_BYTES,
+            (Leg::Completion, CmdKind::Scan { .. }) => {
+                cmd.phys.blocks as u64 * PmrRecord::SIZE as u64
+            }
+            (Leg::Completion, _) => COMPLETION_BYTES,
         }
     }
 }

@@ -48,6 +48,13 @@ pub const HORAE_CTRL_GAP_NS: u64 = 14_000;
 /// one core). Charged at submission stamping and target-side
 /// verification, only when integrity checking is on.
 pub const CRC_PER_BLOCK_NS: u64 = 1_500;
+/// Recovery: one 32 B PMR slot read over MMIO by a target that lost
+/// power; this, not the transfer, dominates order rebuild (§6.5).
+pub const PMR_SCAN_NS_PER_SLOT: u64 = 800;
+/// Recovery: an alive target driver's read of one record it mirrors.
+pub const DRAM_SCAN_NS_PER_RECORD: u64 = 50;
+/// Recovery: merging one scanned record into the global order.
+pub const MERGE_NS_PER_RECORD: u64 = 350;
 
 /// A set of cores on one server.
 #[derive(Debug)]

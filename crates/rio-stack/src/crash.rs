@@ -8,9 +8,10 @@
 //! the experiment is a [`crate::config::FaultPlan::crash_all_at`] plan
 //! on an ordinary Rio [`crate::config::ClusterConfig`], and its report
 //! is `RunMetrics::recoveries[0]` ([`crate::metrics::RecoveryMetrics`]).
-//! The fault handling and its cost model live in
-//! [`crate::cluster::recovery`]; this test-only module pins the
-//! experiment's shape through that public path only.
+//! The fault handling lives in [`crate::cluster::recovery`] and its
+//! costs with what they charge ([`crate::cpu`], `rio_ssd::ssd`); this
+//! test-only module pins the experiment's shape through that public
+//! path only.
 
 #[cfg(test)]
 mod tests {

@@ -26,11 +26,11 @@
 //! arbitrary target subsets (or single NICs) at arbitrary virtual
 //! times — composing with the lossy multi-path fabric — and the
 //! cluster recovers *inside* the event loop (PMR scan, global merge,
-//! discard) and resumes the workload, reporting per-epoch throughput
-//! and recovery breakdowns in [`metrics::RunMetrics`]. The handler and
-//! its cost model are [`cluster::recovery`]; the §6.5 experiment is a
-//! [`config::FaultPlan::crash_all_at`] plan whose report is
-//! `RunMetrics::recoveries[0]`.
+//! discard, each message on the wire) and resumes the workload,
+//! reporting per-epoch throughput and recovery breakdowns in
+//! [`metrics::RunMetrics`]. The handler is [`cluster::recovery`]; the
+//! §6.5 experiment is a [`config::FaultPlan::crash_all_at`] plan whose
+//! report is `RunMetrics::recoveries[0]`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

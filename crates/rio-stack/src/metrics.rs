@@ -113,6 +113,7 @@ impl IntegrityMetrics {
     }
 
     /// Total corruptions detected by a checksum check.
+    #[cfg(test)]
     pub fn detected(&self) -> u64 {
         self.wire_detected + self.media_detected
     }
@@ -251,11 +252,15 @@ pub struct RecoveryMetrics {
     pub power_fail: bool,
     /// Virtual time of the fault.
     pub crashed_at: SimTime,
-    /// Virtual time the workload resumed (crash + both phases).
+    /// Virtual time the workload resumed: `crashed_at` plus both phases.
     pub resumed_at: SimTime,
-    /// Phase 1: PMR scans + attribute transfer + global merge.
+    /// Phase 1, measured from the fault to the end of the global merge:
+    /// scan requests out, target-core PMR scans, records back on the
+    /// wire (retransmissions included), then the merge.
     pub order_rebuild: SimDuration,
-    /// Phase 2: discarding out-of-order blocks.
+    /// Phase 2, measured from the end of the merge to the last discard
+    /// batch's completion at the initiator: any integrity scrub, then
+    /// the batches on the wire and each SSD's discards one at a time.
     pub data_recovery: SimDuration,
     /// PMR records scanned across all targets.
     pub records_scanned: usize,

@@ -12,8 +12,8 @@
 //! bench config can render the fig. 14 breakdown, not just the
 //! hand-built one. Every message rides the same wire legs, so the
 //! aggregate counts each retransmission exactly once and equals the
-//! NICs' counters in every mode; a Horae control message opens no
-//! record and shows up in the aggregate only.
+//! NICs' counters in every mode; a Horae control message or a recovery
+//! message opens no record and shows up in the aggregate only.
 //!
 //! The recorder is allocation-free on the event path: open traces live
 //! in a pre-sized free-list arena, closed records go into a bounded
@@ -82,7 +82,8 @@ pub const SEGMENTS: usize = STAGES - 1;
 
 /// Sentinel trace id carried by untraced commands. When a recorder
 /// exists, every NVMe-oF command gets a real id before its first stage;
-/// only a Horae control message keeps this one, and [`StageTrace`]
+/// only a Horae control message or a recovery message (a scan request,
+/// its records, a discard batch) keeps this one, and [`StageTrace`]
 /// then counts its retransmissions in the aggregate alone.
 pub(crate) const TRACE_NONE: u32 = u32::MAX;
 
@@ -125,8 +126,8 @@ pub struct CmdTraceRecord {
     pub retx_rounds: u32,
     /// Packets retransmitted for this command across all rounds; each
     /// wire retransmission is counted exactly once, so these — plus the
-    /// Horae control messages' retransmits, which only the aggregate
-    /// counts — sum to the NIC-level retransmit counter.
+    /// control and recovery messages' retransmits, which only the
+    /// aggregate counts — sum to the NIC-level retransmit counter.
     pub retx_pkts: u32,
     /// The subset of `retx_rounds` triggered by a receiver-detected
     /// packet corruption (CRC mismatch NAK) rather than a plain drop.
@@ -199,7 +200,8 @@ pub struct LatencyBreakdown {
     /// Commands killed in flight by a crash.
     pub aborted: u64,
     /// Go-back-N recovery rounds summed over every message on the wire:
-    /// traced commands and Horae's record-less control messages.
+    /// traced commands and the record-less control and recovery
+    /// messages.
     pub retx_rounds: u64,
     /// Packets retransmitted, summed like `retx_rounds`. Counted per
     /// wire transmission, exactly once, so this equals
@@ -376,8 +378,8 @@ impl StageTrace {
     }
 
     /// Annotates one go-back-N recovery round retransmitting `pkts`
-    /// packets for command `id`. A [`TRACE_NONE`] id (a Horae control
-    /// message) counts in the aggregate only.
+    /// packets for command `id`. A [`TRACE_NONE`] id (a control or
+    /// recovery message) counts in the aggregate only.
     pub(crate) fn retx(&mut self, id: u32, pkts: u32) {
         self.agg.retx_rounds += 1;
         self.agg.retx_pkts += pkts as u64;

@@ -1,10 +1,11 @@
 //! Cluster behaviour pinned through the public API only
 //! (`Cluster::new(..).run()` and the `RunMetrics` it returns).
 
-use rio_sim::SimTime;
+use rio_sim::{SimDuration, SimTime};
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
+    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
+    RunMetrics, Workload,
 };
 
 fn rio_cfg(threads: usize) -> ClusterConfig {
@@ -63,4 +64,27 @@ fn a_rollback_through_cached_sealed_writes_scrubs_clean() {
     assert!(i.balanced());
     assert_eq!(m.recoveries[0].discards, 60);
     assert_eq!(m.recoveries[1].discards, 60, "no phantom corruption to purge");
+}
+
+/// Recovery is traffic. Crashing an idle cluster after its last
+/// completion makes every packet after the fault a recovery packet:
+/// they show in the fabric counters, and a lossy fabric drops and
+/// resends them like any others, so the order rebuild takes longer.
+#[test]
+fn recovery_traffic_rides_the_wire() {
+    let run = |loss: f64, crash_after: Option<SimTime>| {
+        let mut cfg = rio_cfg(2);
+        cfg.net = FabricConfig::lossy(loss, 1);
+        if let Some(done) = crash_after {
+            cfg.faults = FaultPlan::crash_all_at(done + SimDuration::from_nanos(100_000));
+        }
+        Cluster::new(cfg, Workload::random_4k(2, 200)).run()
+    };
+    let (clean, lossy) = (run(0.0, None), run(1e-2, None));
+    let crash = run(0.0, Some(clean.finished_at));
+    let lossy_crash = run(1e-2, Some(lossy.finished_at));
+    assert!(crash.net.packets > clean.net.packets, "recovery sent no packet");
+    let rebuild = |m: &RunMetrics| m.recoveries[0].order_rebuild;
+    assert!(rebuild(&lossy_crash) > rebuild(&crash), "loss cost recovery nothing");
+    assert!(lossy_crash.net.retransmits > lossy.net.retransmits, "no recovery packet resent");
 }

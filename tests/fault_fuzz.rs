@@ -152,6 +152,12 @@ fn fault_plans_keep_every_ledger() {
         if let Some(t) = &m.telemetry {
             assert_eq!(t.total_delivered_groups(), m.groups_done);
         }
+        // Recovery messages are annotated once and never counted as
+        // NVMe commands.
+        if let Some(b) = &m.breakdown {
+            assert_eq!(b.retx_pkts, m.net.retransmits, "a retransmit annotated other than once");
+            assert_eq!(b.completed + b.aborted, m.commands_sent, "one trace per NVMe command");
+        }
     }
 }
 
