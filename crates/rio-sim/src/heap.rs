@@ -150,21 +150,6 @@ impl<E> EventHeap<E> {
         Some((unpack_time(node.key), self.take_slot(node.slot)))
     }
 
-    /// Removes and returns the earliest event only when it is scheduled
-    /// at or before `deadline`; leaves the heap untouched otherwise.
-    ///
-    /// This is the single-probe form of `peek` + `pop` for a
-    /// bounded-run loop.
-    // rio-lint: allow(S6) rio-stack's cluster tests bound their runs with it; ROADMAP 2(a)'s stop-at-event-N trigger is its product caller
-    pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let key = self.heap.peek()?.key;
-        if unpack_time(key) > deadline {
-            return None;
-        }
-        let node = self.heap.pop().expect("peeked");
-        Some((unpack_time(node.key), self.take_slot(node.slot)))
-    }
-
     /// Returns the earliest pending event without removing it.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         let node = self.heap.peek()?;
@@ -250,25 +235,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         h.clear();
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn pop_if_at_or_before_respects_deadline() {
-        let mut h = EventHeap::new();
-        h.push(SimTime::from_nanos(10), 'a');
-        h.push(SimTime::from_nanos(20), 'b');
-        assert_eq!(h.pop_if_at_or_before(SimTime::from_nanos(5)), None);
-        assert_eq!(h.len(), 2, "a refused probe must not consume");
-        assert_eq!(
-            h.pop_if_at_or_before(SimTime::from_nanos(10)),
-            Some((SimTime::from_nanos(10), 'a'))
-        );
-        assert_eq!(h.pop_if_at_or_before(SimTime::from_nanos(15)), None);
-        assert_eq!(
-            h.pop_if_at_or_before(SimTime::from_nanos(20)),
-            Some((SimTime::from_nanos(20), 'b'))
-        );
-        assert_eq!(h.pop_if_at_or_before(SimTime::from_nanos(u64::MAX)), None);
     }
 
     #[test]

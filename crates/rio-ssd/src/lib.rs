@@ -32,7 +32,7 @@ pub mod pmr;
 pub mod profile;
 pub mod ssd;
 
-pub use media::{BlockImage, BlockRun, BlockStore, Images, SharedBytes};
+pub use media::{BlockImage, BlockRun, BlockStore, Images};
 pub use pmr::Pmr;
 pub use profile::SsdProfile;
 pub use ssd::{Ssd, SsdStats};

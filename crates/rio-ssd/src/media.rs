@@ -16,39 +16,17 @@
 //!
 //! A generated payload block stays its seed ([`BlockImage::Payload`])
 //! until someone reads it: a seal or scrub streams the words into the
-//! CRC, and a read materialises them on the stack. Real bytes are held
-//! once per write: the device moves a submitted buffer behind a
-//! [`SharedBytes`], and the in-flight command, the media store and
-//! every read of it alias that buffer. Images are immutable once
-//! shared — fault injection stores a fresh image in place of the one
-//! it corrupts — and both the seal and the scrub checksum the bytes
-//! where they lie ([`BlockImage::crc32c`]).
+//! CRC, and a read materialises them on the stack. Real bytes are
+//! stored as the submitter hands them in, and a read returns a copy.
+//! Fault injection stores a fresh image in place of the one it
+//! corrupts, and both the seal and the scrub checksum the bytes where
+//! they lie ([`BlockImage::crc32c`]).
 
 use std::cell::{Ref, RefCell};
-use std::ops::Deref;
-use std::sync::Arc;
 
 use rio_proto::crc32c_update;
 use rio_proto::payload::{self, BLOCK_BYTES};
 use rio_sim::FxHashMap;
-
-/// An immutable payload buffer several block images can alias.
-///
-/// The device moves every submitted [`BlockImage::Bytes`] behind one
-/// of these, so the in-flight command, the media image (and every read
-/// of it) share the submitter's allocation instead of copying it.
-/// Only the device creates them; readers borrow the bytes through
-/// `Deref`.
-#[derive(Debug, Clone)]
-pub struct SharedBytes(Arc<Box<[u8]>>);
-
-impl Deref for SharedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
 
 /// Contents of one 4 KB block.
 #[derive(Debug, Clone)]
@@ -57,23 +35,18 @@ pub enum BlockImage {
     Zero,
     /// A benchmark write identified by a token instead of real bytes.
     Tag(u64),
-    /// Real data (file-system paths), as a submitter hands it in.
+    /// Real data, as a submitter hands it in.
     Bytes(Box<[u8]>),
     /// A generated payload block, carried as its
     /// [`rio_proto::payload`] seed: the device seals it by streaming
     /// the words into the CRC, and a read materialises it. It compares
     /// equal to real data of the same content.
     Payload(u64),
-    /// Real data the device has accepted: the same bytes behind a
-    /// shared immutable buffer. Reads of accepted real data return
-    /// this variant; it compares equal to a [`BlockImage::Bytes`] of
-    /// the same content.
-    Shared(SharedBytes),
 }
 
 /// Two images are equal when they are the same kind of block with the
-/// same content; whether real data is uniquely owned, shared or
-/// generated from a seed does not matter.
+/// same content; whether real data is held as bytes or generated from
+/// a seed does not matter.
 impl PartialEq for BlockImage {
     fn eq(&self, other: &Self) -> bool {
         use BlockImage::*;
@@ -95,16 +68,6 @@ impl BlockImage {
         match self {
             BlockImage::Zero | BlockImage::Tag(_) | BlockImage::Payload(_) => None,
             BlockImage::Bytes(b) => Some(b),
-            BlockImage::Shared(s) => Some(s),
-        }
-    }
-
-    /// Moves uniquely owned real data behind a shared buffer, in place
-    /// and without copying it, so clones of this image alias one
-    /// allocation. Token images stay inline.
-    pub(crate) fn share(&mut self) {
-        if let BlockImage::Bytes(b) = self {
-            *self = BlockImage::Shared(SharedBytes(Arc::new(std::mem::take(b))));
         }
     }
 
@@ -125,7 +88,6 @@ impl BlockImage {
                 payload::fill_block(*seed, &mut block);
                 &block
             }
-            BlockImage::Shared(s) => s,
         };
         f(&prefix[..prefix.len().min(block_size)])
     }
@@ -274,7 +236,7 @@ impl Record {
             BlockImage::Zero => (0, 0),
             BlockImage::Tag(tag) => (TAG, tag),
             BlockImage::Payload(seed) => (PAYLOAD, seed),
-            BlockImage::Bytes(_) | BlockImage::Shared(_) => return Err(run),
+            BlockImage::Bytes(_) => return Err(run),
         };
         if run.blocks >> (u32::BITS - COUNT_SHIFT) != 0 {
             return Err(run);
@@ -758,15 +720,12 @@ mod tests {
     #[test]
     fn image_checksum_equals_crc_of_materialised_block() {
         let full: Box<[u8]> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
-        let mut shared = BlockImage::Bytes(full.clone());
-        shared.share();
         let images = [
             BlockImage::Zero,
             BlockImage::Tag(0x0123_4567_89AB_CDEF),
             BlockImage::Bytes(vec![9, 9].into_boxed_slice()),
             BlockImage::Bytes(full),
             BlockImage::Payload(77),
-            shared,
         ];
         // 4 096 is the device block, where a payload block streams from
         // its seed; the others cover a pad longer than the static zero
@@ -784,35 +743,22 @@ mod tests {
     }
 
     #[test]
-    fn sharing_moves_the_buffer_and_clones_alias_it() {
+    fn images_compare_by_content() {
         let data: Box<[u8]> = vec![0xAB; 4096].into_boxed_slice();
-        let mut img = BlockImage::Bytes(data.clone());
-        let at = img.data().map(<[u8]>::as_ptr);
-        img.share();
-        assert!(matches!(img, BlockImage::Shared(_)));
-        assert_eq!(img.data().map(<[u8]>::as_ptr), at, "moved, not copied");
-        let copy = img.clone();
-        assert_eq!(copy.data().map(<[u8]>::as_ptr), at, "a clone aliases it");
-        assert_eq!(img, BlockImage::Bytes(data), "equality is by content");
+        let copy = BlockImage::Bytes(data.clone());
+        assert_eq!(copy, BlockImage::Bytes(data), "equality is by content");
         // A generated block has no buffer: it stays its seed, seals to
-        // `seal_for` and equals the bytes it spells, shared or not.
-        let mut img = BlockImage::Payload(9);
-        img.share();
-        assert!(matches!(img, BlockImage::Payload(9)));
+        // `seal_for` and equals the bytes it spells.
+        let img = BlockImage::Payload(9);
         assert_eq!(img.data(), None);
         assert_eq!(img.crc32c(4096), seal_for(9));
         assert_eq!(seal_for(9), rio_proto::crc32c(&block_for(9)));
-        let mut bytes = BlockImage::Bytes(block_for(9));
+        let bytes = BlockImage::Bytes(block_for(9));
         assert_eq!(img, bytes);
-        bytes.share();
         assert_eq!(bytes, img);
         assert_ne!(img, BlockImage::Payload(10));
         assert_ne!(img, BlockImage::Bytes(block_for(10)));
         assert_ne!(img, BlockImage::Tag(9), "a seed is not a tag");
-        // Zero and Tag have nothing to share and stay inline.
-        let mut tag = BlockImage::Tag(5);
-        tag.share();
-        assert!(matches!(tag, BlockImage::Tag(5)));
         assert_ne!(BlockImage::Tag(0), BlockImage::Zero);
         assert_ne!(
             BlockImage::Bytes(vec![0; 8].into_boxed_slice()),

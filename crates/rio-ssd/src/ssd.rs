@@ -29,11 +29,10 @@
 //! * [`Ssd::scrub`] re-checksums every sealed block and reports the
 //!   mismatches; with integrity off none of this costs anything.
 //!
-//! Payload bytes are never copied on this path: a generated block
-//! travels and lands as its seed, and a submitted buffer is shared
-//! between the in-flight command and the media image. Both are sealed
-//! and scrubbed in place, and replaced (not mutated) on media by
-//! materialised bytes when a torn write or bit rot corrupts them.
+//! A generated block travels and lands as its seed, and submitted bytes
+//! land as given. Both are sealed and scrubbed in place, and replaced
+//! (not mutated) on media by materialised bytes when a torn write or
+//! bit rot corrupts them.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -83,13 +82,11 @@ enum Landing {
 }
 
 impl Landing {
-    /// Takes over a submitted write: real bytes move behind a shared
-    /// buffer, and with `integrity` each block is sealed with the CRC
-    /// of the image the submitter intends to land — streamed from the
-    /// seed for a [`BlockImage::Payload`] image.
+    /// Takes over a submitted write: with `integrity` each block is
+    /// sealed with the CRC of the image the submitter intends to land —
+    /// streamed from the seed for a [`BlockImage::Payload`] image.
     fn new(lba: u64, images: Images, integrity: bool) -> Self {
-        let run = |lba, mut image: BlockImage, blocks| {
-            image.share();
+        let run = |lba, image: BlockImage, blocks| {
             let seal = integrity.then(|| image.crc32c(BLOCK_SIZE as usize));
             BlockRun {
                 lba,
@@ -470,8 +467,6 @@ impl Ssd {
             SimDuration::from_micros_f64(overflow as f64 / self.profile.media_bw * 1e6);
         let completion = start + overflow_delay + self.write_latency(blocks);
 
-        // Real bytes move behind a shared buffer first, so the
-        // in-flight command aliases the image that later lands on media.
         let write = Landing::new(lba, images, self.integrity);
         self.stats.writes += 1;
         self.stats.blocks_written += blocks as u64;
@@ -1201,12 +1196,10 @@ mod tests {
         );
     }
 
-    /// A real-data image already behind a shared buffer, and a second
-    /// handle on that buffer: what a submitter that keeps its payload
-    /// holds while the command is in flight.
-    fn shared_block(seed: u64) -> (Vec<BlockImage>, BlockImage) {
-        let mut img = BlockImage::Bytes(block_for(seed));
-        img.share();
+    /// A real-data write of one block, and the submitter's own copy of
+    /// its bytes, kept while the command is in flight.
+    fn held_write(seed: u64) -> (Vec<BlockImage>, BlockImage) {
+        let img = BlockImage::Bytes(block_for(seed));
         (vec![img.clone()], img)
     }
 
@@ -1217,16 +1210,9 @@ mod tests {
             let intended: Vec<BlockImage> = (0..16)
                 .map(|lba| BlockImage::Bytes(block_for(lba)))
                 .collect();
-            // Media holds one buffer per block and every read aliases
-            // it; these handles stand in for the submitters' buffers.
+            // Reads taken before the rot stand in for the submitters'
+            // buffers.
             let held: Vec<BlockImage> = (0..16).map(|lba| s.durable_read(lba)).collect();
-            for lba in 0..16 {
-                assert_eq!(
-                    held[lba as usize].data().map(<[u8]>::as_ptr),
-                    s.durable_read(lba).data().map(<[u8]>::as_ptr),
-                    "lba {lba} is stored once"
-                );
-            }
             assert_eq!(s.rot_at_rest(16), 16);
             for lba in 0..16 {
                 assert_ne!(s.durable_read(lba), intended[lba as usize], "rotted");
@@ -1234,7 +1220,7 @@ mod tests {
             }
             // The submitter's buffer keeps the intended bytes after
             // the media copy of the command it rode in on tears.
-            let (images, mine) = shared_block(20);
+            let (images, mine) = held_write(20);
             let (_, done) = s.submit_write(now, 20, images, false);
             let mid = SimTime::from_nanos(now.as_nanos() / 2 + done.as_nanos() / 2);
             assert_eq!(s.crash(mid), 1);
@@ -1255,19 +1241,16 @@ mod tests {
         // An unflushed overwrite shows in the submitter's buffer only;
         // media keeps the old image, whole.
         let old = s.durable_read(3);
-        let (images, fresh) = shared_block(99);
+        let (images, fresh) = held_write(99);
         let (_, done) = s.submit_write(now, 3, images, false);
         assert_eq!(fresh, BlockImage::Bytes(block_for(99)));
         assert_eq!(s.durable_read(3), old);
         assert_eq!(old, BlockImage::Bytes(block_for(3)));
         assert!(s.payload_verified() && s.media_verified());
-        // A FLUSH lands that very buffer, not a copy of it.
+        // A FLUSH lands the submitted bytes.
         let (_, flushed) = s.submit_flush(done);
         s.advance(flushed);
-        assert_eq!(
-            s.durable_read(3).data().map(<[u8]>::as_ptr),
-            fresh.data().map(<[u8]>::as_ptr)
-        );
+        assert_eq!(s.durable_read(3), fresh);
     }
 
     /// One submit / flush / advance / discard / crash / rot script;

@@ -87,8 +87,6 @@ enum Event {
     DiscardsDone(u64),
     /// A completion SEND was delivered at the initiator.
     CmdComplete(u64),
-    /// A scheduled fault fires (index into the config's `FaultPlan`).
-    Fault(u32),
 }
 
 /// Command kind.
@@ -439,37 +437,33 @@ impl Cluster {
         self.metrics()
     }
 
-    /// The event loop: drains the heap, firing any fault whose event
-    /// died with an earlier halting fault.
+    /// The event loop: wakes every thread at t = 0, then drains the
+    /// heap, firing the fault plan's due faults before each event.
     fn run_loop(&mut self) {
-        self.start();
-        loop {
-            while let Some((now, ev)) = self.events.pop() {
-                self.events_processed += 1;
-                self.handle(now, ev);
-            }
-            // Faults whose heap events died with an earlier
-            // non-resuming fault's clear still fire, in order, at
-            // their scheduled times.
-            if self.fault_cursor < self.cfg.faults.events.len() {
-                let idx = self.fault_cursor;
-                let at = self.cfg.faults.events[idx].at.max(self.last_completion);
-                self.events_processed += 1;
-                self.on_fault(at, idx);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Schedules the initial thread wake-ups and the fault plan.
-    fn start(&mut self) {
         for t in 0..self.threads.len() {
             self.events.push(SimTime::ZERO, Event::Resume(t));
         }
-        for i in 0..self.cfg.faults.events.len() {
-            let at = self.cfg.faults.events[i].at;
-            self.events.push(at, Event::Fault(i as u32));
+        self.fire_due_faults();
+        while let Some((now, ev)) = self.events.pop() {
+            self.events_processed += 1;
+            self.handle(now, ev);
+            self.fire_due_faults();
+        }
+    }
+
+    /// Fires the plan's next faults while no recovery is on the wire and
+    /// the next one's instant — the later of its schedule and the open
+    /// epoch's start — is at or before the next event (or none is left):
+    /// a fault inside a recovery fires at its resume instant. A
+    /// fault-free run pays one cursor compare per event.
+    fn fire_due_faults(&mut self) {
+        while self.fault_cursor < self.cfg.faults.events.len() && self.recovering.is_none() {
+            let at = self.cfg.faults.events[self.fault_cursor].at.max(self.epoch_start);
+            if self.events.peek().is_some_and(|(next, _)| next < at) {
+                return;
+            }
+            self.events_processed += 1;
+            self.on_fault(at);
         }
     }
 
@@ -613,9 +607,8 @@ impl Cluster {
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
             Event::SsdFlushDone(c) => self.on_media_done(now, c, true),
-            Event::DiscardsDone(c) => self.send_completion(now, c),
+            Event::DiscardsDone(c) => self.transmit(now, c, Leg::Completion, None),
             Event::CmdComplete(c) => self.on_cmd_complete(now, c),
-            Event::Fault(i) => self.on_fault(now, i as usize),
         }
     }
 }

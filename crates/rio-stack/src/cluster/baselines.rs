@@ -7,19 +7,11 @@
 use rio_order::attr::BlockRange;
 use rio_sim::{SimDuration, SimTime};
 
-use super::{Cluster, Cmd, CmdKind, Event};
+use super::{Cluster, Cmd, CmdKind, Event, Leg};
 use crate::cpu::{
     CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
     IRQ_NS, SUBMIT_BIO_NS,
 };
-
-/// Synchronous-mode thread stage (Linux NVMe-oF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum SyncStage {
-    Idle,
-    AwaitWrite,
-    AwaitFlush,
-}
 
 impl Cluster {
     /// Horae: serialized control path, then asynchronous data path.
@@ -63,7 +55,7 @@ impl Cluster {
         let done = self.targets[target]
             .cores
             .run_on(core, now, HORAE_CTRL_HANDLE_NS);
-        self.send_completion(done, id);
+        self.transmit(done, id, Leg::Completion, None);
     }
 
     /// The control acknowledgement is back: the group's data path may go.
@@ -96,16 +88,14 @@ impl Cluster {
         self.events.push(next, Event::Resume(t));
     }
 
-    /// Linux ordered NVMe-oF: one group at a time, completion + FLUSH.
+    /// Linux ordered NVMe-oF: one group at a time, completion + FLUSH,
+    /// so the thread's in-flight count is its whole sync state.
     ///
     /// Block-level ordered workloads flush after every request (the
     /// classic ordered NVMe-oF of §2.2). File-system journaling flushes
     /// only on the commit record, like Ext4's sync transfer.
     pub(super) fn submit_linux(&mut self, now: SimTime, t: usize) {
-        if self.threads[t].sync_stage != SyncStage::Idle {
-            return;
-        }
-        if !self.thread_has_work(t) {
+        if self.threads[t].inflight > 0 || !self.thread_has_work(t) {
             return;
         }
         let spec = self.next_group_spec(t);
@@ -116,7 +106,6 @@ impl Cluster {
             cpu = self.init_run_on(t, cpu, 2 * CTX_SWITCH_NS);
         }
         self.threads[t].inflight += 1;
-        self.threads[t].sync_stage = SyncStage::AwaitWrite;
         self.threads[t].cur_flush_leg = spec.stage.is_none() || spec.flush;
         self.threads[t].cur_sync_after = spec.sync_after || spec.stage.is_none();
         for m in spec.members.iter() {
@@ -131,13 +120,11 @@ impl Cluster {
     /// Linux mode: after the ordered write completes, send a FLUSH leg
     /// when the group requires one, otherwise finish the group.
     pub(super) fn on_sync_write_complete(&mut self, now: SimTime, t: usize, write: &Cmd) {
-        debug_assert_eq!(self.threads[t].sync_stage, SyncStage::AwaitWrite);
         let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
         if !self.threads[t].cur_flush_leg {
             self.finish_sync_group(cpu, t);
             return;
         }
-        self.threads[t].sync_stage = SyncStage::AwaitFlush;
         let c = self.init_run_on(t, cpu, CMD_POST_NS);
         // The FLUSH rides the write's connection to the write's SSD. It
         // moves no data: its range is the one block at LBA 0 (the LBA
@@ -147,19 +134,9 @@ impl Cluster {
         self.send_cmd(c, cpu, flush);
     }
 
-    /// Linux mode: the FLUSH leg completed, so the group is durable.
-    pub(super) fn on_sync_flush_complete(&mut self, now: SimTime, t: usize) {
-        assert_eq!(
-            self.threads[t].sync_stage,
-            SyncStage::AwaitFlush,
-            "flush completion outside AwaitFlush"
-        );
-        self.finish_sync_group(now, t);
-    }
-
-    /// Finishes the current synchronous group and moves on.
-    fn finish_sync_group(&mut self, now: SimTime, t: usize) {
-        self.threads[t].sync_stage = SyncStage::Idle;
+    /// Finishes the current synchronous group — its write, or its FLUSH
+    /// leg when it has one, completed — and moves on.
+    pub(super) fn finish_sync_group(&mut self, now: SimTime, t: usize) {
         self.threads[t].inflight -= 1;
         self.last_completion = self.last_completion.max(now);
         if self.threads[t].cur_sync_after {

@@ -17,7 +17,6 @@ use rio_order::{Rio, RioSetup};
 use rio_proto::{payload, PayloadDigest};
 use rio_sim::{Histogram, SimRng, SimTime};
 
-use super::baselines::SyncStage;
 use super::{Cluster, Cmd, CmdKind, Event, Unit};
 use crate::config::{InitiatorConfig, OrderingMode};
 use crate::cpu::{
@@ -64,7 +63,6 @@ pub(super) struct ThreadState {
     pub(super) area_blocks: u64,
     pub(super) rng: SimRng,
     pub(super) parked: bool,
-    pub(super) sync_stage: SyncStage,
     /// The thread issued a sync point and waits for inflight == 0.
     pub(super) syncing: bool,
     /// Start of the current fsync op (its first stage's submission;
@@ -115,7 +113,6 @@ impl ThreadState {
             area_blocks,
             rng,
             parked: false,
-            sync_stage: SyncStage::Idle,
             syncing: false,
             op_start: None,
             stage_marks: [None; 3],
@@ -586,8 +583,8 @@ impl Cluster {
         }
 
         if cmd.kind == CmdKind::Flush {
-            // Linux mode flush leg.
-            self.on_sync_flush_complete(cpu, t);
+            // Linux mode flush leg: the group is durable.
+            self.finish_sync_group(cpu, t);
             return;
         }
 

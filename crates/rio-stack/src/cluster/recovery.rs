@@ -27,7 +27,7 @@ use rio_proto::PmrRecord;
 use rio_sim::{SimDuration, SimTime};
 use rio_ssd::ssd::SCRUB_US_PER_BLOCK;
 
-use super::{Cluster, Cmd, CmdKind, Event};
+use super::{Cluster, Cmd, CmdKind, Event, Leg};
 use crate::config::FaultKind;
 use crate::cpu::{DRAM_SCAN_NS_PER_RECORD, MERGE_NS_PER_RECORD, PMR_SCAN_NS_PER_SLOT};
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
@@ -50,11 +50,12 @@ pub(super) struct Recovering {
 }
 
 impl Cluster {
-    /// Handles one scheduled fault: applies the physical failure, plans
+    /// Fires the plan's next fault: applies the physical failure, plans
     /// the §4.4 recovery from the PMR logs and the scrub, and posts
     /// phase 1's scan requests. Their replies drive the rest.
-    pub(super) fn on_fault(&mut self, now: SimTime, idx: usize) {
-        self.fault_cursor = idx + 1;
+    pub(super) fn on_fault(&mut self, now: SimTime) {
+        let idx = self.fault_cursor;
+        self.fault_cursor += 1;
         let ev = self.cfg.faults.events[idx].clone();
         // A packet-corruption fault only retunes the fabric's per-packet
         // corruption rate mid-run: nothing crashes, no epoch closes, and
@@ -259,7 +260,7 @@ impl Cluster {
             let per_slot = if mmio { PMR_SCAN_NS_PER_SLOT } else { DRAM_SCAN_NS_PER_RECORD };
             let core = &mut self.targets[msg.target].cores;
             let scanned = core.run_on(0, now, per_slot * msg.phys.blocks as u64);
-            self.send_completion(scanned, id);
+            self.transmit(scanned, id, Leg::Completion, None);
         } else if let Some(rec) = &self.recovering {
             let ssd = &mut self.targets[msg.target].ssds[msg.ssd];
             let owed = rec.owed[&(msg.target, msg.ssd)].iter();
@@ -328,15 +329,9 @@ impl Cluster {
             ..rec.row
         });
 
+        // A later fault fires no earlier than this instant.
         self.epoch_start = resumed_at;
         if resume {
-            // The fault's heap clear killed the later fault events too;
-            // re-arm them. A fault scheduled inside this recovery
-            // window slips to the resume instant.
-            for j in (idx + 1)..self.cfg.faults.events.len() {
-                let at = self.cfg.faults.events[j].at.max(resumed_at);
-                self.events.push(at, Event::Fault(j as u32));
-            }
             for t in 0..self.threads.len() {
                 self.events.push(resumed_at, Event::Resume(t));
             }

@@ -311,10 +311,7 @@ impl Cluster {
         // gate wait). A dropped packet parks the pull in go-back-N
         // recovery; its half of the rendezvous lands when the resend
         // completes, and the submission waits for it.
-        let (init_qp, bytes) = (self.target_qp(target_idx, cmd.qp), Leg::Pull.bytes(&cmd));
-        let (reader, source) = (&mut self.targets[target_idx].nic, &mut self.initiators[init].nic);
-        let step = self.fabric.pull_burst(reader, source, init_qp, recv_done, bytes);
-        self.xfer_step(id, Leg::Pull, step);
+        self.transmit(recv_done, id, Leg::Pull, None);
 
         if let Some(attr) = cmd.attr {
             // Apply the release piggyback for this stream.
@@ -528,6 +525,6 @@ impl Cluster {
         if persist {
             cpu = target.pmr_persist(cpu, core, cmd.slot, PMR_TOGGLE_NS);
         }
-        self.send_completion(cpu, id);
+        self.transmit(cpu, id, Leg::Completion, None);
     }
 }

@@ -1,6 +1,6 @@
 //! In-crate cluster tests: everything here runs whole simulations
 //! through `Cluster`, a few peeking at private state (the media check
-//! of `run_and_verify`, `run_until`, thread placement).
+//! of `run_and_verify`, per-SSD writes, thread placement).
 
 use super::*;
 use crate::config::{FabricConfig, FaultEvent, FaultKind, FaultPlan};
@@ -30,22 +30,6 @@ impl Cluster {
             }
         }
         m
-    }
-
-    /// Runs until the event heap drains or `deadline` passes; returns
-    /// the virtual time reached.
-    fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let mut reached = SimTime::ZERO;
-        while let Some((now, ev)) = self.events.pop_if_at_or_before(deadline) {
-            self.events_processed += 1;
-            self.handle(now, ev);
-            reached = now;
-        }
-        if self.events.is_empty() {
-            reached
-        } else {
-            deadline
-        }
     }
 }
 
@@ -997,8 +981,7 @@ fn multi_target_striping_reaches_all_ssds() {
         batch: 1,
     };
     let mut cl = Cluster::new(cfg, wl);
-    cl.start();
-    cl.run_until(SimTime::from_nanos(u64::MAX / 2));
+    cl.run_loop();
     let m = cl.metrics();
     assert_eq!(m.groups_done, 200);
     // Every SSD saw writes.

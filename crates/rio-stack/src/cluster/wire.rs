@@ -129,68 +129,71 @@ impl Cluster {
         self.post_capsule(now, cmd);
     }
 
-    /// Puts `cmd` in flight and its capsule on the wire at `now`: either
-    /// it arrives at the target (`CmdArrive`) or a packet drops and the
-    /// go-back-N timeout is scheduled as a `Resend` event.
+    /// Puts `cmd` in flight and its capsule on the wire at `now`.
     pub(super) fn post_capsule(&mut self, now: SimTime, cmd: Cmd) {
-        let init = self.threads[cmd.thread].init;
-        let qp = self.target_qp(cmd.target, cmd.qp);
-        let bytes = Leg::Capsule.bytes(&cmd);
         let id = self.cmds.insert(cmd);
-        let step = self.fabric.send_burst(&mut self.initiators[init].nic, qp, now, bytes);
-        self.xfer_step(id, Leg::Capsule, step);
+        self.transmit(now, id, Leg::Capsule, None);
     }
 
     /// A leg's retransmission timeout fired: resend the window of
-    /// `pkts` packets from the lost one (go-back-N), on the NIC that
-    /// owns the leg.
+    /// `pkts` packets from the lost one (go-back-N).
     pub(super) fn on_resend(&mut self, now: SimTime, id: u64, leg: Leg, pkts: u32, corrupt: bool) {
-        let cmd = *self.cmd(id);
-        let bytes = leg.bytes(&cmd);
+        let cmd = self.cmd(id);
+        let (target, tid) = (cmd.target, cmd.trace);
         let init = self.threads[cmd.thread].init;
-        let init_qp = self.target_qp(cmd.target, cmd.qp);
-        let conn_qp = self.conn_qp(cmd.thread, cmd.qp);
         // The whole remaining window goes back on the wire this round,
         // each packet annotated exactly once — except after a lost pull
         // *request*, encoded as `pkts > packets_for(bytes)`: only that
         // one header packet is a retransmission; the data window, never
         // transmitted, goes out as a first try.
-        let request_retry = leg == Leg::Pull && pkts > self.fabric.profile().packets_for(bytes);
+        let request_retry =
+            leg == Leg::Pull && pkts > self.fabric.profile().packets_for(leg.bytes(cmd));
         let n = if request_retry { 1 } else { pkts };
         let n_corrupt = if corrupt { n } else { 0 };
         if let Some(tr) = &mut self.trace {
             if corrupt {
-                tr.retx_corrupt(cmd.trace, n);
+                tr.retx_corrupt(tid, n);
             } else {
-                tr.retx(cmd.trace, n);
+                tr.retx(tid, n);
             }
         }
         if let Some(tm) = &mut self.telemetry {
             // Charged to the NIC that transmits: a pull's data window
             // leaves the initiator (the source), its request the target.
             if leg == Leg::Completion || request_retry {
-                tm.retx_target(now, cmd.target, n, n_corrupt);
+                tm.retx_target(now, target, n, n_corrupt);
             } else {
                 tm.retx_initiator(now, init, n, n_corrupt);
             }
         }
-        let init_nic = &mut self.initiators[init].nic;
-        let target_nic = &mut self.targets[cmd.target].nic;
-        let step = match leg {
-            Leg::Capsule => self.fabric.resume_send(init_nic, init_qp, now, pkts, bytes),
-            Leg::Pull => self.fabric.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes),
-            Leg::Completion => self.fabric.resume_send(target_nic, conn_qp, now, pkts, bytes),
-        };
-        self.xfer_step(id, leg, step);
+        self.transmit(now, id, leg, Some(pkts));
     }
 
-    /// Sends the completion capsule back to the initiator (with the
-    /// same go-back-N recovery as the command capsule).
-    pub(super) fn send_completion(&mut self, now: SimTime, id: u64) {
+    /// Puts command `id`'s `leg` on the wire at `now` — the whole
+    /// message, or with `resend` the go-back-N window of that many
+    /// packets — over the leg's NICs and queue pair: the capsule leaves
+    /// the initiator on its QP to the target, the pull reads the
+    /// initiator's memory over that same QP, and the completion leaves
+    /// the target on the sender's connection QP. The only place a
+    /// message meets the fabric.
+    pub(super) fn transmit(&mut self, now: SimTime, id: u64, leg: Leg, resend: Option<u32>) {
         let cmd = self.cmd(id);
-        let (target, bytes) = (cmd.target, Leg::Completion.bytes(cmd));
-        let qp = self.conn_qp(cmd.thread, cmd.qp);
-        let step = self.fabric.send_burst(&mut self.targets[target].nic, qp, now, bytes);
-        self.xfer_step(id, Leg::Completion, step);
+        let (target, bytes) = (cmd.target, leg.bytes(cmd));
+        let init = self.threads[cmd.thread].init;
+        let (init_qp, conn_qp) = (self.target_qp(target, cmd.qp), self.conn_qp(cmd.thread, cmd.qp));
+        let init_nic = &mut self.initiators[init].nic;
+        let target_nic = &mut self.targets[target].nic;
+        let f = &mut self.fabric;
+        let step = match (leg, resend) {
+            (Leg::Capsule, None) => f.send_burst(init_nic, init_qp, now, bytes),
+            (Leg::Capsule, Some(pkts)) => f.resume_send(init_nic, init_qp, now, pkts, bytes),
+            (Leg::Pull, None) => f.pull_burst(target_nic, init_nic, init_qp, now, bytes),
+            (Leg::Pull, Some(pkts)) => {
+                f.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes)
+            }
+            (Leg::Completion, None) => f.send_burst(target_nic, conn_qp, now, bytes),
+            (Leg::Completion, Some(pkts)) => f.resume_send(target_nic, conn_qp, now, pkts, bytes),
+        };
+        self.xfer_step(id, leg, step);
     }
 }

@@ -66,6 +66,33 @@ fn a_rollback_through_cached_sealed_writes_scrubs_clean() {
     assert_eq!(m.recoveries[1].discards, 60, "no phantom corruption to purge");
 }
 
+/// A fault scheduled inside an earlier fault's recovery fires at that
+/// recovery's end, whether or not the run resumes after it: recoveries
+/// never overlap, and no epoch runs backward.
+#[test]
+fn a_fault_inside_a_recovery_waits_for_it() {
+    let us = |us: u64| SimTime::from_nanos(us * 1_000);
+    for resume in [true, false] {
+        let mut cfg = rio_cfg(2);
+        let all = FaultKind::PowerFail { targets: Vec::new() };
+        cfg.faults = FaultPlan {
+            events: vec![
+                FaultEvent { at: us(200), kind: all, resume },
+                FaultEvent { at: us(300), kind: FaultKind::NicReset { target: 0 }, resume: true },
+            ],
+        };
+        let m = Cluster::new(cfg, Workload::random_4k(2, 2_000)).run();
+        let r = &m.recoveries;
+        assert_eq!(r.len(), 2, "resume {resume}");
+        let inside = r[0].resumed_at > us(300);
+        assert!(inside, "resume {resume}: the second fault is not inside the first recovery");
+        assert_eq!(r[1].crashed_at, r[0].resumed_at, "resume {resume}");
+        for e in &m.epochs {
+            assert!(e.from <= e.to, "resume {resume}: epoch {e:?} runs backward");
+        }
+    }
+}
+
 /// Recovery is traffic. Crashing an idle cluster after its last
 /// completion makes every packet after the fault a recovery packet:
 /// they show in the fabric counters, and a lossy fabric drops and

@@ -149,6 +149,15 @@ fn fault_plans_keep_every_ledger() {
         assert_eq!(i.wire_detected, i.wire_injected);
         assert_eq!(m.epochs.iter().map(|e| e.groups_done).sum::<u64>(), m.groups_done);
         assert_eq!(m.epochs.iter().map(|e| e.blocks_done).sum::<u64>(), m.blocks_done);
+        // A fault inside a recovery waits for it, so recoveries never
+        // overlap and no epoch runs backward.
+        for w in m.recoveries.windows(2) {
+            let (resumed, next) = (w[0].resumed_at, w[1].crashed_at);
+            assert!(next >= resumed, "a fault at {next:?} inside a recovery to {resumed:?}");
+        }
+        for e in &m.epochs {
+            assert!(e.from <= e.to, "epoch runs backward: {e:?}");
+        }
         if let Some(t) = &m.telemetry {
             assert_eq!(t.total_delivered_groups(), m.groups_done);
         }
