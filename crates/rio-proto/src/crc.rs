@@ -17,11 +17,13 @@
 //!   Castagnoli is what NVMe end-to-end protection and iSCSI use.
 //!   [`crc32c_update`] is four stages, chosen by the input's length
 //!   alone:
-//!   1. *Page loop.* Every whole 4 096-byte page — what a block seal
-//!      and a scrub checksum — runs as two 2 048-byte lanes in one
-//!      loop: two registers that do not depend on each other, each
-//!      advanced by the slicing-by-16 step, so one lane's table lookups
-//!      fill the load slots the other's dependent update leaves idle.
+//!   1. *Page loop.* Every whole 4 096-byte page — a block held as
+//!      bytes: real data, or a torn or rotted payload block — runs as
+//!      two 2 048-byte lanes in one loop: two registers that do not
+//!      depend on each other, each advanced by the slicing-by-16 step,
+//!      so one lane's table lookups fill the load slots the other's
+//!      dependent update leaves idle. (A payload block held as its seed
+//!      never comes here: [`crate::payload::seal_for`] looks its CRC up.)
 //!   2. *Lane join.* The register update is linear over GF(2), so
 //!      `crc(A‖B) = shift_|B|(crc(A)) ⊕ crc₀(B)`: the first lane goes
 //!      through a `const` "advance by 2 048 zero bytes" operator and is
@@ -30,7 +32,8 @@
 //!      register through the same step (sixteen input bytes, each
 //!      looked up in its own table), then at most one eight-byte half
 //!      step — so the 8-byte seeds of [`PayloadDigest::over_seeds`]
-//!      never fall to the byte loop.
+//!      never fall to the byte loop. The half step is a `const fn`, the
+//!      one the payload module's seal tables are built with.
 //!   4. *Bytewise tail* for the last `< 8` bytes — also the oracle the
 //!      tests compare every other stage against.
 //!
@@ -42,8 +45,9 @@
 //!   Slicing-by-8 was measured beside slicing-by-16 on one lane
 //!   (1.34–1.41 against 1.79–1.84 GB/s); only the wider step ships.
 //!
-//! Every table is `const`-built — no lazy initialisation, nothing to
-//! set up at run time — and all of it is safe Rust without intrinsics.
+//! Every table here and in [`crate::payload`] is `const`-built — nothing
+//! is initialised or allocated at run time, which CI checks by grep —
+//! and all of it is safe Rust without intrinsics.
 //!
 //! [`PayloadDigest`] wraps a CRC-32C over a command's payload and is
 //! stamped at submission when the cluster runs with integrity checking
@@ -164,7 +168,7 @@ fn crc32c_bytewise(state: u32, data: &[u8]) -> u32 {
 /// bytes of the same step follow it: a byte with `k` bytes behind it
 /// in the step reads table `k`.
 #[inline(always)]
-fn slice4(word: u32, after: usize) -> u32 {
+const fn slice4(word: u32, after: usize) -> u32 {
     let t = &CRC32C_TABLES;
     t[after + 3][(word & 0xFF) as usize]
         ^ t[after + 2][((word >> 8) & 0xFF) as usize]
@@ -181,18 +185,23 @@ pub(crate) fn le64(bytes: &[u8]) -> u64 {
 
 /// One slicing-by-16 step: folds the sixteen bytes `lo ‖ hi` (each
 /// little-endian) into `crc`, one independent table lookup per byte.
-/// Takes the bytes as words so a generator can feed the kernel from
-/// registers ([`crate::payload::seal_for`]).
 #[inline(always)]
-pub(crate) fn step16(crc: u32, lo: u64, hi: u64) -> u32 {
+fn step16(crc: u32, lo: u64, hi: u64) -> u32 {
     slice4(lo as u32 ^ crc, 12)
         ^ slice4((lo >> 32) as u32, 8)
         ^ slice4(hi as u32, 4)
         ^ slice4((hi >> 32) as u32, 0)
 }
 
+/// Half a step: folds the eight bytes of little-endian `word` into
+/// `crc`. `const`, so [`crate::payload`] builds its seal tables with it.
+#[inline(always)]
+pub(crate) const fn step8(crc: u32, word: u64) -> u32 {
+    slice4(word as u32 ^ crc, 4) ^ slice4((word >> 32) as u32, 0)
+}
+
 /// Bytes per lane of the page loop.
-pub(crate) const LANE_BYTES: usize = 2048;
+const LANE_BYTES: usize = 2048;
 
 /// The page loop walks whole blocks of this many bytes as two lanes.
 const PAGE_BYTES: usize = 2 * LANE_BYTES;
@@ -253,7 +262,7 @@ const fn build_lane_shift() -> [[u32; 256]; 4] {
 /// Joins two lanes: the register after `first`'s bytes followed by the
 /// [`LANE_BYTES`] bytes that took a zero register to `second`.
 #[inline(always)]
-pub(crate) fn join_lanes(first: u32, second: u32) -> u32 {
+fn join_lanes(first: u32, second: u32) -> u32 {
     let t = &LANE_SHIFT;
     t[0][(first & 0xFF) as usize]
         ^ t[1][((first >> 8) & 0xFF) as usize]
@@ -289,8 +298,7 @@ pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
     }
     let mut rest = steps.remainder();
     if rest.len() >= 8 {
-        let word = le64(rest);
-        crc = slice4(word as u32 ^ crc, 4) ^ slice4((word >> 32) as u32, 0);
+        crc = step8(crc, le64(rest));
         rest = &rest[8..];
     }
     crc32c_bytewise(crc, rest)

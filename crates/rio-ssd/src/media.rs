@@ -15,8 +15,9 @@
 //! checks for.
 //!
 //! A generated payload block stays its seed ([`BlockImage::Payload`])
-//! until someone reads it: a seal or scrub streams the words into the
-//! CRC, and a read materialises them on the stack. Real bytes are
+//! until someone reads it: a seal or scrub takes its CRC from the seed
+//! alone ([`payload::seal_for`], eight table lookups), and a read
+//! materialises the words on the stack. Real bytes are
 //! stored as the submitter hands them in, and a read returns a copy.
 //! Fault injection stores a fresh image in place of the one it
 //! corrupts, and both the seal and the scrub checksum the bytes where
@@ -38,8 +39,8 @@ pub enum BlockImage {
     /// Real data, as a submitter hands it in.
     Bytes(Box<[u8]>),
     /// A generated payload block, carried as its
-    /// [`rio_proto::payload`] seed: the device seals it by streaming
-    /// the words into the CRC, and a read materialises it. It compares
+    /// [`rio_proto::payload`] seed: the device seals it from the seed
+    /// alone, and a read materialises it. It compares
     /// equal to real data of the same content.
     Payload(u64),
 }
@@ -104,7 +105,8 @@ impl BlockImage {
     /// CRC-32C of the block as [`BlockImage::to_bytes`] would
     /// materialise it, without materialising it: the bytes the image
     /// holds are checksummed where they lie, the implicit rest as zero
-    /// padding, and a whole payload block streams from its seed.
+    /// padding, and a whole payload block is [`payload::seal_for`] of
+    /// its seed — eight table lookups, no byte generated.
     pub fn crc32c(&self, block_size: usize) -> u32 {
         static ZEROS: [u8; 4096] = [0; 4096];
         if let (BlockImage::Payload(seed), BLOCK_BYTES) = (self, block_size) {
@@ -727,8 +729,8 @@ mod tests {
             BlockImage::Bytes(full),
             BlockImage::Payload(77),
         ];
-        // 4 096 is the device block, where a payload block streams from
-        // its seed; the others cover a pad longer than the static zero
+        // 4 096 is the device block, where a payload block seals from
+        // its seed alone; the others cover a pad longer than the static zero
         // run and an image longer than the block, where it is cut.
         for block_size in [4096, 10_000, 64, 4] {
             for img in &images {

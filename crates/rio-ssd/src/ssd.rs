@@ -84,7 +84,8 @@ enum Landing {
 impl Landing {
     /// Takes over a submitted write: with `integrity` each block is
     /// sealed with the CRC of the image the submitter intends to land —
-    /// streamed from the seed for a [`BlockImage::Payload`] image.
+    /// looked up from the seed for a [`BlockImage::Payload`] image
+    /// (`payload::seal_for`), taken over the bytes otherwise.
     fn new(lba: u64, images: Images, integrity: bool) -> Self {
         let run = |lba, image: BlockImage, blocks| {
             let seal = integrity.then(|| image.crc32c(BLOCK_SIZE as usize));
