@@ -111,8 +111,8 @@ impl Plug {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
     use rio_order::attr::{OrderingAttr, Seq, StreamId};
+    use rio_sim::SimRng;
 
     fn w(id: u64, lba: u64, blocks: u32) -> Bio {
         Bio::write(id, BlockRange::new(lba, blocks), id)
@@ -153,22 +153,22 @@ mod tests {
         let mut plug = Plug::new();
         let mut merged = 0;
         for seed in 0..200u64 {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let max_blocks = [1, 4, 32][(seed % 3) as usize];
             let mut lba = 0u64;
-            for id in 0..rng.gen_range(1..=24u64) {
-                if rng.gen_bool(0.25) {
-                    lba += rng.gen_range(1..=5u64);
+            for id in 0..rng.between(1, 24) {
+                if rng.chance(0.25) {
+                    lba += rng.between(1, 5);
                 }
-                let range = BlockRange::new(lba, rng.gen_range(1..=3u32));
+                let range = BlockRange::new(lba, rng.between(1, 3) as u32);
                 lba = range.end();
-                let mut bio = if rng.gen_bool(0.1) {
+                let mut bio = if rng.chance(0.1) {
                     Bio::ordered_write(id, OrderingAttr::single(StreamId(0), Seq(1), range), id)
                 } else {
                     w(id, range.lba, range.blocks)
                 };
-                bio.flags.flush |= rng.gen_bool(0.12);
-                bio.flags.write &= rng.gen_bool(0.92);
+                bio.flags.flush |= rng.chance(0.12);
+                bio.flags.write &= rng.chance(0.92);
                 plug.add(bio);
             }
             let want: Vec<_> = oracle_finish(&plug.bios, max_blocks)

@@ -12,7 +12,7 @@
 //! |------|------------------|
 //! | D1 | no raw `std::collections::HashMap`/`HashSet` in event-path crates |
 //! | D2 | no `Instant::now`/`SystemTime::now` outside rio-bench's `sim_engine` bench |
-//! | D3 | no `rand`/`thread_rng`/`from_entropy` outside `rio_sim::SimRng` |
+//! | D3 | no `rand`/`thread_rng`/`from_entropy` anywhere: `rio_sim::SimRng` is the only generator |
 //! | D4 | no wall-clock date formatting in deterministic output |
 //! | S1 | every `unsafe` block carries a `// SAFETY:` comment |
 //! | S2 | no `panic!`/`todo!`/`unimplemented!` in non-test event-path code |

@@ -67,9 +67,6 @@ const D1_ALLOWED: &[&str] = &["crates/rio-sim/src/hash.rs"];
 /// `Instant::now` (engine events/s is real elapsed time).
 const D2_ALLOWED: &[&str] = &["crates/rio-bench/benches/sim_engine.rs"];
 
-/// The `SimRng` implementation itself wraps the vendored `rand`.
-const D3_ALLOWED: &[&str] = &["crates/rio-sim/src/rng.rs"];
-
 /// Every rule id, in report order. Suppressions naming anything else
 /// are flagged by S4.
 pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "S1", "S2", "S3", "S4", "S6"];
@@ -295,8 +292,8 @@ fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding
             ));
         }
 
-        // D3: randomness outside SimRng.
-        if !test && !D3_ALLOWED.contains(&rel) {
+        // D3: randomness outside SimRng, which owns the only generator.
+        if !test {
             if t.text == "thread_rng" || t.text == "from_entropy" {
                 raw.push(finding(
                     meta,
@@ -313,8 +310,8 @@ fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding
                     meta,
                     t.line,
                     "D3",
-                    "direct use of the rand crate outside rio_sim::SimRng breaks the \
-                     single-seed determinism contract"
+                    "the rand crate is not a dependency: all simulator randomness \
+                     flows through rio_sim::SimRng, the workspace's only generator"
                         .to_string(),
                 ));
             }

@@ -494,31 +494,31 @@ mod tests {
     fn lockstep_with_the_map_based_reference() {
         use crate::scheduler::{OrderQueue, OrderQueueConfig};
         use crate::sequencer::{Sequencer, SubmitOpts};
-        use rand::{Rng, SeedableRng};
+        use rio_sim::SimRng;
         const STREAMS: usize = 2;
         // Units seen: unmerged, merged inside one group, merged across.
         let mut kinds = [0usize; 3];
         for seed in 0..200u64 {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let mut sequencer = Sequencer::new(STREAMS, 1);
             let mut units = Vec::new();
-            let groups = rng.gen_range(1..=12u32);
+            let groups = rng.between(1, 12) as u32;
             for s in 0..STREAMS {
                 let stream = StreamId(s as u16);
                 let mut queue = OrderQueue::new(stream, OrderQueueConfig::default());
                 let mut lba = 0u64;
                 for _ in 0..groups {
-                    let members = rng.gen_range(1..=4u16);
+                    let members = rng.between(1, 4) as u16;
                     for m in 0..members {
                         // A gap keeps this request from merging.
-                        lba += if rng.gen_bool(0.6) { 1 } else { 5 };
+                        lba += if rng.chance(0.6) { 1 } else { 5 };
                         let opts = SubmitOpts {
                             end_group: m == members - 1,
                             ..Default::default()
                         };
                         queue.push(sequencer.submit(stream, BlockRange::new(lba, 1), opts), 0);
                     }
-                    if rng.gen_bool(0.4) {
+                    if rng.chance(0.4) {
                         units.extend(queue.flush());
                     }
                 }
@@ -532,7 +532,7 @@ mod tests {
                 }] += 1;
             }
             for i in (1..units.len()).rev() {
-                units.swap(i, rng.gen_range(0..=i));
+                units.swap(i, rng.between(0, i as u64) as usize);
             }
             let mut ring = InOrderCompleter::new(STREAMS);
             let mut reference = RefCompleter {
@@ -561,11 +561,10 @@ mod tests {
             n in 1u32..40,
             seed in any::<u64>(),
         ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = rio_sim::SimRng::seed_from_u64(seed);
             let mut order: Vec<u32> = (1..=n).collect();
             for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
+                let j = rng.between(0, i as u64) as usize;
                 order.swap(i, j);
             }
             let mut c = InOrderCompleter::new(1);
@@ -584,8 +583,7 @@ mod tests {
             sizes in proptest::collection::vec(1u16..5, 1..12),
             seed in any::<u64>(),
         ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = rio_sim::SimRng::seed_from_u64(seed);
             // Build all member completions.
             let mut events = Vec::new();
             for (g, &size) in sizes.iter().enumerate() {
@@ -599,7 +597,7 @@ mod tests {
                 }
             }
             for i in (1..events.len()).rev() {
-                let j = rng.gen_range(0..=i);
+                let j = rng.between(0, i as u64) as usize;
                 events.swap(i, j);
             }
             let mut c = InOrderCompleter::new(1);

@@ -258,11 +258,10 @@ mod tests {
             n in 1usize..50,
             seed in any::<u64>(),
         ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = rio_sim::SimRng::seed_from_u64(seed);
             let mut order: Vec<u64> = (0..n as u64).collect();
             for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
+                let j = rng.between(0, i as u64) as usize;
                 order.swap(i, j);
             }
             let mut g = SubmissionGate::new();

@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use crate::attr::Seq;
     use crate::sequencer::{Sequencer, SubmitOpts};
-    use rand::{Rng, SeedableRng};
+    use rio_sim::SimRng;
     use std::collections::VecDeque;
 
     /// [`split_attr_into`] with a fresh buffer per split.
@@ -349,7 +349,7 @@ mod tests {
     fn flush_into_matches_the_oracle_on_seeded_scripts() {
         let (mut merged_units, mut merged_spans) = (0, 0);
         for seed in 0..200u64 {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let config = OrderQueueConfig {
                 merge: seed % 4 != 0,
                 max_merge_blocks: if seed % 2 == 0 { 32 } else { 4 },
@@ -371,26 +371,26 @@ mod tests {
                 merged_spans += want.iter().filter(|u| u.0.is_merged_span()).count();
             };
             let (mut lba, mut token) = (0u64, 0u64);
-            let groups = rng.gen_range(1..=12u32);
+            let groups = rng.between(1, 12) as u32;
             for g in 0..groups {
-                let members = rng.gen_range(1..=4u32);
-                let ipu = rng.gen_bool(0.1);
+                let members = rng.between(1, 4) as u32;
+                let ipu = rng.chance(0.1);
                 // The last group may stay open: its boundary never comes.
-                let open = g == groups - 1 && rng.gen_bool(0.5);
+                let open = g == groups - 1 && rng.chance(0.5);
                 for m in 0..members {
-                    if rng.gen_bool(0.2) {
-                        lba += rng.gen_range(1..=5u64);
+                    if rng.chance(0.2) {
+                        lba += rng.between(1, 5);
                     }
                     let end_group = m == members - 1 && !open;
                     let opts = SubmitOpts {
                         end_group,
                         ipu,
-                        flush: end_group && rng.gen_bool(0.2),
+                        flush: end_group && rng.chance(0.2),
                     };
-                    let blocks = rng.gen_range(1..=2u32);
+                    let blocks = rng.between(1, 2) as u32;
                     let attr = s.submit(StreamId(0), BlockRange::new(lba, blocks), opts);
                     lba += blocks as u64;
-                    if blocks > 1 && rng.gen_bool(0.2) {
+                    if blocks > 1 && rng.chance(0.2) {
                         let (head, tail) = (attr.range.lba, attr.range.end() - 1);
                         let cut = [BlockRange::new(head, blocks - 1), BlockRange::new(tail, 1)];
                         for frag in split_attr(&attr, &cut) {
@@ -401,7 +401,7 @@ mod tests {
                         q.push(attr, token);
                         token += 1;
                     }
-                    if rng.gen_bool(0.05) {
+                    if rng.chance(0.05) {
                         check(&mut q);
                     }
                 }

@@ -25,7 +25,6 @@ proptest! {
         merge in any::<bool>(),
         shuffle_seed in any::<u64>(),
     ) {
-        use rand::{Rng, SeedableRng};
         let n_servers = 2usize;
         let mut seq = Sequencer::new(1, n_servers);
         let mut queue = OrderQueue::new(
@@ -92,10 +91,10 @@ proptest! {
         }
         // Network: bounded reorder — shuffle, but the gate re-sorts per
         // server; feed arrivals in shuffled order.
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(shuffle_seed);
+        let mut rng = rio_sim::SimRng::seed_from_u64(shuffle_seed);
         let mut order: Vec<usize> = (0..fragments.len()).collect();
         for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
+            let j = rng.between(0, i as u64) as usize;
             order.swap(i, j);
         }
         // One gate per server; track per-server release order.

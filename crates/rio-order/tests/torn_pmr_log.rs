@@ -9,13 +9,12 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rio_order::attr::{BlockRange, Seq, ServerId, SplitInfo, StreamId};
 use rio_order::pmrlog::{PmrLog, PmrWrite, SlotRef};
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_proto::PmrRecord;
+use rio_sim::SimRng;
 
 const CASES: usize = 10_000;
 const SERVERS: usize = 2;
@@ -37,9 +36,9 @@ struct Target {
 /// one sequencer (plain members, boundaries, FLUSH carriers, IPUs, split
 /// fragments and merged spans), persist toggles, frees in completion
 /// order and delivered-through marks, wrapping the small logs often.
-fn seeded_regions(rng: &mut SmallRng) -> Vec<Vec<u8>> {
-    let streams = rng.gen_range(1..4usize);
-    let len = PmrLog::superblock_size(streams) + rng.gen_range(4..16usize) * PmrRecord::SIZE;
+fn seeded_regions(rng: &mut SimRng) -> Vec<Vec<u8>> {
+    let streams = rng.between(1, 3) as usize;
+    let len = PmrLog::superblock_size(streams) + rng.between(4, 15) as usize * PmrRecord::SIZE;
     let mut targets: Vec<Target> = (0..SERVERS)
         .map(|_| {
             let (log, writes) = PmrLog::format(len, streams);
@@ -51,41 +50,41 @@ fn seeded_regions(rng: &mut SmallRng) -> Vec<Vec<u8>> {
         .collect();
     let mut sequencer = Sequencer::new(streams, SERVERS);
     let mut lba = 0;
-    for _ in 0..rng.gen_range(0..48u32) {
-        let server = rng.gen_range(0..SERVERS);
+    for _ in 0..rng.below(48) {
+        let server = rng.below(SERVERS as u64) as usize;
         let t = &mut targets[server];
-        if t.log.is_full() || rng.gen_bool(0.3) {
+        if t.log.is_full() || rng.chance(0.3) {
             // The oldest completion reached the application.
             if let Some((slot, stream, seq, boundary)) = t.live.pop_front() {
                 t.log.free(slot);
-                if boundary && rng.gen_bool(0.5) {
+                if boundary && rng.chance(0.5) {
                     apply(&mut t.region, &t.log.set_head_seq(stream, seq));
                 }
             }
             continue;
         }
-        let stream = StreamId(rng.gen_range(0..streams) as u16);
+        let stream = StreamId(rng.below(streams as u64) as u16);
         let opts = SubmitOpts {
-            end_group: rng.gen_bool(0.6),
-            ipu: rng.gen_bool(0.05),
-            flush: rng.gen_bool(0.2),
+            end_group: rng.chance(0.6),
+            ipu: rng.chance(0.05),
+            flush: rng.chance(0.2),
         };
-        let blocks = rng.gen_range(1..4u32);
+        let blocks = rng.between(1, 3) as u32;
         let mut attr = sequencer.submit(stream, BlockRange::new(lba, blocks), opts);
         lba += blocks as u64;
-        if rng.gen_bool(0.1) {
-            let last = rng.gen_bool(0.5);
+        if rng.chance(0.1) {
+            let last = rng.chance(0.5);
             attr.split = Some(SplitInfo {
-                idx: rng.gen_range(0..3),
+                idx: rng.below(3) as u8,
                 last,
             });
-        } else if attr.boundary && rng.gen_bool(0.1) {
-            attr.seq_end = Seq(attr.seq_start.0 + rng.gen_range(1..3u32));
+        } else if attr.boundary && rng.chance(0.1) {
+            attr.seq_end = Seq(attr.seq_start.0 + rng.between(1, 2) as u32);
         }
         sequencer.stamp_dispatch(&mut attr, ServerId(server as u16));
         let (slot, w) = t.log.append(&attr.to_pmr_record(0)).expect("not full");
         apply(&mut t.region, &w);
-        if rng.gen_bool(0.7) {
+        if rng.chance(0.7) {
             apply(&mut t.region, &t.log.mark_persist(slot));
         }
         t.live
@@ -95,13 +94,13 @@ fn seeded_regions(rng: &mut SmallRng) -> Vec<Vec<u8>> {
 }
 
 /// One to three seeded faults, in place.
-fn tear(rng: &mut SmallRng, region: &mut Vec<u8>) {
-    for _ in 0..rng.gen_range(1..=3u32) {
+fn tear(rng: &mut SimRng, region: &mut Vec<u8>) {
+    for _ in 0..rng.between(1, 3) {
         if region.is_empty() {
             return;
         }
-        let at = rng.gen_range(0..region.len());
-        match rng.gen_range(0..5u32) {
+        let at = rng.below(region.len() as u64) as usize;
+        match rng.below(5) {
             // The power cut the region short.
             0 => region.truncate(at),
             // A slot the device refused reads back as zeroes.
@@ -112,10 +111,10 @@ fn tear(rng: &mut SmallRng, region: &mut Vec<u8>) {
             }
             // A short run of bytes splatted with one value.
             2 => {
-                let end = (at + rng.gen_range(1..9usize)).min(region.len());
-                region[at..end].fill(rng.gen());
+                let end = (at + rng.between(1, 8) as usize).min(region.len());
+                region[at..end].fill(rng.next_u64() as u8);
             }
-            _ => region[at] ^= 1 << rng.gen_range(0..8u32),
+            _ => region[at] ^= 1 << rng.below(8),
         }
     }
 }
@@ -136,11 +135,11 @@ fn scans(regions: &[Vec<u8>], plp: bool) -> Vec<ServerScan> {
 
 #[test]
 fn torn_flipped_and_refused_logs_scan_and_recover_without_panicking() {
-    let mut rng = SmallRng::seed_from_u64(0x70A2_1065);
+    let mut rng = SimRng::seed_from_u64(0x70A2_1065);
     let (mut refused, mut recovered) = (0, 0);
     for case in 0..CASES {
         let clean = seeded_regions(&mut rng);
-        let plp = rng.gen_bool(0.5);
+        let plp = rng.chance(0.5);
         assert_eq!(
             scans(&clean, plp).len(),
             SERVERS,
@@ -148,13 +147,13 @@ fn torn_flipped_and_refused_logs_scan_and_recover_without_panicking() {
         );
         let mut torn = clean.clone();
         for region in &mut torn {
-            if rng.gen_bool(0.8) {
+            if rng.chance(0.8) {
                 tear(&mut rng, region);
             }
         }
         let scans = scans(&torn, plp);
         refused += SERVERS - scans.len();
-        let failed = vec![ServerId(rng.gen_range(0..SERVERS) as u16)];
+        let failed = vec![ServerId(rng.below(SERVERS as u64) as usize as u16)];
         for mode in [
             RecoveryMode::InitiatorRestart,
             RecoveryMode::TargetRepair { failed },
