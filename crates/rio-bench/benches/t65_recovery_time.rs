@@ -24,7 +24,7 @@
 //! cargo bench -p rio-bench --bench t65_recovery_time -- --smoke # CI-sized
 //! ```
 
-use rio_bench::recovery::trial_cfg;
+use rio_bench::recovery;
 use rio_bench::{header, kiops, row};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
@@ -45,12 +45,7 @@ fn paper_table(smoke: bool) {
     let mut records = 0usize;
     let mut discards = 0usize;
     for trial in 0..trials {
-        let mut cfg = trial_cfg(1000 + trial, threads);
-        let wl = Workload::random_4k(threads, 1_000_000);
-        // Crash at a pseudo-random instant in [2, 6] ms of steady state.
-        let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
-        cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
-        let report = &Cluster::new(cfg, wl).run().recoveries[0];
+        let report = recovery::trial(trial, threads);
         rebuild_ms += report.order_rebuild.as_secs_f64() * 1e3;
         data_ms += report.data_recovery.as_secs_f64() * 1e3;
         records += report.records_scanned;

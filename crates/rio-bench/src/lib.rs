@@ -8,8 +8,8 @@
 //!
 //! The cluster shapes more than one harness runs are catalogued here,
 //! once: [`fig10_cfg`] (Figure 10's four topologies), [`lossy_cfg`]
-//! (the lossy-fabric cell) and [`recovery::trial_cfg`] (the §6.5
-//! testbed). The figure benches and the two sections of `BENCH.json`
+//! (the lossy-fabric cell) and [`recovery::trial`] (one §6.5 crash
+//! trial). The figure benches and the two sections of `BENCH.json`
 //! (the grid of engine cells and figure slices, the recovery trials)
 //! all build their configurations from these, so a figure and the gate
 //! that guards it cannot drift apart.

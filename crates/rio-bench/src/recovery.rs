@@ -15,7 +15,8 @@
 
 use rio_sim::SimTime;
 use rio_stack::{
-    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
+    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, RecoveryMetrics,
+    Workload,
 };
 
 use crate::gate::{Rule, Trajectory};
@@ -82,13 +83,24 @@ impl Trajectory for RecoveryCell {
 /// The §6.5 testbed: four SSDs over two targets, `threads` cores and
 /// queue pairs a side, and windows deep enough that every thread
 /// submits "continuously without explicitly waiting".
-pub fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
+fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
     ClusterConfig {
         seed,
         max_inflight_per_stream: 96,
         ..ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, threads)
     }
     .with_cores(threads)
+}
+
+/// One §6.5 crash trial: `threads` threads issue 4 KB ordered writes
+/// continuously until every target crashes at an instant in [2, 6] ms
+/// that `trial` picks; returns the initiator's recovery.
+pub fn trial(trial: u64, threads: usize) -> RecoveryMetrics {
+    let mut cfg = trial_cfg(1000 + trial, threads);
+    let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
+    cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
+    let wl = Workload::random_4k(threads, 1_000_000);
+    Cluster::new(cfg, wl).run().recoveries.swap_remove(0)
 }
 
 /// Runs the deterministic recovery trajectory: four one-shot crash
@@ -99,14 +111,10 @@ pub fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
 pub fn trajectory() -> Vec<RecoveryCell> {
     let threads = 8;
     let mut cells = Vec::new();
-    for trial in 0..4u64 {
-        let mut cfg = trial_cfg(1000 + trial, threads);
-        let wl = Workload::random_4k(threads, 1_000_000);
-        let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
-        cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
-        let r = &Cluster::new(cfg, wl).run().recoveries[0];
+    for t in 0..4u64 {
+        let r = &trial(t, threads);
         cells.push(RecoveryCell {
-            label: format!("trial{trial}"),
+            label: format!("trial{t}"),
             threads,
             order_rebuild_ms: r.order_rebuild.as_secs_f64() * 1e3,
             data_recovery_ms: r.data_recovery.as_secs_f64() * 1e3,
