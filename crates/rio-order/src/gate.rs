@@ -10,8 +10,8 @@
 //! When a stream is pinned to a single RC queue pair (scheduler
 //! Principle 2), arrivals are already in order and the gate releases
 //! every request immediately — the paper's "in-order delivery removes
-//! this overhead" observation is then directly visible in the gate's
-//! [`SubmissionGate::buffered_peak`] statistic staying at zero.
+//! this overhead" observation is then directly visible in
+//! [`SubmissionGate::buffered`] staying at zero.
 //!
 //! # Hot-path layout
 //!
@@ -60,8 +60,6 @@ pub struct SubmissionGate {
     /// Indexed directly by stream id; grown on demand.
     streams: Vec<GateStream>,
     buffered_now: usize,
-    buffered_peak: usize,
-    total_buffered_events: u64,
 }
 
 impl SubmissionGate {
@@ -139,24 +137,12 @@ impl SubmissionGate {
             assert!(slot.is_none(), "duplicate dispatch ordinal");
             *slot = Some((attr, token));
             self.buffered_now += 1;
-            self.total_buffered_events += 1;
-            self.buffered_peak = self.buffered_peak.max(self.buffered_now);
         }
     }
 
     /// Requests currently held back waiting for predecessors.
     pub fn buffered(&self) -> usize {
         self.buffered_now
-    }
-
-    /// Peak number of simultaneously buffered requests.
-    pub fn buffered_peak(&self) -> usize {
-        self.buffered_peak
-    }
-
-    /// Total arrivals that had to buffer (out-of-order deliveries).
-    pub fn total_buffered_events(&self) -> u64 {
-        self.total_buffered_events
     }
 
     /// Drops all state (crash / reconnect: a fresh gate epoch).
@@ -189,12 +175,8 @@ mod tests {
             let out = g.arrive(attr(0, i), i);
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].1, i);
+            assert_eq!(g.buffered(), 0, "no buffering when delivery is in order");
         }
-        assert_eq!(
-            g.buffered_peak(),
-            0,
-            "no buffering when delivery is in order"
-        );
     }
 
     #[test]
@@ -209,7 +191,6 @@ mod tests {
             vec![0, 1, 2]
         );
         assert_eq!(g.buffered(), 0);
-        assert_eq!(g.total_buffered_events(), 2);
     }
 
     #[test]

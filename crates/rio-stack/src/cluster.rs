@@ -482,11 +482,6 @@ impl Cluster {
             .map(|t| t.cores.utilization(span))
             .sum::<f64>()
             / self.targets.len() as f64;
-        let gate_buffered: u64 = self
-            .targets
-            .iter()
-            .map(|t| t.gate.total_buffered_events())
-            .sum();
         let mut net = NetMetrics::default();
         for init in &self.initiators {
             net.absorb(&init.nic);
@@ -550,7 +545,7 @@ impl Cluster {
             blocks_done: initiators.iter().map(|i| i.blocks_done).sum(),
             groups_done: initiators.iter().map(|i| i.groups_done).sum(),
             ops_done: self.ops_done,
-            gate_buffered,
+            gate_buffered: initiators.iter().map(|i| i.gate_buffered).sum(),
             commands_sent: initiators.iter().map(|i| i.commands_sent).sum(),
             events_processed: self.events_processed,
             span,

@@ -93,6 +93,21 @@ fn a_fault_inside_a_recovery_waits_for_it() {
     }
 }
 
+/// A resuming recovery gives every target a fresh gate, and the run's
+/// `gate_buffered` still counts the out-of-order arrivals of both
+/// epochs: like every run total, it is the sum of the initiator rows.
+#[test]
+fn gate_buffered_counts_arrivals_from_before_a_recovery() {
+    let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 8);
+    cfg.net = FabricConfig::lossy(1e-2, 4);
+    cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(2_000_000), vec![0]);
+    let m = Cluster::new(cfg, Workload::random_4k(8, 3_000)).run();
+    assert_eq!(m.recoveries.len(), 1);
+    let rows: u64 = m.initiators.iter().map(|i| i.gate_buffered).sum();
+    assert!(rows > 0, "the lossy fabric reordered nothing");
+    assert_eq!(m.gate_buffered, rows);
+}
+
 /// Recovery is traffic. Crashing an idle cluster after its last
 /// completion makes every packet after the fault a recovery packet:
 /// they show in the fabric counters, and a lossy fabric drops and

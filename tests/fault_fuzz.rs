@@ -149,6 +149,10 @@ fn fault_plans_keep_every_ledger() {
         assert_eq!(i.wire_detected, i.wire_injected);
         assert_eq!(m.epochs.iter().map(|e| e.groups_done).sum::<u64>(), m.groups_done);
         assert_eq!(m.epochs.iter().map(|e| e.blocks_done).sum::<u64>(), m.blocks_done);
+        // A recovery replaces the target gates; the run total still
+        // counts every out-of-order arrival of every epoch.
+        let buffered: u64 = m.initiators.iter().map(|i| i.gate_buffered).sum();
+        assert_eq!(m.gate_buffered, buffered, "gate_buffered is the initiator rows' sum");
         // A fault inside a recovery waits for it, so recoveries never
         // overlap and no epoch runs backward.
         for w in m.recoveries.windows(2) {
@@ -202,6 +206,7 @@ fn corrupting_fabrics_replay_exactly_in_every_mode() {
         assert_eq!(rows(|i| i.groups_done), groups);
         assert_eq!(rows(|i| i.blocks_done), blocks);
         assert_eq!(rows(|i| i.commands_sent), m.commands_sent);
+        assert_eq!(rows(|i| i.gate_buffered), m.gate_buffered);
         assert_eq!(m.tenants.iter().map(|t| t.groups_done).sum::<u64>(), groups);
         assert_eq!(m.tenants.iter().map(|t| t.blocks_done).sum::<u64>(), blocks);
         let b = m.breakdown.as_ref().expect("traced");

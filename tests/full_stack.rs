@@ -769,13 +769,13 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
         0x3a0c181ed4f79df1, // crash under loss sampled
         0x6ce843507cbe242e, // 3 initiators crash under loss
         0x3835a04cd7e5b268, // 3 initiators crash traced + sampled
-        0xa04932e2dd2b2bdf, // integrity torn write + rot
+        0x9c965e8c8172e463, // integrity torn write + rot
         0x6130bdd8ceddd3e5, // seq merge
         0xeb1311814aeca5c5, // journal triplet unmerged
         0x02654fc699b4ad63, // one-shot crash
         0xeb69c92aa3e7d51d, // nic reset during fsync
         0xee4558d483ecda90, // scatter qp, spare streams
-        0x927e9829759d6ba1, // weighted tenants, corrupting fabric, torn write
+        0x6ad48c8bfedc27c9, // weighted tenants, corrupting fabric, torn write
     ];
     assert_eq!(runs.len(), expected.len(), "one literal per configuration");
     let got: Vec<(String, u64)> = runs
