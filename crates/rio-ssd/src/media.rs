@@ -206,32 +206,27 @@ impl Index {
     }
 }
 
-/// A journalled [`BlockRun`] in three words. Only token runs — `Zero`,
-/// `Tag` and `Payload` — wait in the journal, so the image is a kind
-/// and an 8-byte token, and whether a seal rides along is one bit
-/// beside the block count.
+/// A journalled [`BlockRun`] in two words. Only token runs — `Zero`,
+/// `Tag` and `Payload` — wait in the journal, and only a payload run
+/// sealed by its seed journals sealed: the fold re-derives the seal.
 #[derive(Debug, Clone, Copy)]
 struct Record {
-    lba: u64,
+    /// `lba << LBA_SHIFT | blocks << COUNT_SHIFT | SEALED | kind`.
+    head: u64,
     /// The tag or payload seed (0 for a zero run).
     token: u64,
-    /// `blocks << COUNT_SHIFT | SEALED | kind`.
-    meta: u32,
-    /// The seal, when `meta` has `SEALED` set.
-    seal: u32,
 }
 
-/// `Record::meta`'s low bits: the image kind (0 for a zero run), then
-/// the seal flag; the block count sits above them.
-const TAG: u32 = 1;
-const PAYLOAD: u32 = 2;
-const KIND: u32 = 3;
-const SEALED: u32 = 4;
+const TAG: u64 = 1;
+const PAYLOAD: u64 = 2;
+const KIND: u64 = 3;
+const SEALED: u64 = 4;
 const COUNT_SHIFT: u32 = 3;
+const LBA_SHIFT: u32 = u16::BITS;
 
 impl Record {
-    /// Packs a token run. A run of real data, or one whose block count
-    /// does not fit beside the kind, is handed back for the index to
+    /// Packs a token run. Real data, any other seal, or an address or
+    /// block count that does not fit is handed back for the index to
     /// take on arrival.
     fn pack(run: BlockRun) -> Result<Record, BlockRun> {
         let (kind, token) = match run.image {
@@ -240,29 +235,32 @@ impl Record {
             BlockImage::Payload(seed) => (PAYLOAD, seed),
             BlockImage::Bytes(_) => return Err(run),
         };
-        if run.blocks >> (u32::BITS - COUNT_SHIFT) != 0 {
+        let sealed = match run.seal {
+            None => 0,
+            Some(seal) if kind == PAYLOAD && seal == payload::seal_for(token) => SEALED,
+            Some(_) => return Err(run),
+        };
+        let blocks = u64::from(run.blocks);
+        if run.lba >> (u64::BITS - LBA_SHIFT) != 0 || blocks >> (LBA_SHIFT - COUNT_SHIFT) != 0 {
             return Err(run);
         }
-        let sealed = if run.seal.is_some() { SEALED } else { 0 };
         Ok(Record {
-            lba: run.lba,
+            head: run.lba << LBA_SHIFT | blocks << COUNT_SHIFT | sealed | kind,
             token,
-            meta: run.blocks << COUNT_SHIFT | sealed | kind,
-            seal: run.seal.unwrap_or(0),
         })
     }
 
     fn unpack(self) -> BlockRun {
-        let image = match self.meta & KIND {
+        let image = match self.head & KIND {
             TAG => BlockImage::Tag(self.token),
             PAYLOAD => BlockImage::Payload(self.token),
             _ => BlockImage::Zero,
         };
         BlockRun {
-            lba: self.lba,
+            lba: self.head >> LBA_SHIFT,
             image,
-            blocks: self.meta >> COUNT_SHIFT,
-            seal: (self.meta & SEALED != 0).then_some(self.seal),
+            blocks: (self.head as u16 >> COUNT_SHIFT).into(),
+            seal: (self.head & SEALED != 0).then(|| payload::seal_for(self.token)),
         }
     }
 }
@@ -292,7 +290,7 @@ impl State {
 /// A sparse persistent store of block images with write versioning.
 ///
 /// A write journal with a fold-on-read index: a write appends one
-/// 24-byte record per run of equal blocks and hashes nothing, and the first
+/// 16-byte record per run of equal blocks and hashes nothing, and the first
 /// reader after it replays the journal, in order, into the per-block
 /// maps. Every accepted command lands here once and a fault-free run
 /// never reads it back, so it pays one append per command instead of
@@ -570,7 +568,12 @@ mod tests {
                     2 => BlockImage::Payload(rng.below(1 << 20)),
                     _ => BlockImage::Tag(rng.below(1 << 20)),
                 };
-                let seal = rng.below(1 << 32) as u32;
+                // Half the seals are the one a payload seed spells, so
+                // journalled and indexed sealed runs interleave.
+                let seal = match image {
+                    BlockImage::Payload(seed) if rng.chance(0.5) => seal_for(seed),
+                    _ => rng.below(1 << 32) as u32,
+                };
                 match rng.below(12) {
                     0..=2 => assert_eq!(
                         store.write(lba, image.clone()),
@@ -777,40 +780,42 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_record_is_three_words() {
+    fn a_journal_record_is_two_words() {
         // One per token write since the last read: a benchmark run's
         // journal is this many bytes per command.
-        assert_eq!(std::mem::size_of::<Record>(), 24);
+        assert_eq!(std::mem::size_of::<Record>(), 16);
     }
 
     #[test]
     fn a_record_unpacks_to_the_run_it_packed() {
-        for image in [
-            BlockImage::Zero,
-            BlockImage::Tag(u64::MAX),
-            BlockImage::Payload(7),
+        let run = |lba, image, blocks, seal| BlockRun {
+            lba,
+            image,
+            blocks,
+            seal,
+        };
+        let (lba, blocks) = ((1 << 48) - 1, (1 << 13) - 1);
+        for (image, seal) in [
+            (BlockImage::Zero, None),
+            (BlockImage::Tag(u64::MAX), None),
+            (BlockImage::Payload(u64::MAX), None),
+            (BlockImage::Payload(7), Some(seal_for(7))),
         ] {
-            for seal in [None, Some(0), Some(u32::MAX)] {
-                let run = BlockRun {
-                    lba: u64::MAX - 1,
-                    image: image.clone(),
-                    blocks: (1 << 29) - 1,
-                    seal,
-                };
-                let record = Record::pack(run.clone()).expect("a token run packs");
-                assert_eq!(record.unpack(), run);
-            }
+            let run = run(lba, image, blocks, seal);
+            let record = Record::pack(run.clone()).expect("a token run packs");
+            assert_eq!(record.unpack(), run);
         }
-        // Real data and an over-long run go to the index instead.
+        // Everything else goes to the index instead: real data, a seal
+        // the seed does not spell, and an address or count too wide.
         let bytes = BlockImage::Bytes(vec![1; 8].into_boxed_slice());
-        let long = BlockImage::Tag(1);
-        for (image, blocks) in [(bytes, 1), (long, 1 << 29)] {
-            let run = BlockRun {
-                lba: 0,
-                image,
-                blocks,
-                seal: None,
-            };
+        for run in [
+            run(0, bytes, 1, None),
+            run(0, BlockImage::Payload(7), 1, Some(seal_for(7) ^ 1)),
+            run(0, BlockImage::Tag(7), 1, Some(0)),
+            run(0, BlockImage::Zero, 1, Some(0)),
+            run(1 << 48, BlockImage::Tag(1), 1, None),
+            run(0, BlockImage::Tag(1), 1 << 13, None),
+        ] {
             assert_eq!(Record::pack(run.clone()).unwrap_err(), run);
         }
     }

@@ -86,11 +86,11 @@ fn peak_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Allocation calls of `Cluster::new` + `run()`, and the peak live
-/// bytes `run()` adds on top of what `Cluster::new` pre-sizes (PMR
-/// regions, slabs, rings — 8 MB that would drown a per-block cost),
-/// for the cluster `build` makes, which writes `blocks` blocks; both
-/// per block written.
-fn per_block(build: impl Fn() -> Cluster, blocks: u64) -> (f64, f64) {
+/// bytes `run()` adds on top of what `Cluster::new` pre-sizes (slabs,
+/// rings and the PMR regions RIO formats), for the cluster `build`
+/// makes, which writes `blocks` blocks; both per block written. Last,
+/// `Cluster::new`'s own peak bytes.
+fn per_block(build: impl Fn() -> Cluster, blocks: u64) -> (f64, f64, u64) {
     let (_, setup) = peak_of(|| drop(build()));
     let allocs = ALLOCS.load(Relaxed);
     let (m, peak) = peak_of(|| build().run());
@@ -99,6 +99,7 @@ fn per_block(build: impl Fn() -> Cluster, blocks: u64) -> (f64, f64) {
     (
         allocs as f64 / blocks as f64,
         (peak - setup) as f64 / blocks as f64,
+        setup,
     )
 }
 
@@ -126,15 +127,16 @@ fn rio_single_ssd(workload: Workload) -> Cluster {
 }
 
 /// A budget cell: name, cluster, the blocks it writes, then the
-/// ceilings on allocations and peak live bytes, both per block.
-type Cell = (&'static str, fn() -> Cluster, u64, f64, f64);
+/// ceilings on allocations and peak live bytes, both per block, and on
+/// the peak bytes of building the cluster.
+type Cell = (&'static str, fn() -> Cluster, u64, f64, f64, u64);
 
 #[test]
 fn event_path_stays_inside_its_heap_budget() {
     // Peak ceilings are about 2 % above the exact counts and allocation
     // ceilings 0.01–0.03 above them (the harness's own thread adds a
-    // handful to whichever cell runs first): 0.120 / 111, 0.078 / 111,
-    // 0.076 / 70, 0.080 / 108 on random 4 KB. The fixed
+    // handful to whichever cell runs first): 0.119 / 107, 0.076 / 107,
+    // 0.074 / 62, 0.077 / 98 on random 4 KB. The fixed
     // allocations of `Cluster::new` are spread over only 2 000 blocks,
     // which is the 0.08 every mode carries; RIO's 0.04 above it is its
     // eight ORDER queues and the batch they trade buffers with growing
@@ -142,33 +144,43 @@ fn event_path_stays_inside_its_heap_budget() {
     // dispatch unit, plugged bio, SSD write or PMR update is 1.0
     // allocation per block each (a flush that copies its units out is
     // 2.0, a plug built per batch 3.0); the SSD's one block store
-    // journals a 24-byte record per write, and a PLP drive holds a
+    // journals a 16-byte record per write, and a PLP drive holds a
     // write's landing only while it is in flight — held to the end of
     // the run instead, it is 64 bytes per write more, and a second
     // store (or a per-write completion record kept only for
-    // statistics) is 24 bytes or more. The integrity-on cell
-    // (0.121 / 113) sits on the same floor: a block travels and lands
+    // statistics) is 16 bytes or more. The integrity-on cell
+    // (0.120 / 108) sits on the same floor: a block travels and lands
     // as its 8-byte payload seed, sealed by streaming, and the store
     // journals it like a tag, so a 4 KB buffer per block would be 1.0
     // allocation and 4 096 bytes more, and a one-element `Vec` around
     // the image 1.0 more. The two
-    // single-SSD cells (0.057 / 36, 0.065 / 58) hold the merge path —
+    // single-SSD cells (0.057 / 35, 0.065 / 54) hold the merge path —
     // 16 one-block groups leave as one command, where per-unit vectors
     // are 0.375 per block — and the fsync path — D, JM and JC groups of
     // 1 + 2 + 1 blocks, one blocking wait per op, 1.25 per block with
     // per-unit vectors — to the same floor.
+    //
+    // Building a cluster costs 272 432 bytes at its peak when no PMR is
+    // written (Orderless, Horae, Linux) and 4 619 308 with RIO's log
+    // formatted on the first SSD of each of two targets; one SSD with
+    // its log costs 2 326 283 (merge) and 2 451 102 (fsync, whose
+    // workload holds more). A PMR is 2 MB, so a region allocated before
+    // anything writes it fails every build ceiling.
     let budgets: [Cell; 7] = [
-        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 114.0),
-        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 114.0),
-        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 72.0),
-        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 111.0),
-        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 116.0),
-        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 37.0),
-        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 60.0),
+        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 110.0, 4_720_000),
+        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 110.0, 280_000),
+        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 64.0, 280_000),
+        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 100.0, 280_000),
+        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 111.0, 4_720_000),
+        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 36.0, 2_380_000),
+        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 56.0, 2_500_000),
     ];
-    for (cell, build, blocks, max_allocs, max_peak) in budgets {
-        let (allocs, peak) = per_block(build, blocks);
-        println!("{cell}: {allocs:.3} allocations and {peak:.0} peak bytes per block");
+    for (cell, build, blocks, max_allocs, max_peak, max_setup) in budgets {
+        let (allocs, peak, setup) = per_block(build, blocks);
+        println!(
+            "{cell}: {allocs:.3} allocations and {peak:.0} peak bytes per block, \
+             {setup} bytes to build"
+        );
         assert!(
             allocs <= max_allocs,
             "{cell}: {allocs:.3} allocations per block ({:.0} in all), budget {max_allocs}",
@@ -177,6 +189,10 @@ fn event_path_stays_inside_its_heap_budget() {
         assert!(
             peak <= max_peak,
             "{cell}: {peak:.0} peak live bytes per block, budget {max_peak}"
+        );
+        assert!(
+            setup <= max_setup,
+            "{cell}: {setup} peak bytes to build, budget {max_setup}"
         );
     }
 }
