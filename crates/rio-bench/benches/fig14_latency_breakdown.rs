@@ -126,8 +126,8 @@ fn traced_config(loss: f64, crash: bool) -> ClusterConfig {
             SsdProfile::optane905p(),
             3,
         )
-    }
-    .with_cores(8);
+    };
+    cfg.cores = 8;
     cfg.max_inflight_per_stream = 16;
     if loss > 0.0 {
         cfg.net = FabricConfig::lossy(loss, 2);

@@ -134,11 +134,11 @@ fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> Clust
             corrupt_rate: corrupt,
             ..FabricConfig::lossy(0.0, 2)
         },
+        cores: 8,
         max_inflight_per_stream: 64,
         integrity: true,
         ..ClusterConfig::new(mode, vec![vec![ssd()], vec![ssd()]], THREADS)
     }
-    .with_cores(8)
 }
 
 /// Part 2: corruption × crash (Rio only: recovery needs the persisted

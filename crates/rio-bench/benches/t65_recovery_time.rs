@@ -95,10 +95,10 @@ fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
             migrate_every: 64,
             ..FabricConfig::lossy(loss, 2)
         },
+        cores: 8,
         max_inflight_per_stream: 64,
         ..ClusterConfig::new(mode, vec![optane(), optane()], threads)
     }
-    .with_cores(8)
 }
 
 /// Part 2: the survivable loss × crash-pattern × mode sweep.

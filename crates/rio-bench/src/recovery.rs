@@ -86,10 +86,10 @@ impl Trajectory for RecoveryCell {
 fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
     ClusterConfig {
         seed,
+        cores: threads,
         max_inflight_per_stream: 96,
         ..ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, threads)
     }
-    .with_cores(threads)
 }
 
 /// One §6.5 crash trial: `threads` threads issue 4 KB ordered writes

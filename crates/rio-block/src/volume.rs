@@ -3,12 +3,12 @@
 //! The paper's multi-device experiments organize SSDs "as a single
 //! logical volume and ... distribute 4 KB data blocks to individual
 //! physical SSDs in a round-robin fashion" (§6.2.1). With a stripe unit
-//! of `stripe_blocks`, logical block `L` maps to:
+//! of `stripe` blocks, logical block `L` maps to:
 //!
 //! ```text
-//! chunk  = L / stripe_blocks
+//! chunk  = L / stripe
 //! device = chunk % n_devices
-//! plba   = (chunk / n_devices) * stripe_blocks + L % stripe_blocks
+//! plba   = (chunk / n_devices) * stripe + L % stripe
 //! ```
 //!
 //! [`StripedVolume::map`] turns a logical range into per-device
@@ -41,24 +41,24 @@ pub struct Extent {
 pub struct StripedVolume {
     /// (server, ssd) per stripe leg, in round-robin order.
     legs: Vec<(ServerId, usize)>,
-    stripe_blocks: u64,
+    stripe: u64,
     capacity_blocks: u64,
 }
 
 impl StripedVolume {
-    /// Creates a volume striping over `legs` with `stripe_blocks`-block
-    /// chunks; each leg contributes `per_leg_blocks` of capacity.
+    /// Creates a volume striping over `legs` in chunks of `stripe`
+    /// blocks; each leg contributes `per_leg_blocks` of capacity.
     ///
     /// # Panics
     ///
     /// Panics on empty legs or a zero stripe size.
-    pub fn new(legs: Vec<(ServerId, usize)>, stripe_blocks: u32, per_leg_blocks: u64) -> Self {
+    pub fn new(legs: Vec<(ServerId, usize)>, stripe: u32, per_leg_blocks: u64) -> Self {
         assert!(!legs.is_empty(), "volume needs at least one device");
-        assert!(stripe_blocks > 0, "stripe unit must be positive");
+        assert!(stripe > 0, "stripe unit must be positive");
         let capacity_blocks = per_leg_blocks * legs.len() as u64;
         StripedVolume {
             legs,
-            stripe_blocks: stripe_blocks as u64,
+            stripe: stripe as u64,
             capacity_blocks,
         }
     }
@@ -80,9 +80,9 @@ impl StripedVolume {
 
     /// Maps one logical block.
     pub fn map_block(&self, lba: u64) -> (ServerId, usize, u64) {
-        let chunk = lba / self.stripe_blocks;
+        let chunk = lba / self.stripe;
         let leg = (chunk % self.legs.len() as u64) as usize;
-        let plba = (chunk / self.legs.len() as u64) * self.stripe_blocks + lba % self.stripe_blocks;
+        let plba = (chunk / self.legs.len() as u64) * self.stripe + lba % self.stripe;
         let (server, ssd) = self.legs[leg];
         (server, ssd, plba)
     }
@@ -97,9 +97,9 @@ impl StripedVolume {
     /// Panics if `leg` is out of range.
     pub fn logical_of(&self, leg: usize, plba: u64) -> u64 {
         assert!(leg < self.legs.len(), "leg out of range");
-        let chunk_in_leg = plba / self.stripe_blocks;
+        let chunk_in_leg = plba / self.stripe;
         let chunk = chunk_in_leg * self.legs.len() as u64 + leg as u64;
-        chunk * self.stripe_blocks + plba % self.stripe_blocks
+        chunk * self.stripe + plba % self.stripe
     }
 
     /// Maps a logical range into per-device physically contiguous
@@ -141,7 +141,7 @@ impl StripedVolume {
         let mut chunk_end = if n == 1 {
             end
         } else {
-            lba - lba % self.stripe_blocks + self.stripe_blocks
+            lba - lba % self.stripe + self.stripe
         };
         // The extent (past `base`) the next chunk lands in.
         let mut slot = 0;
@@ -160,7 +160,7 @@ impl StripedVolume {
             }
             slot = if slot + 1 == n { 0 } else { slot + 1 };
             lba = chunk_end;
-            chunk_end += self.stripe_blocks;
+            chunk_end += self.stripe;
         }
     }
 }
@@ -192,7 +192,7 @@ mod tests {
         let mut extents: Vec<Extent> = Vec::new();
         let mut open = vec![usize::MAX; v.legs.len()];
         for i in 0..range.blocks as u64 {
-            let leg = ((range.lba + i) / v.stripe_blocks % v.legs.len() as u64) as usize;
+            let leg = ((range.lba + i) / v.stripe % v.legs.len() as u64) as usize;
             let (server, ssd, plba) = v.map_block(range.lba + i);
             match extents.get_mut(open[leg]) {
                 Some(e) if e.range.end() == plba => e.range.blocks += 1,

@@ -116,12 +116,6 @@ impl<E> EventHeap<E> {
         }
     }
 
-    /// Reserves space for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.slots.reserve(additional);
-    }
-
     /// Schedules `event` at instant `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;

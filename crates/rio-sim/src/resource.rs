@@ -4,10 +4,11 @@
 //! carrying their own queue bookkeeping:
 //!
 //! * [`FifoResource`] — a single server (one flash channel, one DMA
-//!   engine, one CPU core): jobs serialize; each admission returns the
-//!   completion instant.
-//! * [`MultiServer`] — `k` identical servers (SSD internal channels):
-//!   jobs go to the earliest-free server.
+//!   engine): jobs serialize; each admission returns the completion
+//!   instant.
+//! * [`MultiServer`] — `k` identical servers (SSD internal channels, a
+//!   server's CPU cores): jobs go to the earliest-free server, or to a
+//!   named one, with one busy ledger for utilisation.
 //! * [`BandwidthLink`] — a store-and-forward link: transfer time is
 //!   `bytes / bandwidth`, transfers serialize on the wire.
 
@@ -45,8 +46,9 @@ impl FifoResource {
         done
     }
 
-    /// Total busy time accumulated (for utilisation accounting).
-    pub fn busy_time(&self) -> SimDuration {
+    /// Total busy time accumulated.
+    #[cfg(test)]
+    fn busy_time(&self) -> SimDuration {
         self.busy
     }
 
@@ -70,11 +72,6 @@ impl MultiServer {
             free_at: vec![SimTime::ZERO; k.max(1)],
             busy: SimDuration::ZERO,
         }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Admits a job arriving at `now` with `service` demand; returns its
@@ -104,9 +101,14 @@ impl MultiServer {
         done
     }
 
-    /// Total busy time across all servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
+    /// Utilisation over `elapsed`: busy server-seconds ÷ available
+    /// server-seconds, in `[0, 1]`.
+    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
+        if elapsed.as_nanos() == 0 {
+            return 0.0;
+        }
+        let avail = elapsed.as_secs_f64() * self.free_at.len() as f64;
+        (self.busy.as_secs_f64() / avail).min(1.0)
     }
 
     /// Forgets all queued work (used on simulated crash).
@@ -221,8 +223,46 @@ mod tests {
 
     #[test]
     fn multi_server_clamps_zero() {
-        let m = MultiServer::new(0);
-        assert_eq!(m.servers(), 1);
+        let mut m = MultiServer::new(0);
+        let a = m.admit(SimTime::ZERO, SimDuration::from_nanos(100));
+        let b = m.admit(SimTime::ZERO, SimDuration::from_nanos(100));
+        assert_eq!((a.as_nanos(), b.as_nanos()), (100, 200), "one server");
+    }
+
+    #[test]
+    fn work_on_same_core_serializes() {
+        let mut cs = MultiServer::new(2);
+        let a = cs.admit_to(0, SimTime::ZERO, SimDuration::from_nanos(1000));
+        let b = cs.admit_to(0, SimTime::ZERO, SimDuration::from_nanos(1000));
+        let c = cs.admit_to(1, SimTime::ZERO, SimDuration::from_nanos(1000));
+        assert_eq!(a.as_nanos(), 1000);
+        assert_eq!(b.as_nanos(), 2000, "same core queues");
+        assert_eq!(c.as_nanos(), 1000, "other core parallel");
+    }
+
+    #[test]
+    fn core_index_wraps() {
+        let mut cs = MultiServer::new(2);
+        let a = cs.admit_to(0, SimTime::ZERO, SimDuration::from_nanos(500));
+        let b = cs.admit_to(2, SimTime::ZERO, SimDuration::from_nanos(500));
+        assert_eq!(a.as_nanos(), 500);
+        assert_eq!(b.as_nanos(), 1000, "core 2 wraps onto core 0");
+    }
+
+    #[test]
+    fn utilization_accounting() {
+        let mut cs = MultiServer::new(4);
+        cs.admit_to(0, SimTime::ZERO, SimDuration::from_nanos(1_000_000));
+        cs.admit_to(1, SimTime::ZERO, SimDuration::from_nanos(1_000_000));
+        // 2 of 4 cores busy for the first millisecond.
+        let u = cs.utilization(SimDuration::from_nanos(1_000_000));
+        assert!((u - 0.5).abs() < 1e-9, "got {u}");
+    }
+
+    #[test]
+    fn utilization_zero_elapsed() {
+        let cs = MultiServer::new(1);
+        assert_eq!(cs.utilization(SimDuration::ZERO), 0.0);
     }
 
     #[test]

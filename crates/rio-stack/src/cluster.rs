@@ -64,6 +64,10 @@ pub mod recovery;
 mod target;
 mod wire;
 
+/// Stripe unit of the volume, in blocks: 4 KB blocks go round-robin
+/// across every SSD of every target, as on the paper's testbed (§6.2.1).
+const STRIPE_BLOCKS: u32 = 1;
+
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -296,13 +300,13 @@ impl Cluster {
         // Volume: stripe across every SSD of every target.
         let mut legs = Vec::new();
         let mut min_cap = u64::MAX;
-        for (t, tc) in cfg.targets.iter().enumerate() {
-            for (s, prof) in tc.ssds.iter().enumerate() {
+        for (t, ssds) in cfg.targets.iter().enumerate() {
+            for (s, prof) in ssds.iter().enumerate() {
                 legs.push((ServerId(t as u16), s));
                 min_cap = min_cap.min(prof.capacity_blocks);
             }
         }
-        let volume = StripedVolume::new(legs, cfg.stripe_blocks, min_cap);
+        let volume = StripedVolume::new(legs, STRIPE_BLOCKS, min_cap);
 
         let n_targets = cfg.targets.len();
         // Distinct tenants in order of first appearance; the DRR only
@@ -323,11 +327,12 @@ impl Cluster {
         let targets: Vec<Target> = cfg
             .targets
             .iter()
-            .map(|tc| {
+            .map(|ssds| {
                 Target::new(
-                    tc,
+                    ssds,
+                    cfg.cores,
                     // One connection (QP group) per initiator.
-                    Nic::for_profile(init_cfgs.len() * cfg.qps_per_target, &wire),
+                    Nic::for_profile(init_cfgs.len() * cfg.cores, &wire),
                     total_streams,
                     rio_mode,
                     integrity,
@@ -346,9 +351,10 @@ impl Cluster {
                 let init = Initiator::new(
                     i,
                     ic,
+                    cfg.cores,
                     tenant_idx,
                     stream_base,
-                    Nic::for_profile(n_targets * cfg.qps_per_target, &wire),
+                    Nic::for_profile(n_targets * cfg.cores, &wire),
                     RioSetup {
                         streams: total_streams,
                         servers: n_targets,
@@ -370,7 +376,7 @@ impl Cluster {
                 ThreadState::new(
                     i,
                     init_of_stream[i],
-                    (i - init.m.stream_base) % init.cores.len(),
+                    (i - init.m.stream_base) % cfg.cores,
                     per_thread_blocks,
                     undelivered_window,
                     root_rng.fork(),

@@ -38,7 +38,7 @@ impl Cluster {
             // is the one block at LBA 0.
             let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
             self.threads[t].ctrl_pending = Some(spec);
-            let qp = self.threads[t].stream.0 as usize % self.cfg.qps_per_target;
+            let qp = self.threads[t].stream.0 as usize % self.cfg.cores;
             let ctrl = Cmd::new(CmdKind::Ctrl, t, primary, 0, qp, BlockRange::new(0, 1));
             self.post_capsule(cpu, ctrl);
         }
@@ -51,10 +51,8 @@ impl Cluster {
         // Target CPU: RECV + ordering-layer bookkeeping + PMR MMIO.
         // The ordering layer appends metadata in global order, so the
         // handler serializes on one dedicated core.
-        let core = 0;
-        let done = self.targets[target]
-            .cores
-            .run_on(core, now, HORAE_CTRL_HANDLE_NS);
+        let handle = SimDuration::from_nanos(HORAE_CTRL_HANDLE_NS);
+        let done = self.targets[target].cores.admit_to(0, now, handle);
         self.transmit(done, id, Leg::Completion, None);
     }
 

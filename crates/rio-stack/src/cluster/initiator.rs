@@ -15,13 +15,13 @@ use rio_order::attr::{BlockRange, OrderingAttr, StreamId};
 use rio_order::scheduler::{split_attr_into, QueuedRequest};
 use rio_order::{Rio, RioSetup};
 use rio_proto::{payload, PayloadDigest};
-use rio_sim::{Histogram, SimRng, SimTime};
+use rio_sim::{Histogram, MultiServer, SimDuration, SimRng, SimTime};
 
 use super::{Cluster, Cmd, CmdKind, Event, Unit};
 use crate::config::{InitiatorConfig, OrderingMode};
 use crate::cpu::{
-    CoreSet, CMD_POST_NS, CRC_PER_BLOCK_NS, CTX_SWITCH_NS, IRQ_NS, MERGE_PER_BIO_NS,
-    ORDER_QUEUE_NS, SUBMIT_BIO_NS,
+    CMD_POST_NS, CRC_PER_BLOCK_NS, CTX_SWITCH_NS, IRQ_NS, MERGE_PER_BIO_NS, ORDER_QUEUE_NS,
+    SUBMIT_BIO_NS,
 };
 use crate::metrics::InitiatorMetrics;
 use crate::trace::Stage;
@@ -139,7 +139,7 @@ impl ThreadState {
 /// (initiator, stream) with no id translation anywhere on the event
 /// path.
 pub(super) struct Initiator {
-    pub(super) cores: CoreSet,
+    pub(super) cores: MultiServer,
     pub(super) nic: Nic,
     /// Sized at the *global* stream count; the initiator only ever
     /// touches its own slice.
@@ -154,18 +154,19 @@ pub(super) struct Initiator {
 }
 
 impl Initiator {
-    /// Initiator `index`, owning `ic.streams` global streams from
-    /// `stream_base`.
+    /// Initiator `index` with `cores` driver cores, owning `ic.streams`
+    /// global streams from `stream_base`.
     pub(super) fn new(
         index: usize,
         ic: &InitiatorConfig,
+        cores: usize,
         tenant_idx: usize,
         stream_base: usize,
         nic: Nic,
         rio: RioSetup,
     ) -> Self {
         Initiator {
-            cores: CoreSet::new(ic.cores),
+            cores: MultiServer::new(cores),
             nic,
             rio: Rio::setup(rio),
             tenant_idx,
@@ -517,7 +518,7 @@ impl Cluster {
     /// Charges `cost_ns` on thread `t`'s pinned core of its initiator.
     pub(super) fn init_run_on(&mut self, t: usize, now: SimTime, cost_ns: u64) -> SimTime {
         let (init, core) = (self.threads[t].init, self.threads[t].core);
-        self.initiators[init].cores.run_on(core, now, cost_ns)
+        self.initiators[init].cores.admit_to(core, now, SimDuration::from_nanos(cost_ns))
     }
 
     /// Splits a logical range into per-device extents capped at the

@@ -259,7 +259,8 @@ impl Cluster {
         if let CmdKind::Scan { mmio } = msg.kind {
             let per_slot = if mmio { PMR_SCAN_NS_PER_SLOT } else { DRAM_SCAN_NS_PER_RECORD };
             let core = &mut self.targets[msg.target].cores;
-            let scanned = core.run_on(0, now, per_slot * msg.phys.blocks as u64);
+            let cost = SimDuration::from_nanos(per_slot * msg.phys.blocks as u64);
+            let scanned = core.admit_to(0, now, cost);
             self.transmit(scanned, id, Leg::Completion, None);
         } else if let Some(rec) = &self.recovering {
             let ssd = &mut self.targets[msg.target].ssds[msg.ssd];

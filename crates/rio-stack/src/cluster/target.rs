@@ -13,15 +13,13 @@ use rio_order::attr::{OrderingAttr, Seq, StreamId};
 use rio_order::pmrlog::{PmrLog, PmrWrite, SlotRef};
 use rio_order::SubmissionGate;
 use rio_proto::{payload, PayloadDigest};
-use rio_sim::{SimRng, SimTime};
-use rio_ssd::{BlockImage, Images, Ssd};
+use rio_sim::{MultiServer, SimDuration, SimRng, SimTime};
+use rio_ssd::{BlockImage, Images, Ssd, SsdProfile};
 
 use super::wire::Leg;
 use super::{Cluster, CmdKind, Event};
-use crate::config::TargetConfig;
 use crate::cpu::{
-    CoreSet, CRC_PER_BLOCK_NS, IRQ_NS, PMR_APPEND_NS, PMR_TOGGLE_NS, SSD_SUBMIT_NS,
-    TARGET_RECV_NS,
+    CRC_PER_BLOCK_NS, IRQ_NS, PMR_APPEND_NS, PMR_TOGGLE_NS, SSD_SUBMIT_NS, TARGET_RECV_NS,
 };
 use crate::trace::Stage;
 
@@ -129,7 +127,7 @@ impl DrrSched {
 
 /// One target server.
 pub(super) struct Target {
-    pub(super) cores: CoreSet,
+    pub(super) cores: MultiServer,
     pub(super) nic: Nic,
     pub(super) gate: SubmissionGate,
     pub(super) ssds: Vec<Ssd>,
@@ -147,11 +145,12 @@ pub(super) struct Target {
 }
 
 impl Target {
-    /// Builds one target server for `streams` global streams: its SSDs
-    /// (each seeded from `rng`, in order) and, for Rio (`pmr_log`), a
-    /// freshly formatted PMR log on the first SSD.
+    /// Builds one target server for `streams` global streams: `cores`
+    /// driver cores, its SSDs (each seeded from `rng`, in order) and,
+    /// for Rio (`pmr_log`), a freshly formatted PMR log on the first SSD.
     pub(super) fn new(
-        tc: &TargetConfig,
+        ssds: &[SsdProfile],
+        cores: usize,
         nic: Nic,
         streams: usize,
         pmr_log: bool,
@@ -159,8 +158,7 @@ impl Target {
         drr: Option<DrrSched>,
         rng: &mut SimRng,
     ) -> Self {
-        let ssds = tc
-            .ssds
+        let ssds = ssds
             .iter()
             .map(|p| {
                 let mut s = Ssd::new(p.clone(), rng.below(u64::MAX));
@@ -169,7 +167,7 @@ impl Target {
             })
             .collect();
         let mut t = Target {
-            cores: CoreSet::new(tc.cores),
+            cores: MultiServer::new(cores),
             nic,
             gate: SubmissionGate::with_streams(streams),
             ssds,
@@ -245,7 +243,7 @@ impl Target {
             let w = self.log.as_ref().expect("rio target").mark_persist(slot);
             self.apply_pmr_write(&w);
         }
-        self.cores.run_on(core, cpu, cost_ns)
+        self.cores.admit_to(core, cpu, SimDuration::from_nanos(cost_ns))
     }
 }
 
@@ -288,7 +286,7 @@ impl Cluster {
         let core = self.conn_qp(cmd.thread, cmd.qp);
         let recv_done = self.targets[target_idx]
             .cores
-            .run_on(core, now, TARGET_RECV_NS);
+            .admit_to(core, now, SimDuration::from_nanos(TARGET_RECV_NS));
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::GateAdmit, recv_done);
             tr.gate_depth(tid, self.targets[target_idx].gate.buffered() as u32);
@@ -347,7 +345,7 @@ impl Cluster {
     fn ungated_submit(&mut self, at: SimTime, target_idx: usize, core: usize, tid: u32) -> SimTime {
         let submit = self.targets[target_idx]
             .cores
-            .run_on(core, at, SSD_SUBMIT_NS);
+            .admit_to(core, at, SimDuration::from_nanos(SSD_SUBMIT_NS));
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::GateRelease, submit);
         }
@@ -373,7 +371,7 @@ impl Cluster {
         }
         let cpu = self.targets[target_idx]
             .cores
-            .run_on(core, cpu, PMR_APPEND_NS);
+            .admit_to(core, cpu, SimDuration::from_nanos(PMR_APPEND_NS));
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::PmrPersist, cpu);
         }
@@ -382,7 +380,7 @@ impl Cluster {
         // retransmitted data pull may still be in flight here.
         let submit = self.targets[target_idx]
             .cores
-            .run_on(core, cpu, SSD_SUBMIT_NS);
+            .admit_to(core, cpu, SimDuration::from_nanos(SSD_SUBMIT_NS));
         self.rendezvous(id, submit);
         cpu
     }
@@ -416,11 +414,8 @@ impl Cluster {
         let (target_idx, lba, blocks, tag) = (cmd.target, cmd.phys.lba, cmd.phys.blocks, cmd.tag());
         let (at, images) = if self.integrity {
             let core = self.conn_qp(cmd.thread, cmd.qp);
-            let at = self.targets[target_idx].cores.run_on(
-                core,
-                now,
-                CRC_PER_BLOCK_NS * blocks as u64,
-            );
+            let crc = SimDuration::from_nanos(CRC_PER_BLOCK_NS * blocks as u64);
+            let at = self.targets[target_idx].cores.admit_to(core, now, crc);
             let stream = self.threads[cmd.thread].stream.0;
             let seed = |j| payload::seed_for(stream, tag, lba + j);
             // Compared by value: a reference into `cmd` handed to the
@@ -515,7 +510,7 @@ impl Cluster {
             tr.rec(cmd.trace, Stage::MediaDone, now);
         }
         let target = &mut self.targets[target_idx];
-        let mut cpu = target.cores.run_on(core, now, IRQ_NS);
+        let mut cpu = target.cores.admit_to(core, now, SimDuration::from_nanos(IRQ_NS));
         if chain_flush {
             // The final request of a durability group embeds a FLUSH
             // (§4.6): run it before completing.

@@ -42,7 +42,8 @@ const ALL_MODES: [OrderingMode; 4] = [
 
 /// One Optane target, eight cores and QPs a side, a 16-deep window.
 fn small_cfg(mode: OrderingMode, threads: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads).with_cores(8);
+    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
+    cfg.cores = 8;
     cfg.seed = 7;
     cfg.max_inflight_per_stream = 16;
     cfg
@@ -631,7 +632,7 @@ fn torn_write_tears_are_scrubbed_and_repaired() {
     // microseconds and may be idle at any given instant.)
     let mut cfg = two_target_cfg(threads);
     for t in &mut cfg.targets {
-        t.ssds = vec![SsdProfile::pm981()];
+        *t = vec![SsdProfile::pm981()];
     }
     cfg.faults = fault_at_half(&cfg, &wl, FaultKind::TornWrite { targets: vec![1] });
     cfg.integrity = true;
@@ -972,8 +973,10 @@ proptest! {
 
 #[test]
 fn multi_target_striping_reaches_all_ssds() {
-    let cfg =
-        ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 2).with_cores(8);
+    let cfg = ClusterConfig {
+        cores: 8,
+        ..ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 2)
+    };
     let wl = Workload {
         threads: 2,
         groups_per_thread: 100,

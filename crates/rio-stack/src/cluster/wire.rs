@@ -56,25 +56,25 @@ impl Leg {
 impl Cluster {
     /// Initiator-side QP index for (target, qp-within-connection).
     pub(super) fn target_qp(&self, target: usize, qp: usize) -> usize {
-        target * self.cfg.qps_per_target + qp
+        target * self.cfg.cores + qp
     }
 
     /// Target-side connection QP for thread `t`'s command: every
-    /// initiator owns one group of `qps_per_target` QPs on each target
-    /// NIC, so the wire QP is the initiator's base plus the
-    /// within-connection QP. Single-initiator runs reduce to `qp`.
+    /// initiator owns one group of `cores` QPs on each target NIC, so
+    /// the wire QP is the initiator's base plus the within-connection
+    /// QP. Single-initiator runs reduce to `qp`.
     pub(super) fn conn_qp(&self, t: usize, qp: usize) -> usize {
-        self.threads[t].init * self.cfg.qps_per_target + qp
+        self.threads[t].init * self.cfg.cores + qp
     }
 
     /// Picks the QP for a command of `stream`: pinned (Principle 2) or
     /// scattered round-robin (the ablation).
     pub(super) fn pick_qp(&mut self, stream: usize) -> usize {
         if self.cfg.pin_stream_to_qp {
-            stream % self.cfg.qps_per_target
+            stream % self.cfg.cores
         } else {
             self.scatter_qp += 1;
-            (self.scatter_qp as usize) % self.cfg.qps_per_target
+            (self.scatter_qp as usize) % self.cfg.cores
         }
     }
 

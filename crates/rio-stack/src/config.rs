@@ -2,7 +2,9 @@
 //! and the fault-injection plan. Every experiment is one
 //! [`ClusterConfig::new`] (or a canned instance of it) plus the fields
 //! it overrides; the initiator side has one description, `initiators`;
-//! and [`ClusterConfig::validate`] names what makes a pair unrunnable.
+//! one count, `cores`, sizes every server's driver and every
+//! connection's queue pairs; and [`ClusterConfig::validate`] names what
+//! makes a pair unrunnable.
 
 use crate::telemetry::TelemetryConfig;
 use crate::trace::TraceConfig;
@@ -48,8 +50,10 @@ impl OrderingMode {
 /// These knobs parameterize the packet-level model in `rio-net`: the
 /// cluster applies them on top of the base [`FabricProfile`] timing
 /// profile when it builds the fabric (see [`FabricConfig::apply`]).
-/// MTU and go-back-N recovery latency stay the base profile's. The
-/// default is the lossless single-path fabric earlier experiments ran on.
+/// MTU and go-back-N recovery latency stay the base profile's; a base
+/// profile that carries transport settings of its own is refused
+/// ([`ConfigError::TransportInFabricProfile`]). The default is the
+/// lossless single-path fabric earlier experiments ran on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Per-packet drop probability (clamped to `[0, 0.995]` by the
@@ -271,8 +275,6 @@ impl FaultPlan {
 /// are implicitly keyed by `(initiator, stream)` without collisions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InitiatorConfig {
-    /// Cores available to this initiator's driver.
-    pub cores: usize,
     /// Ordered streams this initiator opens; each stream is driven by
     /// one workload thread (the global workload thread count must equal
     /// the sum of all initiators' `streams`).
@@ -288,11 +290,9 @@ pub struct InitiatorConfig {
 }
 
 impl InitiatorConfig {
-    /// An initiator with `streams` streams, tenant `tenant`, weight 1
-    /// and the canned 36-core driver.
+    /// An initiator with `streams` streams, tenant `tenant` and weight 1.
     pub fn new(streams: usize, tenant: u32) -> Self {
         InitiatorConfig {
-            cores: 36,
             streams,
             tenant,
             weight: 1,
@@ -304,15 +304,6 @@ impl InitiatorConfig {
         self.weight = weight;
         self
     }
-}
-
-/// One target server.
-#[derive(Debug, Clone)]
-pub struct TargetConfig {
-    /// SSDs installed on this target.
-    pub ssds: Vec<SsdProfile>,
-    /// Cores available to the target driver.
-    pub cores: usize,
 }
 
 /// Why a configuration cannot run a workload; `Display` gives the
@@ -333,8 +324,13 @@ pub enum ConfigError {
     NoTargets,
     /// This target has no SSD.
     TargetWithoutSsds(usize),
+    /// A server needs at least one driver core.
+    NoCores,
     /// A zero window admits nothing: the run would "finish" at t = 0.
     ZeroWindow,
+    /// The base fabric profile carries loss, corruption, paths or
+    /// migration, which [`FabricConfig::apply`] would overwrite.
+    TransportInFabricProfile,
     /// A recovering fault (anything but `PacketCorrupt`) under a non-Rio mode.
     FaultsNeedRio,
     /// Fault times do not strictly increase.
@@ -359,7 +355,9 @@ impl std::fmt::Display for ConfigError {
             IdleStreams => "multi-initiator runs need exactly one thread per stream",
             NoTargets => "need at least one target",
             TargetWithoutSsds(t) => return write!(f, "target {t} has no SSDs"),
+            NoCores => "a server needs at least one core",
             ZeroWindow => "need a non-zero in-flight window",
+            TransportInFabricProfile => "set loss, corruption, paths and migration in `net`",
             FaultsNeedRio => {
                 "fault injection requires a Rio mode: recovery rebuilds \
                  the order from persisted attributes, which only Rio keeps"
@@ -381,9 +379,11 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Ordering engine.
     pub mode: OrderingMode,
-    /// Target servers.
-    pub targets: Vec<TargetConfig>,
-    /// Fabric timing profile (latency, bandwidth, jitter).
+    /// Target servers, one entry each listing the SSDs installed on it.
+    pub targets: Vec<Vec<SsdProfile>>,
+    /// Fabric timing profile (latency, bandwidth, jitter, MTU, recovery
+    /// latency); its transport fields must be the lossless single-path
+    /// defaults, because `net` sets them.
     pub fabric: FabricProfile,
     /// Fabric transport behavior: loss, corruption, paths, migration.
     pub net: FabricConfig,
@@ -392,11 +392,10 @@ pub struct ClusterConfig {
     /// The cluster builds one NIC + `librio` handle per entry over one
     /// global stream space, the concatenation of every entry's streams.
     pub initiators: Vec<InitiatorConfig>,
-    /// NIC queue pairs per (initiator, target) connection.
-    pub qps_per_target: usize,
-    /// Stripe unit in blocks for multi-SSD volumes (4 KB round-robin
-    /// in the paper, §6.2.1).
-    pub stripe_blocks: u32,
+    /// Driver cores on every initiator and every target, and NIC queue
+    /// pairs per (initiator, target) connection: the paper's testbed
+    /// has one NVMe-oF I/O queue per driver core (§6.2.1).
+    pub cores: usize,
     /// Maximum in-flight ordered groups per stream before the submitter
     /// backs off (asynchronous modes).
     pub max_inflight_per_stream: usize,
@@ -443,15 +442,11 @@ impl ClusterConfig {
         ClusterConfig {
             seed: 42,
             mode,
-            targets: targets
-                .into_iter()
-                .map(|ssds| TargetConfig { ssds, cores: 36 })
-                .collect(),
+            targets,
             fabric: FabricProfile::connectx6(),
             net: FabricConfig::default(),
             initiators: vec![InitiatorConfig::new(streams, 0)],
-            qps_per_target: 36,
-            stripe_blocks: 1,
+            cores: 36,
             max_inflight_per_stream: 48,
             plug_merge: true,
             pin_stream_to_qp: true,
@@ -494,15 +489,6 @@ impl ClusterConfig {
         }
     }
 
-    /// `n` cores a side: every initiator's and every target's driver
-    /// runs on `n` cores and every connection gets `n` queue pairs.
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.initiators.iter_mut().for_each(|ic| ic.cores = n);
-        self.targets.iter_mut().for_each(|tc| tc.cores = n);
-        self.qps_per_target = n;
-        self
-    }
-
     /// The initiator list with every QoS weight raised to at least 1 (a
     /// zero weight would starve its tenant's DRR quantum) — the only
     /// place the cluster reads its initiator topology from.
@@ -530,9 +516,13 @@ impl ClusterConfig {
         ensure(streams >= threads, TooFewStreams)?;
         ensure(self.initiators.len() == 1 || threads == streams, IdleStreams)?;
         ensure(!self.targets.is_empty(), NoTargets)?;
-        let ssdless = self.targets.iter().position(|tc| tc.ssds.is_empty());
+        let ssdless = self.targets.iter().position(|ssds| ssds.is_empty());
         ssdless.map_or(Ok(()), |t| Err(TargetWithoutSsds(t)))?;
+        ensure(self.cores > 0, NoCores)?;
         ensure(self.max_inflight_per_stream > 0, ZeroWindow)?;
+        let f = &self.fabric;
+        let lossless = f.loss_rate == 0.0 && f.corrupt_rate == 0.0 && f.migrate_every == 0;
+        ensure(lossless && f.paths.len() <= 1, TransportInFabricProfile)?;
         let faults = &self.faults.events;
         let recovers = |e: &FaultEvent| !matches!(e.kind, FaultKind::PacketCorrupt { .. });
         let rio = matches!(self.mode, OrderingMode::Rio { .. });
@@ -545,7 +535,7 @@ impl ClusterConfig {
 
     /// Total SSDs across targets.
     pub fn total_ssds(&self) -> usize {
-        self.targets.iter().map(|t| t.ssds.len()).sum()
+        self.targets.iter().map(Vec::len).sum()
     }
 }
 
@@ -578,7 +568,6 @@ mod tests {
         let c = ClusterConfig::single_ssd(OrderingMode::Orderless, SsdProfile::pm981(), 4);
         assert_eq!(c.total_streams(), 4);
         let single = vec![InitiatorConfig {
-            cores: 36,
             streams: 4,
             tenant: 0,
             weight: 1,
@@ -604,15 +593,20 @@ mod tests {
         let wl = |threads| Workload::random_4k(threads, 10);
         assert_eq!(good().validate(&wl(2)), Ok(()));
         assert_eq!(good().validate(&wl(1)), Ok(()), "one initiator may keep a spare stream");
-        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 11] = [
+        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 16] = [
             (|_| {}, 0, NoThreads),
             (|c| c.initiators.clear(), 2, NoInitiators),
             (|c| c.initiators[0].streams = 0, 2, InitiatorWithoutStreams),
             (|_| {}, 3, TooFewStreams),
             (|c| c.initiators.push(InitiatorConfig::new(1, 1)), 2, IdleStreams),
             (|c| c.targets.clear(), 2, NoTargets),
-            (|c| c.targets[1].ssds.clear(), 2, TargetWithoutSsds(1)),
+            (|c| c.targets[1].clear(), 2, TargetWithoutSsds(1)),
+            (|c| c.cores = 0, 2, NoCores),
             (|c| c.max_inflight_per_stream = 0, 2, ZeroWindow),
+            (|c| c.fabric = c.fabric.clone().with_loss(0.05, 25.0), 2, TransportInFabricProfile),
+            (|c| c.fabric.corrupt_rate = 1e-3, 2, TransportInFabricProfile),
+            (|c| c.fabric.migrate_every = 16, 2, TransportInFabricProfile),
+            (|c| c.fabric = c.fabric.clone().with_paths(2, 0.15), 2, TransportInFabricProfile),
             (
                 |c| {
                     c.mode = OrderingMode::Horae;

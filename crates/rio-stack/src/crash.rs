@@ -32,8 +32,9 @@ mod tests {
 
     fn crash_cfg(threads: usize) -> ClusterConfig {
         let optane = || vec![SsdProfile::optane905p()];
-        let mut cfg = ClusterConfig {
+        ClusterConfig {
             seed: 11,
+            cores: 8,
             max_inflight_per_stream: 16,
             ..ClusterConfig::new(
                 OrderingMode::Rio { merge: true },
@@ -41,9 +42,6 @@ mod tests {
                 threads,
             )
         }
-        .with_cores(8);
-        cfg.initiators[0].cores = threads.max(4);
-        cfg
     }
 
     #[test]

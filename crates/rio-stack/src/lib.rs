@@ -45,8 +45,8 @@ pub mod workload;
 
 pub use cluster::Cluster;
 pub use config::{
-    ClusterConfig, ConfigError, FabricConfig, FaultEvent, FaultKind, FaultPlan,
-    InitiatorConfig, OrderingMode, TargetConfig,
+    ClusterConfig, ConfigError, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
+    OrderingMode,
 };
 pub use metrics::{
     jain_index, EpochMetrics, InitiatorMetrics, IntegrityMetrics, NetMetrics, RecoveryMetrics,

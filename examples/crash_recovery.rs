@@ -20,6 +20,7 @@ use rio::stack::{Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, 
 fn base_cfg() -> ClusterConfig {
     ClusterConfig {
         seed: 2023,
+        cores: 8,
         max_inflight_per_stream: 32,
         ..ClusterConfig::new(
             OrderingMode::Rio { merge: true },
@@ -27,7 +28,6 @@ fn base_cfg() -> ClusterConfig {
             8,
         )
     }
-    .with_cores(8)
 }
 
 fn main() {

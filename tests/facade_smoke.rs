@@ -13,7 +13,7 @@ use rio::order::{
 use rio::proto::{Cqe, NvmOpcode, PmrRecord, RioExt, RioFlags, RioOpcode, Sqe, Status};
 use rio::sim::{EventHeap, SimDuration, SimRng, SimTime};
 use rio::ssd::{Pmr, Ssd, SsdProfile};
-use rio::stack::{Cluster, ClusterConfig, OrderingMode, RunMetrics, TargetConfig, Workload};
+use rio::stack::{Cluster, ClusterConfig, InitiatorConfig, OrderingMode, RunMetrics, Workload};
 use rio::workloads::{FioJob, MiniKv, Varmail};
 
 /// Touch one real constructor per facade module so the re-export graph
@@ -66,7 +66,7 @@ fn facade_types_construct() {
             Option<Pmr>,
             Option<Ssd>,
             Option<RunMetrics>,
-            Option<TargetConfig>,
+            Option<InitiatorConfig>,
             Option<FioJob>,
             Option<MiniKv>,
             Option<Varmail>,

@@ -38,7 +38,8 @@ fn count(rng: &mut SimRng, lo: u64, hi: u64) -> usize {
 }
 
 /// 1–3 initiators × 1–3 streams over 1–3 targets (one Optane, or a
-/// volatile-cache PM981 beside it), every knob of the config drawn.
+/// volatile-cache PM981 beside it) on 1–8 cores a server, with the
+/// window, QP pinning, fabric, integrity and observers drawn too.
 fn cluster(rng: &mut SimRng, mode: OrderingMode) -> ClusterConfig {
     let targets = (0..count(rng, 1, 3))
         .map(|_| match rng.chance(0.5) {
@@ -56,8 +57,7 @@ fn cluster(rng: &mut SimRng, mode: OrderingMode) -> ClusterConfig {
         .collect();
     cfg.seed = rng.below(u64::MAX);
     cfg.max_inflight_per_stream = count(rng, 1, 40);
-    cfg.qps_per_target = count(rng, 1, 8);
-    cfg.stripe_blocks = pick(rng, &[1, 2, 8]);
+    cfg.cores = count(rng, 1, 8);
     cfg.pin_stream_to_qp = rng.chance(0.7);
     cfg.net = FabricConfig::lossy(pick(rng, &[0.0, 1e-3, 1e-2, 5e-2]), count(rng, 1, 4));
     cfg.net.corrupt_rate = pick(rng, &[0.0, 0.0, 1e-3]);

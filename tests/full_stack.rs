@@ -13,8 +13,8 @@ use rio::workloads::{MiniKv, Varmail};
 /// The crash-under-loss shape: 4 SSDs over 2 targets, 0.1 % loss on two
 /// paths, target 1 power-fails mid-flight and the run survives.
 fn crash_under_loss() -> ClusterConfig {
-    let mut cfg =
-        ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3).with_cores(8);
+    let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3);
+    cfg.cores = 8;
     cfg.max_inflight_per_stream = 16;
     cfg.net = FabricConfig::lossy(1e-3, 2);
     cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
@@ -22,7 +22,8 @@ fn crash_under_loss() -> ClusterConfig {
 }
 
 fn small(mode: OrderingMode, threads: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads).with_cores(8);
+    let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
+    cfg.cores = 8;
     cfg.max_inflight_per_stream = 16;
     cfg
 }
@@ -234,7 +235,6 @@ fn explicit_default_initiator_reproduces_legacy_snapshots() {
         assert_eq!(
             cfg.initiators,
             vec![InitiatorConfig {
-                cores: 8,
                 streams: 3,
                 tenant: 0,
                 weight: 1,
@@ -524,8 +524,8 @@ proptest::proptest! {
 
 #[test]
 fn crash_recovery_restores_a_prefix_on_every_stream() {
-    let mut cfg =
-        ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 6).with_cores(8);
+    let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 6);
+    cfg.cores = 8;
     cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(2_500_000));
     let m = Cluster::new(cfg, Workload::random_4k(6, 1_000_000)).run();
     let report = &m.recoveries[0];

@@ -29,8 +29,8 @@ fn traced_cfg(mode: OrderingMode, threads: usize, loss: f64, paths: usize, crash
         ClusterConfig::four_ssd_two_targets(mode, threads)
     } else {
         ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads)
-    }
-    .with_cores(8);
+    };
+    cfg.cores = 8;
     cfg.max_inflight_per_stream = 16;
     if loss > 0.0 {
         cfg.net = FabricConfig::lossy(loss, paths);
