@@ -56,3 +56,20 @@ pub const PMR_SCAN_NS_PER_SLOT: u64 = 800;
 pub const DRAM_SCAN_NS_PER_RECORD: u64 = 50;
 /// Recovery: merging one scanned record into the global order.
 pub const MERGE_NS_PER_RECORD: u64 = 350;
+
+#[cfg(test)]
+mod tests {
+    use crate::cluster::Cluster;
+    use crate::config::{ClusterConfig, OrderingMode};
+    use crate::workload::Workload;
+
+    /// A server's cores are sized by `ClusterConfig::cores`; a server
+    /// without a core is refused before any step is charged to one.
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn zero_cores_rejected() {
+        let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 1, 1, 1);
+        cfg.cores = 0;
+        let _ = Cluster::new(cfg, Workload::random_4k(1, 1));
+    }
+}
