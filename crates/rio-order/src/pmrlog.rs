@@ -87,7 +87,7 @@ pub struct SlotRef(u64);
 pub struct LogFull;
 
 /// Result of scanning a region after a crash.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutcome {
     /// Delivered-through sequence per stream, from the superblock.
     pub head_seqs: Vec<(StreamId, Seq)>,
@@ -105,8 +105,9 @@ pub struct PmrLog {
     head: u64,
     /// Absolute index of the next free slot.
     tail: u64,
-    /// Liveness of in-flight slots, indexed by `abs - head` logic below.
-    freed: Vec<bool>,
+    /// One bit per physical slot, set once a live slot is freed ahead
+    /// of the head and cleared as the head passes it.
+    freed: Vec<u64>,
 }
 
 impl PmrLog {
@@ -137,7 +138,7 @@ impl PmrLog {
             capacity,
             head: 0,
             tail: 0,
-            freed: vec![false; capacity],
+            freed: vec![0; capacity.div_ceil(64)],
         };
         let mut sb_bytes = vec![0u8; sb];
         sb_bytes[0..4].copy_from_slice(&MAGIC);
@@ -172,6 +173,12 @@ impl PmrLog {
     fn slot_offset(&self, abs: u64) -> usize {
         Self::superblock_size(self.n_streams)
             + (abs % self.capacity as u64) as usize * PmrRecord::SIZE
+    }
+
+    /// The word of `freed` holding slot `abs`'s flag, and its bit.
+    fn freed_bit(&self, abs: u64) -> (usize, u64) {
+        let idx = (abs % self.capacity as u64) as usize;
+        (idx / 64, 1 << (idx % 64))
     }
 
     /// Appends a record (step ⑤); the record's generation is stamped
@@ -212,15 +219,15 @@ impl PmrLog {
             slot.0 >= self.head && slot.0 < self.tail,
             "freeing a slot that is not live"
         );
-        let idx = (slot.0 % self.capacity as u64) as usize;
-        assert!(!self.freed[idx], "double free of log slot");
-        self.freed[idx] = true;
+        let (word, bit) = self.freed_bit(slot.0);
+        assert!(self.freed[word] & bit == 0, "double free of log slot");
+        self.freed[word] |= bit;
         while self.head < self.tail {
-            let h = (self.head % self.capacity as u64) as usize;
-            if !self.freed[h] {
+            let (word, bit) = self.freed_bit(self.head);
+            if self.freed[word] & bit == 0 {
                 break;
             }
-            self.freed[h] = false;
+            self.freed[word] &= !bit;
             self.head += 1;
         }
     }
@@ -249,37 +256,51 @@ impl PmrLog {
     /// (closing it would exhaust the sequence space), so only a torn
     /// superblock holds it, and recovery would step past it.
     pub fn scan(region: &[u8]) -> Option<ScanOutcome> {
-        if region.len() < 8 || region[0..4] != MAGIC || region[4] != VERSION {
+        Self::scan_pages(region.len(), [(0, region)])
+    }
+
+    /// [`PmrLog::scan`] over a region of `len` bytes held as pages:
+    /// each its byte offset and contents, in address order, with the
+    /// bytes no page holds reading as zero (`rio_ssd::Pmr::written`).
+    /// Every page but the last must start and end on a record boundary,
+    /// so no slot straddles two pages; a missing page 0 is a region
+    /// never formatted. Zeroed slots hold no record, so a page left out
+    /// changes nothing but the work.
+    pub fn scan_pages<'a>(
+        len: usize,
+        pages: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) -> Option<ScanOutcome> {
+        let mut pages = pages.into_iter().peekable();
+        let &(0, first) = pages.peek()? else {
+            return None;
+        };
+        if first.len() < 8 || first[0..4] != MAGIC || first[4] != VERSION {
             return None;
         }
-        let n_streams = u16::from_le_bytes([region[6], region[7]]) as usize;
+        let n_streams = u16::from_le_bytes([first[6], first[7]]) as usize;
         let sb = Self::superblock_size(n_streams);
-        if region.len() < sb {
+        if len < sb {
             return None;
         }
-        let mut head_seqs = Vec::with_capacity(n_streams);
-        for s in 0..n_streams {
-            let off = 8 + 4 * s;
-            let seq = u32::from_le_bytes([
-                region[off],
-                region[off + 1],
-                region[off + 2],
-                region[off + 3],
-            ]);
-            if seq == u32::MAX {
-                return None;
-            }
-            head_seqs.push((StreamId(s as u16), Seq(seq)));
-        }
+        // Head marks are 4-byte fields from byte 8 on; a superblock of
+        // more than 16 382 streams runs past the first page.
+        let marks = 8..8 + 4 * n_streams;
+        let mut head_seqs: Vec<(StreamId, Seq)> = (0..n_streams)
+            .map(|s| (StreamId(s as u16), Seq::HEAD))
+            .collect();
         let mut records = Vec::new();
-        let mut off = sb;
-        while off + PmrRecord::SIZE <= region.len() {
-            let mut slot = [0u8; PmrRecord::SIZE];
-            slot.copy_from_slice(&region[off..off + PmrRecord::SIZE]);
-            if let Some(rec) = PmrRecord::decode(&slot) {
-                records.push(rec);
+        for (at, page) in pages {
+            let end = at + page.len();
+            for off in (at.max(marks.start)..end.min(marks.end)).step_by(4) {
+                let b = &page[off - at..];
+                head_seqs[(off - 8) / 4].1 = Seq(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
             }
-            off += PmrRecord::SIZE;
+            let slots = page.get(sb.saturating_sub(at)..).unwrap_or_default();
+            let (slots, _) = slots.as_chunks::<{ PmrRecord::SIZE }>();
+            records.extend(slots.iter().filter_map(PmrRecord::decode));
+        }
+        if head_seqs.iter().any(|&(_, seq)| seq == Seq(u32::MAX)) {
+            return None;
         }
         Some(ScanOutcome { head_seqs, records })
     }

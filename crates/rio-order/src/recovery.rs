@@ -176,20 +176,31 @@ impl RecoveryPlan {
             }
         }
 
-        // Locate every record with its durability verdict, bucketed by
-        // stream.
-        let mut by_stream: BTreeMap<u16, Vec<Located>> = BTreeMap::new();
+        // Any server's delivered mark is a lower bound on the truly
+        // delivered prefix; take the max.
         let mut heads: BTreeMap<u16, Seq> = BTreeMap::new();
         let mut n_servers = 0u16;
         for scan in &input.scans {
             n_servers = n_servers.max(scan.server.0 + 1);
             for &(stream, seq) in &scan.head_seqs {
                 let h = heads.entry(stream.0).or_insert(Seq::HEAD);
-                // Any server's delivered mark is a lower bound on the
-                // truly delivered prefix; take the max.
                 *h = (*h).max(seq);
             }
+        }
+
+        // Locate every record above its stream's head with its
+        // durability verdict, bucketed by stream. Records already
+        // delivered before the crash (stale slots from earlier log laps
+        // included) are dropped here, but still open their stream's
+        // bucket, so the stream is planned from its records either way.
+        let mut by_stream: BTreeMap<u16, Vec<Located>> = BTreeMap::new();
+        for scan in &input.scans {
             for rec in &scan.records {
+                let bucket = by_stream.entry(rec.stream).or_default();
+                let head = heads.get(&rec.stream).copied().unwrap_or(Seq::HEAD);
+                if rec.seq_end <= head.0 {
+                    continue;
+                }
                 let durable = if scan.plp {
                     rec.persist
                 } else {
@@ -198,7 +209,7 @@ impl RecoveryPlan {
                             .get(&(scan.server, rec.ssd, rec.stream))
                             .is_some_and(|&h| rec.seq_end <= h)
                 };
-                by_stream.entry(rec.stream).or_default().push(Located {
+                bucket.push(Located {
                     rec: *rec,
                     server: scan.server,
                     durable,
@@ -244,13 +255,10 @@ impl RecoveryPlan {
         mode: &RecoveryMode,
         n_servers: u16,
     ) -> StreamPlan {
-        // 1. Drop records already delivered before the crash (stale
-        //    slots from earlier log laps included).
-        let live: Vec<&Located> = located.iter().filter(|l| l.rec.seq_end > head.0).collect();
-
-        // 2. Rejoin units: key (seq_start, seq_end, member_idx).
+        // 1. Rejoin units: key (seq_start, seq_end, member_idx). Every
+        //    record is above the head: `compute` dropped the rest.
         let mut units: BTreeMap<(u32, u32, u8), Unit> = BTreeMap::new();
-        for l in &live {
+        for l in located {
             let key = (l.rec.seq_start, l.rec.seq_end, l.rec.member_idx);
             let unit = units.entry(key).or_insert_with(|| Unit {
                 seq_start: Seq(l.rec.seq_start),
@@ -267,13 +275,13 @@ impl RecoveryPlan {
                 unit.boundary = true;
                 unit.num = unit.num.max(l.rec.num);
             }
-            unit.pieces.push((*l).clone());
+            unit.pieces.push(l.clone());
         }
         for unit in units.values_mut() {
             Self::resolve_unit(unit);
         }
 
-        // 3. Walk the global list upward from the head and cut at the
+        // 2. Walk the global list upward from the head and cut at the
         //    first unsatisfied group.
         let mut valid_through = head;
         let mut cursor = head.next();
@@ -310,7 +318,7 @@ impl RecoveryPlan {
             cursor = cursor.next();
         }
 
-        // 4. Actions for everything beyond the prefix.
+        // 3. Actions for everything beyond the prefix.
         let mut discard = Vec::new();
         let mut replay = Vec::new();
         let mut ipu = Vec::new();
@@ -363,7 +371,7 @@ impl RecoveryPlan {
         replay.sort_by_key(|r| (r.seq_start, r.member_idx, r.server, r.range.lba));
         replay.dedup();
 
-        // 5. Per-server resume chains within the valid prefix.
+        // 4. Per-server resume chains within the valid prefix.
         let mut resume_prev = vec![Seq::HEAD; n_servers as usize];
         for unit in units.values() {
             if unit.seq_end > valid_through {

@@ -12,10 +12,13 @@
 //! * nothing inside the prefix is ever discarded.
 
 use proptest::prelude::*;
-use rio_order::attr::{BlockRange, OrderingAttr, ServerId, StreamId};
+use rio_order::attr::{BlockRange, OrderingAttr, Seq, ServerId, StreamId};
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_proto::PmrRecord;
+
+mod common;
+use common::without_stale;
 
 /// A generated workload group: member count and target server picks.
 #[derive(Debug, Clone)]
@@ -67,7 +70,7 @@ proptest! {
             .map(|s| ServerScan {
                 server: ServerId(s),
                 plp: true,
-                head_seqs: vec![(StreamId(0), rio_order::attr::Seq(0))],
+                head_seqs: vec![(StreamId(0), Seq(0))],
                 records: records
                     .iter()
                     .filter(|(srv, _)| srv.0 == s)
@@ -166,7 +169,7 @@ proptest! {
             .map(|s| ServerScan {
                 server: ServerId(s),
                 plp: true,
-                head_seqs: vec![(StreamId(0), rio_order::attr::Seq(0))],
+                head_seqs: vec![(StreamId(0), Seq(0))],
                 records: records
                     .iter()
                     .filter(|(srv, _)| srv.0 == s)
@@ -182,6 +185,63 @@ proptest! {
         prop_assert!(sp.discard.is_empty(), "repair must not roll back");
         for r in &sp.replay {
             prop_assert_eq!(r.server, ServerId(failed), "replay targets the failed server only");
+        }
+    }
+
+    /// Records at or below their stream's delivered-through mark change
+    /// no plan: recovery plans the same with them as without them,
+    /// whichever servers' superblocks carry which mark.
+    #[test]
+    fn delivered_records_change_no_plan(
+        groups in gen_groups(),
+        durable_mask in proptest::collection::vec(any::<bool>(), 60),
+        heads in proptest::collection::vec(0u32..24, 3),
+        plp in any::<bool>(),
+        failed in 0u16..3,
+    ) {
+        let mut seq = Sequencer::new(1, 3);
+        let mut records = vec![Vec::new(); 3];
+        let mut lba = 0u64;
+        let mut i = 0usize;
+        for g in &groups {
+            let n = g.members.len();
+            for (j, &srv) in g.members.iter().enumerate() {
+                // Every third group's boundary carries a FLUSH, which is
+                // what makes a volatile-cache drive's records durable.
+                let end_group = j == n - 1;
+                let flush = end_group && i % 3 == 0;
+                let mut attr = seq.submit(
+                    StreamId(0),
+                    BlockRange::new(lba, 1),
+                    SubmitOpts { end_group, flush, ..Default::default() },
+                );
+                lba += 1;
+                seq.stamp_dispatch(&mut attr, ServerId(srv as u16));
+                attr.persist = durable_mask.get(i).copied().unwrap_or(false);
+                i += 1;
+                records[srv as usize].push(attr.to_pmr_record(0));
+            }
+        }
+        let scans: Vec<ServerScan> = records
+            .into_iter()
+            .zip(&heads)
+            .enumerate()
+            .map(|(s, (records, &head))| ServerScan {
+                server: ServerId(s as u16),
+                plp,
+                head_seqs: vec![(StreamId(0), Seq(head))],
+                records,
+            })
+            .collect();
+        for mode in [
+            RecoveryMode::InitiatorRestart,
+            RecoveryMode::TargetRepair { failed: vec![ServerId(failed)] },
+        ] {
+            let input = RecoveryInput { scans: scans.clone(), mode };
+            prop_assert_eq!(
+                RecoveryPlan::compute(&input),
+                RecoveryPlan::compute(&without_stale(&input))
+            );
         }
     }
 }

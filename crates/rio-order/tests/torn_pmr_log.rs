@@ -2,19 +2,25 @@
 //! torn tail, flipped or splatted bytes, slots the device refused and
 //! that read as zeroes — is answered by `PmrLog::scan` with a scan or
 //! `None`, and every scan by `RecoveryPlan::compute` with a plan:
-//! never a panic.
+//! never a panic. The same region held as the pages a `rio_ssd::Pmr`
+//! allocates scans alike, and the records recovery drops as delivered
+//! change no plan.
 //! The record decoder's own fuzz lives in rio-proto; this is the
 //! log-level case on top of it. Seeded, fixed case count: a sub-second
 //! `cargo test`.
 
 use std::collections::VecDeque;
 
-use rio_order::attr::{BlockRange, Seq, ServerId, SplitInfo, StreamId};
-use rio_order::pmrlog::{PmrLog, PmrWrite, SlotRef};
+use rio_order::attr::{BlockRange, OrderingAttr, Seq, ServerId, SplitInfo, StreamId};
+use rio_order::pmrlog::{PmrLog, PmrWrite, ScanOutcome, SlotRef};
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_proto::PmrRecord;
 use rio_sim::SimRng;
+use rio_ssd::Pmr;
+
+mod common;
+use common::without_stale;
 
 const CASES: usize = 10_000;
 const SERVERS: usize = 2;
@@ -133,6 +139,15 @@ fn scans(regions: &[Vec<u8>], plp: bool) -> Vec<ServerScan> {
     regions.iter().enumerate().filter_map(scan).collect()
 }
 
+/// `PmrLog::scan_pages` over `region` cut into `page`-byte pages, the
+/// all-zero ones left out as a `Pmr` never allocates them.
+fn scan_cut(region: &[u8], page: usize) -> Option<ScanOutcome> {
+    let pages = region.chunks(page).enumerate();
+    let written = pages.filter(|(_, bytes)| bytes.iter().any(|&b| b != 0));
+    let written = written.map(|(i, bytes)| (i * page, bytes));
+    PmrLog::scan_pages(region.len(), written)
+}
+
 #[test]
 fn torn_flipped_and_refused_logs_scan_and_recover_without_panicking() {
     let mut rng = SimRng::seed_from_u64(0x70A2_1065);
@@ -151,6 +166,15 @@ fn torn_flipped_and_refused_logs_scan_and_recover_without_panicking() {
                 tear(&mut rng, region);
             }
         }
+        // A page is 64 KiB in a `Pmr`; these regions are smaller, so
+        // cuts of a few records put slots and head marks on both sides
+        // of page boundaries too.
+        for region in clean.iter().chain(&torn) {
+            for page in [64 << 10, 96, PmrRecord::SIZE] {
+                let whole = PmrLog::scan(region);
+                assert_eq!(scan_cut(region, page), whole, "case {case}: {page} B pages");
+            }
+        }
         let scans = scans(&torn, plp);
         refused += SERVERS - scans.len();
         let failed = vec![ServerId(rng.below(SERVERS as u64) as usize as u16)];
@@ -162,7 +186,13 @@ fn torn_flipped_and_refused_logs_scan_and_recover_without_panicking() {
                 scans: scans.clone(),
                 mode,
             };
-            for stream in RecoveryPlan::compute(&input).streams {
+            let plan = RecoveryPlan::compute(&input);
+            assert_eq!(
+                plan,
+                RecoveryPlan::compute(&without_stale(&input)),
+                "case {case}: a delivered record moved the plan"
+            );
+            for stream in plan.streams {
                 assert!(stream.valid_through >= stream.resume_head, "case {case}");
                 recovered += (stream.valid_through > stream.resume_head) as usize;
             }
@@ -218,4 +248,39 @@ fn a_delivered_mark_at_the_end_of_the_sequence_space_is_refused() {
     assert_eq!(plan(&region), Some(Seq(u32::MAX - 1)));
     region[8..12].fill(0xFF);
     assert_eq!(plan(&region), None);
+}
+
+/// A superblock of 20 000 streams runs past the first 64 KiB page of a
+/// `Pmr`: its head marks are read across the page boundary, and the
+/// pages the log wrote scan exactly as the contiguous image does.
+#[test]
+fn a_superblock_across_pages_scans_as_its_contiguous_image() {
+    const STREAMS: usize = 20_000;
+    let len = 2 << 20;
+    assert!(PmrLog::superblock_size(STREAMS) > 64 << 10);
+    let mut pmr = Pmr::new(len);
+    let mut region = vec![0; len];
+    let mut write = |w: &PmrWrite| {
+        pmr.mmio_write(w.offset, &w.bytes);
+        apply(&mut region, w);
+    };
+    let (mut log, writes) = PmrLog::format(len, STREAMS);
+    writes.iter().for_each(&mut write);
+    for s in (0..STREAMS as u16).step_by(7) {
+        write(&log.set_head_seq(StreamId(s), Seq(s as u32 + 1)));
+    }
+    for s in [0, 16_381, 16_382, 19_999] {
+        let stream = StreamId(s);
+        let attr = OrderingAttr::single(stream, Seq(s as u32 + 2), BlockRange::new(s as u64, 1));
+        let (_, w) = log.append(&attr.to_pmr_record(0)).expect("space");
+        write(&w);
+    }
+    let scan = PmrLog::scan(&region).expect("formatted");
+    assert_eq!(scan.head_seqs.len(), STREAMS);
+    // 19 999 is a multiple of seven, past the first page; 19 998 is not.
+    assert_eq!(scan.head_seqs[19_999], (StreamId(19_999), Seq(20_000)));
+    assert_eq!(scan.head_seqs[19_998], (StreamId(19_998), Seq(0)));
+    assert_eq!(scan.records.len(), 4);
+    assert_eq!(pmr.written().count(), 2, "the superblock's two pages");
+    assert_eq!(PmrLog::scan_pages(pmr.len(), pmr.written()), Some(scan));
 }

@@ -156,10 +156,11 @@ impl Cluster {
         let mut scans = Vec::new();
         for t in 0..self.targets.len() {
             let ssd = &self.targets[t].ssds[0];
-            let outcome = PmrLog::scan(ssd.pmr().contents()).expect("formatted PMR");
+            let pmr = ssd.pmr();
+            let outcome = PmrLog::scan_pages(pmr.len(), pmr.written()).expect("formatted PMR");
             let mmio = power_fail && crashed.contains(&t);
             let live = heads + outcome.records.len();
-            let slots = if mmio { ssd.pmr().len() / PmrRecord::SIZE } else { live };
+            let slots = if mmio { pmr.len() / PmrRecord::SIZE } else { live };
             scans.push(ServerScan {
                 server: ServerId(t as u16),
                 plp: ssd.profile().plp,

@@ -160,20 +160,22 @@ fn event_path_stays_inside_its_heap_budget() {
     // 1 + 2 + 1 blocks, one blocking wait per op, 1.25 per block with
     // per-unit vectors — to the same floor.
     //
-    // Building a cluster costs 272 432 bytes at its peak when no PMR is
-    // written (Orderless, Horae, Linux) and 4 619 308 with RIO's log
+    // Building a cluster costs 271 568 bytes at its peak when no PMR is
+    // written (Orderless, Horae, Linux) and 441 552 with RIO's log
     // formatted on the first SSD of each of two targets; one SSD with
-    // its log costs 2 326 283 (merge) and 2 451 102 (fsync, whose
-    // workload holds more). A PMR is 2 MB, so a region allocated before
-    // anything writes it fails every build ceiling.
+    // its log costs 237 260 (merge) and 362 080 (fsync, whose workload
+    // holds more). Formatting writes only the superblock, so each log
+    // holds one 64 KiB page of its 2 MB PMR: a region allocated whole
+    // by its first write, or before anything writes it, fails every
+    // RIO build ceiling.
     let budgets: [Cell; 7] = [
-        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 110.0, 4_720_000),
+        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 110.0, 450_000),
         ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 110.0, 280_000),
         ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 64.0, 280_000),
         ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 100.0, 280_000),
-        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 111.0, 4_720_000),
-        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 36.0, 2_380_000),
-        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 56.0, 2_500_000),
+        ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 111.0, 450_000),
+        ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 36.0, 242_000),
+        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 56.0, 369_000),
     ];
     for (cell, build, blocks, max_allocs, max_peak, max_setup) in budgets {
         let (allocs, peak, setup) = per_block(build, blocks);
