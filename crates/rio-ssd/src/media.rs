@@ -206,11 +206,14 @@ impl Index {
     }
 }
 
-/// A journalled [`BlockRun`] in two words. Only token runs — `Zero`,
-/// `Tag` and `Payload` — wait in the journal, and only a payload run
-/// sealed by its seed journals sealed: the fold re-derives the seal.
+/// A token [`BlockRun`] in two words: the crate's one packed form of a
+/// run. The SSD packs a write once, when it accepts it, and the record
+/// waits unchanged in the write cache or the in-flight queue and then
+/// in the store's journal. Only token runs — `Zero`, `Tag` and
+/// `Payload` — pack, and only a payload run sealed by its seed packs
+/// sealed: unpacking re-derives the seal.
 #[derive(Debug, Clone, Copy)]
-struct Record {
+pub(crate) struct Record {
     /// `lba << LBA_SHIFT | blocks << COUNT_SHIFT | SEALED | kind`.
     head: u64,
     /// The tag or payload seed (0 for a zero run).
@@ -225,43 +228,59 @@ const COUNT_SHIFT: u32 = 3;
 const LBA_SHIFT: u32 = u16::BITS;
 
 impl Record {
-    /// Packs a token run. Real data, any other seal, or an address or
-    /// block count that does not fit is handed back for the index to
-    /// take on arrival.
-    fn pack(run: BlockRun) -> Result<Record, BlockRun> {
-        let (kind, token) = match run.image {
+    /// Packs `blocks` blocks of `image` from `lba`, sealed by the seed
+    /// when `sealed`, without deriving the seal. `None` for real data,
+    /// a seal on anything but a payload image, or an address or block
+    /// count that does not fit.
+    pub(crate) fn token(lba: u64, image: &BlockImage, blocks: u32, sealed: bool) -> Option<Record> {
+        let (kind, token) = match *image {
             BlockImage::Zero => (0, 0),
             BlockImage::Tag(tag) => (TAG, tag),
             BlockImage::Payload(seed) => (PAYLOAD, seed),
-            BlockImage::Bytes(_) => return Err(run),
+            BlockImage::Bytes(_) => return None,
         };
-        let sealed = match run.seal {
-            None => 0,
-            Some(seal) if kind == PAYLOAD && seal == payload::seal_for(token) => SEALED,
-            Some(_) => return Err(run),
-        };
-        let blocks = u64::from(run.blocks);
-        if run.lba >> (u64::BITS - LBA_SHIFT) != 0 || blocks >> (LBA_SHIFT - COUNT_SHIFT) != 0 {
-            return Err(run);
-        }
-        Ok(Record {
-            head: run.lba << LBA_SHIFT | blocks << COUNT_SHIFT | sealed | kind,
+        let blocks = u64::from(blocks);
+        let fits = lba >> (u64::BITS - LBA_SHIFT) == 0 && blocks >> (LBA_SHIFT - COUNT_SHIFT) == 0;
+        (fits && (!sealed || kind == PAYLOAD)).then_some(Record {
+            head: lba << LBA_SHIFT | blocks << COUNT_SHIFT | (u64::from(sealed) * SEALED) | kind,
             token,
         })
     }
 
-    fn unpack(self) -> BlockRun {
+    /// Packs a token run. Real data, any seal but the one the payload
+    /// seed spells, or an address or block count that does not fit is
+    /// handed back for the index to take on arrival.
+    fn pack(run: BlockRun) -> Result<Record, BlockRun> {
+        let sealed = match (&run.image, run.seal) {
+            (_, None) => false,
+            (BlockImage::Payload(seed), Some(seal)) if seal == payload::seal_for(*seed) => true,
+            _ => return Err(run),
+        };
+        Record::token(run.lba, &run.image, run.blocks, sealed).ok_or(run)
+    }
+
+    pub(crate) fn unpack(self) -> BlockRun {
         let image = match self.head & KIND {
             TAG => BlockImage::Tag(self.token),
             PAYLOAD => BlockImage::Payload(self.token),
             _ => BlockImage::Zero,
         };
         BlockRun {
-            lba: self.head >> LBA_SHIFT,
+            lba: self.lba(),
             image,
-            blocks: (self.head as u16 >> COUNT_SHIFT).into(),
+            blocks: self.blocks(),
             seal: (self.head & SEALED != 0).then(|| payload::seal_for(self.token)),
         }
+    }
+
+    /// First block address.
+    pub(crate) fn lba(self) -> u64 {
+        self.head >> LBA_SHIFT
+    }
+
+    /// Number of blocks.
+    pub(crate) fn blocks(self) -> u32 {
+        (self.head as u16 >> COUNT_SHIFT).into()
     }
 }
 
@@ -346,19 +365,29 @@ impl BlockStore {
     /// Writes a run of blocks. Returns the version of the first block;
     /// the rest take the following ones.
     pub fn write_run(&mut self, run: BlockRun) -> u64 {
-        let first = self.next_version + 1;
-        self.next_version += run.blocks as u64;
-        let state = self.state.get_mut();
         match Record::pack(run) {
-            Ok(record) => state.journal.push(record),
+            Ok(record) => self.write_record(record),
             // A journalled record would pin its buffer until the next
             // fold, however often the block is overwritten, so real
             // data goes straight to the index; producing and
             // checksumming it dwarfs the two map inserts anyway. A
             // payload block has no buffer to pin and journals like a
             // tag.
-            Err(run) => state.fold().apply(run),
+            Err(run) => {
+                let first = self.next_version + 1;
+                self.next_version += u64::from(run.blocks);
+                self.state.get_mut().fold().apply(run);
+                first
+            }
         }
+    }
+
+    /// Journals a packed run with the versions [`BlockStore::write_run`]
+    /// gives the run it packs, and returns the first.
+    pub(crate) fn write_record(&mut self, record: Record) -> u64 {
+        let first = self.next_version + 1;
+        self.next_version += u64::from(record.blocks());
+        self.state.get_mut().journal.push(record);
         first
     }
 

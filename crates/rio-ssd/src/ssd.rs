@@ -33,6 +33,11 @@
 //! land as given. Both are sealed and scrubbed in place, and replaced
 //! (not mutated) on media by materialised bytes when a torn write or
 //! bit rot corrupts them.
+//!
+//! A token write (a tag, zero or payload run) is packed once, on
+//! acceptance, into the 16-byte record the media journal keeps; its
+//! cache entry or in-flight slot holds that record until it lands. A
+//! PLP drive's cache entry holds only the write's block count.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -40,7 +45,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rio_sim::{MultiServer, SimDuration, SimRng, SimTime};
 
-use crate::media::{BlockImage, BlockRun, BlockStore, Images};
+use crate::media::{BlockImage, BlockRun, BlockStore, Images, Record};
 use crate::pmr::Pmr;
 use crate::profile::SsdProfile;
 
@@ -72,33 +77,41 @@ pub struct SsdStats {
     pub discards: u64,
 }
 
-/// A write's blocks on their way to media, as the runs the store will
-/// journal (sealed on integrity runs). One run — a tagged write of any
-/// length, or any single block — stays inline.
+/// A write's blocks on their way to media. The device packs a token
+/// run once, when it accepts the write, and carries that record through
+/// the cache or the in-flight queue into the store's journal unchanged.
 #[derive(Debug, Clone)]
 enum Landing {
-    One(BlockRun),
-    Many(Vec<BlockRun>),
+    /// A token run, as the store journals it (sealed by its seed on
+    /// integrity runs).
+    Packed(Record),
+    /// What does not pack — real bytes, a list, or a seal that is not
+    /// the seed's — as the runs the store will take.
+    Runs(Vec<BlockRun>),
+    /// A PLP cache entry's bandwidth-only occupancy: this many blocks,
+    /// no images.
+    Held(u32),
 }
 
 impl Landing {
     /// Takes over a submitted write: with `integrity` each block is
-    /// sealed with the CRC of the image the submitter intends to land —
-    /// looked up from the seed for a [`BlockImage::Payload`] image
-    /// (`payload::seal_for`), taken over the bytes otherwise.
+    /// sealed with the CRC of the image the submitter intends to land.
+    /// A payload run packs sealed by its seed, the one seal it can
+    /// have, so no seal is derived until the store unpacks it; any
+    /// other image is checksummed once here (`BlockImage::crc32c`).
     fn new(lba: u64, images: Images, integrity: bool) -> Self {
-        let run = |lba, image: BlockImage, blocks| {
-            let seal = integrity.then(|| image.crc32c(BLOCK_SIZE as usize));
-            BlockRun {
-                lba,
-                image,
-                blocks,
-                seal,
-            }
+        let run = |lba, image: BlockImage, blocks| BlockRun {
+            lba,
+            seal: integrity.then(|| image.crc32c(BLOCK_SIZE as usize)),
+            image,
+            blocks,
         };
         match images {
-            Images::Run(image, blocks) => Landing::One(run(lba, image, blocks)),
-            Images::List(list) => Landing::Many(
+            Images::Run(image, blocks) => match Record::token(lba, &image, blocks, integrity) {
+                Some(record) => Landing::Packed(record),
+                None => Landing::Runs(vec![run(lba, image, blocks)]),
+            },
+            Images::List(list) => Landing::Runs(
                 (lba..)
                     .zip(list)
                     .map(|(lba, image)| run(lba, image, 1))
@@ -107,24 +120,33 @@ impl Landing {
         }
     }
 
-    fn runs(&self) -> &[BlockRun] {
-        match self {
-            Landing::One(run) => std::slice::from_ref(run),
-            Landing::Many(runs) => runs,
-        }
+    /// Bytes of cache the write occupies.
+    fn bytes(&self) -> u64 {
+        let blocks = match self {
+            Landing::Packed(record) => record.blocks(),
+            Landing::Runs(runs) => runs.iter().map(|run| run.blocks).sum(),
+            Landing::Held(blocks) => *blocks,
+        };
+        u64::from(blocks) * BLOCK_SIZE
     }
 
-    /// Writes the blocks to `media`.
+    /// Writes the blocks to `media`: a packed run is one journal push.
     fn land(&self, media: &mut BlockStore) {
-        for run in self.runs() {
-            media.write_run(run.clone());
+        match self {
+            Landing::Packed(record) => _ = media.write_record(*record),
+            Landing::Runs(runs) => runs.iter().for_each(|run| _ = media.write_run(run.clone())),
+            Landing::Held(_) => {}
         }
     }
 
     /// The leading block with its seal, when there is one to tear.
     fn sealed_head(&self) -> Option<(u64, BlockImage, u32)> {
-        let head = self.runs().first()?;
-        Some((head.lba, head.image.clone(), head.seal?))
+        let head = |run: &BlockRun| Some((run.lba, run.image.clone(), run.seal?));
+        match self {
+            Landing::Packed(record) => head(&record.unpack()),
+            Landing::Runs(runs) => head(runs.first()?),
+            Landing::Held(_) => None,
+        }
     }
 
     /// Zeroes the images of the blocks inside `lbas` and drops their
@@ -132,11 +154,17 @@ impl Landing {
     /// block landing under it would scrub as corruption; a write the
     /// range touches is kept block by block from then on.
     fn zero(&mut self, lbas: std::ops::Range<u64>) {
-        let touched = |r: &BlockRun| r.lba < lbas.end && lbas.start < r.lba + r.blocks as u64;
-        if !self.runs().iter().any(touched) {
-            return;
-        }
-        let blocks = self.runs().iter().flat_map(|r| {
+        let touched = |lba, blocks| lba < lbas.end && lbas.start < lba + u64::from(blocks);
+        let unpacked;
+        let runs = match self {
+            Landing::Packed(record) if touched(record.lba(), record.blocks()) => {
+                unpacked = record.unpack();
+                std::slice::from_ref(&unpacked)
+            }
+            Landing::Runs(runs) if runs.iter().any(|r| touched(r.lba, r.blocks)) => runs,
+            _ => return,
+        };
+        let blocks = runs.iter().flat_map(|r| {
             (r.lba..r.lba + r.blocks as u64).map(|lba| BlockRun {
                 lba,
                 image: if lbas.contains(&lba) {
@@ -148,7 +176,7 @@ impl Landing {
                 seal: r.seal.filter(|_| !lbas.contains(&lba)),
             })
         });
-        *self = Landing::Many(blocks.collect());
+        *self = Landing::Runs(blocks.collect());
     }
 }
 
@@ -156,15 +184,15 @@ impl Landing {
 ///
 /// Entries are added at submission (they consume cache space and media
 /// bandwidth immediately); `cached_at` is the write's completion time,
-/// which decides FLUSH coverage. On PLP drives entries carry no images —
-/// durability is handled by the completion-time media write — and exist
-/// only to model the bandwidth bound.
+/// which decides FLUSH coverage. On PLP drives an entry is
+/// [`Landing::Held`] — durability is handled by the completion-time
+/// media write — and exists only to model the bandwidth bound.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    /// The images (and, on integrity runs, seals) a volatile drive
-    /// holds until the drain or a FLUSH reaches them.
+    /// What a volatile drive holds until the drain or a FLUSH reaches
+    /// it — packed for a token run — or a PLP drive's block count; its
+    /// blocks are the bytes of cache the entry occupies.
     write: Landing,
-    bytes: u64,
     /// Submission time (FLUSH coverage: NVMe flush drains everything
     /// the controller accepted before the flush was submitted).
     submitted_at: SimTime,
@@ -317,23 +345,21 @@ impl Ssd {
         // the cache is still in flight, budget must not pile up, or a
         // bursty arrival pattern would sidestep the bandwidth bound.
         // A 1 MB allowance keeps sustained drain exact as long as the
-        // clock advances at least every ~0.5 ms under load.
-        self.drain_carry = self.drain_carry.min(1024.0 * 1024.0);
+        // clock advances at least every ~0.5 ms under load; it grows to
+        // one maximum transfer where that is larger, or a write bigger
+        // than the allowance would never drain.
+        let max_transfer = u64::from(self.profile.max_transfer_blocks) * BLOCK_SIZE;
+        self.drain_carry = self.drain_carry.min(max_transfer.max(1 << 20) as f64);
         let lag = SimDuration::from_micros_f64(self.profile.drain_lag_us);
-        while let Some(front) = self.cache.front() {
-            // Background drain only touches writes that completed at
-            // least `drain_lag` ago (FTL batching window).
-            if front.cached_at + lag > now {
-                break;
-            }
-            if (front.bytes as f64) <= self.drain_carry {
-                self.drain_carry -= front.bytes as f64;
-                let e = self.cache.pop_front().expect("front exists");
-                self.cache_sum -= e.bytes;
-                e.write.land(&mut self.media);
-            } else {
-                break;
-            }
+        // Background drain only touches writes that completed at least
+        // `drain_lag` ago (FTL batching window).
+        while let Some(e) = self.cache.pop_front_if(|e| {
+            e.cached_at + lag <= now && e.write.bytes() as f64 <= self.drain_carry
+        }) {
+            let bytes = e.write.bytes();
+            self.drain_carry -= bytes as f64;
+            self.cache_sum -= bytes;
+            e.write.land(&mut self.media);
         }
         if self.cache.is_empty() {
             self.drain_carry = 0.0;
@@ -366,8 +392,8 @@ impl Ssd {
     ///   so they land in the same order;
     /// - only operations the drain clock has passed land, so the drain
     ///   steps `advance` would take for them are no-ops;
-    /// - a PLP cache entry holds no images, so nothing else lands in
-    ///   between.
+    /// - a PLP cache entry holds only a block count, so nothing else
+    ///   lands in between.
     ///
     /// A volatile drive lands nothing here: its FLUSH evicts cache
     /// entries, and the cache is timing state.
@@ -405,7 +431,7 @@ impl Ssd {
                     self.cache.retain(|e| {
                         let covered = e.submitted_at <= submitted;
                         if covered {
-                            *cache_sum -= e.bytes;
+                            *cache_sum -= e.write.bytes();
                             e.write.land(media);
                         }
                         !covered
@@ -474,20 +500,19 @@ impl Ssd {
         let id = self.op_id();
         let durable_at_completion = self.profile.plp || fua;
         // The cache entry models occupancy and (for volatile drives)
-        // holds the images until the drain or a FLUSH reaches them; on
-        // the durable path the completion-time media write owns them.
+        // holds the landing until the drain or a FLUSH reaches it; on
+        // the durable path the completion-time media write owns it.
         let cached = if durable_at_completion {
             self.pending.push(Pending {
                 due: (completion, id),
                 op: PendingOp::DurableWrite(write),
             });
-            Landing::Many(Vec::new())
+            Landing::Held(blocks)
         } else {
             write
         };
         self.cache.push_back(CacheEntry {
             write: cached,
-            bytes,
             submitted_at: now,
             cached_at: completion,
         });
@@ -616,7 +641,7 @@ impl Ssd {
             }
         }
         // Whatever is still in the volatile cache is lost. (PLP entries
-        // carry no images; their durability was completion-time.)
+        // are held block counts; their durability was completion-time.)
         self.cache.clear();
         self.cache_sum = 0;
         self.drain_carry = 0.0;
@@ -701,7 +726,7 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rio_proto::payload::block_for;
+    use rio_proto::payload::{block_for, seal_for};
     use std::collections::BTreeMap;
 
     fn t(us: u64) -> SimTime {
@@ -1115,6 +1140,9 @@ mod tests {
     fn payload_images_match_a_byte_carrying_device_under_seeded_scripts() {
         const SPAN: u64 = 12;
         let (mut writes, mut tears, mut rots) = (0, 0, 0);
+        // Seeded writes that are one run, and how many of them (and of
+        // the bytes device's writes) waited packed.
+        let (mut runs, mut packed, mut packed_bytes) = (0, 0, 0);
         for (profile, script) in [SsdProfile::optane905p(), SsdProfile::pm981()]
             .iter()
             .flat_map(|p| (0..200u64).map(move |script| (p, script)))
@@ -1151,10 +1179,14 @@ mod tests {
                             )
                         };
                         writes += 1;
-                        (
+                        runs += matches!(seeded, Images::Run(..)) as u64;
+                        let (a, b) = (
                             seeds.submit_write(now, lba, seeded, fua),
                             bytes.submit_write(now, lba, byte, fua),
-                        )
+                        );
+                        packed += waits_packed(seeds, a.0) as u64;
+                        packed_bytes += waits_packed(bytes, b.0) as u64;
+                        (a, b)
                     }
                     6 => (seeds.submit_flush(now), bytes.submit_flush(now)),
                     7 => {
@@ -1195,6 +1227,20 @@ mod tests {
             writes > 4_000 && tears > 300 && rots > 500,
             "{writes} {tears} {rots}"
         );
+        // Every seeded run took the packed path, and only seeds pack.
+        assert!(runs > 2_000, "{runs}");
+        assert_eq!((packed, packed_bytes), (runs, 0));
+    }
+
+    /// Whether write `id`, just accepted, waits packed: in the in-flight
+    /// queue on the durable path, else at the back of the cache.
+    fn waits_packed(s: &Ssd, id: u64) -> bool {
+        let in_flight = s.pending.iter().find(|p| p.due.1 == id).map(|p| &p.op);
+        let write = match in_flight {
+            Some(PendingOp::DurableWrite(write)) => write,
+            _ => &s.cache.back().expect("a cached write").write,
+        };
+        matches!(write, Landing::Packed(_))
     }
 
     /// A real-data write of one block, and the submitter's own copy of
@@ -1407,6 +1453,63 @@ mod tests {
         let (_, flushed) = s.submit_flush(done);
         s.advance(flushed);
         assert_eq!(s.scrub(), (0, Vec::new()), "nobody injected a corruption");
+    }
+
+    /// The same with a payload run, which waits in the cache packed: the
+    /// discard unpacks it, and the seal goes with the discarded block.
+    #[test]
+    fn discard_of_a_cached_payload_run_drops_its_seal() {
+        let mut s = ssd(SsdProfile::pm981());
+        s.set_integrity(true);
+        let images = Images::Run(BlockImage::Payload(5), 3);
+        let (_, done) = s.submit_write(SimTime::ZERO, 5, images, false);
+        s.advance(done);
+        assert!(matches!(s.cache[0].write, Landing::Packed(_)));
+        s.submit_discard(done, 6, 1);
+        let (_, flushed) = s.submit_flush(done);
+        s.advance(flushed);
+        assert_eq!(s.scrub(), (2, Vec::new()), "nobody injected a corruption");
+        assert_eq!(
+            (s.media.seal(5), s.media.seal(6)),
+            (Some(seal_for(5)), None)
+        );
+        assert_eq!(s.durable_read(6), BlockImage::Zero);
+    }
+
+    #[test]
+    fn a_write_larger_than_the_carry_cap_still_drains() {
+        // 300 blocks is 1.2 MB, above the drain's 1 MB allowance.
+        let mut p = SsdProfile::optane905p();
+        p.max_transfer_blocks = 512;
+        let mut s = ssd(p);
+        let (_, done) = s.submit_write(
+            SimTime::ZERO,
+            0,
+            Images::Run(BlockImage::Tag(1), 300),
+            false,
+        );
+        assert_eq!(s.dirty_bytes(), 300 * BLOCK_SIZE);
+        s.advance(done + SimDuration::from_secs(1));
+        assert_eq!(s.dirty_bytes(), 0, "the cache head drained");
+    }
+
+    #[test]
+    fn a_landing_is_three_words() {
+        // A packed run, a list's vector or a PLP entry's block count:
+        // the size of every cache entry and in-flight write hangs on it.
+        assert_eq!(std::mem::size_of::<Landing>(), 24);
+        assert_eq!(
+            std::mem::size_of::<Pending>(),
+            40,
+            "a due key and a landing"
+        );
+    }
+
+    #[test]
+    fn a_cache_entry_is_five_words() {
+        // One per cached write (a PLP drive's included): the landing and
+        // two instants; the bytes it occupies follow from its blocks.
+        assert_eq!(std::mem::size_of::<CacheEntry>(), 40);
     }
 
     #[test]
