@@ -11,8 +11,9 @@
 //!
 //! * the *heap* itself holds only fixed-size keys — `(time, seq)`
 //!   packed into one `u128` plus a `u32` slot index — so every sift
-//!   compares a single integer and moves 24 bytes, independent of the
-//!   event payload type;
+//!   compares a single integer and moves 32 bytes (the `u128` is
+//!   16-aligned, so the slot pads the node to two of them),
+//!   independent of the event payload type;
 //! * the *slab* stores the payloads at stable slot indices with a free
 //!   list, so pushing and popping never moves an `E` more than once and
 //!   steady-state operation performs no allocation at all.
@@ -183,6 +184,12 @@ impl<E> EventHeap<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_heap_node_is_two_u128s() {
+        // What every sift moves: the 16-aligned key pads the slot.
+        assert_eq!(std::mem::size_of::<Node>(), 32);
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -12,7 +12,7 @@
 //! * [`BandwidthLink`] — a store-and-forward link: transfer time is
 //!   `bytes / bandwidth`, transfers serialize on the wire.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_u64, SimDuration, SimTime};
 
 /// A single serially-shared resource.
 #[derive(Debug, Clone)]
@@ -144,9 +144,10 @@ impl BandwidthLink {
     }
 
     /// Serialization delay of `bytes` on an idle wire.
+    #[inline]
     pub fn serialization(&self, bytes: u64) -> SimDuration {
         let secs = bytes as f64 / self.bytes_per_sec;
-        SimDuration::from_nanos((secs * 1e9).round() as u64)
+        SimDuration::from_nanos(round_u64(secs * 1e9))
     }
 
     /// Admits a transfer of `bytes` arriving at `now`; returns the instant

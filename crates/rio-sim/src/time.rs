@@ -68,8 +68,9 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional microseconds, rounding to ns.
+    #[inline]
     pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
+        SimDuration(round_u64(us * 1_000.0))
     }
 
     /// Returns the raw nanosecond value.
@@ -147,6 +148,26 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// `x` rounded half away from zero, as `x.round().max(0.0) as u64`
+/// gives it for every `f64` (NaN, negatives and anything below one half
+/// give 0; 2^64 and above saturate), in integer steps: the x86-64
+/// baseline has no rounding instruction, and `f64::round` is a software
+/// call on the event path.
+#[inline]
+pub(crate) fn round_u64(x: f64) -> u64 {
+    if x >= (1u64 << 52) as f64 {
+        // Every `f64` from 2^52 on is whole; the cast saturates.
+        x as u64
+    } else if x >= 0.5 {
+        // Below 2^52 the truncation and the fraction `x - whole` are exact.
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
+    } else {
+        // NaN, negatives and anything below one half.
+        0
+    }
+}
+
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}ns", self.0)
@@ -168,6 +189,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
     #[test]
     fn construction_round_trips() {
@@ -199,6 +221,47 @@ mod tests {
         assert_eq!(SimDuration::from_micros_f64(-4.0).as_nanos(), 0);
         let t = SimTime::from_nanos(2_500_000_000);
         assert!((t.as_secs_f64() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let reference = |x: f64| x.round().max(0.0) as u64;
+        let two = |e: i32| 2f64.powi(e);
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.4,
+            -0.5,
+            -1.5,
+            two(52) - 0.5,
+            two(52) + 0.5,
+            two(52),
+            two(52) + 1.0,
+            two(53) + 2.0,
+            two(63),
+            two(64),
+            two(64) - 2048.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        inputs.extend((0..64).map(|k| k as f64 + 0.5));
+        let mut rng = SimRng::seed_from_u64(72);
+        for _ in 0..200_000 {
+            let n = rng.below(1 << 52) as f64;
+            inputs.push(f64::from_bits(rng.next_u64()));
+            inputs.push(n + 0.5);
+            inputs.push(rng.unit() * two(rng.below(70) as i32));
+        }
+        for x in inputs {
+            assert_eq!(round_u64(x), reference(x), "{x:e} ({:#x})", x.to_bits());
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! real bytes; raw block benchmarks use cheap tags and integrity runs
 //! their payload seeds, so a simulated multi-gigabyte run costs
 //! megabytes of host memory — and, because nothing reads a benchmark's
-//! blocks back, [`BlockStore`] only journals token writes and builds
-//! its per-block index when a reader first asks.
+//! blocks back, [`BlockStore`] only journals token writes, as deltas,
+//! and builds its per-block index when a reader first asks.
 //!
 //! With end-to-end integrity on, every block that lands on media is
 //! *sealed*: the store records the CRC-32C of the intended image next
@@ -208,11 +208,11 @@ impl Index {
 
 /// A token [`BlockRun`] in two words: the crate's one packed form of a
 /// run. The SSD packs a write once, when it accepts it, and the record
-/// waits unchanged in the write cache or the in-flight queue and then
-/// in the store's journal. Only token runs — `Zero`, `Tag` and
-/// `Payload` — pack, and only a payload run sealed by its seed packs
-/// sealed: unpacking re-derives the seal.
-#[derive(Debug, Clone, Copy)]
+/// waits unchanged in the write cache or the in-flight queue until the
+/// store's [`Journal`] codes it in fewer bytes. Only token runs —
+/// `Zero`, `Tag` and `Payload` — pack, and only a payload run sealed by
+/// its seed packs sealed: unpacking re-derives the seal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Record {
     /// `lba << LBA_SHIFT | blocks << COUNT_SHIFT | SEALED | kind`.
     head: u64,
@@ -284,12 +284,113 @@ impl Record {
     }
 }
 
+/// The most bytes a coded record takes: a head of up to 17 bits and an
+/// address step of up to 50 bits as varints, then 8 bytes of token.
+const MAX_RECORD: usize = 3 + 8 + 8;
+/// Chunk capacities double from the first to the last, then stay.
+const FIRST_CHUNK: usize = 256;
+const LAST_CHUNK: usize = 64 << 10;
+
+/// The token writes no reader has looked at yet, in append order, each
+/// coded against the one before as LEB128 varints: the head's low 16
+/// bits over a raw flag, the zigzag step from the previous run's end to
+/// this address, and the zigzag token step — or, when that is wider
+/// than 56 bits, the raw 8-byte token. A RIO write costs 3–7 bytes. No
+/// record straddles two chunks, so at most one is part-filled.
+#[derive(Debug, Default)]
+struct Journal {
+    chunks: Vec<Vec<u8>>,
+    /// The previous record's run end (`lba + blocks`) and token.
+    end: u64,
+    token: u64,
+}
+
+impl Journal {
+    /// Appends `record`, coded against the one before it, into a chunk
+    /// with room for a worst-case record.
+    fn push(&mut self, record: Record) {
+        let last = self.chunks.last();
+        if last.map_or(0, |c| c.capacity() - c.len()) < MAX_RECORD {
+            let capacity = last.map_or(FIRST_CHUNK, |c| (2 * c.capacity()).min(LAST_CHUNK));
+            self.chunks.push(Vec::with_capacity(capacity));
+        }
+        let tail = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[tail];
+        let step = zigzag(record.token.wrapping_sub(self.token));
+        let raw = step >> 56 != 0;
+        put_varint(chunk, (record.head & 0xffff) << 1 | u64::from(raw));
+        put_varint(chunk, zigzag(record.lba().wrapping_sub(self.end)));
+        if raw {
+            chunk.extend_from_slice(&record.token.to_le_bytes());
+        } else {
+            put_varint(chunk, step);
+        }
+        self.end = record.lba() + u64::from(record.blocks());
+        self.token = record.token;
+    }
+
+    /// Hands every record to `f` in append order, freeing each chunk
+    /// once read, and leaves the journal empty, its coding state reset.
+    fn drain(&mut self, mut f: impl FnMut(Record)) {
+        let (mut end, mut token) = (0u64, 0u64);
+        for chunk in std::mem::take(self).chunks {
+            let mut at = 0;
+            while at < chunk.len() {
+                let head = get_varint(&chunk, &mut at);
+                let lba = end.wrapping_add(unzigzag(get_varint(&chunk, &mut at)));
+                token = if head & 1 != 0 {
+                    at += 8;
+                    u64::from_le_bytes(std::array::from_fn(|i| chunk[at - 8 + i]))
+                } else {
+                    token.wrapping_add(unzigzag(get_varint(&chunk, &mut at)))
+                };
+                let head = lba << LBA_SHIFT | head >> 1;
+                let record = Record { head, token };
+                end = lba + u64::from(record.blocks());
+                f(record);
+            }
+        }
+    }
+}
+
+/// A two's-complement step as a number that is small when the step is.
+fn zigzag(step: u64) -> u64 {
+    step << 1 ^ ((step as i64) >> 63) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    z >> 1 ^ (z & 1).wrapping_neg()
+}
+
+/// Appends `v` as a LEB128 varint.
+fn put_varint(chunk: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        chunk.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    chunk.push(v as u8);
+}
+
+/// Reads the LEB128 varint at `chunk[*at..]` and moves `at` past it.
+fn get_varint(chunk: &[u8], at: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0, 0);
+    loop {
+        let byte = chunk[*at];
+        *at += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
-    /// Writes no reader has looked at yet, in append order. Versions
-    /// are not stored — every block write takes the next one in append
-    /// order, so the fold recounts them.
-    journal: Vec<Record>,
+    /// Writes no reader has looked at yet. Versions are not stored —
+    /// every block write takes the next one in append order, so the
+    /// fold recounts them.
+    journal: Journal,
     index: Index,
 }
 
@@ -299,17 +400,16 @@ impl State {
     /// last write to a block wins exactly as if each had been applied
     /// on arrival.
     fn fold(&mut self) -> &mut Index {
-        for record in std::mem::take(&mut self.journal) {
-            self.index.apply(record.unpack());
-        }
-        &mut self.index
+        let index = &mut self.index;
+        self.journal.drain(|record| index.apply(record.unpack()));
+        index
     }
 }
 
 /// A sparse persistent store of block images with write versioning.
 ///
-/// A write journal with a fold-on-read index: a write appends one
-/// 16-byte record per run of equal blocks and hashes nothing, and the first
+/// A write journal with a fold-on-read index: a write appends its
+/// deltas from the run before (3–19 bytes) and hashes nothing, and the first
 /// reader after it replays the journal, in order, into the per-block
 /// maps. Every accepted command lands here once and a fault-free run
 /// never reads it back, so it pays one append per command instead of
@@ -334,7 +434,7 @@ impl Clone for BlockStore {
     fn clone(&self) -> Self {
         BlockStore {
             state: RefCell::new(State {
-                journal: Vec::new(),
+                journal: Journal::default(),
                 index: self.index().clone(),
             }),
             next_version: self.next_version,
@@ -351,7 +451,7 @@ impl BlockStore {
     /// The folded index, for readers. With nothing to fold it only
     /// borrows shared, so a reader's callback may read again.
     fn index(&self) -> Ref<'_, Index> {
-        if !self.state.borrow().journal.is_empty() {
+        if !self.state.borrow().journal.chunks.is_empty() {
             self.state.borrow_mut().fold();
         }
         Ref::map(self.state.borrow(), |s| &s.index)
@@ -580,6 +680,19 @@ mod tests {
 
     const LBAS: u64 = 24;
 
+    /// Writes `run` to both stores: a run equals its blocks written one
+    /// by one.
+    fn write_both(store: &mut BlockStore, oracle: &mut EagerStore, run: BlockRun, at: &str) {
+        let first = store.write_run(run.clone());
+        for b in run.lba..run.lba + u64::from(run.blocks) {
+            let v = match run.seal {
+                Some(seal) => oracle.write_sealed(b, run.image.clone(), seal),
+                None => oracle.write(b, run.image.clone()),
+            };
+            assert_eq!(v, first + (b - run.lba), "{at}: contiguous versions");
+        }
+    }
+
     #[test]
     fn journal_store_matches_the_eager_reference_under_random_scripts() {
         for seed in 0..64 {
@@ -588,6 +701,43 @@ mod tests {
             let mut oracle = EagerStore::default();
             // Some scripts never read until the end, some read often.
             let read_permille = [0, 50, 300][seed as usize % 3];
+            if seed % 8 == 7 {
+                // A burst of token runs whose full-width tokens mostly
+                // take the raw escape, long enough for the journal to
+                // fill more than one 64 KiB chunk before anything
+                // folds it.
+                for step in 0..20_000 {
+                    let token = rng.next_u64();
+                    let (image, seal) = match rng.below(4) {
+                        0 => (BlockImage::Zero, None),
+                        1 => (BlockImage::Tag(token), None),
+                        2 => (BlockImage::Payload(token), None),
+                        _ => (BlockImage::Payload(token), Some(seal_for(token))),
+                    };
+                    let run = BlockRun {
+                        lba: rng.below(LBAS),
+                        image,
+                        blocks: rng.between(1, 8) as u32,
+                        seal,
+                    };
+                    write_both(
+                        &mut store,
+                        &mut oracle,
+                        run,
+                        &format!("seed {seed} burst {step}"),
+                    );
+                }
+                let state = store.state.borrow();
+                let full = state
+                    .journal
+                    .chunks
+                    .iter()
+                    .filter(|c| c.capacity() == LAST_CHUNK);
+                assert!(
+                    full.count() >= 2,
+                    "seed {seed}: the burst spans 64 KiB chunks"
+                );
+            }
             for step in 0..400 {
                 let at = format!("seed {seed} step {step}");
                 let lba = rng.below(LBAS);
@@ -615,22 +765,13 @@ mod tests {
                         "{at}"
                     ),
                     5..=7 => {
-                        // A run equals its blocks written one by one.
-                        let blocks = rng.between(1, 8) as u32;
-                        let seal = rng.chance(0.5).then_some(seal);
-                        let first = store.write_run(BlockRun {
+                        let run = BlockRun {
                             lba,
-                            image: image.clone(),
-                            blocks,
-                            seal,
-                        });
-                        for b in lba..lba + blocks as u64 {
-                            let v = match seal {
-                                Some(seal) => oracle.write_sealed(b, image.clone(), seal),
-                                None => oracle.write(b, image.clone()),
-                            };
-                            assert_eq!(v, first + (b - lba), "{at}: contiguous versions");
-                        }
+                            image,
+                            blocks: rng.between(1, 8) as u32,
+                            seal: rng.chance(0.5).then_some(seal),
+                        };
+                        write_both(&mut store, &mut oracle, run, &at);
                     }
                     8 => {
                         let count = rng.between(1, 6);
@@ -810,9 +951,97 @@ mod tests {
 
     #[test]
     fn a_journal_record_is_two_words() {
-        // One per token write since the last read: a benchmark run's
-        // journal is this many bytes per command.
+        // The cache and the in-flight queue carry a write as this; the
+        // journal codes it in fewer bytes (see the next test).
         assert_eq!(std::mem::size_of::<Record>(), 16);
+    }
+
+    /// The bytes each of `records` adds to a fresh journal.
+    fn costs(records: impl IntoIterator<Item = Record>) -> Vec<usize> {
+        let mut journal = Journal::default();
+        let held = |j: &Journal| j.chunks.iter().map(Vec::len).sum::<usize>();
+        let mut costs = Vec::new();
+        for record in records {
+            let before = held(&journal);
+            journal.push(record);
+            costs.push(held(&journal) - before);
+        }
+        costs
+    }
+
+    #[test]
+    fn a_journal_record_costs_its_deltas() {
+        let tag = |lba, tag| Record::token(lba, &BlockImage::Tag(tag), 1, false).expect("fits");
+        // Sequential one-block writes with sequential tags: every step
+        // is a single byte.
+        let sequential = costs((0..10_000).map(|i| tag(i, i + 1)));
+        assert!(sequential.iter().all(|&n| n == 3), "{sequential:?}");
+        // Random writes below 2^27 with sequential tags (a RIO group
+        // sequence): the address step takes at most four bytes.
+        let mut rng = SimRng::seed_from_u64(5);
+        let random = costs((0..10_000).map(|i| tag(rng.below(1 << 27), i + 1)));
+        assert!(random.iter().all(|&n| n <= 7), "{random:?}");
+        // Random payload seeds take the raw escape: a one-byte head,
+        // the address step and the 8-byte seed, 13 bytes at most and
+        // so never more than the unpacked 16-byte record.
+        let payload = costs((0..10_000).map(|_| {
+            let seed = rng.next_u64();
+            Record::token(rng.below(1 << 27), &BlockImage::Payload(seed), 1, true).expect("fits")
+        }));
+        assert!(payload.iter().all(|&n| n <= 1 + 4 + 8), "{payload:?}");
+    }
+
+    #[test]
+    fn journal_records_come_back_identical_through_drain() {
+        let mut rng = SimRng::seed_from_u64(39);
+        let mut journal = Journal::default();
+        let mut records = Vec::new();
+        for i in 0..60_000u64 {
+            let lba = match i % 4 {
+                // Alternating jumps across the whole address space.
+                0 if i % 8 == 0 => (1 << 48) - 1,
+                0 | 1 => i % 3,
+                _ => rng.below(1 << 48),
+            };
+            let token = match rng.below(4) {
+                0 => 0,
+                1 => u64::MAX,
+                // Alternating tokens 2^62 apart force the raw escape.
+                2 => (i & 1) << 62,
+                _ => rng.next_u64(),
+            };
+            let blocks = rng.between(1, (1 << 13) - 1) as u32;
+            let image = [
+                BlockImage::Zero,
+                BlockImage::Tag(token),
+                BlockImage::Payload(token),
+            ];
+            let image = &image[rng.below(3) as usize];
+            let sealed = matches!(image, BlockImage::Payload(_)) && rng.chance(0.5);
+            let record = Record::token(lba, image, blocks, sealed).expect("fits");
+            journal.push(record);
+            records.push(record);
+        }
+        // Capacities double to 64 KiB and no chunk ever grew.
+        let capacities: Vec<usize> = journal.chunks.iter().map(Vec::capacity).collect();
+        let expected = (0..).map(|k| (FIRST_CHUNK << k).min(LAST_CHUNK));
+        assert!(
+            capacities.iter().zip(expected).all(|(c, e)| *c == e),
+            "{capacities:?}"
+        );
+        assert!(capacities.iter().filter(|&&c| c == LAST_CHUNK).count() >= 4);
+        let mut drained = Vec::new();
+        journal.drain(|record| drained.push(record));
+        assert!(
+            drained == records,
+            "records come back in order and unchanged"
+        );
+        assert!(journal.chunks.is_empty());
+        // Draining reset the coding state: the first record costs what
+        // it cost in a fresh journal.
+        journal.push(records[0]);
+        assert_eq!(journal.chunks[0].len(), costs([records[0]])[0]);
+        journal.drain(|record| assert_eq!(record, records[0]));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! bit rot corrupts them.
 //!
 //! A token write (a tag, zero or payload run) is packed once, on
-//! acceptance, into the 16-byte record the media journal keeps; its
+//! acceptance, into the 16-byte record the media journal codes; its
 //! cache entry or in-flight slot holds that record until it lands. A
 //! PLP drive's cache entry holds only the write's block count.
 

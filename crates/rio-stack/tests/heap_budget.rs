@@ -135,50 +135,54 @@ type Cell = (&'static str, fn() -> Cluster, u64, f64, f64, u64);
 fn event_path_stays_inside_its_heap_budget() {
     // Peak ceilings are about 2 % above the exact counts and allocation
     // ceilings 0.01–0.03 above them (the harness's own thread adds a
-    // handful to whichever cell runs first): 0.120 / 77, 0.075 / 75,
-    // 0.073 / 54, 0.077 / 79 on random 4 KB. The fixed
+    // handful to whichever cell runs first): 0.117 / 73, 0.072 / 71,
+    // 0.070 / 49, 0.074 / 74 on random 4 KB. The fixed
     // allocations of `Cluster::new` are spread over only 2 000 blocks,
-    // which is the 0.08 every mode carries; RIO's 0.04 above it is its
+    // which is the 0.07 every mode carries; RIO's 0.04 above it is its
     // eight ORDER queues and the batch they trade buffers with growing
     // to working size, once. For scale: one `Vec` per generated group,
     // dispatch unit, plugged bio, SSD write or PMR update is 1.0
     // allocation per block each (a flush that copies its units out is
     // 2.0, a plug built per batch 3.0); the SSD's one block store
-    // journals a 16-byte record per write, and the device packs that
-    // record when it accepts the write, so a cache entry is 40 bytes
-    // and an in-flight write 40 (a 72-byte entry carrying the unpacked
-    // run and its byte count read 62–108 here). A PLP drive holds a
+    // journals a write as its deltas from the one before — about 6
+    // bytes for a RIO write, whose tag is its group sequence, and 10–12
+    // for a baseline's slab-id tag — in chunks of at most 64 KiB, where
+    // a 16-byte record per write in a doubling `Vec` read 77 / 75 / 54 /
+    // 79 here (and 46 on fsync). The device packs that 16-byte record
+    // when it accepts the write, so a cache entry is 40 bytes and an
+    // in-flight write 40 (a 72-byte entry carrying the unpacked run and
+    // its byte count read 62–108 here). A PLP drive holds a
     // write's landing only while it is in flight — held to the end of
     // the run instead, it is 40 bytes per write more, and a second
     // store (or a per-write completion record kept only for
     // statistics) is 16 bytes or more. The integrity-on cell
-    // (0.121 / 79) sits on the same floor: a block travels and lands
+    // (0.120 / 78) sits on the same floor: a block travels and lands
     // as its 8-byte payload seed, sealed by streaming, and the store
     // journals it like a tag, so a 4 KB buffer per block would be 1.0
     // allocation and 4 096 bytes more, and a one-element `Vec` around
     // the image 1.0 more. The two
-    // single-SSD cells (0.057 / 33, 0.065 / 46) hold the merge path —
+    // single-SSD cells (0.056 / 33, 0.064 / 42) hold the merge path —
     // 16 one-block groups leave as one command, where per-unit vectors
     // are 0.375 per block — and the fsync path — D, JM and JC groups of
     // 1 + 2 + 1 blocks, one blocking wait per op, 1.25 per block with
     // per-unit vectors — to the same floor.
     //
-    // Building a cluster costs 271 568 bytes at its peak when no PMR is
-    // written (Orderless, Horae, Linux) and 441 552 with RIO's log
+    // Building a cluster costs 271 632 bytes at its peak when no PMR is
+    // written (Orderless, Horae, Linux) and 441 616 with RIO's log
     // formatted on the first SSD of each of two targets; one SSD with
-    // its log costs 237 260 (merge) and 362 080 (fsync, whose workload
+    // its log costs 237 276 (merge) and 362 096 (fsync, whose workload
     // holds more). Formatting writes only the superblock, so each log
     // holds one 64 KiB page of its 2 MB PMR: a region allocated whole
     // by its first write, or before anything writes it, fails every
     // RIO build ceiling.
     let budgets: [Cell; 7] = [
-        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 79.0, 450_000),
-        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 77.0, 280_000),
-        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 55.0, 280_000),
-        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 81.0, 280_000),
+        ("Rio rand4k", || rand4k(RIO, false), 2_000, 0.15, 75.0, 450_000),
+        ("Orderless rand4k", || rand4k(OrderingMode::Orderless, false), 2_000, 0.09, 73.0, 280_000),
+        ("Horae rand4k", || rand4k(OrderingMode::Horae, false), 2_000, 0.09, 50.0, 280_000),
+        ("LinuxNvmf rand4k", || rand4k(OrderingMode::LinuxNvmf, false), 2_000, 0.09, 76.0, 280_000),
         ("Rio rand4k integrity", || rand4k(RIO, true), 2_000, 0.15, 80.0, 450_000),
         ("Rio seq merge16", || rio_single_ssd(Workload::seq_batched(4, 500, 16, 1)), 2_000, 0.07, 34.0, 242_000),
-        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 47.0, 369_000),
+        ("Rio fsync_append", || rio_single_ssd(Workload::fsync_append(8, 64)), 2_048, 0.08, 43.0, 369_000),
     ];
     for (cell, build, blocks, max_allocs, max_peak, max_setup) in budgets {
         let (allocs, peak, setup) = per_block(build, blocks);
