@@ -15,35 +15,16 @@
 //! * [`crc32c`] — CRC-32C (Castagnoli), the payload checksum used for
 //!   per-command digests on the wire and per-block seals on media.
 //!   Castagnoli is what NVMe end-to-end protection and iSCSI use.
-//!   [`crc32c_update`] is four stages, chosen by the input's length
-//!   alone:
-//!   1. *Page loop.* Every whole 4 096-byte page — a block held as
-//!      bytes: real data, or a torn or rotted payload block — runs as
-//!      two 2 048-byte lanes in one loop: two registers that do not
-//!      depend on each other, each advanced by the slicing-by-16 step,
-//!      so one lane's table lookups fill the load slots the other's
-//!      dependent update leaves idle. (A payload block held as its seed
-//!      never comes here: [`crate::payload::seal_for`] looks its CRC up.)
-//!   2. *Lane join.* The register update is linear over GF(2), so
-//!      `crc(A‖B) = shift_|B|(crc(A)) ⊕ crc₀(B)`: the first lane goes
-//!      through a `const` "advance by 2 048 zero bytes" operator and is
-//!      xor-ed with the second, which started from zero.
-//!   3. *Sliced remainder.* What is shorter than a page takes one
-//!      register through the same step (sixteen input bytes, each
-//!      looked up in its own table), then at most one eight-byte half
-//!      step — so the 8-byte seeds of [`PayloadDigest::over_seeds`]
-//!      never fall to the byte loop. The half step is a `const fn`, the
-//!      one the payload module's seal tables are built with.
-//!   4. *Bytewise tail* for the last `< 8` bytes — also the oracle the
-//!      tests compare every other stage against.
-//!
-//!   Every input keeps the value the bytewise loop gives it. Two lanes
-//!   is the measured choice: one lane runs a warm 4 KB block in
-//!   2.2 µs, two in 1.2 µs. Four are faster still in isolation
-//!   (0.95–1.0 µs) but an integrity run end to end was no faster with
-//!   them (EXPERIMENTS.md, "Integrity data path II") — only two ship.
-//!   Slicing-by-8 was measured beside slicing-by-16 on one lane
-//!   (1.34–1.41 against 1.79–1.84 GB/s); only the wider step ships.
+//!   [`crc32c_update`] folds eight little-endian bytes per step
+//!   (slicing-by-8, one table lookup per byte) and hands the last
+//!   `< 8` bytes to the bytewise loop, the oracle its tests compare
+//!   against. The step is a `const fn`: the payload module builds its
+//!   seal tables with it and [`PayloadDigest::over_seeds`] folds each
+//!   seed through it. A payload block held as its seed never comes here
+//!   ([`crate::payload::seal_for`] looks its CRC up), so the only
+//!   whole-block inputs are the two torn blocks an integrity run reads
+//!   as bytes; a wider kernel (slicing-by-16, two lanes per page) had no
+//!   traffic to speed up (EXPERIMENTS.md, "CRC-32C: one step").
 //!
 //! Every table here and in [`crate::payload`] is `const`-built — nothing
 //! is initialised or allocated at run time, which CI checks by grep —
@@ -116,7 +97,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// Bytes the CRC-32C kernel folds per step.
-const SLICES: usize = 16;
+const SLICES: usize = 8;
 
 /// Reflected CRC-32C (Castagnoli) slicing tables. `[0]` is the classic
 /// one-entry-per-byte table; `[k][b]` is the register after byte `b`
@@ -183,125 +164,21 @@ pub(crate) fn le64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// One slicing-by-16 step: folds the sixteen bytes `lo ‖ hi` (each
-/// little-endian) into `crc`, one independent table lookup per byte.
-#[inline(always)]
-fn step16(crc: u32, lo: u64, hi: u64) -> u32 {
-    slice4(lo as u32 ^ crc, 12)
-        ^ slice4((lo >> 32) as u32, 8)
-        ^ slice4(hi as u32, 4)
-        ^ slice4((hi >> 32) as u32, 0)
-}
-
-/// Half a step: folds the eight bytes of little-endian `word` into
-/// `crc`. `const`, so [`crate::payload`] builds its seal tables with it.
+/// One step: folds the eight bytes of little-endian `word` into `crc`.
+/// `const`, so [`crate::payload`] builds its seal tables with it.
 #[inline(always)]
 pub(crate) const fn step8(crc: u32, word: u64) -> u32 {
     slice4(word as u32 ^ crc, 4) ^ slice4((word >> 32) as u32, 0)
 }
 
-/// Bytes per lane of the page loop.
-const LANE_BYTES: usize = 2048;
-
-/// The page loop walks whole blocks of this many bytes as two lanes.
-const PAGE_BYTES: usize = 2 * LANE_BYTES;
-
-/// "Advance the register by [`LANE_BYTES`] zero bytes" as four byte
-/// tables: the operator is linear over GF(2), so the image of a
-/// register is the xor of the images of its four bytes.
-const LANE_SHIFT: [[u32; 256]; 4] = build_lane_shift();
-
-/// Applies a GF(2) operator given by the images of the 32 unit
-/// registers.
-const fn gf2_apply(op: &[u32; 32], mut x: u32) -> u32 {
-    let mut out = 0;
-    let mut bit = 0;
-    while x != 0 {
-        if x & 1 != 0 {
-            out ^= op[bit];
-        }
-        x >>= 1;
-        bit += 1;
-    }
-    out
-}
-
-const fn build_lane_shift() -> [[u32; 256]; 4] {
-    // The one-zero-byte operator, squared eleven times: 2^11 = 2 048.
-    let mut op = [0u32; 32];
-    let mut bit = 0;
-    while bit < 32 {
-        let x = 1u32 << bit;
-        op[bit] = (x >> 8) ^ CRC32C_TABLES[0][(x & 0xFF) as usize];
-        bit += 1;
-    }
-    let mut bytes = 1;
-    while bytes < LANE_BYTES {
-        let mut squared = [0u32; 32];
-        let mut bit = 0;
-        while bit < 32 {
-            squared[bit] = gf2_apply(&op, op[bit]);
-            bit += 1;
-        }
-        op = squared;
-        bytes *= 2;
-    }
-    let mut tables = [[0u32; 256]; 4];
-    let mut k = 0;
-    while k < 4 {
-        let mut b = 0;
-        while b < 256 {
-            tables[k][b] = gf2_apply(&op, (b as u32) << (8 * k));
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// Joins two lanes: the register after `first`'s bytes followed by the
-/// [`LANE_BYTES`] bytes that took a zero register to `second`.
-#[inline(always)]
-fn join_lanes(first: u32, second: u32) -> u32 {
-    let t = &LANE_SHIFT;
-    t[0][(first & 0xFF) as usize]
-        ^ t[1][((first >> 8) & 0xFF) as usize]
-        ^ t[2][((first >> 16) & 0xFF) as usize]
-        ^ t[3][(first >> 24) as usize]
-        ^ second
-}
-
 /// Folds `data` into a running CRC-32C state (use [`crc32c`] for the
 /// one-shot form). The state is the raw shift-register value: start
 /// from `!0` and invert the final state yourself, or let the wrappers
-/// do it.
-///
-/// Whole 4 096-byte pages run as two lanes, the rest through one
-/// register and the bytewise tail (see the module documentation);
-/// which stages run depends on `data.len()` only, and every input
-/// keeps the value the bytewise loop gives it.
+/// do it. Every input keeps the value the bytewise loop gives it.
 pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
-    let mut crc = state;
-    let mut pages = data.chunks_exact(PAGE_BYTES);
-    for page in &mut pages {
-        let (first, second) = page.split_at(LANE_BYTES);
-        let mut lane = 0;
-        for (a, b) in first.chunks_exact(SLICES).zip(second.chunks_exact(SLICES)) {
-            crc = step16(crc, le64(a), le64(&a[8..]));
-            lane = step16(lane, le64(b), le64(&b[8..]));
-        }
-        crc = join_lanes(crc, lane);
-    }
-    let mut steps = pages.remainder().chunks_exact(SLICES);
-    for c in &mut steps {
-        crc = step16(crc, le64(c), le64(&c[8..]));
-    }
-    let mut rest = steps.remainder();
-    if rest.len() >= 8 {
-        crc = step8(crc, le64(rest));
-        rest = &rest[8..];
-    }
-    crc32c_bytewise(crc, rest)
+    let mut steps = data.chunks_exact(SLICES);
+    let crc = (&mut steps).fold(state, |crc, c| step8(crc, le64(c)));
+    crc32c_bytewise(crc, steps.remainder())
 }
 
 /// CRC-32C (Castagnoli) over `data` — reflected, init `!0`, final xor
@@ -328,11 +205,7 @@ impl PayloadDigest {
     /// wire form: each 4 KB block is generated from its 8-byte seed,
     /// so the command digest covers the seeds in order).
     pub fn over_seeds<I: IntoIterator<Item = u64>>(seeds: I) -> Self {
-        let mut state = !0u32;
-        for seed in seeds {
-            state = crc32c_update(state, &seed.to_le_bytes());
-        }
-        PayloadDigest(!state)
+        PayloadDigest(!seeds.into_iter().fold(!0, step8))
     }
 }
 
@@ -405,9 +278,9 @@ mod tests {
 
     #[test]
     fn sliced_kernel_matches_bytewise_at_every_length_and_offset() {
-        // Short inputs, then lengths either side of a lane, of one, two
-        // and three pages — every stage of the kernel and every
-        // hand-over between them.
+        // Every short length (each tail after each count of whole
+        // steps), then lengths around 2, 4 and 8 KiB and one past
+        // 12 KiB — long runs of steps ending in every tail.
         let lens = (0..=64)
             .chain(2047..=2049)
             .chain(4095..=4097)
@@ -427,20 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_join_advances_by_a_lane_of_zero_bytes() {
-        let mut rng = SimRng::seed_from_u64(0x1A9E);
-        for _ in 0..1000 {
-            let x = rng.below(1 << 32) as u32;
-            assert_eq!(
-                join_lanes(x, 0),
-                crc32c_bytewise(x, &[0; LANE_BYTES]),
-                "{x:#x}"
-            );
-        }
-        assert_eq!(join_lanes(0, 0xDEAD_BEEF), 0xDEAD_BEEF);
-    }
-
-    #[test]
     fn sliced_kernel_matches_bytewise_on_random_blocks() {
         for seed in 0..1000u64 {
             let block = block_for(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -456,8 +315,9 @@ mod tests {
     #[test]
     fn crc32c_update_composes() {
         let msg = &block_for(7)[..100];
-        // Streaming across page boundaries: 100 cuts of a buffer of two
-        // pages and a tail, spread out and bunched around both edges.
+        // Streaming through a long input: 100 cuts of a 9 000-byte
+        // buffer, spread out and bunched around 4 KiB and 8 KiB, so the
+        // cuts fall at every offset within a step.
         let long = noise(9000);
         let cuts = (0..50).map(|k| k * 180).chain(4084..4109).chain(8180..8205);
         let cuts: Vec<usize> = cuts.collect();
@@ -518,5 +378,21 @@ mod tests {
             bytes.extend_from_slice(&s.to_le_bytes());
         }
         assert_eq!(d1, PayloadDigest(crc32c(&bytes)));
+        // So is every seeded list, the empty one included.
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        for len in 0..=64 {
+            let seeds: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let bytes: Vec<u8> = seeds.iter().flat_map(|s| s.to_le_bytes()).collect();
+            assert_eq!(
+                PayloadDigest::over_seeds(seeds.iter().copied()),
+                PayloadDigest(crc32c(&bytes)),
+                "{len} seeds"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32c_tables_are_eight_kib() {
+        assert_eq!(std::mem::size_of_val(&CRC32C_TABLES), 8192);
     }
 }

@@ -159,8 +159,9 @@ pub fn seal_for(seed: u64) -> u32 {
         .fold(SEAL0, |seal, (&b, table)| seal ^ table[b as usize])
 }
 
-/// The seed embedded in a payload image (its first 8 bytes).
-pub fn embedded_seed(block: &[u8]) -> u64 {
+/// The seed embedded in a payload image (its first 8 bytes). Panics on
+/// a shorter input: callers check the length first.
+fn embedded_seed(block: &[u8]) -> u64 {
     le64(block)
 }
 
