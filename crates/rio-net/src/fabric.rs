@@ -30,15 +30,10 @@ pub struct PathProfile {
     pub jitter: f64,
 }
 
-/// Fabric timing, segmentation and loss parameters.
+/// Fabric segmentation, loss and recovery parameters, and its paths —
+/// which alone carry the timing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricProfile {
-    /// One-way small-message latency in microseconds (base path).
-    pub one_way_latency_us: f64,
-    /// Aggregate link bandwidth in bytes per second (200 Gbps = 25 GB/s).
-    pub bandwidth: f64,
-    /// Latency jitter amplitude (drives cross-QP reordering).
-    pub jitter: f64,
     /// Maximum transmission unit: messages are segmented into packets
     /// of at most this many bytes.
     pub mtu_bytes: u32,
@@ -61,17 +56,15 @@ pub struct FabricProfile {
     /// QP to its initial path forever. When non-zero, a retransmission
     /// timeout also fails the QP over to the next path.
     pub migrate_every: u64,
-    /// The paths of this fabric. Never empty; constructors start with a
-    /// single path mirroring the base latency/bandwidth/jitter fields.
+    /// The paths of this fabric, each with its own latency, bandwidth
+    /// and jitter. Must not be empty: every transfer rides one of them.
+    /// The constructors build one path.
     pub paths: Vec<PathProfile>,
 }
 
 impl FabricProfile {
     fn base(one_way_latency_us: f64, bandwidth: f64, jitter: f64) -> Self {
         FabricProfile {
-            one_way_latency_us,
-            bandwidth,
-            jitter,
             mtu_bytes: 4096,
             loss_rate: 0.0,
             corrupt_rate: 0.0,
@@ -85,7 +78,7 @@ impl FabricProfile {
         }
     }
 
-    /// ConnectX-6 class fabric: 200 Gbps, ~1.8 µs one-way.
+    /// ConnectX-6 class fabric: one 200 Gbps path, ~1.8 µs one-way.
     pub fn connectx6() -> Self {
         FabricProfile::base(1.8, 25.0e9, 0.25)
     }
@@ -115,18 +108,22 @@ impl FabricProfile {
         self
     }
 
-    /// Replaces the path set with `n` asymmetric paths: the aggregate
-    /// bandwidth is split evenly, and path `i` has latency
-    /// `base * (1 + spread * i)` — path 0 is the fastest. Jitter is
-    /// inherited from the base profile.
+    /// Replaces the path set with `n` asymmetric paths: the paths'
+    /// total bandwidth is split evenly, and path `i` has path 0's
+    /// latency times `1 + spread * i` — path 0 stays the fastest — and
+    /// path 0's jitter. An empty path set stays empty.
     pub fn with_paths(mut self, n: usize, latency_spread: f64) -> Self {
+        let Some(base) = self.paths.first().cloned() else {
+            return self;
+        };
         let n = n.max(1);
+        let bandwidth = self.paths.iter().map(|p| p.bandwidth).sum::<f64>() / n as f64;
         self.paths = (0..n)
             .map(|i| PathProfile {
-                one_way_latency_us: self.one_way_latency_us
+                one_way_latency_us: base.one_way_latency_us
                     * (1.0 + latency_spread.max(0.0) * i as f64),
-                bandwidth: self.bandwidth / n as f64,
-                jitter: self.jitter,
+                bandwidth,
+                jitter: base.jitter,
             })
             .collect();
         self
@@ -138,12 +135,6 @@ impl FabricProfile {
     pub fn with_migration(mut self, every: u64) -> Self {
         self.migrate_every = every;
         self
-    }
-
-    /// Number of paths.
-    #[cfg(test)]
-    pub fn n_paths(&self) -> usize {
-        self.paths.len()
     }
 
     /// Packets needed for a `bytes`-sized message at this MTU.
@@ -254,12 +245,6 @@ impl Nic {
         }
     }
 
-    /// Number of egress paths.
-    #[cfg(test)]
-    pub fn n_paths(&self) -> usize {
-        self.paths.len()
-    }
-
     /// NIC statistics.
     pub fn stats(&self) -> &NicStats {
         &self.stats
@@ -296,22 +281,37 @@ impl Nic {
         self.stats.retx_inflight = 0;
     }
 
-    /// Settles one parked message (a retransmission recovery finished).
-    /// Guards the decrement: after a crash reset the counter is zero,
-    /// and a stale delivery must not wrap it around.
-    fn retx_settled(&mut self) {
-        debug_assert!(
-            self.stats.retx_inflight > 0,
-            "retransmission settled with no message parked (stale post-crash delivery?)"
-        );
-        self.stats.retx_inflight = self.stats.retx_inflight.checked_sub(1).unwrap_or(0);
+    /// Books one transmit round of a message whose go-back-N window
+    /// this NIC carries: a drop enters recovery (or stays in it), and a
+    /// resumed window that delivers settles. The settle never wraps:
+    /// after a crash reset the counter is zero, and a stale post-crash
+    /// delivery must leave it there.
+    fn book_round(&mut self, step: XferStep, resumed: bool) {
+        let s = &mut self.stats;
+        match step {
+            XferStep::Dropped { .. } => {
+                s.retx_rounds += 1;
+                if !resumed {
+                    s.retx_inflight += 1;
+                    s.retx_inflight_peak = s.retx_inflight_peak.max(s.retx_inflight);
+                }
+            }
+            XferStep::Delivered { .. } if resumed => {
+                debug_assert!(
+                    s.retx_inflight > 0,
+                    "retransmission settled with no message parked (stale post-crash delivery?)"
+                );
+                s.retx_inflight = s.retx_inflight.saturating_sub(1);
+            }
+            XferStep::Delivered { .. } => {}
+        }
     }
 }
 
 /// Outcome of one transmit round of a message.
 ///
 /// Event-driven callers schedule `Dropped::resume_at` as a simulation
-/// event and call the matching `resume_*` method there.
+/// event and pass `pkts_left` back to [`Fabric::transfer`] there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum XferStep {
     /// Every packet arrived; the message is delivered at `at`.
@@ -334,6 +334,22 @@ pub enum XferStep {
     },
 }
 
+/// The NICs a transfer runs between.
+#[derive(Debug)]
+pub enum Ends<'a> {
+    /// A two-sided SEND: the message leaves this NIC, which also
+    /// carries its go-back-N window.
+    Send(&'a mut Nic),
+    /// A one-sided RDMA READ: no remote CPU is involved.
+    Read {
+        /// Sends the read request, receives the data and carries the
+        /// go-back-N window.
+        reader: &'a mut Nic,
+        /// Holds the memory read; the data leaves it.
+        source: &'a mut Nic,
+    },
+}
+
 /// The fabric: per-path latency models plus a deterministic drop and
 /// jitter source.
 #[derive(Debug)]
@@ -347,13 +363,6 @@ impl Fabric {
     pub fn new(mut profile: FabricProfile, seed: u64) -> Self {
         profile.loss_rate = profile.loss_rate.clamp(0.0, 0.995);
         profile.corrupt_rate = profile.corrupt_rate.clamp(0.0, 0.995);
-        if profile.paths.is_empty() {
-            profile.paths.push(PathProfile {
-                one_way_latency_us: profile.one_way_latency_us,
-                bandwidth: profile.bandwidth,
-                jitter: profile.jitter,
-            });
-        }
         Fabric {
             profile,
             rng: SimRng::seed_from_u64(seed),
@@ -383,18 +392,19 @@ impl Fabric {
         SimDuration::from_micros_f64(self.profile.rto_us)
     }
 
-    /// Samples the fate of a header-only pull-request packet charged
-    /// to `reader`: `None` if it got through, `Some(corrupted)` if it
-    /// failed (dropped, or corrupted and NAKed). One re-fetched packet
-    /// is counted on corruption — the request itself.
-    fn request_pkt_failure(&mut self, reader: &mut Nic) -> Option<bool> {
-        if self.profile.loss_rate > 0.0 && self.rng.chance(self.profile.loss_rate) {
-            reader.stats.drops += 1;
+    /// Samples one packet's fate, counted on the `nic` it leaves:
+    /// `None` if it got through, else whether it was corrupted (it
+    /// arrives, its payload digest does not verify, the receiver NAKs
+    /// the window) rather than dropped. The `rate > 0` short-circuits
+    /// keep the rng stream identical when a fault class is disabled.
+    fn pkt_fails(&mut self, nic: &mut Nic) -> Option<bool> {
+        let p = &self.profile;
+        if p.loss_rate > 0.0 && self.rng.chance(p.loss_rate) {
+            nic.stats.drops += 1;
             Some(false)
-        } else if self.profile.corrupt_rate > 0.0 && self.rng.chance(self.profile.corrupt_rate) {
-            reader.stats.corrupt_injected += 1;
-            reader.stats.corrupt_detected += 1;
-            reader.stats.corrupt_refetched += 1;
+        } else if p.corrupt_rate > 0.0 && self.rng.chance(p.corrupt_rate) {
+            nic.stats.corrupt_injected += 1;
+            nic.stats.corrupt_detected += 1;
             Some(true)
         } else {
             None
@@ -450,8 +460,7 @@ impl Fabric {
         // Go-back-N: loss and corruption are sampled per packet until
         // the first failure; the already-queued tail of the window
         // still burns wire time (and is counted) but the receiver
-        // discards it. The `rate > 0` short-circuits keep the rng
-        // stream identical when a fault class is disabled.
+        // discards it.
         let mut failed_at: Option<(u32, bool)> = None;
         for i in first..total {
             let pb = self.pkt_bytes(bytes, total, i);
@@ -465,18 +474,9 @@ impl Fabric {
                 nic.stats.retransmits += 1;
             }
             if failed_at.is_none() {
-                if self.profile.loss_rate > 0.0 && self.rng.chance(self.profile.loss_rate) {
-                    nic.paths[p].stats.drops += 1;
-                    nic.stats.drops += 1;
-                    failed_at = Some((i, false));
-                } else if self.profile.corrupt_rate > 0.0
-                    && self.rng.chance(self.profile.corrupt_rate)
-                {
-                    // The packet arrives, its payload digest does not
-                    // verify, the receiver NAKs the window.
-                    nic.stats.corrupt_injected += 1;
-                    nic.stats.corrupt_detected += 1;
-                    failed_at = Some((i, true));
+                if let Some(corrupted) = self.pkt_fails(nic) {
+                    nic.paths[p].stats.drops += u64::from(!corrupted);
+                    failed_at = Some((i, corrupted));
                 }
             }
         }
@@ -510,64 +510,91 @@ impl Fabric {
         XferStep::Delivered { at }
     }
 
-    /// Posts a two-sided SEND of `bytes` on `qp` of `src`. Returns
-    /// either the delivery instant or a [`XferStep::Dropped`] point to
-    /// resume with [`Fabric::resume_send`]. Delivery of undropped
-    /// messages on one QP is in order; the receiver's CPU cost is
-    /// charged by the caller.
+    /// Moves one message between `ends` on queue pair `qp` of the NIC
+    /// the data leaves, at `now`: the whole message when `window` is
+    /// `None`, else the go-back-N window of that many packets a
+    /// [`XferStep::Dropped`] parked. Returns the delivery instant or the
+    /// next point to resume at. SENDs on one QP deliver in order and
+    /// count toward path migration. A READ first sends a header-only
+    /// request from the reader (no payload and no path: it rides the
+    /// reverse direction); a window above the data's packet count marks
+    /// that request lost, and its retry sends the data as a first try.
+    /// The receiver's CPU cost is the caller's.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range queue pair.
-    pub fn send_burst(&mut self, src: &mut Nic, qp: usize, now: SimTime, bytes: u64) -> XferStep {
-        assert!(qp < src.qps.len(), "queue pair {qp} out of range");
-        src.qps[qp].msgs += 1;
-        if self.profile.migrate_every > 0 && src.qps[qp].msgs % self.profile.migrate_every == 0 {
-            self.migrate(src, qp);
-        }
-        src.stats.sends += 1;
-        let total = self.profile.packets_for(bytes);
-        let step = self.xmit_round(src, qp, now, bytes, total, false, true);
-        if matches!(step, XferStep::Dropped { .. }) {
-            src.stats.retx_inflight += 1;
-            src.stats.retx_inflight_peak = src.stats.retx_inflight_peak.max(src.stats.retx_inflight);
-            src.stats.retx_rounds += 1;
-        }
-        step
-    }
-
-    /// Resumes a dropped SEND at its timeout: retransmits the window
-    /// from the lost packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range queue pair.
-    pub fn resume_send(
+    pub fn transfer(
         &mut self,
-        src: &mut Nic,
+        ends: Ends<'_>,
         qp: usize,
         now: SimTime,
-        pkts_left: u32,
         bytes: u64,
+        window: Option<u32>,
     ) -> XferStep {
-        assert!(qp < src.qps.len(), "queue pair {qp} out of range");
-        let step = self.xmit_round(src, qp, now, bytes, pkts_left, true, true);
-        match step {
-            XferStep::Delivered { .. } => src.retx_settled(),
-            XferStep::Dropped { .. } => src.stats.retx_rounds += 1,
-        }
+        let (source, mut reader) = match ends {
+            Ends::Send(src) => (src, None),
+            Ends::Read { reader, source } => (source, Some(reader)),
+        };
+        assert!(qp < source.qps.len(), "queue pair {qp} out of range");
+        let total = self.profile.packets_for(bytes);
+        let step = match (reader.as_deref_mut(), window) {
+            (None, None) => {
+                source.stats.sends += 1;
+                source.qps[qp].msgs += 1;
+                let every = self.profile.migrate_every;
+                if every > 0 && source.qps[qp].msgs % every == 0 {
+                    self.migrate(source, qp);
+                }
+                self.xmit_round(source, qp, now, bytes, total, false, true)
+            }
+            (None, Some(pkts)) => self.xmit_round(source, qp, now, bytes, pkts, true, true),
+            (Some(_), Some(pkts)) if pkts <= total => {
+                self.xmit_round(source, qp, now, bytes, pkts, true, false)
+            }
+            (Some(reader), _) => {
+                // The request: a first try, or the retry of a lost one.
+                reader.stats.one_sided += u64::from(window.is_none());
+                reader.stats.retransmits += u64::from(window.is_some());
+                reader.stats.packets += 1;
+                match self.pkt_fails(reader) {
+                    Some(corrupted) => {
+                        reader.stats.corrupt_refetched += u64::from(corrupted);
+                        let resume_at = now + self.rto();
+                        XferStep::Dropped { resume_at, pkts_left: total + 1, corrupted }
+                    }
+                    None => {
+                        let request_at = now + self.latency_on(self.qp_path(source, qp));
+                        self.xmit_round(source, qp, request_at, bytes, total, false, false)
+                    }
+                }
+            }
+        };
+        reader.unwrap_or(source).book_round(step, window.is_some());
         step
     }
 
-    /// Issues a one-sided RDMA READ: `reader` pulls `bytes` from the
-    /// remote `source` NIC's memory, using `qp`'s path pin on the
-    /// source side. Returns either the instant the data has fully
-    /// arrived at the reader or a [`XferStep::Dropped`] point to
-    /// resume with [`Fabric::resume_pull`]. No remote CPU involvement.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range source queue pair.
+    /// What resending a parked `window` of a `bytes` message puts back
+    /// on the wire: the packets it retransmits, and whether they leave
+    /// the reader of a READ (`read`) rather than the NIC the data
+    /// leaves. Only a READ whose request was lost resends from the
+    /// reader, and then only that one header packet.
+    pub fn resend(&self, read: bool, bytes: u64, window: u32) -> (u32, bool) {
+        if read && window > self.profile.packets_for(bytes) {
+            (1, true)
+        } else {
+            (window, false)
+        }
+    }
+
+    /// Posts a two-sided SEND of `bytes` on `qp` of `src`: a first
+    /// [`Fabric::transfer`].
+    pub fn send_burst(&mut self, src: &mut Nic, qp: usize, now: SimTime, bytes: u64) -> XferStep {
+        self.transfer(Ends::Send(src), qp, now, bytes, None)
+    }
+
+    /// Issues a one-sided RDMA READ of `bytes` from `source`'s memory
+    /// by `reader` over `qp`: a first [`Fabric::transfer`].
     pub fn pull_burst(
         &mut self,
         reader: &mut Nic,
@@ -576,43 +603,11 @@ impl Fabric {
         now: SimTime,
         bytes: u64,
     ) -> XferStep {
-        assert!(qp < source.qps.len(), "queue pair {qp} out of range");
-        reader.stats.one_sided += 1;
-        let total = self.profile.packets_for(bytes);
-        // The read request is one tiny header-only packet reader →
-        // source: counted against the reader NIC (no payload bytes, no
-        // path — it rides the reverse direction).
-        reader.stats.packets += 1;
-        if let Some(corrupted) = self.request_pkt_failure(reader) {
-            reader.stats.retx_inflight += 1;
-            reader.stats.retx_inflight_peak =
-                reader.stats.retx_inflight_peak.max(reader.stats.retx_inflight);
-            reader.stats.retx_rounds += 1;
-            return XferStep::Dropped {
-                resume_at: now + self.rto(),
-                pkts_left: total + 1,
-                corrupted,
-            };
-        }
-        let p = self.qp_path(source, qp);
-        let request_at = now + self.latency_on(p);
-        let step = self.xmit_round(source, qp, request_at, bytes, total, false, false);
-        if matches!(step, XferStep::Dropped { .. }) {
-            reader.stats.retx_inflight += 1;
-            reader.stats.retx_inflight_peak =
-                reader.stats.retx_inflight_peak.max(reader.stats.retx_inflight);
-            reader.stats.retx_rounds += 1;
-        }
-        step
+        self.transfer(Ends::Read { reader, source }, qp, now, bytes, None)
     }
 
-    /// Resumes a dropped RDMA READ at its timeout. `pkts_left` greater
-    /// than the data packet count means the read *request* itself was
-    /// lost and is retried first.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range source queue pair.
+    /// Resumes a dropped RDMA READ with the `pkts_left` window its
+    /// [`XferStep::Dropped`] parked.
     pub fn resume_pull(
         &mut self,
         reader: &mut Nic,
@@ -622,34 +617,7 @@ impl Fabric {
         pkts_left: u32,
         bytes: u64,
     ) -> XferStep {
-        assert!(qp < source.qps.len(), "queue pair {qp} out of range");
-        let total = self.profile.packets_for(bytes);
-        let step = if pkts_left > total {
-            // Retry the request packet (a retransmission of the
-            // header-only request, charged to the reader NIC).
-            reader.stats.packets += 1;
-            reader.stats.retransmits += 1;
-            if let Some(corrupted) = self.request_pkt_failure(reader) {
-                reader.stats.retx_rounds += 1;
-                return XferStep::Dropped {
-                    resume_at: now + self.rto(),
-                    pkts_left: total + 1,
-                    corrupted,
-                };
-            }
-            let p = self.qp_path(source, qp);
-            let request_at = now + self.latency_on(p);
-            // The data packets were never transmitted (only the
-            // request was lost), so this round is a first try.
-            self.xmit_round(source, qp, request_at, bytes, total, false, false)
-        } else {
-            self.xmit_round(source, qp, now, bytes, pkts_left, true, false)
-        };
-        match step {
-            XferStep::Delivered { .. } => reader.retx_settled(),
-            XferStep::Dropped { .. } => reader.stats.retx_rounds += 1,
-        }
-        step
+        self.transfer(Ends::Read { reader, source }, qp, now, bytes, Some(pkts_left))
     }
 }
 
@@ -673,9 +641,21 @@ mod tests {
                     resume_at,
                     pkts_left,
                     ..
-                } => step = f.resume_send(src, qp, resume_at, pkts_left, bytes),
+                } => step = resend(f, src, qp, resume_at, pkts_left, bytes),
             }
         }
+    }
+
+    /// Resumes a parked SEND window of `pkts` packets at `now`.
+    fn resend(
+        f: &mut Fabric,
+        src: &mut Nic,
+        qp: usize,
+        now: SimTime,
+        pkts: u32,
+        bytes: u64,
+    ) -> XferStep {
+        f.transfer(Ends::Send(src), qp, now, bytes, Some(pkts))
     }
 
     /// Drives one RDMA READ on queue pair 0 to delivery the way the
@@ -875,7 +855,7 @@ mod tests {
             {
                 assert!(pkts_left >= 1 && pkts_left <= total);
                 windows.push(pkts_left);
-                step = f.resume_send(&mut nic, 0, resume_at, pkts_left, bytes);
+                step = resend(&mut f, &mut nic, 0, resume_at, pkts_left, bytes);
             }
             let rounds = windows.len() as u64;
             if rounds < 3 || !windows.iter().any(|w| *w < total) {
@@ -980,15 +960,15 @@ mod tests {
                 assert_eq!(pkts_left, 1);
                 assert!(resume_at.as_micros_f64() >= 10.0);
                 assert_eq!(nic.stats().retx_inflight, 1);
-                // Drive recovery to completion via resume_send.
-                let mut step = f.resume_send(&mut nic, 0, resume_at, pkts_left, 64);
+                // Drive recovery to completion through the resends.
+                let mut step = resend(&mut f, &mut nic, 0, resume_at, pkts_left, 64);
                 while let XferStep::Dropped {
                     resume_at,
                     pkts_left,
                     ..
                 } = step
                 {
-                    step = f.resume_send(&mut nic, 0, resume_at, pkts_left, 64);
+                    step = resend(&mut f, &mut nic, 0, resume_at, pkts_left, 64);
                 }
                 assert_eq!(nic.stats().retx_inflight, 0);
             }
@@ -1072,12 +1052,12 @@ mod tests {
     #[test]
     fn multipath_splits_bandwidth_and_staggers_latency() {
         let p = FabricProfile::connectx6().with_paths(4, 0.2);
-        assert_eq!(p.n_paths(), 4);
+        assert_eq!(p.paths.len(), 4);
         assert!((p.paths[0].bandwidth - 25.0e9 / 4.0).abs() < 1.0);
         assert!(p.paths[3].one_way_latency_us > p.paths[0].one_way_latency_us);
         let mut f = Fabric::new(p.clone(), 3);
         let mut nic = Nic::for_profile(8, &p);
-        assert_eq!(nic.n_paths(), 4);
+        assert_eq!(nic.paths.len(), 4);
         // QPs 0..8 round-robin over paths; sends land on all four.
         for qp in 0..8 {
             send(&mut f, &mut nic, qp, SimTime::ZERO, 4096);
@@ -1121,6 +1101,115 @@ mod tests {
             (times, nic.stats().clone(), nic.path_stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// A seeded script of first sends (from either NIC), first pulls and
+    /// go-back-N resumes, lost pull requests among them, on a fabric with
+    /// 1 % loss, 0.1 % corruption, four paths and migration every 16
+    /// messages. The whole `XferStep` sequence (folded into an FNV-1a
+    /// digest) and every final NIC and path counter are pinned, so a
+    /// change to the order of the fabric's rng draws or to its
+    /// bookkeeping fails here.
+    #[test]
+    fn seeded_transfer_script_is_pinned() {
+        let profile = FabricProfile::connectx6()
+            .with_loss(1e-2, 25.0)
+            .with_corruption(1e-3)
+            .with_paths(4, 0.15)
+            .with_migration(16);
+        let mut f = Fabric::new(profile.clone(), 43);
+        let mut nics = [Nic::for_profile(8, &profile), Nic::for_profile(8, &profile)];
+        let mut script = SimRng::seed_from_u64(11);
+        // A parked window: (resume_at, op, qp, pkts_left, bytes), where op
+        // 0 and 1 are a SEND from that NIC and 2 a pull by NIC 1 from NIC 0.
+        let mut parked = std::collections::VecDeque::new();
+        let (mut digest, mut steps, mut lost_requests) = (0xcbf2_9ce4_8422_2325u64, 0u32, 0u32);
+        let mut first = 0u64;
+        while first < 3_000 || !parked.is_empty() {
+            let resume = !parked.is_empty() && (first >= 3_000 || script.chance(0.3));
+            let (op, qp, bytes, step) = if resume {
+                let (at, op, qp, pkts, bytes) = parked.pop_front().unwrap();
+                let [a, b] = &mut nics;
+                let step = match op {
+                    2 => f.resume_pull(b, a, qp, at, pkts, bytes),
+                    0 => resend(&mut f, a, qp, at, pkts, bytes),
+                    _ => resend(&mut f, b, qp, at, pkts, bytes),
+                };
+                (op, qp, bytes, step)
+            } else {
+                let now = SimTime::from_nanos(first * 1_500);
+                first += 1;
+                let (op, qp) = (script.below(3) as usize, script.below(8) as usize);
+                let [a, b] = &mut nics;
+                if op == 2 {
+                    let bytes = 4096 * script.between(1, 16);
+                    (op, qp, bytes, f.pull_burst(b, a, qp, now, bytes))
+                } else {
+                    let bytes = [32, 96, 64 * 1024][script.below(3) as usize];
+                    (op, qp, bytes, f.send_burst(&mut nics[op], qp, now, bytes))
+                }
+            };
+            let words = match step {
+                XferStep::Delivered { at } => [0, at.as_nanos(), 0],
+                XferStep::Dropped { resume_at, pkts_left, corrupted } => {
+                    parked.push_back((resume_at, op, qp, pkts_left, bytes));
+                    lost_requests += u32::from(pkts_left > f.profile().packets_for(bytes));
+                    [1 + u64::from(corrupted), resume_at.as_nanos(), u64::from(pkts_left)]
+                }
+            };
+            for w in words {
+                digest = (digest ^ w).wrapping_mul(0x100_0000_01b3);
+            }
+            steps += 1;
+        }
+        assert_eq!((steps, lost_requests, digest), (3_251, 13, 0x502a_54fe_9c4f_a9d1));
+        let [a, b] = &nics;
+        let a_stats = NicStats {
+            sends: 1_010,
+            one_sided: 0,
+            bytes_out: 61_122_592,
+            packets: 15_583,
+            drops: 141,
+            retransmits: 1_037,
+            retx_rounds: 73,
+            retx_inflight: 0,
+            retx_inflight_peak: 2,
+            corrupt_injected: 13,
+            corrupt_detected: 13,
+            corrupt_refetched: 89,
+        };
+        let b_stats = NicStats {
+            sends: 991,
+            one_sided: 999,
+            bytes_out: 25_318_912,
+            packets: 7_839,
+            drops: 87,
+            retransmits: 629,
+            retx_rounds: 178,
+            retx_inflight: 0,
+            retx_inflight_peak: 3,
+            corrupt_injected: 10,
+            corrupt_detected: 10,
+            corrupt_refetched: 63,
+        };
+        assert_eq!((a.stats(), b.stats()), (&a_stats, &b_stats));
+        let paths = |n: &Nic| {
+            let stats = n.path_stats();
+            stats.iter().map(|s| (s.packets, s.bytes, s.drops, s.retransmits)).collect::<Vec<_>>()
+        };
+        let a_paths = [
+            (4_409, 17_357_504, 32, 280),
+            (3_421, 13_407_680, 36, 214),
+            (4_033, 15_769_408, 38, 250),
+            (3_720, 14_588_000, 35, 293),
+        ];
+        let b_paths = [
+            (1_855, 6_908_448, 19, 167),
+            (1_509, 5_547_168, 18, 187),
+            (1_536, 5_642_912, 21, 147),
+            (1_927, 7_220_384, 18, 115),
+        ];
+        assert_eq!((paths(a), paths(b)), (a_paths.to_vec(), b_paths.to_vec()));
     }
 
     proptest! {

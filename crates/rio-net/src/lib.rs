@@ -18,17 +18,23 @@
 //! 4. **Packetized, lossy, multi-path transport** — messages segment
 //!    into MTU packets, each packet samples a deterministic drop, and
 //!    every NIC can spread queue pairs over asymmetric paths (distinct
-//!    latency/bandwidth/jitter) with optional migration.
+//!    latency/bandwidth/jitter) with optional migration. The paths are
+//!    the whole timing: a [`FabricProfile`] has no latency, bandwidth
+//!    or jitter besides its [`PathProfile`]s, and the fabric and every
+//!    NIC read the same list.
 //!
-//! Like the SSD model, the fabric is passive: every operation takes
-//! `now` and returns one [`fabric::XferStep`] — a delivery instant, or a
-//! `Dropped` resumption point the caller schedules as an event and
-//! resumes there. Nothing retransmits behind the caller's back, so
-//! every resend happens in event order.
+//! Like the SSD model, the fabric is passive. One routine,
+//! [`Fabric::transfer`], moves every message — a SEND or a one-sided
+//! READ between its [`Ends`], first try or go-back-N resend — at `now`
+//! and returns one [`XferStep`]: a delivery instant, or a `Dropped`
+//! window the caller schedules as an event and passes back there.
+//! [`Fabric::resend`] says what such a resend puts on the wire, so the
+//! window's encoding stays here. Nothing retransmits behind the
+//! caller's back, so every resend happens in event order.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod fabric;
 
-pub use fabric::{Fabric, FabricProfile, Nic, NicStats, PathProfile, PathStats, XferStep};
+pub use fabric::{Ends, Fabric, FabricProfile, Nic, NicStats, PathProfile, PathStats, XferStep};

@@ -8,7 +8,7 @@
 //! packets left, whether a corruption failed it) rides in the `Resend`
 //! event that resumes it; the command itself keeps none of it.
 
-use rio_net::XferStep;
+use rio_net::{Ends, XferStep};
 use rio_proto::PmrRecord;
 use rio_sim::SimTime;
 
@@ -141,14 +141,11 @@ impl Cluster {
         let cmd = self.cmd(id);
         let (target, tid) = (cmd.target, cmd.trace);
         let init = self.threads[cmd.thread].init;
-        // The whole remaining window goes back on the wire this round,
-        // each packet annotated exactly once — except after a lost pull
-        // *request*, encoded as `pkts > packets_for(bytes)`: only that
-        // one header packet is a retransmission; the data window, never
-        // transmitted, goes out as a first try.
-        let request_retry =
-            leg == Leg::Pull && pkts > self.fabric.profile().packets_for(leg.bytes(cmd));
-        let n = if request_retry { 1 } else { pkts };
+        // The fabric says what goes back on the wire this round, each
+        // packet annotated exactly once: the whole remaining window, or
+        // after a lost pull request only that one header packet, which
+        // leaves the reader.
+        let (n, from_reader) = self.fabric.resend(leg == Leg::Pull, leg.bytes(cmd), pkts);
         let n_corrupt = if corrupt { n } else { 0 };
         if let Some(tr) = &mut self.trace {
             if corrupt {
@@ -158,9 +155,9 @@ impl Cluster {
             }
         }
         if let Some(tm) = &mut self.telemetry {
-            // Charged to the NIC that transmits: a pull's data window
-            // leaves the initiator (the source), its request the target.
-            if leg == Leg::Completion || request_retry {
+            // Charged to the NIC that transmits: the target sends the
+            // completion and a pull's request, the initiator the rest.
+            if leg == Leg::Completion || from_reader {
                 tm.retx_target(now, target, n, n_corrupt);
             } else {
                 tm.retx_initiator(now, init, n, n_corrupt);
@@ -181,19 +178,13 @@ impl Cluster {
         let (target, bytes) = (cmd.target, leg.bytes(cmd));
         let init = self.threads[cmd.thread].init;
         let (init_qp, conn_qp) = (self.target_qp(target, cmd.qp), self.conn_qp(cmd.thread, cmd.qp));
-        let init_nic = &mut self.initiators[init].nic;
-        let target_nic = &mut self.targets[target].nic;
-        let f = &mut self.fabric;
-        let step = match (leg, resend) {
-            (Leg::Capsule, None) => f.send_burst(init_nic, init_qp, now, bytes),
-            (Leg::Capsule, Some(pkts)) => f.resume_send(init_nic, init_qp, now, pkts, bytes),
-            (Leg::Pull, None) => f.pull_burst(target_nic, init_nic, init_qp, now, bytes),
-            (Leg::Pull, Some(pkts)) => {
-                f.resume_pull(target_nic, init_nic, init_qp, now, pkts, bytes)
-            }
-            (Leg::Completion, None) => f.send_burst(target_nic, conn_qp, now, bytes),
-            (Leg::Completion, Some(pkts)) => f.resume_send(target_nic, conn_qp, now, pkts, bytes),
+        let (init_nic, target_nic) = (&mut self.initiators[init].nic, &mut self.targets[target].nic);
+        let (ends, qp) = match leg {
+            Leg::Capsule => (Ends::Send(init_nic), init_qp),
+            Leg::Pull => (Ends::Read { reader: target_nic, source: init_nic }, init_qp),
+            Leg::Completion => (Ends::Send(target_nic), conn_qp),
         };
+        let step = self.fabric.transfer(ends, qp, now, bytes, resend);
         self.xfer_step(id, leg, step);
     }
 }

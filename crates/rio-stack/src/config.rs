@@ -65,8 +65,9 @@ pub struct FabricConfig {
     /// go-back-N recovery a drop takes. Non-zero rates force
     /// integrity checking on (see [`ClusterConfig::integrity`]).
     pub corrupt_rate: f64,
-    /// Number of asymmetric paths per NIC. The base bandwidth is split
-    /// evenly; path `i` runs at `base_latency * (1 + 0.15 * i)`.
+    /// Number of asymmetric paths per NIC. The base profile's path is
+    /// split: its bandwidth evenly, and path `i` runs at its latency
+    /// times `1 + 0.15 * i`.
     pub paths: usize,
     /// Messages per queue pair between path migrations; `0` pins each
     /// QP to its initial path. When non-zero, a retransmission timeout
@@ -328,6 +329,8 @@ pub enum ConfigError {
     NoCores,
     /// A zero window admits nothing: the run would "finish" at t = 0.
     ZeroWindow,
+    /// The base fabric profile has no path: nothing times its wire.
+    FabricWithoutPaths,
     /// The base fabric profile carries loss, corruption, paths or
     /// migration, which [`FabricConfig::apply`] would overwrite.
     TransportInFabricProfile,
@@ -357,6 +360,7 @@ impl std::fmt::Display for ConfigError {
             TargetWithoutSsds(t) => return write!(f, "target {t} has no SSDs"),
             NoCores => "a server needs at least one core",
             ZeroWindow => "need a non-zero in-flight window",
+            FabricWithoutPaths => "the fabric profile needs a path",
             TransportInFabricProfile => "set loss, corruption, paths and migration in `net`",
             FaultsNeedRio => {
                 "fault injection requires a Rio mode: recovery rebuilds \
@@ -381,9 +385,10 @@ pub struct ClusterConfig {
     pub mode: OrderingMode,
     /// Target servers, one entry each listing the SSDs installed on it.
     pub targets: Vec<Vec<SsdProfile>>,
-    /// Fabric timing profile (latency, bandwidth, jitter, MTU, recovery
-    /// latency); its transport fields must be the lossless single-path
-    /// defaults, because `net` sets them.
+    /// Fabric timing profile: one path (its latency, bandwidth and
+    /// jitter), MTU and recovery latency. Its transport fields must be
+    /// the lossless defaults, because `net` sets them and splits the
+    /// path into `net.paths`.
     pub fabric: FabricProfile,
     /// Fabric transport behavior: loss, corruption, paths, migration.
     pub net: FabricConfig,
@@ -522,7 +527,8 @@ impl ClusterConfig {
         ensure(self.max_inflight_per_stream > 0, ZeroWindow)?;
         let f = &self.fabric;
         let lossless = f.loss_rate == 0.0 && f.corrupt_rate == 0.0 && f.migrate_every == 0;
-        ensure(lossless && f.paths.len() <= 1, TransportInFabricProfile)?;
+        ensure(!f.paths.is_empty(), FabricWithoutPaths)?;
+        ensure(lossless && f.paths.len() == 1, TransportInFabricProfile)?;
         let faults = &self.faults.events;
         let recovers = |e: &FaultEvent| !matches!(e.kind, FaultKind::PacketCorrupt { .. });
         let rio = matches!(self.mode, OrderingMode::Rio { .. });
@@ -593,7 +599,7 @@ mod tests {
         let wl = |threads| Workload::random_4k(threads, 10);
         assert_eq!(good().validate(&wl(2)), Ok(()));
         assert_eq!(good().validate(&wl(1)), Ok(()), "one initiator may keep a spare stream");
-        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 16] = [
+        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 17] = [
             (|_| {}, 0, NoThreads),
             (|c| c.initiators.clear(), 2, NoInitiators),
             (|c| c.initiators[0].streams = 0, 2, InitiatorWithoutStreams),
@@ -603,6 +609,7 @@ mod tests {
             (|c| c.targets[1].clear(), 2, TargetWithoutSsds(1)),
             (|c| c.cores = 0, 2, NoCores),
             (|c| c.max_inflight_per_stream = 0, 2, ZeroWindow),
+            (|c| c.fabric.paths.clear(), 2, FabricWithoutPaths),
             (|c| c.fabric = c.fabric.clone().with_loss(0.05, 25.0), 2, TransportInFabricProfile),
             (|c| c.fabric.corrupt_rate = 1e-3, 2, TransportInFabricProfile),
             (|c| c.fabric.migrate_every = 16, 2, TransportInFabricProfile),

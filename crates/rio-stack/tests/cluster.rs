@@ -130,3 +130,24 @@ fn recovery_traffic_rides_the_wire() {
     assert!(rebuild(&lossy_crash) > rebuild(&crash), "loss cost recovery nothing");
     assert!(lossy_crash.net.retransmits > lossy.net.retransmits, "no recovery packet resent");
 }
+
+/// The fabric profile's path is the wire's timing however many paths
+/// `net` splits it into: a slower path 0 slows the run on one path and
+/// on two.
+#[test]
+fn the_profile_path_times_the_wire_on_one_path_and_on_two() {
+    let p50_us = |paths: usize, one_way_us: Option<f64>| {
+        let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Orderless, 4);
+        cfg.net.paths = paths;
+        if let Some(us) = one_way_us {
+            cfg.fabric.paths[0].one_way_latency_us = us;
+        }
+        let m = Cluster::new(cfg, Workload::random_4k(4, 500)).run();
+        m.group_latency.quantile(0.5).as_micros_f64()
+    };
+    for paths in [1, 2] {
+        let (fast, slow) = (p50_us(paths, None), p50_us(paths, Some(20.0)));
+        // Every crossing of the wire takes 18.2 µs longer.
+        assert!(slow > fast + 10.0, "{paths} path(s): p50 {fast} -> {slow} us");
+    }
+}
