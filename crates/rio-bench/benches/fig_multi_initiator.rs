@@ -1,6 +1,6 @@
 //! Multi-initiator scaling sweep: initiators × streams × targets.
 //!
-//! The ROADMAP's "millions of users" direction in miniature: M
+//! Many tenants sharing a storage pool, in miniature: M
 //! initiators — each with its own sequencer, NIC, completer and stream
 //! slice, one tenant per initiator — converge on a shared set of
 //! targets. Every target NIC serializes the incast on its egress link

@@ -267,7 +267,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
 fn scan_str_body(cs: &[char], n: usize, i: &mut usize, line: &mut u32) {
     while *i < n {
         match cs[*i] {
-            '\\' => *i += 2,
+            '\\' => {
+                // A `\` line continuation escapes the newline it ends on.
+                *line += u32::from(cs.get(*i + 1) == Some(&'\n'));
+                *i += 2;
+            }
             '"' => {
                 *i += 1;
                 return;
@@ -377,6 +381,13 @@ mod tests {
         let src = "let s = \"line one\nline two\";\nNext";
         let toks = lex(src);
         let next = toks.iter().find(|t| t.text == "Next").unwrap();
+        assert_eq!(next.line, 3);
+    }
+
+    #[test]
+    fn line_continuation_in_a_string_advances_line_numbers() {
+        let src = "let s = \"one \\\n two\";\nNext";
+        let next = lex(src).into_iter().find(|t| t.text == "Next").unwrap();
         assert_eq!(next.line, 3);
     }
 

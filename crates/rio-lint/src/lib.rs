@@ -19,12 +19,22 @@
 //! | S3 | every crate root carries `#![deny(missing_docs)]` |
 //! | S4 | inline suppressions must name a real rule, give a reason, and be used |
 //! | S6 | every `pub` item in `crates/*/src` is named by some non-test code besides its declaration |
+//! | G1 | at most 1 000 non-test lines in any `crates/rio-stack/src` file |
+//! | G2 | per-crate budgets of non-test panic sites (`.unwrap()`, `.expect(`, `assert*!(`, …) |
+//! | G3 | no `.round()` in non-test code of `rio-{sim,net,ssd,order,stack}` |
+//! | G4 | no `pin_stream_to_qp:` (a full `ClusterConfig` literal) outside `config.rs` |
+//! | G5 | no identifier containing `fabric_bw` or `one_way` in `cluster/recovery.rs` |
+//! | G6 | no identifier containing `OnceLock`, `thread_local` or `lazy` in `rio-proto` |
+//! | G7 | no manifest names the word `rand` |
+//! | G8 | no `CoreSet`, `qps_per_target`, `stripe_blocks`, `TargetConfig`, `with_cores` |
 //!
-//! A violation may be excused with a line comment starting
+//! A violation of D1–S6 may be excused with a line comment starting
 //! `rio-lint: allow(<rule>) <reason>` placed on the offending line or
 //! the line above; S4 reports any allow that stops matching, so
-//! suppressions cannot rot. Run `cargo run -p rio-lint` to lint the
-//! workspace (exit 0 = clean); CI runs it on every push.
+//! suppressions cannot rot, and any allow of a G row, whose budgets and
+//! bans ([`GUARDS`]) nothing lifts. Run `cargo run -p rio-lint` to lint
+//! the workspace and its manifests (exit 0 = clean); CI runs it on
+//! every push, and the self-lint test runs it under `cargo test`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,14 +42,14 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check, check_all, FileMeta, Finding, EVENT_PATH_CRATES, RULES};
+pub use rules::{check, check_all, FileMeta, Finding, EVENT_PATH_CRATES, GUARDS, RULES};
 
 use std::path::{Path, PathBuf};
 
-/// Directory names never descended into: build output, vendored
-/// third-party shims, VCS state, and the intentionally-violating rule
-/// fixtures under `crates/rio-lint/tests/fixtures/`.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+/// Directory names never descended into: build output, VCS state, and
+/// the intentionally-violating rule fixtures under
+/// `crates/rio-lint/tests/fixtures/`.
+const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// Returns the workspace root, resolved relative to this crate's
 /// manifest so the binary works from any working directory.
@@ -76,7 +86,9 @@ pub fn classify(rel: &str) -> FileMeta {
     }
 }
 
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Collects every `Cargo.toml` and every `.rs` file outside the
+/// vendored third-party shims under `vendor/`.
+fn collect(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -92,22 +104,25 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Resul
             if SKIP_DIRS.contains(&name) || name.starts_with('.') {
                 continue;
             }
-            collect_rs(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+            collect(root, &path, out)?;
+        } else if name == "Cargo.toml"
+            || (name.ends_with(".rs") && !path.starts_with(root.join("vendor")))
+        {
             out.push(path);
         }
     }
     Ok(())
 }
 
-/// Lints every Rust source file under `root` (skipping build output,
-/// vendored shims, VCS state and the lint's own fixtures).
+/// Lints every Rust source file and manifest under `root` (skipping
+/// build output, vendored sources, VCS state and the lint's own
+/// fixtures).
 ///
 /// Returns `(files scanned, findings)`; findings are sorted by path,
 /// line, then rule, so output (and CI logs) are stable.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Finding>)> {
     let mut paths = Vec::new();
-    collect_rs(root, root, &mut paths)?;
+    collect(root, root, &mut paths)?;
     let mut files = Vec::new();
     for path in &paths {
         let rel: String = path

@@ -1,9 +1,9 @@
 //! Command-line entry point: `cargo run -p rio-lint [root]`.
 //!
-//! Lints every Rust source file in the workspace (or under the given
-//! root), printing one `file:line: RULE: message` per finding. Exits 0
-//! when clean, 1 on findings, 2 on I/O errors — the same contract the
-//! CI `Lint` step relies on.
+//! Lints every Rust source file and manifest in the workspace (or under
+//! the given root), printing one `file:line: RULE: message` per finding.
+//! Exits 0 when clean, 1 on findings, 2 on I/O errors — the same
+//! contract the CI `Lint` step relies on.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

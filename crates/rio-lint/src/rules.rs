@@ -1,12 +1,13 @@
-//! The rule engine: determinism (D1–D4) and safety (S1–S6) rules.
+//! The rule engine: determinism (D1–D4) and safety (S1–S6) rules, and
+//! the guard table ([`GUARDS`], G1–G8).
 //!
 //! Rules operate on the token stream produced by [`crate::lexer`], so
 //! comments, string literals and raw strings can never hide or fake a
 //! violation. Each rule reports `file:line:rule`; inline suppressions
 //! (see [`check`]) excuse a single line with a recorded reason, and
 //! suppressions that no longer excuse anything are themselves reported
-//! so allows cannot rot. S6 is the one rule that needs every file at
-//! once, so it runs from [`check_all`].
+//! so allows cannot rot. S6 and the guards need every file at once, so
+//! they run from [`check_all`]; no allow lifts a guard.
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -17,7 +18,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line of the violation.
     pub line: u32,
-    /// Rule id (`D1` … `S6`).
+    /// Rule id (`D1` … `S6`, `G1` … `G8`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub msg: String,
@@ -71,6 +72,132 @@ const D2_ALLOWED: &[&str] = &["crates/rio-bench/benches/sim_engine.rs"];
 /// are flagged by S4.
 pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "S1", "S2", "S3", "S4", "S6"];
 
+/// What a [`Guard`] row counts as a hit in one file.
+#[derive(Debug, Clone, Copy)]
+pub enum Check {
+    /// The file itself, when it has more non-test lines than this.
+    Lines(usize),
+    /// These space-separated token sequences (`.expect(`) in non-test
+    /// code.
+    Sites(&'static str),
+    /// These token sequences in any code, test code included.
+    Tokens(&'static str),
+    /// Identifiers containing one of these, test code included.
+    Infix(&'static str),
+    /// These words on any line of a `Cargo.toml`.
+    Words(&'static str),
+}
+
+/// One row of the guard table: an invariant with a scope and a budget.
+#[derive(Debug, Clone, Copy)]
+pub struct Guard {
+    /// Rule id (`G1` …).
+    pub rule: &'static str,
+    /// What counts as a hit.
+    pub check: Check,
+    /// Path prefixes in scope, each with the hits allowed under it
+    /// (0 bans). Over budget, every hit under the prefix is reported.
+    pub within: &'static [(&'static str, usize)],
+    /// Files in scope that the row exempts.
+    pub except: &'static [&'static str],
+    /// Why the invariant holds, quoted in every finding.
+    pub reason: &'static str,
+}
+
+/// A panic site, as ROADMAP item 6 counts them.
+const PANIC_SITES: &str = ".unwrap() .expect( unreachable! panic!( assert!( assert_eq!( \
+                           assert_ne!( debug_assert!( debug_assert_eq!( debug_assert_ne!(";
+
+/// Every tree of workspace code but `benchmark/`.
+const ALL_CODE: &[(&str, usize)] = &[("crates/", 0), ("src/", 0), ("tests/", 0), ("examples/", 0)];
+
+/// The guard table. Its rows take no suppression: S4 reports any
+/// allow that names one.
+pub const GUARDS: &[Guard] = &[
+    Guard {
+        rule: "G1",
+        check: Check::Lines(1000),
+        within: &[("crates/rio-stack/src/", 0)],
+        except: &[],
+        reason: "`cluster.rs` once accreted to 3 900 lines; split a file by role instead",
+    },
+    Guard {
+        rule: "G2",
+        check: Check::Sites(PANIC_SITES),
+        within: &[
+            ("crates/rio-stack/src/", 23),
+            ("crates/rio-ssd/src/", 7),
+            ("crates/rio-order/src/", 36),
+            ("crates/rio-sim/src/", 8),
+            ("crates/rio-proto/src/", 7),
+            ("crates/rio-net/src/", 4),
+            ("crates/rio-block/src/", 4),
+        ],
+        except: &[],
+        reason: "each budget is the count its crate reached; retiring sites lowers it, \
+                 nothing raises it",
+    },
+    Guard {
+        rule: "G3",
+        check: Check::Sites(".round()"),
+        within: &[
+            ("crates/rio-sim/src/", 0),
+            ("crates/rio-net/src/", 0),
+            ("crates/rio-ssd/src/", 0),
+            ("crates/rio-order/src/", 0),
+            ("crates/rio-stack/src/", 0),
+        ],
+        except: &[],
+        reason: "f64::round is a software call on the x86-64 baseline; round through \
+                 rio_sim::time::round_u64",
+    },
+    Guard {
+        rule: "G4",
+        check: Check::Tokens("pin_stream_to_qp:"),
+        within: ALL_CODE,
+        except: &["crates/rio-stack/src/config.rs"],
+        reason: "a ClusterConfig literal naming every field grows with each new field; build \
+                 one from ClusterConfig::new or a canned constructor with overrides",
+    },
+    Guard {
+        rule: "G5",
+        check: Check::Infix("fabric_bw one_way"),
+        within: &[("crates/rio-stack/src/cluster/recovery.rs", 0)],
+        except: &[],
+        reason: "recovery's messages ride the event-driven wire legs, so recovery computes \
+                 no wire time from the fabric profile",
+    },
+    Guard {
+        rule: "G6",
+        check: Check::Infix("OnceLock thread_local lazy"),
+        within: &[("crates/rio-proto/src/", 0)],
+        except: &[],
+        reason: "checksum tables are const; one built on first use allocates in the first \
+                 repetition only",
+    },
+    Guard {
+        rule: "G7",
+        check: Check::Words("rand"),
+        within: &[
+            ("Cargo.toml", 0),
+            ("crates/", 0),
+            ("vendor/", 0),
+            ("benchmark/", 0),
+        ],
+        except: &[],
+        reason: "rio_sim::SimRng is the only generator, and D3 exempts test code, so no \
+                 manifest may name the rand crate",
+    },
+    Guard {
+        rule: "G8",
+        check: Check::Tokens("CoreSet qps_per_target stripe_blocks TargetConfig with_cores"),
+        within: ALL_CODE,
+        except: &[],
+        reason: "ClusterConfig::cores is every server's driver cores and every connection's \
+                 queue pairs, and the stripe is STRIPE_BLOCKS",
+    },
+];
+
 /// An inline suppression parsed from a line comment of the form
 /// `rio-lint: allow(<rule>) <reason>` (the comment must start with the
 /// marker). It excuses findings of `<rule>` on its own line and the
@@ -93,35 +220,129 @@ fn finding(meta: &FileMeta, line: u32, rule: &'static str, msg: String) -> Findi
 }
 
 /// Lints one file's source text under the given classification: every
-/// rule that needs no other file (all but S6).
+/// rule that needs no other file (all but S6 and the guards).
 ///
 /// The binary and the golden tests both reach this, so fixtures
 /// exercise exactly the code CI runs.
 pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
-    check_toks(&lex(src), meta, Vec::new())
+    let toks = lex(src);
+    check_toks(&toks, &test_regions(&toks), meta, Vec::new())
 }
 
-/// Lints a set of files together: the single-file rules on each, plus
-/// S6 over all of them, with one file's suppressions applied to its
-/// findings from both passes. Findings come out in input order.
+/// Lints a set of files together: the single-file rules on each Rust
+/// file, S6 over all of them with one file's suppressions applied to
+/// its findings from both passes, then the guard table over every file,
+/// `Cargo.toml` manifests included. Findings come out in input order,
+/// guard findings last.
 pub fn check_all(files: &[(FileMeta, String)]) -> Vec<Finding> {
     let lexed: Vec<Vec<Tok>> = files.iter().map(|(_, src)| lex(src)).collect();
-    let mut unreached = unreached_pub_items(files, &lexed);
+    let in_test: Vec<Vec<bool>> = lexed.iter().map(|toks| test_regions(toks)).collect();
+    let mut unreached = unreached_pub_items(files, &lexed, &in_test);
     let mut out = Vec::new();
-    for ((meta, _), toks) in files.iter().zip(&lexed) {
-        let (mine, rest) = unreached.into_iter().partition(|f| f.path == meta.rel);
-        unreached = rest;
-        out.extend(check_toks(toks, meta, mine));
+    for (((meta, _), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
+        if !is_manifest(meta) {
+            let (mine, rest) = unreached.into_iter().partition(|f| f.path == meta.rel);
+            unreached = rest;
+            out.extend(check_toks(toks, test, meta, mine));
+        }
+    }
+    for g in GUARDS {
+        for &(prefix, max) in g.within {
+            let mut hits = Vec::new();
+            for (((meta, src), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
+                if meta.rel.starts_with(prefix) && !g.except.contains(&meta.rel.as_str()) {
+                    let found = guard_hits(g.check, meta, src, toks, test);
+                    hits.extend(found.into_iter().map(|(line, what)| (meta, line, what)));
+                }
+            }
+            if hits.len() > max {
+                let n = hits.len();
+                out.extend(hits.into_iter().map(|(meta, line, what)| {
+                    let msg = format!("{what}: {n} under `{prefix}`, {max} allowed; {}", g.reason);
+                    finding(meta, line, g.rule, msg)
+                }));
+            }
+        }
     }
     out
 }
 
-/// Whether S6 treats the whole file as test code: anything under a
-/// `tests/` tree, and a `tests.rs` module file (declared `#[cfg(test)]`
-/// by its parent, which a per-file scan cannot see). Benches and
-/// examples are real callers.
-fn s6_test_file(rel: &str) -> bool {
+/// Whether the file is a manifest, which only [`Check::Words`] reads.
+fn is_manifest(meta: &FileMeta) -> bool {
+    meta.rel.ends_with("Cargo.toml")
+}
+
+/// Whether the whole file is test code: anything under a `tests/`
+/// tree, and a `tests.rs` module file (declared `#[cfg(test)]` by its
+/// parent, which a per-file scan cannot see). S6 and the guards read
+/// it so; for S6, benches and examples are real callers.
+fn test_file(rel: &str) -> bool {
     rel.split('/').any(|p| p == "tests" || p == "tests.rs")
+}
+
+/// One file's hits of a guard `check`, as `(line, what was hit)`.
+fn guard_hits(
+    check: Check,
+    meta: &FileMeta,
+    src: &str,
+    toks: &[Tok],
+    in_test: &[bool],
+) -> Vec<(u32, String)> {
+    let rust = !is_manifest(meta);
+    let non_test = rust && !test_file(&meta.rel);
+    let (pats, tests, infix) = match check {
+        Check::Lines(max) if non_test => {
+            let n = non_test_lines(src, toks, in_test);
+            let over = (n > max).then(|| (1, format!("{n} non-test lines, over {max}")));
+            return over.into_iter().collect();
+        }
+        Check::Words(words) if !rust => {
+            let word = |w: &str| words.split_whitespace().any(|x| x == w);
+            let named = |l: &&str| {
+                l.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .any(word)
+            };
+            let lines = src.lines().zip(1..).filter(|(l, _)| named(l));
+            return lines.map(|(l, n)| (n, format!("`{}`", l.trim()))).collect();
+        }
+        Check::Sites(pats) if non_test => (pats, false, false),
+        Check::Tokens(pats) if rust => (pats, true, false),
+        Check::Infix(pats) if rust => (pats, true, true),
+        _ => return Vec::new(),
+    };
+    let pats: Vec<Vec<Tok>> = pats.split_whitespace().map(lex).collect();
+    let code = code_of(toks);
+    let mut hits = Vec::new();
+    for ci in (0..code.len()).filter(|&ci| tests || !in_test[code[ci]]) {
+        for pat in &pats {
+            let seq = &code[ci..code.len().min(ci + pat.len())];
+            let hit = seq.len() == pat.len()
+                && pat.iter().zip(seq).all(|(p, &ti)| {
+                    let t = &toks[ti];
+                    t.kind == p.kind && (t.text == p.text || infix && t.text.contains(&p.text))
+                });
+            if hit {
+                let text: String = seq.iter().map(|&ti| toks[ti].text.as_str()).collect();
+                hits.push((toks[code[ci]].line, format!("`{text}`")));
+            }
+        }
+    }
+    hits
+}
+
+/// The file's lines less those a test region spans, from the line of
+/// its attribute to the line of its closing brace.
+fn non_test_lines(src: &str, toks: &[Tok], in_test: &[bool]) -> usize {
+    let lines = src.lines().count();
+    let mut test = vec![false; lines + 2];
+    for (i, t) in toks.iter().enumerate().filter(|(i, _)| in_test[*i]) {
+        let prev = i.checked_sub(1).filter(|&p| in_test[p]);
+        let from = prev.map_or(t.line, |p| toks[p].line);
+        for l in from..=t.line {
+            test[l as usize] = true;
+        }
+    }
+    lines - test[1..=lines].iter().filter(|t| **t).count()
 }
 
 /// S6: a `pub` item declared in the non-test part of `crates/<c>/src`
@@ -132,18 +353,21 @@ fn s6_test_file(rel: &str) -> bool {
 /// (`new`, `len`) are never flagged — the conservative side. Integration
 /// tests are not references: an item only they name is an item nothing
 /// in the product reaches.
-fn unreached_pub_items(files: &[(FileMeta, String)], lexed: &[Vec<Tok>]) -> Vec<Finding> {
+fn unreached_pub_items(
+    files: &[(FileMeta, String)],
+    lexed: &[Vec<Tok>],
+    in_test: &[Vec<bool>],
+) -> Vec<Finding> {
     const ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const"];
     let mut uses: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
     let mut decls: Vec<(&FileMeta, &Tok)> = Vec::new();
-    for ((meta, _), toks) in files.iter().zip(lexed) {
-        if s6_test_file(&meta.rel) {
+    for (((meta, _), toks), in_test) in files.iter().zip(lexed).zip(in_test) {
+        if test_file(&meta.rel) || is_manifest(meta) {
             continue;
         }
-        let in_test = test_regions(toks);
         let code: Vec<&Tok> = toks
             .iter()
-            .zip(&in_test)
+            .zip(in_test)
             .filter(|(t, test)| {
                 !**test && !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
             })
@@ -232,18 +456,15 @@ fn unreached_pub_items(files: &[(FileMeta, String)], lexed: &[Vec<Tok>]) -> Vec<
 /// The single-file rules over `toks`, then suppressions and their
 /// hygiene over those findings and `extra` (this file's share of a
 /// cross-file pass).
-fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding> {
-    let in_test = test_regions(toks);
+fn check_toks(
+    toks: &[Tok],
+    in_test: &[bool],
+    meta: &FileMeta,
+    extra: Vec<Finding>,
+) -> Vec<Finding> {
     let mut sups = collect_suppressions(toks);
     let safety = safety_comment_lines(toks);
-
-    // Indices of non-comment tokens, for sequence matching.
-    let code: Vec<usize> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
+    let code = code_of(toks);
 
     let event_path = EVENT_PATH_CRATES.contains(&meta.krate.as_str());
     let rel = meta.rel.as_str();
@@ -399,7 +620,17 @@ fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding
 
     // S4: suppression hygiene.
     for s in &sups {
-        if !RULES.contains(&s.rule.as_str()) {
+        if GUARDS.iter().any(|g| g.rule == s.rule) {
+            out.push(finding(
+                meta,
+                s.line,
+                "S4",
+                format!(
+                    "{} is a guard: no allow raises its budget or lifts its ban",
+                    s.rule
+                ),
+            ));
+        } else if !RULES.contains(&s.rule.as_str()) {
             out.push(finding(
                 meta,
                 s.line,
@@ -433,6 +664,13 @@ fn check_toks(toks: &[Tok], meta: &FileMeta, extra: Vec<Finding>) -> Vec<Finding
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
+}
+
+/// Indices of the non-comment tokens, for sequence matching.
+fn code_of(toks: &[Tok]) -> Vec<usize> {
+    (0..toks.len())
+        .filter(|&i| !matches!(toks[i].kind, TokKind::LineComment | TokKind::BlockComment))
+        .collect()
 }
 
 /// True when the ident at `code[ci]` is followed by `::name` (a path
@@ -561,20 +799,16 @@ fn collect_suppressions(toks: &[Tok]) -> Vec<Suppression> {
     out
 }
 
-/// Marks every token inside a `#[cfg(test)]` / `#[test]` item body.
+/// Marks every token of a `#[cfg(test)]` / `#[test]` item, attribute
+/// included: this decides what every rule and guard calls test code.
 ///
 /// The scan is syntactic: an attribute group whose idents include
 /// `test` (and not `not`, so `#[cfg(not(test))]` stays non-test)
-/// marks the attached item's brace-delimited body, found by walking to
-/// the first `{` before any top-level `;`, then to its matching `}`.
+/// marks the attached item through the `}` matching the first `{`
+/// before any top-level `;`, or through that `;`.
 fn test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut flag = vec![false; toks.len()];
-    let code: Vec<usize> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
+    let code = code_of(toks);
 
     let mut ci = 0usize;
     while ci < code.len() {
@@ -636,36 +870,21 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
             }
             k += 1;
         }
-        // Find the item body: the first `{` before a top-level `;`.
-        let mut open = None;
-        let mut b = k;
-        while b < code.len() {
-            let t = &toks[code[b]];
-            if t.text == ";" {
-                break;
-            }
-            if t.text == "{" {
-                open = Some(b);
-                break;
-            }
-            b += 1;
+        // The item ends at the `}` matching its body's first `{`, or at
+        // the `;` of a body-less item (`#[cfg(test)] mod tests;`).
+        let mut e = k;
+        while e < code.len() && !matches!(toks[code[e]].text.as_str(), ";" | "{") {
+            e += 1;
         }
-        let Some(open) = open else {
-            ci = j + 1;
-            continue;
-        };
-        // Match the closing brace.
         let mut d = 0usize;
-        let mut e = open;
         while e < code.len() {
-            let t = &toks[code[e]];
-            if t.text == "{" {
-                d += 1;
-            } else if t.text == "}" {
-                d -= 1;
-                if d == 0 {
-                    break;
-                }
+            match toks[code[e]].text.as_str() {
+                "{" => d += 1,
+                "}" => d -= 1,
+                _ => {}
+            }
+            if d == 0 {
+                break;
             }
             e += 1;
         }

@@ -1,9 +1,9 @@
-//! Golden tests: every rule fires on its fixture at the expected
-//! lines, suppression hygiene is enforced, the binary reports
+//! Golden tests: every rule and guard row fires on its fixture at the
+//! expected lines, suppression hygiene is enforced, the binary reports
 //! `file:line:rule` and exits nonzero, and the real workspace is
 //! lint-clean.
 
-use rio_lint::{check, check_all, classify, FileMeta};
+use rio_lint::{check, check_all, classify, FileMeta, GUARDS};
 use std::path::{Path, PathBuf};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -186,6 +186,241 @@ fn classify_knows_crate_roots_and_test_dirs() {
 }
 
 // ---------------------------------------------------------------------
+// Guard rows: each reproduces what its CI grep caught, at the path the
+// grep watched, and stays silent on comments, strings and out-of-scope
+// paths.
+// ---------------------------------------------------------------------
+
+/// Lints `src` as the file at `rel` through the full engine and keeps
+/// the guard findings as `(line, rule)`.
+fn guards_on(src: &str, rel: &str) -> Vec<(u32, &'static str)> {
+    let found = check_all(&[(classify(rel), src.to_string())]);
+    found
+        .iter()
+        .filter(|f| f.rule.starts_with('G'))
+        .map(|f| (f.line, f.rule))
+        .collect()
+}
+
+fn guard_fixture(name: &str, rel: &str) -> Vec<(u32, &'static str)> {
+    guards_on(
+        &std::fs::read_to_string(fixture_path(name)).expect("read fixture"),
+        rel,
+    )
+}
+
+#[test]
+fn g1_bounds_rio_stack_files_at_1000_non_test_lines() {
+    let body = "pub fn f() {}\n".repeat(999);
+    let tests = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+    let at_bound = format!("//! One thousand lines.\n{body}{tests}");
+    assert_eq!(guards_on(&at_bound, "crates/rio-stack/src/big.rs"), vec![]);
+    let over = format!("//! One thousand and one lines.\npub fn g() {{}}\n{body}");
+    assert_eq!(
+        guards_on(&over, "crates/rio-stack/src/big.rs"),
+        vec![(1, "G1")]
+    );
+    // Test-only modules and other crates are not bounded.
+    assert_eq!(
+        guards_on(&over, "crates/rio-stack/src/cluster/tests.rs"),
+        vec![]
+    );
+    assert_eq!(guards_on(&over, "crates/rio-ssd/src/big.rs"), vec![]);
+}
+
+/// A `rio-stack` file with `n` non-test `.expect(` sites, plus sites in
+/// a comment, a string, a `#[cfg(test)]` fn and a test module, which
+/// do not count.
+fn expects(n: usize) -> String {
+    let sites = "    let _ = x.expect(\"held\");\n".repeat(n);
+    format!(
+        "//! Panic sites.\n// x.expect( in a comment\npub fn f(x: Option<u8>) {{\n{sites}    \
+         let _ = \"x.unwrap()\";\n}}\n#[cfg(test)]\nfn g() {{ None::<u8>.unwrap(); }}\n\
+         #[cfg(test)]\nmod tests {{\n    fn t() {{ assert!(Some(1).expect(\"x\") == 1); }}\n}}\n"
+    )
+}
+
+#[test]
+fn g2_reports_every_panic_site_of_a_crate_over_budget() {
+    assert_eq!(
+        guards_on(&expects(23), "crates/rio-stack/src/sites.rs"),
+        vec![]
+    );
+    let over = guards_on(&expects(24), "crates/rio-stack/src/sites.rs");
+    assert_eq!(over, (4..28).map(|l| (l, "G2")).collect::<Vec<_>>());
+    // The budget is the crate's: 23 in each of two files is 46.
+    let src = expects(23);
+    let files = [
+        (classify("crates/rio-stack/src/a.rs"), src.clone()),
+        (classify("crates/rio-stack/src/b.rs"), src),
+    ];
+    let found = check_all(&files);
+    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 46);
+    assert!(
+        found[0]
+            .msg
+            .contains("46 under `crates/rio-stack/src/`, 23 allowed"),
+        "{found:?}"
+    );
+    // Every counted form, and `tests.rs` counting none of them.
+    let forms = "pub fn f(x: Option<u8>) {\n    x.unwrap();\n    unreachable!();\n    panic!();\n    \
+                 assert!(true);\n    assert_eq!(1, 1);\n    assert_ne!(1, 2);\n    debug_assert!(true);\n    \
+                 debug_assert_eq!(1, 1);\n    debug_assert_ne!(1, 2);\n}\n";
+    assert_eq!(
+        guards_on(forms, "crates/rio-net/src/f.rs"),
+        (2..11).map(|l| (l, "G2")).collect::<Vec<_>>()
+    );
+    assert_eq!(guards_on(forms, "crates/rio-net/src/tests.rs"), vec![]);
+}
+
+#[test]
+fn g3_fires_on_round_in_event_path_non_test_code() {
+    assert_eq!(
+        guard_fixture("g3_round.rs", "crates/rio-sim/src/time.rs"),
+        vec![(5, "G3")]
+    );
+    assert_eq!(
+        guard_fixture("g3_round.rs", "crates/rio-bench/src/round.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn g4_fires_on_a_full_cluster_config_literal_outside_config_rs() {
+    assert_eq!(
+        guard_fixture("g4_config_literal.rs", "tests/literal.rs"),
+        vec![(18, "G4")]
+    );
+    assert_eq!(
+        guard_fixture("g4_config_literal.rs", "examples/literal.rs"),
+        vec![(18, "G4")]
+    );
+    assert_eq!(
+        guard_fixture("g4_config_literal.rs", "crates/rio-stack/src/config.rs"),
+        vec![]
+    );
+    assert_eq!(
+        guard_fixture("g4_config_literal.rs", "benchmark/src/literal.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn g5_fires_on_wire_time_in_recovery_inside_longer_names() {
+    // Line 8 hits twice: `one_way_latency_us` and `fabric_bw`.
+    assert_eq!(
+        guard_fixture(
+            "g5_recovery_wire.rs",
+            "crates/rio-stack/src/cluster/recovery.rs"
+        ),
+        vec![(7, "G5"), (8, "G5"), (8, "G5")]
+    );
+    assert_eq!(
+        guard_fixture(
+            "g5_recovery_wire.rs",
+            "crates/rio-stack/src/cluster/wire.rs"
+        ),
+        vec![]
+    );
+}
+
+#[test]
+fn g6_fires_on_tables_built_on_first_use_in_rio_proto() {
+    assert_eq!(
+        guard_fixture("g6_lazy_table.rs", "crates/rio-proto/src/crc.rs"),
+        vec![(3, "G6"), (5, "G6"), (5, "G6"), (7, "G6"), (12, "G6")]
+    );
+    assert_eq!(
+        guard_fixture("g6_lazy_table.rs", "crates/rio-ssd/src/crc.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn g7_fires_on_rand_in_any_manifest_dev_dependencies_included() {
+    for rel in [
+        "Cargo.toml",
+        "crates/rio-sim/Cargo.toml",
+        "vendor/shim/Cargo.toml",
+        "benchmark/Cargo.toml",
+    ] {
+        assert_eq!(
+            guard_fixture("g7_rand_dev_dep.toml", rel),
+            vec![(9, "G7")],
+            "{rel}"
+        );
+    }
+    // A Rust file naming `rand` is D3's business, not G7's.
+    assert_eq!(
+        guard_fixture("g7_rand_dev_dep.toml", "crates/rio-sim/src/rand.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn g8_fires_on_a_second_core_pool_anywhere_but_benchmark() {
+    let want = vec![
+        (4, "G8"),
+        (10, "G8"),
+        (12, "G8"),
+        (14, "G8"),
+        (21, "G8"),
+        (21, "G8"),
+        (23, "G8"),
+    ];
+    assert_eq!(
+        guard_fixture("g8_core_set.rs", "crates/rio-stack/src/cores.rs"),
+        want
+    );
+    assert_eq!(guard_fixture("g8_core_set.rs", "tests/cores.rs"), want);
+    assert_eq!(
+        guard_fixture("g8_core_set.rs", "benchmark/src/cores.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn s4_reports_an_allow_of_a_guard_row_which_lifts_nothing() {
+    let ban = "//! Banned.\n// rio-lint: allow(G8) one more pool just this once\nstruct CoreSet;\n";
+    let found = check_all(&[(classify("crates/rio-stack/src/pool.rs"), ban.to_string())]);
+    let got: Vec<_> = found.iter().map(|f| (f.line, f.rule)).collect();
+    assert_eq!(got, vec![(2, "S4"), (3, "G8")], "{found:?}");
+    // Nor does an allow raise a budget.
+    let src = expects(24).replacen(
+        "    let _ = x",
+        "    // rio-lint: allow(G2) the 24th\n    let _ = x",
+        1,
+    );
+    let found = check_all(&[(classify("crates/rio-stack/src/sites.rs"), src)]);
+    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 24);
+    assert_eq!(
+        found.iter().filter(|f| f.rule == "S4").count(),
+        1,
+        "{found:?}"
+    );
+}
+
+#[test]
+fn every_guard_scope_names_a_real_path() {
+    // A renamed file or crate would leave its row guarding nothing.
+    let root = rio_lint::workspace_root();
+    for g in GUARDS {
+        for path in g
+            .within
+            .iter()
+            .map(|(p, _)| *p)
+            .chain(g.except.iter().copied())
+        {
+            assert!(
+                root.join(path).exists(),
+                "{}: `{path}` does not exist",
+                g.rule
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Binary end-to-end: a synthetic workspace with one dirty and one
 // clean crate, linted through the real walker + CLI.
 // ---------------------------------------------------------------------
@@ -220,6 +455,34 @@ fn binary_names_file_line_rule_and_exits_nonzero() {
         "findings must name file:line:rule, got:\n{stdout}"
     );
     assert!(stdout.contains("crates/rio-order/src/hazards.rs:12: D1:"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binary_reads_manifests_vendor_included_but_not_vendored_sources() {
+    let dir = scratch_workspace("vendor");
+    std::fs::create_dir_all(dir.join("vendor/shim/src")).unwrap();
+    std::fs::copy(
+        fixture_path("g7_rand_dev_dep.toml"),
+        dir.join("vendor/shim/Cargo.toml"),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("vendor/shim/src/lib.rs"),
+        "fn f() { std::time::Instant::now(); }\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rio-lint"))
+        .arg(&dir)
+        .output()
+        .expect("run rio-lint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("vendor/shim/Cargo.toml:9: G7: `rand = \"0.8\"`"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("vendor/shim/src"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

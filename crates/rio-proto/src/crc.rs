@@ -27,7 +27,7 @@
 //!   traffic to speed up (EXPERIMENTS.md, "CRC-32C: one step").
 //!
 //! Every table here and in [`crate::payload`] is `const`-built — nothing
-//! is initialised or allocated at run time, which CI checks by grep —
+//! is initialised or allocated at run time, which rio-lint's G6 checks —
 //! and all of it is safe Rust without intrinsics.
 //!
 //! [`PayloadDigest`] wraps a CRC-32C over a command's payload and is

@@ -1,6 +1,6 @@
 //! Seeded fault-plan fuzz: random topologies, fabrics, observers and
 //! fault plans, each run checked against the invariants every run must
-//! keep (ROADMAP 4(a)/(f), in sampled form). One [`SimRng`] drives the
+//! keep (ROADMAP 2(a)/(f), in sampled form). One [`SimRng`] drives the
 //! whole generator, so a failure replays from `MASTER_SEED` and the
 //! case index alone, and the failing case's configuration and workload
 //! are printed on the way out.
