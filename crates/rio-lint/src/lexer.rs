@@ -72,13 +72,14 @@ pub fn lex(src: &str) -> Vec<Tok> {
     let mut line: u32 = 1;
 
     // Appends cs[start..end] as one token starting on `tl`.
-    let push = |toks: &mut Vec<Tok>, kind: TokKind, cs: &[char], start: usize, end: usize, tl: u32| {
-        toks.push(Tok {
-            kind,
-            text: cs[start..end].iter().collect(),
-            line: tl,
-        });
-    };
+    let push =
+        |toks: &mut Vec<Tok>, kind: TokKind, cs: &[char], start: usize, end: usize, tl: u32| {
+            toks.push(Tok {
+                kind,
+                text: cs[start..end].iter().collect(),
+                line: tl,
+            });
+        };
 
     while i < n {
         let c = cs[i];
@@ -155,7 +156,9 @@ pub fn lex(src: &str) -> Vec<Tok> {
                             i += 1;
                             continue;
                         }
-                        if cs[i] == '"' && i + hashes < n && cs[i + 1..i + 1 + hashes].iter().all(|&x| x == '#')
+                        if cs[i] == '"'
+                            && i + hashes < n
+                            && cs[i + 1..i + 1 + hashes].iter().all(|&x| x == '#')
                         {
                             i += 1 + hashes;
                             break;
@@ -248,7 +251,8 @@ pub fn lex(src: &str) -> Vec<Tok> {
             let start = i;
             let tl = line;
             while i < n
-                && (is_ident_continue(cs[i]) || (cs[i] == '.' && cs.get(i + 1).is_some_and(|d| d.is_ascii_digit())))
+                && (is_ident_continue(cs[i])
+                    || (cs[i] == '.' && cs.get(i + 1).is_some_and(|d| d.is_ascii_digit())))
             {
                 i += 1;
             }
@@ -332,7 +336,10 @@ mod tests {
         assert!(!ids.contains(&"HashMap".to_string()));
         // The raw string is one token.
         assert_eq!(
-            lex(src).iter().filter(|t| t.kind == TokKind::RawStr).count(),
+            lex(src)
+                .iter()
+                .filter(|t| t.kind == TokKind::RawStr)
+                .count(),
             1
         );
     }

@@ -6,16 +6,18 @@
 //! crate enforces the invariant statically, before a run ever
 //! executes, with a hand-rolled comment/string/raw-string-aware lexer
 //! (the workspace is offline-vendored, so no external parser) and a
-//! small rule engine:
+//! small rule engine. Thirteen rules are rows of one table
+//! ([`GUARDS`]) that a single evaluator runs; S1, S3, S4 and S6 are not
+//! token bans and stay as code:
 //!
 //! | Rule | What it enforces |
 //! |------|------------------|
-//! | D1 | no raw `std::collections::HashMap`/`HashSet` in event-path crates |
-//! | D2 | no `Instant::now`/`SystemTime::now` outside rio-bench's `sim_engine` bench |
-//! | D3 | no `rand`/`thread_rng`/`from_entropy` anywhere: `rio_sim::SimRng` is the only generator |
-//! | D4 | no wall-clock date formatting in deterministic output |
+//! | D1 | no raw `HashMap`/`HashSet` in non-test code of the event-path crates (`rio-{sim,order,net,ssd,stack,fs}`) but `rio-sim/src/hash.rs` |
+//! | D2 | no `Instant::now`/`SystemTime::now`, test code included, outside rio-bench's `sim_engine` bench |
+//! | D3 | no `rand`, `thread_rng` or `from_entropy` in non-test code: `rio_sim::SimRng` is the only generator |
+//! | D4 | no wall-clock dates (`chrono`, `Local::now`, `Utc::now`, `strftime`, `asctime`, `OffsetDateTime`) in non-test code |
 //! | S1 | every `unsafe` block carries a `// SAFETY:` comment |
-//! | S2 | no `panic!`/`todo!`/`unimplemented!` in non-test event-path code |
+//! | S2 | no `panic!`/`todo!`/`unimplemented!` in non-test code of the event-path crates |
 //! | S3 | every crate root carries `#![deny(missing_docs)]` |
 //! | S4 | inline suppressions must name a real rule, give a reason, and be used |
 //! | S6 | every `pub` item in `crates/*/src` is named by some non-test code besides its declaration |
@@ -28,13 +30,16 @@
 //! | G7 | no manifest names the word `rand` |
 //! | G8 | no `CoreSet`, `qps_per_target`, `stripe_blocks`, `TargetConfig`, `with_cores` |
 //!
-//! A violation of D1–S6 may be excused with a line comment starting
-//! `rio-lint: allow(<rule>) <reason>` placed on the offending line or
-//! the line above; S4 reports any allow that stops matching, so
-//! suppressions cannot rot, and any allow of a G row, whose budgets and
-//! bans ([`GUARDS`]) nothing lifts. Run `cargo run -p rio-lint` to lint
-//! the workspace and its manifests (exit 0 = clean); CI runs it on
-//! every push, and the self-lint test runs it under `cargo test`.
+//! Test code is a file under a `tests/` tree, a `tests.rs` module, or a
+//! `#[cfg(test)]` / `#[test]` item, for every rule; benches and
+//! examples are product code. A hit of a D or S rule may be excused
+//! with a line comment starting `rio-lint: allow(<rule>) <reason>`
+//! placed on the offending line or the line above; the rule id alone
+//! decides, so nothing lifts a G row. S4 reports any allow that stops
+//! matching, so suppressions cannot rot, and any allow of a G row. Run
+//! `cargo run -p rio-lint` to lint the workspace and its manifests
+//! (exit 0 = clean); CI runs it on every push, and the self-lint test
+//! runs it under `cargo test`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +47,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check, check_all, FileMeta, Finding, EVENT_PATH_CRATES, GUARDS, RULES};
+pub use rules::{check, check_all, FileMeta, Finding, GUARDS, RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -64,12 +69,6 @@ pub fn workspace_root() -> PathBuf {
 /// Classifies a workspace-relative `/`-separated path for the rules.
 pub fn classify(rel: &str) -> FileMeta {
     let parts: Vec<&str> = rel.split('/').collect();
-    let krate = if parts.first() == Some(&"crates") && parts.len() > 1 {
-        parts[1].to_string()
-    } else {
-        "rio".to_string()
-    };
-    let in_test_dir = parts.iter().any(|p| *p == "tests" || *p == "benches");
     let is_crate_root = rel == "src/lib.rs"
         || rel == "src/main.rs"
         || (parts.len() == 4
@@ -80,9 +79,7 @@ pub fn classify(rel: &str) -> FileMeta {
         || (parts.len() == 3 && parts[0] == "src" && parts[1] == "bin");
     FileMeta {
         rel: rel.to_string(),
-        krate,
         is_crate_root,
-        in_test_dir,
     }
 }
 

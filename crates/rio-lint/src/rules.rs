@@ -1,13 +1,16 @@
-//! The rule engine: determinism (D1–D4) and safety (S1–S6) rules, and
-//! the guard table ([`GUARDS`], G1–G8).
+//! The rule engine: one table of token rules ([`GUARDS`]: D1–D4, S2 and
+//! G1–G8), and the four rules that are code (S1, S3, S4, S6).
 //!
 //! Rules operate on the token stream produced by [`crate::lexer`], so
 //! comments, string literals and raw strings can never hide or fake a
-//! violation. Each rule reports `file:line:rule`; inline suppressions
-//! (see [`check`]) excuse a single line with a recorded reason, and
-//! suppressions that no longer excuse anything are themselves reported
-//! so allows cannot rot. S6 and the guards need every file at once, so
-//! they run from [`check_all`]; no allow lifts a guard.
+//! violation, and one definition of test code serves every rule: a
+//! file under a `tests/` tree, a `tests.rs` module, and any
+//! `#[cfg(test)]` / `#[test]` item. Each rule reports
+//! `file:line: RULE: message`. An inline suppression excuses a D or S
+//! hit on one line with a recorded reason, never a G hit, and S4
+//! reports an allow that excuses nothing, so allows cannot rot. S6 and
+//! the table's budgets need every file at once, so they run from
+//! [`check_all`].
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -36,41 +39,14 @@ impl Finding {
 pub struct FileMeta {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Owning workspace crate (`rio-order`, …). Files under the root
-    /// `src/`, `tests/` and `examples/` trees belong to the facade
-    /// crate `rio`.
-    pub krate: String,
     /// Whether this file is a crate root (`src/lib.rs`, `src/main.rs`,
     /// `src/bin/*.rs`) and must carry `#![deny(missing_docs)]` (S3).
     pub is_crate_root: bool,
-    /// Whether the file lives under a `tests/` or `benches/` tree.
-    /// Test code is exempt from D1, D3 and S2.
-    pub in_test_dir: bool,
 }
 
-/// Crates whose code runs on the deterministic event path. D1 and S2
-/// apply only here; everything in a replay must be a pure function of
-/// `(configuration, seed)`.
-pub const EVENT_PATH_CRATES: &[&str] = &[
-    "rio-sim",
-    "rio-order",
-    "rio-net",
-    "rio-ssd",
-    "rio-stack",
-    "rio-fs",
-];
-
-/// The one file allowed to name raw `HashMap`/`HashSet`: the
-/// deterministic `FxHashMap` aliases are defined there.
-const D1_ALLOWED: &[&str] = &["crates/rio-sim/src/hash.rs"];
-
-/// rio-bench's wall-clock report: the only place allowed to read
-/// `Instant::now` (engine events/s is real elapsed time).
-const D2_ALLOWED: &[&str] = &["crates/rio-bench/benches/sim_engine.rs"];
-
-/// Every rule id, in report order. Suppressions naming anything else
-/// are flagged by S4.
-pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "S1", "S2", "S3", "S4", "S6"];
+/// The rules that are code rather than rows of [`GUARDS`]. S4 flags an
+/// allow that names neither.
+pub const RULES: &[&str] = &["S1", "S3", "S4", "S6"];
 
 /// What a [`Guard`] row counts as a hit in one file.
 #[derive(Debug, Clone, Copy)]
@@ -88,10 +64,11 @@ pub enum Check {
     Words(&'static str),
 }
 
-/// One row of the guard table: an invariant with a scope and a budget.
+/// One row of the rule table: an invariant with a scope and a budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Guard {
-    /// Rule id (`G1` …).
+    /// Rule id. An allow may excuse a hit of a D or S row, never of
+    /// a G row.
     pub rule: &'static str,
     /// What counts as a hit.
     pub check: Check,
@@ -111,9 +88,69 @@ const PANIC_SITES: &str = ".unwrap() .expect( unreachable! panic!( assert!( asse
 /// Every tree of workspace code but `benchmark/`.
 const ALL_CODE: &[(&str, usize)] = &[("crates/", 0), ("src/", 0), ("tests/", 0), ("examples/", 0)];
 
-/// The guard table. Its rows take no suppression: S4 reports any
-/// allow that names one.
+/// Every tree of workspace code.
+const EVERY_TREE: &[(&str, usize)] = &[
+    ("crates/", 0),
+    ("src/", 0),
+    ("tests/", 0),
+    ("examples/", 0),
+    ("benchmark/", 0),
+];
+
+/// The crates whose code runs on the deterministic event path:
+/// everything in a replay is a pure function of `(configuration, seed)`.
+const EVENT_PATH: &[(&str, usize)] = &[
+    ("crates/rio-sim/", 0),
+    ("crates/rio-order/", 0),
+    ("crates/rio-net/", 0),
+    ("crates/rio-ssd/", 0),
+    ("crates/rio-stack/", 0),
+    ("crates/rio-fs/", 0),
+];
+
+/// The rule table: every token rule, determinism (D), safety (S) and
+/// guard (G). An allow may excuse a D or S hit; S4 reports one that
+/// names a G row.
 pub const GUARDS: &[Guard] = &[
+    Guard {
+        rule: "D1",
+        check: Check::Sites("HashMap HashSet"),
+        within: EVENT_PATH,
+        except: &["crates/rio-sim/src/hash.rs"],
+        reason: "std's hasher is seeded per process, so iteration order differs across runs; \
+                 use rio_sim::FxHashMap (defined in hash.rs) or BTreeMap/BTreeSet",
+    },
+    Guard {
+        rule: "D2",
+        check: Check::Tokens("Instant::now SystemTime::now"),
+        within: EVERY_TREE,
+        except: &["crates/rio-bench/benches/sim_engine.rs"],
+        reason: "virtual SimTime is the only clock a replay may observe; wall-clock \
+                 measurement lives in rio-bench's sim_engine bench",
+    },
+    Guard {
+        rule: "D3",
+        check: Check::Sites("rand thread_rng from_entropy"),
+        within: EVERY_TREE,
+        except: &[],
+        reason: "rio_sim::SimRng owns the workspace's only generator; all randomness flows \
+                 from the run seed through it",
+    },
+    Guard {
+        rule: "D4",
+        check: Check::Sites("chrono Local::now Utc::now strftime asctime OffsetDateTime"),
+        within: EVERY_TREE,
+        except: &[],
+        reason: "wall-clock dates: deterministic output must not embed the time of the run",
+    },
+    Guard {
+        rule: "S2",
+        check: Check::Sites("panic! todo! unimplemented!"),
+        within: EVENT_PATH,
+        except: &[],
+        reason: "a panic aborts a replay; return a Result, use unreachable! for provably \
+                 impossible states, or suppress with a recorded reason",
+    },
     Guard {
         rule: "G1",
         check: Check::Lines(1000),
@@ -126,7 +163,7 @@ pub const GUARDS: &[Guard] = &[
         check: Check::Sites(PANIC_SITES),
         within: &[
             ("crates/rio-stack/src/", 23),
-            ("crates/rio-ssd/src/", 7),
+            ("crates/rio-ssd/src/", 6),
             ("crates/rio-order/src/", 36),
             ("crates/rio-sim/src/", 8),
             ("crates/rio-proto/src/", 7),
@@ -220,49 +257,57 @@ fn finding(meta: &FileMeta, line: u32, rule: &'static str, msg: String) -> Findi
 }
 
 /// Lints one file's source text under the given classification: every
-/// rule that needs no other file (all but S6 and the guards).
+/// rule but S6, which needs the whole workspace.
 ///
-/// The binary and the golden tests both reach this, so fixtures
-/// exercise exactly the code CI runs.
+/// The golden tests reach the rules through this and [`check_all`], so
+/// fixtures exercise exactly the code CI runs.
 pub fn check(src: &str, meta: &FileMeta) -> Vec<Finding> {
-    let toks = lex(src);
-    check_toks(&toks, &test_regions(&toks), meta, Vec::new())
+    lint(&[(meta.clone(), src.to_string())], false)
 }
 
-/// Lints a set of files together: the single-file rules on each Rust
-/// file, S6 over all of them with one file's suppressions applied to
-/// its findings from both passes, then the guard table over every file,
-/// `Cargo.toml` manifests included. Findings come out in input order,
-/// guard findings last.
+/// Lints a set of files together, `Cargo.toml` manifests included:
+/// every rule, S6 and each table row's budget over all of them at once.
+/// Findings come out in input order.
 pub fn check_all(files: &[(FileMeta, String)]) -> Vec<Finding> {
+    lint(files, true)
+}
+
+/// Runs S6 (if `s6`) and the table over `files`, then hands each Rust
+/// file its share to [`check_toks`], whose suppressions apply to it.
+fn lint(files: &[(FileMeta, String)], s6: bool) -> Vec<Finding> {
     let lexed: Vec<Vec<Tok>> = files.iter().map(|(_, src)| lex(src)).collect();
     let in_test: Vec<Vec<bool>> = lexed.iter().map(|toks| test_regions(toks)).collect();
-    let mut unreached = unreached_pub_items(files, &lexed, &in_test);
-    let mut out = Vec::new();
-    for (((meta, _), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
-        if !is_manifest(meta) {
-            let (mine, rest) = unreached.into_iter().partition(|f| f.path == meta.rel);
-            unreached = rest;
-            out.extend(check_toks(toks, test, meta, mine));
-        }
+    let mut found = Vec::new();
+    if s6 {
+        found = unreached_pub_items(files, &lexed, &in_test);
     }
     for g in GUARDS {
         for &(prefix, max) in g.within {
             let mut hits = Vec::new();
             for (((meta, src), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
                 if meta.rel.starts_with(prefix) && !g.except.contains(&meta.rel.as_str()) {
-                    let found = guard_hits(g.check, meta, src, toks, test);
-                    hits.extend(found.into_iter().map(|(line, what)| (meta, line, what)));
+                    let got = guard_hits(g.check, meta, src, toks, test);
+                    hits.extend(got.into_iter().map(|(line, what)| (meta, line, what)));
                 }
             }
             if hits.len() > max {
                 let n = hits.len();
-                out.extend(hits.into_iter().map(|(meta, line, what)| {
+                found.extend(hits.into_iter().map(|(meta, line, what)| {
                     let msg = format!("{what}: {n} under `{prefix}`, {max} allowed; {}", g.reason);
                     finding(meta, line, g.rule, msg)
                 }));
             }
         }
+    }
+    let mut out = Vec::new();
+    for ((meta, _), toks) in files.iter().zip(&lexed) {
+        let (mine, rest) = found.into_iter().partition(|f| f.path == meta.rel);
+        found = rest;
+        out.extend(if is_manifest(meta) {
+            mine
+        } else {
+            check_toks(toks, meta, mine)
+        });
     }
     out
 }
@@ -274,13 +319,14 @@ fn is_manifest(meta: &FileMeta) -> bool {
 
 /// Whether the whole file is test code: anything under a `tests/`
 /// tree, and a `tests.rs` module file (declared `#[cfg(test)]` by its
-/// parent, which a per-file scan cannot see). S6 and the guards read
-/// it so; for S6, benches and examples are real callers.
+/// parent, which a per-file scan cannot see). With [`test_regions`]
+/// this is the only definition of test code: benches and examples are
+/// product code for every rule.
 fn test_file(rel: &str) -> bool {
     rel.split('/').any(|p| p == "tests" || p == "tests.rs")
 }
 
-/// One file's hits of a guard `check`, as `(line, what was hit)`.
+/// One file's hits of a row's `check`, as `(line, what was hit)`.
 fn guard_hits(
     check: Check,
     meta: &FileMeta,
@@ -453,150 +499,34 @@ fn unreached_pub_items(
         .collect()
 }
 
-/// The single-file rules over `toks`, then suppressions and their
-/// hygiene over those findings and `extra` (this file's share of a
-/// cross-file pass).
-fn check_toks(
-    toks: &[Tok],
-    in_test: &[bool],
-    meta: &FileMeta,
-    extra: Vec<Finding>,
-) -> Vec<Finding> {
+/// S1 and S3 over `toks`, then suppressions and their hygiene over
+/// those findings and `found` (this file's share of S6 and the table).
+fn check_toks(toks: &[Tok], meta: &FileMeta, found: Vec<Finding>) -> Vec<Finding> {
     let mut sups = collect_suppressions(toks);
     let safety = safety_comment_lines(toks);
-    let code = code_of(toks);
+    let mut raw = found;
 
-    let event_path = EVENT_PATH_CRATES.contains(&meta.krate.as_str());
-    let rel = meta.rel.as_str();
-    let mut raw: Vec<Finding> = extra;
-
-    for (ci, &ti) in code.iter().enumerate() {
-        let t = &toks[ti];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let test = meta.in_test_dir || in_test[ti];
-
-        // D1: raw std hash collections on the event path.
-        if event_path
-            && !test
-            && !D1_ALLOWED.contains(&rel)
-            && (t.text == "HashMap" || t.text == "HashSet")
-        {
+    // S1: every unsafe block needs a SAFETY comment.
+    for t in toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident && t.text == "unsafe")
+    {
+        let covered =
+            safety.contains(&t.line) || (t.line > 1 && covered_above(&safety, toks, t.line));
+        if !covered {
             raw.push(finding(
                 meta,
                 t.line,
-                "D1",
-                format!(
-                    "raw std {} has nondeterministic iteration order on the event path; \
-                     use rio_sim::FxHashMap or BTreeMap/BTreeSet",
-                    t.text
-                ),
-            ));
-        }
-
-        // D2: wall-clock reads. Applies to test code too — virtual
-        // time is the only clock a deterministic replay may observe.
-        if !D2_ALLOWED.contains(&rel)
-            && (t.text == "Instant" || t.text == "SystemTime")
-            && path_call_is(toks, &code, ci, "now")
-        {
-            raw.push(finding(
-                meta,
-                t.line,
-                "D2",
-                format!(
-                    "{}::now() reads the wall clock; simulation code must use virtual \
-                     SimTime (wall-clock measurement lives in rio-bench's sim_engine bench)",
-                    t.text
-                ),
-            ));
-        }
-
-        // D3: randomness outside SimRng, which owns the only generator.
-        if !test {
-            if t.text == "thread_rng" || t.text == "from_entropy" {
-                raw.push(finding(
-                    meta,
-                    t.line,
-                    "D3",
-                    format!(
-                        "{} seeds from the OS; all simulator randomness must flow \
-                         through rio_sim::SimRng",
-                        t.text
-                    ),
-                ));
-            } else if t.text == "rand" && rand_is_path_or_use(toks, &code, ci) {
-                raw.push(finding(
-                    meta,
-                    t.line,
-                    "D3",
-                    "the rand crate is not a dependency: all simulator randomness \
-                     flows through rio_sim::SimRng, the workspace's only generator"
-                        .to_string(),
-                ));
-            }
-        }
-
-        // D4: wall-clock date/time formatting in deterministic output.
-        if !test {
-            let date_now = (t.text == "Local" || t.text == "Utc")
-                && path_call_is(toks, &code, ci, "now");
-            let date_ident = matches!(
-                t.text.as_str(),
-                "chrono" | "strftime" | "asctime" | "OffsetDateTime"
-            );
-            if date_now || date_ident {
-                raw.push(finding(
-                    meta,
-                    t.line,
-                    "D4",
-                    format!(
-                        "`{}` formats wall-clock dates; deterministic output must not \
-                         embed the time of the run",
-                        t.text
-                    ),
-                ));
-            }
-        }
-
-        // S1: every unsafe block needs a SAFETY comment.
-        if t.text == "unsafe" {
-            let covered = safety.contains(&t.line) || (t.line > 1 && covered_above(&safety, toks, t.line));
-            if !covered {
-                raw.push(finding(
-                    meta,
-                    t.line,
-                    "S1",
-                    "unsafe block without a `// SAFETY:` comment on the line above \
-                     (or at the end of a contiguous SAFETY comment block)"
-                        .to_string(),
-                ));
-            }
-        }
-
-        // S2: lazy failure modes on the event path.
-        if event_path
-            && !test
-            && matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && next_punct_is(toks, &code, ci, "!")
-        {
-            raw.push(finding(
-                meta,
-                t.line,
-                "S2",
-                format!(
-                    "{}! in non-test event-path code; return a Result, use \
-                     unreachable! for provably impossible states, or suppress with a \
-                     recorded reason",
-                    t.text
-                ),
+                "S1",
+                "unsafe block without a `// SAFETY:` comment on the line above \
+                 (or at the end of a contiguous SAFETY comment block)"
+                    .to_string(),
             ));
         }
     }
 
     // S3: crate roots must deny missing docs.
-    if meta.is_crate_root && !has_deny_missing_docs(toks, &code) {
+    if meta.is_crate_root && !has_deny_missing_docs(toks) {
         raw.push(finding(
             meta,
             1,
@@ -606,11 +536,13 @@ fn check_toks(
     }
 
     // Apply suppressions: a matching allow on the same line or the
-    // line above excuses the finding and is marked used.
+    // line above excuses the finding and is marked used, unless the
+    // finding is a G row's.
     let mut out: Vec<Finding> = Vec::new();
     'findings: for f in raw {
         for s in sups.iter_mut() {
-            if s.rule == f.rule && (s.line == f.line || s.line + 1 == f.line) {
+            let excusable = s.rule == f.rule && !s.rule.starts_with('G');
+            if excusable && (s.line == f.line || s.line + 1 == f.line) {
                 s.used = true;
                 continue 'findings;
             }
@@ -620,7 +552,14 @@ fn check_toks(
 
     // S4: suppression hygiene.
     for s in &sups {
-        if GUARDS.iter().any(|g| g.rule == s.rule) {
+        if !RULES.contains(&s.rule.as_str()) && !GUARDS.iter().any(|g| g.rule == s.rule) {
+            out.push(finding(
+                meta,
+                s.line,
+                "S4",
+                format!("suppression names unknown rule `{}`", s.rule),
+            ));
+        } else if s.rule.starts_with('G') {
             out.push(finding(
                 meta,
                 s.line,
@@ -629,13 +568,6 @@ fn check_toks(
                     "{} is a guard: no allow raises its budget or lifts its ban",
                     s.rule
                 ),
-            ));
-        } else if !RULES.contains(&s.rule.as_str()) {
-            out.push(finding(
-                meta,
-                s.line,
-                "S4",
-                format!("suppression names unknown rule `{}`", s.rule),
             ));
         } else if s.reason.is_empty() {
             out.push(finding(
@@ -673,37 +605,6 @@ fn code_of(toks: &[Tok]) -> Vec<usize> {
         .collect()
 }
 
-/// True when the ident at `code[ci]` is followed by `::name` (a path
-/// call like `Instant::now`).
-fn path_call_is(toks: &[Tok], code: &[usize], ci: usize, name: &str) -> bool {
-    let p = |k: usize| code.get(ci + k).map(|&i| &toks[i]);
-    matches!(
-        (p(1), p(2), p(3)),
-        (Some(a), Some(b), Some(c))
-            if a.text == ":" && b.text == ":" && c.kind == TokKind::Ident && c.text == name
-    )
-}
-
-/// True when the `rand` ident at `code[ci]` is used as a crate path
-/// (`rand::…`) or imported (`use rand…`), rather than being an
-/// unrelated local named `rand`.
-fn rand_is_path_or_use(toks: &[Tok], code: &[usize], ci: usize) -> bool {
-    let next_is_path = code
-        .get(ci + 1)
-        .map(|&i| toks[i].text == ":")
-        .unwrap_or(false);
-    let prev_is_use = ci > 0 && toks[code[ci - 1]].text == "use";
-    next_is_path || prev_is_use
-}
-
-/// True when `code[ci + 1]` is the punctuation `want` (e.g. the `!` of
-/// a macro invocation).
-fn next_punct_is(toks: &[Tok], code: &[usize], ci: usize, want: &str) -> bool {
-    code.get(ci + 1)
-        .map(|&i| toks[i].kind == TokKind::Punct && toks[i].text == want)
-        .unwrap_or(false)
-}
-
 /// Lines on which a comment containing `SAFETY:` starts.
 fn safety_comment_lines(toks: &[Tok]) -> Vec<u32> {
     toks.iter()
@@ -739,7 +640,8 @@ fn covered_above(safety: &[u32], toks: &[Tok], line: u32) -> bool {
 
 /// True when the token stream contains the inner attribute
 /// `#![deny(missing_docs)]`.
-fn has_deny_missing_docs(toks: &[Tok], code: &[usize]) -> bool {
+fn has_deny_missing_docs(toks: &[Tok]) -> bool {
+    let code = code_of(toks);
     for w in 0..code.len().saturating_sub(7) {
         let t = |k: usize| &toks[code[w + k]];
         if t(0).text == "#"
@@ -800,7 +702,8 @@ fn collect_suppressions(toks: &[Tok]) -> Vec<Suppression> {
 }
 
 /// Marks every token of a `#[cfg(test)]` / `#[test]` item, attribute
-/// included: this decides what every rule and guard calls test code.
+/// included: with [`test_file`], this decides what every rule calls
+/// test code.
 ///
 /// The scan is syntactic: an attribute group whose idents include
 /// `test` (and not `not`, so `#[cfg(not(test))]` stays non-test)
@@ -848,7 +751,7 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
             }
             j += 1;
         }
-        if !(has_test && !has_not) {
+        if !has_test || has_not {
             ci = j + 1;
             continue;
         }
@@ -904,9 +807,7 @@ mod tests {
     fn meta(krate: &str) -> FileMeta {
         FileMeta {
             rel: format!("crates/{krate}/src/sample.rs"),
-            krate: krate.to_string(),
             is_crate_root: false,
-            in_test_dir: false,
         }
     }
 

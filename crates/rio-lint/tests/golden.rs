@@ -18,11 +18,12 @@ fn lint_fixture(name: &str, is_crate_root: bool) -> Vec<(u32, &'static str)> {
     let src = std::fs::read_to_string(fixture_path(name)).expect("read fixture");
     let meta = FileMeta {
         rel: format!("crates/rio-order/src/{name}"),
-        krate: "rio-order".to_string(),
         is_crate_root,
-        in_test_dir: false,
     };
-    check(&src, &meta).iter().map(|f| (f.line, f.rule)).collect()
+    check(&src, &meta)
+        .iter()
+        .map(|f| (f.line, f.rule))
+        .collect()
 }
 
 #[test]
@@ -108,7 +109,10 @@ fn lint_s6_pair(caller_rel: &str) -> Vec<(String, u32, &'static str)> {
         (classify(caller_rel), read("s6_caller.rs")),
     ];
     let found = check_all(&files);
-    found.iter().map(|f| (f.path.clone(), f.line, f.rule)).collect()
+    found
+        .iter()
+        .map(|f| (f.path.clone(), f.line, f.rule))
+        .collect()
 }
 
 #[test]
@@ -149,9 +153,7 @@ fn non_event_path_crate_is_exempt_from_d1_and_s2() {
     let src = std::fs::read_to_string(fixture_path("s2_panic.rs")).unwrap();
     let meta = FileMeta {
         rel: "crates/rio-bench/src/s2_panic.rs".to_string(),
-        krate: "rio-bench".to_string(),
         is_crate_root: false,
-        in_test_dir: false,
     };
     assert!(check(&src, &meta).is_empty());
 }
@@ -159,8 +161,7 @@ fn non_event_path_crate_is_exempt_from_d1_and_s2() {
 #[test]
 fn test_dir_files_are_exempt_from_d1_d3_s2() {
     let src = std::fs::read_to_string(fixture_path("d1_hashmap.rs")).unwrap();
-    let mut meta = classify("crates/rio-order/tests/d1_hashmap.rs");
-    assert!(meta.in_test_dir);
+    let meta = classify("crates/rio-order/tests/d1_hashmap.rs");
     // The suppression in the fixture now excuses nothing — drop that
     // line so the exemption itself is what's under test.
     let src: String = src
@@ -168,8 +169,48 @@ fn test_dir_files_are_exempt_from_d1_d3_s2() {
         .filter(|l| !l.contains("allow(D1)"))
         .collect::<Vec<_>>()
         .join("\n");
-    meta.krate = "rio-order".to_string();
     assert!(check(&src, &meta).is_empty());
+}
+
+#[test]
+fn a_tests_rs_module_is_test_code_for_every_row() {
+    // Its parent declares it `#[cfg(test)]`: D1 and S2 stay silent in
+    // it as G1 and G2 always have.
+    let src = "fn t() {\n    let _: HashMap<u8, u8> = HashMap::new();\n    panic!(\"x\");\n}\n";
+    assert_eq!(
+        check(src, &classify("crates/rio-stack/src/cluster.rs")).len(),
+        3
+    );
+    assert_eq!(
+        check(src, &classify("crates/rio-stack/src/cluster/tests.rs")),
+        vec![]
+    );
+}
+
+#[test]
+fn a_bench_is_product_code_for_d3_and_d4() {
+    let src =
+        "fn main() {\n    let _ = rand::random::<u8>();\n    let _ = chrono::Utc::now();\n}\n";
+    let got = check(src, &classify("crates/rio-bench/benches/x.rs"));
+    let got: Vec<_> = got.iter().map(|f| (f.line, f.rule)).collect();
+    assert_eq!(got, vec![(2, "D3"), (3, "D4"), (3, "D4")]);
+}
+
+#[test]
+fn d3_counts_each_form_of_rand_as_before() {
+    // `use rand;`, `use rand as r;`, `rand::thread_rng()` (the path and
+    // the call) and `from_entropy`.
+    let forms = [
+        ("use rand;", 1),
+        ("use rand as r;", 1),
+        ("fn f() { rand::thread_rng(); }", 2),
+        ("fn f() { SmallRng::from_entropy(); }", 1),
+    ];
+    for (src, n) in forms {
+        let found = check(src, &classify("examples/r.rs"));
+        let rules: Vec<_> = found.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["D3"; n], "{src}");
+    }
 }
 
 #[test]
@@ -179,10 +220,16 @@ fn classify_knows_crate_roots_and_test_dirs() {
     assert!(classify("crates/rio-lint/src/main.rs").is_crate_root);
     assert!(classify("crates/rio-bench/src/bin/bench_gate.rs").is_crate_root);
     assert!(!classify("crates/rio-sim/src/heap.rs").is_crate_root);
-    assert!(classify("crates/rio-order/tests/pipeline.rs").in_test_dir);
-    assert!(classify("crates/rio-bench/benches/micro.rs").in_test_dir);
-    assert_eq!(classify("crates/rio-ssd/src/media.rs").krate, "rio-ssd");
-    assert_eq!(classify("tests/full_stack.rs").krate, "rio");
+    // A `tests/` tree is test code; a bench is not.
+    let d3 = "fn f() { SmallRng::from_entropy(); }";
+    assert_eq!(
+        check(d3, &classify("crates/rio-order/tests/pipeline.rs")),
+        vec![]
+    );
+    assert_eq!(
+        check(d3, &classify("crates/rio-bench/benches/micro.rs")).len(),
+        1
+    );
 }
 
 // ---------------------------------------------------------------------

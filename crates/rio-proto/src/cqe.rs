@@ -26,7 +26,6 @@ impl Status {
 
 /// A 16-byte completion queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// rio-lint: allow(S6) ROADMAP 6(a): the completion leg carries it once the wire carries codec bytes
 pub struct Cqe {
     /// Command-specific result (DW0).
     pub result: u32,

@@ -9,15 +9,16 @@
 //! event that resumes it; the command itself keeps none of it.
 
 use rio_net::{Ends, XferStep};
-use rio_proto::PmrRecord;
+use rio_proto::{Cqe, PmrRecord, Sqe};
 use rio_sim::SimTime;
 
 use super::{Cluster, Cmd, CmdKind, Event};
 
-/// NVMe-oF command capsule size on the wire (64 B SQE + headers).
-const CMD_CAPSULE_BYTES: u64 = 96;
-/// Completion capsule size on the wire.
-const COMPLETION_BYTES: u64 = 32;
+/// NVMe-oF command capsule size on the wire: an SQE and a 32-byte
+/// header.
+const CMD_CAPSULE_BYTES: u64 = Sqe::SIZE as u64 + 32;
+/// Completion capsule size on the wire: a CQE and a 16-byte header.
+const COMPLETION_BYTES: u64 = Cqe::SIZE as u64 + 16;
 /// Horae control message size on the wire (a group's ordering metadata).
 const CTRL_CAPSULE_BYTES: u64 = 64;
 /// Horae control acknowledgement size on the wire.
