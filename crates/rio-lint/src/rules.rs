@@ -12,6 +12,8 @@
 //! the table's budgets need every file at once, so they run from
 //! [`check_all`].
 
+use std::collections::BTreeMap;
+
 use crate::lexer::{lex, Tok, TokKind};
 
 /// A single lint violation.
@@ -162,7 +164,7 @@ pub const GUARDS: &[Guard] = &[
         rule: "G2",
         check: Check::Sites(PANIC_SITES),
         within: &[
-            ("crates/rio-stack/src/", 23),
+            ("crates/rio-stack/src/", 20),
             ("crates/rio-ssd/src/", 6),
             ("crates/rio-order/src/", 36),
             ("crates/rio-sim/src/", 8),
@@ -281,20 +283,25 @@ fn lint(files: &[(FileMeta, String)], s6: bool) -> Vec<Finding> {
     if s6 {
         found = unreached_pub_items(files, &lexed, &in_test);
     }
-    for g in GUARDS {
+    let pats = Patterns::lex();
+    // Per row, its hits in file then token order.
+    let mut hits = vec![Vec::new(); GUARDS.len()];
+    for (((meta, src), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
+        for (r, line, what) in file_hits(&pats, meta, src, toks, test) {
+            hits[r].push((meta, line, what));
+        }
+    }
+    for (g, hits) in GUARDS.iter().zip(&hits) {
         for &(prefix, max) in g.within {
-            let mut hits = Vec::new();
-            for (((meta, src), toks), test) in files.iter().zip(&lexed).zip(&in_test) {
-                if meta.rel.starts_with(prefix) && !g.except.contains(&meta.rel.as_str()) {
-                    let got = guard_hits(g.check, meta, src, toks, test);
-                    hits.extend(got.into_iter().map(|(line, what)| (meta, line, what)));
-                }
-            }
-            if hits.len() > max {
-                let n = hits.len();
-                found.extend(hits.into_iter().map(|(meta, line, what)| {
+            let under: Vec<_> = hits
+                .iter()
+                .filter(|(meta, ..)| meta.rel.starts_with(prefix))
+                .collect();
+            if under.len() > max {
+                let n = under.len();
+                found.extend(under.into_iter().map(|(meta, line, what)| {
                     let msg = format!("{what}: {n} under `{prefix}`, {max} allowed; {}", g.reason);
-                    finding(meta, line, g.rule, msg)
+                    finding(meta, *line, g.rule, msg)
                 }));
             }
         }
@@ -326,50 +333,99 @@ fn test_file(rel: &str) -> bool {
     rel.split('/').any(|p| p == "tests" || p == "tests.rs")
 }
 
-/// One file's hits of a row's `check`, as `(line, what was hit)`.
-fn guard_hits(
-    check: Check,
+/// The token rows' patterns, lexed once per run, each with its row's
+/// index in [`GUARDS`]: the exact ones by their first token's text,
+/// and the [`Check::Infix`] ones, which may hit inside any identifier.
+#[derive(Default)]
+struct Patterns {
+    first: BTreeMap<String, Vec<(usize, Vec<Tok>)>>,
+    infix: Vec<(usize, Vec<Tok>)>,
+}
+
+impl Patterns {
+    fn lex() -> Patterns {
+        let mut pats = Patterns::default();
+        for (r, g) in GUARDS.iter().enumerate() {
+            match g.check {
+                Check::Sites(words) | Check::Tokens(words) => {
+                    for pat in words.split_whitespace().map(lex) {
+                        pats.first
+                            .entry(pat[0].text.clone())
+                            .or_default()
+                            .push((r, pat));
+                    }
+                }
+                Check::Infix(words) => {
+                    pats.infix
+                        .extend(words.split_whitespace().map(|w| (r, lex(w))));
+                }
+                Check::Lines(_) | Check::Words(_) => {}
+            }
+        }
+        pats
+    }
+}
+
+/// One file's hits of the rows whose scope holds it, as `(row index,
+/// line, what was hit)`, each row's in file order. The token rows share
+/// one walk of the file's code: at each token, every in-scope pattern
+/// that could start there is tried.
+fn file_hits(
+    pats: &Patterns,
     meta: &FileMeta,
     src: &str,
     toks: &[Tok],
     in_test: &[bool],
-) -> Vec<(u32, String)> {
+) -> Vec<(usize, u32, String)> {
     let rust = !is_manifest(meta);
     let non_test = rust && !test_file(&meta.rel);
-    let (pats, tests, infix) = match check {
-        Check::Lines(max) if non_test => {
-            let n = non_test_lines(src, toks, in_test);
-            let over = (n > max).then(|| (1, format!("{n} non-test lines, over {max}")));
-            return over.into_iter().collect();
-        }
-        Check::Words(words) if !rust => {
-            let word = |w: &str| words.split_whitespace().any(|x| x == w);
-            let named = |l: &&str| {
-                l.split(|c: char| !c.is_alphanumeric() && c != '_')
-                    .any(word)
-            };
-            let lines = src.lines().zip(1..).filter(|(l, _)| named(l));
-            return lines.map(|(l, n)| (n, format!("`{}`", l.trim()))).collect();
-        }
-        Check::Sites(pats) if non_test => (pats, false, false),
-        Check::Tokens(pats) if rust => (pats, true, false),
-        Check::Infix(pats) if rust => (pats, true, true),
-        _ => return Vec::new(),
-    };
-    let pats: Vec<Vec<Tok>> = pats.split_whitespace().map(lex).collect();
-    let code = code_of(toks);
     let mut hits = Vec::new();
-    for ci in (0..code.len()).filter(|&ci| tests || !in_test[code[ci]]) {
-        for pat in &pats {
+    // Per row, whether the walk tries its patterns: in test code too
+    // (`Some(true)`), or outside it only (`Some(false)`).
+    let mut walk = [None; GUARDS.len()];
+    for (r, g) in GUARDS.iter().enumerate() {
+        let under = |&(prefix, _): &(&str, usize)| meta.rel.starts_with(prefix);
+        let scoped = g.within.iter().any(under) && !g.except.contains(&meta.rel.as_str());
+        match g.check {
+            _ if !scoped => {}
+            Check::Lines(max) if non_test => {
+                let n = non_test_lines(src, toks, in_test);
+                if n > max {
+                    hits.push((r, 1, format!("{n} non-test lines, over {max}")));
+                }
+            }
+            Check::Words(words) if !rust => {
+                let word = |w: &str| words.split_whitespace().any(|x| x == w);
+                let named = |l: &&str| {
+                    l.split(|c: char| !c.is_alphanumeric() && c != '_')
+                        .any(word)
+                };
+                let lines = src.lines().zip(1..).filter(|(l, _)| named(l));
+                hits.extend(lines.map(|(l, n)| (r, n, format!("`{}`", l.trim()))));
+            }
+            Check::Sites(_) if non_test => walk[r] = Some(false),
+            Check::Tokens(_) | Check::Infix(_) if rust => walk[r] = Some(true),
+            _ => {}
+        }
+    }
+    let code = code_of(toks);
+    for ci in 0..code.len() {
+        let (t, test) = (&toks[code[ci]], in_test[code[ci]]);
+        let exact = pats.first.get(t.text.as_str()).into_iter().flatten();
+        for (r, pat) in exact.chain(&pats.infix) {
+            if walk[*r].is_none_or(|tests| test && !tests) {
+                continue;
+            }
+            let infix = matches!(GUARDS[*r].check, Check::Infix(_));
             let seq = &code[ci..code.len().min(ci + pat.len())];
             let hit = seq.len() == pat.len()
-                && pat.iter().zip(seq).all(|(p, &ti)| {
+                && pat.iter().zip(seq).all(|(q, &ti)| {
                     let t = &toks[ti];
-                    t.kind == p.kind && (t.text == p.text || infix && t.text.contains(&p.text))
+                    t.kind == q.kind && (t.text == q.text || infix && t.text.contains(&q.text))
                 });
             if hit {
                 let text: String = seq.iter().map(|&ti| toks[ti].text.as_str()).collect();
-                hits.push((toks[code[ci]].line, format!("`{text}`")));
+                hits.push((*r, t.line, format!("`{text}`")));
             }
         }
     }
@@ -405,7 +461,7 @@ fn unreached_pub_items(
     in_test: &[Vec<bool>],
 ) -> Vec<Finding> {
     const ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const"];
-    let mut uses: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
+    let mut uses: BTreeMap<&str, u32> = BTreeMap::new();
     let mut decls: Vec<(&FileMeta, &Tok)> = Vec::new();
     for (((meta, _), toks), in_test) in files.iter().zip(lexed).zip(in_test) {
         if test_file(&meta.rel) || is_manifest(meta) {

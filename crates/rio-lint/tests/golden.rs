@@ -290,23 +290,23 @@ fn expects(n: usize) -> String {
 #[test]
 fn g2_reports_every_panic_site_of_a_crate_over_budget() {
     assert_eq!(
-        guards_on(&expects(23), "crates/rio-stack/src/sites.rs"),
+        guards_on(&expects(20), "crates/rio-stack/src/sites.rs"),
         vec![]
     );
-    let over = guards_on(&expects(24), "crates/rio-stack/src/sites.rs");
-    assert_eq!(over, (4..28).map(|l| (l, "G2")).collect::<Vec<_>>());
-    // The budget is the crate's: 23 in each of two files is 46.
-    let src = expects(23);
+    let over = guards_on(&expects(21), "crates/rio-stack/src/sites.rs");
+    assert_eq!(over, (4..25).map(|l| (l, "G2")).collect::<Vec<_>>());
+    // The budget is the crate's: 20 in each of two files is 40.
+    let src = expects(20);
     let files = [
         (classify("crates/rio-stack/src/a.rs"), src.clone()),
         (classify("crates/rio-stack/src/b.rs"), src),
     ];
     let found = check_all(&files);
-    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 46);
+    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 40);
     assert!(
         found[0]
             .msg
-            .contains("46 under `crates/rio-stack/src/`, 23 allowed"),
+            .contains("40 under `crates/rio-stack/src/`, 20 allowed"),
         "{found:?}"
     );
     // Every counted form, and `tests.rs` counting none of them.
@@ -433,13 +433,13 @@ fn s4_reports_an_allow_of_a_guard_row_which_lifts_nothing() {
     let got: Vec<_> = found.iter().map(|f| (f.line, f.rule)).collect();
     assert_eq!(got, vec![(2, "S4"), (3, "G8")], "{found:?}");
     // Nor does an allow raise a budget.
-    let src = expects(24).replacen(
+    let src = expects(21).replacen(
         "    let _ = x",
-        "    // rio-lint: allow(G2) the 24th\n    let _ = x",
+        "    // rio-lint: allow(G2) the 21st\n    let _ = x",
         1,
     );
     let found = check_all(&[(classify("crates/rio-stack/src/sites.rs"), src)]);
-    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 24);
+    assert_eq!(found.iter().filter(|f| f.rule == "G2").count(), 21);
     assert_eq!(
         found.iter().filter(|f| f.rule == "S4").count(),
         1,

@@ -118,15 +118,10 @@ impl SubmissionGate {
             // for the new `next`: release it if filled, and when it is
             // an empty placeholder consume it too (its ordinal will now
             // arrive as a direct, in-order delivery).
-            loop {
-                match st.ring.pop_front() {
-                    Some(Some(entry)) => {
-                        st.next += 1;
-                        self.buffered_now -= 1;
-                        released.push(entry);
-                    }
-                    Some(None) | None => break,
-                }
+            while let Some(Some(entry)) = st.ring.pop_front() {
+                st.next += 1;
+                self.buffered_now -= 1;
+                released.push(entry);
             }
         } else {
             let off = (attr.dispatch_idx - st.next - 1) as usize;
@@ -145,9 +140,12 @@ impl SubmissionGate {
         self.buffered_now
     }
 
-    /// Drops all state (crash / reconnect: a fresh gate epoch).
+    /// Drops all buffered state (crash / reconnect: a fresh gate epoch).
     pub fn reset(&mut self) {
-        self.streams.clear();
+        for st in &mut self.streams {
+            st.next = 0;
+            st.ring.clear();
+        }
         self.buffered_now = 0;
     }
 }

@@ -19,6 +19,8 @@
 //! * [`gate`] — the target driver's in-order submission gate (§4.3.1).
 //! * [`pmrlog`] — the circular log of persistent ordering attributes in
 //!   the SSD's PMR (§4.3.2).
+//! * [`target`] — the target driver, [`RioTarget`]: the gate, the PMR
+//!   log, and the slot recycling that follows delivered completions.
 //! * [`recovery`] — the asynchronous crash-recovery algorithm (§4.4):
 //!   per-server list reconstruction, global merge, rollback/replay plans,
 //!   and in-place-update reporting.
@@ -38,6 +40,7 @@ pub mod pmrlog;
 pub mod recovery;
 pub mod scheduler;
 pub mod sequencer;
+pub mod target;
 
 pub use attr::{BlockRange, OrderingAttr, Seq, ServerId, SplitInfo, StreamId};
 pub use completion::InOrderCompleter;
@@ -50,3 +53,4 @@ pub use recovery::{
 };
 pub use scheduler::{DispatchBatch, DispatchUnit, OrderQueue, OrderQueueConfig};
 pub use sequencer::{Sequencer, SubmitOpts};
+pub use target::RioTarget;

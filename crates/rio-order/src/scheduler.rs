@@ -72,6 +72,10 @@ impl DispatchBatch {
     }
 }
 
+/// The largest merged request, in 4 KB blocks: 128 KB, the Intel 905P
+/// single-request transfer limit the paper cites (§4.5).
+pub const MAX_MERGE_BLOCKS: u32 = 32;
+
 /// Configuration for one ORDER queue.
 #[derive(Debug, Clone, Copy)]
 pub struct OrderQueueConfig {
@@ -85,9 +89,7 @@ impl Default for OrderQueueConfig {
     fn default() -> Self {
         OrderQueueConfig {
             merge: true,
-            // 128 KB of 4 KB blocks — the Intel 905P single-request
-            // transfer limit the paper cites (§4.5).
-            max_merge_blocks: 32,
+            max_merge_blocks: MAX_MERGE_BLOCKS,
         }
     }
 }

@@ -7,16 +7,10 @@
 use crate::opcode::NvmOpcode;
 
 /// A 64-byte submission queue entry as 16 little-endian dwords.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Sqe {
     /// The 16 command dwords (CDW0..CDW15).
     pub dw: [u32; 16],
-}
-
-impl Default for Sqe {
-    fn default() -> Self {
-        Sqe { dw: [0; 16] }
-    }
 }
 
 impl Sqe {
@@ -96,7 +90,7 @@ impl Sqe {
     ///
     /// Panics if `nlb` is zero or exceeds 65 536.
     pub fn set_nlb(&mut self, nlb: u32) {
-        assert!(nlb >= 1 && nlb <= 0x1_0000, "nlb out of range: {nlb}");
+        assert!((1..=0x1_0000).contains(&nlb), "nlb out of range: {nlb}");
         self.dw[12] = (self.dw[12] & !0xffff) | (nlb - 1);
     }
 

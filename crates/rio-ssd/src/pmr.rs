@@ -15,14 +15,16 @@
 /// straddles two pages.
 const PAGE: usize = 64 << 10;
 
+/// One page of the region: `None` until a write touches it.
+type Page = Option<Box<[u8]>>;
+
 /// A byte-addressable persistent region, allocated page by page as it
 /// is written.
 #[derive(Debug, Clone)]
 pub struct Pmr {
     len: usize,
-    /// The page table, allocated by the first write; a page is `None`
-    /// until a write touches it.
-    pages: Option<Box<[Option<Box<[u8]>>]>>,
+    /// The page table, allocated by the first write.
+    pages: Option<Box<[Page]>>,
 }
 
 impl Pmr {

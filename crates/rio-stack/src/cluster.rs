@@ -282,7 +282,7 @@ impl Cluster {
         let init_of_stream: Vec<usize> = init_cfgs
             .iter()
             .enumerate()
-            .flat_map(|(ii, ic)| std::iter::repeat(ii).take(ic.streams))
+            .flat_map(|(ii, ic)| std::iter::repeat_n(ii, ic.streams))
             .collect();
         let total_streams = init_of_stream.len();
         let mut root_rng = SimRng::seed_from_u64(cfg.seed);
@@ -333,8 +333,7 @@ impl Cluster {
                     cfg.cores,
                     // One connection (QP group) per initiator.
                     Nic::for_profile(init_cfgs.len() * cfg.cores, &wire),
-                    total_streams,
-                    rio_mode,
+                    rio_mode.then_some(total_streams),
                     integrity,
                     multi_tenant.then(|| DrrSched::new(tenant_weights.clone())),
                     &mut root_rng,

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use rio_block::{Bio, Extent};
 use rio_net::Nic;
 use rio_order::attr::{BlockRange, OrderingAttr, StreamId};
-use rio_order::scheduler::{split_attr_into, QueuedRequest};
+use rio_order::scheduler::{split_attr_into, QueuedRequest, MAX_MERGE_BLOCKS};
 use rio_order::{Rio, RioSetup};
 use rio_proto::{payload, PayloadDigest};
 use rio_sim::{Histogram, MultiServer, SimDuration, SimRng, SimTime};
@@ -309,7 +309,7 @@ impl Cluster {
                 }
                 hit_sync = spec.sync_after;
                 let th = &mut self.threads[t];
-                debug_assert!(th.undelivered.back().map_or(true, |g| g.seq + 1 == seq));
+                debug_assert!(th.undelivered.back().is_none_or(|g| g.seq + 1 == seq));
                 th.undelivered.push_back(Undelivered {
                     seq,
                     submitted: cpu,
@@ -436,7 +436,7 @@ impl Cluster {
                     break;
                 }
             }
-            let max_blocks = if self.cfg.plug_merge { 32 } else { 1 };
+            let max_blocks = if self.cfg.plug_merge { MAX_MERGE_BLOCKS } else { 1 };
             for (range, bios) in plug.merged_runs(max_blocks) {
                 let merged_extra = bios.len() as u64 - 1;
                 if merged_extra > 0 {
@@ -531,7 +531,7 @@ impl Cluster {
         self.volume.map_into(range, &mut mapped);
         for e in &mapped {
             let prof = self.targets[e.server.0 as usize].ssds[e.ssd].profile();
-            let cap = prof.max_transfer_blocks.min(255).max(1);
+            let cap = prof.max_transfer_blocks.clamp(1, 255);
             let mut remaining = e.range.blocks;
             let mut lba = e.range.lba;
             let mut off = e.logical_offset;

@@ -22,11 +22,11 @@ use std::collections::BTreeMap;
 use rio_order::attr::{BlockRange, Seq, ServerId, StreamId};
 use rio_order::pmrlog::PmrLog;
 use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan};
-use rio_order::SubmissionGate;
 use rio_proto::PmrRecord;
 use rio_sim::{SimDuration, SimTime};
 use rio_ssd::ssd::SCRUB_US_PER_BLOCK;
 
+use super::target::write_pmr;
 use super::{Cluster, Cmd, CmdKind, Event, Leg};
 use crate::config::FaultKind;
 use crate::cpu::{DRAM_SCAN_NS_PER_RECORD, MERGE_NS_PER_RECORD, PMR_SCAN_NS_PER_SLOT};
@@ -425,30 +425,16 @@ impl Cluster {
         row
     }
 
-    /// Reconnects every target after a resuming recovery: a fresh gate
-    /// epoch (dispatch ordinals restarted with the sequencer) and PMR
-    /// logs re-formatted with the new epoch's head marks, so a later
+    /// Reconnects every RIO target after a resuming recovery: a fresh
+    /// gate epoch (dispatch ordinals restarted with the sequencer) and
+    /// PMR logs re-formatted with the new epoch's head marks, so a later
     /// crash scans only post-resume records.
     fn reconnect_targets(&mut self, streams: &[StreamRecovery]) {
         for target in &mut self.targets {
-            target.gate = SubmissionGate::with_streams(streams.len());
-            for q in &mut target.slots {
-                q.clear();
-            }
-            if target.log.is_some() {
-                let pmr_len = target.ssds[0].pmr().len();
-                let (log, writes) = PmrLog::format(pmr_len, streams.len());
-                for w in &writes {
-                    target.apply_pmr_write(w);
-                }
-                for (s, row) in streams.iter().enumerate() {
-                    let head = row.valid_through.max(row.delivered_through);
-                    let w = log.set_head_seq(row.stream, head);
-                    target.apply_pmr_write(&w);
-                    target.slot_seen[s] = true;
-                    target.applied_release[s] = head.0;
-                }
-                target.log = Some(log);
+            if let Some(rio) = &mut target.rio {
+                let heads = streams.iter().map(|r| r.valid_through.max(r.delivered_through));
+                let len = target.ssds[0].pmr().len();
+                write_pmr(&mut target.ssds, rio.reconnect(len, heads));
             }
         }
     }

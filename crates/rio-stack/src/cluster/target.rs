@@ -1,6 +1,6 @@
-//! The target server: command arrival, the in-order submission gate,
-//! PMR bookkeeping, per-tenant DRR admission and the SSD submit/done
-//! path (Fig. 4 steps ④–⑧).
+//! The target server: command arrival, the RIO target driver's gate and
+//! PMR log (`rio_order::RioTarget`), per-tenant DRR admission and the
+//! SSD submit/done path (Fig. 4 steps ④–⑧).
 //!
 //! Three of the four ordering modes share every handler here; they
 //! branch on what the command carries (`cmd.attr`, `cmd.kind`), never
@@ -9,9 +9,9 @@
 use std::collections::VecDeque;
 
 use rio_net::Nic;
-use rio_order::attr::{OrderingAttr, Seq, StreamId};
-use rio_order::pmrlog::{PmrLog, PmrWrite, SlotRef};
-use rio_order::SubmissionGate;
+use rio_order::attr::OrderingAttr;
+use rio_order::pmrlog::PmrWrite;
+use rio_order::RioTarget;
 use rio_proto::{payload, PayloadDigest};
 use rio_sim::{MultiServer, SimDuration, SimRng, SimTime};
 use rio_ssd::{BlockImage, Images, Ssd, SsdProfile};
@@ -129,36 +129,29 @@ impl DrrSched {
 pub(super) struct Target {
     pub(super) cores: MultiServer,
     pub(super) nic: Nic,
-    pub(super) gate: SubmissionGate,
     pub(super) ssds: Vec<Ssd>,
-    pub(super) log: Option<PmrLog>,
+    /// The gate, the PMR log and its slot book (`None` unless the mode
+    /// is RIO).
+    pub(super) rio: Option<RioTarget>,
     /// Per-tenant fair scheduler at the SSD admission point (`None`
     /// unless the run has more than one distinct tenant).
     pub(super) drr: Option<DrrSched>,
-    /// Live PMR slots per stream (indexed by stream id), append order.
-    pub(super) slots: Vec<VecDeque<(u32, SlotRef)>>,
-    /// Whether a stream ever appended a PMR slot on this target; the
-    /// superblock head mark is only maintained for such streams.
-    pub(super) slot_seen: Vec<bool>,
-    /// Last release (head-seq) applied per stream.
-    pub(super) applied_release: Vec<u32>,
 }
 
 impl Target {
-    /// Builds one target server for `streams` global streams: `cores`
-    /// driver cores, its SSDs (each seeded from `rng`, in order) and,
-    /// for Rio (`pmr_log`), a freshly formatted PMR log on the first SSD.
+    /// Builds one target server: `cores` driver cores, its SSDs (each
+    /// seeded from `rng`, in order) and, for RIO (`rio_streams`), a
+    /// freshly formatted PMR log for that many streams on the first SSD.
     pub(super) fn new(
         ssds: &[SsdProfile],
         cores: usize,
         nic: Nic,
-        streams: usize,
-        pmr_log: bool,
+        rio_streams: Option<usize>,
         integrity: bool,
         drr: Option<DrrSched>,
         rng: &mut SimRng,
     ) -> Self {
-        let ssds = ssds
+        let mut ssds: Vec<Ssd> = ssds
             .iter()
             .map(|p| {
                 let mut s = Ssd::new(p.clone(), rng.below(u64::MAX));
@@ -166,84 +159,25 @@ impl Target {
                 s
             })
             .collect();
-        let mut t = Target {
+        let rio = rio_streams.map(|streams| {
+            let (rio, writes) = RioTarget::format(ssds[0].pmr().len(), streams);
+            write_pmr(&mut ssds, writes);
+            rio
+        });
+        Target {
             cores: MultiServer::new(cores),
             nic,
-            gate: SubmissionGate::with_streams(streams),
             ssds,
-            log: None,
+            rio,
             drr,
-            slots: vec![VecDeque::new(); streams],
-            slot_seen: vec![false; streams],
-            applied_release: vec![0; streams],
-        };
-        if pmr_log {
-            let (log, writes) = PmrLog::format(t.ssds[0].pmr().len(), streams);
-            for w in &writes {
-                t.apply_pmr_write(w);
-            }
-            t.log = Some(log);
-        }
-        t
-    }
-
-    pub(super) fn apply_pmr_write(&mut self, w: &PmrWrite) {
-        self.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
-    }
-
-    /// Persists a released command's ordering attribute in the PMR log
-    /// (step ⑤) and remembers the slot for the stream's next release.
-    fn pmr_append(&mut self, attr: &OrderingAttr) -> SlotRef {
-        let log = self.log.as_mut().expect("rio target has a log");
-        let (slot, write) = log
-            .append(&attr.to_pmr_record(0))
-            .expect("PMR log full: raise pmr size or lower inflight bound");
-        self.apply_pmr_write(&write);
-        self.slots[attr.stream.0 as usize].push_back((attr.seq_end.0, slot));
-        self.slot_seen[attr.stream.0 as usize] = true;
-        slot
-    }
-
-    /// Applies a delivered-through release from the initiator: frees
-    /// PMR slots and advances the superblock head mark.
-    fn apply_release(&mut self, stream: StreamId, through: u32) {
-        let applied = &mut self.applied_release[stream.0 as usize];
-        if through <= *applied {
-            return;
-        }
-        *applied = through;
-        // Only streams that ever appended a slot here carry a head mark
-        // in this target's PMR superblock.
-        if self.slot_seen[stream.0 as usize] {
-            let q = &mut self.slots[stream.0 as usize];
-            let log = self.log.as_mut().expect("rio target");
-            while let Some(&(seq_end, slot)) = q.front() {
-                if seq_end <= through {
-                    q.pop_front();
-                    log.free(slot);
-                } else {
-                    break;
-                }
-            }
-            let w = log.set_head_seq(stream, Seq(through));
-            self.apply_pmr_write(&w);
         }
     }
+}
 
-    /// Toggles the persist bit of a command's PMR record, charging the
-    /// posted MMIO (`cost_ns`) to the connection's target core.
-    fn pmr_persist(
-        &mut self,
-        cpu: SimTime,
-        core: usize,
-        slot: Option<SlotRef>,
-        cost_ns: u64,
-    ) -> SimTime {
-        if let Some(slot) = slot {
-            let w = self.log.as_ref().expect("rio target").mark_persist(slot);
-            self.apply_pmr_write(&w);
-        }
-        self.cores.admit_to(core, cpu, SimDuration::from_nanos(cost_ns))
+/// Applies a RIO target's log writes to its first SSD's PMR.
+pub(super) fn write_pmr(ssds: &mut [Ssd], writes: impl IntoIterator<Item = PmrWrite>) {
+    for w in writes {
+        ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
     }
 }
 
@@ -284,15 +218,15 @@ impl Cluster {
         // Target-side work lands on the core of the sender's
         // connection QP (one QP group per initiator).
         let core = self.conn_qp(cmd.thread, cmd.qp);
-        let recv_done = self.targets[target_idx]
-            .cores
-            .admit_to(core, now, SimDuration::from_nanos(TARGET_RECV_NS));
+        let target = &mut self.targets[target_idx];
+        let recv_done = target.cores.admit_to(core, now, SimDuration::from_nanos(TARGET_RECV_NS));
+        let depth = target.rio.as_ref().map_or(0, |rio| rio.gate.buffered()) as u32;
         if let Some(tr) = &mut self.trace {
             tr.rec(tid, Stage::GateAdmit, recv_done);
-            tr.gate_depth(tid, self.targets[target_idx].gate.buffered() as u32);
+            tr.gate_depth(tid, depth);
         }
         if let Some(tm) = &mut self.telemetry {
-            tm.gate_depth(recv_done, self.targets[target_idx].gate.buffered() as u32);
+            tm.gate_depth(recv_done, depth);
         }
 
         if cmd.kind == CmdKind::Flush {
@@ -311,16 +245,15 @@ impl Cluster {
         // completes, and the submission waits for it.
         self.transmit(recv_done, id, Leg::Pull, None);
 
-        if let Some(attr) = cmd.attr {
+        let Target { rio, ssds, .. } = &mut self.targets[target_idx];
+        if let (Some(attr), Some(rio)) = (cmd.attr, rio) {
             // Apply the release piggyback for this stream.
             let through = self.initiators[init].rio.delivered_through(attr.stream);
-            self.targets[target_idx].apply_release(attr.stream, through.0);
+            write_pmr(ssds, rio.release(attr.stream, through));
             // The in-order submission gate may buffer the command.
             let mut released = std::mem::take(&mut self.gate_scratch);
             released.clear();
-            self.targets[target_idx]
-                .gate
-                .arrive_into(attr, id, &mut released);
+            rio.gate.arrive_into(attr, id, &mut released);
             if !released.iter().any(|&(_, rid)| rid == id) {
                 // The arriving command was held back out of order;
                 // bill the buffering to its initiator.
@@ -361,9 +294,16 @@ impl Cluster {
         id: u64,
     ) -> SimTime {
         // Persist the ordering attribute before the data (step ⑤).
-        let slot = self.targets[target_idx].pmr_append(&attr);
+        let Target { rio, ssds, .. } = &mut self.targets[target_idx];
+        let slot = rio.as_mut().map(|rio| {
+            let (slot, write) = rio
+                .append(&attr)
+                .expect("PMR log full: raise pmr size or lower inflight bound");
+            write_pmr(ssds, [write]);
+            slot
+        });
         let cmd = self.cmd_mut(id);
-        cmd.slot = Some(slot);
+        cmd.slot = slot;
         let (thread, qp, tid) = (cmd.thread, cmd.qp, cmd.trace);
         let core = self.conn_qp(thread, qp);
         if let Some(tr) = &mut self.trace {
@@ -518,7 +458,10 @@ impl Cluster {
             return;
         }
         if persist {
-            cpu = target.pmr_persist(cpu, core, cmd.slot, PMR_TOGGLE_NS);
+            if let (Some(rio), Some(slot)) = (&target.rio, cmd.slot) {
+                write_pmr(&mut target.ssds, [rio.mark_persist(slot)]);
+            }
+            cpu = target.cores.admit_to(core, cpu, SimDuration::from_nanos(PMR_TOGGLE_NS));
         }
         self.transmit(cpu, id, Leg::Completion, None);
     }

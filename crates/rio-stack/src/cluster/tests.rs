@@ -93,6 +93,15 @@ fn horae_completes_all_groups() {
 }
 
 #[test]
+fn only_rio_targets_build_a_gate_and_a_log() {
+    let targets = |mode| Cluster::new(small_cfg(mode, 2), Workload::random_4k(2, 1)).targets;
+    for mode in [OrderingMode::Orderless, OrderingMode::Horae, OrderingMode::LinuxNvmf] {
+        assert!(targets(mode).iter().all(|t| t.rio.is_none()), "{mode:?}");
+    }
+    assert!(targets(OrderingMode::Rio { merge: true }).iter().all(|t| t.rio.is_some()));
+}
+
+#[test]
 fn ordering_cost_ranking_holds() {
     // The paper's headline shape: orderless ≥ Rio > Horae > Linux.
     let orderless = run(OrderingMode::Orderless, 4, 300).block_iops();

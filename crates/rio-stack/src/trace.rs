@@ -409,7 +409,7 @@ impl StageTrace {
         // Fragments of one striped unit share a sequence range, so
         // equal `seq_end`s are expected; regressions only.
         debug_assert!(
-            self.pending[stream].back().map_or(true, |&(e, _)| e <= seq_end),
+            self.pending[stream].back().is_none_or(|&(e, _)| e <= seq_end),
             "per-stream dispatch must be in sequence order"
         );
         self.pending[stream].push_back((seq_end, id));

@@ -228,7 +228,7 @@ impl Workload {
                 let triplet = idx / 2;
                 let slots = (area_blocks / 3).max(1);
                 let base = area_start + (triplet % slots) * 3;
-                if idx % 2 == 0 {
+                if idx.is_multiple_of(2) {
                     plain(base, 2);
                 } else {
                     plain(base + 2, 1);

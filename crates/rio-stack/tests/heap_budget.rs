@@ -167,11 +167,11 @@ fn event_path_stays_inside_its_heap_budget() {
     // 1 + 2 + 1 blocks, one blocking wait per op, 1.25 per block with
     // per-unit vectors — to the same floor.
     //
-    // Building a cluster costs 271 632 bytes at its peak when no PMR is
-    // written (Orderless, Horae, Linux) and 441 616 with RIO's log
-    // formatted on the first SSD of each of two targets; one SSD with
-    // its log costs 237 276 (merge) and 362 096 (fsync, whose workload
-    // holds more). Formatting writes only the superblock, so each log
+    // Building a cluster costs 270 304 bytes at its peak when no PMR is
+    // written (Orderless, Horae, Linux, whose targets hold no gate and no
+    // log) and 441 568 with RIO's log formatted on the first SSD of each
+    // of two targets; one SSD with its log costs 237 240 (merge) and
+    // 362 072 (fsync, whose workload holds more). Formatting writes only the superblock, so each log
     // holds one 64 KiB page of its 2 MB PMR: a region allocated whole
     // by its first write, or before anything writes it, fails every
     // RIO build ceiling.
