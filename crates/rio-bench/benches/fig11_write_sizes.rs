@@ -5,42 +5,35 @@
 //! Horae by up to 6.1x; asynchronous execution matters even for large
 //! writes (at 64 KB Horae still reaches only half of Rio).
 
-use rio_bench::{all_modes, gbps, header, row, run};
+use rio_bench::experiment::sweep;
+use rio_bench::{all_modes, by_label, gbps, groups_for};
 use rio_stack::workload::Pattern;
-use rio_stack::{ClusterConfig, OrderingMode, Workload};
-
-const SIZES_KB: [u32; 5] = [4, 8, 16, 32, 64];
+use rio_stack::{ClusterConfig, Workload};
 
 fn series(random: bool, label: &str) {
-    header(&format!("Figure 11({label}): 1 thread, 4 SSDs — GB/s"));
-    row(
+    sweep(
+        &format!("Figure 11({label}): 1 thread, 4 SSDs — GB/s"),
         "mode \\ KB",
-        &SIZES_KB.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-    );
-    for mode in all_modes() {
-        let mut cells = Vec::new();
-        for &kb in &SIZES_KB {
+        &[4u32, 8, 16, 32, 64],
+        by_label(all_modes()),
+        &[("{}", |m| gbps(m.bandwidth()))],
+        |&mode, &kb| {
             let blocks = kb / 4;
-            let groups = match mode {
-                OrderingMode::LinuxNvmf => 500,
-                _ => (200_000 / kb as u64).max(2_000),
+            let groups_per_thread = groups_for(mode, 500, (200_000 / kb as u64).max(2_000));
+            let pattern = if random {
+                Pattern::RandomWrite { blocks }
+            } else {
+                Pattern::SeqWrite { blocks }
             };
-            let cfg = ClusterConfig::four_ssd_two_targets(mode.clone(), 1);
             let wl = Workload {
                 threads: 1,
-                groups_per_thread: groups,
-                pattern: if random {
-                    Pattern::RandomWrite { blocks }
-                } else {
-                    Pattern::SeqWrite { blocks }
-                },
+                groups_per_thread,
+                pattern,
                 batch: 1,
             };
-            let m = run(cfg, wl);
-            cells.push(gbps(m.bandwidth()));
-        }
-        row(mode.label(), &cells);
-    }
+            (ClusterConfig::four_ssd_two_targets(mode, 1), wl)
+        },
+    );
 }
 
 fn main() {

@@ -6,63 +6,35 @@
 //! instead preserves CPU efficiency (the paper's normalised efficiency
 //! panel shows Horae *declining* with batch size while Rio holds).
 
-use rio_bench::{gbps, header, row, run};
+use rio_bench::experiment::sweep;
+use rio_bench::{by_label, gbps, groups_for};
 use rio_stack::{ClusterConfig, OrderingMode, RunMetrics, Workload};
 
-const BATCHES: [usize; 5] = [2, 4, 8, 12, 16];
-
-fn modes() -> Vec<OrderingMode> {
-    vec![
+fn series(threads: usize, label: &str) {
+    let modes = vec![
         OrderingMode::LinuxNvmf,
         OrderingMode::Horae,
         OrderingMode::Rio { merge: true },
         OrderingMode::Rio { merge: false },
         OrderingMode::Orderless,
-    ]
-}
-
-fn series(threads: usize, label: &str) {
-    header(&format!("Figure 12({label}): batch-size sweep — GB/s"));
-    row(
+    ];
+    let fig = sweep(
+        &format!("Figure 12({label}): batch-size sweep — GB/s"),
         "mode \\ batch",
-        &BATCHES.iter().map(|b| b.to_string()).collect::<Vec<_>>(),
+        &[2usize, 4, 8, 12, 16],
+        by_label(modes),
+        &[("{}", |m| gbps(m.bandwidth()))],
+        |&mode, &batch| {
+            let groups = groups_for(mode, 600, (160_000 / threads as u64).max(13_000));
+            let cfg = ClusterConfig::four_ssd_two_targets(mode, threads);
+            (cfg, Workload::seq_batched(threads, groups, batch, 1))
+        },
     );
-    let mut results: Vec<(String, Vec<RunMetrics>)> = Vec::new();
-    for mode in modes() {
-        let mut series = Vec::new();
-        for &batch in &BATCHES {
-            let groups = match mode {
-                OrderingMode::LinuxNvmf => 600,
-                _ => (160_000 / threads as u64).max(13_000),
-            };
-            let cfg = ClusterConfig::four_ssd_two_targets(mode.clone(), threads);
-            let wl = Workload::seq_batched(threads, groups, batch, 1);
-            series.push(run(cfg, wl));
-        }
-        row(
-            mode.label(),
-            &series
-                .iter()
-                .map(|m| gbps(m.bandwidth()))
-                .collect::<Vec<_>>(),
-        );
-        results.push((mode.label().to_string(), series));
-    }
-    let orderless = results
-        .iter()
-        .find(|(l, _)| l == "orderless")
-        .expect("orderless")
-        .1
-        .clone();
-    println!("--- normalised initiator CPU efficiency ---");
-    for (label, series) in &results {
-        let cells: Vec<String> = series
-            .iter()
-            .zip(orderless.iter())
-            .map(|(m, o)| format!("{:.2}", m.initiator_efficiency() / o.initiator_efficiency()))
-            .collect();
-        row(label, &cells);
-    }
+    fig.print_over(
+        "normalised initiator CPU efficiency",
+        "orderless",
+        RunMetrics::initiator_efficiency,
+    );
 }
 
 fn main() {

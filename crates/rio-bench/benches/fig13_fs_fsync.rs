@@ -8,64 +8,40 @@
 //! Paper: RioFS lifts throughput 3.0x / 1.2x over Ext4 / HoraeFS,
 //! cuts average latency 67% / 18%, and p99 by 50% / 20%.
 
-use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
-use rio_bench::{header, kiops, row, run, us};
+use rio_bench::experiment::sweep;
+use rio_bench::trace_export::traced_cell;
+use rio_bench::{fs_modes, groups_for, kiops, us};
 use rio_ssd::SsdProfile;
-use rio_stack::{ClusterConfig, OrderingMode, TelemetryConfig, TraceConfig, Workload};
-
-const THREADS: [usize; 6] = [1, 2, 4, 8, 12, 16];
-
-fn fs_label(mode: &OrderingMode) -> &'static str {
-    match mode {
-        OrderingMode::LinuxNvmf => "Ext4",
-        OrderingMode::Horae => "HORAEFS",
-        OrderingMode::Rio { .. } => "RIOFS",
-        OrderingMode::Orderless => "orderless",
-    }
-}
+use rio_stack::{ClusterConfig, OrderingMode, Workload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = trace_out_arg(&args) {
-        let mut cfg =
-            ClusterConfig::single_ssd(OrderingMode::Rio { merge: true }, SsdProfile::optane905p(), 4);
-        cfg.trace = Some(TraceConfig::default());
-        cfg.telemetry = Some(TelemetryConfig::default());
-        let m = run(cfg, Workload::fsync_append(4, 500));
-        write_chrome_trace(&path, &m).expect("write Chrome trace");
-        println!("wrote Chrome trace of fig13 RIOFS t=4 to {path}");
+    let riofs = ClusterConfig::single_ssd(
+        OrderingMode::Rio { merge: true },
+        SsdProfile::optane905p(),
+        4,
+    );
+    if traced_cell("fig13 RIOFS t=4", riofs, Workload::fsync_append(4, 500)) {
         return;
     }
     println!("Reproduction of paper Figure 13 (file system fsync).");
     println!("Paper: RioFS saturates the Optane SSD with fewer cores, with");
     println!("3.0x/1.2x the throughput of Ext4/HoraeFS and lower tails.");
-    header("Figure 13: fsync throughput (K ops/s), avg and p99 latency (us)");
-    row(
+    sweep(
+        "Figure 13: fsync throughput (K ops/s), avg and p99 latency (us)",
         "series \\ thr",
-        &THREADS.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
+        &[1usize, 2, 4, 8, 12, 16],
+        fs_modes(),
+        &[
+            ("{} kops", |m| kiops(m.op_iops())),
+            ("{} avg", |m| us(m.op_latency.mean().as_micros_f64())),
+            ("{} p99", |m| {
+                us(m.op_latency.quantile(0.99).as_micros_f64())
+            }),
+        ],
+        |&mode, &threads| {
+            let ops = groups_for(mode, 500, 2_000);
+            let cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
+            (cfg, Workload::fsync_append(threads, ops))
+        },
     );
-    for mode in [
-        OrderingMode::LinuxNvmf,
-        OrderingMode::Horae,
-        OrderingMode::Rio { merge: true },
-    ] {
-        let mut thr = Vec::new();
-        let mut avg = Vec::new();
-        let mut p99 = Vec::new();
-        for &threads in &THREADS {
-            let ops = match mode {
-                OrderingMode::LinuxNvmf => 500,
-                _ => 2_000,
-            };
-            let cfg = ClusterConfig::single_ssd(mode.clone(), SsdProfile::optane905p(), threads);
-            let wl = Workload::fsync_append(threads, ops);
-            let m = run(cfg, wl);
-            thr.push(kiops(m.op_iops()));
-            avg.push(us(m.op_latency.mean().as_micros_f64()));
-            p99.push(us(m.op_latency.quantile(0.99).as_micros_f64()));
-        }
-        row(&format!("{} kops", fs_label(&mode)), &thr);
-        row(&format!("{} avg", fs_label(&mode)), &avg);
-        row(&format!("{} p99", fs_label(&mode)), &p99);
-    }
 }

@@ -19,89 +19,53 @@
 //! in-order delivery) with deterministic p50/p99/p999 per stage — for
 //! three fabrics: lossless, 1% loss, and a survivable crash mid-run.
 
-use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
+use rio_bench::trace_export::traced_cell;
 use rio_bench::{header, row, run};
 use rio_sim::SimTime;
 use rio_ssd::SsdProfile;
 use rio_stack::{
-    ClusterConfig, FabricConfig, FaultPlan, LatencyBreakdown, OrderingMode, TelemetryConfig,
-    TraceConfig, Workload,
+    ClusterConfig, FabricConfig, FaultPlan, LatencyBreakdown, OrderingMode, TraceConfig, Workload,
 };
 
 fn paper_table() {
     header("Figure 14: 1 thread, append + fsync on remote Optane");
+    row("system", &["D", "JM", "JC", "wait IO", "fsync"]);
+    let ns = |values: [f64; 5]| values.map(|v| format!("{v:.0}"));
     row(
-        "system",
-        &["D", "JM", "JC", "wait IO", "fsync"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+        "HORAEFS(paper)",
+        &ns([5861.0, 19327.0, 16658.0, 34899.0, 76745.0]),
     );
-    let paper = [
-        (
-            "HORAEFS(paper)",
-            [5861.0, 19327.0, 16658.0, 34899.0, 76745.0],
-        ),
-        ("RIOFS(paper)", [5861.0, 1440.0, 1107.0, 34796.0, 43204.0]),
-    ];
-    for (label, vals) in paper {
-        row(
-            label,
-            &vals.iter().map(|v| format!("{v:.0}")).collect::<Vec<_>>(),
-        );
-    }
+    row(
+        "RIOFS(paper)",
+        &ns([5861.0, 1440.0, 1107.0, 34796.0, 43204.0]),
+    );
     for (mode, label) in [
         (OrderingMode::Horae, "HORAEFS(sim)"),
         (OrderingMode::Rio { merge: true }, "RIOFS(sim)"),
         (OrderingMode::LinuxNvmf, "Ext4(sim)"),
     ] {
         let cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), 1);
-        let wl = Workload::fsync_append(1, 2_000);
-        let m = run(cfg, wl);
-        let d = m.stage_dispatch[0].mean();
-        let jm = m.stage_dispatch[1].mean();
-        let jc = m.stage_dispatch[2].mean();
-        let wait = m.stage_dispatch[3].mean();
+        let m = run(cfg, Workload::fsync_append(1, 2_000));
+        let d = &m.stage_dispatch;
         let total = m.op_latency.mean().as_nanos() as f64;
         row(
             label,
-            &[d, jm, jc, wait, total]
-                .iter()
-                .map(|v| format!("{v:.0}"))
-                .collect::<Vec<_>>(),
+            &ns([d[0].mean(), d[1].mean(), d[2].mean(), d[3].mean(), total]),
         );
     }
 }
 
 fn stage_table(b: &LatencyBreakdown) {
-    row(
-        "stage",
-        &["p50 ns", "p99 ns", "p999 ns"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
+    row("stage", &["p50 ns", "p99 ns", "p999 ns"]);
     for (seg, label) in LatencyBreakdown::SEGMENT_LABELS.iter().enumerate() {
         if b.stages[seg].count() == 0 {
             continue;
         }
         let (p50, p99, p999) = b.segment_quantiles(seg);
-        row(
-            label,
-            &[p50, p99, p999]
-                .iter()
-                .map(|d| format!("{}", d.as_nanos()))
-                .collect::<Vec<_>>(),
-        );
+        row(label, &[p50, p99, p999].map(|d| d.as_nanos()));
     }
     let (p50, p99, p999) = b.total_quantiles();
-    row(
-        "total",
-        &[p50, p99, p999]
-            .iter()
-            .map(|d| format!("{}", d.as_nanos()))
-            .collect::<Vec<_>>(),
-    );
+    row("total", &[p50, p99, p999].map(|d| d.as_nanos()));
     println!(
         "{:>16} completed={} aborted={} retx pkts={} completer held peak={}",
         "", b.completed, b.aborted, b.retx_pkts, b.completer_held_peak
@@ -118,14 +82,11 @@ fn stage_table(b: &LatencyBreakdown) {
 }
 
 fn traced_config(loss: f64, crash: bool) -> ClusterConfig {
+    let rio = OrderingMode::Rio { merge: true };
     let mut cfg = if crash {
-        ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 3)
+        ClusterConfig::four_ssd_two_targets(rio, 3)
     } else {
-        ClusterConfig::single_ssd(
-            OrderingMode::Rio { merge: true },
-            SsdProfile::optane905p(),
-            3,
-        )
+        ClusterConfig::single_ssd(rio, SsdProfile::optane905p(), 3)
     };
     cfg.cores = 8;
     cfg.max_inflight_per_stream = 16;
@@ -140,15 +101,11 @@ fn traced_config(loss: f64, crash: bool) -> ClusterConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = trace_out_arg(&args) {
-        // The crash-mid-run cell: spans, retransmits, the recovery
-        // band and the watchdog's stall windows all in one trace.
-        let mut cfg = traced_config(1e-3, true);
-        cfg.telemetry = Some(TelemetryConfig::default());
-        let m = run(cfg, Workload::random_4k(3, 2_000));
-        write_chrome_trace(&path, &m).expect("write Chrome trace");
-        println!("wrote Chrome trace of the crash-mid-run stage breakdown to {path}");
+    // The crash-mid-run cell: spans, retransmits, the recovery band and
+    // the watchdog's stall windows all in one trace.
+    let crash = traced_config(1e-3, true);
+    let what = "the crash-mid-run stage breakdown";
+    if traced_cell(what, crash, Workload::random_4k(3, 2_000)) {
         return;
     }
     println!("Reproduction of paper Figure 14 (fsync latency breakdown, ns).");

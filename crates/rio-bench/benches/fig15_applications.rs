@@ -9,112 +9,55 @@
 //! Paper: RioFS raises Varmail throughput 2.3x/1.3x and RocksDB
 //! fillsync 1.9x/1.5x over Ext4/HoraeFS on average.
 
-use rio_bench::{geomean, header, kiops, ratio, row, run};
+use rio_bench::experiment::sweep;
+use rio_bench::{fs_modes, groups_for, kiops};
 use rio_ssd::SsdProfile;
 use rio_stack::workload::Pattern;
-use rio_stack::{ClusterConfig, OrderingMode, RunMetrics, Workload};
+use rio_stack::{ClusterConfig, RunMetrics, Workload};
 
-fn fs_label(mode: &OrderingMode) -> &'static str {
-    match mode {
-        OrderingMode::LinuxNvmf => "Ext4",
-        OrderingMode::Horae => "HORAEFS",
-        OrderingMode::Rio { .. } => "RIOFS",
-        OrderingMode::Orderless => "orderless",
-    }
-}
-
-/// Varmail: mail files of 1–4 blocks, ~40% metadata-only ops
-/// (create/unlink + fsync), little application CPU.
-fn varmail(threads: usize, ops: u64) -> Workload {
-    Workload {
-        threads,
-        groups_per_thread: ops,
-        pattern: Pattern::FsyncJournal {
-            data_blocks: (1, 4),
-            meta_blocks: 2,
-            meta_only_permille: 400,
-            app_cpu_ns: 1_500,
-        },
-        batch: 3,
-    }
-}
-
-/// RocksDB fillsync: 1 KB values -> 1-block WAL appends, metadata
-/// journaling per fsync, plus memtable/index CPU per put.
-fn fillsync(threads: usize, ops: u64) -> Workload {
-    Workload {
-        threads,
-        groups_per_thread: ops,
-        pattern: Pattern::FsyncJournal {
-            data_blocks: (1, 1),
-            meta_blocks: 2,
-            meta_only_permille: 0,
-            app_cpu_ns: 9_000,
-        },
-        batch: 3,
-    }
-}
-
-fn series(name: &str, make: fn(usize, u64) -> Workload, threads_axis: &[usize]) {
-    header(&format!("Figure 15 {name}: throughput (K ops/s)"));
-    row(
+fn series(name: &str, pattern: Pattern, threads_axis: &[usize]) {
+    let fig = sweep(
+        &format!("Figure 15 {name}: throughput (K ops/s)"),
         "series \\ thr",
-        &threads_axis
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>(),
-    );
-    let mut results: Vec<(OrderingMode, Vec<RunMetrics>)> = Vec::new();
-    for mode in [
-        OrderingMode::LinuxNvmf,
-        OrderingMode::Horae,
-        OrderingMode::Rio { merge: true },
-    ] {
-        let mut cells = Vec::new();
-        let mut series = Vec::new();
-        for &threads in threads_axis {
-            let ops = match mode {
-                OrderingMode::LinuxNvmf => 400,
-                _ => 1_500,
+        threads_axis,
+        fs_modes(),
+        &[("{}", |m| kiops(m.op_iops()))],
+        |&mode, &threads| {
+            let groups_per_thread = groups_for(mode, 400, 1_500);
+            let cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), threads);
+            let wl = Workload {
+                threads,
+                groups_per_thread,
+                pattern,
+                batch: 3,
             };
-            let cfg = ClusterConfig::single_ssd(mode.clone(), SsdProfile::optane905p(), threads);
-            let m = run(cfg, make(threads, ops));
-            cells.push(kiops(m.op_iops()));
-            series.push(m);
-        }
-        row(fs_label(&mode), &cells);
-        results.push((mode, series));
-    }
-    let find = |want: &str| {
-        &results
-            .iter()
-            .find(|(m, _)| fs_label(m) == want)
-            .expect("mode ran")
-            .1
-    };
-    let rio = find("RIOFS");
-    let ext4 = find("Ext4");
-    let horae = find("HORAEFS");
-    let vs_ext4 = geomean(
-        &rio.iter()
-            .zip(ext4.iter())
-            .map(|(r, e)| r.op_iops() / e.op_iops())
-            .collect::<Vec<_>>(),
+            (cfg, wl)
+        },
     );
-    let vs_horae = geomean(
-        &rio.iter()
-            .zip(horae.iter())
-            .map(|(r, h)| r.op_iops() / h.op_iops())
-            .collect::<Vec<_>>(),
-    );
-    row("avg RIOFS/Ext4", &[ratio(vs_ext4)]);
-    row("avg RIOFS/HORAEFS", &[ratio(vs_horae)]);
+    fig.print_avg("RIOFS", "Ext4", RunMetrics::op_iops, false);
+    fig.print_avg("RIOFS", "HORAEFS", RunMetrics::op_iops, false);
 }
 
 fn main() {
     println!("Reproduction of paper Figure 15 (application performance).");
     println!("Paper: Varmail 2.3x/1.3x and RocksDB fillsync 1.9x/1.5x over");
     println!("Ext4/HoraeFS on average.");
+    // Varmail: mail files of 1–4 blocks, ~40% metadata-only ops
+    // (create/unlink + fsync), little application CPU.
+    let varmail = Pattern::FsyncJournal {
+        data_blocks: (1, 4),
+        meta_blocks: 2,
+        meta_only_permille: 400,
+        app_cpu_ns: 1_500,
+    };
     series("(a) Varmail", varmail, &[1, 4, 8, 16, 24, 32, 40]);
+    // RocksDB fillsync: 1 KB values -> 1-block WAL appends, metadata
+    // journaling per fsync, plus memtable/index CPU per put.
+    let fillsync = Pattern::FsyncJournal {
+        data_blocks: (1, 1),
+        meta_blocks: 2,
+        meta_only_permille: 0,
+        app_cpu_ns: 9_000,
+    };
     series("(b) RocksDB fillsync", fillsync, &[1, 4, 8, 16, 24, 36]);
 }

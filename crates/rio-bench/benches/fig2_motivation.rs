@@ -11,42 +11,31 @@
 //! execution); Horae sits in between and needs many cores to approach
 //! the device limit.
 
-use rio_bench::{header, kiops, row, run};
+use rio_bench::experiment::sweep;
+use rio_bench::{by_label, groups_for, kiops};
 use rio_ssd::SsdProfile;
 use rio_stack::{ClusterConfig, OrderingMode, Workload};
 
 fn series(ssd: fn() -> SsdProfile, label: &str) {
-    header(&format!(
-        "Figure 2({label}) ordered-write throughput, KIOPS of 4 KB blocks"
-    ));
-    let threads_axis = [1usize, 4, 8, 12];
-    row(
-        "mode \\ threads",
-        &threads_axis
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for mode in [
+    let modes = vec![
         OrderingMode::LinuxNvmf,
         OrderingMode::Horae,
         OrderingMode::Orderless,
-    ] {
-        let mut cells = Vec::new();
-        for &threads in &threads_axis {
+    ];
+    sweep(
+        &format!("Figure 2({label}) ordered-write throughput, KIOPS of 4 KB blocks"),
+        "mode \\ threads",
+        &[1usize, 4, 8, 12],
+        by_label(modes),
+        &[("{}", |m| kiops(m.block_iops()))],
+        |&mode, &threads| {
             // Long enough that the sustained (post-cache-burst) rate
             // dominates; synchronous Linux needs far fewer.
-            let triplets = match mode {
-                OrderingMode::LinuxNvmf => 400,
-                _ => (24_000 / threads as u64).max(4_000),
-            };
-            let cfg = ClusterConfig::single_ssd(mode.clone(), ssd(), threads);
-            let wl = Workload::journal_triplet(threads, triplets);
-            let m = run(cfg, wl);
-            cells.push(kiops(m.block_iops()));
-        }
-        row(mode.label(), &cells);
-    }
+            let triplets = groups_for(mode, 400, (24_000 / threads as u64).max(4_000));
+            let cfg = ClusterConfig::single_ssd(mode, ssd(), threads);
+            (cfg, Workload::journal_triplet(threads, triplets))
+        },
+    );
 }
 
 fn main() {

@@ -5,34 +5,30 @@
 //! batch size). The paper reports initiator and target CPU utilisation
 //! with and without merging: merging substantially reduces both.
 
-use rio_bench::{header, pct, row, run};
+use rio_bench::experiment::sweep;
+use rio_bench::pct;
 use rio_ssd::SsdProfile;
 use rio_stack::{ClusterConfig, OrderingMode, Workload};
 
 fn series(ssd: fn() -> SsdProfile, label: &str) {
-    header(&format!(
-        "Figure 3({label}): orderless CPU utilisation vs merge batch (1 thread, seq 4 KB)"
-    ));
-    let batches = [1usize, 2, 4, 8, 16];
-    row(
+    sweep(
+        &format!(
+            "Figure 3({label}): orderless CPU utilisation vs merge batch (1 thread, seq 4 KB)"
+        ),
         "series \\ batch",
-        &batches.iter().map(|b| b.to_string()).collect::<Vec<_>>(),
-    );
-    for merging in [false, true] {
-        let mut init_cells = Vec::new();
-        let mut tgt_cells = Vec::new();
-        for &batch in &batches {
+        &[1usize, 2, 4, 8, 16],
+        vec![("w/o".to_string(), false), ("w/".to_string(), true)],
+        // Single-core equivalent, paper scale.
+        &[
+            ("initiator {}", |m| pct(m.initiator_util * 36.0)),
+            ("target {}", |m| pct(m.target_util * 36.0)),
+        ],
+        |&merging, &batch| {
             let mut cfg = ClusterConfig::single_ssd(OrderingMode::Orderless, ssd(), 1);
             cfg.plug_merge = merging;
-            let wl = Workload::seq_batched(1, 60_000, batch, 1);
-            let m = run(cfg, wl);
-            init_cells.push(pct(m.initiator_util * 36.0)); // single-core equivalent, paper scale
-            tgt_cells.push(pct(m.target_util * 36.0));
-        }
-        let tag = if merging { "w/" } else { "w/o" };
-        row(&format!("initiator {tag}"), &init_cells);
-        row(&format!("target {tag}"), &tgt_cells);
-    }
+            (cfg, Workload::seq_batched(1, 60_000, batch, 1))
+        },
+    );
 }
 
 fn main() {

@@ -21,123 +21,63 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo bench -p rio-bench --bench fig_integrity            # full sweep
-//! cargo bench -p rio-bench --bench fig_integrity -- --smoke # CI-sized
+//! cargo bench -p rio-bench --bench fig_integrity
 //! ```
 
-use rio_bench::{all_modes, header, kiops, lossy_cfg, row, run};
-use rio_sim::SimTime;
+use rio_bench::experiment::{fault_cfg, half_span_faults, sweep};
+use rio_bench::{all_modes, by_label, groups_for, header, kiops, lossy_cfg, row};
 use rio_ssd::SsdProfile;
-use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode,
-    RunMetrics, Workload,
-};
+use rio_stack::{ClusterConfig, FabricConfig, FaultKind, OrderingMode, RunMetrics, Workload};
 
 const THREADS: usize = 4;
 
-fn config(mode: OrderingMode, corrupt: f64) -> ClusterConfig {
-    let mut cfg = lossy_cfg(mode, THREADS, 0.0, 2);
-    cfg.net.corrupt_rate = corrupt;
-    // corrupt == 0 still runs with payload bytes and digests: the
-    // integrity flag isolates the checksum machinery's cost from the
-    // corruption-recovery cost.
-    cfg.integrity = true;
-    cfg
-}
-
-fn groups_for(mode: &OrderingMode, smoke: bool) -> u64 {
-    let scale = if smoke { 10 } else { 1 };
-    match mode {
-        OrderingMode::LinuxNvmf => 600 / scale,
-        _ => 8_000 / scale,
-    }
-}
-
 /// Part 1: wire corruption rate × ordering engine.
-fn corruption_sweep(smoke: bool) {
-    let rates: &[f64] = if smoke {
-        &[0.0, 1e-3]
-    } else {
-        &[0.0, 1e-5, 1e-3]
-    };
-    header(&format!(
-        "Wire corruption sweep: KIOPS of 4 KB ordered writes ({THREADS} threads, \
-         2 paths, payload bytes + CRC-32C digests end to end)"
-    ));
-    row(
+fn corruption_sweep() {
+    let fig = sweep(
+        &format!(
+            "Wire corruption sweep: KIOPS of 4 KB ordered writes ({THREADS} threads, \
+             2 paths, payload bytes + CRC-32C digests end to end)"
+        ),
         "mode \\ rate",
-        &rates.iter().map(|r| format!("{r}")).collect::<Vec<_>>(),
-    );
-    let mut results: Vec<(String, Vec<RunMetrics>)> = Vec::new();
-    for mode in all_modes() {
-        let series: Vec<RunMetrics> = rates
-            .iter()
-            .map(|&rate| {
-                let cfg = config(mode.clone(), rate);
-                let wl = Workload::random_4k(THREADS, groups_for(&mode, smoke));
-                let m = run(cfg, wl);
-                assert_eq!(
-                    m.integrity.wire_injected, m.integrity.wire_detected,
-                    "an injected corruption escaped the digest check"
-                );
-                assert!(m.integrity.balanced(), "integrity ledger out of balance");
-                m
-            })
-            .collect();
-        row(
-            mode.label(),
-            &series
-                .iter()
-                .map(|m| kiops(m.block_iops()))
-                .collect::<Vec<_>>(),
-        );
-        results.push((mode.label().to_string(), series));
-    }
-    println!("--- goodput retained vs corruption-free (same mode) ---");
-    for (label, series) in &results {
-        let base = series[0].block_iops();
-        let cells: Vec<String> = series
-            .iter()
-            .map(|m| format!("{:.1}%", 100.0 * m.block_iops() / base.max(1e-12)))
-            .collect();
-        row(label, &cells);
-    }
-    println!("--- detection ledger at the highest rate (per mode) ---");
-    row(
-        "mode",
-        &[
-            "injected".into(),
-            "detected".into(),
-            "refetched".into(),
-            "retx rounds".into(),
-        ],
-    );
-    for (label, series) in &results {
-        let worst = &series.last().expect("at least one rate").integrity;
-        let rounds = series.last().expect("non-empty").net.retx_rounds;
-        row(
-            label,
-            &[
-                format!("{}", worst.wire_injected),
-                format!("{}", worst.wire_detected),
-                format!("{}", worst.wire_refetched),
-                format!("{rounds}"),
-            ],
-        );
-    }
-}
-
-fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> ClusterConfig {
-    ClusterConfig {
-        seed: 77,
-        net: FabricConfig {
-            corrupt_rate: corrupt,
-            ..FabricConfig::lossy(0.0, 2)
+        &[0.0, 1e-5, 1e-3],
+        by_label(all_modes()),
+        &[("{}", |m| kiops(m.block_iops()))],
+        |&mode, &rate| {
+            let mut cfg = lossy_cfg(mode, THREADS, 0.0, 2);
+            cfg.net.corrupt_rate = rate;
+            // rate == 0 still runs with payload bytes and digests: the
+            // integrity flag isolates the checksum machinery's cost
+            // from the corruption-recovery cost.
+            cfg.integrity = true;
+            let groups = groups_for(mode, 600, 8_000);
+            (cfg, Workload::random_4k(THREADS, groups))
         },
-        cores: 8,
-        max_inflight_per_stream: 64,
-        integrity: true,
-        ..ClusterConfig::new(mode, vec![vec![ssd()], vec![ssd()]], THREADS)
+    );
+    for m in fig.series.iter().flat_map(|(_, runs)| runs) {
+        let i = &m.integrity;
+        assert_eq!(
+            i.wire_injected, i.wire_detected,
+            "an injected corruption escaped the digest check"
+        );
+        assert!(i.balanced(), "integrity ledger out of balance");
+    }
+    fig.print_retained(
+        "goodput retained vs corruption-free (same mode)",
+        RunMetrics::block_iops,
+    );
+    println!("--- detection ledger at the highest rate (per mode) ---");
+    let columns = ["injected", "detected", "refetched", "retx rounds"];
+    row("mode", &columns);
+    for (label, runs) in &fig.series {
+        let worst = runs.last().expect("at least one rate");
+        let i = &worst.integrity;
+        let counts = [
+            i.wire_injected,
+            i.wire_detected,
+            i.wire_refetched,
+            worst.net.retx_rounds,
+        ];
+        row(label, &counts);
     }
 }
 
@@ -151,22 +91,11 @@ fn crash_cfg(mode: OrderingMode, corrupt: f64, ssd: fn() -> SsdProfile) -> Clust
 /// * **bit rot** on PLP SSDs (`optane905p`) — media fills quickly, so
 ///   at-rest flips land on sealed blocks and the scrub catches every
 ///   single-bit error by its CRC-32C seal.
-fn crash_sweep(smoke: bool) {
-    let rates: &[f64] = if smoke { &[1e-3] } else { &[0.0, 1e-3] };
-    let modes = if smoke {
-        vec![OrderingMode::Rio { merge: true }]
-    } else {
-        vec![
-            OrderingMode::Rio { merge: true },
-            OrderingMode::Rio { merge: false },
-        ]
-    };
-    let groups: u64 = if smoke { 400 } else { 2_000 };
-    type FaultCell = (&'static str, fn() -> SsdProfile, FaultKind);
-    let cells: &[FaultCell] = &[
+fn crash_sweep() {
+    let cells = [
         (
             "torn write",
-            SsdProfile::pm981,
+            SsdProfile::pm981 as fn() -> SsdProfile,
             FaultKind::TornWrite {
                 targets: Vec::new(),
             },
@@ -180,80 +109,54 @@ fn crash_sweep(smoke: bool) {
             },
         ),
     ];
-    for mode in modes {
+    for mode in [
+        OrderingMode::Rio { merge: true },
+        OrderingMode::Rio { merge: false },
+    ] {
         header(&format!(
             "Corruption × crash, {}: media fault at half span, survivable, \
              {THREADS} threads",
             mode.label()
         ));
-        row(
-            "rate / fault",
-            &[
-                "rebuild".into(),
-                "scrub+disc".into(),
-                "injected".into(),
-                "detected".into(),
-                "repaired".into(),
-                "lost".into(),
-                "retention".into(),
-            ],
-        );
-        for &rate in rates {
-            for (label, ssd, kind) in cells {
-                let baseline = Cluster::new(
-                    crash_cfg(mode.clone(), rate, *ssd),
-                    Workload::seq_batched(THREADS, groups, 4, 1),
-                )
-                .run();
-                let crash_at = SimTime::from_nanos(baseline.finished_at.as_nanos() / 2);
-                let mut cfg = crash_cfg(mode.clone(), rate, *ssd);
-                cfg.faults = FaultPlan {
-                    events: vec![FaultEvent {
-                        at: crash_at,
-                        kind: kind.clone(),
-                        resume: true,
-                    }],
+        let columns = [
+            "rebuild",
+            "scrub+disc",
+            "injected",
+            "detected",
+            "repaired",
+            "lost",
+            "retention",
+        ];
+        row("rate / fault", &columns);
+        for rate in [0.0, 1e-3] {
+            for (label, ssd, kind) in &cells {
+                let wl = Workload::seq_batched(THREADS, 2_000, 4, 1);
+                let net = FabricConfig {
+                    corrupt_rate: rate,
+                    ..FabricConfig::lossy(0.0, 2)
                 };
-                let m = Cluster::new(cfg, Workload::seq_batched(THREADS, groups, 4, 1)).run();
-                assert_eq!(
-                    m.groups_done,
-                    THREADS as u64 * groups,
-                    "{label}: corruption or crash broke exactly-once"
-                );
-                assert!(
-                    m.integrity.balanced(),
-                    "{label}: integrity ledger out of balance"
-                );
-                let i = &m.integrity;
-                let r = &m.recoveries[0];
-                let e0 = m.epochs.first().expect("epoch 0").block_iops();
-                let e_last = m.epochs.last().expect("final epoch").block_iops();
-                row(
-                    &format!("{rate:.0e} {label}"),
-                    &[
-                        format!("{:.1} ms", r.order_rebuild.as_secs_f64() * 1e3),
-                        format!("{:.2} ms", r.data_recovery.as_secs_f64() * 1e3),
-                        format!("{}", i.torn_injected + i.rot_injected),
-                        format!("{}", i.media_detected),
-                        format!("{}", i.media_repaired),
-                        format!("{}", i.media_unrepairable),
-                        format!(
-                            "{:.1}%",
-                            if e0 > 0.0 { e_last / e0 * 100.0 } else { 0.0 }
-                        ),
-                    ],
-                );
+                let cfg = ClusterConfig {
+                    integrity: true,
+                    ..fault_cfg(mode, *ssd, THREADS, net)
+                };
+                let fault = vec![(format!("{rate:.0e} {label}"), kind.clone())];
+                half_span_faults(cfg, wl, fault, |m| {
+                    let i = &m.integrity;
+                    let counts = [
+                        i.torn_injected + i.rot_injected,
+                        i.media_detected,
+                        i.media_repaired,
+                        i.media_unrepairable,
+                    ];
+                    counts.map(|c| c.to_string()).to_vec()
+                });
             }
         }
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!(
-        "End-to-end integrity sweep ({} run): corruption x crash x ordering modes.",
-        if smoke { "smoke" } else { "full" }
-    );
-    corruption_sweep(smoke);
-    crash_sweep(smoke);
+    println!("End-to-end integrity sweep (full run): corruption x crash x ordering modes.");
+    corruption_sweep();
+    crash_sweep();
 }

@@ -18,76 +18,57 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo bench -p rio-bench --bench fig_lossy_fabric            # full sweep
-//! cargo bench -p rio-bench --bench fig_lossy_fabric -- --smoke # CI-sized
+//! cargo bench -p rio-bench --bench fig_lossy_fabric
 //! ```
 
-use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
-use rio_bench::{all_modes, header, kiops, lossy_cfg, row, run};
-use rio_stack::{OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload};
+use rio_bench::experiment::sweep;
+use rio_bench::trace_export::traced_cell;
+use rio_bench::{all_modes, by_label, groups_for, kiops, lossy_cfg};
+use rio_stack::{OrderingMode, RunMetrics, Workload};
 
 const THREADS: usize = 4;
 
-fn groups_for(mode: &OrderingMode, smoke: bool) -> u64 {
-    let scale = if smoke { 10 } else { 1 };
-    match mode {
-        OrderingMode::LinuxNvmf => 600 / scale,
-        _ => 20_000 / scale,
+fn main() {
+    // The interesting cell: RIO under real loss, where retransmit spans
+    // and gate stalls show up in the trace.
+    let rio = lossy_cfg(OrderingMode::Rio { merge: true }, THREADS, 1e-3, 2);
+    if traced_cell(
+        "lossy-fabric RIO loss=1e-3 paths=2",
+        rio,
+        Workload::random_4k(THREADS, 2_000),
+    ) {
+        return;
     }
-}
-
-fn sweep(smoke: bool) {
-    let losses: &[f64] = if smoke {
-        &[0.0, 1e-3]
-    } else {
-        &[0.0, 1e-5, 1e-3, 1e-2]
-    };
-    let paths_axis: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4] };
-
-    for &paths in paths_axis {
-        header(&format!(
-            "Lossy fabric, {paths} path(s): KIOPS of 4 KB ordered writes ({THREADS} threads)"
-        ));
-        row(
+    println!("Lossy multi-path fabric sweep (full run).");
+    let losses = [0.0, 1e-5, 1e-3, 1e-2];
+    for paths in [1, 2, 4] {
+        let fig = sweep(
+            &format!(
+                "Lossy fabric, {paths} path(s): KIOPS of 4 KB ordered writes ({THREADS} threads)"
+            ),
             "mode \\ loss",
-            &losses.iter().map(|l| format!("{l}")).collect::<Vec<_>>(),
+            &losses,
+            by_label(all_modes()),
+            &[("{}", |m| kiops(m.block_iops()))],
+            |&mode, &loss| {
+                let groups = groups_for(mode, 600, 20_000);
+                (
+                    lossy_cfg(mode, THREADS, loss, paths),
+                    Workload::random_4k(THREADS, groups),
+                )
+            },
         );
-        let mut results: Vec<(String, Vec<RunMetrics>)> = Vec::new();
-        for mode in all_modes() {
-            let series: Vec<RunMetrics> = losses
-                .iter()
-                .map(|&loss| {
-                    let cfg = lossy_cfg(mode.clone(), THREADS, loss, paths);
-                    let wl = Workload::random_4k(THREADS, groups_for(&mode, smoke));
-                    run(cfg, wl)
-                })
-                .collect();
-            row(
-                mode.label(),
-                &series
-                    .iter()
-                    .map(|m| kiops(m.block_iops()))
-                    .collect::<Vec<_>>(),
-            );
-            results.push((mode.label().to_string(), series));
-        }
         // Relative throughput vs the mode's own lossless run — the
         // graceful-vs-sharp degradation panel.
-        println!("--- throughput retained vs lossless (same mode) ---");
-        for (label, series) in &results {
-            let base = series[0].block_iops();
-            let cells: Vec<String> = series
-                .iter()
-                .map(|m| format!("{:.1}%", 100.0 * m.block_iops() / base.max(1e-12)))
-                .collect();
-            row(label, &cells);
-        }
+        fig.print_retained(
+            "throughput retained vs lossless (same mode)",
+            RunMetrics::block_iops,
+        );
         // Fabric health counters for the highest-loss RIO cell.
-        let rio = &results.iter().find(|(l, _)| l == "RIO").expect("RIO ran").1;
-        let worst = rio.last().expect("at least one loss point");
+        let worst = fig.runs("RIO").last().expect("at least one loss point");
         println!(
             "--- RIO @ loss={}: {} pkts, {} drops, {} retransmits, {} recovery rounds, gate buffered {} ---",
-            losses.last().expect("non-empty"),
+            losses[losses.len() - 1],
             worst.net.packets,
             worst.net.drops,
             worst.net.retransmits,
@@ -101,25 +82,4 @@ fn sweep(smoke: bool) {
             );
         }
     }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = trace_out_arg(&args) {
-        // The interesting cell: RIO under real loss, where retransmit
-        // spans and gate stalls show up in the trace.
-        let mut cfg = lossy_cfg(OrderingMode::Rio { merge: true }, THREADS, 1e-3, 2);
-        cfg.trace = Some(TraceConfig::default());
-        cfg.telemetry = Some(TelemetryConfig::default());
-        let m = run(cfg, Workload::random_4k(THREADS, 2_000));
-        write_chrome_trace(&path, &m).expect("write Chrome trace");
-        println!("wrote Chrome trace of lossy-fabric RIO loss=1e-3 paths=2 to {path}");
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    println!(
-        "Lossy multi-path fabric sweep ({} run).",
-        if smoke { "smoke" } else { "full" }
-    );
-    sweep(smoke);
 }

@@ -15,101 +15,79 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo bench -p rio-bench --bench fig_multi_initiator            # full sweep
-//! cargo bench -p rio-bench --bench fig_multi_initiator -- --smoke # CI-sized
+//! cargo bench -p rio-bench --bench fig_multi_initiator
 //! ```
 
-use rio_bench::trace_export::{trace_out_arg, write_chrome_trace};
+use rio_bench::experiment::sweep;
+use rio_bench::trace_export::traced_cell;
 use rio_bench::{header, kiops, row, run, us};
-use rio_stack::{
-    ClusterConfig, FabricConfig, OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload,
-};
+use rio_stack::{ClusterConfig, FabricConfig, OrderingMode, Workload};
 
-fn multi(initiators: usize, streams_each: usize, targets: usize, groups: u64) -> RunMetrics {
-    let mut cfg = ClusterConfig::multi_initiator(
-        OrderingMode::Rio { merge: true },
-        initiators,
-        streams_each,
-        targets,
-    );
-    cfg.net = FabricConfig::lossy(1e-3, 2);
-    let threads = initiators * streams_each;
-    run(cfg, Workload::random_4k(threads, groups))
+/// `initiators` one-tenant RIO initiators of `streams_each` streams
+/// over `targets` shared targets and a lossy two-path fabric.
+fn multi(initiators: usize, streams_each: usize, targets: usize) -> ClusterConfig {
+    let mode = OrderingMode::Rio { merge: true };
+    let cfg = ClusterConfig::multi_initiator(mode, initiators, streams_each, targets);
+    ClusterConfig {
+        net: FabricConfig::lossy(1e-3, 2),
+        ..cfg
+    }
 }
 
-fn scaling_sweep(smoke: bool) {
-    let init_axis: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let stream_axis: &[usize] = if smoke { &[1] } else { &[1, 2] };
-    let target_axis: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
-    let groups: u64 = if smoke { 400 } else { 2_000 };
-
-    for &streams_each in stream_axis {
-        header(&format!(
-            "Multi-initiator scaling, {streams_each} stream(s)/initiator: aggregate KIOPS \
-             (RIO, loss=1e-3, 2 paths)"
-        ));
-        row(
+fn scaling_sweep() {
+    for streams_each in [1, 2] {
+        let fig = sweep(
+            &format!(
+                "Multi-initiator scaling, {streams_each} stream(s)/initiator: aggregate KIOPS \
+                 (RIO, loss=1e-3, 2 paths)"
+            ),
             "targets \\ inits",
-            &init_axis.iter().map(|i| format!("{i}")).collect::<Vec<_>>(),
-        );
-        for &targets in target_axis {
-            let series: Vec<RunMetrics> = init_axis
-                .iter()
-                .map(|&m| multi(m, streams_each, targets, groups))
-                .collect();
-            row(
-                &format!("{targets} target(s)"),
-                &series
-                    .iter()
-                    .map(|m| kiops(m.block_iops()))
-                    .collect::<Vec<_>>(),
-            );
-            // The saturation tell: mean DRR admission wait per tenant.
-            // Once the shared targets are the bottleneck, piling on
-            // initiators stops raising KIOPS and starts raising this.
-            let waits: Vec<String> = series
-                .iter()
-                .map(|m| {
+            &[1usize, 2, 4, 8],
+            [1usize, 2, 4]
+                .map(|t| (format!("{t} target(s)"), t))
+                .to_vec(),
+            &[
+                ("{}", |m| kiops(m.block_iops())),
+                // The saturation tell: mean DRR admission wait per
+                // tenant. Once the shared targets are the bottleneck,
+                // piling on initiators stops raising KIOPS and starts
+                // raising this.
+                ("  drr wait", |m| {
                     let t = &m.tenants;
-                    let mean_ns: f64 = if t.is_empty() {
+                    let total: f64 = t.iter().map(|t| t.gate_wait.mean().as_nanos() as f64).sum();
+                    let mean_ns = if t.is_empty() {
                         0.0
                     } else {
-                        t.iter().map(|t| t.gate_wait.mean().as_nanos() as f64).sum::<f64>()
-                            / t.len() as f64
+                        total / t.len() as f64
                     };
                     us(mean_ns / 1e3)
-                })
-                .collect();
-            row("  drr wait", &waits);
-            let fairness: Vec<String> = series
-                .iter()
-                .map(|m| format!("{:.3}", m.tenant_fairness()))
-                .collect();
-            row("  jain", &fairness);
-            for m in &series {
-                assert!(
-                    m.tenants.len() < 2 || m.tenant_fairness() >= 0.95,
-                    "equal-weight tenants fell out of fairness: {}",
-                    m.tenant_fairness()
-                );
-            }
+                }),
+                ("  jain", |m| format!("{:.3}", m.tenant_fairness())),
+            ],
+            |&targets, &initiators| {
+                let wl = Workload::random_4k(initiators * streams_each, 2_000);
+                (multi(initiators, streams_each, targets), wl)
+            },
+        );
+        for m in fig.series.iter().flat_map(|(_, runs)| runs) {
+            assert!(
+                m.tenants.len() < 2 || m.tenant_fairness() >= 0.95,
+                "equal-weight tenants fell out of fairness: {}",
+                m.tenant_fairness()
+            );
         }
     }
 }
 
-fn weight_sweep(smoke: bool) {
+fn weight_sweep() {
     header("QoS weights: 2 initiators, 1 shared target, equal demand");
-    let groups: u64 = if smoke { 400 } else { 2_000 };
-    row("weights", &["1:1".into(), "2:1".into(), "4:1".into()]);
-    let mut iops_rows: Vec<(String, Vec<String>)> =
-        vec![("tenant 0".into(), Vec::new()), ("tenant 1".into(), Vec::new())];
-    for &w in &[1u32, 2, 4] {
-        let mut cfg =
-            ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 2, 2, 1);
+    row("weights", &["1:1", "2:1", "4:1"]);
+    let mut tenants = [Vec::new(), Vec::new()];
+    for w in [1u32, 2, 4] {
+        let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 2, 2, 1);
         cfg.initiators[0] = cfg.initiators[0].clone().with_weight(w);
-        let m = run(cfg, Workload::random_4k(4, groups));
-        for (i, (_, cells)) in iops_rows.iter_mut().enumerate() {
-            let t = &m.tenants[i];
+        let m = run(cfg, Workload::random_4k(4, 2_000));
+        for (cells, t) in tenants.iter_mut().zip(&m.tenants) {
             cells.push(kiops(t.block_iops()));
         }
         if w > 1 {
@@ -121,31 +99,22 @@ fn weight_sweep(smoke: bool) {
             );
         }
     }
-    for (label, cells) in &iops_rows {
-        row(label, cells);
+    for (i, cells) in tenants.iter().enumerate() {
+        row(&format!("tenant {i}"), cells);
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = trace_out_arg(&args) {
-        // Three initiators incast onto two shared targets over a lossy
-        // fabric — the trace shows per-tenant lanes plus DRR waits.
-        let mut cfg =
-            ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 1, 2);
-        cfg.net = FabricConfig::lossy(1e-3, 2);
-        cfg.trace = Some(TraceConfig::default());
-        cfg.telemetry = Some(TelemetryConfig::default());
-        let m = run(cfg, Workload::random_4k(3, 400));
-        write_chrome_trace(&path, &m).expect("write Chrome trace");
-        println!("wrote Chrome trace of multi-initiator RIO 3x2 to {path}");
+    // Three initiators incast onto two shared targets over a lossy
+    // fabric — the trace shows per-tenant lanes plus DRR waits.
+    if traced_cell(
+        "multi-initiator RIO 3x2",
+        multi(3, 1, 2),
+        Workload::random_4k(3, 400),
+    ) {
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    println!(
-        "Multi-initiator / multi-tenant sweep ({} run).",
-        if smoke { "smoke" } else { "full" }
-    );
-    scaling_sweep(smoke);
-    weight_sweep(smoke);
+    println!("Multi-initiator / multi-tenant sweep (full run).");
+    scaling_sweep();
+    weight_sweep();
 }

@@ -20,30 +20,21 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo bench -p rio-bench --bench t65_recovery_time            # full
-//! cargo bench -p rio-bench --bench t65_recovery_time -- --smoke # CI-sized
+//! cargo bench -p rio-bench --bench t65_recovery_time
 //! ```
 
-use rio_bench::recovery;
-use rio_bench::{header, kiops, row};
-use rio_sim::SimTime;
+use rio_bench::experiment::{fault_cfg, half_span_faults};
+use rio_bench::{header, kiops, recovery, row};
 use rio_ssd::SsdProfile;
-use rio_stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, Workload,
-};
+use rio_stack::{FabricConfig, FaultKind, OrderingMode, Workload};
 
 /// Part 1: the paper's one-shot recovery-time table.
-fn paper_table(smoke: bool) {
-    let threads = if smoke { 8 } else { 36 };
-    let trials: u64 = if smoke { 3 } else { 30 };
+fn paper_table() {
+    let (threads, trials) = (36, 30);
     header(&format!(
         "§6.5: mean over {trials} crash trials, {threads} threads, 4 SSDs, 2 targets"
     ));
-
-    let mut rebuild_ms = 0.0;
-    let mut data_ms = 0.0;
-    let mut records = 0usize;
-    let mut discards = 0usize;
+    let (mut rebuild_ms, mut data_ms, mut records, mut discards) = (0.0, 0.0, 0, 0);
     for trial in 0..trials {
         let report = recovery::trial(trial, threads);
         rebuild_ms += report.order_rebuild.as_secs_f64() * 1e3;
@@ -51,22 +42,19 @@ fn paper_table(smoke: bool) {
         records += report.records_scanned;
         discards += report.discards;
     }
-    let n = trials as f64;
+    let (rebuild_ms, data_ms) = (rebuild_ms / trials as f64, data_ms / trials as f64);
     row(
         "RIO (sim)",
         &[
-            format!("order rebuild {:.1} ms", rebuild_ms / n),
-            format!("data recovery {:.1} ms", data_ms / n),
+            format!("order rebuild {rebuild_ms:.1} ms"),
+            format!("data recovery {data_ms:.1} ms"),
             format!("{} records", records / trials as usize),
             format!("{} discards", discards / trials as usize),
         ],
     );
     row(
         "RIO (paper)",
-        &[
-            "order rebuild ~55 ms".into(),
-            "data recovery ~125 ms".into(),
-        ],
+        &["order rebuild ~55 ms", "data recovery ~125 ms"],
     );
     // Horae's ordering metadata is smaller (~60% of Rio's attribute,
     // per the paper's relative reload times); its scan scales with the
@@ -74,43 +62,20 @@ fn paper_table(smoke: bool) {
     row(
         "HORAE (model)",
         &[
-            format!("order rebuild {:.1} ms", rebuild_ms / n * 38.0 / 55.0),
-            format!("data recovery {:.1} ms", data_ms / n * 101.0 / 125.0),
+            format!("order rebuild {:.1} ms", rebuild_ms * 38.0 / 55.0),
+            format!("data recovery {:.1} ms", data_ms * 101.0 / 125.0),
         ],
     );
     row(
         "HORAE (paper)",
-        &[
-            "order rebuild ~38 ms".into(),
-            "data recovery ~101 ms".into(),
-        ],
+        &["order rebuild ~38 ms", "data recovery ~101 ms"],
     );
 }
 
-fn sweep_cfg(mode: OrderingMode, loss: f64, threads: usize) -> ClusterConfig {
-    let optane = || vec![SsdProfile::optane905p()];
-    ClusterConfig {
-        seed: 77,
-        net: FabricConfig {
-            migrate_every: 64,
-            ..FabricConfig::lossy(loss, 2)
-        },
-        cores: 8,
-        max_inflight_per_stream: 64,
-        ..ClusterConfig::new(mode, vec![optane(), optane()], threads)
-    }
-}
-
 /// Part 2: the survivable loss × crash-pattern × mode sweep.
-fn survivable_sweep(smoke: bool) {
-    let threads = 4usize;
-    let groups: u64 = if smoke { 800 } else { 4_000 };
-    let losses: &[f64] = if smoke {
-        &[0.0, 1e-3]
-    } else {
-        &[0.0, 1e-3, 1e-2]
-    };
-    let patterns: &[(&str, FaultKind)] = &[
+fn survivable_sweep() {
+    let threads = 4;
+    let patterns = [
         (
             "crash both",
             FaultKind::PowerFail {
@@ -120,76 +85,47 @@ fn survivable_sweep(smoke: bool) {
         ("crash one", FaultKind::PowerFail { targets: vec![1] }),
         ("nic reset", FaultKind::NicReset { target: 0 }),
     ];
-    let modes = [
+    for mode in [
         OrderingMode::Rio { merge: true },
         OrderingMode::Rio { merge: false },
-    ];
-
-    for mode in modes {
+    ] {
         header(&format!(
             "Survivable faults, {}: mid-flight fault at half the crash-free span, \
              2 paths, {threads} threads",
             mode.label()
         ));
-        row(
-            "loss / fault",
-            &[
-                "rebuild".into(),
-                "discard".into(),
-                "requeued".into(),
-                "epoch0".into(),
-                "epoch1".into(),
-                "retention".into(),
-            ],
-        );
-        for &loss in losses {
-            let baseline = Cluster::new(
-                sweep_cfg(mode.clone(), loss, threads),
-                Workload::seq_batched(threads, groups, 4, 1),
-            )
-            .run();
-            let crash_at = SimTime::from_nanos(baseline.finished_at.as_nanos() / 2);
-            for (label, kind) in patterns {
-                let mut cfg = sweep_cfg(mode.clone(), loss, threads);
-                cfg.faults = FaultPlan {
-                    events: vec![FaultEvent {
-                        at: crash_at,
-                        kind: kind.clone(),
-                        resume: true,
-                    }],
-                };
-                let m =
-                    Cluster::new(cfg, Workload::seq_batched(threads, groups, 4, 1)).run();
-                assert_eq!(
-                    m.groups_done,
-                    threads as u64 * groups,
-                    "{label}: groups lost or doubled"
-                );
-                let r = &m.recoveries[0];
-                let requeued: u64 = r.streams.iter().map(|s| s.requeued).sum();
-                let e0 = m.epochs[0].block_iops();
-                let e1 = m.epochs[1].block_iops();
-                row(
-                    &format!("{loss:.0e} {label}"),
-                    &[
-                        format!("{:.1} ms", r.order_rebuild.as_secs_f64() * 1e3),
-                        format!("{:.2} ms", r.data_recovery.as_secs_f64() * 1e3),
-                        format!("{requeued}"),
-                        kiops(e0),
-                        kiops(e1),
-                        format!("{:.1}%", if e0 > 0.0 { e1 / e0 * 100.0 } else { 0.0 }),
-                    ],
-                );
-            }
+        let columns = [
+            "rebuild",
+            "discard",
+            "requeued",
+            "epoch0",
+            "epoch1",
+            "retention",
+        ];
+        row("loss / fault", &columns);
+        for loss in [0.0, 1e-3, 1e-2] {
+            let net = FabricConfig {
+                migrate_every: 64,
+                ..FabricConfig::lossy(loss, 2)
+            };
+            let cfg = fault_cfg(mode, SsdProfile::optane905p, threads, net);
+            let wl = Workload::seq_batched(threads, 4_000, 4, 1);
+            let faults = patterns
+                .iter()
+                .map(|(label, kind)| (format!("{loss:.0e} {label}"), kind.clone()));
+            half_span_faults(cfg, wl, faults.collect(), |m| {
+                let requeued: u64 = m.recoveries[0].streams.iter().map(|s| s.requeued).sum();
+                let epochs = m.epochs[..2].iter().map(|e| kiops(e.block_iops()));
+                [requeued.to_string()].into_iter().chain(epochs).collect()
+            });
         }
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     println!("Reproduction of paper §6.5 (recovery time) + survivable fault sweep.");
     println!("Paper: Rio ~55 ms order rebuild + ~125 ms data recovery;");
     println!("Horae ~38 ms + ~101 ms (smaller ordering metadata).");
-    paper_table(smoke);
-    survivable_sweep(smoke);
+    paper_table();
+    survivable_sweep();
 }

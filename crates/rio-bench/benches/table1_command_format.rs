@@ -33,50 +33,36 @@ fn main() {
     let mut sqe = Sqe::write(1, 0x1000, 8);
     ext.embed(&mut sqe);
 
-    let checks: Vec<(&str, &str, bool)> = vec![
+    // (dword:bits, field, dword, shift, mask, what the encoder put there)
+    let fields: [(&str, &str, usize, u32, u32, u32); 9] = [
         (
             "00:10-13",
             "Rio op code (submit)",
-            (sqe.dw[0] >> 10) & 0xf == RioOpcode::Submit.as_bits() as u32,
+            0,
+            10,
+            0xf,
+            RioOpcode::Submit.as_bits() as u32,
         ),
-        ("02:00-31", "start sequence (seq)", sqe.dw[2] == 0x1111_1111),
-        ("03:00-31", "end sequence (seq)", sqe.dw[3] == 0x2222_2222),
-        (
-            "04:00-31",
-            "previous group (prev)",
-            sqe.dw[4] == 0x3333_3333,
-        ),
-        (
-            "05:00-15",
-            "number of requests (num)",
-            sqe.dw[5] & 0xffff == 0x4444,
-        ),
-        ("05:16-31", "stream ID", sqe.dw[5] >> 16 == 0x5555),
-        (
-            "12:16-19",
-            "special flags (boundary)",
-            (sqe.dw[12] >> 16) & 0xf == 0b001,
-        ),
-        (
-            "13:00-16",
-            "member/split (impl. extension)",
-            sqe.dw[13] & 0xff == 7,
-        ),
+        ("02:00-31", "start sequence (seq)", 2, 0, !0, 0x1111_1111),
+        ("03:00-31", "end sequence (seq)", 3, 0, !0, 0x2222_2222),
+        ("04:00-31", "previous group (prev)", 4, 0, !0, 0x3333_3333),
+        ("05:00-15", "number of requests (num)", 5, 0, 0xffff, 0x4444),
+        ("05:16-31", "stream ID", 5, 16, !0, 0x5555),
+        ("12:16-19", "special flags (boundary)", 12, 16, 0xf, 0b001),
+        ("13:00-16", "member/split (impl. extension)", 13, 0, 0xff, 7),
         (
             "14:00-31",
             "dispatch ordinal (impl. extension)",
-            sqe.dw[14] == 0x6666_6666,
+            14,
+            0,
+            !0,
+            0x6666_6666,
         ),
     ];
     let mut all_ok = true;
-    for (pos, field, ok) in checks {
-        row(
-            pos,
-            &[
-                field.to_string(),
-                if ok { "ok".into() } else { "MISMATCH".into() },
-            ],
-        );
+    for (pos, field, dw, shift, mask, want) in fields {
+        let ok = (sqe.dw[dw] >> shift) & mask == want;
+        row(pos, &[field, if ok { "ok" } else { "MISMATCH" }]);
         all_ok &= ok;
     }
     // Standard fields must survive the embedding.

@@ -30,12 +30,15 @@ const USAGE: &str = "usage: bench_gate [--baseline PATH] [--current PATH] [--wri
 
 /// Runs every cell of the document.
 fn measure() -> Document {
-    Document { grid: specs().iter().map(run_spec).collect(), recoveries: recovery::trajectory() }
+    Document {
+        grid: specs().iter().map(run_spec).collect(),
+        recoveries: recovery::trajectory(),
+    }
 }
 
 fn load(path: &str, role: &str) -> Result<Document, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {role} {path}: {e}"))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {role} {path}: {e}"))?;
     Document::parse(&text).map_err(|e| format!("{role} {path}: {e}"))
 }
 
@@ -59,8 +62,13 @@ fn gate<C: Trajectory>(baseline: &[C], current: &[C]) -> bool {
     // The simulation is deterministic, so any event-count drift means
     // the engine's behavior changed — name every drifted cell with its
     // expected and measured counts so the change is attributable.
-    let notes = out.verdicts.iter().flat_map(|v| v.notes.iter().map(move |n| (&v.key, n)));
-    let drifted: Vec<_> = notes.filter(|(_, n)| n.contains("event-count drift")).collect();
+    let notes = out
+        .verdicts
+        .iter()
+        .flat_map(|v| v.notes.iter().map(move |n| (&v.key, n)));
+    let drifted: Vec<_> = notes
+        .filter(|(_, n)| n.contains("event-count drift"))
+        .collect();
     if !drifted.is_empty() {
         println!(
             "bench_gate: WARNING — deterministic event counts drifted in {} cell(s):",
@@ -74,7 +82,10 @@ fn gate<C: Trajectory>(baseline: &[C], current: &[C]) -> bool {
     if out.failed() {
         println!("bench_gate: {section} FAIL — regressed beyond tolerance");
     } else {
-        println!("bench_gate: {section} PASS ({} cells compared)", out.verdicts.len());
+        println!(
+            "bench_gate: {section} PASS ({} cells compared)",
+            out.verdicts.len()
+        );
     }
     out.failed()
 }
@@ -100,8 +111,8 @@ fn real_main() -> Result<bool, String> {
     }
 
     // crates/rio-bench -> repo root.
-    let baseline = baseline
-        .unwrap_or_else(|| format!("{}/../../BENCH.json", env!("CARGO_MANIFEST_DIR")));
+    let baseline =
+        baseline.unwrap_or_else(|| format!("{}/../../BENCH.json", env!("CARGO_MANIFEST_DIR")));
     let baseline = load(&baseline, "baseline")?;
     let current = match current {
         Some(path) => load(&path, "current")?,

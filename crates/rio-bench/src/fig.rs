@@ -9,8 +9,8 @@
 
 use rio_stack::OrderingMode;
 
-use crate::all_modes;
 use crate::sweep::CellSpec;
+use crate::{all_modes, groups_for};
 
 /// The figure slices, in run order: fig10 a/b/d at two threads, fig13
 /// fsync-append across the thread axis, two-path lossy fabric at two
@@ -19,25 +19,43 @@ pub fn slices() -> Vec<CellSpec> {
     let mut specs = Vec::new();
     for figure in ["fig10a_flash", "fig10b_optane", "fig10d_4ssd"] {
         for mode in all_modes() {
-            let groups = if mode == OrderingMode::LinuxNvmf { 300 } else { 3_000 };
+            let groups = groups_for(mode, 300, 3_000);
             specs.push(CellSpec::new(figure, mode, 2, groups));
         }
     }
-    for mode in [OrderingMode::LinuxNvmf, OrderingMode::Horae, OrderingMode::Rio { merge: true }] {
+    for mode in [
+        OrderingMode::LinuxNvmf,
+        OrderingMode::Horae,
+        OrderingMode::Rio { merge: true },
+    ] {
         for threads in [1, 4, 16] {
-            let ops = if mode == OrderingMode::LinuxNvmf { 60 } else { 300 };
+            let ops = groups_for(mode, 60, 300);
             specs.push(CellSpec::new("fig13", mode, threads, ops));
         }
     }
     for mode in all_modes() {
         for loss in [1e-3, 1e-2] {
-            let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 2_000 };
-            specs.push(CellSpec { loss, paths: 2, ..CellSpec::new("lossy_fabric", mode, 4, groups) });
+            let groups = groups_for(mode, 60, 2_000);
+            specs.push(CellSpec {
+                loss,
+                paths: 2,
+                ..CellSpec::new("lossy_fabric", mode, 4, groups)
+            });
         }
     }
     for initiators in [2, 4] {
-        let spec = CellSpec::new("multi_initiator", OrderingMode::Rio { merge: true }, initiators, 400);
-        specs.push(CellSpec { initiators, loss: 1e-3, paths: 2, ..spec });
+        let spec = CellSpec::new(
+            "multi_initiator",
+            OrderingMode::Rio { merge: true },
+            initiators,
+            400,
+        );
+        specs.push(CellSpec {
+            initiators,
+            loss: 1e-3,
+            paths: 2,
+            ..spec
+        });
     }
     specs
 }
@@ -67,13 +85,20 @@ mod tests {
 
     /// The `grid` section of a document written and read back.
     fn round_trip(grid: Vec<Cell>) -> Vec<Cell> {
-        let doc = Document { grid, ..Document::default() }.padded();
+        let doc = Document {
+            grid,
+            ..Document::default()
+        }
+        .padded();
         Document::parse(&doc.render()).expect("parse").grid
     }
 
     #[test]
     fn render_parse_round_trip() {
-        let parsed = round_trip(vec![cell("fig10a_flash", "RIO", 512.125), cell("fig13", "Linux", 1.5)]);
+        let parsed = round_trip(vec![
+            cell("fig10a_flash", "RIO", 512.125),
+            cell("fig13", "Linux", 1.5),
+        ]);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].figure, "fig10a_flash");
         assert_eq!(parsed[1].mode, "Linux");
@@ -109,11 +134,17 @@ mod tests {
 
     #[test]
     fn missing_cells_always_fail() {
-        let base = vec![cell("fig10a_flash", "RIO", 500.0), cell("fig13", "Linux", 2.0)];
+        let base = vec![
+            cell("fig10a_flash", "RIO", 500.0),
+            cell("fig13", "Linux", 2.0),
+        ];
         let partial = vec![cell("fig10a_flash", "RIO", 500.0)];
         let out = compare(&base, &partial);
         assert!(out.failed());
-        assert_eq!(out.verdicts[1].failures, ["cell missing from the current grid"]);
+        assert_eq!(
+            out.verdicts[1].failures,
+            ["cell missing from the current grid"]
+        );
     }
 
     #[test]
@@ -121,7 +152,11 @@ mod tests {
         let mut odd = cell("fig, \"10\" }a{ [x] \\ \t", "Li}nux", 7.5);
         odd.loss = 0.0;
         let parsed = round_trip(vec![odd.clone(), cell("fig13", "RIO", 1.0)]);
-        assert_eq!(parsed.len(), 2, "a delimiter inside a string is not a delimiter");
+        assert_eq!(
+            parsed.len(),
+            2,
+            "a delimiter inside a string is not a delimiter"
+        );
         assert_eq!(parsed[0].figure, odd.figure);
         assert_eq!(parsed[0].mode, "Li}nux");
         assert_eq!(parsed[0].key_label(), odd.key_label());

@@ -159,7 +159,13 @@ impl<C> Rule<C> {
         limit: f64,
         show: fn(f64) -> String,
     ) -> Self {
-        Rule { stem, metric, limit, show, drift: None }
+        Rule {
+            stem,
+            metric,
+            limit,
+            show,
+            drift: None,
+        }
     }
 
     fn check(&self, v: &mut CellVerdict, cur: &C, base: &C) {
@@ -168,11 +174,18 @@ impl<C> Rule<C> {
         if !(cur.is_finite() && base.is_finite()) {
             // Every threshold below is a `<` / `>` on floats, which a
             // NaN would sail through.
-            v.failures.push(format!("{stem} is not finite: {cur} vs baseline {base}"));
+            v.failures
+                .push(format!("{stem} is not finite: {cur} vs baseline {base}"));
             return;
         }
         let bound = base * (1.0 + self.limit);
-        if base > 0.0 && if self.limit < 0.0 { cur < bound } else { cur > bound } {
+        if base > 0.0
+            && if self.limit < 0.0 {
+                cur < bound
+            } else {
+                cur > bound
+            }
+        {
             v.failures.push(format!(
                 "{stem} regression: {} vs baseline {} ({:+.1}%, tolerance {:+.0}%)",
                 show(cur),
@@ -209,7 +222,8 @@ pub fn compare<C: Trajectory>(baseline: &[C], current: &[C]) -> GateOutcome {
             }
             v.notes.extend(cur.workload_drift(base));
         } else {
-            v.failures.push(format!("cell missing from the current {}", C::SECTION));
+            v.failures
+                .push(format!("cell missing from the current {}", C::SECTION));
         }
         out.verdicts.push(v);
     }
@@ -254,7 +268,11 @@ mod tests {
     }
 
     fn doc(grid: Vec<Cell>) -> Document {
-        Document { grid, ..Document::default() }.padded()
+        Document {
+            grid,
+            ..Document::default()
+        }
+        .padded()
     }
 
     #[test]
@@ -277,9 +295,10 @@ mod tests {
         // Schemas 4 and 1 are the three files this document replaced;
         // schema 5 kept the figure slices apart.
         for old in [1, 2, 4, 5, 99] {
-            let text = doc(vec![cell("x", "RIO", 1, 1.0)])
-                .render()
-                .replace(&format!("\"schema\": {SCHEMA}"), &format!("\"schema\": {old}"));
+            let text = doc(vec![cell("x", "RIO", 1, 1.0)]).render().replace(
+                &format!("\"schema\": {SCHEMA}"),
+                &format!("\"schema\": {old}"),
+            );
             let err = Document::parse(&text).expect_err("any other schema must be rejected");
             assert!(err.contains("schema mismatch"), "{err}");
             assert!(err.contains("regenerate"), "{err}");
@@ -318,7 +337,10 @@ mod tests {
         let out = compare(&base, &busier);
         assert!(out.failed());
         let failure = &out.verdicts[0].failures[0];
-        assert!(failure.contains("events regression: 500001 vs baseline 500000"), "{failure}");
+        assert!(
+            failure.contains("events regression: 500001 vs baseline 500000"),
+            "{failure}"
+        );
         // 30% worse p99: tail gate fires.
         let tail = vec![cell("fig10b_optane", "RIO", 500_000, 130.0)];
         let out = compare(&base, &tail);
@@ -347,7 +369,10 @@ mod tests {
         shrunk[0].groups = 100;
         let out = compare(&base, &shrunk);
         assert!(out.failed());
-        assert_eq!(out.verdicts[0].failures, ["cell missing from the current grid"]);
+        assert_eq!(
+            out.verdicts[0].failures,
+            ["cell missing from the current grid"]
+        );
     }
 
     #[test]

@@ -103,16 +103,26 @@ impl Reader<'_> {
                         members.push((name, self.value(depth + 1)?));
                     }
                 }
-                Ok(if open == b'[' { Value::Array(items) } else { Value::Object(members) })
+                Ok(if open == b'[' {
+                    Value::Array(items)
+                } else {
+                    Value::Object(members)
+                })
             }
             Some(b'"') => self.string().map(Value::Str),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => {
                 let rest = &self.text[self.at..];
-                let word = ["true", "false", "null"].into_iter().find(|w| rest.starts_with(w));
+                let word = ["true", "false", "null"]
+                    .into_iter()
+                    .find(|w| rest.starts_with(w));
                 let word = word.ok_or("expected a value")?;
                 self.at += word.len();
-                Ok(if word == "null" { Value::Null } else { Value::Bool(word == "true") })
+                Ok(if word == "null" {
+                    Value::Null
+                } else {
+                    Value::Bool(word == "true")
+                })
             }
             None => Err("unexpected end of document"),
         }
@@ -186,7 +196,11 @@ pub enum Slot<'a> {
 /// One entry of a field list: the JSON member name; for a field that is
 /// part of the cell's identity, the text that introduces its value in
 /// [`Record::key_label`]; and the accessor.
-pub struct Field<R>(pub &'static str, pub Option<&'static str>, pub fn(&mut R) -> Slot<'_>);
+pub struct Field<R>(
+    pub &'static str,
+    pub Option<&'static str>,
+    pub fn(&mut R) -> Slot<'_>,
+);
 
 /// A flat JSON object whose members are spelled once, in document
 /// order, for the writer, the reader and the cell identity to walk.
@@ -265,7 +279,9 @@ pub(crate) fn write_members<R: Record>(out: &mut String, rec: &R) {
 pub(crate) fn fill<R: Record>(obj: &Value, ctx: &str) -> Result<R, String> {
     let mut rec = R::default();
     for Field(name, _, slot) in R::FIELDS {
-        let v = obj.get(name).ok_or_else(|| format!("missing field \"{name}\" in {ctx}"))?;
+        let v = obj
+            .get(name)
+            .ok_or_else(|| format!("missing field \"{name}\" in {ctx}"))?;
         slot(&mut rec)
             .set(v)
             .map_err(|kind| format!("field \"{name}\" in {ctx} is not {kind}"))?;

@@ -12,7 +12,10 @@
 //! trial). The figure benches and the two sections of `BENCH.json`
 //! (the grid of engine cells and figure slices, the recovery trials)
 //! all build their configurations from these, so a figure and the gate
-//! that guards it cannot drift apart.
+//! that guards it cannot drift apart. What the benches do with their
+//! cells — sweep and print, derive panels, fault a run at half its
+//! span — is [`experiment`]'s, and their `--trace-out` run is
+//! [`trace_export::traced_cell`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,6 +23,7 @@
 use rio_ssd::SsdProfile;
 use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, RunMetrics, Workload};
 
+pub mod experiment;
 pub mod fig;
 pub mod gate;
 pub mod json;
@@ -35,6 +39,50 @@ pub fn all_modes() -> Vec<OrderingMode> {
         OrderingMode::Rio { merge: true },
         OrderingMode::Orderless,
     ]
+}
+
+/// A cell's group count: `linux` for Linux NVMe-oF, which runs
+/// synchronously (one group per round trip) and so gets
+/// proportionally fewer, and `others` for every other mode.
+pub fn groups_for(mode: OrderingMode, linux: u64, others: u64) -> u64 {
+    if mode == OrderingMode::LinuxNvmf {
+        linux
+    } else {
+        others
+    }
+}
+
+/// The file-system series of Figs. 13 and 15: Ext4, HoraeFS and
+/// RioFS over their ordering engines, labelled as the paper labels
+/// them.
+pub fn fs_modes() -> Vec<(String, OrderingMode)> {
+    [
+        OrderingMode::LinuxNvmf,
+        OrderingMode::Horae,
+        OrderingMode::Rio { merge: true },
+    ]
+    .into_iter()
+    .map(|m| (fs_label(m).to_string(), m))
+    .collect()
+}
+
+/// A file-system mode's name in the paper's figures.
+fn fs_label(mode: OrderingMode) -> &'static str {
+    match mode {
+        OrderingMode::LinuxNvmf => "Ext4",
+        OrderingMode::Horae => "HORAEFS",
+        OrderingMode::Rio { .. } => "RIOFS",
+        OrderingMode::Orderless => "orderless",
+    }
+}
+
+/// `modes` labelled as the paper's legends label them: a sweep's
+/// series.
+pub fn by_label(modes: Vec<OrderingMode>) -> Vec<(String, OrderingMode)> {
+    modes
+        .into_iter()
+        .map(|m| (m.label().to_string(), m))
+        .collect()
 }
 
 /// Figure 10's cluster shapes: (a) one flash SSD, (b) one Optane SSD,
@@ -79,8 +127,8 @@ pub fn header(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Prints one table row: a label plus formatted cells.
-pub fn row(label: &str, cells: &[String]) {
+/// Prints one table row: a label plus its cells, each right-aligned.
+pub fn row<T: std::fmt::Display>(label: &str, cells: &[T]) {
     print!("{label:>16}");
     for c in cells {
         print!(" {c:>14}");

@@ -46,8 +46,12 @@ impl Record for RecoveryCell {
     const FIELDS: &'static [Field<RecoveryCell>] = &[
         Field("label", Some("recovery "), |c| Slot::Str(&mut c.label)),
         Field("threads", Some(" t="), |c| Slot::Count(&mut c.threads)),
-        Field("order_rebuild_ms", None, |c| Slot::Float(&mut c.order_rebuild_ms, Some(6))),
-        Field("data_recovery_ms", None, |c| Slot::Float(&mut c.data_recovery_ms, Some(6))),
+        Field("order_rebuild_ms", None, |c| {
+            Slot::Float(&mut c.order_rebuild_ms, Some(6))
+        }),
+        Field("data_recovery_ms", None, |c| {
+            Slot::Float(&mut c.data_recovery_ms, Some(6))
+        }),
         Field("records", None, |c| Slot::Int(&mut c.records)),
         Field("discards", None, |c| Slot::Int(&mut c.discards)),
     ];
@@ -110,59 +114,50 @@ pub fn trial(trial: u64, threads: usize) -> RecoveryMetrics {
 /// payload repairs.
 pub fn trajectory() -> Vec<RecoveryCell> {
     let threads = 8;
-    let mut cells = Vec::new();
-    for t in 0..4u64 {
-        let r = &trial(t, threads);
-        cells.push(RecoveryCell {
-            label: format!("trial{t}"),
-            threads,
-            order_rebuild_ms: r.order_rebuild.as_secs_f64() * 1e3,
-            data_recovery_ms: r.data_recovery.as_secs_f64() * 1e3,
-            records: r.records_scanned as u64,
-            discards: r.discards as u64,
-        });
-    }
+    let mut named: Vec<(String, RecoveryMetrics)> = (0..4u64)
+        .map(|t| (format!("trial{t}"), trial(t, threads)))
+        .collect();
     // The integrity cell: payload bytes on the wire and on media, a
     // power failure that tears the in-flight write, bit rot injected
     // at rest, and a recovery that scrubs and repairs — survivable, so
     // the workload completes after the crash.
     let mut cfg = trial_cfg(9000, threads);
     cfg.integrity = true;
-    cfg.faults = FaultPlan {
-        events: vec![
-            FaultEvent {
-                at: SimTime::from_nanos(2_500_000),
-                kind: FaultKind::TornWrite {
-                    targets: Vec::new(),
-                },
-                resume: true,
-            },
-            FaultEvent {
-                at: SimTime::from_nanos(5_000_000),
-                kind: FaultKind::BitRot {
-                    targets: Vec::new(),
-                    flips: 2,
-                },
-                resume: true,
-            },
-        ],
+    let resumed = |ns, kind| FaultEvent {
+        at: SimTime::from_nanos(ns),
+        kind,
+        resume: true,
     };
-    let m = Cluster::new(cfg, Workload::fsync_append(threads, 1_500)).run();
-    let named = [
-        ("integrity-torn", &m.recoveries[0]),
-        ("integrity-rot", &m.recoveries[1]),
-    ];
-    for (label, r) in named {
-        cells.push(RecoveryCell {
-            label: label.to_string(),
+    let torn = resumed(
+        2_500_000,
+        FaultKind::TornWrite {
+            targets: Vec::new(),
+        },
+    );
+    let rot = resumed(
+        5_000_000,
+        FaultKind::BitRot {
+            targets: Vec::new(),
+            flips: 2,
+        },
+    );
+    cfg.faults = FaultPlan {
+        events: vec![torn, rot],
+    };
+    let mut m = Cluster::new(cfg, Workload::fsync_append(threads, 1_500)).run();
+    let labels = ["integrity-torn", "integrity-rot"].map(String::from);
+    named.extend(labels.into_iter().zip(m.recoveries.drain(..2)));
+    named
+        .into_iter()
+        .map(|(label, r)| RecoveryCell {
+            label,
             threads,
             order_rebuild_ms: r.order_rebuild.as_secs_f64() * 1e3,
             data_recovery_ms: r.data_recovery.as_secs_f64() * 1e3,
             records: r.records_scanned as u64,
             discards: r.discards as u64,
-        });
-    }
-    cells
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -183,8 +178,15 @@ mod tests {
 
     #[test]
     fn render_parse_round_trip() {
-        let recoveries = vec![cell("trial0", 52.125, 110.5), cell("integrity", 12.0, 30.25)];
-        let doc = Document { recoveries, ..Document::default() }.padded();
+        let recoveries = vec![
+            cell("trial0", 52.125, 110.5),
+            cell("integrity", 12.0, 30.25),
+        ];
+        let doc = Document {
+            recoveries,
+            ..Document::default()
+        }
+        .padded();
         let parsed = Document::parse(&doc.render()).expect("parse").recoveries;
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[1].label, "integrity");
@@ -224,6 +226,9 @@ mod tests {
         let partial = vec![cell("trial0", 50.0, 100.0)];
         let out = compare(&base, &partial);
         assert!(out.failed());
-        assert_eq!(out.verdicts[1].failures, ["cell missing from the current recoveries"]);
+        assert_eq!(
+            out.verdicts[1].failures,
+            ["cell missing from the current recoveries"]
+        );
     }
 }

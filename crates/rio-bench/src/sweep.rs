@@ -10,15 +10,16 @@
 //! pinned — seeds, thread counts and group counts never vary — so
 //! every column is an exact function of the tree. The regression gate
 //! ([`crate::gate`]) compares the committed baseline against a re-run
-//! of the same grid; how fast the host executes it is the `sim_engine`
-//! bench's report and `benchmark/`'s to judge.
+//! of the same grid; how fast the host executes the engine is
+//! `benchmark/`'s to measure and judge (`host_blocks_per_sec`, and
+//! `rio-stack.run_ns_per_event` under `--trace 1`).
 
 use rio_ssd::SsdProfile;
-use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, RunMetrics, Workload};
+use rio_stack::{ClusterConfig, FabricConfig, OrderingMode, Workload};
 
-use crate::{all_modes, fig10_cfg, lossy_cfg};
 use crate::gate::{Rule, Trajectory};
 use crate::json::{Field, Record, Slot};
+use crate::{all_modes, fig10_cfg, groups_for, lossy_cfg, run};
 
 /// Maximum tolerated rise in a cell's group p99.
 pub const MAX_P99_RISE: f64 = 0.15;
@@ -54,7 +55,15 @@ pub struct CellSpec {
 impl CellSpec {
     /// A lossless single-path cell with one initiator.
     pub fn new(figure: &'static str, mode: OrderingMode, threads: usize, groups: u64) -> CellSpec {
-        CellSpec { figure, mode, threads, initiators: 1, loss: 0.0, paths: 1, groups }
+        CellSpec {
+            figure,
+            mode,
+            threads,
+            initiators: 1,
+            loss: 0.0,
+            paths: 1,
+            groups,
+        }
     }
 }
 
@@ -95,14 +104,20 @@ impl Record for Cell {
         Field("figure", Some(""), |c| Slot::Str(&mut c.figure)),
         Field("mode", Some("/"), |c| Slot::Str(&mut c.mode)),
         Field("threads", Some(" t="), |c| Slot::Count(&mut c.threads)),
-        Field("initiators", Some(" init="), |c| Slot::Count(&mut c.initiators)),
+        Field("initiators", Some(" init="), |c| {
+            Slot::Count(&mut c.initiators)
+        }),
         Field("loss", Some(" loss="), |c| Slot::Float(&mut c.loss, None)),
         Field("paths", Some(" paths="), |c| Slot::Count(&mut c.paths)),
         Field("groups", Some(" groups="), |c| Slot::Int(&mut c.groups)),
         Field("events", None, |c| Slot::Int(&mut c.events)),
-        Field("sim_span_secs", None, |c| Slot::Float(&mut c.sim_span_secs, Some(6))),
+        Field("sim_span_secs", None, |c| {
+            Slot::Float(&mut c.sim_span_secs, Some(6))
+        }),
         Field("blocks_done", None, |c| Slot::Int(&mut c.blocks_done)),
-        Field("group_p99_us", None, |c| Slot::Float(&mut c.group_p99_us, Some(3))),
+        Field("group_p99_us", None, |c| {
+            Slot::Float(&mut c.group_p99_us, Some(3))
+        }),
         Field("kiops", None, |c| Slot::Float(&mut c.kiops, Some(6))),
     ];
 }
@@ -115,7 +130,12 @@ impl Trajectory for Cell {
         Rule::new("events", |c| c.events as f64, 0.0, |x| format!("{x:.0}")),
         Rule {
             drift: Some("the grid is"),
-            ..Rule::new("group p99", |c| c.group_p99_us, MAX_P99_RISE, |x| format!("{x:.1}us"))
+            ..Rule::new(
+                "group p99",
+                |c| c.group_p99_us,
+                MAX_P99_RISE,
+                |x| format!("{x:.1}us"),
+            )
         },
         Rule {
             drift: Some("the grid is"),
@@ -149,10 +169,7 @@ pub fn specs() -> Vec<CellSpec> {
     ] {
         for mode in all_modes() {
             for threads in [2, 8] {
-                let groups = match mode {
-                    OrderingMode::LinuxNvmf => 600,
-                    _ => (ssds * 120_000 / threads as u64).max(8_000),
-                };
+                let groups = groups_for(mode, 600, (ssds * 120_000 / threads as u64).max(8_000));
                 specs.push(CellSpec::new(figure, mode, threads, groups));
             }
         }
@@ -161,8 +178,12 @@ pub fn specs() -> Vec<CellSpec> {
     // trajectory also tracks retransmission and multi-path events.
     for (loss, paths) in [(1e-3, 1), (1e-3, 4), (1e-2, 4)] {
         for mode in all_modes() {
-            let groups = if mode == OrderingMode::LinuxNvmf { 600 } else { 30_000 };
-            specs.push(CellSpec { loss, paths, ..CellSpec::new("lossy_fabric", mode, 4, groups) });
+            let groups = groups_for(mode, 600, 30_000);
+            specs.push(CellSpec {
+                loss,
+                paths,
+                ..CellSpec::new("lossy_fabric", mode, 4, groups)
+            });
         }
     }
     // Multi-initiator cells: M one-tenant initiators (2 streams each)
@@ -170,17 +191,22 @@ pub fn specs() -> Vec<CellSpec> {
     // per-tenant DRR admission and the per-initiator ordering engines.
     for initiators in [2, 4] {
         for mode in all_modes() {
-            let groups = if mode == OrderingMode::LinuxNvmf { 600 } else { 6_000 };
+            let groups = groups_for(mode, 600, 6_000);
             let spec = CellSpec::new("multi_initiator", mode, initiators * 2, groups);
-            specs.push(CellSpec { initiators, loss: 1e-3, paths: 2, ..spec });
+            specs.push(CellSpec {
+                initiators,
+                loss: 1e-3,
+                paths: 2,
+                ..spec
+            });
         }
     }
     specs.extend(crate::fig::slices());
     specs
 }
 
-/// The cell's cluster, loaded with its workload and ready to run.
-pub fn cluster(spec: &CellSpec) -> Cluster {
+/// Runs one cell and measures it.
+pub fn run_spec(spec: &CellSpec) -> Cell {
     let cfg = match spec.figure {
         "fig10a_flash" => fig10_cfg('a', spec.mode, spec.threads),
         "fig10b_optane" => fig10_cfg('b', spec.mode, spec.threads),
@@ -202,33 +228,26 @@ pub fn cluster(spec: &CellSpec) -> Cluster {
         "fig13" => Workload::fsync_append(spec.threads, spec.groups),
         _ => Workload::random_4k(spec.threads, spec.groups),
     };
-    Cluster::new(cfg, workload)
-}
-
-impl Cell {
-    /// The cell `spec`'s run measured.
-    pub fn measured(spec: &CellSpec, m: &RunMetrics) -> Cell {
-        let iops = if spec.figure == "fig13" { m.op_iops() } else { m.block_iops() };
-        Cell {
-            figure: spec.figure.to_string(),
-            mode: spec.mode.label().to_string(),
-            threads: spec.threads,
-            initiators: spec.initiators,
-            loss: spec.loss,
-            paths: spec.paths,
-            groups: m.groups_done,
-            events: m.events_processed,
-            sim_span_secs: m.span.as_secs_f64(),
-            blocks_done: m.blocks_done,
-            group_p99_us: m.group_latency.quantile(0.99).as_micros_f64(),
-            kiops: iops / 1e3,
-        }
+    let m = run(cfg, workload);
+    let iops = if spec.figure == "fig13" {
+        m.op_iops()
+    } else {
+        m.block_iops()
+    };
+    Cell {
+        figure: spec.figure.to_string(),
+        mode: spec.mode.label().to_string(),
+        threads: spec.threads,
+        initiators: spec.initiators,
+        loss: spec.loss,
+        paths: spec.paths,
+        groups: m.groups_done,
+        events: m.events_processed,
+        sim_span_secs: m.span.as_secs_f64(),
+        blocks_done: m.blocks_done,
+        group_p99_us: m.group_latency.quantile(0.99).as_micros_f64(),
+        kiops: iops / 1e3,
     }
-}
-
-/// Runs one cell.
-pub fn run_spec(spec: &CellSpec) -> Cell {
-    Cell::measured(spec, &cluster(spec).run())
 }
 
 #[cfg(test)]
@@ -246,11 +265,23 @@ mod tests {
         assert_eq!(grid.len(), 75);
         let count = |figure: &str| grid.iter().filter(|s| s.figure == figure).count();
         assert_eq!(count("fig13"), 9);
-        assert_eq!(count("multi_initiator"), 10, "multi-initiator cells are gated");
+        assert_eq!(
+            count("multi_initiator"),
+            10,
+            "multi-initiator cells are gated"
+        );
         // With `groups` in the identity every cell is its own: a slice
         // and the full-size cell of its shape differ only there.
         let key = |s: &CellSpec| {
-            (s.figure, s.mode.label(), s.threads, s.initiators, s.loss.to_bits(), s.paths, s.groups)
+            (
+                s.figure,
+                s.mode.label(),
+                s.threads,
+                s.initiators,
+                s.loss.to_bits(),
+                s.paths,
+                s.groups,
+            )
         };
         let mut keys: Vec<_> = grid.iter().map(key).collect();
         keys.sort();
@@ -274,7 +305,10 @@ mod tests {
             group_p99_us: 123.456,
             kiops: 1.6,
         };
-        let doc = Document { grid: vec![cell.clone(), cell], ..Document::default() };
+        let doc = Document {
+            grid: vec![cell.clone(), cell],
+            ..Document::default()
+        };
         let json = doc.render();
         assert!(json.contains("\"schema\": 6"));
         assert!(json.contains("\"total_events\": 2000"));

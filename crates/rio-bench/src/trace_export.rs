@@ -23,9 +23,12 @@
 use std::fmt::Write as _;
 
 use rio_stack::trace::STAGES;
-use rio_stack::{LatencyBreakdown, RunMetrics, Telemetry};
+use rio_stack::{
+    ClusterConfig, LatencyBreakdown, RunMetrics, Telemetry, TelemetryConfig, TraceConfig, Workload,
+};
 
 use crate::json::read;
+use crate::run;
 
 /// The `pid` lane used for watchdog annotations (stall windows and
 /// recovery spans), far away from real initiator indices.
@@ -120,61 +123,42 @@ fn render_spans(out: &mut String, first: &mut bool, b: &LatencyBreakdown) {
 }
 
 fn render_counters(out: &mut String, first: &mut bool, t: &Telemetry) {
+    // One `"key0": v, "key1": v, …` member list, one member per target
+    // or NIC.
+    let list = |key: &str, values: &[u32]| {
+        let members: Vec<String> = values
+            .iter()
+            .enumerate()
+            .map(|(j, v)| format!("\"{key}{j}\": {v}"))
+            .collect();
+        members.join(", ")
+    };
     for (i, b) in t.buckets.iter().enumerate() {
         let ts = us(t.bucket_start(i).as_nanos());
-        push_event(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\": \"delivered KIOPS\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
-             \"args\": {{\"kiops\": {:.3}}}}}",
-            t.delivered_kiops(i),
-        );
-        push_event(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\": \"inflight cmds\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
-             \"args\": {{\"cmds\": {}}}}}",
-            b.inflight_peak,
-        );
-        push_event(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\": \"pending groups\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
-             \"args\": {{\"groups\": {}}}}}",
-            b.pending_end,
-        );
-        push_event(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\": \"gate occupancy\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
-             \"args\": {{\"fragments\": {}}}}}",
-            b.gate_peak,
-        );
-        push_event(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\": \"completer pending\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
-             \"args\": {{\"groups\": {}}}}}",
-            b.completer_peak,
-        );
-        push_event(out, first);
-        let _ = write!(out, "{{\"name\": \"ssd queue\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \"args\": {{");
-        for (j, q) in b.ssd_queue_peak.iter().enumerate() {
-            let _ = write!(out, "{}\"t{j}\": {q}", if j > 0 { ", " } else { "" });
+        let counters = [
+            (
+                "delivered KIOPS",
+                format!("\"kiops\": {:.3}", t.delivered_kiops(i)),
+            ),
+            ("inflight cmds", format!("\"cmds\": {}", b.inflight_peak)),
+            ("pending groups", format!("\"groups\": {}", b.pending_end)),
+            ("gate occupancy", format!("\"fragments\": {}", b.gate_peak)),
+            (
+                "completer pending",
+                format!("\"groups\": {}", b.completer_peak),
+            ),
+            ("ssd queue", list("t", &b.ssd_queue_peak)),
+            ("retx pkts", list("nic", &b.retx_pkts)),
+            ("corrupt pkts", list("nic", &b.corrupt_pkts)),
+        ];
+        for (name, args) in counters {
+            push_event(out, first);
+            let _ = write!(
+                out,
+                "{{\"name\": \"{name}\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \
+                 \"args\": {{{args}}}}}"
+            );
         }
-        out.push_str("}}");
-        push_event(out, first);
-        let _ = write!(out, "{{\"name\": \"retx pkts\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \"args\": {{");
-        for (j, p) in b.retx_pkts.iter().enumerate() {
-            let _ = write!(out, "{}\"nic{j}\": {p}", if j > 0 { ", " } else { "" });
-        }
-        out.push_str("}}");
-        push_event(out, first);
-        let _ = write!(out, "{{\"name\": \"corrupt pkts\", \"ph\": \"C\", \"ts\": {ts:.3}, \"pid\": 0, \"args\": {{");
-        for (j, p) in b.corrupt_pkts.iter().enumerate() {
-            let _ = write!(out, "{}\"nic{j}\": {p}", if j > 0 { ", " } else { "" });
-        }
-        out.push_str("}}");
     }
     if t.clamped > 0 {
         push_event(out, first);
@@ -222,14 +206,32 @@ fn render_watchdog(out: &mut String, first: &mut bool, t: &Telemetry) {
     }
 }
 
-/// Writes [`chrome_trace`] to `path`, creating parent directories.
-pub fn write_chrome_trace(path: &str, m: &RunMetrics) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
+/// Runs a bench's one traced cell if `--trace-out <path>` is among
+/// the process arguments: `cfg` on `wl` with the stage trace and
+/// telemetry on, written to `path` as a Chrome trace (parent
+/// directories created). `what` names the cell in the confirmation
+/// line. Returns whether it ran, so a bench prints its sweep only
+/// without the flag.
+///
+/// # Panics
+///
+/// Panics if the trace cannot be written.
+pub fn traced_cell(what: &str, mut cfg: ClusterConfig, wl: Workload) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(path) = trace_out_arg(&args) else {
+        return false;
+    };
+    cfg.trace = Some(TraceConfig::default());
+    cfg.telemetry = Some(TelemetryConfig::default());
+    let write = |m: &RunMetrics| {
+        if let Some(dir) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(dir)?;
         }
-    }
-    std::fs::write(path, chrome_trace(m))
+        std::fs::write(&path, chrome_trace(m))
+    };
+    write(&run(cfg, wl)).expect("write Chrome trace");
+    println!("wrote Chrome trace of {what} to {path}");
+    true
 }
 
 /// Checks that `s` is one valid JSON document (the reader's grammar:
@@ -240,7 +242,7 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 }
 
 /// Parses `--trace-out <path>` from a bench's argument list.
-pub fn trace_out_arg(args: &[String]) -> Option<String> {
+fn trace_out_arg(args: &[String]) -> Option<String> {
     args.windows(2)
         .find(|w| w[0] == "--trace-out")
         .map(|w| w[1].clone())
@@ -255,11 +257,17 @@ mod tests {
     /// Counts duration spans (`"ph": "X"`) named `name` in a Chrome
     /// trace document; 0 if it does not parse.
     fn count_spans(json: &str, name: &str) -> usize {
-        let is = |e: &Value, key, want: &str| matches!(e.get(key), Some(Value::Str(s)) if s == want);
-        match read(json).ok().as_ref().and_then(|doc| doc.get("traceEvents")) {
-            Some(Value::Array(events)) => {
-                events.iter().filter(|e| is(e, "name", name) && is(e, "ph", "X")).count()
-            }
+        let is =
+            |e: &Value, key, want: &str| matches!(e.get(key), Some(Value::Str(s)) if s == want);
+        match read(json)
+            .ok()
+            .as_ref()
+            .and_then(|doc| doc.get("traceEvents"))
+        {
+            Some(Value::Array(events)) => events
+                .iter()
+                .filter(|e| is(e, "name", name) && is(e, "ph", "X"))
+                .count(),
             _ => 0,
         }
     }
@@ -337,7 +345,14 @@ mod tests {
         assert!(validate_json("{\"a\": [1, 2]}").is_ok());
         // Balanced brackets are not enough: these all satisfied the
         // old bracket balancer.
-        for bad in ["{\"a\" 1 2,,}", "{\"ts\": NaN}", "[1 2]", "{\"a\": 1} x", "[1,]", "[01]"] {
+        for bad in [
+            "{\"a\" 1 2,,}",
+            "{\"ts\": NaN}",
+            "[1 2]",
+            "{\"a\": 1} x",
+            "[1,]",
+            "[01]",
+        ] {
             let err = validate_json(bad).expect_err(bad);
             assert!(err.contains("at byte"), "{bad}: {err}");
         }
@@ -366,6 +381,6 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(trace_out_arg(&args).as_deref(), Some("/tmp/t.json"));
-        assert_eq!(trace_out_arg(&args[..2].to_vec()), None);
+        assert_eq!(trace_out_arg(&args[..2]), None);
     }
 }

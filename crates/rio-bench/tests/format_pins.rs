@@ -106,7 +106,11 @@ fn fig_document_bytes_are_pinned() {
     // The figure slices are rows of the same grid, in the same format.
     let doc = document().render();
     assert_eq!(
-        between(&doc, "    {\"figure\": \"fig10a_flash\"", "  \"recoveries\""),
+        between(
+            &doc,
+            "    {\"figure\": \"fig10a_flash\"",
+            "  \"recoveries\""
+        ),
         r#"    {"figure": "fig10a_flash", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "groups": 6000, "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000},
     {"figure": "multi_initiator", "mode": "orderless", "threads": 4, "initiators": 4, "loss": 0.001, "paths": 2, "groups": 1600, "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457}
   ],
@@ -133,7 +137,11 @@ fn recovery_document_bytes_are_pinned() {
 /// figure slices start: after the grid's 44 engine cells.
 fn committed_and_rerendered(doc: &Document) -> [(String, String); 2] {
     [BENCH.to_string(), doc.render()].map(|text| {
-        let at = text.match_indices("\n    {\"figure\"").nth(44).expect("figure slices").0;
+        let at = text
+            .match_indices("\n    {\"figure\"")
+            .nth(44)
+            .expect("figure slices")
+            .0;
         (text[..at].to_string(), text[at..].to_string())
     })
 }
@@ -143,7 +151,10 @@ fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
     let slices = rio_bench::fig::slices();
     assert_eq!(slices.len(), 31);
-    assert!(doc.grid[44..].iter().map(|c| c.figure.as_str()).eq(slices.iter().map(|s| s.figure)));
+    assert!(doc.grid[44..]
+        .iter()
+        .map(|c| c.figure.as_str())
+        .eq(slices.iter().map(|s| s.figure)));
     assert_eq!(doc.recoveries.len(), 6);
     let [committed, rerendered] = committed_and_rerendered(&doc);
     assert_eq!(rerendered.1, committed.1);

@@ -32,7 +32,13 @@ fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
 
 /// A figure-slice cell: the same type, a smaller workload.
 fn fig_cell(figure: &str, mode: &str, kiops: f64) -> Cell {
-    Cell { groups: 6_000, events: 60_000, blocks_done: 6_000, kiops, ..cell(figure, mode, 0, 40.0) }
+    Cell {
+        groups: 6_000,
+        events: 60_000,
+        blocks_done: 6_000,
+        kiops,
+        ..cell(figure, mode, 0, 40.0)
+    }
 }
 
 /// The fixture baseline: three engine cells and three figure slices in
@@ -78,7 +84,12 @@ fn bench_gate(args: &[&str]) -> (Option<i32>, String, String) {
 fn gate_texts(name: &str, base: &str, current: &str) -> (Option<i32>, String, String) {
     let base = write(&format!("golden_{name}_base.json"), base);
     let cur = write(&format!("golden_{name}_cur.json"), current);
-    bench_gate(&["--baseline", base.to_str().unwrap(), "--current", cur.to_str().unwrap()])
+    bench_gate(&[
+        "--baseline",
+        base.to_str().unwrap(),
+        "--current",
+        cur.to_str().unwrap(),
+    ])
 }
 
 /// Gates `current` against the fixture baseline.
@@ -190,7 +201,10 @@ fn fig_identical_trajectory_passes() {
     let (code, stdout, _) = gate("fig_same", &baseline());
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
-    assert!(stdout.contains("PASS fig13/Linux t=2 init=1 loss=0 paths=1 groups=6000"), "{stdout}");
+    assert!(
+        stdout.contains("PASS fig13/Linux t=2 init=1 loss=0 paths=1 groups=6000"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -225,8 +239,14 @@ fn fig_schema_mismatch_exits_2() {
                \"targets\": 1, \"loss\": 0.000000, \"paths\": 1, \"kiops\": 704.2, \"groups\": 6000}\n  ]\n}\n";
     let (code, _, stderr) = gate_texts("fig_schema", old, &baseline().render());
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("file has schema 1, this gate reads schema 6"), "{stderr}");
-    assert!(stderr.contains("bench_gate -- --write BENCH.json"), "{stderr}");
+    assert!(
+        stderr.contains("file has schema 1, this gate reads schema 6"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("bench_gate -- --write BENCH.json"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -243,7 +263,10 @@ fn one_current_document_feeds_both_sections() {
     assert!(stdout.contains("FAIL recovery trial0 t=8"), "{stdout}");
     assert!(stdout.contains("order rebuild regression"), "{stdout}");
     for section in ["grid", "recoveries"] {
-        assert!(stdout.contains(&format!("bench_gate: {section} FAIL")), "{stdout}");
+        assert!(
+            stdout.contains(&format!("bench_gate: {section} FAIL")),
+            "{stdout}"
+        );
     }
     // And a document missing a section is unusable, not a pass.
     let text = cur.render().replace("\"recoveries\": [", "\"other\": [");
@@ -266,7 +289,10 @@ fn a_deleted_or_unknown_flag_exits_2_naming_it() {
     ] {
         let (code, stdout, stderr) = bench_gate(&[flag, "x.json"]);
         assert_eq!(code, Some(2), "{flag}: {stdout}{stderr}");
-        assert!(stderr.contains(&format!("unknown argument {flag}")), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument {flag}")),
+            "{stderr}"
+        );
         assert!(stderr.contains("usage: bench_gate"), "{stderr}");
         assert!(stdout.is_empty(), "nothing runs: {stdout}");
     }
@@ -313,8 +339,15 @@ fn a_kiops_drop_on_a_full_size_engine_cell_fails_naming_it() {
     let key = "fig10d_4ssd/RIO t=8 init=1 loss=0 paths=1 groups=480000";
     let (code, stdout) = gate_committed("full_kiops", key, |c| c.kiops *= 0.80);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains(&format!("FAIL {key}\n     kiops regression:")), "{stdout}");
-    assert_eq!(stdout.lines().filter(|l| l.starts_with("FAIL ")).count(), 1, "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {key}\n     kiops regression:")),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("FAIL ")).count(),
+        1,
+        "{stdout}"
+    );
     assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
 }
 
@@ -323,7 +356,14 @@ fn an_event_rise_on_a_fig13_cell_fails_naming_it() {
     let key = "fig13/RIO t=16 init=1 loss=0 paths=1 groups=14400";
     let (code, stdout) = gate_committed("fig13_events", key, |c| c.events += 1);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains(&format!("FAIL {key}\n     events regression:")), "{stdout}");
-    assert_eq!(stdout.lines().filter(|l| l.starts_with("FAIL ")).count(), 1, "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {key}\n     events regression:")),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("FAIL ")).count(),
+        1,
+        "{stdout}"
+    );
     assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
 }

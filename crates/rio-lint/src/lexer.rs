@@ -40,13 +40,13 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token.
-#[derive(Debug, Clone)]
-pub struct Tok {
+/// One lexed token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy)]
+pub struct Tok<'a> {
     /// Which class of token this is.
     pub kind: TokKind,
     /// The source text of the token (for `Punct`, one character).
-    pub text: String,
+    pub text: &'a str,
     /// 1-based source line the token starts on.
     pub line: u32,
 }
@@ -59,77 +59,94 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
+/// The character starting at byte `i` of `src`, if any.
+fn char_at(src: &str, i: usize) -> Option<char> {
+    src.get(i..).and_then(|rest| rest.chars().next())
+}
+
+/// The byte index past the identifier characters starting at `i`.
+fn skip_ident(src: &str, mut i: usize) -> usize {
+    while let Some(c) = char_at(src, i).filter(|&c| is_ident_continue(c)) {
+        i += c.len_utf8();
+    }
+    i
+}
+
 /// Lexes `src` into a token stream, preserving comments.
 ///
 /// The lexer never fails: malformed input (an unterminated string or
 /// comment) simply consumes to end of file. That is the right behavior
 /// for a linter — the compiler will report the real error.
-pub fn lex(src: &str) -> Vec<Tok> {
-    let cs: Vec<char> = src.chars().collect();
+///
+/// Every delimiter it looks for is ASCII, so the scans step over
+/// bytes: a byte of a multi-byte character never equals one. Only
+/// identifiers, whitespace and punctuation decode characters.
+pub fn lex<'a>(src: &'a str) -> Vec<Tok<'a>> {
+    let cs = src.as_bytes();
     let n = cs.len();
+    let at = |i: usize| cs.get(i).copied();
     let mut toks: Vec<Tok> = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
 
-    // Appends cs[start..end] as one token starting on `tl`.
-    let push =
-        |toks: &mut Vec<Tok>, kind: TokKind, cs: &[char], start: usize, end: usize, tl: u32| {
-            toks.push(Tok {
-                kind,
-                text: cs[start..end].iter().collect(),
-                line: tl,
-            });
-        };
+    // Appends src[start..end] as one token starting on `tl`; an
+    // unterminated escape may have stepped `end` past the source.
+    let push = |toks: &mut Vec<Tok<'a>>, kind: TokKind, start: usize, end: usize, tl: u32| {
+        toks.push(Tok {
+            kind,
+            text: &src[start..end.min(n)],
+            line: tl,
+        });
+    };
 
-    while i < n {
-        let c = cs[i];
+    while let Some(c) = char_at(src, i) {
         if c == '\n' {
             line += 1;
             i += 1;
             continue;
         }
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             continue;
         }
 
         // Comments.
-        if c == '/' && i + 1 < n && cs[i + 1] == '/' {
+        if c == '/' && at(i + 1) == Some(b'/') {
             let start = i;
             let tl = line;
-            while i < n && cs[i] != '\n' {
+            while i < n && cs[i] != b'\n' {
                 i += 1;
             }
-            push(&mut toks, TokKind::LineComment, &cs, start, i, tl);
+            push(&mut toks, TokKind::LineComment, start, i, tl);
             continue;
         }
-        if c == '/' && i + 1 < n && cs[i + 1] == '*' {
+        if c == '/' && at(i + 1) == Some(b'*') {
             let start = i;
             let tl = line;
             let mut depth = 1usize;
             i += 2;
             while i < n && depth > 0 {
-                if cs[i] == '\n' {
+                if cs[i] == b'\n' {
                     line += 1;
                     i += 1;
-                } else if cs[i] == '/' && i + 1 < n && cs[i + 1] == '*' {
+                } else if cs[i] == b'/' && at(i + 1) == Some(b'*') {
                     depth += 1;
                     i += 2;
-                } else if cs[i] == '*' && i + 1 < n && cs[i + 1] == '/' {
+                } else if cs[i] == b'*' && at(i + 1) == Some(b'/') {
                     depth -= 1;
                     i += 2;
                 } else {
                     i += 1;
                 }
             }
-            push(&mut toks, TokKind::BlockComment, &cs, start, i, tl);
+            push(&mut toks, TokKind::BlockComment, start, i, tl);
             continue;
         }
 
         // Raw strings, byte strings, byte chars: r" r#" br" br#" b" b'.
         if c == 'r' || c == 'b' {
             // Position of the first char after the r/b/br prefix.
-            let after = if c == 'b' && i + 1 < n && cs[i + 1] == 'r' {
+            let after = if c == 'b' && at(i + 1) == Some(b'r') {
                 i + 2
             } else {
                 i + 1
@@ -138,63 +155,55 @@ pub fn lex(src: &str) -> Vec<Tok> {
             if raw_prefixed {
                 // Count hashes, then require an opening quote.
                 let mut h = after;
-                while h < n && cs[h] == '#' {
+                while at(h) == Some(b'#') {
                     h += 1;
                 }
-                if h < n && cs[h] == '"' {
+                if at(h) == Some(b'"') {
                     let hashes = h - after;
                     let start = i;
                     let tl = line;
                     i = h + 1;
                     // Scan for `"` followed by `hashes` hash marks.
-                    loop {
-                        if i >= n {
-                            break;
-                        }
-                        if cs[i] == '\n' {
+                    while i < n {
+                        if cs[i] == b'\n' {
                             line += 1;
                             i += 1;
                             continue;
                         }
-                        if cs[i] == '"'
+                        if cs[i] == b'"'
                             && i + hashes < n
-                            && cs[i + 1..i + 1 + hashes].iter().all(|&x| x == '#')
+                            && cs[i + 1..i + 1 + hashes].iter().all(|&x| x == b'#')
                         {
                             i += 1 + hashes;
                             break;
                         }
                         i += 1;
                     }
-                    push(&mut toks, TokKind::RawStr, &cs, start, i, tl);
+                    push(&mut toks, TokKind::RawStr, start, i, tl);
                     continue;
                 }
-                if c == 'r' && after < n && cs[after] == '#' {
+                if c == 'r' && at(after) == Some(b'#') {
                     // `r#ident` raw identifier: consume as an Ident.
                     let start = i;
-                    let tl = line;
-                    i = after + 1;
-                    while i < n && is_ident_continue(cs[i]) {
-                        i += 1;
-                    }
-                    push(&mut toks, TokKind::Ident, &cs, start, i, tl);
+                    i = skip_ident(src, after + 1);
+                    push(&mut toks, TokKind::Ident, start, i, line);
                     continue;
                 }
             }
-            if c == 'b' && i + 1 < n && cs[i + 1] == '"' {
+            if c == 'b' && at(i + 1) == Some(b'"') {
                 // Byte string: fall through to the shared escape scanner.
                 let start = i;
                 let tl = line;
                 i += 2;
-                scan_str_body(&cs, n, &mut i, &mut line);
-                push(&mut toks, TokKind::Str, &cs, start, i, tl);
+                scan_str_body(cs, &mut i, &mut line);
+                push(&mut toks, TokKind::Str, start, i, tl);
                 continue;
             }
-            if c == 'b' && i + 1 < n && cs[i + 1] == '\'' {
+            if c == 'b' && at(i + 1) == Some(b'\'') {
                 let start = i;
-                let tl = line;
                 i += 2;
-                scan_char_body(&cs, n, &mut i);
-                push(&mut toks, TokKind::CharLit, &cs, start, i, tl);
+                scan_char_body(cs, &mut i);
+                push(&mut toks, TokKind::CharLit, start, i, line);
                 continue;
             }
             // Plain identifier starting with r/b.
@@ -204,83 +213,75 @@ pub fn lex(src: &str) -> Vec<Tok> {
             let start = i;
             let tl = line;
             i += 1;
-            scan_str_body(&cs, n, &mut i, &mut line);
-            push(&mut toks, TokKind::Str, &cs, start, i, tl);
+            scan_str_body(cs, &mut i, &mut line);
+            push(&mut toks, TokKind::Str, start, i, tl);
             continue;
         }
 
         if c == '\'' {
             // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`, `'('`).
-            let next = cs.get(i + 1).copied();
-            let over = cs.get(i + 2).copied();
+            let next = char_at(src, i + 1);
+            let over = next.and_then(|x| char_at(src, i + 1 + x.len_utf8()));
             let is_char = match next {
                 Some('\\') => true,
                 Some(x) if is_ident_continue(x) => over == Some('\''),
                 Some(_) => true, // '(' etc.
                 None => true,
             };
+            let start = i;
             if is_char {
-                let start = i;
-                let tl = line;
                 i += 1;
-                scan_char_body(&cs, n, &mut i);
-                push(&mut toks, TokKind::CharLit, &cs, start, i, tl);
+                scan_char_body(cs, &mut i);
+                push(&mut toks, TokKind::CharLit, start, i, line);
             } else {
-                let start = i;
-                let tl = line;
-                i += 1;
-                while i < n && is_ident_continue(cs[i]) {
-                    i += 1;
-                }
-                push(&mut toks, TokKind::Lifetime, &cs, start, i, tl);
+                i = skip_ident(src, i + 1);
+                push(&mut toks, TokKind::Lifetime, start, i, line);
             }
             continue;
         }
 
         if is_ident_start(c) {
             let start = i;
-            let tl = line;
-            while i < n && is_ident_continue(cs[i]) {
-                i += 1;
-            }
-            push(&mut toks, TokKind::Ident, &cs, start, i, tl);
+            i = skip_ident(src, i);
+            push(&mut toks, TokKind::Ident, start, i, line);
             continue;
         }
 
         if c.is_ascii_digit() {
             let start = i;
-            let tl = line;
-            while i < n
-                && (is_ident_continue(cs[i])
-                    || (cs[i] == '.' && cs.get(i + 1).is_some_and(|d| d.is_ascii_digit())))
-            {
-                i += 1;
+            loop {
+                i = skip_ident(src, i);
+                if at(i) == Some(b'.') && at(i + 1).is_some_and(|d| d.is_ascii_digit()) {
+                    i += 1;
+                } else {
+                    break;
+                }
             }
-            push(&mut toks, TokKind::Num, &cs, start, i, tl);
+            push(&mut toks, TokKind::Num, start, i, line);
             continue;
         }
 
-        push(&mut toks, TokKind::Punct, &cs, i, i + 1, line);
-        i += 1;
+        push(&mut toks, TokKind::Punct, i, i + c.len_utf8(), line);
+        i += c.len_utf8();
     }
     toks
 }
 
 /// Consumes a (byte) string body after the opening quote, escapes and
 /// embedded newlines included, leaving `i` just past the closing quote.
-fn scan_str_body(cs: &[char], n: usize, i: &mut usize, line: &mut u32) {
-    while *i < n {
-        match cs[*i] {
-            '\\' => {
+fn scan_str_body(cs: &[u8], i: &mut usize, line: &mut u32) {
+    while let Some(&c) = cs.get(*i) {
+        match c {
+            b'\\' => {
                 // A `\` line continuation escapes the newline it ends on.
-                *line += u32::from(cs.get(*i + 1) == Some(&'\n'));
+                *line += u32::from(cs.get(*i + 1) == Some(&b'\n'));
                 *i += 2;
             }
-            '"' => {
+            b'"' => {
                 *i += 1;
                 return;
             }
-            '\n' => {
+            b'\n' => {
                 *line += 1;
                 *i += 1;
             }
@@ -291,15 +292,15 @@ fn scan_str_body(cs: &[char], n: usize, i: &mut usize, line: &mut u32) {
 
 /// Consumes a char-literal body after the opening quote, leaving `i`
 /// just past the closing quote.
-fn scan_char_body(cs: &[char], n: usize, i: &mut usize) {
-    while *i < n {
-        match cs[*i] {
-            '\\' => *i += 2,
-            '\'' => {
+fn scan_char_body(cs: &[u8], i: &mut usize) {
+    while let Some(&c) = cs.get(*i) {
+        match c {
+            b'\\' => *i += 2,
+            b'\'' => {
                 *i += 1;
                 return;
             }
-            '\n' => return, // unterminated; let the compiler complain
+            b'\n' => return, // unterminated; let the compiler complain
             _ => *i += 1,
         }
     }
@@ -313,7 +314,7 @@ mod tests {
         lex(src)
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text)
+            .map(|t| t.text.to_string())
             .collect()
     }
 

@@ -13,7 +13,7 @@
 //! | Rule | What it enforces |
 //! |------|------------------|
 //! | D1 | no raw `HashMap`/`HashSet` in non-test code of the event-path crates (`rio-{sim,order,net,ssd,stack,fs}`) but `rio-sim/src/hash.rs` |
-//! | D2 | no `Instant::now`/`SystemTime::now`, test code included, outside rio-bench's `sim_engine` bench |
+//! | D2 | no `Instant::now`/`SystemTime::now`, test code included (`benchmark/src/host.rs` measures host time under a recorded allow) |
 //! | D3 | no `rand`, `thread_rng` or `from_entropy` in non-test code: `rio_sim::SimRng` is the only generator |
 //! | D4 | no wall-clock dates (`chrono`, `Local::now`, `Utc::now`, `strftime`, `asctime`, `OffsetDateTime`) in non-test code |
 //! | S1 | every `unsafe` block carries a `// SAFETY:` comment |

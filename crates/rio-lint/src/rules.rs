@@ -126,9 +126,9 @@ pub const GUARDS: &[Guard] = &[
         rule: "D2",
         check: Check::Tokens("Instant::now SystemTime::now"),
         within: EVERY_TREE,
-        except: &["crates/rio-bench/benches/sim_engine.rs"],
-        reason: "virtual SimTime is the only clock a replay may observe; wall-clock \
-                 measurement lives in rio-bench's sim_engine bench",
+        except: &[],
+        reason: "virtual SimTime is the only clock a replay may observe; host time is \
+                 measured only by benchmark/, under a recorded allow",
     },
     Guard {
         rule: "D3",
@@ -338,8 +338,8 @@ fn test_file(rel: &str) -> bool {
 /// and the [`Check::Infix`] ones, which may hit inside any identifier.
 #[derive(Default)]
 struct Patterns {
-    first: BTreeMap<String, Vec<(usize, Vec<Tok>)>>,
-    infix: Vec<(usize, Vec<Tok>)>,
+    first: BTreeMap<&'static str, Vec<(usize, Vec<Tok<'static>>)>>,
+    infix: Vec<(usize, Vec<Tok<'static>>)>,
 }
 
 impl Patterns {
@@ -349,10 +349,7 @@ impl Patterns {
             match g.check {
                 Check::Sites(words) | Check::Tokens(words) => {
                     for pat in words.split_whitespace().map(lex) {
-                        pats.first
-                            .entry(pat[0].text.clone())
-                            .or_default()
-                            .push((r, pat));
+                        pats.first.entry(pat[0].text).or_default().push((r, pat));
                     }
                 }
                 Check::Infix(words) => {
@@ -411,7 +408,7 @@ fn file_hits(
     let code = code_of(toks);
     for ci in 0..code.len() {
         let (t, test) = (&toks[code[ci]], in_test[code[ci]]);
-        let exact = pats.first.get(t.text.as_str()).into_iter().flatten();
+        let exact = pats.first.get(t.text).into_iter().flatten();
         for (r, pat) in exact.chain(&pats.infix) {
             if walk[*r].is_none_or(|tests| test && !tests) {
                 continue;
@@ -421,10 +418,10 @@ fn file_hits(
             let hit = seq.len() == pat.len()
                 && pat.iter().zip(seq).all(|(q, &ti)| {
                     let t = &toks[ti];
-                    t.kind == q.kind && (t.text == q.text || infix && t.text.contains(&q.text))
+                    t.kind == q.kind && (t.text == q.text || infix && t.text.contains(q.text))
                 });
             if hit {
-                let text: String = seq.iter().map(|&ti| toks[ti].text.as_str()).collect();
+                let text: String = seq.iter().map(|&ti| toks[ti].text).collect();
                 hits.push((*r, t.line, format!("`{text}`")));
             }
         }
@@ -485,7 +482,7 @@ fn unreached_pub_items(
         for (ci, t) in code.iter().enumerate() {
             // An import or re-export names an item without reaching it.
             in_use = (in_use && t.text != ";") || t.text == "use";
-            match (t.kind, t.text.as_str()) {
+            match (t.kind, t.text) {
                 (TokKind::Punct, "{") => {
                     depth += 1;
                     if std::mem::take(&mut in_header) {
@@ -502,7 +499,7 @@ fn unreached_pub_items(
                 // At item position only: `impl Trait` in a signature
                 // follows `:`, `(`, `<`, `>` or `&`.
                 (TokKind::Ident, "impl") if body.is_none() => {
-                    let before = ci.checked_sub(1).map_or("", |p| code[p].text.as_str());
+                    let before = ci.checked_sub(1).map_or("", |p| code[p].text);
                     in_header = matches!(before, "" | ";" | "}" | "{" | "]" | "unsafe");
                 }
                 _ => {}
@@ -511,12 +508,12 @@ fn unreached_pub_items(
                 continue;
             }
             if in_header {
-                own.push(t.text.as_str());
+                own.push(t.text);
             }
-            if own.contains(&t.text.as_str()) {
+            if own.contains(&t.text) {
                 continue;
             }
-            *uses.entry(t.text.as_str()).or_default() += 1;
+            *uses.entry(t.text).or_default() += 1;
             if !declares || t.text != "pub" {
                 continue;
             }
@@ -524,13 +521,13 @@ fn unreached_pub_items(
             // `pub(crate)` has a `(` next and is not a public item.
             let mut k = ci + 1;
             while k + 1 < code.len()
-                && matches!(code[k].text.as_str(), "const" | "async" | "unsafe")
-                && ITEMS.contains(&code[k + 1].text.as_str())
+                && matches!(code[k].text, "const" | "async" | "unsafe")
+                && ITEMS.contains(&code[k + 1].text)
             {
                 k += 1;
             }
             if let (Some(item), Some(name)) = (code.get(k), code.get(k + 1)) {
-                if ITEMS.contains(&item.text.as_str()) && name.kind == TokKind::Ident {
+                if ITEMS.contains(&item.text) && name.kind == TokKind::Ident {
                     decls.push((meta, name));
                 }
             }
@@ -538,7 +535,7 @@ fn unreached_pub_items(
     }
     decls
         .into_iter()
-        .filter(|(_, name)| uses.get(name.text.as_str()).is_none_or(|n| *n <= 1))
+        .filter(|(_, name)| uses.get(name.text).is_none_or(|n| *n <= 1))
         .map(|(meta, name)| {
             finding(
                 meta,
@@ -832,12 +829,12 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
         // The item ends at the `}` matching its body's first `{`, or at
         // the `;` of a body-less item (`#[cfg(test)] mod tests;`).
         let mut e = k;
-        while e < code.len() && !matches!(toks[code[e]].text.as_str(), ";" | "{") {
+        while e < code.len() && !matches!(toks[code[e]].text, ";" | "{") {
             e += 1;
         }
         let mut d = 0usize;
         while e < code.len() {
-            match toks[code[e]].text.as_str() {
+            match toks[code[e]].text {
                 "{" => d += 1,
                 "}" => d -= 1,
                 _ => {}
