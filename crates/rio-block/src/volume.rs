@@ -64,6 +64,7 @@ impl StripedVolume {
     }
 
     /// A single-device "volume" (the 1-SSD configurations).
+    #[cfg(test)]
     pub fn single(server: ServerId, ssd: usize, capacity_blocks: u64) -> Self {
         StripedVolume::new(vec![(server, ssd)], 1, capacity_blocks)
     }

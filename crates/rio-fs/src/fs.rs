@@ -159,11 +159,6 @@ impl<D: BlockDev> RioFs<D> {
         self.dev
     }
 
-    /// Borrows the underlying device (integrity inspection in tests).
-    pub fn device(&self) -> &D {
-        &self.dev
-    }
-
     /// Lists every directory entry as a `(name, inode)` pair.
     ///
     /// Iteration order is the directory `BTreeMap`'s name order —

@@ -137,6 +137,7 @@ pub struct Inode {
 
 impl Inode {
     /// An empty inode.
+    #[cfg(test)]
     pub fn empty() -> Self {
         Inode {
             used: false,

@@ -136,15 +136,10 @@ impl fmt::Debug for SimTime {
     }
 }
 
+/// An instant reads as its distance from [`SimTime::ZERO`].
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        } else if self.0 >= 1_000_000 {
-            write!(f, "{:.3}ms", self.0 as f64 / 1e6)
-        } else {
-            write!(f, "{:.3}us", self.as_micros_f64())
-        }
+        fmt::Display::fmt(&self.since(SimTime::ZERO), f)
     }
 }
 
@@ -269,6 +264,9 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_nanos(1_500)), "1.500us");
         assert_eq!(format!("{}", SimDuration::from_nanos(3_000_000)), "3.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
+        assert_eq!(format!("{}", SimTime::from_nanos(1_500)), "1.500us");
+        assert_eq!(format!("{}", SimTime::from_nanos(3_000_000)), "3.000ms");
+        assert_eq!(format!("{}", SimTime::from_nanos(2_000_000_000)), "2.000s");
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Cluster {
             // Control metadata goes to the group's primary target, on
             // the stream's QP. It moves no data: like a FLUSH, its range
             // is the one block at LBA 0.
-            let primary = self.volume.map_block(spec.members[0].range.lba).0 .0 as usize;
+            let primary = self.volume.map_block(spec.range.lba).0 .0 as usize;
             self.threads[t].ctrl_pending = Some(spec);
             let qp = self.threads[t].stream.0 as usize % self.cfg.cores;
             let ctrl = Cmd::new(CmdKind::Ctrl, t, primary, 0, qp, BlockRange::new(0, 1));
@@ -65,11 +65,8 @@ impl Cluster {
             .ctrl_pending
             .take()
             .expect("ctrl ack without pending group");
-        let mut c = cpu;
-        for m in spec.members.iter() {
-            c = self.init_run_on(t, c, SUBMIT_BIO_NS);
-            c = self.dispatch_plain_unit(c, t, m.range, 1, spec.flush);
-        }
+        let c = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
+        let c = self.dispatch_plain_unit(c, t, spec.range, 1, spec.flush);
         if let Some(stage) = spec.stage {
             self.mark_stage(t, stage, c);
         }
@@ -106,10 +103,8 @@ impl Cluster {
         self.threads[t].inflight += 1;
         self.threads[t].cur_flush_leg = spec.stage.is_none() || spec.flush;
         self.threads[t].cur_sync_after = spec.sync_after || spec.stage.is_none();
-        for m in spec.members.iter() {
-            cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
-            cpu = self.dispatch_plain_unit(cpu, t, m.range, 1, false);
-        }
+        cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
+        cpu = self.dispatch_plain_unit(cpu, t, spec.range, 1, false);
         if let Some(stage) = spec.stage {
             self.mark_stage(t, stage, cpu);
         }

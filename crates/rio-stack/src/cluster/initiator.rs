@@ -41,7 +41,7 @@ fn stage_index(stage: FsyncStage) -> usize {
 pub(super) struct Undelivered {
     /// Group sequence number on the thread's stream.
     pub(super) seq: u32,
-    /// When its last member was submitted (the latency clock's start).
+    /// When it was submitted (the latency clock's start).
     pub(super) submitted: SimTime,
     /// The script entry, moved in at submit: its blocks and fsync stage
     /// are read off it, and a recovery re-queues it from here.
@@ -286,24 +286,9 @@ impl Cluster {
                 let spec = self.next_group_spec(t);
                 cpu = self.note_group_start(cpu, t, &spec);
                 let stream = self.threads[t].stream;
-                let n = spec.members.len();
-                let mut seq = 0u32;
-                for (i, m) in spec.members.iter().enumerate() {
-                    let last = i == n - 1;
-                    cpu = self.init_run_on(
-                        t,
-                        cpu,
-                        SUBMIT_BIO_NS + ORDER_QUEUE_NS,
-                    );
-                    let attr = self.initiators[self.threads[t].init].rio.submit(
-                        stream,
-                        m.range,
-                        last,
-                        last && spec.flush,
-                    );
-                    // Every member carries its group's sequence number.
-                    seq = attr.seq_start.0;
-                }
+                cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS + ORDER_QUEUE_NS);
+                let rio = &mut self.initiators[self.threads[t].init].rio;
+                let seq = rio.submit(stream, spec.range, true, spec.flush).seq_start.0;
                 if let Some(tm) = &mut self.telemetry {
                     tm.group_submitted(cpu, 1);
                 }
@@ -391,8 +376,8 @@ impl Cluster {
         self.extent_scratch = extents;
         self.frag_scratch = frags;
         // Stage dispatch marks for the Fig. 14 breakdown, all at the
-        // same `cpu` instant.
-        for p in parts.iter().filter(|p| p.attr.boundary) {
+        // same `cpu` instant; every part is its group's one write.
+        for p in parts {
             let group = self.threads[t].undelivered_group(p.attr.seq_start.0);
             if let Some(stage) = group.and_then(|g| g.spec.stage) {
                 self.mark_stage(t, stage, cpu);
@@ -419,13 +404,11 @@ impl Cluster {
             {
                 let spec = self.next_group_spec(t);
                 cpu = self.note_group_start(cpu, t, &spec);
-                for m in spec.members.iter() {
-                    cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
-                    let mut bio = Bio::write(bio_id, m.range, bio_id);
-                    bio.flags.flush = spec.flush;
-                    plug.add(bio);
-                    bio_id += 1;
-                }
+                cpu = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
+                let mut bio = Bio::write(bio_id, spec.range, bio_id);
+                bio.flags.flush = spec.flush;
+                plug.add(bio);
+                bio_id += 1;
                 self.threads[t].inflight += 1;
                 groups_in_batch += 1;
                 if let Some(stage) = spec.stage {
@@ -630,7 +613,7 @@ impl Cluster {
                     .pop_front()
                     .expect("delivered group was submitted");
                 debug_assert_eq!(g.seq, seq.0);
-                self.deliver(t, 1, g.spec.blocks() as u64, g.submitted, cpu);
+                self.deliver(t, 1, g.spec.range.blocks as u64, g.submitted, cpu);
                 self.threads[t].inflight -= 1;
                 self.maybe_wake(cpu, t);
             }

@@ -211,7 +211,7 @@ impl Cluster {
                         let owns = |m: &BlockRange| m.lba <= logical && logical < m.end();
                         let owner = self.threads.iter().find_map(|th| {
                             let mut groups = th.undelivered.iter();
-                            let g = groups.find(|g| g.spec.members.iter().any(|m| owns(&m.range)));
+                            let g = groups.find(|g| owns(&g.spec.range));
                             g.map(|g| (th.stream.0 as usize, g.seq))
                         });
                         if let Some((s, seq)) = owner {
@@ -381,7 +381,7 @@ impl Cluster {
             //    would double-apply.
             while undelivered.front().is_some_and(|g| g.seq <= valid) {
                 let g = undelivered.pop_front().expect("front exists");
-                self.deliver(t, 1, g.spec.blocks() as u64, g.submitted, resumed_at);
+                self.deliver(t, 1, g.spec.range.blocks as u64, g.submitted, resumed_at);
                 row.redelivered += 1;
             }
             // 2. Everything beyond the prefix was rolled back: re-queue

@@ -164,6 +164,41 @@ fn fsync_journal_completes_in_all_modes() {
 }
 
 #[test]
+fn every_engine_drains_its_bookkeeping() {
+    // A fault-free run ends with nothing in flight anywhere: every
+    // command and dispatch unit retired, every thread's window, queue
+    // and undelivered FIFO empty, and each group delivered once. (An
+    // orderless thread may end parked, so `parked` is not checked.)
+    let modes = ALL_MODES.into_iter().chain([OrderingMode::Rio { merge: false }]);
+    for mode in modes {
+        let (threads, units) = (3, 24);
+        // Each pattern with the groups one script unit emits.
+        let patterns = [
+            (Workload::random_4k(threads, units), 1),
+            (Workload::seq_batched(threads, units, 4, 2), 1),
+            (Workload::journal_triplet(threads, units / 2), 1),
+            (Workload::fsync_append(threads, units), 3),
+        ];
+        for (wl, groups_per_unit) in patterns {
+            let what = format!("{} {:?}", mode.label(), wl.pattern);
+            let mut cl = Cluster::new(small_cfg(mode.clone(), threads), wl);
+            cl.run_loop();
+            assert!(cl.cmds.is_empty(), "{what}: commands left in flight");
+            assert!(cl.units.is_empty(), "{what}: dispatch units left in flight");
+            for (t, th) in cl.threads.iter().enumerate() {
+                assert_eq!(th.inflight, 0, "{what}: thread {t} inflight");
+                assert!(th.queue.is_empty(), "{what}: thread {t} queue");
+                assert!(th.undelivered.is_empty(), "{what}: thread {t} undelivered");
+                assert!(th.ctrl_pending.is_none(), "{what}: thread {t} ctrl_pending");
+                assert!(!th.syncing, "{what}: thread {t} syncing");
+            }
+            let m = cl.metrics();
+            assert_eq!(m.groups_done, threads as u64 * units * groups_per_unit, "{what}");
+        }
+    }
+}
+
+#[test]
 fn fsync_rio_beats_ext4_and_horae_latency() {
     // The Fig. 13/14 shape: RioFS < HoraeFS < Ext4 fsync latency.
     let lat = |mode: OrderingMode| {

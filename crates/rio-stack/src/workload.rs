@@ -2,43 +2,15 @@
 //!
 //! Each thread owns a private area of the logical volume (the paper's
 //! "private SSD area", §3.1) and emits a deterministic script of
-//! *ordered groups*. A group is a set of write requests that may
-//! reorder freely among themselves; consecutive groups are ordered.
+//! *ordered groups*; consecutive groups are ordered. RIO orders groups
+//! of writes that may reorder among themselves (§4.6), but every
+//! pattern here emits groups of one write, so a cluster group is one
+//! range and every engine submits it as one write.
 
 use std::collections::VecDeque;
-use std::ops::Deref;
 
 use rio_order::attr::BlockRange;
 use rio_sim::SimRng;
-
-/// One write request inside a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemberSpec {
-    /// Logical range on the volume.
-    pub range: BlockRange,
-}
-
-/// The member writes of a group. A single member — every group the
-/// built-in patterns emit — sits inline, so generating, queueing and
-/// cloning such a group never touches the heap. Derefs to the slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Members {
-    /// A one-write group.
-    One(MemberSpec),
-    /// Any number of writes.
-    Many(Vec<MemberSpec>),
-}
-
-impl Deref for Members {
-    type Target = [MemberSpec];
-
-    fn deref(&self) -> &[MemberSpec] {
-        match self {
-            Members::One(m) => std::slice::from_ref(m),
-            Members::Many(ms) => ms,
-        }
-    }
-}
 
 /// Journaling stage of a group within an fsync operation (Fig. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +23,12 @@ pub enum FsyncStage {
     Commit,
 }
 
-/// One ordered group emitted by a thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One ordered group emitted by a thread: one write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSpec {
-    /// The member writes (issued in order; final one is the boundary).
-    pub members: Members,
-    /// Whether the final member carries a FLUSH (fsync-style commit).
+    /// Logical range the group writes on the volume.
+    pub range: BlockRange,
+    /// Whether the write carries a FLUSH (fsync-style commit).
     pub flush: bool,
     /// The thread blocks after this group until all its in-flight
     /// groups complete (the `rio_wait` / fsync return point).
@@ -72,19 +44,12 @@ impl GroupSpec {
     /// A plain single-write group.
     pub fn plain(range: BlockRange) -> Self {
         GroupSpec {
-            members: Members::One(MemberSpec { range }),
+            range,
             flush: false,
             sync_after: false,
             stage: None,
             app_cpu_ns: 0,
         }
-    }
-}
-
-impl GroupSpec {
-    /// Total blocks across members.
-    pub fn blocks(&self) -> u32 {
-        self.members.iter().map(|m| m.range.blocks).sum()
     }
 }
 
@@ -259,9 +224,7 @@ impl Workload {
                     let data_slots = (data_cap / d_blocks as u64).max(1);
                     let d_lba = area_start + (idx % data_slots) * d_blocks as u64;
                     out.push_back(GroupSpec {
-                        members: Members::One(MemberSpec {
-                            range: BlockRange::new(d_lba, d_blocks),
-                        }),
+                        range: BlockRange::new(d_lba, d_blocks),
                         flush: false,
                         sync_after: false,
                         stage: Some(FsyncStage::Data),
@@ -269,18 +232,14 @@ impl Workload {
                     });
                 }
                 out.push_back(GroupSpec {
-                    members: Members::One(MemberSpec {
-                        range: BlockRange::new(jm_lba, meta_blocks),
-                    }),
+                    range: BlockRange::new(jm_lba, meta_blocks),
                     flush: false,
                     sync_after: false,
                     stage: Some(FsyncStage::Meta),
                     app_cpu_ns: if d_blocks == 0 { app_cpu_ns } else { 0 },
                 });
                 out.push_back(GroupSpec {
-                    members: Members::One(MemberSpec {
-                        range: BlockRange::new(jm_lba + meta_blocks as u64, 1),
-                    }),
+                    range: BlockRange::new(jm_lba + meta_blocks as u64, 1),
                     flush: true,
                     sync_after: true,
                     stage: Some(FsyncStage::Commit),
@@ -302,8 +261,7 @@ mod tests {
         for idx in 0..100 {
             let gs = w.op(idx, 1000, 500, &mut rng);
             assert_eq!(gs.len(), 1);
-            assert_eq!(gs[0].members.len(), 1);
-            let r = gs[0].members[0].range;
+            let r = gs[0].range;
             assert!(
                 r.lba >= 1000 && r.end() <= 1500,
                 "escaped private area: {r:?}"
@@ -317,11 +275,11 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let g0 = w.op(0, 0, 8, &mut rng);
         let g1 = w.op(1, 0, 8, &mut rng);
-        assert_eq!(g0[0].members[0].range, BlockRange::new(0, 2));
-        assert_eq!(g1[0].members[0].range, BlockRange::new(2, 2));
+        assert_eq!(g0[0].range, BlockRange::new(0, 2));
+        assert_eq!(g1[0].range, BlockRange::new(2, 2));
         // 4 slots of 2 blocks wrap at idx 4.
         let g4 = w.op(4, 0, 8, &mut rng);
-        assert_eq!(g4[0].members[0].range, BlockRange::new(0, 2));
+        assert_eq!(g4[0].range, BlockRange::new(0, 2));
     }
 
     #[test]
@@ -331,13 +289,13 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let body = w.op(0, 100, 300, &mut rng);
         let commit = w.op(1, 100, 300, &mut rng);
-        assert_eq!(body[0].members[0].range, BlockRange::new(100, 2));
-        assert_eq!(commit[0].members[0].range, BlockRange::new(102, 1));
+        assert_eq!(body[0].range, BlockRange::new(100, 2));
+        assert_eq!(commit[0].range, BlockRange::new(102, 1));
         // The pair is LBA-consecutive: the merge candidate of §4.1.
-        assert!(body[0].members[0].range.abuts(&commit[0].members[0].range));
+        assert!(body[0].range.abuts(&commit[0].range));
         // Next triplet moves on.
         let body2 = w.op(2, 100, 300, &mut rng);
-        assert_eq!(body2[0].members[0].range, BlockRange::new(103, 2));
+        assert_eq!(body2[0].range, BlockRange::new(103, 2));
     }
 
     #[test]
@@ -351,11 +309,9 @@ mod tests {
         assert_eq!(groups[2].stage, Some(FsyncStage::Commit));
         assert!(groups[2].flush, "commit carries the FLUSH");
         assert!(groups[2].sync_after, "fsync blocks after the commit");
-        assert_eq!(groups[1].members[0].range.blocks, 2);
+        assert_eq!(groups[1].range.blocks, 2);
         // JM and JC are consecutive in the journal area.
-        assert!(groups[1].members[0]
-            .range
-            .abuts(&groups[2].members[0].range));
+        assert!(groups[1].range.abuts(&groups[2].range));
     }
 
     #[test]
@@ -388,26 +344,13 @@ mod tests {
         for w in workloads {
             let (mut a, mut b) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
             let mut queue = VecDeque::from([GroupSpec::plain(BlockRange::new(0, 1))]);
-            let mut listed = vec![queue[0].clone()];
+            let mut listed = vec![queue[0]];
             for idx in 0..10 {
                 w.op_into(idx, 64, 4096, &mut a, &mut queue);
                 listed.extend(w.op(idx, 64, 4096, &mut b));
             }
             assert_eq!(Vec::from(queue), listed, "{:?}", w.pattern);
         }
-    }
-
-    #[test]
-    fn members_are_a_slice_whether_inline_or_listed() {
-        let m = |lba| MemberSpec {
-            range: BlockRange::new(lba, 1),
-        };
-        let mut g = GroupSpec::plain(BlockRange::new(8, 1));
-        assert_eq!(*g.members, [m(8)]);
-        g.members = Members::Many(vec![m(1), m(2), m(3)]);
-        assert_eq!(g.members.len(), 3);
-        assert_eq!(g.blocks(), 3);
-        assert_eq!(g.members.iter().map(|m| m.range.lba).sum::<u64>(), 6);
     }
 
     #[test]
