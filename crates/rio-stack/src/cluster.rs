@@ -53,7 +53,7 @@ use crate::telemetry::TelemetrySampler;
 use crate::trace::StageTrace;
 use crate::workload::Workload;
 
-use initiator::{Initiator, ThreadState};
+use initiator::{Initiator, ThreadState, Wait};
 use recovery::Recovering;
 use target::{DrrSched, Target};
 use wire::Leg;

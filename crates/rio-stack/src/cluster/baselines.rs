@@ -7,7 +7,7 @@
 use rio_order::attr::BlockRange;
 use rio_sim::{SimDuration, SimTime};
 
-use super::{Cluster, Cmd, CmdKind, Event, Leg};
+use super::{Cluster, Cmd, CmdKind, Event, Leg, Wait};
 use crate::cpu::{
     CMD_POST_NS, CTX_SWITCH_NS, HORAE_CTRL_GAP_NS, HORAE_CTRL_HANDLE_NS, HORAE_CTRL_POST_NS,
     IRQ_NS, SUBMIT_BIO_NS,
@@ -15,34 +15,29 @@ use crate::cpu::{
 
 impl Cluster {
     /// Horae: serialized control path, then asynchronous data path.
+    /// The thread posts one group's control message and blocks on its
+    /// ack; the ack's gate `Resume` is its one wake.
     pub(super) fn submit_horae(&mut self, now: SimTime, t: usize) {
-        // Respect the serialized control-path gap even when woken early
-        // by a data completion.
-        if now < self.threads[t].ctrl_gate_until {
-            let at = self.threads[t].ctrl_gate_until;
-            self.events.push(at, Event::Resume(t));
+        if self.threads[t].inflight >= self.cfg.max_inflight_per_stream || !self.thread_has_work(t)
+        {
+            self.park_or_finish(t);
             return;
         }
-        let window = self.cfg.max_inflight_per_stream;
-        let mut cpu = now;
-        while self.threads[t].ctrl_pending.is_none()
-            && self.threads[t].inflight < window
-            && self.thread_has_work(t)
-        {
-            let spec = self.next_group_spec(t);
-            cpu = self.note_group_start(cpu, t, &spec);
-            self.threads[t].inflight += 1;
-            cpu = self.init_run_on(t, cpu, HORAE_CTRL_POST_NS);
-            // Control metadata goes to the group's primary target, on
-            // the stream's QP. It moves no data: like a FLUSH, its range
-            // is the one block at LBA 0.
-            let primary = self.volume.map_block(spec.range.lba).0 .0 as usize;
-            self.threads[t].ctrl_pending = Some(spec);
-            let qp = self.threads[t].stream.0 as usize % self.cfg.cores;
-            let ctrl = Cmd::new(CmdKind::Ctrl, t, primary, 0, qp, BlockRange::new(0, 1));
-            self.post_capsule(cpu, ctrl);
-        }
-        self.park_or_finish(t);
+        let spec = self.next_group_spec(t);
+        let cpu = self.note_group_start(now, t, &spec);
+        self.threads[t].inflight += 1;
+        let cpu = self.init_run_on(t, cpu, HORAE_CTRL_POST_NS);
+        // Control metadata goes to the group's primary target, on the
+        // stream's QP. It moves no data: like a FLUSH, its range is the
+        // one block at LBA 0.
+        let primary = self.volume.map_block(spec.range.lba).0 .0 as usize;
+        let qp = self.threads[t].stream.0 as usize % self.cfg.cores;
+        let ctrl = Cmd::new(CmdKind::Ctrl, t, primary, 0, qp, BlockRange::new(0, 1));
+        self.post_capsule(cpu, ctrl);
+        // The synchronous control path blocks the thread: the wait's
+        // context switch pair occupies its core, off the critical path.
+        self.init_run_on(t, cpu, CTX_SWITCH_NS);
+        self.threads[t].wait = Wait::Ack(spec);
     }
 
     /// Horae control message `id` reached `target`: persist the
@@ -61,10 +56,9 @@ impl Cluster {
         let t = thread;
         let cpu = self.init_run_on(t, now, IRQ_NS);
         // Dispatch the acknowledged group's data path asynchronously.
-        let spec = self.threads[t]
-            .ctrl_pending
-            .take()
-            .expect("ctrl ack without pending group");
+        let Wait::Ack(spec) = std::mem::replace(&mut self.threads[t].wait, Wait::Nothing) else {
+            unreachable!("ctrl ack without pending group")
+        };
         let c = self.init_run_on(t, cpu, SUBMIT_BIO_NS);
         let c = self.dispatch_plain_unit(c, t, spec.range, 1, spec.flush);
         if let Some(stage) = spec.stage {
@@ -79,7 +73,6 @@ impl Cluster {
         // The serialized control path may proceed with the next group
         // only after the ordering-layer gap.
         let next = c + SimDuration::from_nanos(HORAE_CTRL_GAP_NS);
-        self.threads[t].ctrl_gate_until = next;
         self.events.push(next, Event::Resume(t));
     }
 

@@ -48,6 +48,24 @@ pub(super) struct Undelivered {
     pub(super) spec: GroupSpec,
 }
 
+/// What a submitter thread is blocked on. A completion wakes only a
+/// `Slot` thread that has work and window room, or a `Sync` thread
+/// whose window drained; a thread in `Ack` is woken by its gate
+/// `Resume` alone.
+#[derive(Debug)]
+pub(super) enum Wait {
+    /// Runnable, or done submitting.
+    Nothing,
+    /// Parked on a full window or an exhausted script.
+    Slot,
+    /// At a sync point: waits for `inflight == 0`.
+    Sync,
+    /// Horae: this group's control message awaits its ack (its data
+    /// path dispatches then). The control path is serialized, so there
+    /// is at most one.
+    Ack(GroupSpec),
+}
+
 /// Per-thread state.
 pub(super) struct ThreadState {
     /// Owning initiator (index into `Cluster::initiators`).
@@ -62,9 +80,7 @@ pub(super) struct ThreadState {
     pub(super) area_start: u64,
     pub(super) area_blocks: u64,
     pub(super) rng: SimRng,
-    pub(super) parked: bool,
-    /// The thread issued a sync point and waits for inflight == 0.
-    pub(super) syncing: bool,
+    pub(super) wait: Wait,
     /// Start of the current fsync op (its first stage's submission;
     /// `None` between ops — an op may well start at t = 0).
     pub(super) op_start: Option<SimTime>,
@@ -74,13 +90,6 @@ pub(super) struct ThreadState {
     /// whether it ends an op.
     pub(super) cur_flush_leg: bool,
     pub(super) cur_sync_after: bool,
-    /// Horae: the group whose control message awaits its ack (its data
-    /// path dispatches then). The control path is serialized, so there
-    /// is at most one.
-    pub(super) ctrl_pending: Option<GroupSpec>,
-    /// Horae: earliest instant the next control post may issue (the
-    /// serialized ordering-layer gap).
-    pub(super) ctrl_gate_until: SimTime,
     /// Rio: submitted-but-undelivered groups. Thread `i` owns stream
     /// `i` and delivery is in order, so this is one FIFO with
     /// contiguous sequence numbers: group `seq` sits at index
@@ -112,14 +121,11 @@ impl ThreadState {
             area_start: i as u64 * area_blocks,
             area_blocks,
             rng,
-            parked: false,
-            syncing: false,
+            wait: Wait::Nothing,
             op_start: None,
             stage_marks: [None; 3],
             cur_flush_leg: false,
             cur_sync_after: false,
-            ctrl_pending: None,
-            ctrl_gate_until: SimTime::ZERO,
             undelivered: VecDeque::with_capacity(window),
         }
     }
@@ -192,12 +198,14 @@ impl Cluster {
     /// Thread `t` (re)considers submitting work: the one place the
     /// ordering mode picks a submit engine.
     pub(super) fn on_resume(&mut self, now: SimTime, t: usize) {
-        // A thread waiting at a sync point stays parked until its window
-        // drains (`maybe_wake` finishes the op and resumes it).
-        self.threads[t].parked = self.threads[t].syncing;
-        if self.threads[t].syncing {
+        // A thread at a sync point stays blocked until its window drains
+        // (`maybe_wake` finishes the op and resumes it), a Horae thread
+        // until its control ack.
+        let th = &mut self.threads[t];
+        if matches!(th.wait, Wait::Sync | Wait::Ack(_)) {
             return;
         }
+        th.wait = Wait::Nothing;
         match self.cfg.mode {
             OrderingMode::Rio { .. } => self.submit_async_rio(now, t),
             OrderingMode::Orderless => self.submit_async_orderless(now, t),
@@ -334,15 +342,15 @@ impl Cluster {
         if !waiting {
             self.finish_op(t, cpu);
         }
-        self.threads[t].syncing = waiting;
-        self.threads[t].parked = waiting;
+        self.threads[t].wait = if waiting { Wait::Sync } else { Wait::Nothing };
         waiting
     }
 
     /// Submit-loop epilogue: the thread parks while it has work queued
     /// or in flight, and is done submitting otherwise.
     pub(super) fn park_or_finish(&mut self, t: usize) {
-        self.threads[t].parked = self.thread_has_work(t) || self.threads[t].inflight > 0;
+        let parks = self.thread_has_work(t) || self.threads[t].inflight > 0;
+        self.threads[t].wait = if parks { Wait::Slot } else { Wait::Nothing };
     }
 
     /// Dispatches one Rio unit — its (merged) attribute and the queued
@@ -657,23 +665,15 @@ impl Cluster {
     /// Wakes a parked thread whose window has room again, or whose
     /// sync point (fsync wait) is now satisfied.
     fn maybe_wake(&mut self, now: SimTime, t: usize) {
-        if self.threads[t].syncing {
-            if self.threads[t].inflight == 0 {
-                self.threads[t].syncing = false;
-                self.finish_op(t, now);
-                self.threads[t].parked = false;
-                let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
-                self.events.push(cpu, Event::Resume(t));
-            }
-            return;
+        let inflight = self.threads[t].inflight;
+        match self.threads[t].wait {
+            Wait::Sync if inflight == 0 => self.finish_op(t, now),
+            Wait::Slot
+                if self.thread_has_work(t) && inflight < self.cfg.max_inflight_per_stream => {}
+            _ => return,
         }
-        if self.threads[t].parked
-            && (self.thread_has_work(t) || self.threads[t].ctrl_pending.is_some())
-            && self.threads[t].inflight < self.cfg.max_inflight_per_stream
-        {
-            self.threads[t].parked = false;
-            let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
-            self.events.push(cpu, Event::Resume(t));
-        }
+        self.threads[t].wait = Wait::Nothing;
+        let cpu = self.init_run_on(t, now, CTX_SWITCH_NS);
+        self.events.push(cpu, Event::Resume(t));
     }
 }

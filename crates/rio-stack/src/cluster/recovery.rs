@@ -27,7 +27,7 @@ use rio_sim::{SimDuration, SimTime};
 use rio_ssd::ssd::SCRUB_US_PER_BLOCK;
 
 use super::target::write_pmr;
-use super::{Cluster, Cmd, CmdKind, Event, Leg};
+use super::{Cluster, Cmd, CmdKind, Event, Leg, Wait};
 use crate::config::FaultKind;
 use crate::cpu::{DRAM_SCAN_NS_PER_RECORD, MERGE_NS_PER_RECORD, PMR_SCAN_NS_PER_SLOT};
 use crate::metrics::{RecoveryMetrics, StreamRecovery};
@@ -400,9 +400,8 @@ impl Cluster {
             // Hand the emptied queue (and its capacity) back.
             th.undelivered = undelivered;
             th.inflight = 0;
-            th.parked = false;
-            let was_syncing = th.syncing;
-            th.syncing = false;
+            let was_syncing = matches!(th.wait, Wait::Sync);
+            th.wait = Wait::Nothing;
             if was_syncing && row.requeued == 0 {
                 // The op's sync point cleared during recovery; a
                 // re-queued commit group re-arms it on resubmission

@@ -599,7 +599,9 @@ mod tests {
         let wl = |threads| Workload::random_4k(threads, 10);
         assert_eq!(good().validate(&wl(2)), Ok(()));
         assert_eq!(good().validate(&wl(1)), Ok(()), "one initiator may keep a spare stream");
-        let table: [(fn(&mut ClusterConfig), usize, ConfigError); 17] = [
+        // A broken field, the thread count, and the error it earns.
+        type Case = (fn(&mut ClusterConfig), usize, ConfigError);
+        let table: [Case; 17] = [
             (|_| {}, 0, NoThreads),
             (|c| c.initiators.clear(), 2, NoInitiators),
             (|c| c.initiators[0].streams = 0, 2, InitiatorWithoutStreams),

@@ -32,7 +32,8 @@ pub const PMR_APPEND_NS: u64 = 600;
 pub const PMR_TOGGLE_NS: u64 = 250;
 /// Interrupt + completion handling per command (either side).
 pub const IRQ_NS: u64 = 850;
-/// Blocking wait / wakeup (context switch pair) on the initiator.
+/// Blocking wait / wakeup (context switch pair) on the initiator: a
+/// parked thread's wakeup, and Horae's blocking control wait.
 pub const CTX_SWITCH_NS: u64 = 2_200;
 /// Horae: initiator-side control-path post.
 pub const HORAE_CTRL_POST_NS: u64 = 650;

@@ -148,6 +148,7 @@ impl Workload {
     }
 
     /// The groups [`Workload::op_into`] generates, as a fresh list.
+    #[cfg(test)]
     pub fn op(
         &self,
         idx: u64,
