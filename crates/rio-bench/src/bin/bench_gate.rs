@@ -1,19 +1,22 @@
 //! Regression gate over the committed `BENCH.json`.
 //!
-//! Loads the baseline and compares both sections — the grid and the
-//! recoveries — against a current measurement (a re-run, or an
-//! ingested document), failing (exit 1) on a missing cell, any rise in
-//! a grid cell's event count, a >15% rise in its group p99 or a >10%
-//! drop in its KIOPS, or a >15% rise in either phase of any recovery
-//! cell, with a per-cell report.
-//! Every column is virtual time or a count, so the verdict is a
-//! function of the tree alone. Malformed or wrong-schema files and
-//! unknown arguments exit 2.
+//! Measures by running every figure (`rio_bench::fig::ALL`), which
+//! prints its tables as its bench does and files each run as one grid
+//! cell, then the §6.5 recovery trials. Loads the baseline and compares
+//! both sections — the grid and the recoveries — against that
+//! measurement (or an ingested document), failing (exit 1) on a missing
+//! cell, any rise in a grid cell's event count, a >15% rise in its
+//! group p99 or a >10% drop in its KIOPS, or a >15% rise in either
+//! phase of any recovery cell, with a per-cell report. A figure's own
+//! check (exactly-once delivery, the integrity ledger, fairness, the
+//! Table 1 layout) failing panics the run. Every column is virtual time
+//! or a count, so the verdict is a function of the tree alone.
+//! Malformed or wrong-schema files and unknown arguments exit 2.
 //!
 //! Usage:
 //!
 //! ```sh
-//! bench_gate                         # re-run every cell vs BENCH.json
+//! bench_gate                         # re-run every figure vs BENCH.json
 //! bench_gate --current run.json      # ingest a measurement instead
 //! bench_gate --baseline other.json   # compare against another baseline
 //! bench_gate --write out.json        # measure and write; nothing is gated
@@ -23,15 +26,19 @@
 #![forbid(unsafe_code)]
 
 use rio_bench::gate::{compare, Document, Trajectory};
-use rio_bench::recovery;
-use rio_bench::sweep::{run_spec, specs};
+use rio_bench::sweep::Recorder;
+use rio_bench::{fig, recovery};
 
 const USAGE: &str = "usage: bench_gate [--baseline PATH] [--current PATH] [--write PATH]";
 
-/// Runs every cell of the document.
+/// Runs every figure and every recovery trial of the document.
 fn measure() -> Document {
+    let mut rec = Recorder::default();
+    for figure in fig::ALL {
+        figure(&mut rec);
+    }
     Document {
-        grid: specs().iter().map(run_spec).collect(),
+        grid: rec.cells,
         recoveries: recovery::trajectory(),
     }
 }
@@ -117,7 +124,7 @@ fn real_main() -> Result<bool, String> {
     let current = match current {
         Some(path) => load(&path, "current")?,
         None => {
-            println!("bench_gate: re-running the grid and the recoveries");
+            println!("bench_gate: re-running the figures and the recoveries");
             measure()
         }
     };

@@ -1,12 +1,14 @@
-//! The experiment routines the figure benches share.
+//! The experiment routines the figures share.
 //!
-//! A figure bench keeps its paper text, its axes and its cell builder;
-//! what it does with them is written here once. [`sweep`] runs series
-//! × axis and prints the table. The [`Sweep`] panels print rows derived
-//! from its runs: each cell over a reference series, each cell over its
-//! row's first cell, or the geomean of one series over another.
-//! [`half_span_faults`] is the survivable-fault trial of the recovery
-//! and integrity benches, on the testbed [`fault_cfg`] builds.
+//! A figure ([`crate::fig`]) keeps its paper text, its axes and its
+//! cell builder; what it does with them is written here once. [`sweep`]
+//! runs series × axis and prints the table. The [`Sweep`] panels print
+//! rows derived from its runs: each cell over a reference series, each
+//! cell over its row's first cell, or the geomean of one series over
+//! another. [`half_span_faults`] is the survivable-fault trial of the
+//! recovery and integrity figures, on the testbed [`fault_cfg`] builds.
+//! Every run goes through the [`Recorder`] the figure was handed, keyed
+//! by the row and column it prints in.
 
 use std::fmt::Display;
 
@@ -17,22 +19,24 @@ use rio_stack::{
     Workload,
 };
 
-use crate::{geomean, header, ratio, row, run};
+use crate::sweep::Recorder;
+use crate::{geomean, ratio, row};
 
 /// One metric row of a sweep: its label, in which `{}` stands for the
 /// series label, and the cell it prints for each run.
-pub type MetricRow<'a> = (&'a str, fn(&RunMetrics) -> String);
+pub(crate) type MetricRow<'a> = (&'a str, fn(&RunMetrics) -> String);
 
 /// A printed sweep: each series' label and its runs along the axis.
-pub struct Sweep {
+pub(crate) struct Sweep {
     /// `(label, runs)` per series, in print order.
-    pub series: Vec<(String, Vec<RunMetrics>)>,
+    pub(crate) series: Vec<(String, Vec<RunMetrics>)>,
 }
 
-/// Runs the cell `cell` builds for every series × axis value and
-/// prints the table under the section header `title`: a `corner` row
-/// naming the axis values, then each of `rows` per series.
-pub fn sweep<S, X: Display>(
+/// Runs the cell `cell` builds for every series × axis value through
+/// `rec` and prints the table under the section header `title`: a
+/// `corner` row naming the axis values, then each of `rows` per series.
+pub(crate) fn sweep<S, X: Display>(
+    rec: &mut Recorder,
     title: &str,
     corner: &str,
     axis: &[X],
@@ -40,36 +44,33 @@ pub fn sweep<S, X: Display>(
     rows: &[MetricRow],
     cell: impl Fn(&S, &X) -> (ClusterConfig, Workload),
 ) -> Sweep {
-    header(title);
-    row(corner, &axis.iter().map(X::to_string).collect::<Vec<_>>());
-    let series = series
-        .into_iter()
-        .map(|(label, key)| {
-            let runs: Vec<RunMetrics> = axis
-                .iter()
-                .map(|x| {
-                    let (cfg, wl) = cell(&key, x);
-                    run(cfg, wl)
-                })
-                .collect();
-            for (name, metric) in rows {
-                let cells: Vec<String> = runs.iter().map(metric).collect();
-                row(&name.replace("{}", &label), &cells);
-            }
-            (label, runs)
-        })
-        .collect();
-    Sweep { series }
+    rec.header(title);
+    let columns: Vec<String> = axis.iter().map(X::to_string).collect();
+    row(corner, &columns);
+    let mut printed = Vec::new();
+    for (label, key) in series {
+        let mut runs = Vec::new();
+        for (x, column) in axis.iter().zip(&columns) {
+            let (cfg, wl) = cell(&key, x);
+            runs.push(rec.run(&label, column, cfg, wl));
+        }
+        for (name, metric) in rows {
+            let cells: Vec<String> = runs.iter().map(metric).collect();
+            row(&name.replace("{}", &label), &cells);
+        }
+        printed.push((label, runs));
+    }
+    Sweep { series: printed }
 }
 
 /// Each value over the same cell of `reference`.
-pub fn ratios(values: &[f64], reference: &[f64]) -> Vec<f64> {
+pub(crate) fn ratios(values: &[f64], reference: &[f64]) -> Vec<f64> {
     values.iter().zip(reference).map(|(v, r)| v / r).collect()
 }
 
 /// Each value as a percentage of the first, which is floored at 1e-12
 /// so that a zero first cell divides by no zero.
-pub fn retained(values: &[f64]) -> Vec<f64> {
+pub(crate) fn retained(values: &[f64]) -> Vec<f64> {
     let base = values.first().copied().unwrap_or(0.0).max(1e-12);
     values.iter().map(|v| 100.0 * v / base).collect()
 }
@@ -84,7 +85,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Panics if no series has that label.
-    pub fn runs(&self, label: &str) -> &[RunMetrics] {
+    pub(crate) fn runs(&self, label: &str) -> &[RunMetrics] {
         let found = self.series.iter().find(|(l, _)| l == label);
         &found.unwrap_or_else(|| panic!("no series {label}")).1
     }
@@ -105,7 +106,7 @@ impl Sweep {
 
     /// Prints each cell's `metric` over the same cell of the
     /// `reference` series (the paper's normalised panels).
-    pub fn print_over(&self, title: &str, reference: &str, metric: fn(&RunMetrics) -> f64) {
+    pub(crate) fn print_over(&self, title: &str, reference: &str, metric: fn(&RunMetrics) -> f64) {
         let base = values(self.runs(reference), metric);
         self.panel(title, metric, |v| {
             ratios(v, &base).iter().map(|r| format!("{r:.2}")).collect()
@@ -113,7 +114,7 @@ impl Sweep {
     }
 
     /// Prints each cell's `metric` retained over its row's first cell.
-    pub fn print_retained(&self, title: &str, metric: fn(&RunMetrics) -> f64) {
+    pub(crate) fn print_retained(&self, title: &str, metric: fn(&RunMetrics) -> f64) {
         self.panel(title, metric, |v| {
             retained(v).iter().map(|p| format!("{p:.1}%")).collect()
         });
@@ -121,7 +122,7 @@ impl Sweep {
 
     /// Prints the `avg a/b` row: the geomean of series `a`'s `metric`
     /// over series `b`'s, padded to the axis width if `pad`.
-    pub fn print_avg(&self, a: &str, b: &str, metric: fn(&RunMetrics) -> f64, pad: bool) {
+    pub(crate) fn print_avg(&self, a: &str, b: &str, metric: fn(&RunMetrics) -> f64, pad: bool) {
         let over = ratios(&values(self.runs(a), metric), &values(self.runs(b), metric));
         let mut cells = vec![ratio(geomean(&over))];
         if pad {
@@ -134,7 +135,7 @@ impl Sweep {
 /// The survivable-fault testbed: `threads` streams on two targets of
 /// one `ssd` each over fabric `net`, 8 cores a side, 64-deep windows,
 /// seed 77.
-pub fn fault_cfg(
+pub(crate) fn fault_cfg(
     mode: OrderingMode,
     ssd: fn() -> SsdProfile,
     threads: usize,
@@ -155,19 +156,26 @@ pub fn fault_cfg(
 /// every rerun delivered every group exactly once and balanced its
 /// integrity ledger, and prints one row per fault: order rebuild, data
 /// recovery, the `middle` cells, and the last epoch's throughput
-/// retained over the first's.
+/// retained over the first's. `rec` files each rerun under its row
+/// label, and the fault-free run under the first row's label at
+/// column `fault-free`.
 ///
 /// # Panics
 ///
 /// Panics if a faulted run loses or doubles a group, or leaves a
 /// detected corruption unresolved.
-pub fn half_span_faults(
+pub(crate) fn half_span_faults(
+    rec: &mut Recorder,
     cfg: ClusterConfig,
     wl: Workload,
     faults: Vec<(String, FaultKind)>,
     middle: fn(&RunMetrics) -> Vec<String>,
 ) -> Vec<RunMetrics> {
-    let at = SimTime::from_nanos(run(cfg.clone(), wl.clone()).finished_at.as_nanos() / 2);
+    let first = faults.first().map_or("", |(label, _)| label.as_str());
+    let span = rec
+        .run(first, "fault-free", cfg.clone(), wl.clone())
+        .finished_at;
+    let at = SimTime::from_nanos(span.as_nanos() / 2);
     let groups = wl.threads as u64 * wl.groups_per_thread;
     let trial = |(label, kind): (String, FaultKind)| {
         let events = vec![FaultEvent {
@@ -179,7 +187,7 @@ pub fn half_span_faults(
             faults: FaultPlan { events },
             ..cfg.clone()
         };
-        let m = run(faulted, wl.clone());
+        let m = rec.run(&label, "", faulted, wl.clone());
         assert_eq!(
             m.groups_done, groups,
             "{label}: a fault lost or doubled groups"
@@ -207,6 +215,7 @@ pub fn half_span_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Record;
 
     #[test]
     fn ratios_divide_cell_by_cell() {
@@ -249,8 +258,19 @@ mod tests {
             ),
             ("nic reset".to_string(), FaultKind::NicReset { target: 0 }),
         ];
-        let runs = half_span_faults(cfg, wl, faults, |_| Vec::new());
+        let mut rec = Recorder::default();
+        rec.header("faults");
+        let runs = half_span_faults(&mut rec, cfg, wl, faults, |_| Vec::new());
         assert_eq!(runs.len(), 2);
+        let keys: Vec<String> = rec.cells.iter().map(Record::key_label).collect();
+        assert_eq!(
+            keys,
+            [
+                "faults | crash @ fault-free",
+                "faults | crash",
+                "faults | nic reset"
+            ]
+        );
         for m in &runs {
             assert_eq!(m.epochs.len(), 2);
             assert_eq!(m.groups_done, threads as u64 * groups);
@@ -261,5 +281,38 @@ mod tests {
             runs[0].recoveries[0].crashed_at,
             runs[1].recoveries[0].crashed_at
         );
+    }
+
+    #[test]
+    fn a_sweep_records_one_cell_per_printed_run() {
+        let mut rec = Recorder::default();
+        let series = vec![("w/o".to_string(), false), ("w/".to_string(), true)];
+        let fig = sweep(
+            &mut rec,
+            "tiny sweep",
+            "series \\ batch",
+            &[1usize, 4, 16],
+            series,
+            &[("{}", |m| m.blocks_done.to_string())],
+            |&merging, &batch| {
+                let mode = OrderingMode::Orderless;
+                let mut cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), 1);
+                cfg.plug_merge = merging;
+                (cfg, Workload::seq_batched(1, 20, batch, 1))
+            },
+        );
+        // Exactly series × axis cells, keyed by the printed header,
+        // row label and column, in print order, each the run printed.
+        let keys: Vec<String> = rec.cells.iter().map(Record::key_label).collect();
+        let want: Vec<String> = ["w/o", "w/"]
+            .iter()
+            .flat_map(|s| [1, 4, 16].map(|b| format!("tiny sweep | {s} @ {b}")))
+            .collect();
+        assert_eq!(keys, want);
+        let printed = fig.series.iter().flat_map(|(_, runs)| runs);
+        for (cell, m) in rec.cells.iter().zip(printed) {
+            assert_eq!(cell.events, m.events_processed);
+            assert_eq!(cell.blocks_done, m.blocks_done);
+        }
     }
 }

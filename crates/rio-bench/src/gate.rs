@@ -1,7 +1,7 @@
 //! The trajectory mechanism behind the one committed `BENCH.json`.
 //!
-//! A [`Document`] holds two sections — the `grid` of engine cells and
-//! figure slices, and the `recoveries` trials — and every column in it
+//! A [`Document`] holds two sections — the `grid`, one cell per run a
+//! figure prints, and the `recoveries` trials — and every column in it
 //! is virtual time or a count, so `(tree, seed)` fixes the whole
 //! file and `bench_gate --write` reproduces it byte for byte on any
 //! machine. A [`Trajectory`] is one section's cell type: the field list
@@ -22,8 +22,10 @@ use crate::sweep::Cell;
 
 /// Schema version written, and the only one read. Versions 1–4 were
 /// the three per-section files this document replaced; version 5 held
-/// the figure slices in a section of their own.
-pub const SCHEMA: u64 = 6;
+/// the figure slices in a section of their own; version 6 keyed the
+/// grid by cluster shape and size, where 7 keys it by where a figure
+/// prints the run.
+pub const SCHEMA: u64 = 7;
 
 /// How to regenerate the file, completing "regenerate …".
 const REGEN: &str =
@@ -62,7 +64,7 @@ pub trait Trajectory: Record {
 /// `BENCH.json`, parsed or measured.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
-    /// The grid: engine cells and figure slices ([`crate::sweep`]).
+    /// The grid: one cell per run a figure prints ([`crate::sweep`]).
     pub grid: Vec<Cell>,
     /// The §6.5 recovery trials ([`crate::recovery`]).
     pub recoveries: Vec<RecoveryCell>,
@@ -250,15 +252,11 @@ impl Document {
 mod tests {
     use super::*;
 
-    fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
+    fn cell(table: &str, series: &str, events: u64, p99: f64) -> Cell {
         Cell {
-            figure: figure.into(),
-            mode: mode.into(),
-            threads: 2,
-            initiators: 1,
-            loss: 0.0,
-            paths: 1,
-            groups: 1_000,
+            table: table.into(),
+            series: series.into(),
+            axis: "2".into(),
             events,
             sim_span_secs: 0.2,
             blocks_done: 1_000,
@@ -284,7 +282,7 @@ mod tests {
         let parsed = Document::parse(&written.render()).expect("parse");
         assert_eq!(parsed.grid, written.grid);
         assert_eq!(parsed.grid[0].events, 500_000);
-        assert_eq!(parsed.grid[1].mode, "Linux");
+        assert_eq!(parsed.grid[1].series, "Linux");
         assert!((parsed.grid[0].group_p99_us - 45.5).abs() < 1e-9);
         assert_eq!(parsed.recoveries.len(), 1);
         assert_eq!(parsed.render(), written.render());
@@ -293,8 +291,9 @@ mod tests {
     #[test]
     fn old_schema_is_rejected_with_guidance() {
         // Schemas 4 and 1 are the three files this document replaced;
-        // schema 5 kept the figure slices apart.
-        for old in [1, 2, 4, 5, 99] {
+        // schema 5 kept the figure slices apart, and 6 keyed the grid
+        // by cluster shape and size.
+        for old in [1, 2, 4, 5, 6, 99] {
             let text = doc(vec![cell("x", "RIO", 1, 1.0)]).render().replace(
                 &format!("\"schema\": {SCHEMA}"),
                 &format!("\"schema\": {old}"),
@@ -362,12 +361,12 @@ mod tests {
 
     #[test]
     fn group_mismatch_is_incomparable() {
-        // `groups` is part of the identity: a run of another size is
-        // another cell, and the baseline's is missing.
+        // A cell is where its run prints: the same run filed under
+        // another column is another cell, and the baseline's is missing.
         let base = vec![cell("fig10b_optane", "RIO", 500_000, 100.0)];
-        let mut shrunk = base.clone();
-        shrunk[0].groups = 100;
-        let out = compare(&base, &shrunk);
+        let mut moved = base.clone();
+        moved[0].axis = "4".into();
+        let out = compare(&base, &moved);
         assert!(out.failed());
         assert_eq!(
             out.verdicts[0].failures,

@@ -211,12 +211,17 @@ pub trait Record: Clone + Default + Debug + 'static {
     /// The identity baseline and current cells are matched on, which is
     /// also what reports call the cell: the key fields' values, floats
     /// rounded to micro-units so small round decimals compare exactly.
+    /// An empty string key is left out, its intro with it.
     fn key_label(&self) -> String {
         let (mut rec, mut label) = (self.clone(), String::new());
         for Field(_, intro, slot) in Self::FIELDS {
             let Some(intro) = intro else { continue };
+            let slot = slot(&mut rec);
+            if matches!(&slot, Slot::Str(s) if s.is_empty()) {
+                continue;
+            }
             label.push_str(intro);
-            match slot(&mut rec) {
+            match slot {
                 Slot::Str(s) => label.push_str(s),
                 Slot::Float(x, _) => label.push_str(&((*x * 1e6).round() / 1e6).to_string()),
                 slot => slot.write(&mut label),

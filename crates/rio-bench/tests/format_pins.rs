@@ -4,22 +4,20 @@
 //! unnoticed.
 
 use rio_bench::gate::{compare, Document};
+use rio_bench::json::Record;
 use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
 
 const BENCH: &str = include_str!("../../../BENCH.json");
 
-/// Four grid cells (two engine cells, then two figure slices) and two
-/// recoveries; each pin below checks its own part of the one rendering.
+/// Four grid cells (a sweep cell, a lossy one, a run that fills its
+/// row and one that fills its column) and two recoveries; each pin
+/// below checks its own part of the one rendering.
 fn document() -> Document {
-    let cell = |figure: &str, mode: &str, threads, initiators, loss, paths, groups| Cell {
-        figure: String::from(figure),
-        mode: String::from(mode),
-        threads,
-        initiators,
-        loss,
-        paths,
-        groups,
+    let cell = |table: &str, series: &str, axis: &str| Cell {
+        table: String::from(table),
+        series: String::from(series),
+        axis: String::from(axis),
         ..Cell::default()
     };
     Document {
@@ -30,7 +28,7 @@ fn document() -> Document {
                 blocks_done: 400,
                 group_p99_us: 123.4567,
                 kiops: 1.6,
-                ..cell("fig10b_optane", "RIO", 2, 1, 0.0, 1, 100)
+                ..cell("Figure 10(b): 1 Optane SSD", "RIO", "2")
             },
             Cell {
                 events: 9_602,
@@ -38,7 +36,7 @@ fn document() -> Document {
                 blocks_done: 1_200,
                 group_p99_us: 20.25,
                 kiops: 0.8,
-                ..cell("lossy_fabric", "Linux", 4, 1, 0.001, 2, 1_200)
+                ..cell("Lossy fabric, 2 path(s)", "Linux", "0.001")
             },
             Cell {
                 events: 54_321,
@@ -46,7 +44,7 @@ fn document() -> Document {
                 blocks_done: 6_000,
                 group_p99_us: 41.5,
                 kiops: 704.25,
-                ..cell("fig10a_flash", "RIO", 2, 1, 0.0, 1, 6_000)
+                ..cell("Figure 14: 1 thread", "RIOFS(sim)", "")
             },
             Cell {
                 events: 77,
@@ -54,7 +52,7 @@ fn document() -> Document {
                 blocks_done: 1_600,
                 group_p99_us: 9.0,
                 kiops: 9.1234567,
-                ..cell("multi_initiator", "orderless", 4, 4, 0.001, 2, 1_600)
+                ..cell("QoS weights", "", "2:1")
             },
         ],
         recoveries: vec![
@@ -86,35 +84,41 @@ fn between<'a>(doc: &'a str, from: &str, to: &str) -> &'a str {
 
 #[test]
 fn sim_document_bytes_are_pinned() {
-    // The header and the grid's engine cells: the document's first bytes.
+    // The header and the grid's first cells: the document's first bytes.
     let doc = document().render();
     assert_eq!(
-        between(&doc, "{", "    {\"figure\": \"fig10a_flash\""),
+        between(&doc, "{", "    {\"table\": \"Figure 14"),
         r#"{
-  "schema": 6,
+  "schema": 7,
   "harness": "bench_gate",
   "total_events": 65000,
   "grid": [
-    {"figure": "fig10b_optane", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "groups": 100, "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "group_p99_us": 123.457, "kiops": 1.600000},
-    {"figure": "lossy_fabric", "mode": "Linux", "threads": 4, "initiators": 1, "loss": 0.001, "paths": 2, "groups": 1200, "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "group_p99_us": 20.250, "kiops": 0.800000},
+    {"table": "Figure 10(b): 1 Optane SSD", "series": "RIO", "axis": "2", "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "group_p99_us": 123.457, "kiops": 1.600000},
+    {"table": "Lossy fabric, 2 path(s)", "series": "Linux", "axis": "0.001", "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "group_p99_us": 20.250, "kiops": 0.800000},
 "#
     );
 }
 
 #[test]
 fn fig_document_bytes_are_pinned() {
-    // The figure slices are rows of the same grid, in the same format.
+    // A run that fills its row or its column writes the other key as
+    // an empty string, which its label leaves out.
     let doc = document().render();
     assert_eq!(
-        between(
-            &doc,
-            "    {\"figure\": \"fig10a_flash\"",
-            "  \"recoveries\""
-        ),
-        r#"    {"figure": "fig10a_flash", "mode": "RIO", "threads": 2, "initiators": 1, "loss": 0, "paths": 1, "groups": 6000, "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000},
-    {"figure": "multi_initiator", "mode": "orderless", "threads": 4, "initiators": 4, "loss": 0.001, "paths": 2, "groups": 1600, "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457}
+        between(&doc, "    {\"table\": \"Figure 14", "  \"recoveries\""),
+        r#"    {"table": "Figure 14: 1 thread", "series": "RIOFS(sim)", "axis": "", "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000},
+    {"table": "QoS weights", "series": "", "axis": "2:1", "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457}
   ],
 "#
+    );
+    let labels: Vec<String> = document().grid.iter().map(Record::key_label).collect();
+    assert_eq!(
+        labels[1..],
+        [
+            "Lossy fabric, 2 path(s) | Linux @ 0.001",
+            "Figure 14: 1 thread | RIOFS(sim)",
+            "QoS weights @ 2:1"
+        ]
     );
 }
 
@@ -133,42 +137,30 @@ fn recovery_document_bytes_are_pinned() {
     );
 }
 
-/// The committed document and its re-rendering, each split where the
-/// figure slices start: after the grid's 44 engine cells.
-fn committed_and_rerendered(doc: &Document) -> [(String, String); 2] {
-    [BENCH.to_string(), doc.render()].map(|text| {
-        let at = text
-            .match_indices("\n    {\"figure\"")
-            .nth(44)
-            .expect("figure slices")
-            .0;
-        (text[..at].to_string(), text[at..].to_string())
-    })
-}
-
 #[test]
 fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    let slices = rio_bench::fig::slices();
-    assert_eq!(slices.len(), 31);
-    assert!(doc.grid[44..]
-        .iter()
-        .map(|c| c.figure.as_str())
-        .eq(slices.iter().map(|s| s.figure)));
     assert_eq!(doc.recoveries.len(), 6);
-    let [committed, rerendered] = committed_and_rerendered(&doc);
-    assert_eq!(rerendered.1, committed.1);
+    assert_eq!(doc.render(), BENCH);
 }
 
 #[test]
 fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
-    // Every column is stored, none derived from a rounded one, so the
-    // engine cells re-render exactly too — and so does the header
-    // total, which the reader skips and the writer sums afresh.
+    // Every column is stored, none derived from a rounded one, so each
+    // cell reads back equal from its own rendering — and the header
+    // total, which the reader skips, is the writer's fresh sum.
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    assert_eq!(doc.grid.len(), 75);
-    let [committed, rerendered] = committed_and_rerendered(&doc);
-    assert_eq!(rerendered.0, committed.0);
+    assert_eq!(doc.grid.len(), 400);
+    for cell in &doc.grid {
+        let alone = Document {
+            grid: vec![cell.clone()],
+            ..doc.clone()
+        };
+        let back = Document::parse(&alone.render()).expect("a cell parses alone");
+        assert_eq!(back.grid, std::slice::from_ref(cell));
+    }
+    let total: u64 = doc.grid.iter().map(|c| c.events).sum();
+    assert!(BENCH.contains(&format!("\"total_events\": {total},")));
 }
 
 #[test]
@@ -176,7 +168,7 @@ fn committed_baselines_pass_their_own_gates_without_a_note() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
     let grid = compare(&doc.grid, &doc.grid);
     let recoveries = compare(&doc.recoveries, &doc.recoveries);
-    assert_eq!((grid.verdicts.len(), recoveries.verdicts.len()), (75, 6));
+    assert_eq!((grid.verdicts.len(), recoveries.verdicts.len()), (400, 6));
     for v in grid.verdicts.iter().chain(&recoveries.verdicts) {
         assert!(v.failures.is_empty() && v.notes.is_empty(), "{v:?}");
     }

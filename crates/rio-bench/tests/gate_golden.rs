@@ -13,15 +13,16 @@ use rio_bench::sweep::Cell;
 
 const BENCH: &str = include_str!("../../../BENCH.json");
 
-fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
+/// Tables of the fixture baseline, as their figures print them.
+const FIG10B: &str = "Figure 10(b): 1 Optane SSD, 1 target — KIOPS of 4 KB ordered writes";
+const FIG10A: &str = "Figure 10(a): 1 flash SSD, 1 target — KIOPS of 4 KB ordered writes";
+const FIG13: &str = "Figure 13: fsync throughput (K ops/s), avg and p99 latency (us)";
+
+fn cell(table: &str, series: &str, events: u64, p99: f64) -> Cell {
     Cell {
-        figure: figure.into(),
-        mode: mode.into(),
-        threads: 2,
-        initiators: 1,
-        loss: 0.0,
-        paths: 1,
-        groups: 60_000,
+        table: table.into(),
+        series: series.into(),
+        axis: "8".into(),
         events,
         sim_span_secs: 0.2,
         blocks_done: 120_000,
@@ -30,28 +31,28 @@ fn cell(figure: &str, mode: &str, events: u64, p99: f64) -> Cell {
     }
 }
 
-/// A figure-slice cell: the same type, a smaller workload.
-fn fig_cell(figure: &str, mode: &str, kiops: f64) -> Cell {
+/// A cell of a smaller run, at another column.
+fn fig_cell(table: &str, series: &str, kiops: f64) -> Cell {
     Cell {
-        groups: 6_000,
+        axis: "2".into(),
         events: 60_000,
         blocks_done: 6_000,
         kiops,
-        ..cell(figure, mode, 0, 40.0)
+        ..cell(table, series, 0, 40.0)
     }
 }
 
-/// The fixture baseline: three engine cells and three figure slices in
-/// the grid, one recovery.
+/// The fixture baseline: six grid cells from three tables, one
+/// recovery.
 fn baseline() -> Document {
     Document {
         grid: vec![
-            cell("fig10b_optane", "RIO", 532_029, 48.0),
-            cell("fig10b_optane", "orderless", 538_569, 30.0),
-            cell("fig10b_optane", "Linux", 9_602, 21.5),
-            fig_cell("fig10a_flash", "RIO", 704.2),
-            fig_cell("fig10a_flash", "orderless", 761.9),
-            fig_cell("fig13", "Linux", 9.1),
+            cell(FIG10B, "RIO", 532_029, 48.0),
+            cell(FIG10B, "orderless", 538_569, 30.0),
+            cell(FIG10B, "Linux", 9_602, 21.5),
+            fig_cell(FIG10A, "RIO", 704.2),
+            fig_cell(FIG10A, "orderless", 761.9),
+            fig_cell(FIG13, "Ext4", 9.1),
         ],
         recoveries: vec![RecoveryCell {
             label: "trial0".into(),
@@ -101,7 +102,11 @@ fn gate(name: &str, current: &Document) -> (Option<i32>, String, String) {
 fn identical_run_passes() {
     let (code, stdout, _) = gate("same", &baseline());
     assert_eq!(code, Some(0), "{stdout}");
-    assert_eq!(stdout.matches("PASS fig10b_optane").count(), 3, "{stdout}");
+    assert_eq!(
+        stdout.matches(&format!("PASS {FIG10B}")).count(),
+        3,
+        "{stdout}"
+    );
     assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
 }
 
@@ -115,13 +120,22 @@ fn doctored_events_per_sec_regression_fails_naming_the_cell() {
     cur.grid[0].events += 1;
     let (code, stdout, _) = gate("events_rise", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/RIO"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {FIG10B} | RIO @ 8")),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("events regression: 532030 vs baseline 532029 (+0.0%, tolerance +0%)"),
         "{stdout}"
     );
-    assert!(stdout.contains("PASS fig10b_optane/orderless"), "{stdout}");
-    assert!(stdout.contains("PASS fig10b_optane/Linux"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("PASS {FIG10B} | orderless")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!("PASS {FIG10B} | Linux")),
+        "{stdout}"
+    );
     assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
     assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
 }
@@ -133,9 +147,12 @@ fn doctored_p99_regression_fails_naming_the_cell() {
     cur.grid[1].group_p99_us *= 1.30;
     let (code, stdout, _) = gate("p99", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/orderless"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {FIG10B} | orderless")),
+        "{stdout}"
+    );
     assert!(stdout.contains("p99 regression"), "{stdout}");
-    assert!(stdout.contains("PASS fig10b_optane/RIO"), "{stdout}");
+    assert!(stdout.contains(&format!("PASS {FIG10B} | RIO")), "{stdout}");
 }
 
 #[test]
@@ -158,13 +175,16 @@ fn missing_cell_fails_a_full_comparison() {
     let (code, stdout, _) = gate("missing", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("missing from the current grid"), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {FIG10B} | Linux")),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn schema_mismatch_exits_2() {
     let good = baseline().render();
-    let old = good.replace("\"schema\": 6", "\"schema\": 5");
+    let old = good.replace("\"schema\": 7", "\"schema\": 6");
     let (code, _, stderr) = gate_texts("schema_base", &old, &good);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("schema mismatch"), "{stderr}");
@@ -188,10 +208,9 @@ fn event_count_drift_warning_names_cells_with_expected_and_actual() {
         "{stdout}"
     );
     assert!(
-        stdout.contains(
-            "fig10b_optane/RIO t=2 init=1 loss=0 paths=1 groups=60000: event-count drift: \
-             expected 532029 events, measured 527000"
-        ),
+        stdout.contains(&format!(
+            "{FIG10B} | RIO @ 8: event-count drift: expected 532029 events, measured 527000"
+        )),
         "{stdout}"
     );
 }
@@ -202,7 +221,7 @@ fn fig_identical_trajectory_passes() {
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
     assert!(
-        stdout.contains("PASS fig13/Linux t=2 init=1 loss=0 paths=1 groups=6000"),
+        stdout.contains(&format!("PASS {FIG13} | Ext4 @ 2\n")),
         "{stdout}"
     );
 }
@@ -214,10 +233,13 @@ fn fig_doctored_kiops_regression_fails_naming_the_cell() {
     cur.grid[3].kiops *= 0.80;
     let (code, stdout, _) = gate("fig_kiops", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10a_flash/RIO"), "{stdout}");
+    assert!(stdout.contains(&format!("FAIL {FIG10A} | RIO")), "{stdout}");
     assert!(stdout.contains("kiops regression"), "{stdout}");
-    assert!(stdout.contains("PASS fig10a_flash/orderless"), "{stdout}");
-    assert!(stdout.contains("PASS fig13/Linux"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("PASS {FIG10A} | orderless")),
+        "{stdout}"
+    );
+    assert!(stdout.contains(&format!("PASS {FIG13} | Ext4")), "{stdout}");
     assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
 }
 
@@ -228,7 +250,7 @@ fn fig_missing_cell_fails() {
     let (code, stdout, _) = gate("fig_missing", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("missing from the current grid"), "{stdout}");
-    assert!(stdout.contains("FAIL fig13/Linux"), "{stdout}");
+    assert!(stdout.contains(&format!("FAIL {FIG13} | Ext4")), "{stdout}");
 }
 
 #[test]
@@ -240,7 +262,7 @@ fn fig_schema_mismatch_exits_2() {
     let (code, _, stderr) = gate_texts("fig_schema", old, &baseline().render());
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
-        stderr.contains("file has schema 1, this gate reads schema 6"),
+        stderr.contains("file has schema 1, this gate reads schema 7"),
         "{stderr}"
     );
     assert!(
@@ -258,8 +280,11 @@ fn one_current_document_feeds_both_sections() {
     cur.recoveries[0].order_rebuild_ms *= 1.2;
     let (code, stdout, _) = gate("both", &cur);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL fig10b_optane/Linux"), "{stdout}");
-    assert!(stdout.contains("FAIL fig13/Linux"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {FIG10B} | Linux")),
+        "{stdout}"
+    );
+    assert!(stdout.contains(&format!("FAIL {FIG13} | Ext4")), "{stdout}");
     assert!(stdout.contains("FAIL recovery trial0 t=8"), "{stdout}");
     assert!(stdout.contains("order rebuild regression"), "{stdout}");
     for section in ["grid", "recoveries"] {
@@ -336,7 +361,7 @@ fn gate_committed(name: &str, key: &str, doctor: fn(&mut Cell)) -> (Option<i32>,
 
 #[test]
 fn a_kiops_drop_on_a_full_size_engine_cell_fails_naming_it() {
-    let key = "fig10d_4ssd/RIO t=8 init=1 loss=0 paths=1 groups=480000";
+    let key = "Figure 10(d): 4 SSDs, 2 targets — KIOPS of 4 KB ordered writes | RIO @ 8";
     let (code, stdout) = gate_committed("full_kiops", key, |c| c.kiops *= 0.80);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(
@@ -353,11 +378,28 @@ fn a_kiops_drop_on_a_full_size_engine_cell_fails_naming_it() {
 
 #[test]
 fn an_event_rise_on_a_fig13_cell_fails_naming_it() {
-    let key = "fig13/RIO t=16 init=1 loss=0 paths=1 groups=14400";
+    let key = "Figure 13: fsync throughput (K ops/s), avg and p99 latency (us) | RIOFS @ 16";
     let (code, stdout) = gate_committed("fig13_events", key, |c| c.events += 1);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(
         stdout.contains(&format!("FAIL {key}\n     events regression:")),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("FAIL ")).count(),
+        1,
+        "{stdout}"
+    );
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
+}
+
+#[test]
+fn a_kiops_drop_on_a_fig12_cell_fails_naming_it() {
+    let key = "Figure 12(a: 4 SSDs, 1 thread): batch-size sweep — GB/s | RIO @ 16";
+    let (code, stdout) = gate_committed("fig12_kiops", key, |c| c.kiops *= 0.80);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {key}\n     kiops regression:")),
         "{stdout}"
     );
     assert_eq!(
