@@ -5,11 +5,12 @@
 //! cell, then the §6.5 recovery trials. Loads the baseline and compares
 //! both sections — the grid and the recoveries — against that
 //! measurement (or an ingested document), failing (exit 1) on a missing
-//! cell, any rise in a grid cell's event count, a >15% rise in its
-//! group p99 or a >10% drop in its KIOPS, or a >15% rise in either
-//! phase of any recovery cell, with a per-cell report. A figure's own
-//! check (exactly-once delivery, the integrity ledger, fairness, the
-//! Table 1 layout) failing panics the run. Every column is virtual time
+//! cell, any rise in a grid cell's event count, any change in its
+//! `blocks_done`, a >15% rise in its group p99 or a >10% drop in its
+//! KIOPS, or a >15% rise in either phase of any recovery cell, with a
+//! per-cell report. A run that breaks a run law
+//! (`rio_stack::laws::LAWS`), or a figure's own check (exactly-once
+//! delivery, fairness, the Table 1 layout), panics the run. Every column is virtual time
 //! or a count, so the verdict is a function of the tree alone.
 //! Malformed or wrong-schema files and unknown arguments exit 2.
 //!

@@ -885,7 +885,7 @@ pub fn fig_lossy_fabric(rec: &mut Recorder) {
 /// # Panics
 ///
 /// Panics if an injected corruption escapes detection or a ledger is
-/// out of balance.
+/// out of balance (the run laws `rec` holds every run to).
 pub fn fig_integrity(rec: &mut Recorder) {
     corruption_sweep(rec);
     crash_sweep(rec);
@@ -914,14 +914,6 @@ fn corruption_sweep(rec: &mut Recorder) {
             (cfg, Workload::random_4k(THREADS, groups))
         },
     );
-    for m in fig.series.iter().flat_map(|(_, runs)| runs) {
-        let i = &m.integrity;
-        assert_eq!(
-            i.wire_injected, i.wire_detected,
-            "an injected corruption escaped the digest check"
-        );
-        assert!(i.balanced(), "integrity ledger out of balance");
-    }
     fig.print_retained(
         "goodput retained vs corruption-free (same mode)",
         RunMetrics::block_iops,

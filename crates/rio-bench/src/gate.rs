@@ -39,8 +39,11 @@ pub struct Rule<C> {
     pub metric: fn(&C) -> f64,
     /// Relative movement beyond which the gate fails: negative when a
     /// drop is the regression (throughput), positive or zero when a
-    /// rise is (zero: any rise at all).
+    /// rise is (zero: any rise at all). Unread when `exact`.
     pub limit: f64,
+    /// Whether the metric is a size the workload fixes, so any change,
+    /// either way, fails.
+    pub exact: bool,
     /// Prints a value with its precision and unit.
     pub show: fn(f64) -> String,
     /// The subject of the note left when the metric moves at all
@@ -167,6 +170,7 @@ impl<C> Rule<C> {
             limit,
             show,
             drift: None,
+            exact: false,
         }
     }
 
@@ -178,6 +182,17 @@ impl<C> Rule<C> {
             // NaN would sail through.
             v.failures
                 .push(format!("{stem} is not finite: {cur} vs baseline {base}"));
+            return;
+        }
+        if self.exact {
+            if cur != base {
+                v.failures.push(format!(
+                    "{stem} changed: {} vs baseline {} — the workload is fixed, so this \
+                     is another run",
+                    show(cur),
+                    show(base)
+                ));
+            }
             return;
         }
         let bound = base * (1.0 + self.limit);

@@ -21,6 +21,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use rio_stack::laws::check_laws;
 use rio_stack::{Cluster, ClusterConfig, RunMetrics, Workload};
 
 mod experiment;
@@ -31,9 +32,18 @@ pub mod recovery;
 pub mod sweep;
 pub mod trace_export;
 
-/// Runs one configuration and returns its metrics.
-pub(crate) fn run(cfg: ClusterConfig, workload: Workload) -> RunMetrics {
-    Cluster::new(cfg, workload).run()
+/// Runs one configuration, holds it to every run law
+/// ([`rio_stack::laws`]) and returns its metrics.
+///
+/// # Panics
+///
+/// Panics naming `what` and each broken law if the run breaks one.
+pub(crate) fn run(what: &str, cfg: ClusterConfig, workload: Workload) -> RunMetrics {
+    let m = Cluster::new(cfg, workload).run();
+    if let Err(broken) = check_laws(&m) {
+        panic!("{what}:\n{broken}");
+    }
+    m
 }
 
 /// Prints one table row: a label plus its cells, each right-aligned.

@@ -15,12 +15,12 @@
 
 use rio_sim::SimTime;
 use rio_stack::{
-    Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, RecoveryMetrics,
-    Workload,
+    ClusterConfig, FaultEvent, FaultKind, FaultPlan, OrderingMode, RecoveryMetrics, Workload,
 };
 
 use crate::gate::{Rule, Trajectory};
 use crate::json::{Field, Record, Slot};
+use crate::run;
 
 /// Maximum tolerated rise in either deterministic recovery phase.
 pub const MAX_RECOVERY_RISE: f64 = 0.15;
@@ -99,12 +99,17 @@ fn trial_cfg(seed: u64, threads: usize) -> ClusterConfig {
 /// One §6.5 crash trial: `threads` threads issue 4 KB ordered writes
 /// continuously until every target crashes at an instant in [2, 6] ms
 /// that `trial` picks; returns the initiator's recovery.
+///
+/// # Panics
+///
+/// Panics if the run breaks a run law ([`rio_stack::laws`]).
 pub fn trial(trial: u64, threads: usize) -> RecoveryMetrics {
     let mut cfg = trial_cfg(1000 + trial, threads);
     let crash_ns = 2_000_000 + (trial * 137_911) % 4_000_000;
     cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(crash_ns));
     let wl = Workload::random_4k(threads, 1_000_000);
-    Cluster::new(cfg, wl).run().recoveries.swap_remove(0)
+    let what = format!("recovery trial{trial}, {threads} threads");
+    run(&what, cfg, wl).recoveries.swap_remove(0)
 }
 
 /// Runs the deterministic recovery trajectory: four one-shot crash
@@ -144,7 +149,11 @@ pub fn trajectory() -> Vec<RecoveryCell> {
     cfg.faults = FaultPlan {
         events: vec![torn, rot],
     };
-    let mut m = Cluster::new(cfg, Workload::fsync_append(threads, 1_500)).run();
+    let mut m = run(
+        "recovery integrity",
+        cfg,
+        Workload::fsync_append(threads, 1_500),
+    );
     let labels = ["integrity-torn", "integrity-rot"].map(String::from);
     named.extend(labels.into_iter().zip(m.recoveries.drain(..2)));
     named

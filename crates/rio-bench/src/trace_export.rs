@@ -215,7 +215,7 @@ fn render_watchdog(out: &mut String, first: &mut bool, t: &Telemetry) {
 ///
 /// # Panics
 ///
-/// Panics if the trace cannot be written.
+/// Panics if the run breaks a run law or the trace cannot be written.
 pub fn traced_cell(what: &str, mut cfg: ClusterConfig, wl: Workload) -> bool {
     let args: Vec<String> = std::env::args().collect();
     let Some(path) = trace_out_arg(&args) else {
@@ -229,7 +229,7 @@ pub fn traced_cell(what: &str, mut cfg: ClusterConfig, wl: Workload) -> bool {
         }
         std::fs::write(&path, chrome_trace(m))
     };
-    write(&run(cfg, wl)).expect("write Chrome trace");
+    write(&run(what, cfg, wl)).expect("write Chrome trace");
     println!("wrote Chrome trace of {what} to {path}");
     true
 }

@@ -409,3 +409,38 @@ fn a_kiops_drop_on_a_fig12_cell_fails_naming_it() {
     );
     assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
 }
+
+#[test]
+fn a_blocks_change_on_a_fig12_cell_fails_naming_it() {
+    // Halving the cell's groups halves its events, blocks and span and
+    // keeps its KIOPS and p99: only the exact `blocks_done` rule sees
+    // it. Doubling them fails the same way.
+    let key = "Figure 12(a: 4 SSDs, 1 thread): batch-size sweep — GB/s | RIO @ 16";
+    let halve = |c: &mut Cell| {
+        (c.events, c.blocks_done, c.sim_span_secs) =
+            (c.events / 2, c.blocks_done / 2, c.sim_span_secs / 2.0);
+    };
+    let double = |c: &mut Cell| c.blocks_done *= 2;
+    let base = Document::parse(BENCH).expect("BENCH.json parses");
+    let blocks = base
+        .grid
+        .iter()
+        .find(|c| c.key_label() == key)
+        .expect("fig12 cell")
+        .blocks_done;
+    for (name, doctor, now) in [
+        ("fig12_half", halve as fn(&mut Cell), blocks / 2),
+        ("fig12_double", double, blocks * 2),
+    ] {
+        let (code, stdout) = gate_committed(name, key, doctor);
+        assert_eq!(code, Some(1), "{stdout}");
+        let failure = format!("FAIL {key}\n     blocks_done changed: {now} vs baseline {blocks}");
+        assert!(stdout.contains(&failure), "{stdout}");
+        assert_eq!(
+            stdout.lines().filter(|l| l.starts_with("FAIL ")).count(),
+            1,
+            "{stdout}"
+        );
+        assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
+    }
+}

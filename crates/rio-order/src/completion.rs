@@ -449,8 +449,11 @@ mod tests {
     /// against: per stream, a map from group sequence to (members
     /// done, member count once the boundary told it).
     struct RefCompleter {
-        streams: Vec<(u32, BTreeMap<u32, (u16, Option<u16>)>)>,
+        streams: Vec<(u32, RefGroups)>,
     }
+
+    /// Group sequence → (members done, member count once known).
+    type RefGroups = BTreeMap<u32, (u16, Option<u16>)>;
 
     impl RefCompleter {
         fn on_done(&mut self, attr: &OrderingAttr) -> Vec<Seq> {

@@ -16,7 +16,7 @@ pub fn without_stale(input: &RecoveryInput) -> RecoveryInput {
     let mut live = input.clone();
     for scan in &mut live.scans {
         scan.records
-            .retain(|r| heads.get(&r.stream).map_or(true, |&h| r.seq_end > h));
+            .retain(|r| heads.get(&r.stream).is_none_or(|&h| r.seq_end > h));
     }
     live
 }

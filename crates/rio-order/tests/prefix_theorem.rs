@@ -106,7 +106,7 @@ proptest! {
         // Discards cover exactly the records beyond the prefix.
         for d in &sp.discard {
             prop_assert!(
-                d.range.lba >= expect_prefix as u64 - 0, // LBA g-1 belongs to group ... map below.
+                d.range.lba >= u64::from(expect_prefix), // LBA g-1 belongs to group ... map below.
                 "sanity"
             );
         }
@@ -209,7 +209,7 @@ proptest! {
                 // Every third group's boundary carries a FLUSH, which is
                 // what makes a volatile-cache drive's records durable.
                 let end_group = j == n - 1;
-                let flush = end_group && i % 3 == 0;
+                let flush = end_group && i.is_multiple_of(3);
                 let mut attr = seq.submit(
                     StreamId(0),
                     BlockRange::new(lba, 1),

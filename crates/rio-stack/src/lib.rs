@@ -38,6 +38,7 @@
 pub mod cluster;
 pub mod config;
 pub mod cpu;
+pub mod laws;
 pub mod metrics;
 pub mod telemetry;
 pub mod trace;

@@ -50,7 +50,7 @@ fn mean_iops(mode: OrderingMode, loss: f64) -> f64 {
     let seeds = [42, 1337, 9001];
     seeds
         .iter()
-        .map(|&s| run_seeded(mode.clone(), loss, 0, s).block_iops())
+        .map(|&s| run_seeded(mode, loss, 0, s).block_iops())
         .sum::<f64>()
         / seeds.len() as f64
 }
@@ -65,7 +65,7 @@ fn main() {
         OrderingMode::Rio { merge: true },
         OrderingMode::Orderless,
     ] {
-        let series: Vec<f64> = losses.iter().map(|&l| mean_iops(mode.clone(), l)).collect();
+        let series: Vec<f64> = losses.iter().map(|&l| mean_iops(mode, l)).collect();
         let base = series[0];
         print!("{:>14}:", mode.label());
         for iops in &series {

@@ -29,7 +29,7 @@ fn main() {
             } else {
                 20_000
             };
-            let m = Cluster::new(mk(mode.clone()), Workload::random_4k(8, groups)).run();
+            let m = Cluster::new(mk(mode), Workload::random_4k(8, groups)).run();
             println!(
                 "  {label} {:>14}: {:>8.1} K blocks/s",
                 mode.label(),

@@ -24,7 +24,7 @@ fn main() {
         } else {
             6_000
         };
-        let cfg = ClusterConfig::single_ssd(mode.clone(), SsdProfile::optane905p(), 4);
+        let cfg = ClusterConfig::single_ssd(mode, SsdProfile::optane905p(), 4);
         let wl = Workload::journal_triplet(4, triplets);
         let m = Cluster::new(cfg, wl).run();
         println!(

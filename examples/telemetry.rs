@@ -17,6 +17,7 @@
 //! Run with: `cargo run --release --example telemetry [-- <trace.json>]`
 
 use rio::sim::SimTime;
+use rio::stack::laws::check_laws;
 use rio::stack::{
     Cluster, ClusterConfig, FabricConfig, FaultPlan, OrderingMode, TelemetryConfig, TraceConfig,
     Workload,
@@ -107,7 +108,7 @@ fn main() {
         t.total_delivered_groups(),
         t.total_delivered_blocks(),
         t.buckets.len(),
-        t.total_delivered_groups() == m.groups_done
+        check_laws(&m).is_ok()
     );
 
     // ---- The Chrome trace ---------------------------------------------

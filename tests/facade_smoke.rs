@@ -42,37 +42,34 @@ fn facade_types_construct() {
     let _ = SimTime::ZERO;
 
     // Silence "unused import" only for items that are type-level here.
-    fn _assert_types(
-        _: fn() -> (
-            Option<Bio>,
-            Option<BioFlags>,
-            Option<Plug>,
-            Option<StripedVolume>,
-            Option<Fabric>,
-            Option<InOrderCompleter>,
-            Option<OrderingAttr>,
-            Option<Rio>,
-            Option<SubmissionGate>,
-            Option<SubmitOpts>,
-            Option<Cqe>,
-            Option<NvmOpcode>,
-            Option<PmrRecord>,
-            Option<RioExt>,
-            Option<RioFlags>,
-            Option<RioOpcode>,
-            Option<Status>,
-            Option<EventHeap<u32>>,
-            Option<SimDuration>,
-            Option<Pmr>,
-            Option<Ssd>,
-            Option<RunMetrics>,
-            Option<InitiatorConfig>,
-            Option<FioJob>,
-            Option<MiniKv>,
-            Option<Varmail>,
-        ),
-    ) {
-    }
+    type _TypeLevel = (
+        Option<Bio>,
+        Option<BioFlags>,
+        Option<Plug>,
+        Option<StripedVolume>,
+        Option<Fabric>,
+        Option<InOrderCompleter>,
+        Option<OrderingAttr>,
+        Option<Rio>,
+        Option<SubmissionGate>,
+        Option<SubmitOpts>,
+        Option<Cqe>,
+        Option<NvmOpcode>,
+        Option<PmrRecord>,
+        Option<RioExt>,
+        Option<RioFlags>,
+        Option<RioOpcode>,
+        Option<Status>,
+        Option<EventHeap<u32>>,
+        Option<SimDuration>,
+        Option<Pmr>,
+        Option<Ssd>,
+        Option<RunMetrics>,
+        Option<InitiatorConfig>,
+        Option<FioJob>,
+        Option<MiniKv>,
+        Option<Varmail>,
+    );
 }
 
 /// A tiny cluster simulation runs end-to-end through `rio::` paths and

@@ -1,15 +1,16 @@
 //! Seeded fault-plan fuzz: random topologies, fabrics, observers and
-//! fault plans, each run checked against the invariants every run must
-//! keep (ROADMAP 2(a)/(f), in sampled form). One [`SimRng`] drives the
+//! fault plans, each run held to every run law (`rio::stack::laws`;
+//! ROADMAP 2(a)/(f), in sampled form). One [`SimRng`] drives the
 //! whole generator, so a failure replays from `MASTER_SEED` and the
 //! case index alone, and the failing case's configuration and workload
 //! are printed on the way out.
 
 use rio::sim::{SimRng, SimTime};
 use rio::ssd::SsdProfile;
+use rio::stack::laws::check_laws;
 use rio::stack::{
     Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
-    InitiatorMetrics, OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload,
+    OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload,
 };
 
 /// Chosen so that, with the stale-seal fix in `rio-ssd`'s
@@ -122,14 +123,16 @@ fn fault_plan(rng: &mut SimRng, n_targets: usize) -> FaultPlan {
     FaultPlan { events }
 }
 
+/// Runs `wl` on `cfg` and holds the run to every law.
 fn run(cfg: &ClusterConfig, wl: &Workload) -> RunMetrics {
-    Cluster::new(cfg.clone(), wl.clone()).run()
+    let m = Cluster::new(cfg.clone(), wl.clone()).run();
+    check_laws(&m).unwrap_or_else(|broken| panic!("{broken}"));
+    m
 }
 
-/// Whatever the plan destroys, the ledgers stay honest: delivery is
-/// exactly once when every fault resumes, every injected corruption is
-/// detected and resolved, and the epoch and telemetry views partition
-/// what was delivered.
+/// Whatever the plan destroys, every run keeps every law (`LAWS`:
+/// the integrity, epoch, row, telemetry and trace ledgers balance), and
+/// delivery is exactly once when every fault resumes.
 #[test]
 fn fault_plans_keep_every_ledger() {
     let mut master = SimRng::seed_from_u64(MASTER_SEED);
@@ -144,39 +147,11 @@ fn fault_plans_keep_every_ledger() {
         if cfg.faults.events.iter().all(|e| e.resume) {
             assert_eq!((m.groups_done, m.blocks_done), (groups, blocks), "exactly once");
         }
-        let i = &m.integrity;
-        assert!(i.balanced(), "integrity ledger out of balance: {i:?}");
-        assert_eq!(i.wire_detected, i.wire_injected);
-        assert_eq!(m.epochs.iter().map(|e| e.groups_done).sum::<u64>(), m.groups_done);
-        assert_eq!(m.epochs.iter().map(|e| e.blocks_done).sum::<u64>(), m.blocks_done);
-        // A recovery replaces the target gates; the run total still
-        // counts every out-of-order arrival of every epoch.
-        let buffered: u64 = m.initiators.iter().map(|i| i.gate_buffered).sum();
-        assert_eq!(m.gate_buffered, buffered, "gate_buffered is the initiator rows' sum");
-        // A fault inside a recovery waits for it, so recoveries never
-        // overlap and no epoch runs backward.
-        for w in m.recoveries.windows(2) {
-            let (resumed, next) = (w[0].resumed_at, w[1].crashed_at);
-            assert!(next >= resumed, "a fault at {next:?} inside a recovery to {resumed:?}");
-        }
-        for e in &m.epochs {
-            assert!(e.from <= e.to, "epoch runs backward: {e:?}");
-        }
-        if let Some(t) = &m.telemetry {
-            assert_eq!(t.total_delivered_groups(), m.groups_done);
-        }
-        // Recovery messages are annotated once and never counted as
-        // NVMe commands.
-        if let Some(b) = &m.breakdown {
-            assert_eq!(b.retx_pkts, m.net.retransmits, "a retransmit annotated other than once");
-            assert_eq!(b.completed + b.aborted, m.commands_sent, "one trace per NVMe command");
-        }
     }
 }
 
 /// Without a recovery in the way every engine is a pure function of
-/// `(config, seed)` with exact totals, per-initiator and per-tenant
-/// rows that sum to them, and a trace that closes every command.
+/// `(config, seed)` with exact totals, and every run keeps every law.
 #[test]
 fn corrupting_fabrics_replay_exactly_in_every_mode() {
     const MODES: [OrderingMode; 5] = [
@@ -202,15 +177,6 @@ fn corrupting_fabrics_replay_exactly_in_every_mode() {
         let m = run(&cfg, &wl);
         assert_eq!(m, run(&cfg, &wl), "replay diverged");
         assert_eq!((m.groups_done, m.blocks_done), (groups, blocks));
-        let rows = |f: fn(&InitiatorMetrics) -> u64| m.initiators.iter().map(f).sum::<u64>();
-        assert_eq!(rows(|i| i.groups_done), groups);
-        assert_eq!(rows(|i| i.blocks_done), blocks);
-        assert_eq!(rows(|i| i.commands_sent), m.commands_sent);
-        assert_eq!(rows(|i| i.gate_buffered), m.gate_buffered);
-        assert_eq!(m.tenants.iter().map(|t| t.groups_done).sum::<u64>(), groups);
-        assert_eq!(m.tenants.iter().map(|t| t.blocks_done).sum::<u64>(), blocks);
-        let b = m.breakdown.as_ref().expect("traced");
-        assert_eq!(b.completed, m.commands_sent);
-        assert_eq!(b.retx_pkts, m.net.retransmits);
+        assert_eq!(m.breakdown.expect("traced").aborted, 0, "no crash, no aborted trace");
     }
 }

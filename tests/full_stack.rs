@@ -4,9 +4,10 @@
 use rio::fs::{OrderedDev, RioFs};
 use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
+use rio::stack::laws::check_laws;
 use rio::stack::{
     Cluster, ClusterConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan, InitiatorConfig,
-    OrderingMode, TelemetryConfig, TraceConfig, Workload,
+    OrderingMode, RunMetrics, TelemetryConfig, TraceConfig, Workload,
 };
 use rio::workloads::{MiniKv, Varmail};
 
@@ -19,6 +20,13 @@ fn crash_under_loss() -> ClusterConfig {
     cfg.net = FabricConfig::lossy(1e-3, 2);
     cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
     cfg
+}
+
+/// Runs `wl` on `cfg` and holds the run to every law.
+fn lawful(cfg: ClusterConfig, wl: Workload) -> RunMetrics {
+    let m = Cluster::new(cfg, wl).run();
+    check_laws(&m).unwrap_or_else(|broken| panic!("{broken}"));
+    m
 }
 
 fn small(mode: OrderingMode, threads: usize) -> ClusterConfig {
@@ -52,9 +60,7 @@ const CRASH_PINS: (u64, u64) = (5_062, 1_237);
 #[test]
 fn ordering_ladder_from_the_paper() {
     // Orderless >= Rio > Horae > Linux, the shape of Figs. 2 and 10.
-    let run = |mode: OrderingMode, groups: u64| {
-        Cluster::new(small(mode, 4), Workload::random_4k(4, groups)).run()
-    };
+    let run = |mode, groups| lawful(small(mode, 4), Workload::random_4k(4, groups));
     let orderless = run(OrderingMode::Orderless, 2_000);
     let rio = run(OrderingMode::Rio { merge: true }, 2_000);
     let horae = run(OrderingMode::Horae, 2_000);
@@ -74,13 +80,7 @@ fn ordering_ladder_from_the_paper() {
 
 #[test]
 fn rio_merging_halves_journal_commands() {
-    let run = |merge: bool| {
-        Cluster::new(
-            small(OrderingMode::Rio { merge }, 1),
-            Workload::journal_triplet(1, 400),
-        )
-        .run()
-    };
+    let run = |merge| lawful(small(OrderingMode::Rio { merge }, 1), Workload::journal_triplet(1, 400));
     let merged = run(true);
     let plain = run(false);
     assert_eq!(merged.blocks_done, plain.blocks_done);
@@ -95,11 +95,7 @@ fn rio_merging_halves_journal_commands() {
 #[test]
 fn whole_cluster_runs_are_deterministic() {
     let run = || {
-        let m = Cluster::new(
-            small(OrderingMode::Rio { merge: true }, 3),
-            Workload::fsync_append(3, 100),
-        )
-        .run();
+        let m = lawful(small(OrderingMode::Rio { merge: true }, 3), Workload::fsync_append(3, 100));
         (m.ops_done, m.span.as_nanos(), m.commands_sent)
     };
     assert_eq!(run(), run());
@@ -117,23 +113,11 @@ fn run_metrics_snapshot_identical_across_all_modes() {
         OrderingMode::Horae,
         OrderingMode::Rio { merge: true },
     ] {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
-        let run = || {
-            Cluster::new(small(mode.clone(), 3), Workload::random_4k(3, groups)).run()
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
+        let run = || lawful(small(mode, 3), Workload::random_4k(3, groups));
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} replay diverged", mode.label());
         assert!(a.events_processed > 0, "{} processed no events", mode.label());
-        assert_eq!(
-            a.events_processed,
-            b.events_processed,
-            "{} event count diverged",
-            mode.label()
-        );
     }
 }
 
@@ -150,16 +134,12 @@ fn run_metrics_snapshot_identical_on_a_lossy_fabric() {
         OrderingMode::Horae,
         OrderingMode::Rio { merge: true },
     ] {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
         let run = || {
-            let mut cfg = small(mode.clone(), 3);
+            let mut cfg = small(mode, 3);
             cfg.net = FabricConfig::lossy(0.05, 2);
             cfg.net.migrate_every = 32;
-            Cluster::new(cfg, Workload::random_4k(3, groups)).run()
+            lawful(cfg, Workload::random_4k(3, groups))
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} lossy replay diverged", mode.label());
@@ -188,9 +168,7 @@ fn run_metrics_snapshot_identical_with_crash_under_loss() {
     // crash with every group delivered exactly once. The volatile-cache
     // pm981 drives in this topology also exercise the valid-prefix <
     // delivered-prefix rollback path.
-    let run = || {
-        Cluster::new(crash_under_loss(), Workload::random_4k(3, 400)).run()
-    };
+    let run = || lawful(crash_under_loss(), Workload::random_4k(3, 400));
     let (a, b) = (run(), run());
     assert_eq!(a, b, "crash-under-loss replay diverged");
     assert_eq!(a.groups_done, 1_200, "crash must not lose or double groups");
@@ -213,7 +191,7 @@ fn run_metrics_snapshot_identical_with_multi_initiator_crash_under_loss() {
         let mut cfg = ClusterConfig::multi_initiator(OrderingMode::Rio { merge: true }, 3, 1, 2);
         cfg.net = FabricConfig::lossy(1e-3, 2);
         cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
-        Cluster::new(cfg, Workload::random_4k(3, 400)).run()
+        lawful(cfg, Workload::random_4k(3, 400))
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "multi-initiator crash-under-loss replay diverged");
@@ -235,11 +213,7 @@ fn explicit_default_initiator_reproduces_legacy_snapshots() {
     // `EVENT_PINS`) in every mode. A divergence here means the
     // multi-initiator generalization changed single-initiator runs.
     for (mode, pinned_events, _) in EVENT_PINS {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
         let cfg = small(mode, 3);
         assert_eq!(
             cfg.initiators,
@@ -250,7 +224,7 @@ fn explicit_default_initiator_reproduces_legacy_snapshots() {
             }],
             "the constructor spells out the default initiator"
         );
-        let m = Cluster::new(cfg, Workload::random_4k(3, groups)).run();
+        let m = lawful(cfg, Workload::random_4k(3, groups));
         assert_eq!(
             m.events_processed,
             pinned_events,
@@ -273,17 +247,13 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
         OrderingMode::Horae,
         OrderingMode::Rio { merge: true },
     ] {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
         let run = || {
-            let mut cfg = small(mode.clone(), 3);
+            let mut cfg = small(mode, 3);
             cfg.net = FabricConfig::lossy(0.05, 2);
             cfg.net.migrate_every = 32;
             cfg.trace = Some(TraceConfig { ring: 1 << 16 });
-            Cluster::new(cfg, Workload::random_4k(3, groups)).run()
+            lawful(cfg, Workload::random_4k(3, groups))
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} traced replay diverged", mode.label());
@@ -294,7 +264,7 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
     let run = || {
         let mut cfg = crash_under_loss();
         cfg.trace = Some(TraceConfig { ring: 1 << 16 });
-        Cluster::new(cfg, Workload::random_4k(3, 400)).run()
+        lawful(cfg, Workload::random_4k(3, 400))
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "traced crash-under-loss replay diverged");
@@ -310,19 +280,15 @@ fn tracing_disabled_is_observably_free() {
     // (2) an enabled run differs from a disabled run in the `breakdown`
     // field and nothing else.
     for (mode, clean_events, lossy_events) in EVENT_PINS {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
         let run = |trace: Option<TraceConfig>, lossy: bool| {
-            let mut cfg = small(mode.clone(), 3);
+            let mut cfg = small(mode, 3);
             if lossy {
                 cfg.net = FabricConfig::lossy(0.05, 2);
                 cfg.net.migrate_every = 32;
             }
             cfg.trace = trace;
-            Cluster::new(cfg, Workload::random_4k(3, groups)).run()
+            lawful(cfg, Workload::random_4k(3, groups))
         };
         for (lossy, pinned) in [(false, clean_events), (true, lossy_events)] {
             let off = run(None, lossy);
@@ -348,7 +314,7 @@ fn tracing_disabled_is_observably_free() {
     let run = |trace: Option<TraceConfig>| {
         let mut cfg = crash_under_loss();
         cfg.trace = trace;
-        Cluster::new(cfg, Workload::random_4k(3, 400)).run()
+        lawful(cfg, Workload::random_4k(3, 400))
     };
     let off = run(None);
     assert_eq!(
@@ -370,19 +336,15 @@ fn telemetry_disabled_is_observably_free() {
     // the `telemetry` field and nothing else — the sampler is passive,
     // so it may not add events, consume rng draws, or perturb a counter.
     for (mode, clean_events, lossy_events) in EVENT_PINS {
-        let groups = if mode == OrderingMode::LinuxNvmf {
-            60
-        } else {
-            400
-        };
+        let groups = if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
         let run = |telemetry: Option<TelemetryConfig>, lossy: bool| {
-            let mut cfg = small(mode.clone(), 3);
+            let mut cfg = small(mode, 3);
             if lossy {
                 cfg.net = FabricConfig::lossy(0.05, 2);
                 cfg.net.migrate_every = 32;
             }
             cfg.telemetry = telemetry;
-            Cluster::new(cfg, Workload::random_4k(3, groups)).run()
+            lawful(cfg, Workload::random_4k(3, groups))
         };
         for (lossy, pinned) in [(false, clean_events), (true, lossy_events)] {
             let off = run(None, lossy);
@@ -408,7 +370,7 @@ fn telemetry_disabled_is_observably_free() {
     let run = |telemetry: Option<TelemetryConfig>| {
         let mut cfg = crash_under_loss();
         cfg.telemetry = telemetry;
-        Cluster::new(cfg, Workload::random_4k(3, 400)).run()
+        lawful(cfg, Workload::random_4k(3, 400))
     };
     let off = run(None);
     assert_eq!(
@@ -433,7 +395,7 @@ fn telemetry_times_the_crash_dip_and_recovery() {
     cfg.net = FabricConfig::lossy(1e-3, 2);
     cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(400_000), vec![1]);
     cfg.telemetry = Some(TelemetryConfig::default());
-    let m = Cluster::new(cfg, Workload::random_4k(3, 400)).run();
+    let m = lawful(cfg, Workload::random_4k(3, 400));
     let t = m.telemetry.as_ref().expect("telemetry enabled");
 
     assert_eq!(t.recovery_spans.len(), 1, "one crash, one recovery span");
@@ -485,10 +447,6 @@ fn telemetry_times_the_crash_dip_and_recovery() {
         .filter(|(i, _)| t.bucket_start(*i).as_nanos() + bucket_ns > span.to.as_nanos())
         .any(|(_, b)| b.delivered_groups > 0);
     assert!(resumed, "delivery never resumed after recovery");
-
-    // Conservation on this config too: the series sums to the totals.
-    assert_eq!(t.total_delivered_groups(), m.groups_done);
-    assert_eq!(t.total_delivered_blocks(), m.blocks_done);
 }
 
 proptest::proptest! {
@@ -513,9 +471,9 @@ proptest::proptest! {
             OrderingMode::Rio { merge: true },
         ];
         let losses = [0.0f64, 1e-3, 0.05];
-        let mode = modes[mode_idx].clone();
+        let mode = modes[mode_idx];
         let groups = if mode == OrderingMode::LinuxNvmf { 40 } else { 200 };
-        let mut cfg = small(mode.clone(), 3);
+        let mut cfg = small(mode, 3);
         cfg.seed = seed;
         if losses[loss_idx] > 0.0 {
             cfg.net = FabricConfig::lossy(losses[loss_idx], 2);
@@ -524,10 +482,8 @@ proptest::proptest! {
             cfg.faults = FaultPlan::survivable_crash(SimTime::from_nanos(300_000), vec![0]);
         }
         cfg.telemetry = Some(TelemetryConfig::default());
-        let m = Cluster::new(cfg, Workload::random_4k(3, groups)).run();
-        let t = m.telemetry.as_ref().expect("telemetry enabled");
-        proptest::prop_assert_eq!(t.total_delivered_groups(), m.groups_done);
-        proptest::prop_assert_eq!(t.total_delivered_blocks(), m.blocks_done);
+        let m = lawful(cfg, Workload::random_4k(3, groups));
+        proptest::prop_assert!(m.telemetry.is_some());
     }
 }
 
@@ -536,17 +492,14 @@ fn crash_recovery_restores_a_prefix_on_every_stream() {
     let mut cfg = ClusterConfig::four_ssd_two_targets(OrderingMode::Rio { merge: true }, 6);
     cfg.cores = 8;
     cfg.faults = FaultPlan::crash_all_at(SimTime::from_nanos(2_500_000));
-    let m = Cluster::new(cfg, Workload::random_4k(6, 1_000_000)).run();
+    let m = lawful(cfg, Workload::random_4k(6, 1_000_000));
     let report = &m.recoveries[0];
     assert!(report.records_scanned > 0);
     assert_eq!(report.plan.streams.len(), 6);
+    // Discards only ever target blocks beyond the valid prefix — the
+    // plan itself encodes that, but spot-check shape here.
     for sp in &report.plan.streams {
-        assert!(sp.valid_through >= sp.resume_head);
-        // Discards only ever target blocks beyond the valid prefix —
-        // the plan itself encodes that, but spot-check shape here.
-        for d in &sp.discard {
-            assert!(d.range.blocks > 0);
-        }
+        assert!(sp.discard.iter().all(|d| d.range.blocks > 0));
     }
 }
 
@@ -592,7 +545,7 @@ fn fsync_semantics_hold_across_all_engines() {
         OrderingMode::Horae,
         OrderingMode::LinuxNvmf,
     ] {
-        let m = Cluster::new(small(mode.clone(), 2), Workload::fsync_append(2, 50)).run();
+        let m = lawful(small(mode, 2), Workload::fsync_append(2, 50));
         assert_eq!(m.ops_done, 100, "{}", mode.label());
         assert!(m.op_latency.mean().as_micros_f64() > 1.0);
         assert!(
@@ -648,9 +601,9 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
         OrderingMode::Horae,
         OrderingMode::Rio { merge: true },
     ];
-    let groups = |mode: &OrderingMode| if *mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
-    let lossy = |mode: &OrderingMode| {
-        let mut cfg = small(mode.clone(), 3);
+    let groups = |mode| if mode == OrderingMode::LinuxNvmf { 60 } else { 400 };
+    let lossy = |mode| {
+        let mut cfg = small(mode, 3);
         cfg.net = FabricConfig::lossy(0.05, 2);
         cfg.net.migrate_every = 32;
         cfg
@@ -672,15 +625,15 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
     };
 
     let mut runs: Vec<(String, ClusterConfig, Workload)> = Vec::new();
-    for mode in &MODES {
+    for mode in MODES {
         let (l, wl) = (mode.label(), Workload::random_4k(3, groups(mode)));
-        runs.push((format!("{l} clean"), small(mode.clone(), 3), wl.clone()));
+        runs.push((format!("{l} clean"), small(mode, 3), wl.clone()));
         runs.push((format!("{l} lossy"), lossy(mode), wl.clone()));
         runs.push((format!("{l} lossy traced"), traced(lossy(mode)), wl.clone()));
         runs.push((format!("{l} lossy sampled"), sampled(lossy(mode)), wl));
         runs.push((
             format!("{l} fsync"),
-            small(mode.clone(), 2),
+            small(mode, 2),
             Workload::fsync_append(2, 50),
         ));
     }
@@ -792,7 +745,7 @@ fn run_metrics_fingerprints_are_pinned_across_commits() {
     assert_eq!(runs.len(), expected.len(), "one literal per configuration");
     let got: Vec<(String, u64)> = runs
         .into_iter()
-        .map(|(name, cfg, wl)| (name, fingerprint(&Cluster::new(cfg, wl).run())))
+        .map(|(name, cfg, wl)| (name, fingerprint(&lawful(cfg, wl))))
         .collect();
     let moved: String = got
         .iter()
