@@ -2,13 +2,12 @@
 //!
 //! Measures by running every figure (`rio_bench::fig::ALL`), which
 //! prints its tables as its bench does and files each run as one grid
-//! cell, then the §6.5 recovery trials. Loads the baseline and compares
-//! both sections — the grid and the recoveries — against that
-//! measurement (or an ingested document), failing (exit 1) on a missing
-//! cell, any rise in a grid cell's event count, any change in its
-//! `blocks_done`, a >15% rise in its group p99 or a >10% drop in its
-//! KIOPS, or a >15% rise in either phase of any recovery cell, with a
-//! per-cell report. A run that breaks a run law
+//! cell, §6.5's crash trials included. Loads the baseline and compares
+//! its grid against that measurement (or an ingested document),
+//! failing (exit 1) on a missing cell, any rise in a cell's event
+//! count, any change in its `blocks_done`, a >15% rise in its group
+//! p99, a >10% drop in its KIOPS or a >15% rise in either of its
+//! recovery phases, with a per-cell report. A run that breaks a run law
 //! (`rio_stack::laws::LAWS`), or a figure's own check (exactly-once
 //! delivery, fairness, the Table 1 layout), panics the run. Every column is virtual time
 //! or a count, so the verdict is a function of the tree alone.
@@ -26,22 +25,19 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rio_bench::gate::{compare, Document, Trajectory};
-use rio_bench::sweep::Recorder;
-use rio_bench::{fig, recovery};
+use rio_bench::fig;
+use rio_bench::gate::{compare, Document};
+use rio_bench::sweep::{Cell, Recorder};
 
 const USAGE: &str = "usage: bench_gate [--baseline PATH] [--current PATH] [--write PATH]";
 
-/// Runs every figure and every recovery trial of the document.
+/// Runs every figure, filing each run as one grid cell.
 fn measure() -> Document {
     let mut rec = Recorder::default();
     for figure in fig::ALL {
         figure(&mut rec);
     }
-    Document {
-        grid: rec.cells,
-        recoveries: recovery::trajectory(),
-    }
+    Document { grid: rec.cells }
 }
 
 fn load(path: &str, role: &str) -> Result<Document, String> {
@@ -50,9 +46,9 @@ fn load(path: &str, role: &str) -> Result<Document, String> {
     Document::parse(&text).map_err(|e| format!("{role} {path}: {e}"))
 }
 
-/// Judges one section, prints its per-cell report and verdict line,
-/// and returns whether it failed.
-fn gate<C: Trajectory>(baseline: &[C], current: &[C]) -> bool {
+/// Judges the grid, prints its per-cell report and verdict line, and
+/// returns whether it failed.
+fn gate(baseline: &[Cell], current: &[Cell]) -> bool {
     let out = compare(baseline, current);
     for v in &out.verdicts {
         if v.failures.is_empty() {
@@ -86,7 +82,7 @@ fn gate<C: Trajectory>(baseline: &[C], current: &[C]) -> bool {
             println!("  {key}: {n}");
         }
     }
-    let section = C::SECTION;
+    let section = Cell::SECTION;
     if out.failed() {
         println!("bench_gate: {section} FAIL — regressed beyond tolerance");
     } else {
@@ -125,13 +121,11 @@ fn real_main() -> Result<bool, String> {
     let current = match current {
         Some(path) => load(&path, "current")?,
         None => {
-            println!("bench_gate: re-running the figures and the recoveries");
+            println!("bench_gate: re-running the figures");
             measure()
         }
     };
-    let grid = gate(&baseline.grid, &current.grid);
-    let recoveries = gate(&baseline.recoveries, &current.recoveries);
-    Ok(grid | recoveries)
+    Ok(gate(&baseline.grid, &current.grid))
 }
 
 fn main() {

@@ -543,9 +543,10 @@ pub fn fig15_applications(rec: &mut Recorder) {
 /// initiator reconnects and recovers. The paper reports ~55 ms for Rio
 /// to reconstruct the global order (dominated by reading the 2 MB PMR)
 /// plus ~125 ms of data recovery (discarding the out-of-order blocks),
-/// over 30 trials ([`recovery::trial`], which the `recoveries` section
-/// gates); Horae reloads its smaller metadata in ~38 ms and repairs
-/// data in ~101 ms.
+/// over 30 trials ([`recovery::trial`]: each trial is a grid cell
+/// under this table's header, row `RIO (sim)`, column `trial0` to
+/// `trial29`, whose two phase columns the gate holds); Horae reloads
+/// its smaller metadata in ~38 ms and repairs data in ~101 ms.
 ///
 /// Part 2 goes beyond the paper: the crash composes with the lossy
 /// multi-path fabric and the run *survives* it. For every loss rate ×
@@ -567,7 +568,7 @@ fn recovery_table(rec: &mut Recorder) {
     ));
     let (mut rebuild_ms, mut data_ms, mut records, mut discards) = (0.0, 0.0, 0, 0);
     for trial in 0..trials {
-        let report = recovery::trial(trial, threads);
+        let report = recovery::trial(rec, trial, threads);
         rebuild_ms += report.order_rebuild.as_secs_f64() * 1e3;
         data_ms += report.data_recovery.as_secs_f64() * 1e3;
         records += report.records_scanned;
@@ -1141,17 +1142,15 @@ mod tests {
             blocks_done: 3_000,
             group_p99_us: 40.0,
             kiops,
+            ..Cell::default()
         }
     }
 
     /// The `grid` section of a document written and read back.
     fn round_trip(grid: Vec<Cell>) -> Vec<Cell> {
-        let doc = Document {
-            grid,
-            ..Document::default()
-        }
-        .padded();
-        Document::parse(&doc.render()).expect("parse").grid
+        Document::parse(&Document { grid }.render())
+            .expect("parse")
+            .grid
     }
 
     #[test]

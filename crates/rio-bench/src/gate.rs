@@ -1,42 +1,42 @@
 //! The trajectory mechanism behind the one committed `BENCH.json`.
 //!
-//! A [`Document`] holds two sections — the `grid`, one cell per run a
-//! figure prints, and the `recoveries` trials — and every column in it
+//! A [`Document`] holds one section, the `grid`: one [`Cell`] per run
+//! a figure prints, §6.5's crash trials included. Every column in it
 //! is virtual time or a count, so `(tree, seed)` fixes the whole
 //! file and `bench_gate --write` reproduces it byte for byte on any
-//! machine. A [`Trajectory`] is one section's cell type: the field list
-//! ([`Record`]) that [`Document::render`] and [`Document::parse`] (over
-//! the crate's one JSON reader, [`crate::json::read`]) both walk, and
-//! the rule table [`compare`] judges with. The gate loads the committed
-//! baseline, obtains a current measurement of the same cells (re-run or
-//! ingested), matches the two by cell identity and fails with a
-//! per-cell report when a metric moved beyond its tolerance in the
-//! direction that is worse. Any smaller movement leaves a note: the
-//! baseline should be regenerated deliberately, because drift in a
-//! deterministic column means *behavior* changed, which is not by
-//! itself a performance regression.
+//! machine. The cell's field list ([`Record`]) is what
+//! [`Document::render`] and [`Document::parse`] (over the crate's one
+//! JSON reader, [`crate::json::read`]) both walk, and its rule table
+//! ([`Cell::RULES`]) is what [`compare`] judges with. The gate loads
+//! the committed baseline, obtains a current measurement of the same
+//! cells (re-run or ingested), matches the two by cell identity and
+//! fails with a per-cell report when a metric moved beyond its
+//! tolerance in the direction that is worse. Any smaller movement
+//! leaves a note: the baseline should be regenerated deliberately,
+//! because drift in a deterministic column means *behavior* changed,
+//! which is not by itself a performance regression.
 
 use crate::json::{fill, read, write_members, Record, Value};
-use crate::recovery::RecoveryCell;
 use crate::sweep::Cell;
 
 /// Schema version written, and the only one read. Versions 1–4 were
 /// the three per-section files this document replaced; version 5 held
 /// the figure slices in a section of their own; version 6 keyed the
-/// grid by cluster shape and size, where 7 keys it by where a figure
-/// prints the run.
-pub const SCHEMA: u64 = 7;
+/// grid by cluster shape and size; version 7 keyed it by where a figure
+/// prints the run, beside a `recoveries` section, where 8 files §6.5's
+/// trials in the grid with two recovery-phase columns.
+pub const SCHEMA: u64 = 8;
 
 /// How to regenerate the file, completing "regenerate …".
 const REGEN: &str =
     "with `cargo run --release -p rio-bench --bin bench_gate -- --write BENCH.json`";
 
-/// One gated metric of a trajectory.
-pub struct Rule<C> {
+/// One gated metric of a grid cell.
+pub struct Rule {
     /// What reports call the metric.
     pub stem: &'static str,
     /// Reads the metric off a cell.
-    pub metric: fn(&C) -> f64,
+    pub metric: fn(&Cell) -> f64,
     /// Relative movement beyond which the gate fails: negative when a
     /// drop is the regression (throughput), positive or zero when a
     /// rise is (zero: any rise at all). Unread when `exact`.
@@ -47,21 +47,9 @@ pub struct Rule<C> {
     /// Prints a value with its precision and unit.
     pub show: fn(f64) -> String,
     /// The subject of the note left when the metric moves at all
-    /// without failing; `None` when the trajectory's
-    /// [`Trajectory::workload_drift`] words that note itself.
+    /// without failing; `None` when [`Cell::workload_drift`] words
+    /// that note itself.
     pub drift: Option<&'static str>,
-}
-
-/// One section of `BENCH.json`: an array of cells and the rules the
-/// gate judges them by.
-pub trait Trajectory: Record {
-    /// Name of the cell array.
-    const SECTION: &'static str;
-    /// The gated metrics.
-    const RULES: &'static [Rule<Self>];
-
-    /// The note left when the deterministic workload size differs.
-    fn workload_drift(&self, base: &Self) -> Option<String>;
 }
 
 /// `BENCH.json`, parsed or measured.
@@ -69,8 +57,6 @@ pub trait Trajectory: Record {
 pub struct Document {
     /// The grid: one cell per run a figure prints ([`crate::sweep`]).
     pub grid: Vec<Cell>,
-    /// The §6.5 recovery trials ([`crate::recovery`]).
-    pub recoveries: Vec<RecoveryCell>,
 }
 
 impl Document {
@@ -83,12 +69,11 @@ impl Document {
              \"total_events\": {total_events}"
         );
         write_section(&mut out, &self.grid);
-        write_section(&mut out, &self.recoveries);
         out + "\n}\n"
     }
 
     /// Parses a document, rejecting any other schema with a
-    /// regeneration hint, and missing or empty sections.
+    /// regeneration hint, and a missing or empty grid.
     pub fn parse(text: &str) -> Result<Document, String> {
         let doc = read(text)?;
         let Some(Value::Int(schema)) = doc.get("schema").cloned() else {
@@ -102,13 +87,12 @@ impl Document {
         }
         Ok(Document {
             grid: read_section(&doc)?,
-            recoveries: read_section(&doc)?,
         })
     }
 }
 
-fn write_section<C: Trajectory>(out: &mut String, cells: &[C]) {
-    out.push_str(&format!(",\n  \"{}\": [\n", C::SECTION));
+fn write_section(out: &mut String, cells: &[Cell]) {
+    out.push_str(&format!(",\n  \"{}\": [\n", Cell::SECTION));
     for (i, c) in cells.iter().enumerate() {
         out.push_str("    {");
         write_members(out, c);
@@ -117,15 +101,16 @@ fn write_section<C: Trajectory>(out: &mut String, cells: &[C]) {
     out.push_str("  ]");
 }
 
-fn read_section<C: Trajectory>(doc: &Value) -> Result<Vec<C>, String> {
-    let Some(Value::Array(items)) = doc.get(C::SECTION) else {
-        return Err(format!("no \"{}\" array in document", C::SECTION));
+fn read_section(doc: &Value) -> Result<Vec<Cell>, String> {
+    let section = Cell::SECTION;
+    let Some(Value::Array(items)) = doc.get(section) else {
+        return Err(format!("no \"{section}\" array in document"));
     };
     let cells = items.iter().enumerate();
-    let cells = cells.map(|(i, v)| fill(v, &format!("{} cell {i}", C::SECTION)));
-    let cells = cells.collect::<Result<Vec<C>, _>>()?;
+    let cells = cells.map(|(i, v)| fill(v, &format!("{section} cell {i}")));
+    let cells = cells.collect::<Result<Vec<Cell>, _>>()?;
     if cells.is_empty() {
-        return Err(format!("no cells in \"{}\"", C::SECTION));
+        return Err(format!("no cells in \"{section}\""));
     }
     Ok(cells)
 }
@@ -141,7 +126,7 @@ pub struct CellVerdict {
     pub notes: Vec<String>,
 }
 
-/// The outcome of one section's gate.
+/// The outcome of the grid's gate.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
     /// One verdict per baseline cell.
@@ -155,12 +140,12 @@ impl GateOutcome {
     }
 }
 
-impl<C> Rule<C> {
+impl Rule {
     /// A rule that leaves no drift note of its own; the exceptions are
     /// spelled by struct update.
     pub const fn new(
         stem: &'static str,
-        metric: fn(&C) -> f64,
+        metric: fn(&Cell) -> f64,
         limit: f64,
         show: fn(f64) -> String,
     ) -> Self {
@@ -174,7 +159,7 @@ impl<C> Rule<C> {
         }
     }
 
-    fn check(&self, v: &mut CellVerdict, cur: &C, base: &C) {
+    fn check(&self, v: &mut CellVerdict, cur: &Cell, base: &Cell) {
         let (cur, base) = ((self.metric)(cur), (self.metric)(base));
         let (stem, show) = (self.stem, self.show);
         if !(cur.is_finite() && base.is_finite()) {
@@ -223,7 +208,7 @@ impl<C> Rule<C> {
 
 /// Compares current cells against the baseline, matched by identity. A
 /// baseline cell absent from `current` fails.
-pub fn compare<C: Trajectory>(baseline: &[C], current: &[C]) -> GateOutcome {
+pub fn compare(baseline: &[Cell], current: &[Cell]) -> GateOutcome {
     let current_keys: Vec<String> = current.iter().map(Record::key_label).collect();
     let mut out = GateOutcome::default();
     for base in baseline {
@@ -234,33 +219,17 @@ pub fn compare<C: Trajectory>(baseline: &[C], current: &[C]) -> GateOutcome {
         };
         if let Some(at) = current_keys.iter().position(|k| *k == v.key) {
             let cur = &current[at];
-            for rule in C::RULES {
+            for rule in Cell::RULES {
                 rule.check(&mut v, cur, base);
             }
             v.notes.extend(cur.workload_drift(base));
         } else {
             v.failures
-                .push(format!("cell missing from the current {}", C::SECTION));
+                .push(format!("cell missing from the current {}", Cell::SECTION));
         }
         out.verdicts.push(v);
     }
     out
-}
-
-#[cfg(test)]
-impl Document {
-    /// Test fixtures fill one section: an empty one does not parse, so
-    /// each gets a default cell.
-    pub(crate) fn padded(mut self) -> Document {
-        fn pad<C: Default>(cells: &mut Vec<C>) {
-            if cells.is_empty() {
-                cells.push(C::default());
-            }
-        }
-        pad(&mut self.grid);
-        pad(&mut self.recoveries);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -277,39 +246,37 @@ mod tests {
             blocks_done: 1_000,
             group_p99_us: p99,
             kiops: 5.0,
+            ..Cell::default()
         }
-    }
-
-    fn doc(grid: Vec<Cell>) -> Document {
-        Document {
-            grid,
-            ..Document::default()
-        }
-        .padded()
     }
 
     #[test]
     fn render_parse_round_trip() {
-        let written = doc(vec![
-            cell("fig10b_optane", "RIO", 500_000, 45.5),
-            cell("fig10b_optane", "Linux", 9_602, 20.25),
-        ]);
+        let written = Document {
+            grid: vec![
+                cell("fig10b_optane", "RIO", 500_000, 45.5),
+                cell("fig10b_optane", "Linux", 9_602, 20.25),
+            ],
+        };
         let parsed = Document::parse(&written.render()).expect("parse");
         assert_eq!(parsed.grid, written.grid);
         assert_eq!(parsed.grid[0].events, 500_000);
         assert_eq!(parsed.grid[1].series, "Linux");
         assert!((parsed.grid[0].group_p99_us - 45.5).abs() < 1e-9);
-        assert_eq!(parsed.recoveries.len(), 1);
         assert_eq!(parsed.render(), written.render());
     }
 
     #[test]
     fn old_schema_is_rejected_with_guidance() {
         // Schemas 4 and 1 are the three files this document replaced;
-        // schema 5 kept the figure slices apart, and 6 keyed the grid
-        // by cluster shape and size.
-        for old in [1, 2, 4, 5, 6, 99] {
-            let text = doc(vec![cell("x", "RIO", 1, 1.0)]).render().replace(
+        // schema 5 kept the figure slices apart, 6 keyed the grid by
+        // cluster shape and size, and 7 kept a `recoveries` section.
+        for old in [1, 2, 4, 5, 6, 7, 99] {
+            let text = Document {
+                grid: vec![cell("x", "RIO", 1, 1.0)],
+            }
+            .render()
+            .replace(
                 &format!("\"schema\": {SCHEMA}"),
                 &format!("\"schema\": {old}"),
             );
@@ -322,20 +289,19 @@ mod tests {
 
     #[test]
     fn a_missing_or_empty_section_is_rejected_naming_it() {
-        for section in ["grid", "recoveries"] {
-            let mut empty = doc(vec![cell("x", "RIO", 1, 1.0)]);
-            match section {
-                "grid" => empty.grid.clear(),
-                _ => empty.recoveries.clear(),
-            }
-            let err = Document::parse(&empty.render()).expect_err("empty section");
-            assert_eq!(err, format!("no cells in \"{section}\""));
-            let renamed = doc(vec![cell("x", "RIO", 1, 1.0)])
-                .render()
-                .replace(&format!("\"{section}\": ["), "\"other\": [");
-            let err = Document::parse(&renamed).expect_err("missing section");
-            assert_eq!(err, format!("no \"{section}\" array in document"));
+        let err = Document::parse(&Document { grid: Vec::new() }.render()).expect_err("empty grid");
+        assert_eq!(err, "no cells in \"grid\"");
+        let renamed = Document {
+            grid: vec![cell("x", "RIO", 1, 1.0)],
         }
+        .render()
+        .replace("\"grid\": [", "\"other\": [");
+        let err = Document::parse(&renamed).expect_err("missing grid");
+        assert_eq!(err, "no \"grid\" array in document");
+        // The section schema 7 kept beside the grid is no longer read.
+        let old = renamed.replace("\"other\": [", "\"recoveries\": [");
+        let err = Document::parse(&old).expect_err("no grid");
+        assert_eq!(err, "no \"grid\" array in document");
     }
 
     #[test]

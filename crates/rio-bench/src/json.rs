@@ -184,18 +184,15 @@ impl Reader<'_> {
 pub enum Slot<'a> {
     /// A string (written escaped).
     Str(&'a mut String),
-    /// A count held as `usize`.
-    Count(&'a mut usize),
-    /// A count held as `u64`.
+    /// A count.
     Int(&'a mut u64),
-    /// A float and its printed precision (`None` prints the shortest
-    /// text that reads back exactly).
-    Float(&'a mut f64, Option<usize>),
+    /// A float and the decimals it is printed with.
+    Float(&'a mut f64, usize),
 }
 
-/// One entry of a field list: the JSON member name; for a field that is
-/// part of the cell's identity, the text that introduces its value in
-/// [`Record::key_label`]; and the accessor.
+/// One entry of a field list: the JSON member name; for a string field
+/// that is part of the cell's identity, the text that introduces its
+/// value in [`Record::key_label`]; and the accessor.
 pub struct Field<R>(
     pub &'static str,
     pub Option<&'static str>,
@@ -209,22 +206,16 @@ pub trait Record: Clone + Default + Debug + 'static {
     const FIELDS: &'static [Field<Self>];
 
     /// The identity baseline and current cells are matched on, which is
-    /// also what reports call the cell: the key fields' values, floats
-    /// rounded to micro-units so small round decimals compare exactly.
-    /// An empty string key is left out, its intro with it.
+    /// also what reports call the cell: each key field's intro and
+    /// value. An empty key is left out, its intro with it.
     fn key_label(&self) -> String {
         let (mut rec, mut label) = (self.clone(), String::new());
         for Field(_, intro, slot) in Self::FIELDS {
-            let Some(intro) = intro else { continue };
-            let slot = slot(&mut rec);
-            if matches!(&slot, Slot::Str(s) if s.is_empty()) {
-                continue;
-            }
-            label.push_str(intro);
-            match slot {
-                Slot::Str(s) => label.push_str(s),
-                Slot::Float(x, _) => label.push_str(&((*x * 1e6).round() / 1e6).to_string()),
-                slot => slot.write(&mut label),
+            if let (Some(intro), Slot::Str(s)) = (intro, slot(&mut rec)) {
+                if !s.is_empty() {
+                    label.push_str(intro);
+                    label.push_str(s);
+                }
             }
         }
         label
@@ -247,10 +238,8 @@ impl Slot<'_> {
                 }
                 out.push('"');
             }
-            Slot::Count(n) => out.push_str(&n.to_string()),
             Slot::Int(n) => out.push_str(&n.to_string()),
-            Slot::Float(x, Some(p)) => out.push_str(&format!("{:.p$}", *x)),
-            Slot::Float(x, None) => out.push_str(&x.to_string()),
+            Slot::Float(x, p) => out.push_str(&format!("{:.p$}", *x)),
         }
     }
 
@@ -258,12 +247,11 @@ impl Slot<'_> {
     fn set(self, v: &Value) -> Result<(), &'static str> {
         match (self, v) {
             (Slot::Str(s), Value::Str(v)) => *s = v.clone(),
-            (Slot::Count(n), Value::Int(v)) => *n = usize::try_from(*v).unwrap_or(usize::MAX),
             (Slot::Int(n), Value::Int(v)) => *n = *v,
             (Slot::Float(x, _), Value::Int(v)) => *x = *v as f64,
             (Slot::Float(x, _), Value::Num(v)) => *x = *v,
             (Slot::Str(_), _) => return Err("a string"),
-            (Slot::Count(_) | Slot::Int(_), _) => return Err("an integer"),
+            (Slot::Int(_), _) => return Err("an integer"),
             (Slot::Float(..), _) => return Err("a number"),
         }
         Ok(())

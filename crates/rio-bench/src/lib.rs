@@ -9,9 +9,9 @@
 //!
 //! A figure runs every simulation through the [`sweep::Recorder`] it is
 //! handed, which files each run as one cell of `BENCH.json`'s `grid`,
-//! keyed by where the figure prints it. `bench_gate` runs every figure
-//! ([`fig::ALL`]) through one recorder, plus the §6.5 crash trials of
-//! the `recoveries` section ([`recovery`]), and judges both sections
+//! keyed by where the figure prints it; §6.5's crash trials
+//! ([`recovery`]) are cells like any other. `bench_gate` runs every
+//! figure ([`fig::ALL`]) through one recorder and judges the grid
 //! ([`gate`]); so a figure and the gate that guards it are one
 //! definition. What the figures do with their cells — sweep and print,
 //! derive panels, fault a run at half its span — is written once in

@@ -1,17 +1,18 @@
-//! Byte-level pins of the `BENCH.json` document format, section by
-//! section, and of the committed baseline's round trip, so a refactor
-//! of the writer, reader or gates cannot move a byte or a verdict
-//! unnoticed.
+//! Byte-level pins of the `BENCH.json` document format, part by part,
+//! and of the committed baseline's round trip, so a refactor of the
+//! writer, reader or gate cannot move a byte or a verdict unnoticed.
 
 use rio_bench::gate::{compare, Document};
 use rio_bench::json::Record;
-use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
 
 const BENCH: &str = include_str!("../../../BENCH.json");
 
-/// Four grid cells (a sweep cell, a lossy one, a run that fills its
-/// row and one that fills its column) and two recoveries; each pin
+/// The table §6.5's crash trials print under.
+const T65: &str = "§6.5: mean over 30 crash trials, 36 threads, 4 SSDs, 2 targets";
+
+/// Five grid cells (a sweep cell, a lossy one, a run that fills its
+/// row, one that fills its column and a §6.5 crash trial); each pin
 /// below checks its own part of the one rendering.
 fn document() -> Document {
     let cell = |table: &str, series: &str, axis: &str| Cell {
@@ -54,23 +55,15 @@ fn document() -> Document {
                 kiops: 9.1234567,
                 ..cell("QoS weights", "", "2:1")
             },
-        ],
-        recoveries: vec![
-            RecoveryCell {
-                label: "trial0".into(),
-                threads: 8,
-                order_rebuild_ms: 54.151836,
+            Cell {
+                events: 40_656,
+                sim_span_secs: 0.002058,
+                blocks_done: 9_267,
+                group_p99_us: 802.816,
+                kiops: 4503.578515,
+                rebuild_ms: 54.151836,
                 data_recovery_ms: 30.1536,
-                records: 4_673,
-                discards: 767,
-            },
-            RecoveryCell {
-                label: "integrity-rot".into(),
-                threads: 8,
-                order_rebuild_ms: 0.5,
-                data_recovery_ms: 125.0,
-                records: 12,
-                discards: 0,
+                ..cell(T65, "RIO (sim)", "trial0")
             },
         ],
     }
@@ -89,12 +82,12 @@ fn sim_document_bytes_are_pinned() {
     assert_eq!(
         between(&doc, "{", "    {\"table\": \"Figure 14"),
         r#"{
-  "schema": 7,
+  "schema": 8,
   "harness": "bench_gate",
-  "total_events": 65000,
+  "total_events": 105656,
   "grid": [
-    {"table": "Figure 10(b): 1 Optane SSD", "series": "RIO", "axis": "2", "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "group_p99_us": 123.457, "kiops": 1.600000},
-    {"table": "Lossy fabric, 2 path(s)", "series": "Linux", "axis": "0.001", "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "group_p99_us": 20.250, "kiops": 0.800000},
+    {"table": "Figure 10(b): 1 Optane SSD", "series": "RIO", "axis": "2", "events": 1000, "sim_span_secs": 0.250000, "blocks_done": 400, "group_p99_us": 123.457, "kiops": 1.600000, "rebuild_ms": 0.000000, "data_recovery_ms": 0.000000},
+    {"table": "Lossy fabric, 2 path(s)", "series": "Linux", "axis": "0.001", "events": 9602, "sim_span_secs": 1.500000, "blocks_done": 1200, "group_p99_us": 20.250, "kiops": 0.800000, "rebuild_ms": 0.000000, "data_recovery_ms": 0.000000},
 "#
     );
 }
@@ -105,10 +98,13 @@ fn fig_document_bytes_are_pinned() {
     // an empty string, which its label leaves out.
     let doc = document().render();
     assert_eq!(
-        between(&doc, "    {\"table\": \"Figure 14", "  \"recoveries\""),
-        r#"    {"table": "Figure 14: 1 thread", "series": "RIOFS(sim)", "axis": "", "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000},
-    {"table": "QoS weights", "series": "", "axis": "2:1", "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457}
-  ],
+        between(
+            &doc,
+            "    {\"table\": \"Figure 14",
+            "    {\"table\": \"§6.5"
+        ),
+        r#"    {"table": "Figure 14: 1 thread", "series": "RIOFS(sim)", "axis": "", "events": 54321, "sim_span_secs": 0.008520, "blocks_done": 6000, "group_p99_us": 41.500, "kiops": 704.250000, "rebuild_ms": 0.000000, "data_recovery_ms": 0.000000},
+    {"table": "QoS weights", "series": "", "axis": "2:1", "events": 77, "sim_span_secs": 0.000012, "blocks_done": 1600, "group_p99_us": 9.000, "kiops": 9.123457, "rebuild_ms": 0.000000, "data_recovery_ms": 0.000000},
 "#
     );
     let labels: Vec<String> = document().grid.iter().map(Record::key_label).collect();
@@ -117,20 +113,20 @@ fn fig_document_bytes_are_pinned() {
         [
             "Lossy fabric, 2 path(s) | Linux @ 0.001",
             "Figure 14: 1 thread | RIOFS(sim)",
-            "QoS weights @ 2:1"
+            "QoS weights @ 2:1",
+            format!("{T65} | RIO (sim) @ trial0").as_str(),
         ]
     );
 }
 
 #[test]
 fn recovery_document_bytes_are_pinned() {
-    // The `recoveries` section and the closing brace: the last bytes.
+    // A faulted cell's line, with both recovery phases, and the closing
+    // brace: the last bytes.
     let doc = document().render();
     assert_eq!(
-        &doc[doc.find("  \"recoveries\"").expect("section starts")..],
-        r#"  "recoveries": [
-    {"label": "trial0", "threads": 8, "order_rebuild_ms": 54.151836, "data_recovery_ms": 30.153600, "records": 4673, "discards": 767},
-    {"label": "integrity-rot", "threads": 8, "order_rebuild_ms": 0.500000, "data_recovery_ms": 125.000000, "records": 12, "discards": 0}
+        &doc[doc.find("    {\"table\": \"§6.5").expect("cell starts")..],
+        r#"    {"table": "§6.5: mean over 30 crash trials, 36 threads, 4 SSDs, 2 targets", "series": "RIO (sim)", "axis": "trial0", "events": 40656, "sim_span_secs": 0.002058, "blocks_done": 9267, "group_p99_us": 802.816, "kiops": 4503.578515, "rebuild_ms": 54.151836, "data_recovery_ms": 30.153600}
   ]
 }
 "#
@@ -139,8 +135,11 @@ fn recovery_document_bytes_are_pinned() {
 
 #[test]
 fn committed_fig_and_recovery_baselines_round_trip_byte_for_byte() {
+    // One grid, §6.5's 30 crash trials among its cells.
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    assert_eq!(doc.recoveries.len(), 6);
+    let trials = doc.grid.iter().filter(|c| c.table == T65);
+    assert_eq!(trials.count(), 30);
+    assert!(!BENCH.contains("recoveries"));
     assert_eq!(doc.render(), BENCH);
 }
 
@@ -150,11 +149,10 @@ fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
     // cell reads back equal from its own rendering — and the header
     // total, which the reader skips, is the writer's fresh sum.
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
-    assert_eq!(doc.grid.len(), 400);
+    assert_eq!(doc.grid.len(), 430);
     for cell in &doc.grid {
         let alone = Document {
             grid: vec![cell.clone()],
-            ..doc.clone()
         };
         let back = Document::parse(&alone.render()).expect("a cell parses alone");
         assert_eq!(back.grid, std::slice::from_ref(cell));
@@ -167,9 +165,8 @@ fn committed_sim_baseline_rerenders_its_stored_fields_unchanged() {
 fn committed_baselines_pass_their_own_gates_without_a_note() {
     let doc = Document::parse(BENCH).expect("BENCH.json parses");
     let grid = compare(&doc.grid, &doc.grid);
-    let recoveries = compare(&doc.recoveries, &doc.recoveries);
-    assert_eq!((grid.verdicts.len(), recoveries.verdicts.len()), (400, 6));
-    for v in grid.verdicts.iter().chain(&recoveries.verdicts) {
+    assert_eq!(grid.verdicts.len(), 430);
+    for v in &grid.verdicts {
         assert!(v.failures.is_empty() && v.notes.is_empty(), "{v:?}");
     }
 }

@@ -8,7 +8,6 @@ use std::process::{Command, Output};
 
 use rio_bench::gate::Document;
 use rio_bench::json::Record;
-use rio_bench::recovery::RecoveryCell;
 use rio_bench::sweep::Cell;
 
 const BENCH: &str = include_str!("../../../BENCH.json");
@@ -17,6 +16,7 @@ const BENCH: &str = include_str!("../../../BENCH.json");
 const FIG10B: &str = "Figure 10(b): 1 Optane SSD, 1 target — KIOPS of 4 KB ordered writes";
 const FIG10A: &str = "Figure 10(a): 1 flash SSD, 1 target — KIOPS of 4 KB ordered writes";
 const FIG13: &str = "Figure 13: fsync throughput (K ops/s), avg and p99 latency (us)";
+const T65: &str = "§6.5: mean over 30 crash trials, 36 threads, 4 SSDs, 2 targets";
 
 fn cell(table: &str, series: &str, events: u64, p99: f64) -> Cell {
     Cell {
@@ -28,6 +28,7 @@ fn cell(table: &str, series: &str, events: u64, p99: f64) -> Cell {
         blocks_done: 120_000,
         group_p99_us: p99,
         kiops: 600.0,
+        ..Cell::default()
     }
 }
 
@@ -42,8 +43,8 @@ fn fig_cell(table: &str, series: &str, kiops: f64) -> Cell {
     }
 }
 
-/// The fixture baseline: six grid cells from three tables, one
-/// recovery.
+/// The fixture baseline: six fault-free grid cells from three tables,
+/// and one §6.5 crash trial with both recovery phases.
 fn baseline() -> Document {
     Document {
         grid: vec![
@@ -53,15 +54,14 @@ fn baseline() -> Document {
             fig_cell(FIG10A, "RIO", 704.2),
             fig_cell(FIG10A, "orderless", 761.9),
             fig_cell(FIG13, "Ext4", 9.1),
+            Cell {
+                series: "RIO (sim)".into(),
+                axis: "trial0".into(),
+                rebuild_ms: 54.0,
+                data_recovery_ms: 30.0,
+                ..cell(T65, "", 40_656, 800.0)
+            },
         ],
-        recoveries: vec![RecoveryCell {
-            label: "trial0".into(),
-            threads: 8,
-            order_rebuild_ms: 54.0,
-            data_recovery_ms: 30.0,
-            records: 4_673,
-            discards: 767,
-        }],
     }
 }
 
@@ -107,7 +107,7 @@ fn identical_run_passes() {
         3,
         "{stdout}"
     );
-    assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
+    assert!(stdout.contains("grid PASS (7 cells compared)"), "{stdout}");
 }
 
 /// The wall-clock events/s rule's successor (the name is pinned by the
@@ -137,7 +137,10 @@ fn doctored_events_per_sec_regression_fails_naming_the_cell() {
         "{stdout}"
     );
     assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
-    assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("PASS {T65} | RIO (sim) @ trial0")),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -162,10 +165,14 @@ fn within_tolerance_and_improvements_pass() {
     cur.grid[2].events /= 2; // Half the events.
     cur.grid[2].group_p99_us *= 0.5; // 2x tighter tail.
     cur.grid[3].kiops *= 0.92; // 8% fewer KIOPS: inside 10%.
-    cur.recoveries[0].data_recovery_ms *= 1.10; // 10% slower: inside 15%.
+    cur.grid[6].data_recovery_ms *= 1.10; // 10% slower: inside 15%.
     let (code, stdout, _) = gate("improved", &cur);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("note: group p99 drift"), "{stdout}");
+    assert!(
+        stdout.contains("note: data recovery drift: 33.000 ms vs baseline 30.000 ms"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -184,7 +191,7 @@ fn missing_cell_fails_a_full_comparison() {
 #[test]
 fn schema_mismatch_exits_2() {
     let good = baseline().render();
-    let old = good.replace("\"schema\": 7", "\"schema\": 6");
+    let old = good.replace("\"schema\": 8", "\"schema\": 7");
     let (code, _, stderr) = gate_texts("schema_base", &old, &good);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("schema mismatch"), "{stderr}");
@@ -219,7 +226,7 @@ fn event_count_drift_warning_names_cells_with_expected_and_actual() {
 fn fig_identical_trajectory_passes() {
     let (code, stdout, _) = gate("fig_same", &baseline());
     assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("grid PASS (6 cells compared)"), "{stdout}");
+    assert!(stdout.contains("grid PASS (7 cells compared)"), "{stdout}");
     assert!(
         stdout.contains(&format!("PASS {FIG13} | Ext4 @ 2\n")),
         "{stdout}"
@@ -240,13 +247,16 @@ fn fig_doctored_kiops_regression_fails_naming_the_cell() {
         "{stdout}"
     );
     assert!(stdout.contains(&format!("PASS {FIG13} | Ext4")), "{stdout}");
-    assert!(stdout.contains("bench_gate: recoveries PASS"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("PASS {T65} | RIO (sim) @ trial0")),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn fig_missing_cell_fails() {
     let mut cur = baseline();
-    cur.grid.pop();
+    cur.grid.remove(5);
     let (code, stdout, _) = gate("fig_missing", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("missing from the current grid"), "{stdout}");
@@ -262,7 +272,7 @@ fn fig_schema_mismatch_exits_2() {
     let (code, _, stderr) = gate_texts("fig_schema", old, &baseline().render());
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
-        stderr.contains("file has schema 1, this gate reads schema 7"),
+        stderr.contains("file has schema 1, this gate reads schema 8"),
         "{stderr}"
     );
     assert!(
@@ -273,11 +283,12 @@ fn fig_schema_mismatch_exits_2() {
 
 #[test]
 fn one_current_document_feeds_both_sections() {
-    // Regressions in both sections, all in the one `--current` file.
+    // Regressions in the run columns and in a recovery phase, all in
+    // the one `--current` file's one grid: the §6.5 trials are cells.
     let mut cur = baseline();
     cur.grid[2].events += 100;
     cur.grid[5].kiops *= 0.5;
-    cur.recoveries[0].order_rebuild_ms *= 1.2;
+    cur.grid[6].rebuild_ms *= 1.2;
     let (code, stdout, _) = gate("both", &cur);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(
@@ -285,19 +296,20 @@ fn one_current_document_feeds_both_sections() {
         "{stdout}"
     );
     assert!(stdout.contains(&format!("FAIL {FIG13} | Ext4")), "{stdout}");
-    assert!(stdout.contains("FAIL recovery trial0 t=8"), "{stdout}");
-    assert!(stdout.contains("order rebuild regression"), "{stdout}");
-    for section in ["grid", "recoveries"] {
-        assert!(
-            stdout.contains(&format!("bench_gate: {section} FAIL")),
-            "{stdout}"
-        );
-    }
-    // And a document missing a section is unusable, not a pass.
-    let text = cur.render().replace("\"recoveries\": [", "\"other\": [");
+    assert!(
+        stdout.contains(&format!(
+            "FAIL {T65} | RIO (sim) @ trial0\n     order rebuild regression: 64.800 ms vs \
+             baseline 54.000 ms (+20.0%, tolerance +15%)"
+        )),
+        "{stdout}"
+    );
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
+    assert!(!stdout.contains("recoveries"), "{stdout}");
+    // And a document missing its grid is unusable, not a pass.
+    let text = cur.render().replace("\"grid\": [", "\"other\": [");
     let (code, _, stderr) = gate_texts("no_section", &baseline().render(), &text);
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("no \"recoveries\" array"), "{stderr}");
+    assert!(stderr.contains("no \"grid\" array"), "{stderr}");
 }
 
 #[test]
@@ -443,4 +455,24 @@ fn a_blocks_change_on_a_fig12_cell_fails_naming_it() {
         );
         assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
     }
+}
+
+#[test]
+fn a_data_recovery_rise_on_a_t65_trial_fails_naming_it() {
+    // §6.5's trials are grid cells: a 20% slower data recovery on one
+    // fails that cell alone, on its own phase column.
+    let key = format!("{T65} | RIO (sim) @ trial0");
+    let (code, stdout) = gate_committed("t65_data", &key, |c| c.data_recovery_ms *= 1.20);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains(&format!("FAIL {key}\n     data recovery regression:")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("(+20.0%, tolerance +15%)"), "{stdout}");
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("FAIL ")).count(),
+        1,
+        "{stdout}"
+    );
+    assert!(stdout.contains("bench_gate: grid FAIL"), "{stdout}");
 }

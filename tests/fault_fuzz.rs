@@ -1,9 +1,10 @@
 //! Seeded fault-plan fuzz: random topologies, fabrics, observers and
 //! fault plans, each run held to every run law (`rio::stack::laws`;
-//! ROADMAP 2(a)/(f), in sampled form). One [`SimRng`] drives the
-//! whole generator, so a failure replays from `MASTER_SEED` and the
-//! case index alone, and the failing case's configuration and workload
-//! are printed on the way out.
+//! ROADMAP 2(a)/(f), in sampled form). One [`SimRng`] drives each
+//! test's whole generator, so a failure replays from the seed it prints
+//! (`MASTER_SEED` for one test, `MASTER_SEED ^ 1` for the other) and
+//! the case index alone, and the failing case's configuration and
+//! workload are printed on the way out.
 
 use rio::sim::{SimRng, SimTime};
 use rio::ssd::SsdProfile;
@@ -18,13 +19,16 @@ use rio::stack::{
 /// unbalanced early in its budget (case 7).
 const MASTER_SEED: u64 = 99;
 
-/// Prints the case when an invariant — or the engine under it — panics.
-struct Case<'a>(usize, &'a ClusterConfig, &'a Workload);
+/// Prints the case — the seed its generator drew from, its index, its
+/// configuration and workload — when an invariant, or the engine under
+/// it, panics.
+struct Case<'a>(u64, usize, &'a ClusterConfig, &'a Workload);
 
 impl Drop for Case<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            eprintln!("seed {MASTER_SEED} case {} failed:\n{:#?}\n{:#?}", self.0, self.1, self.2);
+            let Case(seed, case, cfg, wl) = self;
+            eprintln!("seed {seed} case {case} failed:\n{cfg:#?}\n{wl:#?}");
         }
     }
 }
@@ -135,14 +139,15 @@ fn run(cfg: &ClusterConfig, wl: &Workload) -> RunMetrics {
 /// delivery is exactly once when every fault resumes.
 #[test]
 fn fault_plans_keep_every_ledger() {
-    let mut master = SimRng::seed_from_u64(MASTER_SEED);
+    let seed = MASTER_SEED;
+    let mut master = SimRng::seed_from_u64(seed);
     for case in 0..70 {
         let rng = &mut master.fork();
         let merge = rng.chance(0.7);
         let mut cfg = cluster(rng, OrderingMode::Rio { merge });
         cfg.faults = fault_plan(rng, cfg.targets.len());
         let (wl, groups, blocks) = workload(rng, &cfg, 1);
-        let _print_on_panic = Case(case, &cfg, &wl);
+        let _print_on_panic = Case(seed, case, &cfg, &wl);
         let m = run(&cfg, &wl);
         if cfg.faults.events.iter().all(|e| e.resume) {
             assert_eq!((m.groups_done, m.blocks_done), (groups, blocks), "exactly once");
@@ -161,7 +166,8 @@ fn corrupting_fabrics_replay_exactly_in_every_mode() {
         OrderingMode::Rio { merge: true },
         OrderingMode::Rio { merge: false },
     ];
-    let mut master = SimRng::seed_from_u64(MASTER_SEED ^ 1);
+    let seed = MASTER_SEED ^ 1;
+    let mut master = SimRng::seed_from_u64(seed);
     for case in 0..30 {
         let rng = &mut master.fork();
         let mode = MODES[case % MODES.len()];
@@ -173,7 +179,7 @@ fn corrupting_fabrics_replay_exactly_in_every_mode() {
         }
         let scale = if mode == OrderingMode::LinuxNvmf { 4 } else { 1 };
         let (wl, groups, blocks) = workload(rng, &cfg, scale);
-        let _print_on_panic = Case(case, &cfg, &wl);
+        let _print_on_panic = Case(seed, case, &cfg, &wl);
         let m = run(&cfg, &wl);
         assert_eq!(m, run(&cfg, &wl), "replay diverged");
         assert_eq!((m.groups_done, m.blocks_done), (groups, blocks));
